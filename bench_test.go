@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"gpufi"
-	"gpufi/internal/obs"
 )
 
 // benchRuns is the per-point injection count for bench iterations —
@@ -66,6 +65,16 @@ func BenchmarkTableI_MemorySizes(b *testing.B) {
 }
 
 func mb(bits int64) float64 { return float64(bits) / 8 / 1024 / 1024 }
+
+// runPoint runs one campaign point against an already computed profile.
+func runPoint(tb testing.TB, prof *gpufi.AppProfile, opts ...gpufi.CampaignOption) *gpufi.CampaignResult {
+	tb.Helper()
+	res, err := gpufi.NewCampaign(append(opts, gpufi.WithProfile(prof))...).Run(context.Background())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
 
 // BenchmarkTableII_MemorySpaces verifies and times the memory-space
 // routing of Table II: one app touching every space runs end to end.
@@ -124,13 +133,8 @@ func BenchmarkTableIV_Targets(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range gpufi.Structures() {
-			res, err := gpufi.Run(&gpufi.CampaignConfig{
-				App: app, GPU: gpu, Kernel: "sp_dot", Structure: st,
-				Runs: benchRuns, Bits: 1, Seed: int64(i + 1),
-			}, prof)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPoint(b, prof, gpufi.WithTarget(app, gpu, "sp_dot", st),
+				gpufi.WithRuns(benchRuns), gpufi.WithSeed(int64(i+1)))
 			if i == 0 {
 				b.Logf("Table IV %s: %+v", st, res.Counts)
 			}
@@ -286,13 +290,8 @@ func BenchmarkAblationECC(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				res, err := gpufi.Run(&gpufi.CampaignConfig{
-					App: app, GPU: gpu, Kernel: "sp_dot",
-					Structure: gpufi.StructRegFile, Runs: 40, Bits: bits, Seed: 5,
-				}, prof)
-				if err != nil {
-					b.Fatal(err)
-				}
+				res := runPoint(b, prof, gpufi.WithTarget(app, gpu, "sp_dot", gpufi.StructRegFile),
+					gpufi.WithRuns(40), gpufi.WithBits(bits), gpufi.WithSeed(5))
 				if ecc && bits == 1 && res.Counts.Failures() != 0 {
 					b.Fatalf("ECC failed to correct single-bit faults: %+v", res.Counts)
 				}
@@ -318,13 +317,8 @@ func BenchmarkAblationLenientMemory(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := gpufi.Run(&gpufi.CampaignConfig{
-				App: app, GPU: gpu, Kernel: "km_assign",
-				Structure: gpufi.StructRegFile, Runs: 40, Bits: 1, Seed: 5,
-			}, prof)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPoint(b, prof, gpufi.WithTarget(app, gpu, "km_assign", gpufi.StructRegFile),
+				gpufi.WithRuns(40), gpufi.WithSeed(5))
 			if i == 0 {
 				b.Logf("Ablation lenient=%v: %+v", lenient, res.Counts)
 			}
@@ -346,14 +340,8 @@ func BenchmarkAblationWarpWide(b *testing.B) {
 		}
 		var frs [2]float64
 		for j, warp := range []bool{false, true} {
-			res, err := gpufi.Run(&gpufi.CampaignConfig{
-				App: app, GPU: gpu, Kernel: "sp_dot",
-				Structure: gpufi.StructRegFile, Runs: 40, Bits: 1, Seed: 5,
-				WarpWide: warp,
-			}, prof)
-			if err != nil {
-				b.Fatal(err)
-			}
+			res := runPoint(b, prof, gpufi.WithTarget(app, gpu, "sp_dot", gpufi.StructRegFile),
+				gpufi.WithRuns(40), gpufi.WithSeed(5), gpufi.WithWarpWide(warp))
 			frs[j] = res.Counts.FailureRatio()
 			if i == 0 {
 				b.Logf("Ablation warpWide=%v: %+v (FR %.3f)", warp, res.Counts, frs[j])
@@ -422,282 +410,10 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := gpufi.Run(&gpufi.CampaignConfig{
-			App: app, GPU: gpu, Kernel: "va_add",
-			Structure: gpufi.StructRegFile, Runs: 10, Bits: 1, Seed: int64(i),
-		}, prof); err != nil {
-			b.Fatal(err)
-		}
+		runPoint(b, prof, gpufi.WithTarget(app, gpu, "va_add", gpufi.StructRegFile),
+			gpufi.WithRuns(10), gpufi.WithSeed(int64(i)))
 	}
 	b.ReportMetric(10, "injections/op")
-}
-
-// BenchmarkCampaignForkVsReplay runs the same 300-run register-file
-// campaign (BP's bp_adjust kernel, last invocation — a late injection
-// window, where replaying the fault-free prefix hurts most) on the
-// snapshot-and-fork engine and on the legacy full-replay engine. Each
-// iteration verifies the two produce bit-identical Counts and reports the
-// wall-clock speedup, gated against benchmarks/baseline.json in CI.
-func BenchmarkCampaignForkVsReplay(b *testing.B) {
-	app, err := gpufi.AppByName("BP")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gpu := gpufi.RTX2060()
-	prof, err := gpufi.Profile(nil, app, gpu)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lastInv := len(prof.Kernels["bp_adjust"].Windows)
-	// spanCtx enables the distributed-tracing spans (engine phase spans to
-	// a discarding sink), the way a sharded worker runs; nil ctx is the
-	// spans-off arm. The sink cost is deliberately near-zero so the ratio
-	// isolates the instrumentation itself.
-	spanCtx := obs.ContextWithSink(
-		obs.ContextWithNode(obs.ContextWithTrace(context.Background(), obs.NewTraceID()), "bench"),
-		func(obs.SpanRecord) {})
-	run := func(legacy, trace, spans bool) (*gpufi.CampaignResult, time.Duration) {
-		opts := []gpufi.CampaignOption{
-			gpufi.WithTarget(app, gpu, "bp_adjust", gpufi.StructRegFile),
-			gpufi.WithRuns(300),
-			gpufi.WithSeed(5),
-			gpufi.WithInvocation(lastInv),
-			gpufi.WithProfile(prof),
-		}
-		if legacy {
-			opts = append(opts, gpufi.WithLegacyReplay())
-		}
-		if trace {
-			opts = append(opts, gpufi.WithTrace(func(gpufi.ExperimentTrace) error { return nil }))
-		}
-		ctx := context.Context(nil)
-		if spans {
-			ctx = spanCtx
-		}
-		t0 := time.Now()
-		res, err := gpufi.NewCampaign(opts...).Run(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(t0)
-	}
-	var forkTime, replayTime, tracedTime, spansTime time.Duration
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// The fork, traced, and spans arms run twice, keeping the per-pair
-		// minimum: the overhead ratios below compare short wall-clock
-		// measurements, and min-of-two strips scheduler noise that a single
-		// -benchtime=1x sample would pass straight into the CI gate.
-		fork, tf1 := run(false, false, false)
-		replay, tr := run(true, false, false)
-		traced, tt1 := run(false, true, false)
-		spanned, ts1 := run(false, false, true)
-		_, tf2 := run(false, false, false)
-		_, tt2 := run(false, true, false)
-		_, ts2 := run(false, false, true)
-		if fork.Counts != replay.Counts {
-			b.Fatalf("engines disagree: fork %+v vs replay %+v", fork.Counts, replay.Counts)
-		}
-		if traced.Counts != fork.Counts {
-			b.Fatalf("tracing perturbed outcomes: traced %+v vs untraced %+v", traced.Counts, fork.Counts)
-		}
-		if spanned.Counts != fork.Counts {
-			b.Fatalf("span instrumentation perturbed outcomes: spanned %+v vs untraced %+v", spanned.Counts, fork.Counts)
-		}
-		forkTime += min(tf1, tf2)
-		replayTime += tr
-		tracedTime += min(tt1, tt2)
-		spansTime += min(ts1, ts2)
-	}
-	b.ReportMetric(forkTime.Seconds()/float64(b.N), "fork-s/op")
-	b.ReportMetric(replayTime.Seconds()/float64(b.N), "replay-s/op")
-	b.ReportMetric(tracedTime.Seconds()/float64(b.N), "traced-s/op")
-	b.ReportMetric(float64(replayTime)/float64(forkTime), "speedup-x")
-	overhead := float64(tracedTime)/float64(forkTime) - 1
-	b.ReportMetric(overhead*100, "trace-overhead-%")
-	spanOverhead := float64(spansTime)/float64(forkTime) - 1
-	b.ReportMetric(spanOverhead*100, "span-overhead-%")
-
-	// Observability artifact: BENCH_OBS_JSON dumps the tracing-overhead
-	// numbers for upload. The regression gate lives in benchmarks/compare,
-	// which checks trace_overhead_ratio against the committed baseline.
-	if path := os.Getenv("BENCH_OBS_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":              "BenchmarkCampaignForkVsReplay",
-			"iterations":             b.N,
-			"runs_per_campaign":      300,
-			"fork_ns_per_op":         forkTime.Nanoseconds() / int64(b.N),
-			"traced_fork_ns_per_op":  tracedTime.Nanoseconds() / int64(b.N),
-			"trace_overhead_ratio":   float64(tracedTime) / float64(forkTime),
-			"trace_overhead_percent": overhead * 100,
-			"spans_fork_ns_per_op":   spansTime.Nanoseconds() / int64(b.N),
-			"span_overhead_ratio":    float64(spansTime) / float64(forkTime),
-			"span_overhead_percent":  spanOverhead * 100,
-		}
-		raw, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// CI smoke artifact: when BENCH_CAMPAIGN_JSON names a file, dump the
-	// raw numbers as machine-readable JSON so runs can be compared across
-	// commits without scraping benchmark output.
-	if path := os.Getenv("BENCH_CAMPAIGN_JSON"); path != "" {
-		exps := int64(300) * int64(b.N)
-		out := map[string]any{
-			"benchmark":                  "BenchmarkCampaignForkVsReplay",
-			"iterations":                 b.N,
-			"runs_per_campaign":          300,
-			"fork_ns_per_op":             forkTime.Nanoseconds() / int64(b.N),
-			"replay_ns_per_op":           replayTime.Nanoseconds() / int64(b.N),
-			"fork_experiments_per_sec":   float64(exps) / forkTime.Seconds(),
-			"replay_experiments_per_sec": float64(exps) / replayTime.Seconds(),
-			"speedup_x":                  float64(replayTime) / float64(forkTime),
-		}
-		raw, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkCOWForkVsDeepClone runs the same 300-run register-file
-// campaign (BP's bp_adjust kernel, last invocation) on the fork engine's
-// default copy-on-write restore protocol and on the eager deep-clone
-// baseline (WithDeepClone). Each iteration verifies bit-identical Counts,
-// then reports the wall-clock ratio and — the number the COW work
-// actually targets — the per-experiment fork+recycle cost (vessel restore
-// plus snapshot capture nanoseconds, metered via EngineStats deltas).
-// The ratio is gated against benchmarks/baseline.json in CI.
-func BenchmarkCOWForkVsDeepClone(b *testing.B) {
-	app, err := gpufi.AppByName("BP")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gpu := gpufi.RTX2060()
-	prof, err := gpufi.Profile(nil, app, gpu)
-	if err != nil {
-		b.Fatal(err)
-	}
-	lastInv := len(prof.Kernels["bp_adjust"].Windows)
-	const runs = 300
-	// run executes one campaign and returns its result, wall-clock, and
-	// the fork+recycle (restore + capture) nanoseconds it spent.
-	run := func(deep bool) (*gpufi.CampaignResult, time.Duration, int64) {
-		opts := []gpufi.CampaignOption{
-			gpufi.WithTarget(app, gpu, "bp_adjust", gpufi.StructRegFile),
-			gpufi.WithRuns(runs),
-			gpufi.WithSeed(5),
-			gpufi.WithInvocation(lastInv),
-			gpufi.WithProfile(prof),
-		}
-		if deep {
-			opts = append(opts, gpufi.WithDeepClone())
-		}
-		before := gpufi.EngineStats()
-		t0 := time.Now()
-		res, err := gpufi.NewCampaign(opts...).Run(nil)
-		wall := time.Since(t0)
-		after := gpufi.EngineStats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sync := (after.ForkNanos - before.ForkNanos) +
-			(after.SnapshotRestoreNanos - before.SnapshotRestoreNanos) +
-			(after.SnapshotCaptureNanos - before.SnapshotCaptureNanos)
-		return res, wall, sync
-	}
-	var cowWall, deepWall time.Duration
-	var cowSync, deepSync int64
-	var cowStats gpufi.EngineCounters
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Min-of-two per arm: the gate below compares two short wall-clock
-		// measurements, and the minimum strips scheduler noise a single
-		// sample would pass straight into CI.
-		statsBefore := gpufi.EngineStats()
-		cowRes, cw1, cs1 := run(false)
-		statsAfter := gpufi.EngineStats()
-		deepRes, dw1, ds1 := run(true)
-		_, cw2, cs2 := run(false)
-		_, dw2, ds2 := run(true)
-		if cowRes.Counts != deepRes.Counts {
-			b.Fatalf("protocols disagree: COW %+v vs deep-clone %+v", cowRes.Counts, deepRes.Counts)
-		}
-		cowWall += min(cw1, cw2)
-		deepWall += min(dw1, dw2)
-		cowSync += min(cs1, cs2)
-		deepSync += min(ds1, ds2)
-		if i == 0 {
-			cowStats = diffCounters(statsBefore, statsAfter)
-		}
-	}
-	perExpCow := float64(cowSync) / float64(runs*b.N)
-	perExpDeep := float64(deepSync) / float64(runs*b.N)
-	syncRatio := perExpDeep / perExpCow
-	b.ReportMetric(cowWall.Seconds()/float64(b.N), "cow-s/op")
-	b.ReportMetric(deepWall.Seconds()/float64(b.N), "deep-s/op")
-	b.ReportMetric(perExpCow, "cow-fork-ns/exp")
-	b.ReportMetric(perExpDeep, "deep-fork-ns/exp")
-	b.ReportMetric(syncRatio, "fork-speedup-x")
-	b.ReportMetric(float64(deepWall)/float64(cowWall), "wall-speedup-x")
-	b.ReportMetric(cowStats.COWDirtyRatio, "dirty-ratio")
-
-	// Machine-readable artifact: BENCH_FORK_JSON dumps the numbers for
-	// upload. The regression gate lives in benchmarks/compare, which
-	// checks fork_recycle_speedup and wall_speedup against the committed
-	// baseline.
-	if path := os.Getenv("BENCH_FORK_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":             "BenchmarkCOWForkVsDeepClone",
-			"iterations":            b.N,
-			"runs_per_campaign":     runs,
-			"cow_wall_ns_per_op":    cowWall.Nanoseconds() / int64(b.N),
-			"deep_wall_ns_per_op":   deepWall.Nanoseconds() / int64(b.N),
-			"cow_fork_ns_per_exp":   perExpCow,
-			"deep_fork_ns_per_exp":  perExpDeep,
-			"fork_recycle_speedup":  syncRatio,
-			"wall_speedup":          float64(deepWall) / float64(cowWall),
-			"cow_dirty_ratio":       cowStats.COWDirtyRatio,
-			"cow_bytes_copied":      cowStats.COWBytesCopied,
-			"cow_bytes_avoided":     cowStats.COWBytesAvoided,
-			"cow_full_restores":     cowStats.COWFullRestores,
-			"warps_shared":          cowStats.WarpsShared,
-			"warps_materialized":    cowStats.WarpsMaterialized,
-			"resident_bytes_copied": cowStats.ResidentBytesCopied,
-		}
-		raw, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// diffCounters subtracts two cumulative EngineCounters readings, keeping
-// only the COW fields the fork benchmark reports.
-func diffCounters(before, after gpufi.EngineCounters) gpufi.EngineCounters {
-	d := gpufi.EngineCounters{
-		COWRestores:         after.COWRestores - before.COWRestores,
-		COWFullRestores:     after.COWFullRestores - before.COWFullRestores,
-		COWBytesCopied:      after.COWBytesCopied - before.COWBytesCopied,
-		COWBytesAvoided:     after.COWBytesAvoided - before.COWBytesAvoided,
-		WarpsShared:         after.WarpsShared - before.WarpsShared,
-		WarpsMaterialized:   after.WarpsMaterialized - before.WarpsMaterialized,
-		ResidentBytesCopied: after.ResidentBytesCopied - before.ResidentBytesCopied,
-	}
-	if tot := d.COWBytesCopied + d.COWBytesAvoided; tot > 0 {
-		d.COWDirtyRatio = float64(d.COWBytesCopied) / float64(tot)
-	}
-	return d
 }
 
 // BenchmarkPrefixParallelScaling measures the parallel per-cycle core
@@ -849,13 +565,8 @@ func TestFacadeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gpufi.Run(&gpufi.CampaignConfig{
-		App: app, GPU: gpufi.RTX2060(), Kernel: "va_add",
-		Structure: gpufi.StructRegFile, Runs: 8, Bits: 1, Seed: 1,
-	}, prof)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runPoint(t, prof, gpufi.WithTarget(app, gpufi.RTX2060(), "va_add", gpufi.StructRegFile),
+		gpufi.WithRuns(8), gpufi.WithSeed(1))
 	if res.Counts.Total() != 8 {
 		t.Errorf("counts: %+v", res.Counts)
 	}

@@ -14,14 +14,16 @@
 //	go run ./benchmarks/compare -baseline benchmarks/baseline.json BENCH_*.json
 //	go run ./benchmarks/compare -baseline benchmarks/baseline.json -promote BENCH_*.json
 //
-// -promote rewrites the baseline's values from the current run (directions
-// and tolerance are preserved); benchmarks/promote.sh wraps it.
+// -promote rewrites the baseline's values from the current run (directions,
+// tolerances and floors are preserved; a metric whose min_cpus exceeds the
+// recording host's CPU count is not written); benchmarks/promote.sh wraps it.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -39,8 +41,10 @@ type Baseline struct {
 
 // Metric is one gated benchmark number.
 type Metric struct {
-	// Value is the promoted baseline measurement.
-	Value float64 `json:"value"`
+	// Value is the promoted baseline measurement. A metric without one is
+	// floor-only: no recording host has produced a number to be relative
+	// to, so only Min is enforced.
+	Value float64 `json:"value,omitempty"`
 	// Direction is "higher" (bigger is better: speedups) or "lower"
 	// (smaller is better: overhead ratios).
 	Direction string `json:"direction"`
@@ -54,10 +58,11 @@ type Metric struct {
 	// like "parallel stepping reaches >=1.8x at 4 workers".
 	Min float64 `json:"min,omitempty"`
 	// MinCPUs, when positive, makes the metric conditional on hardware:
-	// it is checked only when the pooled artifacts report at least this
-	// many CPUs under "parallel_bench_cpus". A laptop or single-core CI
-	// leg cannot measure a 4-worker speedup, so the gate skips (with a
-	// note) instead of failing on numbers the machine cannot produce.
+	// it is checked — and promoted — only when the pooled artifacts report
+	// at least this many CPUs under "parallel_bench_cpus". A laptop or
+	// single-core CI leg cannot measure a 4-worker speedup, so the gate
+	// skips (with a note) instead of failing on numbers the machine cannot
+	// produce, and -promote refuses to record them.
 	MinCPUs int `json:"min_cpus,omitempty"`
 }
 
@@ -65,7 +70,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchmarks/compare: ")
 	basePath := flag.String("baseline", "benchmarks/baseline.json", "committed baseline file")
-	promote := flag.Bool("promote", false, "rewrite the baseline's values from the current artifacts")
+	doPromote := flag.Bool("promote", false, "rewrite the baseline's values from the current artifacts")
 	flag.Parse()
 	if flag.NArg() == 0 {
 		log.Fatal("usage: compare [-promote] [-baseline file] BENCH_*.json...")
@@ -102,37 +107,9 @@ func main() {
 		}
 	}
 
-	names := make([]string, 0, len(base.Metrics))
-	for name := range base.Metrics {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-
-	// skipForCPUs reports whether a hardware-conditional metric cannot be
-	// measured on this machine (too few CPUs for a parallel speedup).
-	skipForCPUs := func(m Metric) (float64, bool) {
-		if m.MinCPUs <= 0 {
-			return 0, false
-		}
-		cpus, ok := current["parallel_bench_cpus"]
-		return cpus, !ok || int(cpus) < m.MinCPUs
-	}
-
-	if *promote {
-		for _, name := range names {
-			m := base.Metrics[name]
-			if cpus, skip := skipForCPUs(m); skip {
-				fmt.Printf("%-22s kept at %.4f (needs >=%d CPUs, artifacts report %.0f)\n",
-					name, m.Value, m.MinCPUs, cpus)
-				continue
-			}
-			got, ok := current[name]
-			if !ok {
-				log.Fatalf("metric %q not present in the given artifacts; run every benchmark before promoting", name)
-			}
-			fmt.Printf("%-22s %.4f -> %.4f\n", name, m.Value, got)
-			m.Value = got
-			base.Metrics[name] = m
+	if *doPromote {
+		if err := promote(os.Stdout, &base, current); err != nil {
+			log.Fatal(err)
 		}
 		out, err := json.MarshalIndent(base, "", "  ")
 		if err != nil {
@@ -141,22 +118,99 @@ func main() {
 		if err := os.WriteFile(*basePath, append(out, '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("promoted %d metric(s) into %s\n", len(names), *basePath)
+		fmt.Printf("promoted into %s\n", *basePath)
 		return
 	}
 
-	failed := 0
-	for _, name := range names {
+	failed, err := gate(os.Stdout, base, current)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if failed > 0 {
+		log.Fatalf("%d metric(s) regressed past tolerance from %s; "+
+			"if intentional, re-baseline with benchmarks/promote.sh",
+			failed, *basePath)
+	}
+	fmt.Println("all benchmark metrics within tolerance")
+}
+
+// sortedNames returns the baseline's metric names in a stable order.
+func sortedNames(base Baseline) []string {
+	names := make([]string, 0, len(base.Metrics))
+	for name := range base.Metrics {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// recordedCPUs reports how many CPUs the host that produced the artifacts
+// had, and whether that is enough to measure m (too few CPUs cannot
+// produce a parallel speedup).
+func recordedCPUs(m Metric, current map[string]float64) (cpus float64, enough bool) {
+	if m.MinCPUs <= 0 {
+		return 0, true
+	}
+	cpus, ok := current["parallel_bench_cpus"]
+	return cpus, ok && int(cpus) >= m.MinCPUs
+}
+
+// promote overwrites each baseline value with the current measurement,
+// keeping directions, tolerances and floors. A metric the recording host
+// had too few CPUs to measure is left exactly as committed.
+func promote(w io.Writer, base *Baseline, current map[string]float64) error {
+	for _, name := range sortedNames(*base) {
 		m := base.Metrics[name]
-		if cpus, skip := skipForCPUs(m); skip {
-			fmt.Printf("skip %-22s needs >=%d CPUs, artifacts report %.0f; not enforced on this machine\n",
+		if cpus, ok := recordedCPUs(m, current); !ok {
+			fmt.Fprintf(w, "%-22s not promoted (needs >=%d CPUs, artifacts report %.0f)\n",
 				name, m.MinCPUs, cpus)
 			continue
 		}
 		got, ok := current[name]
 		if !ok {
-			log.Printf("FAIL %s: metric missing from the benchmark artifacts", name)
+			return fmt.Errorf("metric %q not present in the given artifacts; run every benchmark before promoting", name)
+		}
+		fmt.Fprintf(w, "%-22s %.4f -> %.4f\n", name, m.Value, got)
+		m.Value = got
+		base.Metrics[name] = m
+	}
+	return nil
+}
+
+// mark is the line prefix for a checked metric.
+func mark(bad bool) string {
+	if bad {
+		return "FAIL"
+	}
+	return "ok  "
+}
+
+// gate checks every baseline metric against the pooled artifact values,
+// printing one line per metric, and returns how many regressed.
+func gate(w io.Writer, base Baseline, current map[string]float64) (failed int, err error) {
+	for _, name := range sortedNames(base) {
+		m := base.Metrics[name]
+		if cpus, ok := recordedCPUs(m, current); !ok {
+			fmt.Fprintf(w, "skip %-22s needs >=%d CPUs, artifacts report %.0f; not enforced on this machine\n",
+				name, m.MinCPUs, cpus)
+			continue
+		}
+		got, ok := current[name]
+		if !ok {
+			fmt.Fprintf(w, "FAIL %s: metric missing from the benchmark artifacts\n", name)
 			failed++
+			continue
+		}
+		if m.Value == 0 {
+			if m.Min <= 0 || m.Direction != "higher" {
+				return failed, fmt.Errorf("metric %q has no value: it needs a positive min and direction \"higher\"", name)
+			}
+			bad := got < m.Min
+			if bad {
+				failed++
+			}
+			fmt.Fprintf(w, "%s %-22s floor %.4f, got %.4f (no baseline value recorded)\n",
+				mark(bad), name, m.Min, got)
 			continue
 		}
 		tol := base.Tolerance
@@ -167,30 +221,19 @@ func main() {
 		var bound float64
 		switch m.Direction {
 		case "higher":
-			bound = m.Value * (1 - tol)
+			bound = max(m.Value*(1-tol), m.Min) // the larger of the two binds
 			bad = got < bound
-			if m.Min > 0 && bound < m.Min {
-				bound = m.Min // the absolute floor is the binding constraint
-			}
-			bad = bad || got < bound
 		case "lower":
 			bound = m.Value * (1 + tol)
 			bad = got > bound
 		default:
-			log.Fatalf("metric %q: unknown direction %q (want \"higher\" or \"lower\")", name, m.Direction)
+			return failed, fmt.Errorf("metric %q: unknown direction %q (want \"higher\" or \"lower\")", name, m.Direction)
 		}
-		status := "ok  "
 		if bad {
-			status = "FAIL"
 			failed++
 		}
-		fmt.Printf("%s %-22s baseline %.4f, got %.4f (%s is better, tolerance %.0f%%, bound %.4f)\n",
-			status, name, m.Value, got, m.Direction, tol*100, bound)
+		fmt.Fprintf(w, "%s %-22s baseline %.4f, got %.4f (%s is better, tolerance %.0f%%, bound %.4f)\n",
+			mark(bad), name, m.Value, got, m.Direction, tol*100, bound)
 	}
-	if failed > 0 {
-		log.Fatalf("%d metric(s) regressed past tolerance from %s; "+
-			"if intentional, re-baseline with benchmarks/promote.sh",
-			failed, *basePath)
-	}
-	fmt.Println("all benchmark metrics within tolerance")
+	return failed, nil
 }

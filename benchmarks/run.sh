@@ -9,14 +9,19 @@ set -e
 cd "$(dirname "$0")/.."
 mkdir -p benchmarks/current
 
-BENCH_CAMPAIGN_JSON=benchmarks/current/BENCH_campaign.json \
-BENCH_OBS_JSON=benchmarks/current/BENCH_obs.json \
-  go test -run '^$' -bench BenchmarkCampaignForkVsReplay -benchtime=1x .
+# The two engine benchmarks live in internal/core, next to the replay and
+# deep-clone reference implementations only that package's tests can reach;
+# go test runs them from that directory, so the paths are absolute.
+out="$(pwd)/benchmarks/current"
 
-BENCH_FORK_JSON=benchmarks/current/BENCH_fork.json \
-  go test -run '^$' -bench BenchmarkCOWForkVsDeepClone -benchtime=1x .
+BENCH_CAMPAIGN_JSON="$out/BENCH_campaign.json" \
+BENCH_OBS_JSON="$out/BENCH_obs.json" \
+  go test -run '^$' -bench BenchmarkCampaignForkVsReplay -benchtime=1x ./internal/core
 
-BENCH_PARALLEL_JSON=benchmarks/current/BENCH_parallel.json \
+BENCH_FORK_JSON="$out/BENCH_fork.json" \
+  go test -run '^$' -bench BenchmarkCOWForkVsDeepClone -benchtime=1x ./internal/core
+
+BENCH_PARALLEL_JSON="$out/BENCH_parallel.json" \
   go test -run '^$' -bench BenchmarkPrefixParallelScaling -benchtime=1x .
 
 echo "artifacts in benchmarks/current/"

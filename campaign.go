@@ -12,8 +12,8 @@ import (
 // parameters. Build one with NewCampaign and functional options, then
 // execute it with Run — campaigns run on the snapshot-and-fork engine,
 // which simulates the fault-free prefix once per cycle-cluster and forks
-// every experiment from a deep GPU snapshot instead of replaying from
-// cycle 0.
+// every experiment from a copy-on-write GPU snapshot instead of replaying
+// from cycle 0.
 //
 //	app, _ := gpufi.AppByName("VA")
 //	gpu := gpufi.RTX2060()
@@ -146,19 +146,6 @@ func WithTrace(sink func(ExperimentTrace) error) CampaignOption {
 		c.cfg.TraceSink = sink
 	}
 }
-
-// WithLegacyReplay forces the original engine that re-simulates the whole
-// fault-free prefix for every experiment. Outcomes are bit-identical to
-// the default snapshot-and-fork engine; this exists for validation and
-// benchmarking.
-func WithLegacyReplay() CampaignOption { return func(c *Campaign) { c.cfg.LegacyReplay = true } }
-
-// WithDeepClone forces the fork engine's eager deep-clone protocol: every
-// fork restore and snapshot recapture copies the complete GPU state
-// instead of only what diverged (the default copy-on-write protocol).
-// Outcomes are bit-identical either way; this exists as the differential
-// baseline for the COW engine and for benchmarking.
-func WithDeepClone() CampaignOption { return func(c *Campaign) { c.cfg.DeepClone = true } }
 
 // WithPlan enables adaptive early stopping: the campaign treats its run
 // count as a ceiling and stops once the rule's confidence interval is

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -151,11 +152,14 @@ func (d *driver) table4() {
 		log.Fatal(err)
 	}
 	for _, st := range gpufi.Structures() {
-		res, err := gpufi.Run(&gpufi.CampaignConfig{
-			App: app, GPU: gpu, Kernel: "va_add", Structure: st,
-			Runs: 20, Bits: 1, Seed: d.seed, Workers: d.workers,
-			Trace: true,
-		}, prof)
+		res, err := gpufi.NewCampaign(
+			gpufi.WithTarget(app, gpu, "va_add", st),
+			gpufi.WithRuns(20),
+			gpufi.WithSeed(d.seed),
+			gpufi.WithWorkers(d.workers),
+			gpufi.WithTrace(nil),
+			gpufi.WithProfile(prof),
+		).Run(context.Background())
 		if err != nil {
 			log.Fatal(err)
 		}

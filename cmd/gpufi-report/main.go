@@ -5,7 +5,7 @@
 // "-" reads a log from stdin, so journals can be piped straight out of a
 // running gpufi-serve:
 //
-//	curl -s localhost:8080/campaigns/<id>/log | gpufi-report -
+//	curl -s localhost:8080/v1/campaigns/<id>/log | gpufi-report -
 //
 // A log with a torn final line (a campaign killed mid-write) is salvaged
 // with a warning; a corrupt record anywhere else is reported with its

@@ -10,8 +10,8 @@
 // backoff before being failed; a worker that dies is restarted by its
 // supervisor.
 //
-// The API is versioned under /v1; the pre-versioning routes remain as
-// deprecated aliases (Deprecation + Link headers point at the successor).
+// The API is versioned under /v1; only the probe and scrape endpoints
+// (/healthz, /readyz, /metrics) are unversioned.
 //
 // SIGINT or SIGTERM drains gracefully: intake stops (readyz flips to
 // 503), queued and running campaigns finish, then the server exits. A

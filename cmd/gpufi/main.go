@@ -52,7 +52,6 @@ func main() {
 		lenient   = flag.Bool("lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed)")
 		ecc       = flag.Bool("ecc", false, "enable SEC-DED ECC on all structures (protection ablation)")
 		stats     = flag.Bool("stats", false, "print the memory-system statistics of the fault-free run")
-		legacy    = flag.Bool("legacy-replay", false, "use the legacy full-replay engine instead of snapshot-and-fork")
 		progress  = flag.Bool("progress", false, "print one dot per finished experiment")
 		tracePath = flag.String("trace", "", "record fault-propagation traces (JSONL; with -store they land in the campaign directory)")
 		instTrace = flag.String("instr-trace", "", "write the fault-free instruction trace to this file (slow)")
@@ -177,7 +176,7 @@ func main() {
 				App: *appName, Scale: *scale, GPU: *gpuName, Kernel: k,
 				Structure: *structure, Runs: *runs, Bits: *bits,
 				WarpWide: *warpWide, Blocks: *blocks, Seed: *seed,
-				Workers: *workers, ParallelCores: *parCores, LegacyReplay: *legacy,
+				Workers: *workers, ParallelCores: *parCores,
 				Lenient: *lenient, ECC: *ecc, L2Queue: *l2queue,
 				ExpTimeoutMS: expTO.Milliseconds(),
 				Trace:        *tracePath != "",
@@ -195,9 +194,6 @@ func main() {
 				gpufi.WithParallelCores(*parCores),
 				gpufi.WithExpTimeout(*expTO),
 				gpufi.WithProfile(prof),
-			}
-			if *legacy {
-				opts = append(opts, gpufi.WithLegacyReplay())
 			}
 			if *targetCI != 0 {
 				opts = append(opts, gpufi.WithPlan(&gpufi.PlanRule{TargetCI: *targetCI}))

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -43,10 +44,13 @@ func main() {
 			}
 			var total gpufi.Counts
 			for _, k := range prof.KernelOrder {
-				res, err := gpufi.Run(&gpufi.CampaignConfig{
-					App: app, GPU: gpu, Kernel: k,
-					Structure: gpufi.StructRegFile, Runs: *runs, Bits: bits, Seed: *seed,
-				}, prof)
+				res, err := gpufi.NewCampaign(
+					gpufi.WithTarget(app, gpu, k, gpufi.StructRegFile),
+					gpufi.WithRuns(*runs),
+					gpufi.WithBits(bits),
+					gpufi.WithSeed(*seed),
+					gpufi.WithProfile(prof),
+				).Run(context.Background())
 				if err != nil {
 					log.Fatal(err)
 				}

@@ -8,8 +8,8 @@
 // The typical flow mirrors the paper's methodology: build a Campaign for
 // one injection point and Run it. Campaigns execute on the snapshot-and-
 // fork engine — the fault-free prefix is simulated once per cluster of
-// nearby injection cycles, and every experiment forks from a deep GPU
-// snapshot instead of replaying from cycle 0.
+// nearby injection cycles, and every experiment forks from a copy-on-write
+// GPU snapshot instead of replaying from cycle 0.
 //
 //	app, _ := gpufi.AppByName("VA")           // one of the 12 benchmarks
 //	gpu := gpufi.RTX2060()                    // Table V configuration
@@ -186,16 +186,6 @@ func ParseStructure(name string) (Structure, error) { return sim.ParseStructure(
 // and per-kernel statistics. The context cancels the run.
 func Profile(ctx context.Context, app *App, gpu *GPU) (*AppProfile, error) {
 	return core.ProfileApp(ctx, app, gpu)
-}
-
-// Run executes one injection campaign point against a profile.
-//
-// Deprecated: build a Campaign with NewCampaign (use WithProfile to reuse
-// prof) and call its Run method, which adds cancellation, progress
-// callbacks and partial results. This wrapper runs the same engine with a
-// background context.
-func Run(cfg *CampaignConfig, prof *AppProfile) (*CampaignResult, error) {
-	return core.RunCampaign(context.Background(), cfg, prof)
 }
 
 // Evaluate runs the full campaign matrix for an app on a GPU and

@@ -180,9 +180,9 @@ func analyticRecords(cfg *CampaignConfig, prof *Profile, specs []*sim.FaultSpec,
 }
 
 // runAdaptive executes a campaign point under cfg.Plan: analytic pre-pass,
-// then stratified rounds on the configured engine with a stop check
-// between rounds. Journal/Quarantine/Trace/Progress semantics are the
-// engines' own; analytic records flow through the same hooks in the same
+// then stratified rounds on the fork engine with a stop check between
+// rounds. Journal/Quarantine/Trace/Progress semantics are the engine's
+// own; analytic records flow through the same hooks in the same
 // order (Journal, TraceSink, Progress) as the absent-structure path.
 func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan) (*CampaignResult, error) {
 	tracker := plan.NewTracker(*cfg.Plan)
@@ -277,13 +277,7 @@ func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *ca
 		}
 		round := queue[off : off+n]
 		off += n
-		var r *CampaignResult
-		var err error
-		if cfg.LegacyReplay {
-			r, err = runReplay(ctx, cfg, prof, round, cp.specs, cp.extras)
-		} else {
-			r, err = runForked(ctx, cfg, prof, cp.windows, round, cp.specs, cp.extras)
-		}
+		r, err := runForked(ctx, cfg, prof, cp.windows, round, cp.specs, cp.extras)
 		if r != nil {
 			res.Counts.Merge(r.Counts)
 			res.Exps = append(res.Exps, r.Exps...)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/json"
 	"os"
 	"testing"
@@ -36,7 +37,7 @@ func journalJSON(t *testing.T, cfg *CampaignConfig, prof *Profile) ([]byte, *Cam
 
 // TestAdaptiveDisabledIsByteIdentical: a nil Plan and a zero-valued Plan
 // must take exactly the pre-planner path — journal bytes identical, no
-// PlanReport — on both engines.
+// PlanReport.
 func TestAdaptiveDisabledIsByteIdentical(t *testing.T) {
 	app := bench.VA()
 	gpu := config.RTX2060()
@@ -44,22 +45,20 @@ func TestAdaptiveDisabledIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		base := &CampaignConfig{
-			App: app, GPU: gpu, Kernel: "va_add",
-			Structure: sim.StructRegFile, Runs: 25, Bits: 1, Seed: 11,
-			Workers: 1, LegacyReplay: legacy,
-		}
-		ref, refRes := journalJSON(t, base, prof)
-		withZero := *base
-		withZero.Plan = &plan.Rule{}
-		got, gotRes := journalJSON(t, &withZero, prof)
-		if string(ref) != string(got) {
-			t.Errorf("legacy=%v: zero-valued Plan changed journal bytes", legacy)
-		}
-		if refRes.Plan != nil || gotRes.Plan != nil {
-			t.Errorf("legacy=%v: PlanReport attached to a fixed-N campaign", legacy)
-		}
+	base := &CampaignConfig{
+		App: app, GPU: gpu, Kernel: "va_add",
+		Structure: sim.StructRegFile, Runs: 25, Bits: 1, Seed: 11,
+		Workers: 1,
+	}
+	ref, refRes := journalJSON(t, base, prof)
+	withZero := *base
+	withZero.Plan = &plan.Rule{}
+	got, gotRes := journalJSON(t, &withZero, prof)
+	if string(ref) != string(got) {
+		t.Error("zero-valued Plan changed journal bytes")
+	}
+	if refRes.Plan != nil || gotRes.Plan != nil {
+		t.Error("PlanReport attached to a fixed-N campaign")
 	}
 }
 
@@ -252,8 +251,9 @@ func TestAdaptivePriorSatisfies(t *testing.T) {
 	}
 }
 
-// TestAdaptiveLegacyEngineAgrees: the adaptive driver wraps both engines;
-// per-ID outcomes must be identical across them under the same rule.
+// TestAdaptiveLegacyEngineAgrees: every record an adaptive campaign
+// produces — classified analytically or simulated on a fork — must match
+// what the replay oracle gets by simulating that same index from cycle 0.
 func TestAdaptiveLegacyEngineAgrees(t *testing.T) {
 	app := bench.VA()
 	gpu := config.RTX2060()
@@ -266,29 +266,38 @@ func TestAdaptiveLegacyEngineAgrees(t *testing.T) {
 		Structure: sim.StructRegFile, Runs: 60, Bits: 1, Seed: 17,
 		Plan: &plan.Rule{TargetCI: 0.15, Confidence: 0.95, MinRuns: 30},
 	}
-	forked, err := RunCampaign(nil, base, prof)
+	adaptive, err := RunCampaign(nil, base, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyCfg := *base
-	legacyCfg.LegacyReplay = true
-	legacy, err := RunCampaign(nil, &legacyCfg, prof)
+	if adaptive.Plan.Analytic == 0 || adaptive.Plan.Simulated == 0 {
+		t.Fatalf("want both strata exercised, got %+v", adaptive.Plan)
+	}
+	cp, err := planCampaign(base, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if forked.Counts != legacy.Counts {
-		t.Errorf("engines disagree: forked %+v, legacy %+v", forked.Counts, legacy.Counts)
+	ids := make([]int, len(adaptive.Exps))
+	for i, e := range adaptive.Exps {
+		ids[i] = e.ID
 	}
-	if forked.Plan.Observed != legacy.Plan.Observed || forked.Plan.Analytic != legacy.Plan.Analytic {
-		t.Errorf("plan reports disagree: %+v vs %+v", forked.Plan, legacy.Plan)
+	fixed := *base
+	fixed.Plan = nil
+	replay, err := runReplay(context.Background(), &fixed, prof, ids, cp.specs, cp.extras)
+	if err != nil {
+		t.Fatal(err)
 	}
-	byID := map[int]string{}
-	for _, e := range legacy.Exps {
-		byID[e.ID] = e.Effect
+	if adaptive.Counts != replay.Counts {
+		t.Errorf("adaptive %+v vs replay oracle %+v", adaptive.Counts, replay.Counts)
 	}
-	for _, e := range forked.Exps {
-		if byID[e.ID] != e.Effect {
-			t.Errorf("ID %d: forked %s, legacy %s", e.ID, e.Effect, byID[e.ID])
+	byID := map[int]Experiment{}
+	for _, e := range replay.Exps {
+		byID[e.ID] = e
+	}
+	for _, e := range adaptive.Exps {
+		if r := byID[e.ID]; r.Effect != e.Effect || r.Cycles != e.Cycles {
+			t.Errorf("ID %d: adaptive {%s %d %q}, replay oracle {%s %d}",
+				e.ID, e.Effect, e.Cycles, e.Detail, r.Effect, r.Cycles)
 		}
 	}
 }

@@ -1,0 +1,250 @@
+package core
+
+import (
+	"context"
+	"encoding/json"
+	"os"
+	"testing"
+	"time"
+
+	"gpufi/internal/bench"
+	"gpufi/internal/config"
+	"gpufi/internal/obs"
+	"gpufi/internal/sim"
+)
+
+// The two benchmarks here measure the fork engine against the reference
+// implementations only this package's tests can reach: the full-replay
+// oracle (oracle_test.go) and the deep-clone restore baseline
+// (CampaignConfig.deepClone). Their JSON artifacts feed benchmarks/compare.
+
+// benchPoint is the campaign both benchmarks run: 300 register-file
+// injections into the last invocation of BP's bp_adjust kernel — a late
+// injection window, where replaying the fault-free prefix hurts most.
+func benchPoint(b *testing.B) (*CampaignConfig, *Profile) {
+	b.Helper()
+	app, err := bench.ByName("BP")
+	if err != nil {
+		b.Fatal(err)
+	}
+	gpu := config.RTX2060()
+	prof, err := ProfileApp(nil, app, gpu)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return &CampaignConfig{
+		App: app, GPU: gpu, Kernel: "bp_adjust", Structure: sim.StructRegFile,
+		Runs: 300, Bits: 1, Seed: 5,
+		Invocation: len(prof.Kernels["bp_adjust"].Windows),
+	}, prof
+}
+
+// writeBenchJSON dumps a benchmark's numbers to the file named by env, if
+// set, so runs can be compared across commits without scraping output.
+func writeBenchJSON(b *testing.B, env string, out map[string]any) {
+	b.Helper()
+	path := os.Getenv(env)
+	if path == "" {
+		return
+	}
+	raw, err := json.MarshalIndent(out, "", "  ")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkCampaignForkVsReplay runs the benchmark point on the
+// snapshot-and-fork engine and on the full-replay oracle. Each iteration
+// verifies the two produce bit-identical Counts and reports the wall-clock
+// speedup, plus the cost of propagation tracing and of span
+// instrumentation on the fork engine. BENCH_CAMPAIGN_JSON and
+// BENCH_OBS_JSON name the artifacts benchmarks/compare gates (speedup_x,
+// trace_overhead_ratio, span_overhead_ratio).
+func BenchmarkCampaignForkVsReplay(b *testing.B) {
+	base, prof := benchPoint(b)
+	// spanCtx enables the distributed-tracing spans (engine phase spans to
+	// a discarding sink), the way a sharded worker runs; nil ctx is the
+	// spans-off arm. The sink cost is deliberately near-zero so the ratio
+	// isolates the instrumentation itself.
+	spanCtx := obs.ContextWithSink(
+		obs.ContextWithNode(obs.ContextWithTrace(context.Background(), obs.NewTraceID()), "bench"),
+		func(obs.SpanRecord) {})
+	type engine func(context.Context, *CampaignConfig, *Profile) (*CampaignResult, error)
+	run := func(ctx context.Context, eng engine, trace bool) (*CampaignResult, time.Duration) {
+		cfg := *base
+		if trace {
+			cfg.Trace = true
+			cfg.TraceSink = func(ExperimentTrace) error { return nil }
+		}
+		t0 := time.Now()
+		res, err := eng(ctx, &cfg, prof)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res, time.Since(t0)
+	}
+	var forkTime, replayTime, tracedTime, spansTime time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// The fork, traced, and spans arms run twice, keeping the per-pair
+		// minimum: the overhead ratios below compare short wall-clock
+		// measurements, and min-of-two strips scheduler noise that a single
+		// -benchtime=1x sample would pass straight into the CI gate.
+		fork, tf1 := run(nil, RunCampaign, false)
+		replay, tr := run(nil, replayCampaign, false)
+		traced, tt1 := run(nil, RunCampaign, true)
+		spanned, ts1 := run(spanCtx, RunCampaign, false)
+		_, tf2 := run(nil, RunCampaign, false)
+		_, tt2 := run(nil, RunCampaign, true)
+		_, ts2 := run(spanCtx, RunCampaign, false)
+		if fork.Counts != replay.Counts {
+			b.Fatalf("fork engine disagrees with the replay oracle: %+v vs %+v", fork.Counts, replay.Counts)
+		}
+		if traced.Counts != fork.Counts {
+			b.Fatalf("tracing perturbed outcomes: traced %+v vs untraced %+v", traced.Counts, fork.Counts)
+		}
+		if spanned.Counts != fork.Counts {
+			b.Fatalf("span instrumentation perturbed outcomes: spanned %+v vs untraced %+v", spanned.Counts, fork.Counts)
+		}
+		forkTime += min(tf1, tf2)
+		replayTime += tr
+		tracedTime += min(tt1, tt2)
+		spansTime += min(ts1, ts2)
+	}
+	b.ReportMetric(forkTime.Seconds()/float64(b.N), "fork-s/op")
+	b.ReportMetric(replayTime.Seconds()/float64(b.N), "replay-s/op")
+	b.ReportMetric(tracedTime.Seconds()/float64(b.N), "traced-s/op")
+	b.ReportMetric(float64(replayTime)/float64(forkTime), "speedup-x")
+	overhead := float64(tracedTime)/float64(forkTime) - 1
+	b.ReportMetric(overhead*100, "trace-overhead-%")
+	spanOverhead := float64(spansTime)/float64(forkTime) - 1
+	b.ReportMetric(spanOverhead*100, "span-overhead-%")
+
+	writeBenchJSON(b, "BENCH_OBS_JSON", map[string]any{
+		"benchmark":              "BenchmarkCampaignForkVsReplay",
+		"iterations":             b.N,
+		"runs_per_campaign":      base.Runs,
+		"fork_ns_per_op":         forkTime.Nanoseconds() / int64(b.N),
+		"traced_fork_ns_per_op":  tracedTime.Nanoseconds() / int64(b.N),
+		"trace_overhead_ratio":   float64(tracedTime) / float64(forkTime),
+		"trace_overhead_percent": overhead * 100,
+		"spans_fork_ns_per_op":   spansTime.Nanoseconds() / int64(b.N),
+		"span_overhead_ratio":    float64(spansTime) / float64(forkTime),
+		"span_overhead_percent":  spanOverhead * 100,
+	})
+	exps := int64(base.Runs) * int64(b.N)
+	writeBenchJSON(b, "BENCH_CAMPAIGN_JSON", map[string]any{
+		"benchmark":                  "BenchmarkCampaignForkVsReplay",
+		"iterations":                 b.N,
+		"runs_per_campaign":          base.Runs,
+		"fork_ns_per_op":             forkTime.Nanoseconds() / int64(b.N),
+		"replay_ns_per_op":           replayTime.Nanoseconds() / int64(b.N),
+		"fork_experiments_per_sec":   float64(exps) / forkTime.Seconds(),
+		"replay_experiments_per_sec": float64(exps) / replayTime.Seconds(),
+		"speedup_x":                  float64(replayTime) / float64(forkTime),
+	})
+}
+
+// BenchmarkCOWForkVsDeepClone runs the benchmark point on the fork
+// engine's copy-on-write restore protocol and on the eager deep-clone
+// baseline. Each iteration verifies bit-identical Counts, then reports the
+// wall-clock ratio and — the number the COW work actually targets — the
+// per-experiment fork+recycle cost (vessel restore plus snapshot capture
+// nanoseconds, metered via EngineStats deltas). BENCH_FORK_JSON names the
+// artifact benchmarks/compare gates (fork_recycle_speedup, wall_speedup).
+func BenchmarkCOWForkVsDeepClone(b *testing.B) {
+	base, prof := benchPoint(b)
+	// run executes one campaign and returns its result, wall-clock, and
+	// the fork+recycle (restore + capture) nanoseconds it spent.
+	run := func(deep bool) (*CampaignResult, time.Duration, int64) {
+		cfg := *base
+		cfg.deepClone = deep
+		before := EngineStats()
+		t0 := time.Now()
+		res, err := RunCampaign(nil, &cfg, prof)
+		wall := time.Since(t0)
+		after := EngineStats()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sync := (after.ForkNanos - before.ForkNanos) +
+			(after.SnapshotRestoreNanos - before.SnapshotRestoreNanos) +
+			(after.SnapshotCaptureNanos - before.SnapshotCaptureNanos)
+		return res, wall, sync
+	}
+	var cowWall, deepWall time.Duration
+	var cowSync, deepSync int64
+	var cowStats EngineCounters
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		// Min-of-two per arm: the gate compares two short wall-clock
+		// measurements, and the minimum strips scheduler noise a single
+		// sample would pass straight into CI.
+		statsBefore := EngineStats()
+		cowRes, cw1, cs1 := run(false)
+		statsAfter := EngineStats()
+		deepRes, dw1, ds1 := run(true)
+		_, cw2, cs2 := run(false)
+		_, dw2, ds2 := run(true)
+		if cowRes.Counts != deepRes.Counts {
+			b.Fatalf("protocols disagree: COW %+v vs deep-clone %+v", cowRes.Counts, deepRes.Counts)
+		}
+		cowWall += min(cw1, cw2)
+		deepWall += min(dw1, dw2)
+		cowSync += min(cs1, cs2)
+		deepSync += min(ds1, ds2)
+		if i == 0 {
+			cowStats = diffCounters(statsBefore, statsAfter)
+		}
+	}
+	perExpCow := float64(cowSync) / float64(base.Runs*b.N)
+	perExpDeep := float64(deepSync) / float64(base.Runs*b.N)
+	syncRatio := perExpDeep / perExpCow
+	b.ReportMetric(cowWall.Seconds()/float64(b.N), "cow-s/op")
+	b.ReportMetric(deepWall.Seconds()/float64(b.N), "deep-s/op")
+	b.ReportMetric(perExpCow, "cow-fork-ns/exp")
+	b.ReportMetric(perExpDeep, "deep-fork-ns/exp")
+	b.ReportMetric(syncRatio, "fork-speedup-x")
+	b.ReportMetric(float64(deepWall)/float64(cowWall), "wall-speedup-x")
+	b.ReportMetric(cowStats.COWDirtyRatio, "dirty-ratio")
+
+	writeBenchJSON(b, "BENCH_FORK_JSON", map[string]any{
+		"benchmark":             "BenchmarkCOWForkVsDeepClone",
+		"iterations":            b.N,
+		"runs_per_campaign":     base.Runs,
+		"cow_wall_ns_per_op":    cowWall.Nanoseconds() / int64(b.N),
+		"deep_wall_ns_per_op":   deepWall.Nanoseconds() / int64(b.N),
+		"cow_fork_ns_per_exp":   perExpCow,
+		"deep_fork_ns_per_exp":  perExpDeep,
+		"fork_recycle_speedup":  syncRatio,
+		"wall_speedup":          float64(deepWall) / float64(cowWall),
+		"cow_dirty_ratio":       cowStats.COWDirtyRatio,
+		"cow_bytes_copied":      cowStats.COWBytesCopied,
+		"cow_bytes_avoided":     cowStats.COWBytesAvoided,
+		"cow_full_restores":     cowStats.COWFullRestores,
+		"warps_shared":          cowStats.WarpsShared,
+		"warps_materialized":    cowStats.WarpsMaterialized,
+		"resident_bytes_copied": cowStats.ResidentBytesCopied,
+	})
+}
+
+// diffCounters subtracts two cumulative EngineCounters readings, keeping
+// only the COW fields the fork benchmark reports.
+func diffCounters(before, after EngineCounters) EngineCounters {
+	d := EngineCounters{
+		COWRestores:         after.COWRestores - before.COWRestores,
+		COWFullRestores:     after.COWFullRestores - before.COWFullRestores,
+		COWBytesCopied:      after.COWBytesCopied - before.COWBytesCopied,
+		COWBytesAvoided:     after.COWBytesAvoided - before.COWBytesAvoided,
+		WarpsShared:         after.WarpsShared - before.WarpsShared,
+		WarpsMaterialized:   after.WarpsMaterialized - before.WarpsMaterialized,
+		ResidentBytesCopied: after.ResidentBytesCopied - before.ResidentBytesCopied,
+	}
+	if tot := d.COWBytesCopied + d.COWBytesAvoided; tot > 0 {
+		d.COWDirtyRatio = float64(d.COWBytesCopied) / float64(tot)
+	}
+	return d
+}

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpufi/internal/avf"
@@ -97,18 +95,12 @@ type CampaignConfig struct {
 	// campaigns ("different hardware structures simultaneously").
 	Simultaneous []sim.Structure
 
-	// LegacyReplay forces the original engine that re-simulates the whole
-	// fault-free prefix for every experiment, instead of the default
-	// snapshot-and-fork scheduler. Outcomes are bit-identical either way;
-	// the legacy path exists for validation and benchmarking.
-	LegacyReplay bool
-
-	// DeepClone forces the fork engine's legacy eager protocol: every
-	// restore and capture copies the complete state instead of only the
-	// pages, cache lines and resident slabs that diverged (the default
-	// copy-on-write protocol). Outcomes are bit-identical either way; the
-	// deep path exists as the differential baseline and for benchmarking.
-	DeepClone bool
+	// deepClone makes every restore and capture copy the complete state
+	// instead of only the pages, cache lines and resident slabs that
+	// diverged. It is the differential baseline the copy-on-write protocol
+	// is checked against; unexported so only this package's tests can set
+	// it.
+	deepClone bool
 
 	// Progress, when non-nil, is called once per finished experiment (in
 	// completion order, serialized). Long campaigns use it for progress
@@ -158,8 +150,7 @@ type CampaignConfig struct {
 	// the simulator's taint tracer attached, Experiment.Why carries the
 	// propagation sub-classification, and each experiment yields an
 	// ExperimentTrace delivered to TraceSink. Tracing is observational
-	// only — outcome counts are bit-identical with it on or off, on both
-	// engines.
+	// only — outcome counts are bit-identical with it on or off.
 	Trace bool
 
 	// TraceSink, when non-nil (with Trace set), receives one propagation
@@ -170,12 +161,11 @@ type CampaignConfig struct {
 	// Plan, when enabled (TargetCI > 0), switches the campaign to the
 	// adaptive planner: an analytic never-read pre-pass folds provably
 	// masked sites in without simulation, the remainder runs in stratified
-	// rounds on the configured engine, and the campaign stops as soon as
-	// the running confidence interval is tighter than the target. Runs
-	// stays the hard ceiling; the seed-to-fault mapping is unchanged, the
-	// planner just stops running indices early. Nil or zero-valued leaves
-	// campaign behavior (and journal bytes) identical to pre-planner
-	// builds.
+	// rounds, and the campaign stops as soon as the running confidence
+	// interval is tighter than the target. Runs stays the hard ceiling;
+	// the seed-to-fault mapping is unchanged, the planner just stops
+	// running indices early. Nil or zero-valued leaves campaign behavior
+	// (and journal bytes) identical to pre-planner builds.
 	Plan *plan.Rule
 
 	// PlanPrior seeds the adaptive tracker with the outcome tally already
@@ -312,9 +302,8 @@ type CampaignResult struct {
 // RunCampaign executes the campaign point: Runs experiments, each with one
 // fault drawn by the mask generator, classified against the profile's
 // golden output. Experiments run in parallel on the snapshot-and-fork
-// engine (or the legacy full-replay path when cfg.LegacyReplay is set);
-// results are deterministic given the seed, independent of the worker
-// count and of the engine choice.
+// engine; results are deterministic given the seed, independent of the
+// worker count.
 //
 // On context cancellation RunCampaign returns promptly with ctx's error
 // and a partial CampaignResult holding every experiment that finished.
@@ -377,71 +366,7 @@ func RunCampaign(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*Camp
 	if cfg.Plan.Enabled() {
 		return runAdaptive(ctx, cfg, prof, cp)
 	}
-	if cfg.LegacyReplay {
-		return runReplay(ctx, cfg, prof, pending, cp.specs, cp.extras)
-	}
 	return runForked(ctx, cfg, prof, cp.windows, pending, cp.specs, cp.extras)
-}
-
-// runReplay is the legacy engine: every experiment is a fresh simulation
-// from cycle 0, re-executing the fault-free prefix up to its injection
-// cycle. Kept as the validation baseline for the fork engine. pending
-// holds the experiment indices to actually run (all of them for a fresh
-// campaign, the not-yet-journaled subset on resume).
-func runReplay(ctx context.Context, cfg *CampaignConfig, prof *Profile,
-	pending []int, specs []*sim.FaultSpec, extras [][]*sim.FaultSpec) (*CampaignResult, error) {
-
-	workers := cfg.workerCount()
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	col := newCollector(cfg, len(specs))
-	var wg sync.WaitGroup
-	var pos int64 = -1
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&pos, 1))
-				if k >= len(pending) || ctx.Err() != nil {
-					return
-				}
-				i := pending[k]
-				g, err := sim.New(cfg.GPU)
-				if err == nil {
-					var exp Experiment
-					// The legacy path allocates a fresh GPU per experiment,
-					// so a poisoned vessel is discarded by construction.
-					exp, _, err = runExperimentSandboxed(ctx, cfg, prof, g, specs[i], extras[i], i)
-					if err == nil {
-						err = col.add(i, exp)
-						if err == nil {
-							continue
-						}
-					}
-				}
-				select {
-				case errCh <- err:
-				default:
-				}
-				return
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		if !isCancel(err) {
-			return nil, err
-		}
-	default:
-	}
-	if err := ctx.Err(); err != nil {
-		return col.result(prof), err
-	}
-	return col.result(prof), nil
 }
 
 // runExperiment arms the faults on a prepared GPU (fresh or forked), runs

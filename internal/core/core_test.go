@@ -323,14 +323,12 @@ func TestJournalHookError(t *testing.T) {
 	app := bench.VA()
 	gpu := config.RTX2060()
 	prof, _ := ProfileApp(nil, app, gpu)
-	for _, legacy := range []bool{false, true} {
-		cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add",
-			Structure: sim.StructRegFile, Runs: 8, Bits: 1, Seed: 2, LegacyReplay: legacy,
-			Journal: func(Experiment) error { return errDisk },
-		}
-		if _, err := RunCampaign(nil, cfg, prof); err == nil || !strings.Contains(err.Error(), "disk full") {
-			t.Errorf("legacy=%v: journal error not propagated: %v", legacy, err)
-		}
+	cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add",
+		Structure: sim.StructRegFile, Runs: 8, Bits: 1, Seed: 2,
+		Journal: func(Experiment) error { return errDisk },
+	}
+	if _, err := RunCampaign(nil, cfg, prof); err == nil || !strings.Contains(err.Error(), "disk full") {
+		t.Errorf("journal error not propagated: %v", err)
 	}
 }
 

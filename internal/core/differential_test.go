@@ -14,8 +14,8 @@ import (
 
 // This file is the differential gate on the copy-on-write fork engine:
 // every campaign must be bit-identical whether vessels restore through
-// the COW delta protocol (the default) or through eager deep clones
-// (CampaignConfig.DeepClone). Identity is checked at the strongest
+// the COW delta protocol (what ships) or through eager deep clones (the
+// unexported CampaignConfig.deepClone baseline). Identity is checked at the strongest
 // observable layer — the exact journal record bytes per experiment and
 // the exact trace bytes per experiment — across all twelve paper
 // benchmarks on two GPU presets, including the poison/quarantine path.
@@ -96,7 +96,7 @@ func runDifferentialPair(t *testing.T, label string, base CampaignConfig, prof *
 	run := func(deepClone bool) (*CampaignResult, *journalRecorder) {
 		rec := newJournalRecorder()
 		cfg := base // struct copy; hooks below are per-run
-		cfg.DeepClone = deepClone
+		cfg.deepClone = deepClone
 		cfg.Journal = rec.journal
 		if cfg.Trace {
 			cfg.TraceSink = rec.trace
@@ -177,7 +177,7 @@ func TestCOWDeepCloneDifferentialStructures(t *testing.T) {
 		bits     int
 		warpWide bool
 	}{
-		{"BP", "bp_adjust", sim.StructShared, 1, false},
+		{"BP", "bp_forward", sim.StructShared, 1, false},
 		{"NW", "nw_diag", sim.StructL1D, 1, false},
 		{"LUD", "lud_update", sim.StructRegFile, 3, true},
 	} {

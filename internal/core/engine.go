@@ -14,16 +14,17 @@ import (
 	"gpufi/internal/sim"
 )
 
-// This file is the snapshot-and-fork campaign scheduler. The legacy path
-// re-simulates the whole fault-free prefix for every experiment, which is
+// This file is the snapshot-and-fork campaign scheduler. Simulating every
+// experiment from cycle 0 re-runs the fault-free prefix each time, which is
 // the dominant cost at paper-scale run counts (injection cycles average
 // half the execution, so ~half of every experiment is redundant work).
 // The engine instead sorts the experiment batch by injection cycle, groups
 // nearby cycles into clusters, and runs the fault-free prefix ONCE: at
-// each cluster's snapshot cycle the prefix pauses, deep-copies the GPU,
-// and the cluster's experiments fork from the copy — each one skipping
+// each cluster's snapshot cycle the prefix pauses, captures the GPU, and
+// the cluster's experiments fork from the capture — each one skipping
 // straight to just before its injection instant. Because the simulator is
-// deterministic, fork and legacy replay produce bit-identical outcomes.
+// deterministic, a fork is bit-identical to a run from cycle 0; the
+// package's tests hold it to a full-replay oracle (oracle_test.go).
 
 // Process-wide fork-engine counters: how many fork vessels were freshly
 // allocated versus restored in place over an existing one. Reuse dominating
@@ -112,7 +113,7 @@ func runForked(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 		return nil, err
 	}
 	g.SetContext(ctx)
-	g.SetDeepClone(cfg.DeepClone)
+	g.SetDeepClone(cfg.deepClone)
 	g.EnableRecording()
 	// The prefix is fault-free, but bound it anyway so a scheduling bug
 	// cannot hang the campaign.
@@ -226,7 +227,7 @@ func runCluster(ctx context.Context, cfg *CampaignConfig, prof *Profile, snap *s
 				g := vessels[w]
 				if g == nil {
 					g = sim.NewFork(snap)
-					g.SetDeepClone(cfg.DeepClone)
+					g.SetDeepClone(cfg.deepClone)
 					vessels[w] = g
 					forksCreated.Add(1)
 				} else {

@@ -10,12 +10,12 @@ import (
 	"gpufi/internal/sim"
 )
 
-// TestForkReplayIdentity pins the snapshot-and-fork engine to the legacy
-// full-replay engine: for the same seed the two paths must produce
-// bit-identical campaigns — same Counts and, per experiment, the same
-// effect, cycle count, injection detail and injected flag — across
-// benchmarks and target structures. This is the correctness contract that
-// lets the fork path be the default.
+// TestForkReplayIdentity pins the snapshot-and-fork engine to the
+// full-replay oracle: for the same seed the two must produce bit-identical
+// campaigns — same Counts and, per experiment, the same effect, cycle
+// count, injection detail and injected flag — across benchmarks and target
+// structures. This is the correctness contract that lets the fork engine
+// be the only one that ships.
 func TestForkReplayIdentity(t *testing.T) {
 	gpu := config.RTX2060()
 	for _, tc := range []struct {
@@ -25,7 +25,7 @@ func TestForkReplayIdentity(t *testing.T) {
 	}{
 		{"VA", "va_add", sim.StructRegFile},
 		{"BFS", "bfs_k1", sim.StructRegFile},
-		{"BP", "bp_adjust", sim.StructShared},
+		{"BP", "bp_forward", sim.StructShared},
 		{"NW", "nw_diag", sim.StructL1D},
 		{"GE", "ge_fan2", sim.StructL2},
 	} {
@@ -37,28 +37,26 @@ func TestForkReplayIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mk := func(legacy bool) *CampaignConfig {
-			return &CampaignConfig{App: app, GPU: gpu, Kernel: tc.kernel, Structure: tc.st,
-				Runs: 30, Bits: 1, Seed: 11, Workers: 4, LegacyReplay: legacy}
-		}
-		fork, err := RunCampaign(nil, mk(false), prof)
+		cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: tc.kernel, Structure: tc.st,
+			Runs: 30, Bits: 1, Seed: 11, Workers: 4}
+		fork, err := RunCampaign(nil, cfg, prof)
 		if err != nil {
 			t.Fatalf("%s fork: %v", tc.app, err)
 		}
-		legacy, err := RunCampaign(nil, mk(true), prof)
+		replay, err := replayCampaign(nil, cfg, prof)
 		if err != nil {
-			t.Fatalf("%s legacy: %v", tc.app, err)
+			t.Fatalf("%s replay: %v", tc.app, err)
 		}
-		if fork.Counts != legacy.Counts {
-			t.Errorf("%s/%s/%s: fork %+v vs legacy %+v", tc.app, tc.kernel, tc.st, fork.Counts, legacy.Counts)
+		if fork.Counts != replay.Counts {
+			t.Errorf("%s/%s/%s: fork %+v vs replay %+v", tc.app, tc.kernel, tc.st, fork.Counts, replay.Counts)
 		}
-		if len(fork.Exps) != len(legacy.Exps) {
-			t.Fatalf("%s: %d fork experiments vs %d legacy", tc.app, len(fork.Exps), len(legacy.Exps))
+		if len(fork.Exps) != len(replay.Exps) {
+			t.Fatalf("%s: %d fork experiments vs %d replay", tc.app, len(fork.Exps), len(replay.Exps))
 		}
 		for i := range fork.Exps {
-			f, l := fork.Exps[i], legacy.Exps[i]
+			f, l := fork.Exps[i], replay.Exps[i]
 			if f.Effect != l.Effect || f.Cycles != l.Cycles || f.Detail != l.Detail || f.Injected != l.Injected {
-				t.Errorf("%s exp %d: fork {%s %d %q %v} legacy {%s %d %q %v}",
+				t.Errorf("%s exp %d: fork {%s %d %q %v} replay {%s %d %q %v}",
 					tc.app, i, f.Effect, f.Cycles, f.Detail, f.Injected, l.Effect, l.Cycles, l.Detail, l.Injected)
 			}
 		}
@@ -67,7 +65,7 @@ func TestForkReplayIdentity(t *testing.T) {
 
 // TestWorkerCountInvariance checks that the worker pool size never leaks
 // into results: one worker and eight workers must produce identical
-// experiment lists for the same seed, on both engines.
+// experiment lists for the same seed.
 func TestWorkerCountInvariance(t *testing.T) {
 	gpu := config.RTX2060()
 	app, err := bench.ByName("VA")
@@ -78,25 +76,23 @@ func TestWorkerCountInvariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		run := func(workers int) *CampaignResult {
-			res, err := RunCampaign(nil, &CampaignConfig{
-				App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
-				Runs: 40, Bits: 1, Seed: 7, Workers: workers, LegacyReplay: legacy,
-			}, prof)
-			if err != nil {
-				t.Fatalf("legacy=%v workers=%d: %v", legacy, workers, err)
-			}
-			return res
+	run := func(workers int) *CampaignResult {
+		res, err := RunCampaign(nil, &CampaignConfig{
+			App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
+			Runs: 40, Bits: 1, Seed: 7, Workers: workers,
+		}, prof)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		one, eight := run(1), run(8)
-		if one.Counts != eight.Counts {
-			t.Errorf("legacy=%v: workers=1 %+v vs workers=8 %+v", legacy, one.Counts, eight.Counts)
-		}
-		for i := range one.Exps {
-			if one.Exps[i].Effect != eight.Exps[i].Effect || one.Exps[i].Cycles != eight.Exps[i].Cycles {
-				t.Errorf("legacy=%v exp %d differs across worker counts", legacy, i)
-			}
+		return res
+	}
+	one, eight := run(1), run(8)
+	if one.Counts != eight.Counts {
+		t.Errorf("workers=1 %+v vs workers=8 %+v", one.Counts, eight.Counts)
+	}
+	for i := range one.Exps {
+		if one.Exps[i].Effect != eight.Exps[i].Effect || one.Exps[i].Cycles != eight.Exps[i].Cycles {
+			t.Errorf("exp %d differs across worker counts", i)
 		}
 	}
 }
@@ -113,31 +109,29 @@ func TestCampaignCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, legacy := range []bool{false, true} {
-		ctx, cancel := context.WithCancel(context.Background())
-		seen := 0
-		res, err := RunCampaign(ctx, &CampaignConfig{
-			App: app, GPU: gpu, Kernel: "bfs_k1", Structure: sim.StructRegFile,
-			Runs: 300, Bits: 1, Seed: 3, Workers: 2, LegacyReplay: legacy,
-			Progress: func(Experiment) {
-				if seen++; seen == 5 {
-					cancel()
-				}
-			},
-		}, prof)
-		cancel()
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("legacy=%v: want context.Canceled, got %v", legacy, err)
-		}
-		if res == nil {
-			t.Fatalf("legacy=%v: cancelled campaign returned no partial result", legacy)
-		}
-		if n := res.Counts.Total(); n == 0 || n >= 300 {
-			t.Errorf("legacy=%v: partial result has %d experiments, want 0 < n < 300", legacy, n)
-		}
-		if len(res.Exps) != res.Counts.Total() {
-			t.Errorf("legacy=%v: %d experiments vs %d counted", legacy, len(res.Exps), res.Counts.Total())
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	seen := 0
+	res, err := RunCampaign(ctx, &CampaignConfig{
+		App: app, GPU: gpu, Kernel: "bfs_k1", Structure: sim.StructRegFile,
+		Runs: 300, Bits: 1, Seed: 3, Workers: 2,
+		Progress: func(Experiment) {
+			if seen++; seen == 5 {
+				cancel()
+			}
+		},
+	}, prof)
+	cancel()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if res == nil {
+		t.Fatal("cancelled campaign returned no partial result")
+	}
+	if n := res.Counts.Total(); n == 0 || n >= 300 {
+		t.Errorf("partial result has %d experiments, want 0 < n < 300", n)
+	}
+	if len(res.Exps) != res.Counts.Total() {
+		t.Errorf("%d experiments vs %d counted", len(res.Exps), res.Counts.Total())
 	}
 }
 

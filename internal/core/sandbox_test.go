@@ -16,7 +16,7 @@ import (
 // that one experiment. Every other outcome of the batch stays
 // bit-identical to a clean run of the same seed, the poison run is
 // classified as a quarantined Crash carrying a diagnosable detail string,
-// and the Quarantine hook sees it — on both engines.
+// and the Quarantine hook sees it.
 func TestPoisonedCampaignIsolation(t *testing.T) {
 	gpu := config.RTX2060()
 	app, err := bench.ByName("VA")
@@ -28,73 +28,74 @@ func TestPoisonedCampaignIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	const poisonID = 17
-	for _, legacy := range []bool{false, true} {
-		mk := func() *CampaignConfig {
-			return &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
-				Runs: 50, Bits: 1, Seed: 11, Workers: 4, LegacyReplay: legacy}
-		}
-		clean, err := RunCampaign(nil, mk(), prof)
-		if err != nil {
-			t.Fatalf("legacy=%v clean: %v", legacy, err)
-		}
+	mk := func() *CampaignConfig {
+		return &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
+			Runs: 50, Bits: 1, Seed: 11, Workers: 4}
+	}
+	clean, err := RunCampaign(nil, mk(), prof)
+	if err != nil {
+		t.Fatalf("clean: %v", err)
+	}
 
-		var quarantined []Experiment
-		cfg := mk()
-		cfg.ExperimentHook = func(id int, spec *sim.FaultSpec) {
-			if id == poisonID {
-				panic("injected simulator bug")
-			}
+	var quarantined []Experiment
+	cfg := mk()
+	cfg.ExperimentHook = func(id int, spec *sim.FaultSpec) {
+		if id == poisonID {
+			panic("injected simulator bug")
 		}
-		cfg.Quarantine = func(exp Experiment) error {
-			quarantined = append(quarantined, exp) // serialized under the collector lock
-			return nil
-		}
-		poisoned, err := RunCampaign(nil, cfg, prof)
-		if err != nil {
-			t.Fatalf("legacy=%v poisoned: %v", legacy, err)
-		}
+	}
+	cfg.Quarantine = func(exp Experiment) error {
+		quarantined = append(quarantined, exp) // serialized under the collector lock
+		return nil
+	}
+	poisoned, err := RunCampaign(nil, cfg, prof)
+	if err != nil {
+		t.Fatalf("poisoned: %v", err)
+	}
 
-		if len(poisoned.Exps) != len(clean.Exps) {
-			t.Fatalf("legacy=%v: %d experiments with poison vs %d clean", legacy, len(poisoned.Exps), len(clean.Exps))
-		}
-		for i := range clean.Exps {
-			c, p := clean.Exps[i], poisoned.Exps[i]
-			if i == poisonID {
-				if p.Outcome != avf.Crash || !p.Quarantined {
-					t.Errorf("legacy=%v: poison exp = {%s quarantined=%v}, want quarantined Crash", legacy, p.Effect, p.Quarantined)
-				}
-				if !strings.Contains(p.Detail, "quarantined: simulator panic: injected simulator bug") ||
-					!strings.Contains(p.Detail, "stack ") {
-					t.Errorf("legacy=%v: poison detail %q lacks panic diagnosis", legacy, p.Detail)
-				}
-				continue
+	if len(poisoned.Exps) != len(clean.Exps) {
+		t.Fatalf("%d experiments with poison vs %d clean", len(poisoned.Exps), len(clean.Exps))
+	}
+	for i := range clean.Exps {
+		c, p := clean.Exps[i], poisoned.Exps[i]
+		if i == poisonID {
+			if p.Outcome != avf.Crash || !p.Quarantined {
+				t.Errorf("poison exp = {%s quarantined=%v}, want quarantined Crash", p.Effect, p.Quarantined)
 			}
-			if c.Effect != p.Effect || c.Cycles != p.Cycles || c.Detail != p.Detail || c.Injected != p.Injected {
-				t.Errorf("legacy=%v exp %d: clean {%s %d %q %v} vs poisoned {%s %d %q %v}",
-					legacy, i, c.Effect, c.Cycles, c.Detail, c.Injected, p.Effect, p.Cycles, p.Detail, p.Injected)
+			if !strings.Contains(p.Detail, "quarantined: simulator panic: injected simulator bug") ||
+				!strings.Contains(p.Detail, "stack ") {
+				t.Errorf("poison detail %q lacks panic diagnosis", p.Detail)
 			}
+			continue
 		}
-		if len(quarantined) != 1 || quarantined[0].ID != poisonID {
-			t.Errorf("legacy=%v: Quarantine hook saw %v, want exactly experiment %d", legacy, quarantined, poisonID)
+		if c.Effect != p.Effect || c.Cycles != p.Cycles || c.Detail != p.Detail || c.Injected != p.Injected {
+			t.Errorf("exp %d: clean {%s %d %q %v} vs poisoned {%s %d %q %v}",
+				i, c.Effect, c.Cycles, c.Detail, c.Injected, p.Effect, p.Cycles, p.Detail, p.Injected)
 		}
-		wantCrash := clean.Counts.Crash + 1
-		if clean.Exps[poisonID].Outcome == avf.Crash {
-			wantCrash = clean.Counts.Crash
-		}
-		if poisoned.Counts.Crash != wantCrash {
-			t.Errorf("legacy=%v: poisoned Crash count %d, want %d", legacy, poisoned.Counts.Crash, wantCrash)
-		}
+	}
+	if len(quarantined) != 1 || quarantined[0].ID != poisonID {
+		t.Errorf("Quarantine hook saw %v, want exactly experiment %d", quarantined, poisonID)
+	}
+	wantCrash := clean.Counts.Crash + 1
+	if clean.Exps[poisonID].Outcome == avf.Crash {
+		wantCrash = clean.Counts.Crash
+	}
+	if poisoned.Counts.Crash != wantCrash {
+		t.Errorf("poisoned Crash count %d, want %d", poisoned.Counts.Crash, wantCrash)
 	}
 }
 
-// TestWallClockDeadline pins the per-experiment watchdog: a simulator-side
-// hang (modelled by a hook that sleeps past cfg.ExpTimeout) is classified
-// as a quarantined Timeout for that one experiment, and the rest of the
-// batch completes normally. The legacy engine is used because its runs
-// start at cycle 0 and therefore always cross a context-poll tick.
+// TestWallClockDeadline pins the per-experiment watchdog on the fork
+// engine: a simulator-side hang (modelled by a hook that sleeps past
+// cfg.ExpTimeout) is classified as a quarantined Timeout for that one
+// experiment, its vessel is discarded, and every other experiment matches
+// a run without the hook. A fork only polls its context once its faulty
+// suffix has ticked ctxPollInterval (1024) simulated cycles, so the point
+// injects into BFS's first launch: the remaining launches of the
+// application put far more than that behind every injection cycle.
 func TestWallClockDeadline(t *testing.T) {
 	gpu := config.RTX2060()
-	app, err := bench.ByName("VA")
+	app, err := bench.ByName("BFS")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,18 +103,27 @@ func TestWallClockDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deadline is generous (a healthy VA experiment takes milliseconds,
+	if w := prof.Kernels["bfs_k1"].Windows[0]; prof.TotalCycles-w.End < 4*1024 {
+		t.Fatalf("campaign point no longer leaves a long suffix: window ends at %d of %d", w.End, prof.TotalCycles)
+	}
+	// The deadline is generous (a healthy BFS experiment takes milliseconds,
 	// even under -race) so only the deliberately hung one can expire.
 	const hungID = 3
-	cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
-		Runs: 6, Bits: 1, Seed: 5, Workers: 2, LegacyReplay: true,
-		ExpTimeout: time.Second,
-		ExperimentHook: func(id int, spec *sim.FaultSpec) {
-			if id == hungID {
-				time.Sleep(1500 * time.Millisecond)
-			}
-		},
+	mk := func() *CampaignConfig {
+		return &CampaignConfig{App: app, GPU: gpu, Kernel: "bfs_k1", Structure: sim.StructRegFile,
+			Invocation: 1, Runs: 6, Bits: 1, Seed: 5, Workers: 2, ExpTimeout: time.Second}
 	}
+	clean, err := RunCampaign(nil, mk(), prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mk()
+	cfg.ExperimentHook = func(id int, spec *sim.FaultSpec) {
+		if id == hungID {
+			time.Sleep(1500 * time.Millisecond)
+		}
+	}
+	_, _, discardedBefore := SandboxStats()
 	res, err := RunCampaign(nil, cfg, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +138,17 @@ func TestWallClockDeadline(t *testing.T) {
 	if !strings.Contains(hung.Detail, "wall-clock deadline 1s exceeded") {
 		t.Errorf("hung detail %q lacks deadline diagnosis", hung.Detail)
 	}
+	if _, _, after := SandboxStats(); after-discardedBefore != 1 {
+		t.Errorf("vessels discarded rose by %d, want 1 (the hung experiment's)", after-discardedBefore)
+	}
 	for i, exp := range res.Exps {
-		if i != hungID && exp.Quarantined {
-			t.Errorf("exp %d quarantined, only %d should be", i, hungID)
+		if i == hungID {
+			continue
+		}
+		c := clean.Exps[i]
+		if exp.Quarantined || exp.Effect != c.Effect || exp.Cycles != c.Cycles || exp.Detail != c.Detail {
+			t.Errorf("exp %d: {%s %d %q quarantined=%v}, un-hooked run {%s %d %q}",
+				i, exp.Effect, exp.Cycles, exp.Detail, exp.Quarantined, c.Effect, c.Cycles, c.Detail)
 		}
 	}
 }

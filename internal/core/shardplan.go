@@ -6,7 +6,7 @@ import (
 	"gpufi/internal/sim"
 )
 
-// This file is the campaign planner shared by the local engines and the
+// This file is the campaign planner shared by the local engine and the
 // distributed sharding layer. planCampaign derives everything a campaign
 // needs before any simulation happens — the injection windows, the
 // pending experiment indices, and the per-experiment fault specs — and

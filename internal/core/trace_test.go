@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"testing"
 
@@ -14,21 +15,18 @@ import (
 // propagation tracing on must not perturb the simulation. A 50-experiment
 // campaign with Trace enabled must land on outcome counts — and per
 // experiment, the same effect, cycle count and detail — bit-identical to
-// the untraced run, on both the fork and the legacy replay engine. The
-// only permitted difference is the Why annotation traced runs add.
+// the untraced run. The only permitted difference is the Why annotation
+// traced runs add.
 func TestTraceOutcomesBitIdentical(t *testing.T) {
 	gpu := config.RTX2060()
 	for _, tc := range []struct {
 		app    string
 		kernel string
 		st     sim.Structure
-		legacy bool
 	}{
-		{"VA", "va_add", sim.StructRegFile, false},
-		{"VA", "va_add", sim.StructRegFile, true},
-		{"BP", "bp_adjust", sim.StructShared, false},
-		{"BP", "bp_adjust", sim.StructShared, true},
-		{"NW", "nw_diag", sim.StructL1D, false},
+		{"VA", "va_add", sim.StructRegFile},
+		{"BP", "bp_adjust", sim.StructShared},
+		{"NW", "nw_diag", sim.StructL1D},
 	} {
 		app, err := bench.ByName(tc.app)
 		if err != nil {
@@ -40,8 +38,7 @@ func TestTraceOutcomesBitIdentical(t *testing.T) {
 		}
 		mk := func(trace bool) *CampaignConfig {
 			return &CampaignConfig{App: app, GPU: gpu, Kernel: tc.kernel, Structure: tc.st,
-				Runs: 50, Bits: 1, Seed: 9, Workers: 4,
-				LegacyReplay: tc.legacy, Trace: trace}
+				Runs: 50, Bits: 1, Seed: 9, Workers: 4, Trace: trace}
 		}
 		plain, err := RunCampaign(nil, mk(false), prof)
 		if err != nil {
@@ -52,8 +49,8 @@ func TestTraceOutcomesBitIdentical(t *testing.T) {
 			t.Fatalf("%s traced: %v", tc.app, err)
 		}
 		if plain.Counts != traced.Counts {
-			t.Errorf("%s/%s legacy=%v: untraced %+v vs traced %+v",
-				tc.app, tc.st, tc.legacy, plain.Counts, traced.Counts)
+			t.Errorf("%s/%s: untraced %+v vs traced %+v",
+				tc.app, tc.st, plain.Counts, traced.Counts)
 		}
 		if len(plain.Exps) != len(traced.Exps) {
 			t.Fatalf("%s: %d untraced experiments vs %d traced", tc.app, len(plain.Exps), len(traced.Exps))
@@ -77,7 +74,7 @@ func TestTraceOutcomesBitIdentical(t *testing.T) {
 
 // TestTraceBytesIdenticalAcrossEngines is the tracer's second contract:
 // the trace itself is deterministic. For the same (seed, experiment index)
-// the fork and replay engines must emit byte-identical trace JSON — the
+// the fork engine and the replay oracle must emit byte-identical trace JSON — the
 // events hold only simulated state (cycles, PCs, cell names), never
 // wall-clock or scheduling artifacts. It also checks the structural
 // acceptance criterion: every non-masked outcome's trace carries an
@@ -93,10 +90,10 @@ func TestTraceBytesIdenticalAcrossEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	collect := func(legacy bool) map[int][]byte {
+	collect := func(run func(context.Context, *CampaignConfig, *Profile) (*CampaignResult, error)) map[int][]byte {
 		out := map[int][]byte{}
 		cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
-			Runs: 50, Bits: 1, Seed: 21, Workers: 4, LegacyReplay: legacy,
+			Runs: 50, Bits: 1, Seed: 21, Workers: 4,
 			Trace: true,
 			TraceSink: func(tr ExperimentTrace) error {
 				raw, err := json.Marshal(tr)
@@ -107,13 +104,13 @@ func TestTraceBytesIdenticalAcrossEngines(t *testing.T) {
 				return nil
 			},
 		}
-		if _, err := RunCampaign(nil, cfg, prof); err != nil {
-			t.Fatalf("legacy=%v: %v", legacy, err)
+		if _, err := run(nil, cfg, prof); err != nil {
+			t.Fatal(err)
 		}
 		return out
 	}
-	fork := collect(false)
-	replay := collect(true)
+	fork := collect(RunCampaign)
+	replay := collect(replayCampaign)
 	if len(fork) != 50 || len(replay) != 50 {
 		t.Fatalf("trace counts: fork %d, replay %d, want 50", len(fork), len(replay))
 	}

@@ -28,7 +28,7 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 
 	sub := postCampaign(t, ts.URL,
 		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":200,"seed":5,"workers":2,"plan":{"target_ci":0.12,"confidence":0.95,"min_runs":40}}`)
-	resp, err := http.Get(ts.URL + "/campaigns/" + sub.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 	}
 
 	var got status
-	if code := getJSON(t, ts.URL+"/campaigns/"+sub.ID, &got); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &got); code != 200 {
 		t.Fatalf("status code %d", code)
 	}
 	if got.State != StateDone {

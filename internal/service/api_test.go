@@ -11,10 +11,10 @@ import (
 	"gpufi/internal/store"
 )
 
-// This file covers the /v1 API redesign satellites: the versioned prefix
-// with deprecated legacy aliases, the uniform error envelope, cursor
-// pagination on the campaign listing, and the shard control plane's
-// behavior on a non-coordinator node.
+// This file covers the /v1 API: the versioned prefix (and the absence of
+// the unversioned one), the uniform error envelope, spec fields the API no
+// longer accepts, cursor pagination on the campaign listing, and the shard
+// control plane's behavior on a non-coordinator node.
 
 func newAPIServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
@@ -83,57 +83,76 @@ func TestErrorEnvelope(t *testing.T) {
 	if code, _, _ := decodeEnvelope(t, resp); resp.StatusCode != 503 || code != "not_coordinator" {
 		t.Errorf("shard claim on local node: status=%d code=%q", resp.StatusCode, code)
 	}
-
-	// The legacy prefix uses the same envelope.
-	resp, err = http.Get(ts.URL + "/campaigns/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code, _, _ := decodeEnvelope(t, resp); resp.StatusCode != 404 || code != "not_found" {
-		t.Errorf("legacy 404: status=%d code=%q", resp.StatusCode, code)
-	}
 }
 
-// TestDeprecatedAliases checks the legacy unversioned routes still work
-// but are marked deprecated with a pointer to their /v1 successor, while
-// /v1 and the ops endpoints are not.
-func TestDeprecatedAliases(t *testing.T) {
-	_, ts := newAPIServer(t)
-	get := func(path string) *http.Response {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
+// TestUnversionedRoutesGone checks the pre-/v1 campaign routes are not
+// served: every method on /campaigns... answers the uniform 404 envelope
+// with a request id and no Deprecation pointer, without touching the
+// store, while the /v1 route next to it still works.
+func TestUnversionedRoutesGone(t *testing.T) {
+	srv, ts := newAPIServer(t)
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodGet, "/campaigns", ""},
+		{http.MethodPost, "/campaigns", vaBody},
+		{http.MethodGet, "/campaigns/nope", ""},
+		{http.MethodGet, "/campaigns/nope/events", ""},
+		{http.MethodGet, "/campaigns/nope/log", ""},
+		{http.MethodGet, "/campaigns/nope/trace", ""},
+		{http.MethodDelete, "/campaigns/nope", ""},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp
-	}
-
-	legacy := get("/campaigns")
-	if legacy.StatusCode != 200 {
-		t.Fatalf("legacy GET /campaigns: %d", legacy.StatusCode)
-	}
-	if legacy.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route missing Deprecation header")
-	}
-	if link := legacy.Header.Get("Link"); link != `</v1/campaigns>; rel="successor-version"` {
-		t.Errorf("legacy route Link = %q", link)
-	}
-
-	v1 := get("/v1/campaigns")
-	if v1.StatusCode != 200 || v1.Header.Get("Deprecation") != "" {
-		t.Errorf("GET /v1/campaigns: status=%d deprecation=%q", v1.StatusCode, v1.Header.Get("Deprecation"))
-	}
-	for _, path := range []string{"/metrics", "/healthz"} {
-		if resp := get(path); resp.Header.Get("Deprecation") != "" {
-			t.Errorf("ops endpoint %s must not be deprecated", path)
+		code, msg, rid := decodeEnvelope(t, resp)
+		if resp.StatusCode != 404 || code != "not_found" || rid == "" || rid != resp.Header.Get("X-Request-ID") {
+			t.Errorf("%s %s: status=%d code=%q request_id=%q header=%q",
+				tc.method, tc.path, resp.StatusCode, code, rid, resp.Header.Get("X-Request-ID"))
 		}
+		if !strings.Contains(msg, tc.method+" "+tc.path) {
+			t.Errorf("%s %s: message %q does not name the request", tc.method, tc.path, msg)
+		}
+		if resp.Header.Get("Deprecation") != "" || resp.Header.Get("Link") != "" {
+			t.Errorf("%s %s: removed route still advertises a successor", tc.method, tc.path)
+		}
+	}
+	if ids, err := srv.st.List(); err != nil || len(ids) != 0 {
+		t.Errorf("POST /campaigns created a campaign: ids=%v err=%v", ids, err)
+	}
+	resp, err := http.Get(ts.URL + "/v1/campaigns")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Errorf("GET /v1/campaigns: %d", resp.StatusCode)
+	}
+}
+
+// TestRemovedSpecFieldRejected checks a submission that still asks for the
+// removed full-replay engine is refused as a bad spec, not silently run on
+// the fork engine.
+func TestRemovedSpecFieldRejected(t *testing.T) {
+	srv, ts := newAPIServer(t)
+	body := strings.Replace(vaBody, "{", `{"legacy_replay":true,`, 1)
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, msg, _ := decodeEnvelope(t, resp)
+	if resp.StatusCode != 400 || code != "invalid_request" ||
+		!strings.Contains(msg, "bad campaign spec") || !strings.Contains(msg, "legacy_replay") {
+		t.Errorf("legacy_replay submission: status=%d code=%q message=%q", resp.StatusCode, code, msg)
+	}
+	if ids, err := srv.st.List(); err != nil || len(ids) != 0 {
+		t.Errorf("rejected submission created a campaign: ids=%v err=%v", ids, err)
 	}
 }
 
 // TestListPagination seeds a store with more campaigns than one page and
 // walks the cursor: pages are ascending by id, disjoint, exhaustive, and
-// sized by limit; the legacy route still returns the whole array.
+// sized by limit.
 func TestListPagination(t *testing.T) {
 	srv, ts := newAPIServer(t)
 	total := 25
@@ -219,17 +238,5 @@ func TestListPagination(t *testing.T) {
 	}
 	if code, _, _ := decodeEnvelope(t, resp); resp.StatusCode != 400 || code != "invalid_request" {
 		t.Errorf("bad limit: status=%d code=%q", resp.StatusCode, code)
-	}
-
-	// Legacy listing: the whole array, unpaginated.
-	resp, err = http.Get(ts.URL + "/campaigns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var arr []json.RawMessage
-	json.NewDecoder(resp.Body).Decode(&arr)
-	resp.Body.Close()
-	if len(arr) != total {
-		t.Fatalf("legacy list: %d entries (want %d)", len(arr), total)
 	}
 }

@@ -41,19 +41,14 @@ import (
 //	POST   /v1/shards/{id}/journal    merge a journal batch
 //
 // Unversioned operational endpoints (probes and scrapes are
-// infrastructure contracts, not API surface — they stay unversioned and
-// are NOT deprecated):
+// infrastructure contracts, not API surface):
 //
 //	GET    /metrics                   service counters (?format=prom for Prometheus text)
 //	GET    /healthz                   liveness (200 while the process serves)
 //	GET    /readyz                    readiness (503 while starting/draining)
 //
-// The pre-versioning /campaigns... routes remain as deprecated aliases:
-// same handlers, same semantics, plus a "Deprecation: true" header and a
-// Link to the /v1 successor. The legacy GET /campaigns keeps its original
-// unpaginated array shape; pagination is a /v1 behavior.
-//
-// Every error response (on both prefixes) is the uniform envelope
+// Every error response, including the 404 for a path or method no route
+// matches, is the uniform envelope
 //
 //	{"error": {"code": "...", "message": "...", "request_id": "..."}}
 //
@@ -63,7 +58,7 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /v1/campaigns", s.handleSubmit)
-	mux.HandleFunc("GET /v1/campaigns", s.handleListV1)
+	mux.HandleFunc("GET /v1/campaigns", s.handleList)
 	mux.HandleFunc("GET /v1/campaigns/{id}", s.handleStatus)
 	mux.HandleFunc("GET /v1/campaigns/{id}/events", s.handleEvents)
 	mux.HandleFunc("GET /v1/campaigns/{id}/log", s.handleLog)
@@ -79,26 +74,11 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 
-	mux.HandleFunc("POST /campaigns", deprecated(s.handleSubmit))
-	mux.HandleFunc("GET /campaigns", deprecated(s.handleListLegacy))
-	mux.HandleFunc("GET /campaigns/{id}", deprecated(s.handleStatus))
-	mux.HandleFunc("GET /campaigns/{id}/events", deprecated(s.handleEvents))
-	mux.HandleFunc("GET /campaigns/{id}/log", deprecated(s.handleLog))
-	mux.HandleFunc("GET /campaigns/{id}/trace", deprecated(s.handleTrace))
-	mux.HandleFunc("DELETE /campaigns/{id}", deprecated(s.handleCancel))
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		writeErr(w, r, &httpError{code: 404, msg: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path)})
+	})
 
 	return s.withObservability(mux)
-}
-
-// deprecated marks a legacy unversioned route: the handler is unchanged,
-// but every response carries a Deprecation header and a Link to the /v1
-// route that replaces it.
-func deprecated(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		h(w, r)
-	}
 }
 
 // status is the wire form of a job's state.
@@ -292,12 +272,12 @@ type listPage struct {
 	NextCursor string   `json:"next_cursor,omitempty"`
 }
 
-// handleListV1 lists campaigns with cursor pagination: ids are ordered
+// handleList lists campaigns with cursor pagination: ids are ordered
 // lexicographically (ascending — a stable total order over restarts), a
 // page holds at most limit entries (default 100, max 1000), and
 // next_cursor is the last id of a truncated page; pass it back as
 // ?cursor= to resume strictly after it.
-func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	limit := 100
 	if q := r.URL.Query().Get("limit"); q != "" {
 		n, err := strconv.Atoi(q)
@@ -330,22 +310,6 @@ func (s *Server) handleListV1(w http.ResponseWriter, r *http.Request) {
 		page.Campaigns = append(page.Campaigns, all[id])
 	}
 	writeJSON(w, http.StatusOK, page)
-}
-
-// handleListLegacy keeps the pre-/v1 response shape: the full unpaginated
-// array. Sorted by id so the deprecated route is at least deterministic.
-func (s *Server) handleListLegacy(w http.ResponseWriter, r *http.Request) {
-	all := s.allStatuses()
-	ids := make([]string, 0, len(all))
-	for id := range all {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	list := make([]status, 0, len(ids))
-	for _, id := range ids {
-		list = append(list, all[id])
-	}
-	writeJSON(w, http.StatusOK, list)
 }
 
 // storedStatus builds a status for a campaign only known from the store.

@@ -67,8 +67,6 @@ func routeClass(p string) string {
 		return "shards"
 	case strings.HasPrefix(p, "/v1/campaigns"):
 		return "campaigns"
-	case strings.HasPrefix(p, "/campaigns"):
-		return "campaigns_legacy"
 	case p == "/metrics" || p == "/healthz" || p == "/readyz":
 		return "ops"
 	default:

@@ -38,7 +38,7 @@ func TestMetricsPromFormat(t *testing.T) {
 
 	// Run one traced campaign so the histograms have observations.
 	sub := postCampaign(t, ts.URL, `{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":10,"seed":4,"workers":1,"trace":true}`)
-	resp, err := http.Get(ts.URL + "/campaigns/" + sub.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func readSSE(t *testing.T, resp *http.Response, stop func(sseEvent) bool) []sseE
 
 func postCampaign(t *testing.T, base string, body string) status {
 	t.Helper()
-	resp, err := http.Post(base+"/campaigns", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/campaigns", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func postCampaign(t *testing.T, base string, body string) status {
 		raw, _ := json.Marshal(resp.Header)
 		var buf bytes.Buffer
 		buf.ReadFrom(resp.Body)
-		t.Fatalf("POST /campaigns: %d %s %s", resp.StatusCode, buf.String(), raw)
+		t.Fatalf("POST /v1/campaigns: %d %s %s", resp.StatusCode, buf.String(), raw)
 	}
 	var st status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
@@ -109,7 +109,7 @@ func TestServiceLifecycle(t *testing.T) {
 	if sub.State != StateQueued || sub.Runs != 25 {
 		t.Fatalf("submission: %+v", sub)
 	}
-	resp, err := http.Get(ts.URL + "/campaigns/" + sub.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/campaigns/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestServiceLifecycle(t *testing.T) {
 
 	// Status agrees with the stream.
 	var got status
-	if code := getJSON(t, ts.URL+"/campaigns/"+sub.ID, &got); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &got); code != 200 {
 		t.Fatalf("status code %d", code)
 	}
 	if got.State != StateDone || got.Counts != final.Counts {
@@ -143,7 +143,7 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 
 	// Duplicate submission of a complete campaign is refused.
-	dupResp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(vaBody))
+	dupResp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(vaBody))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestServiceLifecycle(t *testing.T) {
 	}
 
 	// The downloaded journal parses to the same counts.
-	logResp, err := http.Get(ts.URL + "/campaigns/" + sub.ID + "/log")
+	logResp, err := http.Get(ts.URL + "/v1/campaigns/" + sub.ID + "/log")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ func TestServiceLifecycle(t *testing.T) {
 	// state is terminal.
 	big := postCampaign(t, ts.URL,
 		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":5000,"seed":3,"workers":2}`)
-	evResp, err := http.Get(ts.URL + "/campaigns/" + big.ID + "/events")
+	evResp, err := http.Get(ts.URL + "/v1/campaigns/" + big.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
 	readSSE(t, evResp, func(ev sseEvent) bool { return ev.name == "progress" })
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+big.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns/"+big.ID, nil)
 	delResp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -197,16 +197,16 @@ func TestServiceLifecycle(t *testing.T) {
 		t.Fatalf("cancel: %+v", del)
 	}
 	var cst status
-	getJSON(t, ts.URL+"/campaigns/"+big.ID, &cst)
+	getJSON(t, ts.URL+"/v1/campaigns/"+big.ID, &cst)
 	if cst.State != StateCancelled || cst.Completed == 0 || cst.Completed >= 5000 {
 		t.Errorf("cancelled status: %+v", cst)
 	}
 
 	// Unknown campaigns 404; invalid specs 400.
-	if code := getJSON(t, ts.URL+"/campaigns/nope", nil); code != 404 {
+	if code := getJSON(t, ts.URL+"/v1/campaigns/nope", nil); code != 404 {
 		t.Errorf("unknown campaign: %d", code)
 	}
-	badResp, err := http.Post(ts.URL+"/campaigns", "application/json",
+	badResp, err := http.Post(ts.URL+"/v1/campaigns", "application/json",
 		strings.NewReader(`{"app":"NOPE","gpu":"RTX2060","kernel":"k","structure":"regfile","runs":1}`))
 	if err != nil {
 		t.Fatal(err)
@@ -234,20 +234,20 @@ func TestServiceQueue(t *testing.T) {
 		t.Fatalf("first submission: %+v", first)
 	}
 	// Same id again: conflict.
-	resp, _ := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(vaBody))
+	resp, _ := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(vaBody))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Errorf("duplicate queued submission: %d", resp.StatusCode)
 	}
 	// Queue full: 503.
 	other := strings.Replace(vaBody, `"seed":11`, `"seed":12`, 1)
-	resp, _ = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(other))
+	resp, _ = http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(other))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("over-depth submission: %d", resp.StatusCode)
 	}
 	// Cancel the queued job.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/campaigns/"+first.ID, nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns/"+first.ID, nil)
 	delResp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +259,7 @@ func TestServiceQueue(t *testing.T) {
 		t.Errorf("queued cancel: %+v", del)
 	}
 	// The slot freed up.
-	resp, _ = http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(other))
+	resp, _ = http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(other))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted {
 		t.Errorf("submission after cancel: %d", resp.StatusCode)
@@ -301,7 +301,7 @@ func TestServiceRestartResume(t *testing.T) {
 
 	// Let the campaign make some progress — the SSE stream is the clock —
 	// then kill the server the way a crash would: cancel everything.
-	evResp, err := http.Get(ts1.URL + "/campaigns/" + sub.ID + "/events")
+	evResp, err := http.Get(ts1.URL + "/v1/campaigns/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +344,7 @@ func TestServiceRestartResume(t *testing.T) {
 	ts2 := httptest.NewServer(srv2.Handler())
 	defer ts2.Close()
 
-	evResp2, err := http.Get(ts2.URL + "/campaigns/" + sub.ID + "/events")
+	evResp2, err := http.Get(ts2.URL + "/v1/campaigns/" + sub.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +365,7 @@ func TestServiceRestartResume(t *testing.T) {
 	}
 
 	// The merged journal holds all 60 experiments exactly once.
-	logResp, err := http.Get(ts2.URL + "/campaigns/" + sub.ID + "/log")
+	logResp, err := http.Get(ts2.URL + "/v1/campaigns/" + sub.ID + "/log")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func TestWorkerSurvivesJobPanics(t *testing.T) {
 	}
 
 	var final status
-	if code := getJSON(t, ts.URL+"/campaigns/"+sub.ID, &final); code != 200 {
+	if code := getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &final); code != 200 {
 		t.Fatalf("status code %d", code)
 	}
 	if final.State != StateDone || final.Counts.Total() != 8 {
@@ -116,7 +116,7 @@ func TestWorkerSurvivesJobPanics(t *testing.T) {
 	ch2, fin2 := subscribeByID(t, srv, again.ID)
 	collectUntilFinished(ch2, fin2)
 	var second status
-	getJSON(t, ts.URL+"/campaigns/"+again.ID, &second)
+	getJSON(t, ts.URL+"/v1/campaigns/"+again.ID, &second)
 	if second.State != StateDone || second.Counts.Total() != 4 {
 		t.Errorf("campaign after panics: %+v", second)
 	}
@@ -147,7 +147,7 @@ func TestRetryBudgetExhausted(t *testing.T) {
 	<-fin
 
 	var final status
-	getJSON(t, ts.URL+"/campaigns/"+sub.ID, &final)
+	getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &final)
 	if final.State != StateFailed || final.Attempts != 3 {
 		t.Fatalf("exhausted job: %+v, want failed after 3 attempts", final)
 	}
@@ -205,7 +205,7 @@ func TestQuarantineEventAndMetrics(t *testing.T) {
 	}
 
 	var final status
-	getJSON(t, ts.URL+"/campaigns/"+sub.ID, &final)
+	getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &final)
 	if final.State != StateDone || final.Counts.Total() != 12 {
 		t.Fatalf("poisoned campaign: %+v", final)
 	}
@@ -254,7 +254,7 @@ func TestHealthReadyDrain(t *testing.T) {
 	if code := getJSON(t, ts.URL+"/readyz", nil); code != 503 {
 		t.Errorf("readyz while draining: %d, want 503", code)
 	}
-	resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(
+	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(
 		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":5,"seed":62}`))
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestHealthReadyDrain(t *testing.T) {
 		t.Fatalf("drain cut short: %v", err)
 	}
 	var final status
-	getJSON(t, ts.URL+"/campaigns/"+sub.ID, &final)
+	getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &final)
 	if final.State != StateDone || final.Counts.Total() != 60 {
 		t.Errorf("campaign after graceful drain: %+v, want done with 60 experiments", final)
 	}

@@ -47,14 +47,12 @@ func TestChaosProcessKill(t *testing.T) {
 	specs := map[string]store.Spec{
 		"proc-forked": {App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
 			Runs: 48, Seed: 17, Workers: 2},
-		"proc-legacy": {App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
-			Runs: 48, Seed: 17, Workers: 2, LegacyReplay: true},
 	}
 	for id, spec := range specs {
 		submit(t, base, map[string]any{
 			"id": id, "app": spec.App, "gpu": spec.GPU, "kernel": spec.Kernel,
 			"structure": spec.Structure, "runs": spec.Runs, "seed": spec.Seed,
-			"workers": spec.Workers, "legacy_replay": spec.LegacyReplay,
+			"workers": spec.Workers,
 		})
 	}
 

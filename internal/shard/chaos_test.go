@@ -25,8 +25,8 @@ import (
 // lost) at scheduled points mid-campaign and restarted over the same
 // store, while the SAME worker processes ride through the outage on
 // jittered backoff. The merged journal must come out identical to an
-// uninterrupted local run — on both engines, and through the adaptive
-// early-stop path.
+// uninterrupted local run — for a fixed-N campaign, and through the
+// adaptive early-stop path.
 
 // chaosProxy gives workers one stable address across coordinator
 // lifetimes. While no lifetime is attached the handler aborts the
@@ -157,18 +157,16 @@ func chaosWaitDone(t *testing.T, base, id string, within time.Duration) {
 // tail), once deep mid-ingest — restarts it over the same store, and
 // asserts the differential invariant: the merged journal is identical to
 // an uninterrupted single-process run, every experiment exactly once, no
-// shard stranded. Fixed-N campaigns on both engines get full byte
-// identity; the adaptive arm (whose stop point legitimately varies) gets
+// shard stranded. The fixed-N campaign gets full byte identity; the
+// adaptive arm (whose stop point legitimately varies) gets
 // intersection identity plus the planner's own invariants.
 func TestChaosCoordinatorCrash(t *testing.T) {
 	arms := []struct {
 		name         string
-		legacy       bool
 		adaptive     bool
 		kill1, kill2 int64 // Batches threshold per lifetime
 	}{
 		{name: "forked", kill1: 1, kill2: 5},
-		{name: "legacy-replay", legacy: true, kill1: 2, kill2: 6},
 		{name: "adaptive", adaptive: true, kill1: 2, kill2: 5},
 	}
 	for _, a := range arms {
@@ -184,12 +182,12 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 			id := "chaos-" + a.name
 			spec := store.Spec{
 				App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
-				Runs: 48, Seed: 13, Workers: 2, LegacyReplay: a.legacy,
+				Runs: 48, Seed: 13, Workers: 2,
 			}
 			body := map[string]any{
 				"id": id, "app": spec.App, "gpu": spec.GPU, "kernel": spec.Kernel,
 				"structure": spec.Structure, "runs": spec.Runs, "seed": spec.Seed,
-				"workers": spec.Workers, "legacy_replay": spec.LegacyReplay,
+				"workers": spec.Workers,
 			}
 			if a.adaptive {
 				spec.Runs = 200

@@ -253,23 +253,20 @@ func TestShardedDifferentialSuite(t *testing.T) {
 
 // TestShardedKillAndRejoin kills a worker mid-shard and lets a second
 // worker take over after the lease expires: the merged journal must be
-// byte-identical to a local run, with every experiment exactly once —
-// on both the forked and the legacy-replay engine.
+// byte-identical to a local run, with every experiment exactly once.
 func TestShardedKillAndRejoin(t *testing.T) {
 	for _, tc := range []struct {
-		name   string
-		legacy bool
-		trace  bool
+		name  string
+		trace bool
 	}{
-		{"forked", false, true},
-		{"legacy-replay", true, false},
+		{"forked", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := startCluster(t, t.TempDir(), 4, 200*time.Millisecond)
 			id := "kill-rejoin-" + tc.name
 			spec := store.Spec{
 				App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
-				Runs: 24, Seed: 7, Workers: 2, LegacyReplay: tc.legacy, Trace: tc.trace,
+				Runs: 24, Seed: 7, Workers: 2, Trace: tc.trace,
 			}
 
 			// Worker 1 dies the moment its first journal batch lands.
@@ -282,7 +279,7 @@ func TestShardedKillAndRejoin(t *testing.T) {
 			submit(t, c.ts.URL, map[string]any{
 				"id": id, "app": spec.App, "gpu": spec.GPU, "kernel": spec.Kernel,
 				"structure": spec.Structure, "runs": spec.Runs, "seed": spec.Seed,
-				"workers": spec.Workers, "legacy_replay": spec.LegacyReplay, "trace": spec.Trace,
+				"workers": spec.Workers, "trace": spec.Trace,
 			})
 			select {
 			case <-w1done:

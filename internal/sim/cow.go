@@ -2,13 +2,14 @@ package sim
 
 // Copy-on-write resident state for fork vessels.
 //
-// A restore used to deep-copy every resident CTA, warp and thread out of
-// the snapshot — for a full RTX 2060 that is tens of thousands of threads
-// and megabytes of register file per experiment, almost all of it never
-// touched before the experiment classifies. Under COW the vessel instead
-// gets private warp and CTA structs (cheap, and they hold all scheduler
-// state) whose thread pointers and shared-memory slices still alias the
-// snapshot's immutable slabs. The first write materializes a private copy:
+// Deep-copying every resident CTA, warp and thread out of the snapshot on
+// each restore would move — for a full RTX 2060 — tens of thousands of
+// threads and megabytes of register file per experiment, almost all of it
+// never touched before the experiment classifies. Under COW the vessel
+// instead gets private warp and CTA structs (cheap, and they hold all
+// scheduler state) whose thread pointers and shared-memory slices still
+// alias the snapshot's immutable slabs. The first write materializes a
+// private copy:
 //
 //   - core.step materializes the warp's thread slab before executing, the
 //     single choke point for all architectural thread writes (registers,
@@ -244,12 +245,9 @@ func (c *core) materializeSmem(b *cta) {
 	cowMaterializeCtr.Inc()
 }
 
-// SetDeepClone switches this GPU to the legacy eager deep-clone fork
-// protocol: restores and captures copy every page, line and thread
-// whether or not it diverged, and no state is shared between a vessel and
-// its snapshot. Campaigns run it as the differential baseline for the COW
-// engine; outcomes are bit-identical either way.
+// SetDeepClone switches this GPU to the eager deep-clone protocol:
+// restores and captures copy every page, line and thread whether or not it
+// diverged, and no state is shared between a vessel and its snapshot. No
+// campaign runs this way; it is the baseline the differential tests in
+// this package and internal/core hold the COW protocol to, bit for bit.
 func (g *GPU) SetDeepClone(v bool) { g.deepClone = v }
-
-// DeepCloneEnabled reports whether the legacy eager fork protocol is on.
-func (g *GPU) DeepCloneEnabled() bool { return g.deepClone }

@@ -95,9 +95,9 @@ type GPU struct {
 	violation  error
 	kernelStat *KernelStats
 
-	// deepClone forces the legacy eager fork protocol: no dirty-page
-	// tracking, no shared slabs — every restore and capture copies the
-	// complete state. The differential baseline for the COW engine.
+	// deepClone forces the eager fork protocol: no dirty-page tracking, no
+	// shared slabs — every restore and capture copies the complete state.
+	// Only tests set it (SetDeepClone), as the COW differential baseline.
 	deepClone bool
 
 	// mid-launch bookkeeping, held on the GPU (not the Launch frame) so a

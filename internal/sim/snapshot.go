@@ -31,7 +31,7 @@ import (
 //     then apply exactly as they would have in a from-scratch run.
 //
 // Because the simulator is deterministic, a fork is bit-identical to a
-// legacy from-cycle-0 replay: same outputs, same cycle counts, same
+// simulation from cycle 0: same outputs, same cycle counts, same
 // injection-target choices.
 
 // ErrReplayStop is the sentinel a SnapshotAt sink returns to abort the

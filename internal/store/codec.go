@@ -68,8 +68,8 @@ func HeaderOf(res *core.CampaignResult) Header {
 
 // LogWriter writes campaign records to a stream: one Begin per campaign,
 // then one Experiment per record, in any interleaving ParseLog accepts.
-// It is not safe for concurrent use; campaign engines already serialize
-// their journal callbacks.
+// It is not safe for concurrent use; the campaign engine already
+// serializes its journal callbacks.
 type LogWriter struct {
 	enc *json.Encoder
 }

@@ -37,7 +37,6 @@ type Spec struct {
 	ParallelCores int      `json:"parallel_cores,omitempty"`
 	Invocation    int      `json:"invocation,omitempty"`
 	Simultaneous  []string `json:"simultaneous,omitempty"`
-	LegacyReplay  bool     `json:"legacy_replay,omitempty"`
 	Lenient       bool     `json:"lenient_memory,omitempty"`
 	ECC           bool     `json:"ecc,omitempty"`
 	L2Queue       int      `json:"l2_queue,omitempty"`
@@ -113,11 +112,10 @@ func (s Spec) Config() (*core.CampaignConfig, error) {
 		App: app, GPU: gpu, Kernel: s.Kernel, Structure: st,
 		Runs: s.Runs, Bits: s.Bits, WarpWide: s.WarpWide, Blocks: s.Blocks,
 		Seed: s.Seed, Workers: s.Workers, ParallelCores: s.ParallelCores,
-		Invocation:   s.Invocation,
-		LegacyReplay: s.LegacyReplay,
-		ExpTimeout:   time.Duration(s.ExpTimeoutMS) * time.Millisecond,
-		Trace:        s.Trace,
-		Plan:         s.Plan,
+		Invocation: s.Invocation,
+		ExpTimeout: time.Duration(s.ExpTimeoutMS) * time.Millisecond,
+		Trace:      s.Trace,
+		Plan:       s.Plan,
 	}
 	for _, name := range s.Simultaneous {
 		extra, err := sim.ParseStructure(name)

@@ -88,8 +88,8 @@ func (s *Store) batch() int {
 }
 
 // Journal is an append-only experiment record file with batched fsync.
-// Append is safe for concurrent use, though campaign engines already
-// serialize their journal callbacks.
+// Append is safe for concurrent use, though the campaign engine already
+// serializes its journal callbacks.
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File

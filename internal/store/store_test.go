@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -120,6 +122,89 @@ func TestKillAndResume(t *testing.T) {
 	}
 	if again.Counts != ref.Counts {
 		t.Errorf("re-run of done campaign: %+v", again.Counts)
+	}
+}
+
+// TestResumeConfigFromOlderBuild: a campaign directory whose config record
+// still carries "legacy_replay": true — written by a build that had the
+// full-replay engine — must open, match the submitted spec, resume, and
+// finish with a journal byte-identical to a fresh run of the same spec.
+// One worker keeps completion order, and so journal bytes, deterministic.
+func TestResumeConfigFromOlderBuild(t *testing.T) {
+	spec := vaSpec(20, 7)
+	spec.Workers = 1
+	cfg, err := spec.Config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := core.ProfileApp(nil, cfg.App, cfg.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalBytes := func(st *Store) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(filepath.Join(st.Dir(), "old", journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	fresh, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.Run(nil, "old", spec, prof, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	seen := 0
+	if _, err := st.Run(ctx, "old", spec, prof, func(core.Experiment) {
+		if seen++; seen == 6 {
+			cancel()
+		}
+	}); err == nil {
+		t.Fatal("cancelled run reported success")
+	}
+	cp := filepath.Join(st.Dir(), "old", configFile)
+	raw, err := os.ReadFile(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["legacy_replay"] = true
+	if raw, err = json.MarshalIndent(rec, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	c, err := st.Resume("old")
+	if err != nil {
+		t.Fatalf("config record of an older build does not open: %v", err)
+	}
+	if !SameSpec(c.Spec, spec) {
+		t.Errorf("stored spec %+v no longer matches the submitted one", c.Spec)
+	}
+	if n := len(c.CompletedIDs()); n != 6 {
+		t.Errorf("resumed with %d journaled experiments, want 6", n)
+	}
+	c.Close()
+	if _, err := st.Run(nil, "old", spec, prof, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := journalBytes(st), journalBytes(fresh); !bytes.Equal(got, want) {
+		t.Errorf("resumed journal differs from a fresh run:\n got: %s\nwant: %s", got, want)
 	}
 }
 
