@@ -103,6 +103,11 @@ type Cache struct {
 	tagShift  uint
 	tagMask   uint64 // TagBits wide
 
+	// resident has bit i set exactly when lines[i].valid. Every valid-bit
+	// transition maintains it, so Flush, Clone's data copy and ValidLines
+	// cost what is resident, not what the geometry could hold.
+	resident *lineSet
+
 	// Copy-on-write sync state, mirroring mem.Memory (see cowsync.go):
 	// touched records the lines mutated since the last sync point, epoch
 	// counts content generations, lastDelta holds the lines changed by the
@@ -125,6 +130,7 @@ func New(geom *config.Cache, backing Backing) *Cache {
 		lineShift: uint(bits.TrailingZeros32(uint32(geom.LineBytes))),
 		setMask:   uint32(geom.Sets - 1),
 		tagMask:   (uint64(1) << config.TagBits) - 1,
+		resident:  newLineSet(geom.Lines()),
 	}
 	c.tagShift = c.lineShift + uint(bits.TrailingZeros32(uint32(geom.Sets)))
 	lb := geom.LineBytes
@@ -153,18 +159,22 @@ func (c *Cache) Clone(backing Backing) *Cache {
 		setMask:   c.setMask,
 		tagShift:  c.tagShift,
 		tagMask:   c.tagMask,
+		resident:  newLineSet(len(c.lines)),
 	}
 	copy(n.lines, c.lines)
+	n.resident.copyFrom(c.resident)
 	lb := c.geom.LineBytes
 	for i := range n.lines {
-		if c.lines[i].valid {
-			copy(n.arena[i*lb:(i+1)*lb], c.lines[i].data)
-		}
 		n.lines[i].data = n.arena[i*lb : (i+1)*lb : (i+1)*lb]
+	}
+	// Hooks only ever sit on valid lines (InjectBit masks on invalid ones,
+	// every invalidation disarms), so the resident walk covers them too.
+	c.resident.rangeSet(func(i int) {
+		copy(n.lines[i].data, c.lines[i].data)
 		if hb := c.lines[i].hookBits; len(hb) > 0 {
 			n.lines[i].hookBits = append([]uint16(nil), hb...)
 		}
-	}
+	})
 	return n
 }
 
@@ -196,6 +206,7 @@ func (c *Cache) CopyFrom(src *Cache, backing Backing) error {
 			c.lines[i].hookBits = append([]uint16(nil), hb...)
 		}
 	}
+	c.resident.copyFrom(src.resident)
 	// A verbatim copy redefines c's content: drop any delta-sync provenance
 	// so stale touched state cannot be mistaken for a valid delta later.
 	// RestoreFrom/CaptureFrom re-establish it when appropriate.
@@ -295,8 +306,9 @@ func (c *Cache) evict(idx int) int {
 			c.stats.Writebacks++
 		}
 		c.markLine(idx)
+		l.valid, l.dirty = false, false
+		c.resident.unmark(idx)
 	}
-	l.valid, l.dirty = false, false
 	return cost
 }
 
@@ -312,6 +324,7 @@ func (c *Cache) fill(addr uint32) (int, int) {
 	l.tag = c.tagOf(addr)
 	l.valid = true
 	l.dirty = false
+	c.resident.mark(idx)
 	c.touch(idx) // touch marks the line for COW sync too
 	return idx, cost
 }
@@ -354,6 +367,7 @@ func (c *Cache) AccessWrite(addr uint32, mode Mode) (bool, int, error) {
 			c.disarm(idx)
 			c.lines[idx].valid = false
 			c.lines[idx].dirty = false
+			c.resident.unmark(idx)
 			c.markLine(idx)
 			return true, 0, nil
 		}
@@ -459,10 +473,11 @@ func (c *Cache) PeekWord(addr uint32) uint32 { return c.LoadWord(addr) }
 
 // Flush writes back all dirty lines and invalidates the cache (kernel
 // completion on real GPUs flushes L1; campaigns flush between launches).
+// Only resident lines are visited, in ascending index order: evicting an
+// invalid line has no effect, so the write-backs, statistics and touched
+// set are those of a walk over every line.
 func (c *Cache) Flush() {
-	for i := range c.lines {
-		c.evict(i)
-	}
+	c.resident.rangeSet(func(i int) { c.evict(i) })
 }
 
 // InjectOutcome describes what an injected bit flip did.
@@ -553,12 +568,4 @@ func (c *Cache) UpdateResident(addr uint32, src []byte) bool {
 
 // ValidLines returns how many lines currently hold valid data (used by
 // tests and occupancy diagnostics).
-func (c *Cache) ValidLines() int {
-	n := 0
-	for i := range c.lines {
-		if c.lines[i].valid {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) ValidLines() int { return c.resident.count() }

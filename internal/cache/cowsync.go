@@ -21,6 +21,7 @@ func newLineSet(lines int) *lineSet {
 }
 
 func (s *lineSet) mark(i int)     { s.bits[i>>6] |= 1 << uint(i&63) }
+func (s *lineSet) unmark(i int)   { s.bits[i>>6] &^= 1 << uint(i&63) }
 func (s *lineSet) has(i int) bool { return s.bits[i>>6]&(1<<uint(i&63)) != 0 }
 func (s *lineSet) clear()         { clear(s.bits) }
 func (s *lineSet) copyFrom(o *lineSet) {
@@ -107,6 +108,9 @@ func (c *Cache) copyLine(src *Cache, i int) {
 	c.lines[i].data = d
 	if src.lines[i].valid {
 		copy(d, src.lines[i].data)
+		c.resident.mark(i)
+	} else {
+		c.resident.unmark(i)
 	}
 	if hb := src.lines[i].hookBits; len(hb) > 0 {
 		c.lines[i].hookBits = append([]uint16(nil), hb...)

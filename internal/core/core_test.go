@@ -81,6 +81,52 @@ func TestMaskGenDeterministicAndInRange(t *testing.T) {
 	}
 }
 
+// TestMaskGenReseedMatchesFreshSource: Spec re-seeds one generator per
+// call; every field must equal what a generator allocated for that one
+// spec draws, in any call order.
+func TestMaskGenReseedMatchesFreshSource(t *testing.T) {
+	windows := []sim.CycleWindow{{Start: 100, End: 260}, {Start: 500, End: 9000}}
+	const seed = 20220522
+	gen, err := NewMaskGen(sim.StructL1D, windows, 4096, 3, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen.SetCoreMask([]int{2, 5})
+	fresh := func(i int) *sim.FaultSpec {
+		mix := uint64(seed) ^ uint64(i+1)*0x9E3779B97F4A7C15
+		r := rand.New(rand.NewSource(int64(mix)))
+		var total uint64
+		for _, w := range windows {
+			total += w.Width()
+		}
+		pick := uint64(r.Int63n(int64(total)))
+		var cycle uint64
+		for _, w := range windows {
+			if pick < w.Width() {
+				cycle = w.Start + pick + 1
+				break
+			}
+			pick -= w.Width()
+		}
+		var positions []int64
+		seen := map[int64]bool{}
+		for len(positions) < 3 {
+			if p := r.Int63n(4096); !seen[p] {
+				seen[p] = true
+				positions = append(positions, p)
+			}
+		}
+		return &sim.FaultSpec{Structure: sim.StructL1D, Cycle: cycle, BitPositions: positions,
+			CoreMask: []int{2, 5}, Seed: r.Int63()}
+	}
+	for n := 0; n < 1000; n++ {
+		i := (n * 389) % 1000 // out of order: no draw may leak from one spec into the next
+		if got, want := gen.Spec(i), fresh(i); !reflect.DeepEqual(got, want) {
+			t.Fatalf("spec %d: re-seeded generator drew %+v, a fresh source %+v", i, got, want)
+		}
+	}
+}
+
 func TestMaskGenErrors(t *testing.T) {
 	w := []sim.CycleWindow{{Start: 0, End: 10}}
 	if _, err := NewMaskGen(sim.StructRegFile, nil, 32, 1, 0); err == nil {

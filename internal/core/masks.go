@@ -82,6 +82,7 @@ func ChipSizeBits(gpu *config.GPU, st sim.Structure) int64 {
 
 // MaskGen is the fault-mask generator: it deterministically derives each
 // experiment's FaultSpec from the campaign seed and the experiment index.
+// Not safe for concurrent use: Spec re-seeds one generator per call.
 type MaskGen struct {
 	windows  []sim.CycleWindow
 	sizeBits int64
@@ -91,6 +92,7 @@ type MaskGen struct {
 	coreMask []int
 	st       sim.Structure
 	seed     int64
+	rng      *rand.Rand // re-seeded by every Spec call
 }
 
 // NewMaskGen builds a generator for one campaign point.
@@ -123,7 +125,8 @@ func NewMaskGen(st sim.Structure, windows []sim.CycleWindow, sizeBits int64, bit
 	if total == 0 {
 		return nil, fmt.Errorf("core: zero total cycles")
 	}
-	return &MaskGen{windows: windows, sizeBits: sizeBits, bits: bits, st: st, seed: seed}, nil
+	return &MaskGen{windows: windows, sizeBits: sizeBits, bits: bits, st: st, seed: seed,
+		rng: rand.New(rand.NewSource(seed))}, nil
 }
 
 // SetWarpWide makes register-file/local specs target whole warps.
@@ -138,7 +141,10 @@ func (m *MaskGen) SetCoreMask(cores []int) { m.coreMask = cores }
 // Spec derives the FaultSpec for experiment i.
 func (m *MaskGen) Spec(i int) *sim.FaultSpec {
 	mix := uint64(m.seed) ^ uint64(i+1)*0x9E3779B97F4A7C15 // golden-ratio mix
-	r := rand.New(rand.NewSource(int64(mix)))
+	// Seed resets the source and the read position: the draws equal those
+	// of a fresh rand.New(rand.NewSource(mix)) without allocating one.
+	r := m.rng
+	r.Seed(int64(mix))
 	// Cycle: uniform over the union of windows.
 	total := uint64(0)
 	for _, w := range m.windows {

@@ -135,6 +135,14 @@ type core struct {
 	ctas        []*cta
 	warps       []*warp // all resident warps, in placement order
 	liveThreads int
+	liveWarps   int // resident warps that have not fully exited
+
+	// readyAt, when non-zero, is the earliest cycle at which any warp on
+	// this core can issue: a tick that found every warp stalled records it,
+	// and ticks before that cycle return without scanning. Issue, CTA
+	// placement, launch reset and every snapshot restore clear it back to
+	// 0 (unknown), so it is never later than the true next-ready cycle.
+	readyAt uint64
 
 	usedThreads int
 	usedRegs    int
@@ -180,6 +188,8 @@ func (c *core) reset() {
 	c.ctas = nil
 	c.warps = nil
 	c.liveThreads = 0
+	c.liveWarps = 0
+	c.readyAt = 0
 	c.usedThreads = 0
 	c.usedRegs = 0
 	c.usedSmem = 0
@@ -246,6 +256,8 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 	c.usedRegs += ctaThreads * p.RegsPerThread
 	c.usedSmem += p.SmemBytes
 	c.liveThreads += ctaThreads
+	c.liveWarps += nWarps
+	c.readyAt = 0 // the new warps can issue next cycle
 	return true
 }
 
@@ -276,17 +288,6 @@ func (c *core) retireCTA(b *cta) {
 	c.ctaRetired++ // folded into g.doneCTAs at commit, in core-ID order
 }
 
-// liveWarps counts resident warps that have not fully exited.
-func (c *core) liveWarps() int {
-	n := 0
-	for _, w := range c.warps {
-		if !w.exited {
-			n++
-		}
-	}
-	return n
-}
-
 // nextReadyCycle returns the earliest cycle at which some warp on this
 // core can issue, or 0 if none ever will (all exited or at barriers).
 func (c *core) nextReadyCycle() uint64 {
@@ -309,16 +310,24 @@ func (c *core) nextReadyCycle() uint64 {
 // tick issues up to IssuePerCycle warp instructions using a
 // greedy-then-oldest scheduler. Returns whether any warp was ready.
 func (c *core) tick() bool {
-	if len(c.warps) == 0 {
+	if len(c.warps) == 0 || c.readyAt > c.gpu.cycle {
 		return false
 	}
+	c.readyAt = 0 // unknown again unless this scan finds every warp stalled
 	issued := 0
 	anyReady := false
+	var wake uint64 // earliest busyUntil among the stalled warps scanned
 	n := len(c.warps)
 	for scan := 0; scan < n && issued < c.gpu.cfg.IssuePerCycle; scan++ {
 		idx := (c.rr + scan) % n
 		w := c.warps[idx]
-		if w.exited || w.atBarrier || w.busyUntil > c.gpu.cycle {
+		if w.exited || w.atBarrier {
+			continue
+		}
+		if w.busyUntil > c.gpu.cycle {
+			if wake == 0 || w.busyUntil < wake {
+				wake = w.busyUntil
+			}
 			continue
 		}
 		anyReady = true
@@ -338,6 +347,11 @@ func (c *core) tick() bool {
 		if n == 0 {
 			break
 		}
+	}
+	if !anyReady {
+		// Nothing issued, so the scan covered every warp and nothing it
+		// read can change before the earliest of them wakes.
+		c.readyAt = wake
 	}
 	return anyReady
 }
@@ -520,9 +534,12 @@ func (c *core) step(w *warp) {
 		w.busyUntil = g.cycle + uint64(latency)
 	}
 
-	if len(w.stack) == 0 || w.liveMask() == 0 {
+	// Lanes leave the live set only through exitThreads, so only an EXIT
+	// can empty it: every other instruction skips the 32-lane scan.
+	if len(w.stack) == 0 || (in.Op == isa.OpEXIT && w.liveMask() == 0) {
 		if !w.exited {
 			w.exited = true
+			c.liveWarps--
 			b := w.cta
 			b.liveWarps--
 			if b.liveWarps == 0 {

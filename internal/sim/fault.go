@@ -8,38 +8,137 @@ import (
 	"gpufi/internal/config"
 )
 
-// liveThreadsOf collects all live (created, not exited) threads, their
-// warps and cores, in deterministic order — the candidate pool for
-// register-file and local-memory injections.
-func (g *GPU) liveThreadRefs() (threads []*thread, warps []*warp, cores []int) {
+// Injection-site selection counts the live candidates, draws one index
+// and walks to it, in core -> warp -> lane order: no candidate list is
+// built. The per-core liveThreads and liveWarps counters give the count and
+// let the walk skip whole cores.
+
+// liveThreadCount returns how many live (created, not exited) threads are
+// resident — the candidate pool for register-file and local-memory
+// injections.
+func (g *GPU) liveThreadCount() int {
+	n := 0
 	for _, c := range g.cores {
+		n += c.liveThreads
+	}
+	return n
+}
+
+// liveThreadAt returns the warp and lane of the i-th live thread.
+func (g *GPU) liveThreadAt(i int) (*warp, int) {
+	for _, c := range g.cores {
+		if i >= c.liveThreads {
+			i -= c.liveThreads
+			continue
+		}
 		for _, w := range c.warps {
 			if w.exited {
 				continue
 			}
-			for _, t := range w.threads {
+			for lane, t := range w.threads {
 				if t != nil && t.valid && !t.exited {
-					threads = append(threads, t)
-					warps = append(warps, w)
-					cores = append(cores, c.id)
+					if i == 0 {
+						return w, lane
+					}
+					i--
 				}
 			}
 		}
 	}
-	return
+	return nil, -1
 }
 
-// liveWarpRefs collects all live warps and their cores.
-func (g *GPU) liveWarpRefs() (warps []*warp, cores []int) {
+// liveWarpCount returns how many resident warps have not fully exited.
+func (g *GPU) liveWarpCount() int {
+	n := 0
 	for _, c := range g.cores {
+		n += c.liveWarps
+	}
+	return n
+}
+
+// liveWarpAt returns the i-th live warp.
+func (g *GPU) liveWarpAt(i int) *warp {
+	for _, c := range g.cores {
+		if i >= c.liveWarps {
+			i -= c.liveWarps
+			continue
+		}
 		for _, w := range c.warps {
 			if !w.exited {
-				warps = append(warps, w)
-				cores = append(cores, c.id)
+				if i == 0 {
+					return w
+				}
+				i--
 			}
 		}
 	}
-	return
+	return nil
+}
+
+// smemCTACount returns how many resident CTAs own shared memory.
+func (g *GPU) smemCTACount() int {
+	n := 0
+	for _, c := range g.cores {
+		for _, b := range c.ctas {
+			if len(b.smem) > 0 {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// smemCTAAt returns the i-th resident CTA that owns shared memory.
+func (g *GPU) smemCTAAt(i int) *cta {
+	for _, c := range g.cores {
+		for _, b := range c.ctas {
+			if len(b.smem) > 0 {
+				if i == 0 {
+					return b
+				}
+				i--
+			}
+		}
+	}
+	return nil
+}
+
+// pickCore draws one core among those of spec.CoreMask (every core when
+// the mask is empty) that has the target cache, or -1 with no draw when
+// none does.
+func (g *GPU) pickCore(spec *FaultSpec, rng *rand.Rand, has func(*core) bool) int {
+	n := len(spec.CoreMask)
+	if n == 0 {
+		n = len(g.cores)
+	}
+	// candidate k is CoreMask[k], or core k under an empty mask.
+	eligible := func(k int) (int, bool) {
+		id := k
+		if len(spec.CoreMask) > 0 {
+			id = spec.CoreMask[k]
+		}
+		return id, id >= 0 && id < len(g.cores) && has(g.cores[id])
+	}
+	count := 0
+	for k := 0; k < n; k++ {
+		if _, ok := eligible(k); ok {
+			count++
+		}
+	}
+	if count == 0 {
+		return -1
+	}
+	i := rng.Intn(count)
+	for k := 0; k < n; k++ {
+		if id, ok := eligible(k); ok {
+			if i == 0 {
+				return id
+			}
+			i--
+		}
+	}
+	return -1
 }
 
 // injectRegFile flips the spec's bit positions in a random active thread's
@@ -61,13 +160,12 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 		}
 	}
 	if spec.WarpWide {
-		warps, cores := g.liveWarpRefs()
-		if len(warps) == 0 {
+		n := g.liveWarpCount()
+		if n == 0 {
 			rec.Detail = "no live warp"
 			return
 		}
-		i := rng.Intn(len(warps))
-		w := warps[i]
+		w := g.liveWarpAt(rng.Intn(n))
 		// Flipping register bits writes thread state: a COW fork warp
 		// still sharing the snapshot's slab gets its private copy first.
 		w.cta.core.materializeWarp(w)
@@ -80,37 +178,26 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 			}
 		}
 		rec.Applied = true
-		rec.Core = cores[i]
+		rec.Core = w.cta.core.id
 		rec.Warp = w.slot
 		rec.Detail = fmt.Sprintf("warp-wide regfile flip x%d", len(positions))
 		return
 	}
-	threads, warps, cores := g.liveThreadRefs()
-	if len(threads) == 0 {
+	n := g.liveThreadCount()
+	if n == 0 {
 		rec.Detail = "no live thread"
 		return
 	}
-	i := rng.Intn(len(threads))
-	w := warps[i]
-	// Resolve the thread's lane before materializing: the collected
+	w, lane := g.liveThreadAt(rng.Intn(n))
+	// Materialize before taking the thread pointer: the shared slab's
 	// pointer goes stale the moment the warp's slab becomes private.
-	lane := -1
-	for l, t := range w.threads {
-		if t == threads[i] {
-			lane = l
-			break
-		}
-	}
 	w.cta.core.materializeWarp(w)
-	t := threads[i]
-	if lane >= 0 {
-		t = w.threads[lane]
-	}
+	t := w.threads[lane]
 	for _, pos := range positions {
 		flip(t, pos)
 	}
 	rec.Applied = true
-	rec.Core = cores[i]
+	rec.Core = w.cta.core.id
 	rec.Warp = w.slot
 	rec.Thread = t.gtid
 	rec.Detail = fmt.Sprintf("regfile flip x%d", len(positions))
@@ -139,13 +226,13 @@ func (g *GPU) injectLocal(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand)
 		}
 	}
 	if spec.WarpWide {
-		warps, cores := g.liveWarpRefs()
-		if len(warps) == 0 {
+		n := g.liveWarpCount()
+		if n == 0 {
 			rec.Detail = "no live warp"
 			return
 		}
-		i := rng.Intn(len(warps))
-		for _, t := range warps[i].threads {
+		w := g.liveWarpAt(rng.Intn(n))
+		for _, t := range w.threads {
 			if t == nil || !t.valid || t.exited {
 				continue
 			}
@@ -154,41 +241,33 @@ func (g *GPU) injectLocal(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand)
 			}
 		}
 		rec.Applied = true
-		rec.Core = cores[i]
-		rec.Warp = warps[i].slot
+		rec.Core = w.cta.core.id
+		rec.Warp = w.slot
 		rec.Detail = fmt.Sprintf("warp-wide local flip x%d", len(positions))
 		return
 	}
-	threads, warps, cores := g.liveThreadRefs()
-	if len(threads) == 0 {
+	n := g.liveThreadCount()
+	if n == 0 {
 		rec.Detail = "no live thread"
 		return
 	}
-	i := rng.Intn(len(threads))
+	w, lane := g.liveThreadAt(rng.Intn(n))
+	t := w.threads[lane]
 	for _, pos := range positions {
-		flip(threads[i], pos)
+		flip(t, pos)
 	}
 	rec.Applied = true
-	rec.Core = cores[i]
-	rec.Warp = warps[i].slot
-	rec.Thread = threads[i].gtid
+	rec.Core = w.cta.core.id
+	rec.Warp = w.slot
+	rec.Thread = t.gtid
 	rec.Detail = fmt.Sprintf("local flip x%d", len(positions))
 }
 
 // injectShared flips bits in the shared memory of one or more random
 // active CTAs (the same flips per CTA, per the paper's Table IV).
 func (g *GPU) injectShared(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
-	var ctas []*cta
-	var cores []int
-	for _, c := range g.cores {
-		for _, b := range c.ctas {
-			if len(b.smem) > 0 {
-				ctas = append(ctas, b)
-				cores = append(cores, c.id)
-			}
-		}
-	}
-	if len(ctas) == 0 {
+	nCTAs := g.smemCTACount()
+	if nCTAs == 0 {
 		rec.Detail = "no active CTA with shared memory"
 		return
 	}
@@ -201,12 +280,12 @@ func (g *GPU) injectShared(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand
 	if n <= 0 {
 		n = 1
 	}
-	if n > len(ctas) {
-		n = len(ctas)
+	if n > nCTAs {
+		n = nCTAs
 	}
-	perm := rng.Perm(len(ctas))[:n]
+	perm := rng.Perm(nCTAs)[:n]
 	for _, pi := range perm {
-		b := ctas[pi]
+		b := g.smemCTAAt(pi)
 		if b.sharedSmem {
 			// The flip writes shared memory a COW fork may still share
 			// with its snapshot: materialize the private bank first.
@@ -222,37 +301,21 @@ func (g *GPU) injectShared(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand
 			}
 		}
 	}
+	first := g.smemCTAAt(perm[0])
 	rec.Applied = true
-	rec.CTA = ctas[perm[0]].id
-	rec.Core = cores[perm[0]]
+	rec.CTA = first.id
+	rec.Core = first.core.id
 	rec.Detail = fmt.Sprintf("shared flip x%d in %d block(s)", len(positions), n)
 }
 
 // injectL1 flips bits in the L1 data or texture cache of a random core
 // drawn from the spec's core mask.
 func (g *GPU) injectL1(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand, data bool) {
-	candidates := spec.CoreMask
-	if len(candidates) == 0 {
-		candidates = make([]int, len(g.cores))
-		for i := range candidates {
-			candidates[i] = i
-		}
-	}
-	var eligible []int
-	for _, id := range candidates {
-		if id < 0 || id >= len(g.cores) {
-			continue
-		}
-		if data && g.cores[id].l1d == nil {
-			continue
-		}
-		eligible = append(eligible, id)
-	}
-	if len(eligible) == 0 {
+	id := g.pickCore(spec, rng, func(c *core) bool { return !data || c.l1d != nil })
+	if id < 0 {
 		rec.Detail = "no eligible core (cache absent)"
 		return
 	}
-	id := eligible[rng.Intn(len(eligible))]
 	var target *cache.Cache
 	if data {
 		target = g.cores[id].l1d
@@ -286,24 +349,11 @@ func (g *GPU) injectL2(spec *FaultSpec, rec *InjectionRecord) {
 // injectL1C flips bits in the L1 constant cache of a random eligible core
 // (extension target).
 func (g *GPU) injectL1C(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
-	candidates := spec.CoreMask
-	if len(candidates) == 0 {
-		candidates = make([]int, len(g.cores))
-		for i := range candidates {
-			candidates[i] = i
-		}
-	}
-	var eligible []int
-	for _, id := range candidates {
-		if id >= 0 && id < len(g.cores) && g.cores[id].l1c != nil {
-			eligible = append(eligible, id)
-		}
-	}
-	if len(eligible) == 0 {
+	id := g.pickCore(spec, rng, func(c *core) bool { return c.l1c != nil })
+	if id < 0 {
 		rec.Detail = "no eligible core (constant cache absent)"
 		return
 	}
-	id := eligible[rng.Intn(len(eligible))]
 	target := g.cores[id].l1c
 	wordOf := eccWordCacheLine(int64(target.Geometry().LineBits()), config.TagBits)
 	positions := g.applyECC(spec, rec, wordOf)
@@ -321,24 +371,11 @@ func (g *GPU) injectL1C(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
 // core (extension target) and switches that core to decode-from-cache
 // fetch so the corruption takes architectural effect.
 func (g *GPU) injectL1I(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
-	candidates := spec.CoreMask
-	if len(candidates) == 0 {
-		candidates = make([]int, len(g.cores))
-		for i := range candidates {
-			candidates[i] = i
-		}
-	}
-	var eligible []int
-	for _, id := range candidates {
-		if id >= 0 && id < len(g.cores) && g.cores[id].l1i != nil {
-			eligible = append(eligible, id)
-		}
-	}
-	if len(eligible) == 0 {
+	id := g.pickCore(spec, rng, func(c *core) bool { return c.l1i != nil })
+	if id < 0 {
 		rec.Detail = "no eligible core (instruction cache absent)"
 		return
 	}
-	id := eligible[rng.Intn(len(eligible))]
 	target := g.cores[id].l1i
 	wordOf := eccWordCacheLine(int64(target.Geometry().LineBits()), config.TagBits)
 	positions := g.applyECC(spec, rec, wordOf)

@@ -75,6 +75,7 @@ type GPU struct {
 	// independently when its cycle arrives.
 	faults    []*FaultSpec
 	faultRecs []*InjectionRecord
+	faultRNG  *rand.Rand // re-seeded per injection; a fork vessel keeps it across experiments
 
 	kernels   map[string]*KernelStats
 	kernelSeq []string
@@ -127,6 +128,11 @@ type GPU struct {
 	snapScratch *GPU                  // recycled snapshot template for the next capture
 	ctx         context.Context       // optional cancellation for long launches
 	ctxTick     uint32                // simulated cycles toward the next ctx poll
+
+	// cycleCheck, when non-nil, runs on the coordinator at the end of every
+	// simulated cycle, after commit and CTA refill. Only tests set it, to
+	// hold the cached scheduler state to what a full scan would compute.
+	cycleCheck func()
 }
 
 // ctxPollInterval is how many simulated cycles may elapse between context
@@ -524,6 +530,9 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 				}
 			}
 		}
+		if g.cycleCheck != nil {
+			g.cycleCheck()
+		}
 		if !anyReady && g.doneCTAs < g.totalCTAs {
 			g.fastForward()
 		}
@@ -590,7 +599,13 @@ func (g *GPU) releaseLaunch() {
 func (g *GPU) fastForward() {
 	next := uint64(0)
 	for _, c := range g.cores {
-		if t := c.nextReadyCycle(); t > 0 && (next == 0 || t < next) {
+		// A stalled core's last tick already recorded when it wakes; only
+		// a core whose state moved since (CTA refill) needs the scan.
+		t := c.readyAt
+		if t == 0 {
+			t = c.nextReadyCycle()
+		}
+		if t > 0 && (next == 0 || t < next) {
 			next = t
 		}
 	}
@@ -653,7 +668,7 @@ func (g *GPU) sampleStats(w float64) {
 		ks.accActiveSM += w
 		ks.accThreads += w * float64(c.liveThreads)
 		ks.accCTAs += w * float64(len(c.ctas))
-		ks.accWarpOcc += w * float64(c.liveWarps()) / maxWarps
+		ks.accWarpOcc += w * float64(c.liveWarps) / maxWarps
 	}
 }
 
@@ -675,7 +690,14 @@ func (g *GPU) applyFault(spec *FaultSpec) {
 		Core:      -1, Warp: -1, Thread: -1, CTA: -1,
 	}
 	g.faultRecs = append(g.faultRecs, rec)
-	rng := rand.New(rand.NewSource(spec.Seed))
+	// Seed resets the source and the read position, so the draws equal a
+	// fresh rand.New(rand.NewSource(spec.Seed)) without its 4.9 KB source.
+	if g.faultRNG == nil {
+		g.faultRNG = rand.New(rand.NewSource(spec.Seed))
+	} else {
+		g.faultRNG.Seed(spec.Seed)
+	}
+	rng := g.faultRNG
 	switch spec.Structure {
 	case StructRegFile:
 		g.injectRegFile(spec, rec, rng)

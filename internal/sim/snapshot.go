@@ -528,6 +528,7 @@ func (c *core) clone(g *GPU) *core {
 		gpu:          g,
 		corruptInstr: c.corruptInstr,
 		liveThreads:  c.liveThreads,
+		liveWarps:    c.liveWarps,
 		usedThreads:  c.usedThreads,
 		usedRegs:     c.usedRegs,
 		usedSmem:     c.usedSmem,
@@ -555,6 +556,8 @@ func (c *core) copyScalarsFrom(src *core, g *GPU) {
 	c.gpu = g
 	c.corruptInstr = src.corruptInstr
 	c.liveThreads = src.liveThreads
+	c.liveWarps = src.liveWarps
+	c.readyAt = 0 // the resident warps are about to be replaced
 	c.usedThreads = src.usedThreads
 	c.usedRegs = src.usedRegs
 	c.usedSmem = src.usedSmem
