@@ -248,3 +248,35 @@ func diffCounters(before, after EngineCounters) EngineCounters {
 	}
 	return d
 }
+
+var benchSpec *sim.FaultSpec
+
+// BenchmarkMaskGenSpec times deriving one single-bit register-file spec:
+// a re-seed of the generator and three draws.
+func BenchmarkMaskGenSpec(b *testing.B) {
+	gen, err := NewMaskGen(sim.StructRegFile, []sim.CycleWindow{{Start: 100, End: 9000}}, 24*32, 1, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		benchSpec = gen.Spec(i)
+	}
+}
+
+// BenchmarkPlanCampaign times the deterministic front half of one
+// service-sharded campaign — 5,000 specs at the benchmark point — which
+// the coordinator and every shard each derive in full.
+func BenchmarkPlanCampaign(b *testing.B) {
+	cfg, prof := benchPoint(b)
+	cfg.Runs = 5000
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := planCampaign(cfg, prof)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSpec = plan.specs[len(plan.specs)-1]
+	}
+}

@@ -127,6 +127,33 @@ func TestMaskGenReseedMatchesFreshSource(t *testing.T) {
 	}
 }
 
+// TestMaskGenSpecAllocations: a spec is the FaultSpec and its position
+// slice (plus the core-mask copy where there is a mask) — no per-call map,
+// no per-call generator.
+func TestMaskGenSpecAllocations(t *testing.T) {
+	windows := []sim.CycleWindow{{Start: 100, End: 260}, {Start: 500, End: 9000}}
+	for _, tc := range []struct {
+		name     string
+		bits     int
+		coreMask []int
+		max      float64
+	}{
+		{"single-bit", 1, nil, 2},
+		{"triple-bit", 3, nil, 2},
+		{"triple-bit with core mask", 3, []int{2, 5}, 3},
+	} {
+		gen, err := NewMaskGen(sim.StructL1D, windows, 4096, tc.bits, 11)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.SetCoreMask(tc.coreMask)
+		i := 0
+		if got := testing.AllocsPerRun(500, func() { gen.Spec(i); i++ }); got > tc.max {
+			t.Errorf("%s: %.0f allocations per spec, want at most %.0f", tc.name, got, tc.max)
+		}
+	}
+}
+
 func TestMaskGenErrors(t *testing.T) {
 	w := []sim.CycleWindow{{Start: 0, End: 10}}
 	if _, err := NewMaskGen(sim.StructRegFile, nil, 32, 1, 0); err == nil {

@@ -15,8 +15,10 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gpufi/internal/config"
+	"gpufi/internal/lazyrand"
 	"gpufi/internal/plan"
 	"gpufi/internal/sim"
 )
@@ -85,6 +87,7 @@ func ChipSizeBits(gpu *config.GPU, st sim.Structure) int64 {
 // Not safe for concurrent use: Spec re-seeds one generator per call.
 type MaskGen struct {
 	windows  []sim.CycleWindow
+	total    int64 // summed width of windows
 	sizeBits int64
 	bits     int
 	warpWide bool
@@ -92,7 +95,7 @@ type MaskGen struct {
 	coreMask []int
 	st       sim.Structure
 	seed     int64
-	rng      *rand.Rand // re-seeded by every Spec call
+	rng      *rand.Rand // over a lazyrand.Source; re-seeded by every Spec call
 }
 
 // NewMaskGen builds a generator for one campaign point.
@@ -125,8 +128,8 @@ func NewMaskGen(st sim.Structure, windows []sim.CycleWindow, sizeBits int64, bit
 	if total == 0 {
 		return nil, fmt.Errorf("core: zero total cycles")
 	}
-	return &MaskGen{windows: windows, sizeBits: sizeBits, bits: bits, st: st, seed: seed,
-		rng: rand.New(rand.NewSource(seed))}, nil
+	return &MaskGen{windows: windows, total: int64(total), sizeBits: sizeBits, bits: bits, st: st, seed: seed,
+		rng: rand.New(lazyrand.New(seed))}, nil
 }
 
 // SetWarpWide makes register-file/local specs target whole warps.
@@ -141,16 +144,13 @@ func (m *MaskGen) SetCoreMask(cores []int) { m.coreMask = cores }
 // Spec derives the FaultSpec for experiment i.
 func (m *MaskGen) Spec(i int) *sim.FaultSpec {
 	mix := uint64(m.seed) ^ uint64(i+1)*0x9E3779B97F4A7C15 // golden-ratio mix
-	// Seed resets the source and the read position: the draws equal those
-	// of a fresh rand.New(rand.NewSource(mix)) without allocating one.
+	// The draws equal those of a fresh rand.New(rand.NewSource(mix)); the
+	// lazy source computes only the state words they read, so a spec costs
+	// its three to five draws however many specs a campaign derives.
 	r := m.rng
 	r.Seed(int64(mix))
 	// Cycle: uniform over the union of windows.
-	total := uint64(0)
-	for _, w := range m.windows {
-		total += w.Width()
-	}
-	pick := uint64(r.Int63n(int64(total)))
+	pick := uint64(r.Int63n(m.total))
 	var cycle uint64
 	for _, w := range m.windows {
 		if pick < w.Width() {
@@ -161,11 +161,9 @@ func (m *MaskGen) Spec(i int) *sim.FaultSpec {
 	}
 	// Bit positions: distinct, uniform over the structure space.
 	positions := make([]int64, 0, m.bits)
-	seen := make(map[int64]bool, m.bits)
 	for len(positions) < m.bits {
-		p := r.Int63n(m.sizeBits)
-		if !seen[p] {
-			seen[p] = true
+		// A scan, not a set: multiplicity is 1-3.
+		if p := r.Int63n(m.sizeBits); !slices.Contains(positions, p) {
 			positions = append(positions, p)
 		}
 	}

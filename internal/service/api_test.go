@@ -130,6 +130,61 @@ func TestUnversionedRoutesGone(t *testing.T) {
 	}
 }
 
+// TestWrongMethodOnKnownRoute checks a served path under a method it does
+// not serve answers 405 with the Allow list and the enveloped
+// method_not_allowed, while a path no route serves stays a 404 whatever
+// the method.
+func TestWrongMethodOnKnownRoute(t *testing.T) {
+	srv, ts := newAPIServer(t)
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{http.MethodPut, "/v1/campaigns", 405, "GET, HEAD, POST"},
+		{http.MethodDelete, "/v1/campaigns", 405, "GET, HEAD, POST"},
+		{http.MethodPut, "/v1/campaigns/nope", 405, "GET, HEAD, DELETE"},
+		{http.MethodPost, "/v1/campaigns/nope", 405, "GET, HEAD, DELETE"},
+		{http.MethodPost, "/v1/campaigns/nope/log", 405, "GET, HEAD"},
+		{http.MethodDelete, "/v1/campaigns/nope/events", 405, "GET, HEAD"},
+		{http.MethodGet, "/v1/shards/claim", 405, "POST"},
+		{http.MethodPost, "/v1/shards", 405, "GET, HEAD"},
+		{http.MethodGet, "/v1/shards/s1/heartbeat", 405, "POST"},
+		{http.MethodPut, "/v1/shards/s1/journal", 405, "POST"},
+		{http.MethodPost, "/metrics", 405, "GET, HEAD"},
+		{http.MethodDelete, "/healthz", 405, "GET, HEAD"},
+		{"PURGE", "/readyz", 405, "GET, HEAD"},
+		{http.MethodPut, "/v1/nope", 404, ""},
+		{http.MethodPost, "/v1/campaigns/nope/log/extra", 404, ""},
+		{http.MethodGet, "/v1/shards/s1", 404, ""},
+		{http.MethodPatch, "/", 404, ""},
+	} {
+		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(vaBody))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, msg, rid := decodeEnvelope(t, resp)
+		wantCode := "not_found"
+		if tc.status == 405 {
+			wantCode = "method_not_allowed"
+		}
+		if resp.StatusCode != tc.status || code != wantCode || resp.Header.Get("Allow") != tc.allow {
+			t.Errorf("%s %s: status=%d code=%q Allow=%q, want %d %q Allow=%q",
+				tc.method, tc.path, resp.StatusCode, code, resp.Header.Get("Allow"), tc.status, wantCode, tc.allow)
+		}
+		if rid == "" || rid != resp.Header.Get("X-Request-ID") {
+			t.Errorf("%s %s: request_id=%q header=%q", tc.method, tc.path, rid, resp.Header.Get("X-Request-ID"))
+		}
+		if !strings.Contains(msg, tc.method) || !strings.Contains(msg, tc.path) {
+			t.Errorf("%s %s: message %q does not name the request", tc.method, tc.path, msg)
+		}
+	}
+	if ids, err := srv.st.List(); err != nil || len(ids) != 0 {
+		t.Errorf("a refused method created a campaign: ids=%v err=%v", ids, err)
+	}
+}
+
 // TestRemovedSpecFieldRejected checks a submission that still asks for the
 // removed full-replay engine is refused as a bad spec, not silently run on
 // the fork engine.

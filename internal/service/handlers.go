@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"gpufi/internal/avf"
@@ -47,8 +48,9 @@ import (
 //	GET    /healthz                   liveness (200 while the process serves)
 //	GET    /readyz                    readiness (503 while starting/draining)
 //
-// Every error response, including the 404 for a path or method no route
-// matches, is the uniform envelope
+// Every error response, including the 404 for a path no route matches and
+// the 405 (with an Allow header) for a known path under a method it does
+// not serve, is the uniform envelope
 //
 //	{"error": {"code": "...", "message": "...", "request_id": "..."}}
 //
@@ -74,7 +76,25 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /readyz", s.handleReadyz)
 
+	// The catch-all takes every request no method-qualified pattern
+	// matches, which hides the mux's own 405: ask the mux which methods the
+	// path would have matched, so the route list above stays the only one.
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		var allow []string
+		for _, m := range []string{http.MethodGet, http.MethodHead, http.MethodPost,
+			http.MethodPut, http.MethodPatch, http.MethodDelete} {
+			probe := *r
+			probe.Method = m
+			if _, pattern := mux.Handler(&probe); pattern != "/" {
+				allow = append(allow, m)
+			}
+		}
+		if len(allow) > 0 {
+			w.Header().Set("Allow", strings.Join(allow, ", "))
+			writeErr(w, r, &httpError{code: 405,
+				msg: fmt.Sprintf("%s is not allowed on %s", r.Method, r.URL.Path)})
+			return
+		}
 		writeErr(w, r, &httpError{code: 404, msg: fmt.Sprintf("no route for %s %s", r.Method, r.URL.Path)})
 	})
 
@@ -155,6 +175,8 @@ func defaultKind(code int) string {
 		return "invalid_request"
 	case http.StatusNotFound:
 		return "not_found"
+	case http.StatusMethodNotAllowed:
+		return "method_not_allowed"
 	case http.StatusConflict:
 		return "conflict"
 	case http.StatusServiceUnavailable:

@@ -10,6 +10,7 @@ import (
 	"gpufi/internal/cache"
 	"gpufi/internal/config"
 	"gpufi/internal/isa"
+	"gpufi/internal/lazyrand"
 	"gpufi/internal/mem"
 )
 
@@ -75,7 +76,7 @@ type GPU struct {
 	// independently when its cycle arrives.
 	faults    []*FaultSpec
 	faultRecs []*InjectionRecord
-	faultRNG  *rand.Rand // re-seeded per injection; a fork vessel keeps it across experiments
+	faultRNG  *rand.Rand // over a lazyrand.Source; re-seeded per injection, kept by a fork vessel across experiments
 
 	kernels   map[string]*KernelStats
 	kernelSeq []string
@@ -690,10 +691,10 @@ func (g *GPU) applyFault(spec *FaultSpec) {
 		Core:      -1, Warp: -1, Thread: -1, CTA: -1,
 	}
 	g.faultRecs = append(g.faultRecs, rec)
-	// Seed resets the source and the read position, so the draws equal a
-	// fresh rand.New(rand.NewSource(spec.Seed)) without its 4.9 KB source.
+	// The draws equal a fresh rand.New(rand.NewSource(spec.Seed)); the lazy
+	// source computes only the state words the one or two draws read.
 	if g.faultRNG == nil {
-		g.faultRNG = rand.New(rand.NewSource(spec.Seed))
+		g.faultRNG = rand.New(lazyrand.New(spec.Seed))
 	} else {
 		g.faultRNG.Seed(spec.Seed)
 	}

@@ -1,8 +1,11 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -379,8 +382,9 @@ func TestInjectionSiteMatchesListReference(t *testing.T) {
 	}
 }
 
-// TestInjectionRNGReseedMatchesFresh: a GPU re-seeding its one generator
-// leaves the records a generator allocated per injection would.
+// TestInjectionRNGReseedMatchesFresh: a GPU re-seeding its one lazily
+// seeded generator leaves the records a stock rand.NewSource allocated per
+// injection would.
 func TestInjectionRNGReseedMatchesFresh(t *testing.T) {
 	gold := newTestGPU(t)
 	if err := pickCalls(t, gold); err != nil {
@@ -401,8 +405,9 @@ func TestInjectionRNGReseedMatchesFresh(t *testing.T) {
 				WarpWide:     i%8 >= 4,
 				Seed:         int64(i)*104729 + 1,
 			}
-			fresh := NewFork(s) // no generator yet: allocates one for this spec
+			fresh := NewFork(s)
 			fresh.restore(s)
+			fresh.faultRNG = rand.New(rand.NewSource(spec.Seed)) // the stdlib's own source
 			fresh.applyFault(spec)
 			reused.applyFault(spec)
 			a, b := *fresh.faultRecs[0], *reused.faultRecs[len(reused.faultRecs)-1]
@@ -448,5 +453,61 @@ func TestInjectionPickAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("injection-site selection allocates %.0f objects per pick, want 0", allocs)
+	}
+}
+
+// TestInjectionRecordsGolden pins the (spec seed, device state) → injection
+// site mapping: 200 injections per structure into the ragged pick kernel
+// must leave the records whose digest testdata/injection_digests.txt holds.
+// Like the spec digests in internal/core, a mismatch means logged campaigns
+// no longer re-run to the same faults.
+func TestInjectionRecordsGolden(t *testing.T) {
+	raw, err := os.ReadFile("testdata/injection_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if name, sum, ok := strings.Cut(line, " "); ok {
+			want[name] = sum
+		}
+	}
+	gold := newTestGPU(t)
+	if err := pickCalls(t, gold); err != nil {
+		t.Fatal(err)
+	}
+	lr := gold.Launches()[0]
+	prefix := newTestGPU(t)
+	prefix.EnableRecording()
+	prefix.SnapshotAt([]uint64{lr.StartCycle + lr.Cycles/2}, func(s *Snapshot) error {
+		vessel := NewFork(s)
+		for _, st := range Structures() {
+			vessel.Refork(s)
+			vessel.restore(s)
+			vessel.faultRecs = nil
+			h := sha256.New()
+			for i := 0; i < 200; i++ {
+				spec := &FaultSpec{
+					Structure:    st,
+					Cycle:        s.Cycle + 1,
+					BitPositions: []int64{int64(i % 96)},
+					WarpWide:     i%8 >= 4,
+					Blocks:       i % 3,
+					Seed:         int64(i-100) * 1_000_000_007 * int64(i+1),
+				}
+				if i%5 == 0 {
+					spec.CoreMask = []int{3, 1, 9, 1}
+				}
+				vessel.applyFault(spec)
+				fmt.Fprintf(h, "%+v\n", *vessel.faultRecs[i])
+			}
+			if got := fmt.Sprintf("%x", h.Sum(nil)); got != want[st.String()] {
+				t.Errorf("%s %s\n\trecorded: %q", st, got, want[st.String()])
+			}
+		}
+		return nil
+	})
+	if err := pickCalls(t, prefix); err != nil {
+		t.Fatal(err)
 	}
 }
