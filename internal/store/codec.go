@@ -8,7 +8,6 @@
 package store
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -58,6 +57,16 @@ type logQuar struct {
 	Reason string `json:"reason,omitempty"`
 }
 
+// The record constructors are the one encoding of each record type, shared
+// by LogWriter (any stream) and the store's journal (an appendLog).
+func headerRecord(h Header) logHeader { return logHeader{Type: "campaign", Header: h} }
+
+func expRecord(exp core.Experiment) logExp { return logExp{Type: "exp", Experiment: exp} }
+
+func quarantineRecord(exp core.Experiment) logQuar {
+	return logQuar{Type: "quarantine", ID: exp.ID, Effect: exp.Outcome.String(), Reason: exp.Detail}
+}
+
 // HeaderOf extracts the log header of a campaign result.
 func HeaderOf(res *core.CampaignResult) Header {
 	return Header{
@@ -81,7 +90,7 @@ func NewLogWriter(w io.Writer) *LogWriter {
 
 // Begin emits a campaign header record.
 func (lw *LogWriter) Begin(h Header) error {
-	if err := lw.enc.Encode(logHeader{Type: "campaign", Header: h}); err != nil {
+	if err := lw.enc.Encode(headerRecord(h)); err != nil {
 		return fmt.Errorf("store: write log header: %v", err)
 	}
 	return nil
@@ -89,7 +98,7 @@ func (lw *LogWriter) Begin(h Header) error {
 
 // Experiment emits one experiment record under the last Begin.
 func (lw *LogWriter) Experiment(exp core.Experiment) error {
-	if err := lw.enc.Encode(logExp{Type: "exp", Experiment: exp}); err != nil {
+	if err := lw.enc.Encode(expRecord(exp)); err != nil {
 		return fmt.Errorf("store: write log record %d: %v", exp.ID, err)
 	}
 	return nil
@@ -100,9 +109,7 @@ func (lw *LogWriter) Experiment(exp core.Experiment) error {
 // write-ahead shadow of the experiment record — ignored when the outcome
 // record follows, substituted for it when a crash lost the outcome.
 func (lw *LogWriter) Quarantine(exp core.Experiment) error {
-	if err := lw.enc.Encode(logQuar{
-		Type: "quarantine", ID: exp.ID, Effect: exp.Outcome.String(), Reason: exp.Detail,
-	}); err != nil {
+	if err := lw.enc.Encode(quarantineRecord(exp)); err != nil {
 		return fmt.Errorf("store: write quarantine record %d: %v", exp.ID, err)
 	}
 	return nil
@@ -126,9 +133,9 @@ func WriteLog(w io.Writer, res *core.CampaignResult) error {
 	return NewLogWriter(w).Result(res)
 }
 
-// logDecoder accumulates campaign results one record line at a time. It is
-// shared by the stream parsers here and the journal recovery in store.go,
-// which needs to track byte offsets itself.
+// logDecoder accumulates campaign results one record line at a time, fed
+// by scanLog: from a stream for the parsers here, from the journal file
+// for the recovery in store.go.
 type logDecoder struct {
 	out []*core.CampaignResult
 	cur *core.CampaignResult
@@ -225,14 +232,6 @@ func (d *logDecoder) finish() {
 	d.quars = nil
 }
 
-// isSyntaxError reports whether a record failed at the JSON layer — the
-// signature of a torn write — as opposed to well-formed JSON with invalid
-// content, which is real corruption wherever it sits.
-func isSyntaxError(raw []byte) bool {
-	var v any
-	return json.Unmarshal(raw, &v) != nil
-}
-
 // ParseLog reads campaign logs back, re-aggregating counts from the
 // experiment records. Multiple campaigns may be concatenated in one
 // stream. Any malformed record is an error naming its line number.
@@ -253,34 +252,11 @@ func ParseLogLenient(r io.Reader) (res []*core.CampaignResult, truncated bool, e
 }
 
 func parseLog(r io.Reader, lenient bool) ([]*core.CampaignResult, bool, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	var dec logDecoder
-	line := 0
-	badLine := 0 // first failed line (lenient mode holds judgment until EOF)
-	var badErr error
-	for sc.Scan() {
-		line++
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		if badLine != 0 {
-			// A malformed record followed by more data is corruption, not
-			// a torn tail.
-			return nil, false, fmt.Errorf("store: log line %d: %v", badLine, badErr)
-		}
-		if err := dec.line(raw); err != nil {
-			if lenient && isSyntaxError(raw) {
-				badLine, badErr = line, err
-				continue
-			}
-			return nil, false, fmt.Errorf("store: log line %d: %v", line, err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, false, fmt.Errorf("store: read log: %v", err)
+	tail, err := scanLog(r, lenient, dec.line)
+	if err != nil {
+		return nil, false, fmt.Errorf("store: log %v", err)
 	}
 	dec.finish()
-	return dec.out, badLine != 0, nil
+	return dec.out, tail.torn, nil
 }

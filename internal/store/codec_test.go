@@ -84,7 +84,8 @@ func TestParseLogErrors(t *testing.T) {
 // TestParseLogTruncatedTail: the lenient parser forgives exactly one torn
 // record at the end of the stream — what a crash between fsync batches
 // leaves behind — and nothing else. These semantics must match what
-// Store.Resume recovers, which TestResumeAfterTornTail checks on disk.
+// Store.Resume recovers (one scanner serves both), which
+// TestLogRecoveryEveryOffset checks on disk.
 func TestParseLogTruncatedTail(t *testing.T) {
 	src := join(hdrA, expLine(0, "Masked"), expLine(1, "SDC"), `{"type":"exp","id":2,"cy`)
 	// Strict parse dies naming the torn line.

@@ -1,14 +1,10 @@
 package store
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"gpufi/internal/obs"
 )
@@ -31,19 +27,14 @@ var spanFsyncHist = obs.Default().Histogram("gpufi_span_fsync_seconds",
 // SpanLog is an append-only per-campaign span file with batched fsync.
 // Safe for concurrent use: the service's sink and the coordinator's
 // batch-merge path both append to the same log.
-type SpanLog struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	batch   int
-	pending int
-	closed  bool
-}
+type SpanLog struct{ log *appendLog }
 
 // SpanWriter opens (creating if needed) the span log for a campaign,
 // creating the campaign directory itself when the campaign has not been
 // created yet — the span log is opened before the first span is emitted,
-// which is before the campaign's own Create runs.
+// which is before the campaign's own Create runs. A half-line a crash left
+// at the tail is cut first, so the restarted process's first span lands on
+// a line of its own; the rest of the file is not read.
 func (s *Store) SpanWriter(id string) (*SpanLog, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("store: invalid campaign id %q", id)
@@ -52,73 +43,24 @@ func (s *Store) SpanWriter(id string) (*SpanLog, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: span log %s: %v", id, err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, spansFile),
-		os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	path := filepath.Join(dir, spansFile)
+	tail, err := scanFile(path, nil)
 	if err != nil {
-		return nil, fmt.Errorf("store: open span log %s: %v", id, err)
+		return nil, fmt.Errorf("store: span log %s: %v", id, err)
 	}
-	return &SpanLog{f: f, bw: bufio.NewWriter(f), batch: s.batch()}, nil
+	log, err := openLog(path, os.O_CREATE, logPolicy{name: "span log", batch: s.batch(), hist: spanFsyncHist}, tail)
+	if err != nil {
+		return nil, err
+	}
+	return &SpanLog{log}, nil
 }
 
 // Append writes one span record, flushing and fsyncing once a batch has
 // accumulated.
-func (l *SpanLog) Append(rec obs.SpanRecord) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("store: append to closed span log")
-	}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode span: %v", err)
-	}
-	if _, err := l.bw.Write(append(raw, '\n')); err != nil {
-		return fmt.Errorf("store: write span: %v", err)
-	}
-	l.pending++
-	if l.pending >= l.batch {
-		return l.syncLocked()
-	}
-	return nil
-}
-
-// Sync flushes buffered spans to disk and fsyncs the file.
-func (l *SpanLog) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	return l.syncLocked()
-}
-
-func (l *SpanLog) syncLocked() error {
-	start := time.Now()
-	if err := l.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush span log: %v", err)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync span log: %v", err)
-	}
-	spanFsyncHist.Observe(time.Since(start).Seconds())
-	l.pending = 0
-	return nil
-}
+func (l *SpanLog) Append(rec obs.SpanRecord) error { return l.log.append(rec, false) }
 
 // Close syncs outstanding spans and closes the file.
-func (l *SpanLog) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	err := l.syncLocked()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.closed = true
-	return err
-}
+func (l *SpanLog) Close() error { return l.log.close() }
 
 // OpenSpans streams a campaign's span log. ErrNotFound when the campaign
 // has no spans (untraced or never ran).
@@ -126,14 +68,7 @@ func (s *Store) OpenSpans(id string) (io.ReadCloser, error) {
 	if !s.Exists(id) {
 		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	f, err := os.Open(filepath.Join(s.campaignDir(id), spansFile))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w: %s has no spans", ErrNotFound, id)
-		}
-		return nil, fmt.Errorf("store: open spans %s: %v", id, err)
-	}
-	return f, nil
+	return s.openRead(id, spansFile)
 }
 
 // FlightPath is where this store's flight-recorder dumps land.

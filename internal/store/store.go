@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -11,7 +10,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"time"
 
 	"gpufi/internal/avf"
@@ -27,14 +25,9 @@ import (
 //	<root>/<id>/done.json      completion marker with the final summary
 //	<root>/<id>/cancelled      marker: deliberately stopped, do not resume
 //
-// The journal is append-only and fsync'd every BatchSize records, so a
-// crash loses at most one batch of experiments — and since every
-// experiment is re-derivable from the seed, a resumed campaign simply
-// re-runs the lost tail and lands on bit-identical counts. The trace file
-// is observability data, not ground truth: it is flushed per record but
-// never drives resume decisions, and a resume that re-runs a lost journal
-// tail may append a second trace line for the same experiment id — readers
-// take the last line per id.
+// The journal and the trace file are append-only logs, as are the control
+// WAL (wal.go) and the span log (spanlog.go) next to them; log.go holds the
+// one writer and the table of what differs between the four.
 const (
 	configFile    = "config.json"
 	journalFile   = "journal.jsonl"
@@ -87,141 +80,21 @@ func (s *Store) batch() int {
 	return DefaultBatchSize
 }
 
-// Journal is an append-only experiment record file with batched fsync.
-// Append is safe for concurrent use, though the campaign engine already
-// serializes its journal callbacks.
-type Journal struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	lw      *LogWriter
-	batch   int
-	pending int
-	closed  bool
+// The journal is fsync'd every BatchSize records, so a crash loses at most
+// one batch of experiments — and since every experiment is re-derivable
+// from the seed, a resumed campaign simply re-runs the lost tail and lands
+// on bit-identical counts.
+func (s *Store) journalPolicy() logPolicy {
+	return logPolicy{name: "journal", batch: s.batch(), hist: fsyncHist}
 }
 
-// Append journals one experiment record, flushing and fsyncing once a
-// batch has accumulated.
-func (j *Journal) Append(exp core.Experiment) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("store: append to closed journal")
-	}
-	if err := j.lw.Experiment(exp); err != nil {
-		return err
-	}
-	j.pending++
-	if j.pending >= j.batch {
-		return j.syncLocked()
-	}
-	return nil
-}
-
-// Quarantine journals a quarantine record for a poisoned experiment and
-// syncs it immediately — it is a write-ahead marker: by the time the
-// sandbox reports the outcome upward, the spec is already durably flagged,
-// so even a process crash before the next batch fsync cannot bring the
-// poison spec back on resume.
-func (j *Journal) Quarantine(exp core.Experiment) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return fmt.Errorf("store: quarantine on closed journal")
-	}
-	if err := j.lw.Quarantine(exp); err != nil {
-		return err
-	}
-	return j.syncLocked()
-}
-
-// Sync flushes buffered records to disk and fsyncs the journal file.
-func (j *Journal) Sync() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	return j.syncLocked()
-}
-
-func (j *Journal) syncLocked() error {
-	start := time.Now()
-	if err := j.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush journal: %v", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync journal: %v", err)
-	}
-	fsyncHist.Observe(time.Since(start).Seconds())
-	j.pending = 0
-	return nil
-}
-
-// Close syncs outstanding records and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.closed {
-		return nil
-	}
-	err := j.syncLocked()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.closed = true
-	return err
-}
-
-// traceWriter appends propagation traces, one JSON line per experiment.
-// Unlike the journal it is flushed (not fsync'd) per record: traces are
-// observability data, and losing a tail of them to a crash costs nothing —
-// the resumed campaign re-runs the same experiments and re-emits
-// byte-identical traces.
-type traceWriter struct {
-	mu     sync.Mutex
-	f      *os.File
-	bw     *bufio.Writer
-	closed bool
-}
-
-// Append writes one trace record as a JSON line and flushes it.
-func (t *traceWriter) Append(tr core.ExperimentTrace) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return fmt.Errorf("store: append to closed trace file")
-	}
-	raw, err := json.Marshal(tr)
-	if err != nil {
-		return fmt.Errorf("store: encode trace: %v", err)
-	}
-	if _, err := t.bw.Write(append(raw, '\n')); err != nil {
-		return fmt.Errorf("store: write trace: %v", err)
-	}
-	if err := t.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush trace: %v", err)
-	}
-	return nil
-}
-
-// Close flushes, fsyncs and closes the trace file.
-func (t *traceWriter) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.closed {
-		return nil
-	}
-	t.closed = true
-	err := t.bw.Flush()
-	if serr := t.f.Sync(); err == nil {
-		err = serr
-	}
-	if cerr := t.f.Close(); err == nil {
-		err = cerr
-	}
-	return err
-}
+// The trace file is flushed, not fsync'd, per record: traces are
+// observability data, not ground truth. They never drive resume decisions,
+// and losing a tail of them to a crash costs nothing — the resumed
+// campaign re-runs the same experiments and re-emits byte-identical
+// traces, so the file may then hold a second line for the same experiment
+// id; readers take the last line per id.
+var tracePolicy = logPolicy{name: "trace file"}
 
 // Campaign is an open handle on one stored campaign: its spec, whatever
 // the journal already holds, and (unless the campaign is Done) a journal
@@ -236,8 +109,8 @@ type Campaign struct {
 	Counts    avf.Counts        // aggregated over Prior
 
 	st      *Store
-	journal *Journal     // nil when Done
-	traces  *traceWriter // nil unless the campaign runs with Spec.Trace
+	journal *appendLog // nil when Done
+	traces  *appendLog // nil unless the campaign runs with Spec.Trace
 }
 
 // CompletedIDs returns the experiment indices already in the journal —
@@ -255,16 +128,19 @@ func (c *Campaign) Append(exp core.Experiment) error {
 	if c.journal == nil {
 		return fmt.Errorf("store: campaign %s is complete; nothing to append", c.ID)
 	}
-	return c.journal.Append(exp)
+	return c.journal.append(expRecord(exp), false)
 }
 
-// Quarantine durably flags a poisoned experiment ahead of its outcome
-// record (see Journal.Quarantine).
+// Quarantine journals a quarantine record for a poisoned experiment and
+// syncs it immediately — it is a write-ahead marker: by the time the
+// sandbox reports the outcome upward, the spec is already durably flagged,
+// so even a process crash before the next batch fsync cannot bring the
+// poison spec back on resume.
 func (c *Campaign) Quarantine(exp core.Experiment) error {
 	if c.journal == nil {
 		return fmt.Errorf("store: campaign %s is complete; nothing to quarantine", c.ID)
 	}
-	return c.journal.Quarantine(exp)
+	return c.journal.append(quarantineRecord(exp), true)
 }
 
 // Sync flushes and fsyncs any batched journal records. The shard
@@ -275,7 +151,7 @@ func (c *Campaign) Sync() error {
 	if c.journal == nil {
 		return nil
 	}
-	return c.journal.Sync()
+	return c.journal.sync()
 }
 
 // AppendTrace persists one experiment's propagation trace.
@@ -283,23 +159,23 @@ func (c *Campaign) AppendTrace(tr core.ExperimentTrace) error {
 	if c.traces == nil {
 		return fmt.Errorf("store: campaign %s has no trace file open", c.ID)
 	}
-	return c.traces.Append(tr)
+	return c.traces.append(tr, false)
 }
 
-// EnableTraces opens the campaign's trace file for appending, so
-// AppendTrace works. Store.Run does this itself for traced specs; callers
-// that drive the journal directly (the shard coordinator) call it once
-// after Create/Resume. Idempotent.
+// EnableTraces opens (creating if needed) the campaign's trace file for
+// appending, so AppendTrace works: whoever drives the journal of a traced
+// spec calls it once after Create/Resume. Idempotent.
 func (c *Campaign) EnableTraces() error {
 	if c.traces != nil {
 		return nil
 	}
-	tw, err := c.st.openTraceWriter(c.ID)
+	path := filepath.Join(c.st.campaignDir(c.ID), tracesFile)
+	tail, err := scanFile(path, nil)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: traces of %s: %v", c.ID, err)
 	}
-	c.traces = tw
-	return nil
+	c.traces, err = openLog(path, os.O_CREATE, tracePolicy, tail)
+	return err
 }
 
 // Close syncs and closes the journal and trace file (keeping the campaign
@@ -307,13 +183,13 @@ func (c *Campaign) EnableTraces() error {
 func (c *Campaign) Close() error {
 	var err error
 	if c.traces != nil {
-		err = c.traces.Close()
+		err = c.traces.close()
 		c.traces = nil
 	}
 	if c.journal == nil {
 		return err
 	}
-	if jerr := c.journal.Close(); err == nil {
+	if jerr := c.journal.close(); err == nil {
 		err = jerr
 	}
 	return err
@@ -376,20 +252,16 @@ func (s *Store) Create(id string, spec Spec) (*Campaign, error) {
 	if err := writeFileSync(filepath.Join(dir, configFile), append(raw, '\n')); err != nil {
 		return nil, err
 	}
-	j, err := s.openJournal(id, true)
+	j, err := openLog(filepath.Join(dir, journalFile), os.O_CREATE|os.O_EXCL, s.journalPolicy(), logTail{})
 	if err != nil {
 		return nil, err
 	}
-	if err := j.lw.Begin(headerOfSpec(spec)); err != nil {
-		j.Close()
-		return nil, err
-	}
-	if err := j.Sync(); err != nil {
-		j.Close()
+	if err := j.append(headerRecord(headerOfSpec(spec)), true); err != nil {
+		j.close()
 		return nil, err
 	}
 	if err := syncDir(dir); err != nil {
-		j.Close()
+		j.close()
 		return nil, err
 	}
 	return &Campaign{ID: id, Spec: spec, st: s, journal: j}, nil
@@ -402,34 +274,20 @@ func headerOfSpec(spec Spec) Header {
 	}
 }
 
-func (s *Store) openJournal(id string, create bool) (*Journal, error) {
-	flags := os.O_WRONLY | os.O_APPEND
-	if create {
-		flags |= os.O_CREATE | os.O_EXCL
-	}
-	f, err := os.OpenFile(filepath.Join(s.campaignDir(id), journalFile), flags, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open journal %s: %w", id, err)
-	}
-	bw := bufio.NewWriter(f)
-	return &Journal{f: f, bw: bw, lw: NewLogWriter(bw), batch: s.batch()}, nil
-}
-
 // state is what a campaign directory holds, as read from disk.
 type state struct {
-	spec       Spec
-	done       bool
-	cancelled  bool
-	truncated  bool
-	hasHeader  bool
-	prior      []core.Experiment
-	counts     avf.Counts
-	goodOffset int64 // journal byte offset after the last intact record
+	spec      Spec
+	done      bool
+	cancelled bool
+	hasHeader bool
+	prior     []core.Experiment
+	counts    avf.Counts
+	tail      logTail // the journal's crash damage, if any; not yet repaired
 }
 
 // readState reads a campaign directory without modifying it. The journal
-// is parsed with recovery semantics: a torn final record is noted in
-// truncated/goodOffset; anything else malformed is an error.
+// is parsed with recovery semantics: a torn final record is noted in tail;
+// anything else malformed is an error.
 func (s *Store) readState(id string) (*state, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("store: invalid campaign id %q", id)
@@ -454,51 +312,14 @@ func (s *Store) readState(id string) (*state, error) {
 		st.cancelled = true
 	}
 
-	data, err := os.ReadFile(filepath.Join(dir, journalFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return &st, nil // no journal yet: zero progress
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: read journal of %s: %v", id, err)
-	}
 	var dec logDecoder
-	offset := int64(0)
-	line := 0
-	for len(data) > 0 {
-		line++
-		nl := bytes.IndexByte(data, '\n')
-		var raw []byte
-		var next int64
-		if nl < 0 {
-			raw, next = data, offset+int64(len(data))
-		} else {
-			raw, next = data[:nl], offset+int64(nl)+1
-		}
-		rest := data[len(raw):]
-		if nl >= 0 {
-			rest = data[nl+1:]
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			offset, data = next, rest
-			continue
-		}
-		if err := dec.line(raw); err != nil {
-			// A torn final record — invalid JSON with nothing but
-			// whitespace after it — is expected crash damage; recovery
-			// cuts it. Anything else is corruption.
-			if isSyntaxError(raw) && len(bytes.TrimSpace(rest)) == 0 {
-				st.truncated = true
-				break
-			}
-			return nil, fmt.Errorf("store: journal of %s line %d: %v", id, line, err)
-		}
-		offset, data = next, rest
+	if st.tail, err = scanFile(filepath.Join(dir, journalFile), dec.line); err != nil {
+		return nil, fmt.Errorf("store: journal of %s: %v", id, err)
 	}
 	// Resolve quarantine records whose outcome record was lost to the
 	// crash: their experiments are synthesized into the prior set, so the
 	// resume skip-list covers the poison specs.
 	dec.finish()
-	st.goodOffset = offset
 	switch len(dec.out) {
 	case 0:
 	case 1:
@@ -527,33 +348,18 @@ func (s *Store) Resume(id string) (*Campaign, error) {
 	}
 	c := &Campaign{
 		ID: id, Spec: st.spec, Done: st.done, Cancelled: st.cancelled,
-		Truncated: st.truncated, Prior: st.prior, Counts: st.counts, st: s,
+		Truncated: st.tail.torn, Prior: st.prior, Counts: st.counts, st: s,
 	}
 	if st.done {
 		return c, nil
 	}
-	path := filepath.Join(s.campaignDir(id), journalFile)
-	if st.truncated {
-		if err := os.Truncate(path, st.goodOffset); err != nil {
-			return nil, fmt.Errorf("store: cut torn journal tail of %s: %v", id, err)
-		}
-	}
-	j, err := s.openJournal(id, false)
+	j, err := openLog(filepath.Join(s.campaignDir(id), journalFile), os.O_CREATE, s.journalPolicy(), st.tail)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			j, err = s.openJournal(id, true)
-		}
-		if err != nil {
-			return nil, err
-		}
+		return nil, err
 	}
 	if !st.hasHeader {
-		if err := j.lw.Begin(headerOfSpec(st.spec)); err != nil {
-			j.Close()
-			return nil, err
-		}
-		if err := j.Sync(); err != nil {
-			j.Close()
+		if err := j.append(headerRecord(headerOfSpec(st.spec)), true); err != nil {
+			j.close()
 			return nil, err
 		}
 	}
@@ -581,7 +387,7 @@ func (s *Store) Inspect(id string) (*Info, error) {
 	}
 	return &Info{
 		ID: id, Spec: st.spec, Done: st.done, Cancelled: st.cancelled,
-		Truncated: st.truncated, Completed: len(st.prior), Counts: st.counts,
+		Truncated: st.tail.torn, Completed: len(st.prior), Counts: st.counts,
 	}, nil
 }
 
@@ -655,40 +461,24 @@ func (s *Store) ClearCancelled(id string) error {
 }
 
 // OpenLog opens the campaign's raw JSONL journal for reading.
-func (s *Store) OpenLog(id string) (io.ReadCloser, error) {
-	if !ValidID(id) {
-		return nil, fmt.Errorf("store: invalid campaign id %q", id)
-	}
-	f, err := os.Open(filepath.Join(s.campaignDir(id), journalFile))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return f, err
-}
+func (s *Store) OpenLog(id string) (io.ReadCloser, error) { return s.openRead(id, journalFile) }
 
 // OpenTraces opens the campaign's propagation-trace JSONL for reading.
 // Campaigns run without Spec.Trace have no trace file; that reads as
 // ErrNotFound, same as an unknown id.
-func (s *Store) OpenTraces(id string) (io.ReadCloser, error) {
+func (s *Store) OpenTraces(id string) (io.ReadCloser, error) { return s.openRead(id, tracesFile) }
+
+// openRead opens one of a campaign's logs for reading; a missing file (or
+// campaign) reads as ErrNotFound.
+func (s *Store) openRead(id, name string) (io.ReadCloser, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("store: invalid campaign id %q", id)
 	}
-	f, err := os.Open(filepath.Join(s.campaignDir(id), tracesFile))
+	f, err := os.Open(filepath.Join(s.campaignDir(id), name))
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+		return nil, fmt.Errorf("%w: %s has no %s", ErrNotFound, id, name)
 	}
 	return f, err
-}
-
-// openTraceWriter opens (creating if needed) the campaign's trace file
-// for appending.
-func (s *Store) openTraceWriter(id string) (*traceWriter, error) {
-	f, err := os.OpenFile(filepath.Join(s.campaignDir(id), tracesFile),
-		os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open traces %s: %w", id, err)
-	}
-	return &traceWriter{f: f, bw: bufio.NewWriter(f)}, nil
 }
 
 // Run executes a campaign durably: create the journal (or resume it if the
@@ -737,11 +527,9 @@ func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profil
 	cfg.Quarantine = c.Quarantine
 	cfg.Progress = onExp
 	if cfg.Trace {
-		tw, err := s.openTraceWriter(id)
-		if err != nil {
+		if err := c.EnableTraces(); err != nil {
 			return nil, err
 		}
-		c.traces = tw
 		cfg.TraceSink = c.AppendTrace
 	}
 	if prof == nil {

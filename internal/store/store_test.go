@@ -208,58 +208,6 @@ func TestResumeConfigFromOlderBuild(t *testing.T) {
 	}
 }
 
-// TestResumeAfterTornTail simulates a crash mid-record: the journal's torn
-// final line is cut on resume and the lost experiments simply re-run.
-func TestResumeAfterTornTail(t *testing.T) {
-	spec := vaSpec(12, 3)
-	cfg, _ := spec.Config()
-	prof, err := core.ProfileApp(nil, cfg.App, cfg.GPU)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := st.Run(nil, "ref", spec, prof, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Build a journal, then tear its final record and remove the done
-	// marker — the disk image of a crash between fsync batches.
-	if _, err := st.Run(nil, "torn", spec, prof, nil); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(st.Dir(), "torn")
-	if err := os.Remove(filepath.Join(dir, doneFile)); err != nil {
-		t.Fatal(err)
-	}
-	jp := filepath.Join(dir, journalFile)
-	data, err := os.ReadFile(jp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(jp, data[:len(data)-25], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	info, err := st.Inspect("torn")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !info.Truncated || info.Completed >= 12 {
-		t.Fatalf("torn journal not detected: %+v", info)
-	}
-	res, err := st.Run(nil, "torn", spec, prof, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Counts != ref.Counts {
-		t.Errorf("recovered counts %+v != reference %+v", res.Counts, ref.Counts)
-	}
-}
-
 // TestRunSpecMismatch: reusing an id with a different campaign point must
 // be refused, not silently merged.
 func TestRunSpecMismatch(t *testing.T) {

@@ -1,15 +1,10 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"time"
 
 	"gpufi/internal/obs"
 )
@@ -22,11 +17,11 @@ import (
 // stays the single source of truth for WHICH experiments are merged) to
 // rebuild its in-memory shard table, outstanding leases, and lease epochs.
 //
-// It follows the same discipline as the experiment journal: records are
-// batch-fsync'd by default, with AppendSync for the records whose
-// durability is load-bearing (plans and grants — a lease epoch handed to a
-// worker must survive the coordinator, or fencing breaks), and recovery
-// tolerates exactly one torn record at the tail, cutting it.
+// It is an appendLog like the experiment journal: records are batch-fsync'd
+// by default, with AppendSync for the records whose durability is
+// load-bearing (plans and grants — a lease epoch handed to a worker must
+// survive the coordinator, or fencing breaks), and opening it tolerates
+// exactly one torn record at the tail, cutting it.
 const controlFile = "control.jsonl"
 
 // Control record kinds. Plan records carry a generation: a coordinator
@@ -72,23 +67,13 @@ var (
 
 // ControlWAL is an open control-plane WAL handle: append-only, batched
 // fsync, safe for concurrent use.
-type ControlWAL struct {
-	mu      sync.Mutex
-	f       *os.File
-	bw      *bufio.Writer
-	enc     *json.Encoder
-	batch   int
-	pending int
-	closed  bool
-}
+type ControlWAL struct{ log *appendLog }
 
 // OpenControlWAL opens (creating if absent) the campaign's control-plane
 // WAL and returns the intact records already on disk, whether a torn tail
 // was cut, and the handle open for appending. The campaign directory must
-// already exist. Recovery semantics match the experiment journal: a final
-// record that fails at the JSON layer with nothing but whitespace after it
-// is expected crash damage and is truncated away; a malformed record
-// anywhere else is corruption and an error.
+// already exist. A kindless or otherwise malformed record that is not a
+// torn tail is corruption and an error.
 func (s *Store) OpenControlWAL(id string) ([]ControlRecord, bool, *ControlWAL, error) {
 	if !ValidID(id) {
 		return nil, false, nil, fmt.Errorf("store: invalid campaign id %q", id)
@@ -98,83 +83,29 @@ func (s *Store) OpenControlWAL(id string) ([]ControlRecord, bool, *ControlWAL, e
 		return nil, false, nil, fmt.Errorf("store: control WAL of %s: %v", id, err)
 	}
 	path := filepath.Join(dir, controlFile)
-	recs, torn, noNL, goodOffset, err := readControlWAL(path)
+	var recs []ControlRecord
+	tail, err := scanFile(path, func(raw []byte) error {
+		var rec ControlRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return err
+		}
+		if rec.Kind == "" {
+			return fmt.Errorf("record without a kind")
+		}
+		recs = append(recs, rec)
+		return nil
+	})
 	if err != nil {
 		return nil, false, nil, fmt.Errorf("store: control WAL of %s: %v", id, err)
 	}
-	if torn {
-		if err := os.Truncate(path, goodOffset); err != nil {
-			return nil, false, nil, fmt.Errorf("store: cut torn control-WAL tail of %s: %v", id, err)
-		}
+	log, err := openLog(path, os.O_CREATE, logPolicy{name: "control WAL", batch: s.batch(), hist: walFsyncHist}, tail)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	if tail.torn {
 		walTornTails.Add(1)
 	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, false, nil, fmt.Errorf("store: open control WAL of %s: %v", id, err)
-	}
-	if noNL {
-		// A crash can leave the final record intact but strip its newline;
-		// appending straight after it would weld two records into one
-		// corrupt line, so restore the separator first.
-		if _, err := f.WriteString("\n"); err != nil {
-			f.Close()
-			return nil, false, nil, fmt.Errorf("store: repair control WAL of %s: %v", id, err)
-		}
-	}
-	bw := bufio.NewWriter(f)
-	w := &ControlWAL{f: f, bw: bw, enc: json.NewEncoder(bw), batch: s.batch()}
-	return recs, torn, w, nil
-}
-
-// readControlWAL parses the WAL with torn-tail recovery, returning the
-// intact records, whether the tail was torn, whether the file ends in a
-// complete record missing its newline, and the byte offset after the last
-// intact record.
-func readControlWAL(path string) (recs []ControlRecord, torn, noNL bool, goodOffset int64, err error) {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, false, false, 0, nil
-	}
-	if err != nil {
-		return nil, false, false, 0, err
-	}
-	noNL = len(data) > 0 && data[len(data)-1] != '\n'
-	offset := int64(0)
-	line := 0
-	for len(data) > 0 {
-		line++
-		nl := bytes.IndexByte(data, '\n')
-		var raw []byte
-		var next int64
-		if nl < 0 {
-			raw, next = data, offset+int64(len(data))
-		} else {
-			raw, next = data[:nl], offset+int64(nl)+1
-		}
-		rest := data[len(raw):]
-		if nl >= 0 {
-			rest = data[nl+1:]
-		}
-		if len(bytes.TrimSpace(raw)) == 0 {
-			offset, data = next, rest
-			continue
-		}
-		var rec ControlRecord
-		if uerr := json.Unmarshal(raw, &rec); uerr != nil || rec.Kind == "" {
-			if isSyntaxError(raw) && len(bytes.TrimSpace(rest)) == 0 {
-				// Truncation lands on the previous record's newline, so no
-				// separator repair is needed after a torn tail.
-				return recs, true, false, offset, nil
-			}
-			if uerr == nil {
-				uerr = fmt.Errorf("record without a kind")
-			}
-			return nil, false, false, 0, fmt.Errorf("line %d: %v", line, uerr)
-		}
-		recs = append(recs, rec)
-		offset, data = next, rest
-	}
-	return recs, false, noNL, offset, nil
+	return recs, tail.torn, &ControlWAL{log}, nil
 }
 
 // Append journals one control record, flushing and fsyncing once a batch
@@ -182,73 +113,20 @@ func readControlWAL(path string) (recs []ControlRecord, torn, noNL bool, goodOff
 // merges): losing a batched tail to a crash costs nothing, because the
 // journal is the source of truth for merged indices and restored leases
 // get a fresh expiry anyway.
-func (w *ControlWAL) Append(rec ControlRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("store: append to closed control WAL")
-	}
-	if err := w.enc.Encode(rec); err != nil {
-		return fmt.Errorf("store: write control record: %v", err)
-	}
-	walRecords.Add(1)
-	w.pending++
-	if w.pending >= w.batch {
-		return w.syncLocked()
-	}
-	return nil
-}
+func (w *ControlWAL) Append(rec ControlRecord) error { return w.append(rec, false) }
 
 // AppendSync journals one control record and fsyncs immediately. Plans and
 // grants use it: a lease epoch is only allowed to fence workers if it is
 // guaranteed to survive the coordinator that issued it.
-func (w *ControlWAL) AppendSync(rec ControlRecord) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return fmt.Errorf("store: append to closed control WAL")
-	}
-	if err := w.enc.Encode(rec); err != nil {
-		return fmt.Errorf("store: write control record: %v", err)
+func (w *ControlWAL) AppendSync(rec ControlRecord) error { return w.append(rec, true) }
+
+func (w *ControlWAL) append(rec ControlRecord, syncNow bool) error {
+	if err := w.log.append(rec, syncNow); err != nil {
+		return err
 	}
 	walRecords.Add(1)
-	return w.syncLocked()
-}
-
-// Sync flushes buffered records to disk and fsyncs the WAL file.
-func (w *ControlWAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	return w.syncLocked()
-}
-
-func (w *ControlWAL) syncLocked() error {
-	start := time.Now()
-	if err := w.bw.Flush(); err != nil {
-		return fmt.Errorf("store: flush control WAL: %v", err)
-	}
-	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("store: fsync control WAL: %v", err)
-	}
-	walFsyncHist.Observe(time.Since(start).Seconds())
-	w.pending = 0
 	return nil
 }
 
 // Close syncs outstanding records and closes the WAL file.
-func (w *ControlWAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
-		return nil
-	}
-	err := w.syncLocked()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.closed = true
-	return err
-}
+func (w *ControlWAL) Close() error { return w.log.close() }

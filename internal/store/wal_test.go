@@ -1,8 +1,6 @@
 package store
 
 import (
-	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"testing"
@@ -21,7 +19,7 @@ func walRecs() []ControlRecord {
 
 // openWALCampaign creates a campaign so its directory exists, which is
 // all OpenControlWAL requires.
-func openWALCampaign(t *testing.T, st *Store, id string) {
+func openWALCampaign(t testing.TB, st *Store, id string) {
 	t.Helper()
 	c, err := st.Create(id, vaSpec(4, 1))
 	if err != nil {
@@ -32,125 +30,10 @@ func openWALCampaign(t *testing.T, st *Store, id string) {
 	}
 }
 
-// TestControlWALTornTailEveryOffset is the exhaustive crash simulation:
-// the WAL is truncated at EVERY byte offset inside its final record, and
-// each truncation must recover to the intact prefix — the torn tail cut,
-// the file left appendable. The only offset that keeps the final record
-// is the one that lost nothing but the trailing newline.
-func TestControlWALTornTailEveryOffset(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	openWALCampaign(t, st, "walt")
-
-	// Write the reference WAL and capture its bytes.
-	_, _, w, err := st.OpenControlWAL("walt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	full := walRecs()
-	for _, r := range full {
-		if err := w.AppendSync(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(st.Dir(), "walt", controlFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lastStart := int64(bytes.LastIndexByte(bytes.TrimRight(data, "\n"), '\n') + 1)
-
-	for cut := lastStart; cut < int64(len(data)); cut++ {
-		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		// A cut at the record boundary is a clean file; a cut that kept
-		// the whole object but lost the newline still parses. Everything
-		// in between is a torn tail.
-		wantN, wantTorn := len(full)-1, cut > lastStart
-		var probe ControlRecord
-		if json.Unmarshal(data[lastStart:cut], &probe) == nil && probe.Kind != "" {
-			wantN, wantTorn = len(full), false
-		}
-
-		recs, torn, w, err := st.OpenControlWAL("walt")
-		if err != nil {
-			t.Fatalf("cut at byte %d: %v", cut, err)
-		}
-		if len(recs) != wantN || torn != wantTorn {
-			t.Fatalf("cut at byte %d: %d records torn=%v, want %d torn=%v",
-				cut, len(recs), torn, wantN, wantTorn)
-		}
-		for i, r := range recs {
-			if r.Kind != full[i].Kind {
-				t.Fatalf("cut at byte %d: record %d kind %q, want %q", cut, i, r.Kind, full[i].Kind)
-			}
-		}
-		// The torn bytes must be physically gone and the WAL appendable:
-		// a post-recovery record lands cleanly after the intact prefix.
-		if err := w.AppendSync(ControlRecord{Kind: CtlFinalize, Reason: "done"}); err != nil {
-			t.Fatalf("cut at byte %d: append after recovery: %v", cut, err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-		again, torn2, w2, err := st.OpenControlWAL("walt")
-		if err != nil {
-			t.Fatalf("cut at byte %d: reopen: %v", cut, err)
-		}
-		if torn2 || len(again) != wantN+1 || again[wantN].Kind != CtlFinalize {
-			t.Fatalf("cut at byte %d: reopen got %d records torn=%v", cut, len(again), torn2)
-		}
-		w2.Close()
-	}
-}
-
-// TestControlWALCorruption pins the difference between crash damage and
-// corruption: a malformed record that is NOT the tail is never silently
-// dropped.
-func TestControlWALCorruption(t *testing.T) {
-	st, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	openWALCampaign(t, st, "corrupt")
-	path := filepath.Join(st.Dir(), "corrupt", controlFile)
-
-	cases := []struct {
-		name, content string
-	}{
-		{"garbage mid-file", `{"kind":"plan","gen":1}` + "\n" + `{"kind":` + "\n" + `{"kind":"plan_done","gen":1}` + "\n"},
-		{"kindless record", `{"kind":"plan","gen":1}` + "\n" + `{"gen":2}` + "\n"},
-		{"valid json, wrong shape", `[1,2,3]` + "\n" + `{"kind":"plan","gen":1}` + "\n"},
-	}
-	for _, tc := range cases {
-		if err := os.WriteFile(path, []byte(tc.content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := st.OpenControlWAL("corrupt"); err == nil {
-			t.Errorf("%s: corruption not rejected", tc.name)
-		}
-	}
-
-	// Blank lines are tolerated anywhere.
-	ok := "\n" + `{"kind":"plan","gen":1}` + "\n\n" + `{"kind":"plan_done","gen":1}` + "\n\n"
-	if err := os.WriteFile(path, []byte(ok), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, torn, w, err := st.OpenControlWAL("corrupt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if torn || len(recs) != 2 {
-		t.Fatalf("blank-line WAL: %d records torn=%v", len(recs), torn)
-	}
-	w.Close()
-}
+// TestControlWALCorruption: a malformed control record that is NOT a torn
+// tail is never silently dropped (the cases are in log_test.go, shared with
+// the journal).
+func TestControlWALCorruption(t *testing.T) { testLogCorruption(t, controlFile) }
 
 // TestControlWALBatching pins the fsync discipline: Append buffers until
 // the store's batch size, AppendSync and Close always reach the disk.
