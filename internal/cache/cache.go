@@ -19,6 +19,7 @@
 package cache
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -423,6 +424,57 @@ func (c *Cache) StoreWordLocal(addr uint32, v uint32) int {
 		return 0
 	}
 	return c.backing.StoreWord(addr, v)
+}
+
+// LoadWords is LoadWord for a warp memory instruction: every lane of mask
+// reads the word at addrs[lane] into dst[lane]. Nothing it calls changes
+// which lines are resident, so a run of lanes on one line shares a single
+// set lookup — one per line for a coalesced or uniform access, one per lane
+// only when every lane sits on a line of its own.
+func (c *Cache) LoadWords(mask uint32, addrs, dst *[32]uint32) {
+	lineMask := uint32(c.geom.LineBytes - 1)
+	cur := ^uint32(0) // no line number reaches ^0: lines hold a word or more
+	var data []byte   // the line numbered cur; nil when it is not resident
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m) & 31
+		addr := addrs[lane]
+		if ln := addr >> c.lineShift; ln != cur {
+			cur, data = ln, c.PeekLine(addr)
+		}
+		if data == nil {
+			dst[lane] = c.backing.PeekWord(addr)
+			continue
+		}
+		dst[lane] = binary.LittleEndian.Uint32(data[addr&lineMask:])
+	}
+}
+
+// StoreWordsLocal is StoreWordLocal for a warp memory instruction: every
+// lane of mask, in lane order, writes src[lane] at addrs[lane]. As in
+// LoadWords a run of lanes on one line shares one lookup, and the line is
+// marked dirty and touched once per run; the words of an absent line go to
+// the backing level one by one.
+func (c *Cache) StoreWordsLocal(mask uint32, addrs, src *[32]uint32) {
+	lineMask := uint32(c.geom.LineBytes - 1)
+	cur := ^uint32(0)
+	var data []byte
+	for m := mask; m != 0; m &= m - 1 {
+		lane := bits.TrailingZeros32(m) & 31
+		addr := addrs[lane]
+		if ln := addr >> c.lineShift; ln != cur {
+			cur, data = ln, nil
+			if idx := c.lookup(c.setOf(addr), c.tagOf(addr)); idx >= 0 {
+				data = c.lines[idx].data
+				c.lines[idx].dirty = true
+				c.markLine(idx)
+			}
+		}
+		if data == nil {
+			c.backing.StoreWord(addr, src[lane])
+			continue
+		}
+		binary.LittleEndian.PutUint32(data[addr&lineMask:], src[lane])
+	}
 }
 
 // Backing interface implementation, so a Cache can serve as the level

@@ -295,18 +295,54 @@ func (o fuzzOracle) markRange(lo, hi int) {
 
 // FuzzDirtyTracker feeds random mark/clear/merge/copy sequences to a
 // DirtyTracker and a naive map-of-pages oracle and requires identical
-// observable state after every operation.
+// observable state after every operation. Three more operations drive the
+// tracker inside a Memory, through the sequence its growth must survive:
+// allocate past the image's capacity, restore to a shorter snapshot, grow
+// again into the capacity left behind. After each, the vessel is held to a
+// plain byte-slice model (fresh regions zero, restores exact).
 func FuzzDirtyTracker(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 3, 2, 0, 0, 3, 9, 9, 4, 0, 0})
 	f.Add([]byte{1, 0, 255, 0, 200, 0, 2, 0, 0, 1, 10, 20})
 	f.Add([]byte("mark-sweep-merge"))
+	f.Add([]byte{6, 200, 9, 8, 3, 1, 6, 255, 255, 7, 0, 0, 6, 40, 2, 8, 90, 7, 6, 250, 250, 7, 0, 0, 6, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const maxPage = 2048
 		tr, aux := NewDirtyTracker(), NewDirtyTracker()
 		oracle, auxOracle := fuzzOracle{}, fuzzOracle{}
+		snap := New()
+		if _, err := snap.Alloc(3 * PageBytes / 2); err != nil {
+			t.Fatal(err)
+		}
+		for i := range snap.data {
+			snap.data[i] = byte(i * 31)
+		}
+		vessel := New()
+		vessel.RestoreFrom(snap, false)
+		model := append([]byte(nil), snap.data...)
 		for i := 0; i+2 < len(ops); i += 3 {
-			op, a, b := ops[i]%6, int(ops[i+1])<<3|int(ops[i+2])&7, int(ops[i+2])
+			op, a, b := ops[i]%9, int(ops[i+1])<<3|int(ops[i+2])&7, int(ops[i+2])
 			a, b = a%maxPage, b%64
+			switch op {
+			case 6: // allocate, possibly past capacity; the region must read zero
+				addr, err := vessel.Alloc(uint32(1 + a*b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				model = append(model, make([]byte, len(vessel.data)-len(model))...)
+				if !bytes.Equal(vessel.data, model) {
+					t.Fatalf("op %d: image diverged from the model after Alloc at %#x", i/3, addr)
+				}
+			case 7: // restore to the shorter snapshot; capacity stays behind
+				if st := vessel.RestoreFrom(snap, false); st.Full {
+					t.Fatalf("op %d: delta restore fell back to a full copy", i/3)
+				}
+				model = append(model[:0], snap.data...)
+				imagesEqual(t, vessel, snap)
+			case 8: // dirty a word near the end, so capacity left behind is not zero
+				addr := uint32(len(model)-4-a*b%256*4) &^ 3
+				vessel.Write32(addr, 0xA5A5A5A5)
+				copy(model[addr:], []byte{0xA5, 0xA5, 0xA5, 0xA5})
+			}
 			switch op {
 			case 0:
 				tr.Mark(a)

@@ -316,7 +316,11 @@ func (m *Memory) grow(limit uint32) {
 		m.data = m.data[:limit]
 		clear(m.data[old:])
 	} else {
-		grown := make([]byte, int(limit))
+		// Grow the capacity by half the image at a time: an application
+		// allocates hundreds of times (every cudaMalloc, every launch's
+		// parameters and binary image), and reallocating to exactly the
+		// new limit copied the whole image on each of them.
+		grown := make([]byte, int(limit), max(int(limit), min(old+old/2, maxSize)))
 		copy(grown, m.data)
 		m.data = grown
 	}
@@ -325,20 +329,36 @@ func (m *Memory) grow(limit uint32) {
 	}
 }
 
+// Extent returns the bounds [lo, hi) of the allocated region containing
+// addr. A caller checking many nearby addresses — a warp's lanes — tests
+// them against the bounds and looks up again only on a miss.
+func (m *Memory) Extent(addr uint32) (lo, hi uint32, ok bool) {
+	// Binary search for the last extent with base <= addr.
+	i, j := 0, len(m.allocs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if m.allocs[h].addr <= addr {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	if i == 0 {
+		return 0, 0, false
+	}
+	e := m.allocs[i-1]
+	// Alloc keeps every region below maxSize, so the end fits 32 bits.
+	if hi = e.addr + e.size; addr >= hi {
+		return 0, 0, false
+	}
+	return e.addr, hi, true
+}
+
 // Valid reports whether [addr, addr+size) lies entirely inside one
 // allocated region.
 func (m *Memory) Valid(addr, size uint32) bool {
-	if size == 0 {
-		return false
-	}
-	end := uint64(addr) + uint64(size)
-	// Find the last extent with base <= addr.
-	i := sort.Search(len(m.allocs), func(i int) bool { return m.allocs[i].addr > addr })
-	if i == 0 {
-		return false
-	}
-	e := m.allocs[i-1]
-	return end <= uint64(e.addr)+uint64(e.size)
+	_, hi, ok := m.Extent(addr)
+	return ok && size != 0 && uint64(addr)+uint64(size) <= uint64(hi)
 }
 
 // Size returns the current image size in bytes (high-water mark).

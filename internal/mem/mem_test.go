@@ -53,6 +53,105 @@ func TestValidity(t *testing.T) {
 	}
 }
 
+// TestExtent: the bounds Extent returns decide validity exactly as Valid
+// does, for every word around every allocation edge, with gaps (alignment
+// padding, a freed region) between the allocations.
+func TestExtent(t *testing.T) {
+	m := New()
+	var allocs [][2]uint32
+	for _, size := range []uint32{100, 256, 4, 1000, 7, 4096} {
+		a, err := m.Alloc(size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs = append(allocs, [2]uint32{a, a + size})
+	}
+	if err := m.Free(allocs[2][0]); err != nil {
+		t.Fatal(err)
+	}
+	allocs = append(allocs[:2], allocs[3:]...)
+	if _, _, ok := New().Extent(BaseAddr); ok {
+		t.Error("an empty memory has an extent")
+	}
+	for addr := uint32(0); addr < allocs[len(allocs)-1][1]+64; addr++ {
+		var want [2]uint32
+		inside := false
+		for _, e := range allocs {
+			if addr >= e[0] && addr < e[1] {
+				want, inside = e, true
+			}
+		}
+		lo, hi, ok := m.Extent(addr)
+		if ok != inside || (ok && [2]uint32{lo, hi} != want) {
+			t.Fatalf("Extent(%#x) = [%#x,%#x) %v, want %v %v", addr, lo, hi, ok, want, inside)
+		}
+		for _, size := range []uint32{1, 4, 101} {
+			if got, want := m.Valid(addr, size), inside && addr+size <= want[1]; got != want {
+				t.Fatalf("Valid(%#x, %d) = %v, want %v", addr, size, got, want)
+			}
+		}
+	}
+	if m.Valid(0xFFFFFFFE, 4) || m.Valid(allocs[0][0], 0xFFFFFFFF) {
+		t.Error("a range wrapping the address space is valid")
+	}
+}
+
+// TestGrowKeepsItsPromises: however the capacity grows, the image is
+// exactly as long as the highest allocation end, every fresh region reads
+// zero — also when it reuses capacity a longer, since restored-away image
+// left dirty — and growth marks every page it adds.
+func TestGrowKeepsItsPromises(t *testing.T) {
+	snap := New()
+	if _, err := snap.Alloc(PageBytes); err != nil {
+		t.Fatal(err)
+	}
+	m := New()
+	m.RestoreFrom(snap, false)
+	reallocs := 0
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 300; i++ {
+			size := uint32(1 + (i*7919)%(3*PageBytes))
+			oldLen, oldCap := m.Size(), cap(m.data)
+			a, err := m.Alloc(size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Size() != int(a+size) {
+				t.Fatalf("image is %d bytes after an allocation ending at %d", m.Size(), a+size)
+			}
+			if cap(m.data) != oldCap {
+				reallocs++
+			}
+			for off := oldLen; off < m.Size(); off++ {
+				if m.data[off] != 0 {
+					t.Fatalf("round %d: fresh byte %#x reads %#x", round, off, m.data[off])
+				}
+			}
+			for p := oldLen >> pageShift; p <= (m.Size()-1)>>pageShift; p++ {
+				if !m.track.Dirty(p) {
+					t.Fatalf("round %d: growth from %d to %d left page %d clean", round, oldLen, m.Size(), p)
+				}
+			}
+			buf := make([]byte, size)
+			for k := range buf {
+				buf[k] = 0xA5
+			}
+			if err := m.HostWrite(a, buf); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Back to the one-page snapshot: the next round grows into capacity
+		// full of this round's bytes.
+		if st := m.RestoreFrom(snap, false); st.Full {
+			t.Fatalf("round %d: restore after growth fell back to a full copy", round)
+		}
+		imagesEqual(t, m, snap)
+	}
+	if reallocs == 0 || reallocs > 40 {
+		t.Fatalf("900 allocations reallocated the image %d times; want a few (geometric growth)", reallocs)
+	}
+}
+
 func TestFree(t *testing.T) {
 	m := New()
 	a, _ := m.Alloc(64)

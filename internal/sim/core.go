@@ -2,60 +2,77 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gpufi/internal/cache"
 	"gpufi/internal/isa"
 )
 
-// thread is one CUDA thread's architectural state.
-type thread struct {
-	regs      []uint32
-	preds     uint8 // bit i = predicate Pi
-	tidX      int
-	tidY      int
-	gtid      int    // flattened global thread id
-	localBase uint32 // device address of this thread's local memory
-	exited    bool
-	valid     bool // false for padding lanes past the CTA size
+// laneTable is the identity of a warp's 32 lanes, fixed at CTA placement.
+// Nothing writes it afterwards, so the live GPU, every snapshot and every
+// fork vessel share one table by pointer and no clone or restore copies it.
+type laneTable struct {
+	valid     uint32 // lanes that hold a thread; clear for padding past the CTA size
+	tidX      [isa.WarpSize]int32
+	tidY      [isa.WarpSize]int32
+	gtid      [isa.WarpSize]int32  // flattened global thread id
+	localBase [isa.WarpSize]uint32 // device address of the lane's local memory
+}
+
+// laneState is a warp's mutable architectural state: everything an executing
+// instruction or an injection can write. It lives behind one pointer so that
+// a fork warp can share the snapshot's until its first write (see cow.go)
+// and so that copying a warp struct on restore moves none of it.
+type laneState struct {
+	// regs is the warp's register file, register-major: register r of lane l
+	// is regs[r*32+l], so one operand of a warp instruction is 32 contiguous
+	// words. It holds RegsPerThread rows, padding lanes included.
+	regs []uint32
+
+	// preds[p] has bit l set when predicate Pp of lane l is true. The entry
+	// of PredPT is all ones and never written.
+	preds [isa.NumPreds + 1]uint32
+
+	exited uint32 // lanes whose thread has exited
 
 	// taint marks registers carrying fault-corrupted data when propagation
-	// tracing is on (bit min(reg,63); always zero when tracing is off).
-	// It rides along struct copies, so snapshots and forks preserve it.
-	taint uint64
+	// tracing is on (bit min(reg,63) of the lane's word; all zero when
+	// tracing is off). It rides along copies of the state, so snapshots and
+	// forks preserve it.
+	taint [isa.WarpSize]uint64
 }
 
-// readReg returns a register value. Indices beyond the thread's
-// allocation read as zero: fault-corrupted instructions can carry any
-// operand field, and the pipeline reads unused source fields too.
-func (t *thread) readReg(r uint8) uint32 {
-	if r == isa.RegRZ || int(r) >= len(t.regs) {
-		return 0
+// zeroRow is what a source register field outside the warp's allocation
+// reads as. Shared by every core and worker, never written.
+var zeroRow isa.Row
+
+// dst returns the row an instruction's destination register field writes,
+// or nil when the write is discarded: RZ (255) and any other index beyond
+// the warp's allocation.
+func (s *laneState) dst(r uint8) *isa.Row {
+	if i := int(r) * isa.WarpSize; i < len(s.regs) {
+		return (*isa.Row)(s.regs[i:])
 	}
-	return t.regs[r]
+	return nil
 }
 
-func (t *thread) writeReg(r uint8, v uint32) {
-	if r != isa.RegRZ && int(r) < len(t.regs) {
-		t.regs[r] = v
+// src returns the row an instruction's source register field reads: zeros
+// where dst discards. Fault-corrupted instructions can carry any operand
+// field, and the pipeline reads unused source fields too.
+func (s *laneState) src(r uint8) *isa.Row {
+	if row := s.dst(r); row != nil {
+		return row
 	}
+	return &zeroRow
 }
 
-func (t *thread) readPred(p uint8) bool {
-	if p == isa.PredPT {
-		return true
+// pred returns the lane mask of predicate p: all ones for PredPT, zero for
+// an index no predicate register has.
+func (s *laneState) pred(p uint8) uint32 {
+	if int(p) < len(s.preds) {
+		return s.preds[p]
 	}
-	return t.preds&(1<<p) != 0
-}
-
-func (t *thread) writePred(p uint8, v bool) {
-	if p == isa.PredPT {
-		return
-	}
-	if v {
-		t.preds |= 1 << p
-	} else {
-		t.preds &^= 1 << p
-	}
+	return 0
 }
 
 // stackEntry is one SIMT reconvergence stack level.
@@ -66,10 +83,13 @@ type stackEntry struct {
 }
 
 // warp is a group of 32 threads executing in lockstep under a SIMT stack.
+// The struct holds the scheduler's view; the threads' own state sits behind
+// lanes (who they are) and st (what they hold).
 type warp struct {
 	cta       *cta
 	slot      int // hardware warp slot within the core
-	threads   [32]*thread
+	lanes     *laneTable
+	st        *laneState
 	stack     []stackEntry
 	busyUntil uint64
 	atBarrier bool
@@ -81,8 +101,8 @@ type warp struct {
 	fetchLine  uint32
 	fetchValid bool
 
-	// sharedSlab marks a COW fork warp whose threads still alias the
-	// snapshot's slab; core.materializeWarp clears it on first write.
+	// sharedSlab marks a COW fork warp whose st still aliases the
+	// snapshot's; core.materializeWarp clears it on first write.
 	sharedSlab bool
 
 	// pendBusy, when positive, is 1 + the index of this warp's deferred
@@ -93,15 +113,7 @@ type warp struct {
 }
 
 // liveMask returns the mask of threads that have not exited.
-func (w *warp) liveMask() uint32 {
-	var m uint32
-	for i, t := range w.threads {
-		if t != nil && t.valid && !t.exited {
-			m |= 1 << uint(i)
-		}
-	}
-	return m
-}
+func (w *warp) liveMask() uint32 { return w.lanes.valid &^ w.st.exited }
 
 // cta is a resident Compute Thread Array (thread block).
 type cta struct {
@@ -203,6 +215,16 @@ func (c *core) reset() {
 	c.pi = -1
 }
 
+// placedWarp is a warp as tryPlaceCTA allocates it, in one piece with what
+// only it points to: its lane state and the first levels of its SIMT stack
+// (room for one divergence before the stack moves to an allocation of its
+// own).
+type placedWarp struct {
+	warp
+	state  laneState
+	stack0 [4]stackEntry
+}
+
 // tryPlaceCTA places linear CTA ctaID on this core if the per-SM limits
 // (CTAs, threads, registers, shared memory) allow. Returns success.
 func (c *core) tryPlaceCTA(ctaID int) bool {
@@ -222,32 +244,38 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 		return false
 	}
 
+	// One slab per kind of state for the whole CTA: placement costs a fixed
+	// number of allocations however many threads the block has.
 	b := &cta{id: ctaID, core: c, smem: make([]byte, p.SmemBytes)}
-	nWarps := (ctaThreads + 31) / 32
+	nWarps := (ctaThreads + isa.WarpSize - 1) / isa.WarpSize
+	warpRegs := p.RegsPerThread * isa.WarpSize
+	b.warps = make([]*warp, nWarps)
+	warps := make([]placedWarp, nWarps)
+	tables := make([]laneTable, nWarps)
+	regs := make([]uint32, nWarps*warpRegs)
 	blockX := g.curBlock.X
-	for wi := 0; wi < nWarps; wi++ {
-		w := &warp{cta: b, slot: len(c.warps)}
-		w.stack = []stackEntry{{pc: 0, rpc: -1}}
-		for lane := 0; lane < 32; lane++ {
-			tLinear := wi*32 + lane
+	for wi := range warps {
+		lt, st := &tables[wi], &warps[wi].state
+		for lane := 0; lane < isa.WarpSize; lane++ {
+			tLinear := wi*isa.WarpSize + lane
 			if tLinear >= ctaThreads {
 				break
 			}
 			gtid := ctaID*ctaThreads + tLinear
-			t := &thread{
-				regs:  make([]uint32, p.RegsPerThread),
-				tidX:  tLinear % blockX,
-				tidY:  tLinear / blockX,
-				gtid:  gtid,
-				valid: true,
-			}
+			lt.valid |= 1 << uint(lane)
+			lt.tidX[lane] = int32(tLinear % blockX)
+			lt.tidY[lane] = int32(tLinear / blockX)
+			lt.gtid[lane] = int32(gtid)
 			if g.localStep > 0 {
-				t.localBase = g.localBase + uint32(gtid)*g.localStep
+				lt.localBase[lane] = g.localBase + uint32(gtid)*g.localStep
 			}
-			w.threads[lane] = t
-			w.stack[0].mask |= 1 << uint(lane)
 		}
-		b.warps = append(b.warps, w)
+		st.regs = regs[wi*warpRegs : (wi+1)*warpRegs : (wi+1)*warpRegs]
+		st.preds[isa.PredPT] = ^uint32(0)
+		w := &warps[wi].warp
+		*w = warp{cta: b, slot: len(c.warps), lanes: lt, st: st, stack: warps[wi].stack0[:1]}
+		w.stack[0] = stackEntry{pc: 0, rpc: -1, mask: lt.valid}
+		b.warps[wi] = w
 		c.warps = append(c.warps, w)
 	}
 	b.liveWarps = len(b.warps)
@@ -361,21 +389,11 @@ func (w *warp) guardMask(in *isa.Instr, m uint32) uint32 {
 	if !in.Guarded() {
 		return m
 	}
-	var g uint32
-	for lane := 0; lane < 32; lane++ {
-		if m&(1<<uint(lane)) == 0 {
-			continue
-		}
-		t := w.threads[lane]
-		v := t.readPred(in.Guard)
-		if in.GuardNeg {
-			v = !v
-		}
-		if v {
-			g |= 1 << uint(lane)
-		}
+	p := w.st.pred(in.Guard)
+	if in.GuardNeg {
+		p = ^p
 	}
-	return g
+	return m & p
 }
 
 // popReconverged pops stack entries whose pc reached their reconvergence
@@ -393,16 +411,9 @@ func (w *warp) popReconverged() {
 
 // exitThreads retires the given lanes from the warp and all stack levels.
 func (w *warp) exitThreads(mask uint32) {
-	for lane := 0; lane < 32; lane++ {
-		if mask&(1<<uint(lane)) == 0 {
-			continue
-		}
-		t := w.threads[lane]
-		if t != nil && !t.exited {
-			t.exited = true
-			w.cta.core.liveThreads--
-		}
-	}
+	newly := mask & w.liveMask()
+	w.st.exited |= newly
+	w.cta.core.liveThreads -= bits.OnesCount32(newly)
 	for i := range w.stack {
 		w.stack[i].mask &^= mask
 	}
@@ -435,8 +446,8 @@ func (c *core) fail(err error) {
 // time) and charges its latency.
 func (c *core) step(w *warp) {
 	if w.sharedSlab {
-		// Executing mutates thread state (registers, predicates, exits,
-		// taint): give a COW fork warp its private slab first.
+		// Executing mutates lane state (registers, predicates, exits,
+		// taint): give a COW fork warp its private copy first.
 		c.materializeWarp(w)
 	}
 	c.pi = -1

@@ -2,27 +2,31 @@ package sim
 
 // Copy-on-write resident state for fork vessels.
 //
-// Deep-copying every resident CTA, warp and thread out of the snapshot on
-// each restore would move — for a full RTX 2060 — tens of thousands of
-// threads and megabytes of register file per experiment, almost all of it
-// never touched before the experiment classifies. Under COW the vessel
-// instead gets private warp and CTA structs (cheap, and they hold all
-// scheduler state) whose thread pointers and shared-memory slices still
-// alias the snapshot's immutable slabs. The first write materializes a
-// private copy:
+// A resident warp is three things: a warp struct (scheduler state: SIMT
+// stack, stall and barrier flags, fetch line), a laneTable (which threads
+// its lanes are — immutable once placed) and a laneState (what they hold:
+// the register-major register file, predicate and exit masks, taint).
+// Deep-copying all of it out of the snapshot on each restore would move —
+// for a full RTX 2060 — megabytes of register file per experiment, almost
+// all of it never touched before the experiment classifies. Under COW a
+// restore copies only the warp and CTA structs, which are small and hold no
+// per-lane arrays; the lane tables are shared forever, and the lane states
+// and shared-memory banks stay aliased to the snapshot's until the first
+// write materializes a private copy:
 //
-//   - core.step materializes the warp's thread slab before executing, the
+//   - core.step materializes the warp's lane state before executing, the
 //     single choke point for all architectural thread writes (registers,
-//     predicates, exits, taint);
+//     predicates, exits, taint): one struct assignment and one copy of the
+//     register slab;
 //   - sharedAccess materializes the CTA's shared memory before an STS;
 //   - injectRegFile / injectShared materialize before flipping bits.
 //
-// Reads (guard predicates, liveMask, LDS, local-memory bases) are served
-// from the shared slabs. Warps that never issue again — exited warps,
-// warps past the fault's blast radius when the experiment ends early —
-// never pay for their copy. The snapshot side never mutates: templates are
-// only written by capture, which allocates fresh resident slabs, and the
-// campaign engine serializes captures with cluster completion.
+// Reads (liveMask for injection-site selection, LDS, local-memory bases)
+// are served from the shared state. Warps that never issue again — exited
+// warps, warps past the fault's blast radius when the experiment ends early
+// — never pay for their copy. The snapshot side never mutates: templates
+// are only written by capture, which allocates fresh resident state, and
+// the campaign engine serializes captures with cluster completion.
 //
 // The page/line-granular COW for device memory and caches lives in
 // internal/mem and internal/cache; this file owns the resident (SIMT)
@@ -30,25 +34,25 @@ package sim
 
 // residentPool is a per-core arena for a vessel's private resident state.
 // It is reset (not freed) at every restore, so a vessel reforked hundreds
-// of times allocates its CTAs, warps, stacks, thread slabs and register
+// of times allocates its CTAs, warps, stacks, lane states and register
 // slabs only once. Carved sub-slices use three-index slicing so an
 // append past a warp's reserved stack capacity reallocates to the heap
 // instead of clobbering its neighbor.
 type residentPool struct {
-	ctas    []cta
-	warps   []warp
-	stack   []stackEntry
-	threads []thread
-	regs    []uint32
-	smem    []byte
-	wmap    map[*warp]*warp // snapshot warp -> vessel warp, scheduler order
+	ctas   []cta
+	warps  []warp
+	stack  []stackEntry
+	states []laneState
+	regs   []uint32
+	smem   []byte
+	wmap   map[*warp]*warp // snapshot warp -> vessel warp, scheduler order
 }
 
 // reset prepares the pool for one restore. The cta, warp and stack arenas
 // are sized up front (their pointers must stay stable for the whole
-// experiment); the thread, register and smem arenas fill lazily as warps
-// materialize and may grow mid-experiment — old carvings stay valid on
-// the superseded backing array.
+// experiment); the lane-state, register and smem arenas fill lazily as
+// warps materialize and may grow mid-experiment — old carvings stay valid
+// on the superseded backing array.
 func (p *residentPool) reset(nCTAs, nWarps, nStack int) {
 	if cap(p.ctas) < nCTAs {
 		p.ctas = make([]cta, 0, nCTAs)
@@ -62,7 +66,7 @@ func (p *residentPool) reset(nCTAs, nWarps, nStack int) {
 		p.stack = make([]stackEntry, 0, nStack+nStack/2)
 	}
 	p.stack = p.stack[:0]
-	p.threads = p.threads[:0]
+	p.states = p.states[:0]
 	p.regs = p.regs[:0]
 	p.smem = p.smem[:0]
 	if p.wmap == nil {
@@ -88,13 +92,12 @@ func (p *residentPool) carveStack(n int) []stackEntry {
 	return p.stack[off : off+n : off+n]
 }
 
-func (p *residentPool) carveThreads(n int) []thread {
-	if len(p.threads)+n > cap(p.threads) {
-		p.threads = make([]thread, 0, 2*cap(p.threads)+n)
+func (p *residentPool) carveState() *laneState {
+	if len(p.states) == cap(p.states) {
+		p.states = make([]laneState, 0, 2*cap(p.states)+1)
 	}
-	off := len(p.threads)
-	p.threads = p.threads[: off+n : cap(p.threads)]
-	return p.threads[off : off+n : off+n]
+	p.states = p.states[:len(p.states)+1]
+	return &p.states[len(p.states)-1]
 }
 
 func (p *residentPool) carveRegs(n int) []uint32 {
@@ -115,10 +118,10 @@ func (p *residentPool) carveSmem(n int) []byte {
 	return p.smem[off : off+n : off+n]
 }
 
-// cowResidentInto rebuilds nc's resident CTAs, warps and threads as
-// copy-on-write views of c's (the snapshot core's): private CTA and warp
-// structs from nc's pool, thread slabs and shared memory aliased to the
-// snapshot until first write. The COW counterpart of cloneResidentInto.
+// cowResidentInto rebuilds nc's resident CTAs and warps as copy-on-write
+// views of c's (the snapshot core's): private CTA and warp structs from
+// nc's pool, lane states and shared memory aliased to the snapshot until
+// first write. The COW counterpart of cloneResidentInto.
 func (c *core) cowResidentInto(nc *core) {
 	if cap(nc.ctas) >= len(c.ctas) {
 		nc.ctas = nc.ctas[:0]
@@ -166,7 +169,8 @@ func (c *core) cowResidentInto(nc *core) {
 			*nw = warp{
 				cta:        nb,
 				slot:       w.slot,
-				threads:    w.threads, // aliased slab; step materializes
+				lanes:      w.lanes,
+				st:         w.st, // aliased; step materializes
 				stack:      st,
 				busyUntil:  w.busyUntil,
 				atBarrier:  w.atBarrier,
@@ -190,43 +194,22 @@ func (c *core) cowResidentInto(nc *core) {
 	cowWarpsShared.Add(int64(shared))
 }
 
-// materializeWarp gives w a private copy of its thread slab and register
-// file before the first write. Must be called before any mutation of
-// w.threads' pointees; pointers into the old (snapshot-owned) slab become
-// stale for writing the moment it returns.
+// materializeWarp gives w a private copy of its lane state before the
+// first write. Must be called before any mutation through w.st; a pointer
+// taken from the old (snapshot-owned) state goes stale for writing the
+// moment it returns.
 func (c *core) materializeWarp(w *warp) {
 	if !w.sharedSlab {
 		return
 	}
 	w.sharedSlab = false
-	nThreads, nRegs := 0, 0
-	for _, t := range w.threads {
-		if t != nil {
-			nThreads++
-			nRegs += len(t.regs)
-		}
-	}
-	if nThreads == 0 {
-		return
-	}
-	p := c.pool
-	slab := p.carveThreads(nThreads)
-	regs := p.carveRegs(nRegs)
-	si, ri := 0, 0
-	for lane, t := range w.threads {
-		if t == nil {
-			continue
-		}
-		slab[si] = *t
-		nt := &slab[si]
-		si++
-		copy(regs[ri:ri+len(t.regs)], t.regs)
-		nt.regs = regs[ri : ri+len(t.regs) : ri+len(t.regs)]
-		ri += len(t.regs)
-		w.threads[lane] = nt
-	}
+	st := c.pool.carveState()
+	*st = *w.st
+	st.regs = c.pool.carveRegs(len(w.st.regs))
+	copy(st.regs, w.st.regs)
+	w.st = st
 	cowWarpsMaterialized.Add(1)
-	cowResidentBytesCopied.Add(int64(nRegs) * 4)
+	cowResidentBytesCopied.Add(int64(len(st.regs)) * 4)
 	cowMaterializeCtr.Inc()
 }
 
@@ -246,7 +229,7 @@ func (c *core) materializeSmem(b *cta) {
 }
 
 // SetDeepClone switches this GPU to the eager deep-clone protocol:
-// restores and captures copy every page, line and thread whether or not it
+// restores and captures copy every page, line and warp whether or not it
 // diverged, and no state is shared between a vessel and its snapshot. No
 // campaign runs this way; it is the baseline the differential tests in
 // this package and internal/core hold the COW protocol to, bit for bit.

@@ -1,26 +1,31 @@
 package sim
 
 import (
+	"encoding/binary"
+	"math/bits"
+
 	"gpufi/internal/cache"
 	"gpufi/internal/isa"
 )
 
 // execute performs the functional semantics of a non-control instruction
-// for the active lanes and returns its latency in cycles.
+// for the active lanes and returns its latency in cycles. One dispatch per
+// warp instruction: the operand rows are fetched once and isa.EvalWarp runs
+// the opcode's loop over them.
 func (c *core) execute(w *warp, in *isa.Instr, eff uint32) int {
 	g := c.gpu
 	switch {
 	case in.Op.IsMem():
 		return c.executeMem(w, in, eff)
 	case in.Op == isa.OpS2R:
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<uint(lane)) == 0 {
-				continue
+		dst := w.st.dst(in.Dst)
+		for m := eff; m != 0; m &= m - 1 {
+			lane := firstLane(m)
+			if dst != nil {
+				dst[lane] = c.specialReg(w, lane, in.SReg)
 			}
-			t := w.threads[lane]
-			t.writeReg(in.Dst, c.specialReg(w, t, lane, in.SReg))
-			if g.tracer != nil && t.taint != 0 {
-				c.traceRegOverwrite(w, lane, t, in.Dst)
+			if g.tracer != nil && w.st.taint[lane] != 0 {
+				c.traceRegOverwrite(w, lane, in.Dst)
 			}
 		}
 		return g.cfg.ALULatency
@@ -28,31 +33,35 @@ func (c *core) execute(w *warp, in *isa.Instr, eff uint32) int {
 		if g.access != nil && eff != 0 {
 			c.noteALUReads(in)
 		}
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<uint(lane)) == 0 {
-				continue
+		st := w.st
+		b := st.src(in.SrcB)
+		if in.HasImm {
+			var imm isa.Row
+			for l := range imm {
+				imm[l] = uint32(in.Imm)
 			}
-			t := w.threads[lane]
-			a := t.readReg(in.SrcA)
-			var b uint32
-			if in.HasImm {
-				b = uint32(in.Imm)
-			} else {
-				b = t.readReg(in.SrcB)
+			b = &imm
+		}
+		// A *SETP leaves dst alone; a register write to RZ or past the
+		// allocation lands in a row nobody reads.
+		writesPred := in.Op.WritesPred()
+		var dst *isa.Row
+		if !writesPred {
+			if dst = st.dst(in.Dst); dst == nil {
+				dst = new(isa.Row)
 			}
-			cc := t.readReg(in.SrcC)
-			val, pred, ok := isa.EvalALU(in.Op, in.Cond, a, b, cc, t.readPred(in.PSrc))
-			if !ok {
-				// Validated programs never reach this; treat as NOP.
-				continue
+		}
+		pred, ok := isa.EvalWarp(in.Op, in.Cond, eff, dst, st.src(in.SrcA), b, st.src(in.SrcC), st.pred(in.PSrc))
+		if ok { // validated programs always are; anything else is a NOP
+			if writesPred && in.PDst < isa.NumPreds {
+				st.preds[in.PDst] = st.preds[in.PDst]&^eff | pred
 			}
-			if in.Op.WritesPred() {
-				t.writePred(in.PDst, pred)
-			} else {
-				t.writeReg(in.Dst, val)
-			}
-			if g.tracer != nil && t.taint != 0 {
-				c.traceALU(w, lane, t, in, in.Op.WritesPred())
+			if g.tracer != nil {
+				for m := eff; m != 0; m &= m - 1 {
+					if lane := firstLane(m); st.taint[lane] != 0 {
+						c.traceALU(w, lane, in, writesPred)
+					}
+				}
 			}
 		}
 		if in.Op.Class() == isa.ClassSFU {
@@ -62,15 +71,19 @@ func (c *core) execute(w *warp, in *isa.Instr, eff uint32) int {
 	}
 }
 
-// specialReg returns the value of a special register for a thread.
-func (c *core) specialReg(w *warp, t *thread, lane int, sr isa.SReg) uint32 {
+// firstLane returns the lowest lane of a non-empty mask; `for m := mask;
+// m != 0; m &= m - 1` visits a mask's lanes in lane order with it.
+func firstLane(m uint32) int { return bits.TrailingZeros32(m) & (isa.WarpSize - 1) }
+
+// specialReg returns the value of a special register for a lane.
+func (c *core) specialReg(w *warp, lane int, sr isa.SReg) uint32 {
 	g := c.gpu
 	ctaID := w.cta.id
 	switch sr {
 	case isa.SRTidX:
-		return uint32(t.tidX)
+		return uint32(w.lanes.tidX[lane])
 	case isa.SRTidY:
-		return uint32(t.tidY)
+		return uint32(w.lanes.tidY[lane])
 	case isa.SRCtaidX:
 		return uint32(ctaID % g.curGrid.X)
 	case isa.SRCtaidY:
@@ -88,7 +101,7 @@ func (c *core) specialReg(w *warp, t *thread, lane int, sr isa.SReg) uint32 {
 	case isa.SRWarpID:
 		return uint32(w.slot)
 	case isa.SRGtid:
-		return uint32(t.gtid)
+		return uint32(w.lanes.gtid[lane])
 	}
 	return 0
 }
@@ -100,7 +113,9 @@ const lineServiceInterval = 4
 // executeMem performs a warp memory instruction: per-lane address
 // generation, validation (violations abort the launch — the Crash
 // outcome), line coalescing, cache routing with the configured policies,
-// and data movement.
+// and data movement. The opcode is decoded once; every lane is validated
+// before any line changes state, so a faulting lane — the first in lane
+// order — leaves the caches as it found them.
 func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 	g := c.gpu
 	if eff == 0 {
@@ -134,15 +149,7 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 			cost = g.cfg.L1C.HitCycles + below
 			v = c.l1c.LoadWord(addr)
 		}
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<uint(lane)) != 0 {
-				t := w.threads[lane]
-				t.writeReg(in.Dst, v)
-				if g.tracer != nil && t.taint != 0 {
-					c.traceRegOverwrite(w, lane, t, in.Dst)
-				}
-			}
-		}
+		c.broadcastLoad(w, in.Dst, eff, v)
 		return cost
 
 	case isa.OpLDS, isa.OpSTS:
@@ -156,79 +163,57 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 		}
 	}
 
-	// Per-lane effective addresses.
-	var addrs [32]uint32
-	for lane := 0; lane < 32; lane++ {
-		if eff&(1<<uint(lane)) == 0 {
-			continue
-		}
-		t := w.threads[lane]
-		addr := t.readReg(in.SrcA) + uint32(in.Imm)
-		switch in.Op {
-		case isa.OpLDL, isa.OpSTL:
-			// Local space: per-thread offset, translated into the carved
-			// DRAM region (paper: local memory resides in device memory).
-			if addr%4 != 0 {
-				c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
-					Addr: addr, Space: "local"})
-				return 0
-			}
-			if uint64(addr)+4 > uint64(g.localStep) && !g.cfg.LenientMemory {
-				c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
-					Addr: addr, Space: "local"})
-				return 0
-			}
-			addr = t.localBase + addr
-		default:
-			if addr%4 != 0 {
-				c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
-					Addr: addr, Space: "global"})
-				return 0
-			}
-			if !g.mem.Valid(addr, 4) && !g.cfg.LenientMemory {
-				c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
-					Addr: addr, Space: "global"})
-				return 0
-			}
-		}
-		addrs[lane] = addr
-	}
-
-	local := in.Op == isa.OpLDL || in.Op == isa.OpSTL
-	texture := in.Op == isa.OpTLD
-
 	// First-level cache for this access (Table II routing).
-	var l1 *cache.Cache
-	switch {
-	case texture:
+	l1 := c.l1d // may be nil (Kepler): access goes straight to L2
+	if in.Op == isa.OpTLD {
 		l1 = c.l1t
-	default:
-		l1 = c.l1d // may be nil (Kepler): access goes straight to L2
+	}
+	lineMask := uint32(g.cfg.L2.LineBytes - 1)
+	if l1 != nil {
+		lineMask = uint32(l1.Geometry().LineBytes - 1)
 	}
 
-	// Coalesce into line transactions, preserving lane order. A linear
-	// dedup keeps first-occurrence order (at most 32 candidates) without
-	// allocating, which both engines and the deferred records rely on.
-	lineSize := uint32(g.cfg.L2.LineBytes)
-	if l1 != nil {
-		lineSize = uint32(l1.Geometry().LineBytes)
-	}
-	var lineBuf [32]uint32
+	// One pass over the active lanes: effective address, validation, and
+	// coalescing into line transactions in first-occurrence order.
+	local := in.Op == isa.OpLDL || in.Op == isa.OpSTL
+	base, imm := w.st.src(in.SrcA), uint32(in.Imm)
+	var addrs, lineBuf [isa.WarpSize]uint32
 	lines := lineBuf[:0]
-	for lane := 0; lane < 32; lane++ {
-		if eff&(1<<uint(lane)) == 0 {
-			continue
-		}
-		la := addrs[lane] &^ (lineSize - 1)
-		dup := false
-		for _, x := range lines {
-			if x == la {
-				dup = true
-				break
+	if local {
+		// Local space: per-thread offset, translated into the carved DRAM
+		// region (paper: local memory resides in device memory).
+		for m := eff; m != 0; m &= m - 1 {
+			lane := firstLane(m)
+			addr := base[lane] + imm
+			if addr%4 != 0 || (uint64(addr)+4 > uint64(g.localStep) && !g.cfg.LenientMemory) {
+				c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
+					Addr: addr, Space: "local"})
+				return 0
 			}
+			addr += w.lanes.localBase[lane]
+			addrs[lane] = addr
+			lines = coalesce(lines, addr&^lineMask)
 		}
-		if !dup {
-			lines = append(lines, la)
+	} else {
+		// Neighbouring lanes almost always address one allocation: test
+		// each against the extent the previous lane matched, and search
+		// the allocation table again only when it falls outside.
+		var lo, hi uint32
+		for m := eff; m != 0; m &= m - 1 {
+			lane := firstLane(m)
+			addr := base[lane] + imm
+			ok := addr%4 == 0
+			if ok && !g.cfg.LenientMemory && (addr < lo || uint64(addr)+4 > uint64(hi)) {
+				lo, hi, ok = g.mem.Extent(addr)
+				ok = ok && uint64(addr)+4 <= uint64(hi)
+			}
+			if !ok {
+				c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
+					Addr: addr, Space: "global"})
+				return 0
+			}
+			addrs[lane] = addr
+			lines = coalesce(lines, addr&^lineMask)
 		}
 	}
 
@@ -242,61 +227,102 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 		m := &pi.mem
 		m.kind = pmData
 		m.in, m.eff, m.l1 = in, eff, l1
-		m.isLoad = in.Op.IsLoad()
 		m.addrs = addrs
 		m.nLines = copy(m.lines[:], lines)
-		if !m.isLoad {
-			m.mode = cache.ModeGlobal
-			if local {
-				m.mode = cache.ModeLocal
-			}
-			for lane := 0; lane < 32; lane++ {
-				if eff&(1<<uint(lane)) != 0 {
-					m.data[lane] = w.threads[lane].readReg(in.SrcC)
-				}
-			}
+		if !in.Op.IsLoad() {
+			m.data = *w.st.src(in.SrcC)
 		}
 		return 0
 	}
-
-	maxCost := 0
 	if in.Op.IsLoad() {
-		for _, la := range lines {
-			cost := c.lineRead(l1, la)
-			if cost > maxCost {
-				maxCost = cost
+		return c.loadLines(w, in, eff, l1, lines, &addrs)
+	}
+	return c.storeLines(w, in, eff, l1, lines, &addrs, w.st.src(in.SrcC))
+}
+
+// coalesce appends line address la to a warp instruction's transactions
+// unless it is already among them. The linear dedup keeps first-occurrence
+// order (at most 32 candidates) without allocating, which both engines and
+// the deferred records rely on; a lane on its predecessor's line, the
+// common case, stops at the first comparison.
+func coalesce(lines []uint32, la uint32) []uint32 {
+	for i := len(lines) - 1; i >= 0; i-- {
+		if lines[i] == la {
+			return lines
+		}
+	}
+	return append(lines, la)
+}
+
+// broadcastLoad writes v to register r of every lane in eff (LDC).
+func (c *core) broadcastLoad(w *warp, r uint8, eff uint32, v uint32) {
+	dst := w.st.dst(r)
+	for m := eff; m != 0; m &= m - 1 {
+		lane := firstLane(m)
+		if dst != nil {
+			dst[lane] = v
+		}
+		if c.gpu.tracer != nil && w.st.taint[lane] != 0 {
+			c.traceRegOverwrite(w, lane, r)
+		}
+	}
+}
+
+// loadLines is the shared-state half of a global/local/texture load: the
+// line transitions in first-occurrence order, then the words. Serial
+// stepping runs it at issue, parallel stepping at commit. Returns the
+// instruction's latency.
+func (c *core) loadLines(w *warp, in *isa.Instr, eff uint32, l1 *cache.Cache, lines []uint32, addrs *[isa.WarpSize]uint32) int {
+	maxCost := 0
+	for _, la := range lines {
+		if cost := c.lineRead(l1, la); cost > maxCost {
+			maxCost = cost
+		}
+	}
+	// Only now, with every fill of the instruction done, is it settled
+	// which lines are resident: a line a later fill evicted reads through.
+	if dst := w.st.dst(in.Dst); dst != nil {
+		words := l1
+		if words == nil {
+			words = c.gpu.l2
+		}
+		words.LoadWords(eff, addrs, (*[isa.WarpSize]uint32)(dst))
+	}
+	if tr := c.gpu.tracer; tr != nil {
+		for m := eff; m != 0; m &= m - 1 {
+			if lane := firstLane(m); w.st.taint[lane] != 0 || len(tr.memTaint) != 0 {
+				c.traceLoad(w, lane, in.Dst, addrs[lane])
 			}
 		}
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<uint(lane)) == 0 {
-				continue
-			}
-			v := c.wordRead(l1, addrs[lane])
-			t := w.threads[lane]
-			t.writeReg(in.Dst, v)
-			if tr := g.tracer; tr != nil && (t.taint != 0 || len(tr.memTaint) != 0) {
-				c.traceLoad(w, lane, t, in.Dst, addrs[lane])
-			}
+	}
+	return maxCost + (len(lines)-1)*lineServiceInterval
+}
+
+// storeLines is loadLines for a global/local store of data.
+func (c *core) storeLines(w *warp, in *isa.Instr, eff uint32, l1 *cache.Cache, lines []uint32, addrs *[isa.WarpSize]uint32, data *isa.Row) int {
+	local := in.Op == isa.OpSTL
+	mode := cache.ModeGlobal
+	if local {
+		mode = cache.ModeLocal
+	}
+	maxCost := 0
+	for _, la := range lines {
+		if cost := c.lineWrite(l1, la, mode); cost > maxCost {
+			maxCost = cost
 		}
-	} else {
-		mode := cache.ModeGlobal
-		if local {
-			mode = cache.ModeLocal
-		}
-		for _, la := range lines {
-			cost := c.lineWrite(l1, la, mode)
-			if cost > maxCost {
-				maxCost = cost
-			}
-		}
-		for lane := 0; lane < 32; lane++ {
-			if eff&(1<<uint(lane)) == 0 {
-				continue
-			}
-			t := w.threads[lane]
-			c.wordWrite(l1, addrs[lane], t.readReg(in.SrcC), mode)
-			if tr := g.tracer; tr != nil && (t.taint != 0 || len(tr.memTaint) != 0) {
-				c.traceStore(w, lane, t, in.SrcC, addrs[lane])
+	}
+	// A local store writes the L1 line its lineWrite allocated. Everything
+	// else — no L1, or a global store, written through below the (evicted)
+	// L1 line — lands in the L2.
+	words := c.gpu.l2
+	if l1 != nil && local {
+		words = l1
+	}
+	words.StoreWordsLocal(eff, addrs, (*[isa.WarpSize]uint32)(data))
+	if tr := c.gpu.tracer; tr != nil {
+		for m := eff; m != 0; m &= m - 1 {
+			if lane := firstLane(m); w.st.taint[lane] != 0 || len(tr.memTaint) != 0 {
+				c.traceStore(w, lane, in.SrcC, addrs[lane])
 			}
 		}
 	}
@@ -315,14 +341,6 @@ func (c *core) lineRead(l1 *cache.Cache, lineAddr uint32) int {
 		cost += c.gpu.l2QueueDelay(lineAddr) // the miss was serviced by an L2 bank
 	}
 	return cost
-}
-
-// wordRead returns the word for one lane (after lineRead made it resident).
-func (c *core) wordRead(l1 *cache.Cache, addr uint32) uint32 {
-	if l1 == nil {
-		return c.gpu.l2.LoadWord(addr)
-	}
-	return l1.LoadWord(addr)
 }
 
 // lineWrite performs the policy state transition for one stored line. A
@@ -356,63 +374,54 @@ func (c *core) lineWrite(l1 *cache.Cache, lineAddr uint32, mode cache.Mode) int 
 	return cost
 }
 
-// wordWrite routes one lane's store data according to the policy.
-func (c *core) wordWrite(l1 *cache.Cache, addr uint32, v uint32, mode cache.Mode) {
-	switch {
-	case l1 == nil:
-		c.gpu.l2.StoreWordLocal(addr, v)
-	case mode == cache.ModeLocal:
-		l1.StoreWordLocal(addr, v)
-	default:
-		// Global store: write-through below the (evicted) L1 line.
-		c.gpu.l2.StoreWordLocal(addr, v)
-	}
-}
-
-// sharedAccess performs LDS/STS against the CTA's shared memory.
+// sharedAccess performs LDS/STS against the CTA's shared memory. Lanes run
+// in order and the first bad address stops the instruction, the lanes
+// before it already done.
 func (c *core) sharedAccess(w *warp, in *isa.Instr, eff uint32) int {
 	g := c.gpu
-	if in.Op != isa.OpLDS && w.cta.sharedSmem {
+	load := in.Op == isa.OpLDS
+	if !load && w.cta.sharedSmem {
 		// An STS writes the CTA's shared memory: a COW fork CTA still
 		// aliasing the snapshot's bank gets its private copy first.
 		c.materializeSmem(w.cta)
 	}
 	if g.access != nil && eff != 0 {
 		c.noteRegRead(in.SrcA) // address operand
-		if in.Op != isa.OpLDS {
+		if !load {
 			c.noteRegRead(in.SrcC) // store data operand
 		}
 	}
 	smem := w.cta.smem
-	for lane := 0; lane < 32; lane++ {
-		if eff&(1<<uint(lane)) == 0 {
-			continue
-		}
-		t := w.threads[lane]
-		addr := t.readReg(in.SrcA) + uint32(in.Imm)
+	st := w.st
+	base, imm := st.src(in.SrcA), uint32(in.Imm)
+	reg := st.src(in.SrcC) // STS data
+	if load {
+		reg = st.dst(in.Dst) // nil: the loaded word is discarded
+	}
+	tr := g.tracer
+	for m := eff; m != 0; m &= m - 1 {
+		lane := firstLane(m)
+		addr := base[lane] + imm
 		if uint64(addr)+4 > uint64(len(smem)) || addr%4 != 0 {
 			c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
 				Addr: addr, Space: "shared"})
 			return 0
 		}
-		if in.Op == isa.OpLDS {
+		traced := tr != nil && (st.taint[lane] != 0 || len(tr.smemTaint) != 0)
+		if load {
 			if g.access != nil {
 				c.noteSmemRead(addr)
 			}
-			v := uint32(smem[addr]) | uint32(smem[addr+1])<<8 |
-				uint32(smem[addr+2])<<16 | uint32(smem[addr+3])<<24
-			t.writeReg(in.Dst, v)
-			if tr := g.tracer; tr != nil && (t.taint != 0 || len(tr.smemTaint) != 0) {
-				c.traceSharedLoad(w, lane, t, in.Dst, w.cta.id, addr)
+			if reg != nil {
+				reg[lane] = binary.LittleEndian.Uint32(smem[addr:])
+			}
+			if traced {
+				c.traceSharedLoad(w, lane, in.Dst, w.cta.id, addr)
 			}
 		} else {
-			v := t.readReg(in.SrcC)
-			smem[addr] = byte(v)
-			smem[addr+1] = byte(v >> 8)
-			smem[addr+2] = byte(v >> 16)
-			smem[addr+3] = byte(v >> 24)
-			if tr := g.tracer; tr != nil && (t.taint != 0 || len(tr.smemTaint) != 0) {
-				c.traceSharedStore(w, lane, t, in.SrcC, w.cta.id, addr)
+			binary.LittleEndian.PutUint32(smem[addr:], reg[lane])
+			if traced {
+				c.traceSharedStore(w, lane, in.SrcC, w.cta.id, addr)
 			}
 		}
 	}

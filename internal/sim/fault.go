@@ -2,10 +2,12 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 
 	"gpufi/internal/cache"
 	"gpufi/internal/config"
+	"gpufi/internal/isa"
 )
 
 // Injection-site selection counts the live candidates, draws one index
@@ -35,14 +37,15 @@ func (g *GPU) liveThreadAt(i int) (*warp, int) {
 			if w.exited {
 				continue
 			}
-			for lane, t := range w.threads {
-				if t != nil && t.valid && !t.exited {
-					if i == 0 {
-						return w, lane
-					}
-					i--
-				}
+			live := w.liveMask()
+			if n := bits.OnesCount32(live); i >= n {
+				i -= n
+				continue
 			}
+			for ; i > 0; i-- {
+				live &= live - 1
+			}
+			return w, firstLane(live)
 		}
 	}
 	return nil, -1
@@ -149,13 +152,15 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 		rec.Applied = true
 		return
 	}
-	flip := func(t *thread, pos int64) {
-		reg := int(pos / 32)
-		bit := uint(pos % 32)
-		if reg < len(t.regs) {
-			t.regs[reg] ^= 1 << bit
-			if g.tracer != nil {
-				g.tracer.seedReg(t, reg)
+	flip := func(w *warp, lane int) {
+		st := w.st
+		for _, pos := range positions {
+			reg := int(pos / 32)
+			if i := reg*isa.WarpSize + lane; i < len(st.regs) {
+				st.regs[i] ^= 1 << uint(pos%32)
+				if g.tracer != nil {
+					g.tracer.seedReg(st, lane, reg)
+				}
 			}
 		}
 	}
@@ -166,16 +171,11 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 			return
 		}
 		w := g.liveWarpAt(rng.Intn(n))
-		// Flipping register bits writes thread state: a COW fork warp
-		// still sharing the snapshot's slab gets its private copy first.
+		// Flipping register bits writes lane state: a COW fork warp still
+		// sharing the snapshot's gets its private copy first.
 		w.cta.core.materializeWarp(w)
-		for _, t := range w.threads {
-			if t == nil || !t.valid || t.exited {
-				continue
-			}
-			for _, pos := range positions {
-				flip(t, pos)
-			}
+		for m := w.liveMask(); m != 0; m &= m - 1 {
+			flip(w, firstLane(m))
 		}
 		rec.Applied = true
 		rec.Core = w.cta.core.id
@@ -189,17 +189,12 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 		return
 	}
 	w, lane := g.liveThreadAt(rng.Intn(n))
-	// Materialize before taking the thread pointer: the shared slab's
-	// pointer goes stale the moment the warp's slab becomes private.
 	w.cta.core.materializeWarp(w)
-	t := w.threads[lane]
-	for _, pos := range positions {
-		flip(t, pos)
-	}
+	flip(w, lane)
 	rec.Applied = true
 	rec.Core = w.cta.core.id
 	rec.Warp = w.slot
-	rec.Thread = t.gtid
+	rec.Thread = int(w.lanes.gtid[lane])
 	rec.Detail = fmt.Sprintf("regfile flip x%d", len(positions))
 }
 
@@ -216,12 +211,14 @@ func (g *GPU) injectLocal(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand)
 		rec.Applied = true
 		return
 	}
-	flip := func(t *thread, pos int64) {
-		byteOff := uint32(pos / 8)
-		if byteOff < g.localStep {
-			g.mem.FlipBit(t.localBase+byteOff, uint(pos%8))
-			if g.tracer != nil {
-				g.tracer.seedMem(t.localBase + byteOff)
+	flip := func(w *warp, lane int) {
+		base := w.lanes.localBase[lane]
+		for _, pos := range positions {
+			if byteOff := uint32(pos / 8); byteOff < g.localStep {
+				g.mem.FlipBit(base+byteOff, uint(pos%8))
+				if g.tracer != nil {
+					g.tracer.seedMem(base + byteOff)
+				}
 			}
 		}
 	}
@@ -232,13 +229,8 @@ func (g *GPU) injectLocal(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand)
 			return
 		}
 		w := g.liveWarpAt(rng.Intn(n))
-		for _, t := range w.threads {
-			if t == nil || !t.valid || t.exited {
-				continue
-			}
-			for _, pos := range positions {
-				flip(t, pos)
-			}
+		for m := w.liveMask(); m != 0; m &= m - 1 {
+			flip(w, firstLane(m))
 		}
 		rec.Applied = true
 		rec.Core = w.cta.core.id
@@ -252,14 +244,11 @@ func (g *GPU) injectLocal(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand)
 		return
 	}
 	w, lane := g.liveThreadAt(rng.Intn(n))
-	t := w.threads[lane]
-	for _, pos := range positions {
-		flip(t, pos)
-	}
+	flip(w, lane)
 	rec.Applied = true
 	rec.Core = w.cta.core.id
 	rec.Warp = w.slot
-	rec.Thread = t.gtid
+	rec.Thread = int(w.lanes.gtid[lane])
 	rec.Detail = fmt.Sprintf("local flip x%d", len(positions))
 }
 

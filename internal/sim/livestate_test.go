@@ -3,10 +3,13 @@ package sim
 import (
 	"crypto/sha256"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"os"
 	"strings"
 	"testing"
+
+	"gpufi/internal/isa"
 )
 
 // This file holds the scheduler's and the injector's cached live-state
@@ -32,8 +35,8 @@ func scanLiveThreads(c *core) int {
 		if w.exited {
 			continue
 		}
-		for _, t := range w.threads {
-			if t != nil && t.valid && !t.exited {
+		for lane := 0; lane < 32; lane++ {
+			if w.lanes.valid>>lane&1 != 0 && w.st.exited>>lane&1 == 0 {
 				n++
 			}
 		}
@@ -63,12 +66,46 @@ func (g *GPU) checkLiveState() error {
 		// behind EXIT. w.exited only rises and the live set only shrinks,
 		// so a step whose guarded check disagreed with the unguarded one
 		// leaves a warp whose flag and lanes disagree from then on.
+		resident := 0
 		for _, w := range c.warps {
 			if done := len(w.stack) == 0 || w.liveMask() == 0; done != w.exited {
 				return fmt.Errorf("cycle %d core %d warp %d: exited=%v but stack depth %d, live mask %08x",
 					g.cycle, c.id, w.slot, w.exited, len(w.stack), w.liveMask())
 			}
+			if err := checkLaneState(g, w); err != nil {
+				return fmt.Errorf("cycle %d core %d warp %d: %v", g.cycle, c.id, w.slot, err)
+			}
+			resident += bits.OnesCount32(w.lanes.valid)
 		}
+		if resident != c.usedThreads {
+			return fmt.Errorf("cycle %d core %d: valid lanes of resident warps %d, usedThreads %d",
+				g.cycle, c.id, resident, c.usedThreads)
+		}
+	}
+	return nil
+}
+
+// checkLaneState holds a warp's lane masks and register slab to each other:
+// only threads that exist can exit, only live threads can sit on the SIMT
+// stack (exitThreads clears an exiting lane from every level), the
+// always-true predicate stays all ones, and the slab has one 32-lane row per
+// allocated register.
+func checkLaneState(g *GPU, w *warp) error {
+	st := w.st
+	if st.exited&^w.lanes.valid != 0 {
+		return fmt.Errorf("exited mask %08x has lanes outside the valid mask %08x", st.exited, w.lanes.valid)
+	}
+	live := w.liveMask()
+	for i, e := range w.stack {
+		if e.mask&^live != 0 {
+			return fmt.Errorf("stack level %d mask %08x has lanes outside the live mask %08x", i, e.mask, live)
+		}
+	}
+	if st.preds[isa.PredPT] != ^uint32(0) {
+		return fmt.Errorf("PT predicate mask is %08x", st.preds[isa.PredPT])
+	}
+	if want := g.curProg.RegsPerThread * isa.WarpSize; len(st.regs) != want {
+		return fmt.Errorf("register slab holds %d words, want %d", len(st.regs), want)
 	}
 	return nil
 }
@@ -90,16 +127,17 @@ func CheckLiveStateEveryCycle(g *GPU, fail func(error)) {
 }
 
 // refLiveThreadRefs is the candidate list register-file and local-memory
-// injections used to build: every live thread with its warp and core.
-func refLiveThreadRefs(g *GPU) (threads []*thread, warps []*warp, cores []int) {
+// injections used to build: every live thread (by global thread id) with
+// its warp and core.
+func refLiveThreadRefs(g *GPU) (threads []int, warps []*warp, cores []int) {
 	for _, c := range g.cores {
 		for _, w := range c.warps {
 			if w.exited {
 				continue
 			}
-			for _, t := range w.threads {
-				if t != nil && t.valid && !t.exited {
-					threads = append(threads, t)
+			for lane := 0; lane < 32; lane++ {
+				if w.lanes.valid>>lane&1 != 0 && w.st.exited>>lane&1 == 0 {
+					threads = append(threads, int(w.lanes.gtid[lane]))
 					warps = append(warps, w)
 					cores = append(cores, c.id)
 				}
@@ -174,7 +212,7 @@ func refInjectionSite(g *GPU, spec *FaultSpec) InjectionRecord {
 			return rec
 		}
 		i := rng.Intn(len(threads))
-		rec.Applied, rec.Core, rec.Warp, rec.Thread = true, cores[i], warps[i].slot, threads[i].gtid
+		rec.Applied, rec.Core, rec.Warp, rec.Thread = true, cores[i], warps[i].slot, threads[i]
 		rec.Detail = fmt.Sprintf("%s flip x%d", name, nPos)
 	case StructShared:
 		var ctas []*cta

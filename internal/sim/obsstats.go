@@ -55,7 +55,7 @@ func observeRestore(d time.Duration) {
 
 // Copy-on-write fork accounting: how much state the delta sync protocol
 // actually moved versus what a deep clone would have, plus resident-state
-// (thread slab / shared memory) materialization counts. Pure observers —
+// (lane state / shared memory) materialization counts. Pure observers —
 // reading them never perturbs simulated state.
 var (
 	cowRestores     atomic.Int64

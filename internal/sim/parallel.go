@@ -56,16 +56,14 @@ const (
 // replay is insensitive to any later compute-phase work.
 type memPend struct {
 	kind    uint8
-	isLoad  bool
 	in      *isa.Instr
 	eff     uint32
 	l1      *cache.Cache // first-level cache for the access (nil: straight to L2)
-	mode    cache.Mode   // store routing mode (stores only)
 	nLines  int
-	lines   [32]uint32 // coalesced line addresses, first-occurrence order
-	addrs   [32]uint32 // per-lane effective addresses
-	data    [32]uint32 // per-lane store operands, read at compute time
-	ldcAddr uint32     // constant/parameter device address (pmLDC)
+	lines   [isa.WarpSize]uint32 // coalesced line addresses, first-occurrence order
+	addrs   [isa.WarpSize]uint32 // per-lane effective addresses
+	data    isa.Row              // the store operand row, read at compute time
+	ldcAddr uint32               // constant/parameter device address (pmLDC)
 }
 
 // pendInstr is one instruction's deferred shared-state effects, recorded
@@ -141,45 +139,18 @@ func (c *core) commitPend() {
 // global/local/texture access — the exact tail of executeMem.
 func (c *core) commitData(pi *pendInstr) int {
 	m := &pi.mem
-	maxCost := 0
-	if m.isLoad {
-		for _, la := range m.lines[:m.nLines] {
-			if cost := c.lineRead(m.l1, la); cost > maxCost {
-				maxCost = cost
-			}
-		}
-		for lane := 0; lane < 32; lane++ {
-			if m.eff&(1<<uint(lane)) == 0 {
-				continue
-			}
-			pi.w.threads[lane].writeReg(m.in.Dst, c.wordRead(m.l1, m.addrs[lane]))
-		}
-	} else {
-		for _, la := range m.lines[:m.nLines] {
-			if cost := c.lineWrite(m.l1, la, m.mode); cost > maxCost {
-				maxCost = cost
-			}
-		}
-		for lane := 0; lane < 32; lane++ {
-			if m.eff&(1<<uint(lane)) == 0 {
-				continue
-			}
-			c.wordWrite(m.l1, m.addrs[lane], m.data[lane], m.mode)
-		}
+	lines := m.lines[:m.nLines]
+	if m.in.Op.IsLoad() {
+		return c.loadLines(pi.w, m.in, m.eff, m.l1, lines, &m.addrs)
 	}
-	return maxCost + (m.nLines-1)*lineServiceInterval
+	return c.storeLines(pi.w, m.in, m.eff, m.l1, lines, &m.addrs, &m.data)
 }
 
 // commitLDC replays a deferred constant load through the L1C.
 func (c *core) commitLDC(pi *pendInstr) int {
 	m := &pi.mem
 	_, below := c.l1c.AccessRead(m.ldcAddr)
-	v := c.l1c.LoadWord(m.ldcAddr)
-	for lane := 0; lane < 32; lane++ {
-		if m.eff&(1<<uint(lane)) != 0 {
-			pi.w.threads[lane].writeReg(m.in.Dst, v)
-		}
-	}
+	c.broadcastLoad(pi.w, m.in.Dst, m.eff, c.l1c.LoadWord(m.ldcAddr))
 	return c.gpu.cfg.L1C.HitCycles + below
 }
 

@@ -520,7 +520,7 @@ func (k *KernelStats) clone() *KernelStats {
 }
 
 // clone deep-copies a SIMT core — caches wired over the new GPU's L2,
-// CTAs, warps (SIMT stacks, fetch state) and threads (registers,
+// CTAs, warps (SIMT stacks, fetch state) and their lane state (registers,
 // predicates) — preserving warp placement order and all back-references.
 func (c *core) clone(g *GPU) *core {
 	nc := &core{
@@ -648,11 +648,12 @@ func captureL1(dst **cache.Cache, src *cache.Cache, l2 cache.Backing, full bool,
 	}
 }
 
-// cloneResidentInto deep-copies c's resident CTAs, warps and threads into
-// nc, preserving warp scheduler order and all back-references. Threads and
-// their register files are slab-allocated per warp: a full RTX 2060 holds
-// ~30k resident threads, and one slab per warp instead of two small
-// objects per thread keeps campaign forks off the garbage collector.
+// cloneResidentInto deep-copies c's resident CTAs and warps into nc,
+// preserving warp scheduler order and all back-references. Warp structs,
+// lane states and register files are slab-allocated per CTA — a full RTX
+// 2060 holds ~1k resident warps, and a handful of slabs per CTA keeps
+// campaign forks off the garbage collector. The lane tables are immutable
+// and stay shared with c.
 func (c *core) cloneResidentInto(nc *core) {
 	if len(c.ctas) == 0 && len(c.warps) == 0 {
 		return
@@ -664,12 +665,29 @@ func (c *core) cloneResidentInto(nc *core) {
 		if len(b.smem) > 0 {
 			nb.smem = append([]byte(nil), b.smem...)
 		}
-		nb.warps = make([]*warp, 0, len(b.warps))
+		nRegs, nStack := 0, 0
 		for _, w := range b.warps {
-			nw := &warp{
+			nRegs += len(w.st.regs)
+			nStack += len(w.stack)
+		}
+		nb.warps = make([]*warp, len(b.warps))
+		warps := make([]warp, len(b.warps))
+		states := make([]laneState, len(b.warps))
+		regs := make([]uint32, 0, nRegs)
+		stacks := make([]stackEntry, 0, nStack)
+		for i, w := range b.warps {
+			st := &states[i]
+			*st = *w.st
+			regs = append(regs, w.st.regs...)
+			st.regs = regs[len(regs)-len(w.st.regs) : len(regs) : len(regs)]
+			stacks = append(stacks, w.stack...)
+			nw := &warps[i]
+			*nw = warp{
 				cta:        nb,
 				slot:       w.slot,
-				stack:      append([]stackEntry(nil), w.stack...),
+				lanes:      w.lanes,
+				st:         st,
+				stack:      stacks[len(stacks)-len(w.stack) : len(stacks) : len(stacks)],
 				busyUntil:  w.busyUntil,
 				atBarrier:  w.atBarrier,
 				exited:     w.exited,
@@ -677,26 +695,7 @@ func (c *core) cloneResidentInto(nc *core) {
 				fetchLine:  w.fetchLine,
 				fetchValid: w.fetchValid,
 			}
-			nThreads, nRegs := 0, 0
-			for _, t := range w.threads {
-				if t != nil {
-					nThreads++
-					nRegs += len(t.regs)
-				}
-			}
-			slab := make([]thread, 0, nThreads)
-			regs := make([]uint32, 0, nRegs)
-			for lane, t := range w.threads {
-				if t == nil {
-					continue
-				}
-				slab = append(slab, *t)
-				nt := &slab[len(slab)-1]
-				regs = append(regs, t.regs...)
-				nt.regs = regs[len(regs)-len(t.regs) : len(regs) : len(regs)]
-				nw.threads[lane] = nt
-			}
-			nb.warps = append(nb.warps, nw)
+			nb.warps[i] = nw
 			wmap[w] = nw
 		}
 		nc.ctas = append(nc.ctas, nb)

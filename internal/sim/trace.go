@@ -201,7 +201,7 @@ func (tr *Tracer) emit(ev TraceEvent) {
 	tr.dropped++
 }
 
-// regBit maps a register index onto the thread's 64-bit taint mask;
+// regBit maps a register index onto the lane's 64-bit taint word;
 // registers past 63 share the top bit (a documented approximation).
 func regBit(r uint8) uint64 {
 	if r >= 63 {
@@ -210,15 +210,18 @@ func regBit(r uint8) uint64 {
 	return 1 << r
 }
 
-// taintedReg reports whether register r of thread t is tainted.
-func (t *thread) taintedReg(r uint8) bool {
-	if r == isa.RegRZ || int(r) >= len(t.regs) {
-		return false
-	}
-	return t.taint&regBit(r) != 0
+// allocated reports whether r names a register the warp's threads hold (RZ
+// and indices past the allocation do not, and carry no taint).
+func (s *laneState) allocated(r uint8) bool { return s.dst(r) != nil }
+
+// taintedReg reports whether register r of the lane's thread is tainted.
+func (s *laneState) taintedReg(lane int, r uint8) bool {
+	return s.allocated(r) && s.taint[lane]&regBit(r) != 0
 }
 
-func cellReg(t *thread, r uint8) string   { return fmt.Sprintf("r%d@t%d", r, t.gtid) }
+func cellReg(w *warp, lane int, r uint8) string {
+	return fmt.Sprintf("r%d@t%d", r, w.lanes.gtid[lane])
+}
 func cellMem(addr uint32) string          { return fmt.Sprintf("mem[%#x]", addr&^3) }
 func cellSmem(cta int, off uint32) string { return fmt.Sprintf("smem[%#x]@cta%d", off&^3, cta) }
 
@@ -232,15 +235,12 @@ func (tr *Tracer) injectEvent(cycle uint64, structure string, coreID, warp int, 
 	})
 }
 
-// seedReg marks register reg of thread t as corrupted at injection time
-// (no event: the inject record covers the seeds).
-func (tr *Tracer) seedReg(t *thread, reg int) {
-	if reg < 0 || reg >= len(t.regs) {
-		return
-	}
+// seedReg marks allocated register reg of a lane as corrupted at injection
+// time (no event: the inject record covers the seeds).
+func (tr *Tracer) seedReg(st *laneState, lane, reg int) {
 	b := regBit(uint8(reg))
-	if t.taint&b == 0 {
-		t.taint |= b
+	if st.taint[lane]&b == 0 {
+		st.taint[lane] |= b
 		tr.cells++
 		tr.live++
 	}
@@ -294,37 +294,38 @@ func (tr *Tracer) readCell(s traceSite, cell string) {
 
 // taintReg propagates taint into a destination register; a newly tainted
 // cell emits a hop event.
-func (tr *Tracer) taintReg(t *thread, r uint8, s traceSite, kind string) {
-	if r == isa.RegRZ || int(r) >= len(t.regs) {
+func (tr *Tracer) taintReg(w *warp, r uint8, s traceSite, kind string) {
+	st := w.st
+	if !st.allocated(r) {
 		return
 	}
 	b := regBit(r)
-	if t.taint&b != 0 {
+	if st.taint[s.lane]&b != 0 {
 		return
 	}
-	t.taint |= b
+	st.taint[s.lane] |= b
 	tr.cells++
 	tr.live++
 	tr.hops++
 	tr.emit(TraceEvent{
 		Ev: "taint", Cycle: s.cycle,
 		Core: s.core, Warp: s.warp, Lane: s.lane, PC: s.pc,
-		Kind: kind, Cell: cellReg(t, r),
+		Kind: kind, Cell: cellReg(w, s.lane, r),
 	})
 }
 
 // clearReg records a clean overwrite of a tainted register.
-func (tr *Tracer) clearReg(t *thread, r uint8, s traceSite) {
-	if !t.taintedReg(r) {
+func (tr *Tracer) clearReg(w *warp, r uint8, s traceSite) {
+	if !w.st.taintedReg(s.lane, r) {
 		return
 	}
-	t.taint &^= regBit(r)
+	w.st.taint[s.lane] &^= regBit(r)
 	tr.live--
 	tr.overwrites++
 	tr.emit(TraceEvent{
 		Ev: "clear", Cycle: s.cycle,
 		Core: s.core, Warp: s.warp, Lane: s.lane, PC: s.pc,
-		Kind: "overwrite", Cell: cellReg(t, r),
+		Kind: "overwrite", Cell: cellReg(w, s.lane, r),
 	})
 }
 
@@ -426,55 +427,55 @@ func (c *core) site(w *warp, lane int) traceSite {
 // traceALU propagates taint for one lane of a non-memory instruction:
 // a tainted source is a read (and taints the destination); an untainted
 // write over a tainted destination clears it.
-func (c *core) traceALU(w *warp, lane int, t *thread, in *isa.Instr, wrotePred bool) {
-	tr := c.gpu.tracer
+func (c *core) traceALU(w *warp, lane int, in *isa.Instr, wrotePred bool) {
+	tr, st := c.gpu.tracer, w.st
 	var src uint8
 	switch {
-	case t.taintedReg(in.SrcA):
+	case st.taintedReg(lane, in.SrcA):
 		src = in.SrcA
-	case !in.HasImm && t.taintedReg(in.SrcB):
+	case !in.HasImm && st.taintedReg(lane, in.SrcB):
 		src = in.SrcB
-	case t.taintedReg(in.SrcC):
+	case st.taintedReg(lane, in.SrcC):
 		src = in.SrcC
 	default:
 		if !wrotePred {
-			tr.clearReg(t, in.Dst, c.site(w, lane))
+			tr.clearReg(w, in.Dst, c.site(w, lane))
 		}
 		return
 	}
 	s := c.site(w, lane)
-	tr.readCell(s, cellReg(t, src))
+	tr.readCell(s, cellReg(w, lane, src))
 	if !wrotePred {
-		tr.taintReg(t, in.Dst, s, "reg->reg")
+		tr.taintReg(w, in.Dst, s, "reg->reg")
 	}
 }
 
 // traceRegOverwrite handles destinations written from untainted sources
 // outside the ALU path (S2R special registers, LDC parameter loads).
-func (c *core) traceRegOverwrite(w *warp, lane int, t *thread, r uint8) {
-	c.gpu.tracer.clearReg(t, r, c.site(w, lane))
+func (c *core) traceRegOverwrite(w *warp, lane int, r uint8) {
+	c.gpu.tracer.clearReg(w, r, c.site(w, lane))
 }
 
 // traceLoad propagates taint for one lane of a global/local/texture load.
-func (c *core) traceLoad(w *warp, lane int, t *thread, dst uint8, addr uint32) {
+func (c *core) traceLoad(w *warp, lane int, dst uint8, addr uint32) {
 	tr := c.gpu.tracer
 	if tr.memTainted(addr) {
 		s := c.site(w, lane)
 		tr.readCell(s, cellMem(addr))
-		tr.taintReg(t, dst, s, "mem->reg")
+		tr.taintReg(w, dst, s, "mem->reg")
 		return
 	}
-	if t.taint != 0 {
-		tr.clearReg(t, dst, c.site(w, lane))
+	if w.st.taint[lane] != 0 {
+		tr.clearReg(w, dst, c.site(w, lane))
 	}
 }
 
 // traceStore propagates taint for one lane of a global/local store.
-func (c *core) traceStore(w *warp, lane int, t *thread, src uint8, addr uint32) {
+func (c *core) traceStore(w *warp, lane int, src uint8, addr uint32) {
 	tr := c.gpu.tracer
-	if t.taintedReg(src) {
+	if w.st.taintedReg(lane, src) {
 		s := c.site(w, lane)
-		tr.readCell(s, cellReg(t, src))
+		tr.readCell(s, cellReg(w, lane, src))
 		tr.taintMem(addr, s, "reg->mem")
 		return
 	}
@@ -484,25 +485,25 @@ func (c *core) traceStore(w *warp, lane int, t *thread, src uint8, addr uint32) 
 }
 
 // traceSharedLoad propagates taint for one lane of an LDS.
-func (c *core) traceSharedLoad(w *warp, lane int, t *thread, dst uint8, cta int, off uint32) {
+func (c *core) traceSharedLoad(w *warp, lane int, dst uint8, cta int, off uint32) {
 	tr := c.gpu.tracer
 	if tr.smemTainted(cta, off) {
 		s := c.site(w, lane)
 		tr.readCell(s, cellSmem(cta, off))
-		tr.taintReg(t, dst, s, "smem->reg")
+		tr.taintReg(w, dst, s, "smem->reg")
 		return
 	}
-	if t.taint != 0 {
-		tr.clearReg(t, dst, c.site(w, lane))
+	if w.st.taint[lane] != 0 {
+		tr.clearReg(w, dst, c.site(w, lane))
 	}
 }
 
 // traceSharedStore propagates taint for one lane of an STS.
-func (c *core) traceSharedStore(w *warp, lane int, t *thread, src uint8, cta int, off uint32) {
+func (c *core) traceSharedStore(w *warp, lane int, src uint8, cta int, off uint32) {
 	tr := c.gpu.tracer
-	if t.taintedReg(src) {
+	if w.st.taintedReg(lane, src) {
 		s := c.site(w, lane)
-		tr.readCell(s, cellReg(t, src))
+		tr.readCell(s, cellReg(w, lane, src))
 		tr.taintSmem(cta, off, s, "reg->smem")
 		return
 	}
