@@ -335,19 +335,11 @@ func EvalALU(op Op, cond Cond, a, b, c uint32, selPred bool) (val uint32, pred, 
 //
 // The opcode is decoded once per call, not once per lane. Operations are
 // pure and cannot trap, so a partial mask evaluates all 32 lanes into a
-// scratch row and merges the active ones — except on the special-function
-// unit, where a lane costs enough that only the active ones are computed.
+// scratch row and merges the active ones.
 func EvalWarp(op Op, cond Cond, mask uint32, dst, a, b, c *Row, sel uint32) (pred uint32, ok bool) {
 	if mask == fullMask || op.WritesPred() {
 		pred, ok = evalRows(op, cond, dst, a, b, c, sel)
 		return pred & mask, ok
-	}
-	if op.Class() == ClassSFU {
-		for m := mask; m != 0; m &= m - 1 {
-			l := bits.TrailingZeros32(m) & (WarpSize - 1)
-			dst[l], _, _ = EvalALU(op, cond, a[l], b[l], c[l], false)
-		}
-		return 0, true
 	}
 	var tmp Row
 	if _, ok = evalRows(op, cond, &tmp, a, b, c, sel); ok {

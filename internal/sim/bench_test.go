@@ -161,12 +161,23 @@ func BenchmarkWarpInstr(b *testing.B) {
 	AND   R15, R6, R7
 	FADD  R16, R8, R9
 `
+	const sfuMix = `
+	FSQRT R11, R8
+	FRCP  R12, R9
+	FEXP  R13, R8
+	FLOG  R14, R9
+	FDIV  R15, R8, R9
+	IDIV  R16, R7, R6
+`
 	for _, bc := range []struct {
 		name, body string
 		mask       uint32
 	}{
 		{"alu-full", aluMix, 0xFFFFFFFF},
 		{"alu-partial", aluMix, 0x0F0F3355},
+		{"alu-empty", aluMix, 0},
+		{"sfu-full", sfuMix, 0xFFFFFFFF},
+		{"sfu-partial", sfuMix, 0x0F0F3355},
 		{"setp-guarded", "@P1\tISETP.LT P0, R6, R7\n@!P1\tFSETP.GE P2, R8, R9", 0xFFFFFFFF},
 		{"ld-coalesced", "LDG R11, [R2]", 0xFFFFFFFF},
 		{"ld-uniform", "LDG R11, [R3]", 0xFFFFFFFF},

@@ -30,7 +30,14 @@ func (c *core) execute(w *warp, in *isa.Instr, eff uint32) int {
 		}
 		return g.cfg.ALULatency
 	default:
-		if g.access != nil && eff != 0 {
+		latency := g.cfg.ALULatency
+		if in.Op.Class() == isa.ClassSFU {
+			latency = g.cfg.SFULatency
+		}
+		if eff == 0 { // predicated off in every lane: issues, changes nothing
+			return latency
+		}
+		if g.access != nil {
 			c.noteALUReads(in)
 		}
 		st := w.st
@@ -64,10 +71,7 @@ func (c *core) execute(w *warp, in *isa.Instr, eff uint32) int {
 				}
 			}
 		}
-		if in.Op.Class() == isa.ClassSFU {
-			return g.cfg.SFULatency
-		}
-		return g.cfg.ALULatency
+		return latency
 	}
 }
 

@@ -339,10 +339,17 @@ func TestExecuteMatchesScalar(t *testing.T) {
 					n++
 					fill(got)
 					fill(want)
-					got.c.execute(got.w, &in, mask)
+					latency := got.c.execute(got.w, &in, mask)
 					refExecuteALU(want.w, &in, mask)
 					if err := diffRigs(got, want); err != nil {
 						t.Fatalf("%s (HasImm=%v) mask %08x: %v", in.String(), in.HasImm, mask, err)
+					}
+					wantLatency := got.g.cfg.ALULatency
+					if op.Class() == isa.ClassSFU {
+						wantLatency = got.g.cfg.SFULatency
+					}
+					if latency != wantLatency {
+						t.Fatalf("%s mask %08x: latency %d, want %d", in.String(), mask, latency, wantLatency)
 					}
 				}
 			}
