@@ -143,52 +143,25 @@ func New(geom *config.Cache, backing Backing) *Cache {
 
 // Clone returns a deep copy of the cache — tags, data, dirty bits, LRU
 // state, armed fault hooks and statistics — wired over the given backing
-// level. Only valid lines' data is copied: an invalid line's contents are
-// unobservable (lookup requires the valid bit, fill overwrites the data
-// before setting it, and InjectBit masks on invalid lines), so the zeroed
-// arena is equivalent and the copy cost tracks occupancy, not capacity.
-// This is what keeps campaign forks cheap.
+// level: empty storage filled by the one copy routine.
 func (c *Cache) Clone(backing Backing) *Cache {
-	n := &Cache{
-		geom:      c.geom,
-		backing:   backing,
-		lines:     make([]line, len(c.lines)),
-		arena:     make([]byte, len(c.arena)),
-		useCtr:    c.useCtr,
-		stats:     c.stats,
-		lineShift: c.lineShift,
-		setMask:   c.setMask,
-		tagShift:  c.tagShift,
-		tagMask:   c.tagMask,
-		resident:  newLineSet(len(c.lines)),
-	}
-	copy(n.lines, c.lines)
-	n.resident.copyFrom(c.resident)
-	lb := c.geom.LineBytes
-	for i := range n.lines {
-		n.lines[i].data = n.arena[i*lb : (i+1)*lb : (i+1)*lb]
-	}
-	// Hooks only ever sit on valid lines (InjectBit masks on invalid ones,
-	// every invalidation disarms), so the resident walk covers them too.
-	c.resident.rangeSet(func(i int) {
-		copy(n.lines[i].data, c.lines[i].data)
-		if hb := c.lines[i].hookBits; len(hb) > 0 {
-			n.lines[i].hookBits = append([]uint16(nil), hb...)
-		}
-	})
+	n := New(c.geom, backing)
+	n.CopyFrom(c, backing) // same geometry: cannot fail
 	return n
 }
 
 // CopyFrom makes c a deep copy of src (same geometry) wired over the given
-// backing level, reusing c's existing line and arena storage. Campaign
-// forks restore hundreds of snapshots; reuse turns each restore into plain
-// memmoves instead of multi-megabyte zeroed allocations. As in Clone, only
-// valid lines' data is copied — whatever c's arena held for lines invalid
-// in src is unobservable. A geometry mismatch returns a typed *Error so
-// the caller can fall back to a fresh Clone instead of panicking.
-func (c *Cache) CopyFrom(src *Cache, backing Backing) error {
+// backing level, reusing c's line and arena storage, and returns how many
+// lines it moved. It visits the lines resident on either side and no
+// others: a line valid on neither side has a zero header on both (clearLine)
+// and data nothing can observe — lookup requires the valid bit, victim takes
+// an invalid way by index, fill overwrites the data before setting the bit,
+// and InjectBit masks on invalid lines — so the copy costs what the two
+// caches hold, not what the geometry could. A geometry mismatch returns a
+// typed *Error so the caller can rebuild the cache instead of panicking.
+func (c *Cache) CopyFrom(src *Cache, backing Backing) (int, error) {
 	if c.geom != src.geom && *c.geom != *src.geom {
-		return &Error{Op: "restore", Reason: fmt.Sprintf(
+		return 0, &Error{Op: "restore", Reason: fmt.Sprintf(
 			"CopyFrom with mismatched geometry (%d/%d/%d into %d/%d/%d)",
 			src.geom.Sets, src.geom.Ways, src.geom.LineBytes,
 			c.geom.Sets, c.geom.Ways, c.geom.LineBytes)}
@@ -196,24 +169,42 @@ func (c *Cache) CopyFrom(src *Cache, backing Backing) error {
 	c.backing = backing
 	c.useCtr = src.useCtr
 	c.stats = src.stats
-	for i := range c.lines {
-		d := c.lines[i].data
-		c.lines[i] = src.lines[i]
-		c.lines[i].data = d
-		if src.lines[i].valid {
-			copy(d, src.lines[i].data)
-		}
-		if hb := src.lines[i].hookBits; len(hb) > 0 {
-			c.lines[i].hookBits = append([]uint16(nil), hb...)
+	moved := 0
+	for w, word := range src.resident.bits {
+		for word |= c.resident.bits[w]; word != 0; word &= word - 1 {
+			c.copyLine(src, w<<6+bits.TrailingZeros64(word))
+			moved++
 		}
 	}
-	c.resident.copyFrom(src.resident)
 	// A verbatim copy redefines c's content: drop any delta-sync provenance
 	// so stale touched state cannot be mistaken for a valid delta later.
 	// RestoreFrom/CaptureFrom re-establish it when appropriate.
 	c.syncSrc, c.syncVer = nil, 0
 	c.epoch++
-	return nil
+	return moved, nil
+}
+
+// Reset empties the cache and rewires it over backing: every resident line
+// invalidated without write-back, statistics and the LRU clock zeroed, sync
+// provenance dropped. What is left cannot be told from New(geom, backing),
+// at the cost of the lines that were resident.
+func (c *Cache) Reset(backing Backing) {
+	c.backing = backing
+	c.useCtr = 0
+	c.stats = Stats{}
+	c.resident.rangeSet(c.clearLine)
+	c.resident.clear()
+	c.Detach()
+	c.epoch++ // content redefined: a cache still synced to c takes the full path
+}
+
+// Detach drops everything that ties c to another cache or to a sync point:
+// the source it mirrored, its touched set and the last capture's delta.
+// Storage parked for a later owner must not keep the previous owner's
+// snapshot template reachable. Contents are untouched.
+func (c *Cache) Detach() {
+	c.touched, c.lastDelta = nil, nil
+	c.syncSrc, c.syncVer = nil, 0
 }
 
 // Stats returns a copy of the event counters.
@@ -306,11 +297,24 @@ func (c *Cache) evict(idx int) int {
 			cost += c.backing.StoreLine(c.addrOf(set, l.tag), l.data)
 			c.stats.Writebacks++
 		}
-		c.markLine(idx)
-		l.valid, l.dirty = false, false
-		c.resident.unmark(idx)
+		c.invalidate(idx)
 	}
 	return cost
+}
+
+// clearLine returns line idx to the state New leaves it in: a zero header
+// over its slice of the arena. Every invalidation goes through it, so two
+// caches agree on a line that is valid in neither without comparing it.
+func (c *Cache) clearLine(idx int) {
+	c.lines[idx] = line{data: c.lines[idx].data}
+}
+
+// invalidate drops line idx from the cache (the caller has disarmed its
+// hooks and written it back if dirty).
+func (c *Cache) invalidate(idx int) {
+	c.clearLine(idx)
+	c.resident.unmark(idx)
+	c.markLine(idx)
 }
 
 // fill loads the line for addr into the victim way and returns (way,
@@ -366,10 +370,7 @@ func (c *Cache) AccessWrite(addr uint32, mode Mode) (bool, int, error) {
 			// line, as the paper specifies for write hits.
 			c.stats.Hits++
 			c.disarm(idx)
-			c.lines[idx].valid = false
-			c.lines[idx].dirty = false
-			c.resident.unmark(idx)
-			c.markLine(idx)
+			c.invalidate(idx)
 			return true, 0, nil
 		}
 		c.stats.Misses++ // write miss: no allocate, nothing happens here

@@ -411,7 +411,7 @@ func TestCopyFromGeometryMismatchReturnsError(t *testing.T) {
 	b := newFlat(1<<14, 1)
 	c := New(smallGeom(), b)
 	other := New(&config.Cache{Sets: 8, Ways: 2, LineBytes: 32, HitCycles: 1}, b)
-	err := c.CopyFrom(other, b)
+	_, err := c.CopyFrom(other, b)
 	var cerr *Error
 	if !errors.As(err, &cerr) {
 		t.Fatalf("mismatched CopyFrom returned %v, want *cache.Error", err)
@@ -420,7 +420,7 @@ func TestCopyFromGeometryMismatchReturnsError(t *testing.T) {
 		t.Errorf("error op = %q, want restore", cerr.Op)
 	}
 	// Same geometry must still copy cleanly.
-	if err := c.CopyFrom(New(smallGeom(), b), b); err != nil {
+	if _, err := c.CopyFrom(New(smallGeom(), b), b); err != nil {
 		t.Errorf("same-geometry CopyFrom failed: %v", err)
 	}
 }

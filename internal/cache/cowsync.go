@@ -47,7 +47,9 @@ func (s *lineSet) rangeSet(fn func(i int)) {
 	}
 }
 
-// SyncStats reports what one RestoreFrom/CaptureFrom moved.
+// SyncStats reports what one RestoreFrom/CaptureFrom moved. Full marks a
+// sync that could not use the touched sets and walked the resident lines of
+// both sides instead; the copied counts are what moved either way.
 type SyncStats struct {
 	UnitsCopied int // lines actually copied
 	UnitsTotal  int // lines in the cache
@@ -122,7 +124,9 @@ func (c *Cache) copyLine(src *Cache, i int) {
 // mirrored src at src's current epoch (or one epoch behind with
 // src.lastDelta available), and c's own mutations since then are in its
 // touched set. Unknown provenance, geometry mismatch handling, and
-// full=true behave like CopyFrom. The per-experiment fork-restore path.
+// full=true behave like CopyFrom, which is also how a cache that has never
+// mirrored anything (new, Reset or Detached storage) gets its baseline.
+// The per-experiment fork-restore path.
 func (c *Cache) RestoreFrom(src *Cache, backing Backing, full bool) (SyncStats, error) {
 	st := SyncStats{
 		UnitsTotal: len(src.lines),
@@ -132,10 +136,11 @@ func (c *Cache) RestoreFrom(src *Cache, backing Backing, full bool) (SyncStats, 
 	fast := !full && c.touched != nil && c.syncSrc == src &&
 		(c.syncVer == src.epoch || (c.syncVer+1 == src.epoch && src.lastDelta != nil))
 	if !fast {
-		if err := c.CopyFrom(src, backing); err != nil {
+		moved, err := c.CopyFrom(src, backing)
+		if err != nil {
 			return st, err
 		}
-		st.Full, st.UnitsCopied, st.BytesCopied = true, st.UnitsTotal, st.BytesTotal
+		st.Full, st.UnitsCopied, st.BytesCopied = true, moved, int64(moved)*lb
 		if full {
 			c.touched, c.syncSrc, c.syncVer = nil, nil, 0
 		} else {
@@ -176,10 +181,11 @@ func (c *Cache) CaptureFrom(src *Cache, backing Backing, full bool) (SyncStats, 
 	lb := int64(c.geom.LineBytes)
 	fast := !full && src.touched != nil && c.syncSrc == src && c.syncVer == src.epoch
 	if !fast {
-		if err := c.CopyFrom(src, backing); err != nil {
+		moved, err := c.CopyFrom(src, backing)
+		if err != nil {
 			return st, err
 		}
-		st.Full, st.UnitsCopied, st.BytesCopied = true, st.UnitsTotal, st.BytesTotal
+		st.Full, st.UnitsCopied, st.BytesCopied = true, moved, int64(moved)*lb
 		c.lastDelta = nil
 		c.epoch++
 		if full {

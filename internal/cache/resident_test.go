@@ -20,6 +20,46 @@ func flushEveryLine(c *Cache) {
 	}
 }
 
+// copyEveryLine is the copy CopyFrom replaced: every line of src into dst,
+// resident or not. It lives only here, as the reference a copy that visits
+// only the lines resident on either side is held to.
+func copyEveryLine(dst, src *Cache) {
+	dst.useCtr = src.useCtr
+	dst.stats = src.stats
+	for i := range dst.lines {
+		d := dst.lines[i].data
+		dst.lines[i] = src.lines[i]
+		dst.lines[i].data = d
+		if src.lines[i].valid {
+			copy(d, src.lines[i].data)
+		}
+		if hb := src.lines[i].hookBits; len(hb) > 0 {
+			dst.lines[i].hookBits = append([]uint16(nil), hb...)
+		}
+	}
+	dst.resident.copyFrom(src.resident)
+}
+
+// checkCopy requires got — just made a copy of src by the sync path under
+// test — to equal an every-line copy of src into a cache that has never
+// held anything.
+func checkCopy(t *testing.T, what string, got, src *Cache) {
+	t.Helper()
+	ref := New(src.geom, nil)
+	copyEveryLine(ref, src)
+	cachesEqual(t, got, ref)
+	checkResident(t, what, got)
+}
+
+// checkDetached requires that c kept nothing that ties it to another cache.
+func checkDetached(t *testing.T, what string, c *Cache) {
+	t.Helper()
+	if c.touched != nil || c.lastDelta != nil || c.syncSrc != nil || c.syncVer != 0 {
+		t.Fatalf("%s: parked cache kept sync state (touched %v, lastDelta %v, syncSrc %v, syncVer %d)",
+			what, c.touched != nil, c.lastDelta != nil, c.syncSrc != nil, c.syncVer)
+	}
+}
+
 // storeLog is a flat backing that records every StoreLine it receives.
 type storeLog struct {
 	*flatBacking
@@ -119,12 +159,22 @@ func checkFlush(t *testing.T, c *Cache, bk *storeLog) {
 // runResidentOps interprets ops, three bytes each, over the roles of the
 // fork protocol: a live cache the prefix run mutates, a snapshot template
 // only CaptureFrom writes, and a vessel that restores from the template.
+// Operations 10 to 12 are what the device pool does between campaigns: a
+// cache is emptied for a device that starts from nothing, or parked with
+// its contents and then made a copy of a source it never mirrored, possibly
+// in the other role.
 func runResidentOps(t *testing.T, ops []byte) {
 	geom := residentGeom()
 	liveBk, tplBk, vesselBk := newStoreLog(), newStoreLog(), newStoreLog()
 	live, tpl, vessel := New(geom, liveBk), New(geom, tplBk), New(geom, vesselBk)
 	for i := 0; i+2 < len(ops); i += 3 {
+		// Bytes below 250 select the operations that existed before the pool
+		// did, so inputs recorded then decode to the sequences they always
+		// did; the rest select the parking operations.
 		op, a, b := ops[i]%10, ops[i+1], ops[i+2]
+		if ops[i] >= 250 {
+			op = 10 + (ops[i]-250)%3
+		}
 		v := uint32(a)<<8 | uint32(b)
 		addr := (v & 0xfff) << 2
 		c, bk := live, liveBk
@@ -148,7 +198,7 @@ func runResidentOps(t *testing.T, ops []byte) {
 			vessel = tpl.Clone(vesselBk)
 			cachesEqual(t, vessel, tpl)
 		case 7:
-			if err := vessel.CopyFrom(tpl, vesselBk); err != nil {
+			if _, err := vessel.CopyFrom(tpl, vesselBk); err != nil {
 				t.Fatal(err)
 			}
 			cachesEqual(t, vessel, tpl)
@@ -162,6 +212,48 @@ func runResidentOps(t *testing.T, ops []byte) {
 				t.Fatal(err)
 			}
 			cachesEqual(t, tpl, live)
+		case 10: // emptied for a device that starts from nothing
+			if b&1 != 0 {
+				// The template itself: a vessel that mirrors it must notice.
+				c, bk = tpl, tplBk
+			}
+			c.Reset(bk)
+			checkDetached(t, "reset cache", c)
+			checkCopy(t, "reset cache", c, New(geom, bk))
+			if c == tpl {
+				if _, err := vessel.RestoreFrom(tpl, vesselBk, false); err != nil {
+					t.Fatal(err)
+				}
+				checkCopy(t, "vessel of the reset template", vessel, tpl)
+			}
+		case 11: // the vessel parks, then restores from a cache it never mirrored
+			vessel.Detach()
+			checkDetached(t, "parked vessel", vessel)
+			st, err := vessel.RestoreFrom(live, vesselBk, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !st.Full {
+				t.Fatalf("a parked vessel restored by delta")
+			}
+			checkCopy(t, "re-adopted vessel", vessel, live)
+		case 12: // template and vessel park and come back in each other's role
+			tpl.Detach()
+			vessel.Detach()
+			tpl, vessel, tplBk, vesselBk = vessel, tpl, vesselBk, tplBk
+			cst, err := tpl.CaptureFrom(live, tplBk, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rst, err := vessel.RestoreFrom(tpl, vesselBk, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !cst.Full || !rst.Full {
+				t.Fatalf("parked caches synced by delta (capture full %v, restore full %v)", cst.Full, rst.Full)
+			}
+			checkCopy(t, "re-adopted template", tpl, live)
+			checkCopy(t, "vessel of the re-adopted template", vessel, tpl)
 		}
 		// Only the caches this operation wrote can have moved a valid bit.
 		switch {
@@ -172,6 +264,7 @@ func runResidentOps(t *testing.T, ops []byte) {
 		default:
 			checkResident(t, "template", tpl)
 			checkResident(t, "live", live)
+			checkResident(t, "vessel", vessel)
 		}
 	}
 	checkFlush(t, live, liveBk)

@@ -57,13 +57,15 @@ func AccessPrepass(ctx context.Context, cfg *CampaignConfig) ([]sim.LaunchAccess
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g, err := sim.New(cfg.GPU)
+	g, err := sim.Borrow(cfg.GPU)
 	if err != nil {
 		return nil, err
 	}
 	g.SetContext(ctx)
 	g.EnableAccessLog()
-	if _, err := cfg.App.Run(g); err != nil {
+	_, err = cfg.App.Run(g)
+	g.Release()
+	if err != nil {
 		if isCancel(err) {
 			return nil, err
 		}

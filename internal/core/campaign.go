@@ -37,12 +37,15 @@ func ProfileApp(ctx context.Context, app *bench.App, gpu *config.GPU) (*Profile,
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	g, err := sim.New(gpu)
+	g, err := sim.Borrow(gpu)
 	if err != nil {
 		return nil, err
 	}
 	g.SetContext(ctx)
 	out, err := app.Run(g)
+	// Only the storage goes back to the pool: the statistics the profile
+	// keeps below belong to g itself.
+	g.Release()
 	if err != nil {
 		if isCancel(err) {
 			return nil, err

@@ -26,12 +26,13 @@ import (
 // deterministic, a fork is bit-identical to a run from cycle 0; the
 // package's tests hold it to a full-replay oracle (oracle_test.go).
 
-// Process-wide fork-engine counters: how many fork vessels were freshly
-// allocated versus restored in place over an existing one. Reuse dominating
+// forksReused counts experiments that ran on a vessel already holding the
+// previous experiment's state (Refork), the process-wide counterpart of the
+// vessels built from nothing that internal/sim counts. Reuse dominating
 // creation is what keeps per-experiment cost low; gpufi-serve exposes the
-// ratio on /metrics. EngineStats (obsstats.go) folds them into the full
+// ratio on /metrics. EngineStats (obsstats.go) folds both into the full
 // phase-counter view.
-var forksCreated, forksReused atomic.Int64
+var forksReused atomic.Int64
 
 // cluster is a group of experiments whose injection cycles are close
 // enough to share one snapshot, taken one cycle before the earliest.
@@ -97,8 +98,36 @@ func planClusters(pending []int, specs []*sim.FaultSpec, windows []sim.CycleWind
 // fault-free prefix run that pauses at each cluster's snapshot cycle and
 // fans the cluster's experiments out over the worker pool, each on a fork
 // of the snapshot. After the last cluster the prefix aborts (its suffix is
-// never needed).
+// never needed). The campaign's devices — the prefix device, the snapshot
+// template it recycles and one vessel per worker — are borrowed from the
+// device pool and go back to it when the campaign ends.
 func runForked(ctx context.Context, cfg *CampaignConfig, prof *Profile,
+	windows []sim.CycleWindow, pending []int, specs []*sim.FaultSpec, extras [][]*sim.FaultSpec) (*CampaignResult, error) {
+
+	g, err := sim.Borrow(cfg.GPU)
+	if err != nil {
+		return nil, err
+	}
+	// One reusable fork per worker slot, shared across clusters: after its
+	// first experiment a vessel restores snapshots into the memories and
+	// cache arenas it already holds, moving only what the experiment wrote.
+	vessels := make([]*sim.GPU, cfg.workerCount())
+	res, err := runPrefix(ctx, cfg, prof, g, vessels, windows, pending, specs, extras)
+	// Reached by returning, never by a panic unwinding through here: storage
+	// a panic left half-written must not reach the pool. A poisoned vessel's
+	// slot is already nil, so it is not here to be released either.
+	for _, v := range vessels {
+		if v != nil {
+			v.Release()
+		}
+	}
+	g.Release()
+	return res, err
+}
+
+// runPrefix is the body of runForked on devices the caller owns: the prefix
+// run on g, the cluster fan-out on vessels.
+func runPrefix(ctx context.Context, cfg *CampaignConfig, prof *Profile, g *sim.GPU, vessels []*sim.GPU,
 	windows []sim.CycleWindow, pending []int, specs []*sim.FaultSpec, extras [][]*sim.FaultSpec) (*CampaignResult, error) {
 
 	clusters := planClusters(pending, specs, windows)
@@ -108,10 +137,6 @@ func runForked(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 	}
 
 	col := newCollector(cfg, len(specs))
-	g, err := sim.New(cfg.GPU)
-	if err != nil {
-		return nil, err
-	}
 	g.SetContext(ctx)
 	g.SetDeepClone(cfg.deepClone)
 	g.EnableRecording()
@@ -122,12 +147,6 @@ func runForked(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 	// vessels fork serially (snapshots never carry pool state), because
 	// campaign-level Workers parallelism already covers the fan-out.
 	g.SetParallelCores(cfg.ParallelCores)
-
-	// One reusable fork per worker slot, shared across clusters: after its
-	// first experiment a vessel restores snapshots into its existing
-	// memories and cache arenas instead of re-allocating them, which is the
-	// dominant per-experiment cost for small kernels.
-	vessels := make([]*sim.GPU, cfg.workerCount())
 
 	// Tracing: each prefix segment up to a snapshot is an engine.snapshot
 	// span, each cluster fan-out an engine.cluster span. The cluster span
@@ -200,8 +219,9 @@ func runForked(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 // runCluster fans one cluster's experiments over a worker pool, each
 // forking from the shared (read-only) snapshot. poisoned reports that at
 // least one experiment panicked or hit its wall-clock deadline: its vessel
-// is discarded here (the next experiment on that slot allocates a fresh
-// fork), and the caller must not recycle the cluster's snapshot storage.
+// is discarded here — dropped, never released to the device pool; the next
+// experiment on that slot starts a new fork — and the caller must not
+// recycle the cluster's snapshot storage.
 func runCluster(ctx context.Context, cfg *CampaignConfig, prof *Profile, snap *sim.Snapshot,
 	idxs []int, specs []*sim.FaultSpec, extras [][]*sim.FaultSpec, vessels []*sim.GPU, col *collector) (bool, error) {
 
@@ -229,7 +249,6 @@ func runCluster(ctx context.Context, cfg *CampaignConfig, prof *Profile, snap *s
 					g = sim.NewFork(snap)
 					g.SetDeepClone(cfg.deepClone)
 					vessels[w] = g
-					forksCreated.Add(1)
 				} else {
 					g.Refork(snap)
 					forksReused.Add(1)

@@ -24,9 +24,11 @@ var (
 // EngineCounters are the process-wide fork-engine and phase counters
 // surfaced on gpufi-serve's /metrics.
 type EngineCounters struct {
-	ForksCreated     int64 // fork vessels freshly allocated
+	ForksCreated     int64 // fork vessels built from nothing (no parked device of their shape)
 	ForksReused      int64 // fork vessels restored in place
 	VesselsDiscarded int64 // poisoned vessels dropped by the engine
+	DevicesBuilt     int64 // devices of any role built from nothing
+	DevicesParked    int64 // devices parked in the pool right now (a gauge)
 
 	SnapshotCaptures     int64 // snapshots taken by prefix runs
 	SnapshotCaptureNanos int64
@@ -68,10 +70,13 @@ func EngineStats() EngineCounters {
 	st := sim.SnapshotTimings()
 	cow := sim.COWStats()
 	par := sim.ParallelStats()
+	devs := sim.PoolStats()
 	return EngineCounters{
-		ForksCreated:           forksCreated.Load(),
+		ForksCreated:           devs.VesselsBuilt,
 		ForksReused:            forksReused.Load(),
 		VesselsDiscarded:       vesselsDiscarded.Load(),
+		DevicesBuilt:           devs.DevicesBuilt,
+		DevicesParked:          devs.DevicesParked,
 		SnapshotCaptures:       st.Captures,
 		SnapshotCaptureNanos:   st.CaptureNanos,
 		SnapshotRestores:       st.Restores,

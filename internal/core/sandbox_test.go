@@ -16,7 +16,9 @@ import (
 // that one experiment. Every other outcome of the batch stays
 // bit-identical to a clean run of the same seed, the poison run is
 // classified as a quarantined Crash carrying a diagnosable detail string,
-// and the Quarantine hook sees it.
+// and the Quarantine hook sees it. The vessel it ran on leaves the system
+// with it: it is not among the devices the campaign returns to the pool, and
+// the next campaign, on what was returned, matches the clean run.
 func TestPoisonedCampaignIsolation(t *testing.T) {
 	gpu := config.RTX2060()
 	app, err := bench.ByName("VA")
@@ -82,6 +84,44 @@ func TestPoisonedCampaignIsolation(t *testing.T) {
 	}
 	if poisoned.Counts.Crash != wantCrash {
 		t.Errorf("poisoned Crash count %d, want %d", poisoned.Counts.Crash, wantCrash)
+	}
+
+	// With one worker every experiment runs on the same vessel, so the books
+	// balance exactly: every device the campaign took from the pool or built
+	// comes back parked, except the vessel the poisoned experiment held and
+	// the snapshot template of its cluster, which is not recycled either.
+	single := func(hook func(int, *sim.FaultSpec)) *CampaignResult {
+		cfg := mk()
+		cfg.Workers, cfg.ExperimentHook = 1, hook
+		res, err := RunCampaign(nil, cfg, prof)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	sim.DrainPool()
+	single(nil)
+	before, started := EngineStats(), 0
+	single(func(id int, spec *sim.FaultSpec) {
+		if id == poisonID {
+			if started == 0 {
+				t.Fatalf("experiment %d runs first, on a vessel that holds nothing yet: poison another", poisonID)
+			}
+			panic("injected simulator bug")
+		}
+		started++
+	})
+	after := EngineStats()
+	if got, want := after.DevicesParked-before.DevicesParked, after.DevicesBuilt-before.DevicesBuilt-2; got != want {
+		t.Errorf("parked devices changed by %d over the poisoned campaign, want %d: %d built, the poisoned vessel and its cluster's template dropped",
+			got, want, after.DevicesBuilt-before.DevicesBuilt)
+	}
+	next := single(nil)
+	for i := range clean.Exps {
+		if c, n := clean.Exps[i], next.Exps[i]; c.Effect != n.Effect || c.Cycles != n.Cycles || c.Detail != n.Detail {
+			t.Errorf("exp %d of the campaign after the poisoned one: {%s %d %q}, clean {%s %d %q}",
+				i, n.Effect, n.Cycles, n.Detail, c.Effect, c.Cycles, c.Detail)
+		}
 	}
 }
 

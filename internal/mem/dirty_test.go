@@ -298,13 +298,18 @@ func (o fuzzOracle) markRange(lo, hi int) {
 // observable state after every operation. Three more operations drive the
 // tracker inside a Memory, through the sequence its growth must survive:
 // allocate past the image's capacity, restore to a shorter snapshot, grow
-// again into the capacity left behind. After each, the vessel is held to a
-// plain byte-slice model (fresh regions zero, restores exact).
+// again into the capacity left behind. Three more are what the device pool
+// does to an image between campaigns: empty it and keep the capacity, park
+// it with its contents and make it a copy of an image it never mirrored,
+// and rebuild the snapshot under a vessel that mirrors it. After each, the
+// vessel is held to a plain byte-slice model (fresh regions zero, restores
+// exact).
 func FuzzDirtyTracker(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 1, 2, 3, 2, 0, 0, 3, 9, 9, 4, 0, 0})
 	f.Add([]byte{1, 0, 255, 0, 200, 0, 2, 0, 0, 1, 10, 20})
 	f.Add([]byte("mark-sweep-merge"))
 	f.Add([]byte{250, 200, 9, 252, 3, 1, 250, 255, 255, 251, 0, 0, 250, 40, 2, 252, 90, 7, 250, 250, 250, 251, 0, 0, 250, 1, 1})
+	f.Add([]byte{250, 90, 7, 252, 3, 1, 253, 0, 0, 250, 9, 5, 252, 1, 1, 251, 0, 0, 254, 0, 0, 250, 3, 3, 251, 0, 0, 255, 0, 0, 251, 0, 0, 251, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		const maxPage = 2048
 		tr, aux := NewDirtyTracker(), NewDirtyTracker()
@@ -316,16 +321,28 @@ func FuzzDirtyTracker(f *testing.F) {
 		for i := range snap.data {
 			snap.data[i] = byte(i * 31)
 		}
+		// other is an image the vessel never mirrors until it is parked: longer
+		// than snap, different bytes, one more allocation.
+		other := snap.Clone()
+		if _, err := other.Alloc(2 * PageBytes); err != nil {
+			t.Fatal(err)
+		}
+		for i := range other.data {
+			other.data[i] = byte(i*17 + 3)
+		}
 		vessel := New()
 		vessel.RestoreFrom(snap, false)
 		model := append([]byte(nil), snap.data...)
+		synced := true // the vessel mirrors snap: its next restore is a delta
 		for i := 0; i+2 < len(ops); i += 3 {
 			// Bytes below 250 select a tracker operation, the rest a Memory
-			// one (6..8), so inputs recorded before those existed decode to
-			// the sequences they always did.
+			// one, so inputs recorded before those existed decode to the
+			// sequences they always did. 250..252 are operations 6..8; 253..255
+			// aliased them until the parking operations 9..11 took those bytes
+			// (no recorded input used them to select an operation).
 			op, a, b := ops[i]%6, int(ops[i+1])<<3|int(ops[i+2])&7, int(ops[i+2])
 			if ops[i] >= 250 {
-				op = 6 + (ops[i]-250)%3
+				op = 6 + (ops[i] - 250)
 			}
 			a, b = a%maxPage, b%64
 			switch op {
@@ -339,15 +356,52 @@ func FuzzDirtyTracker(f *testing.F) {
 					t.Fatalf("op %d: image diverged from the model after Alloc at %#x", i/3, addr)
 				}
 			case 7: // restore to the shorter snapshot; capacity stays behind
-				if st := vessel.RestoreFrom(snap, false); st.Full {
-					t.Fatalf("op %d: delta restore fell back to a full copy", i/3)
+				if st := vessel.RestoreFrom(snap, false); st.Full == synced {
+					t.Fatalf("op %d: restore full=%v of a vessel whose provenance says %v", i/3, st.Full, !synced)
 				}
+				synced = true
 				model = append(model[:0], snap.data...)
 				imagesEqual(t, vessel, snap)
 			case 8: // dirty a word near the end, so capacity left behind is not zero
+				if len(model) == 0 {
+					break // emptied and not allocated since: no word to dirty
+				}
 				addr := uint32(len(model)-4-a*b%256*4) &^ 3
 				vessel.Write32(addr, 0xA5A5A5A5)
 				copy(model[addr:], []byte{0xA5, 0xA5, 0xA5, 0xA5})
+			case 9: // emptied for a device that starts from nothing; capacity stays
+				vessel.Reset()
+				model, synced = model[:0], false
+				imagesEqual(t, vessel, New())
+				if vessel.track != nil || vessel.lastDelta != nil || vessel.syncSrc != nil {
+					t.Fatalf("op %d: emptied image kept sync state", i/3)
+				}
+			case 10: // parked with its contents, then restored from an image it never mirrored
+				vessel.Detach()
+				if vessel.track != nil || vessel.lastDelta != nil || vessel.syncSrc != nil {
+					t.Fatalf("op %d: parked image kept sync state", i/3)
+				}
+				if st := vessel.RestoreFrom(other, false); !st.Full {
+					t.Fatalf("op %d: a parked image restored by delta", i/3)
+				}
+				model, synced = append(model[:0], other.data...), false
+				imagesEqual(t, vessel, other)
+			case 11: // the snapshot is emptied and rebuilt, as a borrowed device rebuilds it, under the vessel that mirrors it
+				snap.Reset()
+				if _, err := snap.Alloc(3 * PageBytes / 2); err != nil {
+					t.Fatal(err)
+				}
+				for j := range snap.data {
+					snap.data[j] = byte(j*31 + a + 1)
+				}
+				if st := vessel.RestoreFrom(snap, false); !st.Full {
+					t.Fatalf("op %d: delta restore from a snapshot rebuilt since the vessel mirrored it", i/3)
+				}
+				model, synced = append(model[:0], snap.data...), true
+				imagesEqual(t, vessel, snap)
+			}
+			if op >= 6 && !bytes.Equal(vessel.data, model) {
+				t.Fatalf("op %d: image diverged from the model", i/3)
 			}
 			switch op {
 			case 0:

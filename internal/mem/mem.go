@@ -231,19 +231,32 @@ func New() *Memory {
 }
 
 // Clone returns a deep copy of the memory image and its allocator state.
-// The copy shares nothing with the original; it is the device-memory leg
-// of a GPU snapshot.
+// The copy shares nothing with the original.
 func (m *Memory) Clone() *Memory {
-	n := &Memory{
-		data: make([]byte, len(m.data)),
-		next: m.next,
-	}
-	copy(n.data, m.data)
-	if len(m.allocs) > 0 {
-		n.allocs = make([]extent, len(m.allocs))
-		copy(n.allocs, m.allocs)
-	}
+	n := New()
+	n.CopyFrom(m)
 	return n
+}
+
+// Reset empties the image — no allocations, no bytes, sync provenance
+// dropped — and keeps its capacity. What is left cannot be told from New():
+// the capacity is invisible until grow hands it out, and grow zero-fills
+// what it hands out.
+func (m *Memory) Reset() {
+	m.data = m.data[:0]
+	m.allocs = m.allocs[:0]
+	m.next = BaseAddr
+	m.Detach()
+	m.epoch++ // content redefined: an image still synced to m full-copies
+}
+
+// Detach drops everything that ties m to another image or to a sync point:
+// the source it mirrored, its dirty set and the last capture's delta.
+// Storage parked for a later owner must not keep the previous owner's
+// snapshot image reachable. Contents are untouched.
+func (m *Memory) Detach() {
+	m.track, m.lastDelta = nil, nil
+	m.syncSrc, m.syncVer = nil, 0
 }
 
 // CopyFrom makes m a deep copy of src, reusing m's existing backing arrays

@@ -82,7 +82,7 @@ func (m *metrics) init() {
 
 	// Mirror the process-wide engine and sandbox counters so one prom
 	// scrape of the service covers the whole pipeline.
-	r.GaugeFunc("gpufi_forks_created", "Fork vessels freshly allocated by the engine.",
+	r.GaugeFunc("gpufi_forks_created", "Fork vessels built from nothing: the device pool had none of their shape parked.",
 		func() float64 { return float64(core.EngineStats().ForksCreated) })
 	r.GaugeFunc("gpufi_forks_reused", "Fork vessels reused via snapshot restore.",
 		func() float64 { return float64(core.EngineStats().ForksReused) })
@@ -217,6 +217,8 @@ func (m *metrics) snapshot() map[string]any {
 		"forks_created":            es.ForksCreated,
 		"forks_reused":             es.ForksReused,
 		"fork_reuse_ratio":         reuseRatio,
+		"devices_built":            es.DevicesBuilt,
+		"devices_parked":           es.DevicesParked,
 		"cow_bytes_copied":         es.COWBytesCopied,
 		"cow_bytes_avoided":        es.COWBytesAvoided,
 		"cow_dirty_ratio":          es.COWDirtyRatio,

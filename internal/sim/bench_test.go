@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"gpufi/internal/asm"
 	"gpufi/internal/config"
@@ -232,7 +233,7 @@ func BenchmarkMaterializeWarp(b *testing.B) {
 	g := fullRTX2060(b)
 	snap := g.Snapshot()
 	vessel := NewFork(snap)
-	vessel.restore(snap) // deep clone; every later restore is copy-on-write
+	vessel.restore(snap)
 	warps := 0
 	b.ResetTimer()
 	for warps < b.N {
@@ -249,4 +250,52 @@ func BenchmarkMaterializeWarp(b *testing.B) {
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(warps), "ns/warp")
+}
+
+// borrowDevice is how a campaign gets a device that starts from nothing, and
+// releaseDevice how it gives it back. On a commit without the device pool
+// that is New and nothing; where there is a pool, pool_test.go points
+// borrowDevice at it. This file alone therefore still runs on the parent.
+var borrowDevice = New
+
+func releaseDevice(g *GPU) {
+	if r, ok := any(g).(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
+// BenchmarkResetDevice times getting an RTX 2060 that starts from nothing
+// when the previous owner left 2,048 L2 lines, 32 lines in every L1T and a
+// megabyte of device memory behind: borrow-ns/op is the borrow alone, ns/op
+// also counts dirtying the device again and releasing it.
+func BenchmarkResetDevice(b *testing.B) {
+	cfg := config.RTX2060()
+	line := uint32(cfg.L2.LineBytes)
+	var borrowing time.Duration
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		start := time.Now()
+		g, err := borrowDevice(cfg)
+		borrowing += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if g.l2.ValidLines() != 0 || g.mem.Size() != 0 {
+			b.Fatalf("borrowed device holds %d L2 lines and %d bytes", g.l2.ValidLines(), g.mem.Size())
+		}
+		base, err := g.Malloc(1 << 20)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for l := uint32(0); l < 2048; l++ {
+			g.l2.AccessRead(base + l*line)
+		}
+		for _, c := range g.cores {
+			for l := uint32(0); l < 32; l++ {
+				c.l1t.AccessRead(base + l*uint32(cfg.L1T.LineBytes))
+			}
+		}
+		releaseDevice(g)
+	}
+	b.ReportMetric(float64(borrowing.Nanoseconds())/float64(b.N), "borrow-ns/op")
 }

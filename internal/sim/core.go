@@ -5,6 +5,7 @@ import (
 	"math/bits"
 
 	"gpufi/internal/cache"
+	"gpufi/internal/config"
 	"gpufi/internal/isa"
 )
 
@@ -179,20 +180,25 @@ type core struct {
 	pi         int         // pend index of the current instruction, -1 = none
 }
 
-func newCore(g *GPU, id int) *core {
-	c := &core{id: id, gpu: g}
-	if g.cfg.L1D != nil {
-		c.l1d = cache.New(g.cfg.L1D, g.l2)
+// newCore builds core id of a device's storage: its L1s over l2, no device
+// yet (GPU.adopt points it at one).
+func newCore(cfg *config.GPU, l2 *cache.Cache, id int) *core {
+	c := &core{id: id}
+	if cfg.L1D != nil {
+		c.l1d = cache.New(cfg.L1D, l2)
 	}
-	c.l1t = cache.New(g.cfg.L1T, g.l2)
-	if g.cfg.L1C != nil {
-		c.l1c = cache.New(g.cfg.L1C, g.l2)
+	c.l1t = cache.New(cfg.L1T, l2)
+	if cfg.L1C != nil {
+		c.l1c = cache.New(cfg.L1C, l2)
 	}
-	if g.cfg.L1I != nil {
-		c.l1i = cache.New(g.cfg.L1I, g.l2)
+	if cfg.L1I != nil {
+		c.l1i = cache.New(cfg.L1I, l2)
 	}
 	return c
 }
+
+// l1s lists the core's first-level caches; a model without one has a nil.
+func (c *core) l1s() [4]*cache.Cache { return [4]*cache.Cache{c.l1d, c.l1t, c.l1c, c.l1i} }
 
 // reset drops all resident state (launch teardown). Cache contents persist
 // across launches within a GPU lifetime, as on hardware.

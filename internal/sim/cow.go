@@ -30,14 +30,16 @@ package sim
 //
 // The page/line-granular COW for device memory and caches lives in
 // internal/mem and internal/cache; this file owns the resident (SIMT)
-// state and the vessel-side pools.
+// state and the per-core arenas a vessel materializes into. The arenas are
+// part of the storage the device pool parks (pool.go): the next campaign's
+// vessel inherits their capacity, scrubbed of this campaign's pointers.
 
 // residentPool is a per-core arena for a vessel's private resident state.
-// It is reset (not freed) at every restore, so a vessel reforked hundreds
-// of times allocates its CTAs, warps, stacks, lane states and register
-// slabs only once. Carved sub-slices use three-index slicing so an
-// append past a warp's reserved stack capacity reallocates to the heap
-// instead of clobbering its neighbor.
+// It is reset (not freed) at every restore and travels with the core through
+// the device pool, so CTAs, warps, stacks, lane states and register slabs
+// are allocated once per storage, not per experiment or per campaign. Carved
+// sub-slices use three-index slicing so an append past a warp's reserved
+// stack capacity reallocates to the heap instead of clobbering its neighbor.
 type residentPool struct {
 	ctas   []cta
 	warps  []warp
@@ -74,6 +76,16 @@ func (p *residentPool) reset(nCTAs, nWarps, nStack int) {
 	} else {
 		clear(p.wmap)
 	}
+}
+
+// scrub drops every pointer the arenas hold: the COW views alias a
+// snapshot's lane states, lane tables and shared memory, and parked storage
+// must not keep the campaign it served reachable. Capacity stays.
+func (p *residentPool) scrub() {
+	clear(p.ctas[:cap(p.ctas)])
+	clear(p.warps[:cap(p.warps)])
+	clear(p.states[:cap(p.states)])
+	clear(p.wmap)
 }
 
 func (p *residentPool) carveCTA() *cta {

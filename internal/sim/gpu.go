@@ -37,16 +37,16 @@ func (d *dramBacking) StoreWord(addr uint32, v uint32) int {
 
 func (d *dramBacking) PeekWord(addr uint32) uint32 { return d.mem.Read32(addr) }
 
-// GPU is a simulated device instance: one GPU chip plus its DRAM. A GPU is
-// single-use per simulation run and not safe for concurrent use; campaigns
-// run many GPUs in parallel, one per experiment.
+// GPU is a simulated device instance: one GPU chip plus its DRAM. It is not
+// safe for concurrent use; campaigns run several at once, one per worker.
+// A device from New lives as long as its owner keeps it. A campaign's
+// devices are borrowed instead: the struct is theirs for one campaign, the
+// storage under it (memory image, caches, cores) comes from the device pool
+// and goes back to it on Release (see pool.go), and a fork vessel is rewound
+// by Refork for every experiment in between.
 type GPU struct {
-	cfg      *config.GPU
-	mem      *mem.Memory
-	dram     *dramBacking
-	l2       *cache.Cache
-	cores    []*core
-	bankFree []uint64 // per-L2-bank busy-until cycle (L2QueueCycles > 0)
+	cfg *config.GPU
+	storage
 
 	cycle uint64
 
@@ -105,7 +105,7 @@ type GPU struct {
 	// mid-launch bookkeeping, held on the GPU (not the Launch frame) so a
 	// snapshot captures it and a fork can resume the launch epilogue.
 	launchStart uint64
-	launchCores map[int]bool
+	launchCores coreSet // cores that ran a CTA of the current launch
 	launchInstr int64
 
 	// Parallel per-cycle core stepping (see parallel.go). parallelCores
@@ -144,23 +144,21 @@ type GPU struct {
 // stay bit-identical with or without a context.
 const ctxPollInterval = 1024
 
-// New builds a GPU from a validated configuration.
+// coreSet is a set of core ids, one bit each.
+type coreSet []uint64
+
+func (s coreSet) add(id int)      { s[id>>6] |= 1 << uint(id&63) }
+func (s coreSet) has(id int) bool { return s[id>>6]&(1<<uint(id&63)) != 0 }
+
+// New builds a GPU from a validated configuration on storage of its own,
+// allocated here: the device pool is not asked (Borrow is the call that
+// asks it).
 func New(cfg *config.GPU) (*GPU, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	g := &GPU{
-		cfg:     cfg,
-		mem:     mem.New(),
-		kernels: make(map[string]*KernelStats),
-	}
-	g.dram = &dramBacking{mem: g.mem, latency: cfg.DRAMLatency}
-	g.l2 = cache.New(cfg.L2, g.dram)
-	g.bankFree = make([]uint64, cfg.L2Banks)
-	g.cores = make([]*core, cfg.SMs)
-	for i := range g.cores {
-		g.cores[i] = newCore(g, i)
-	}
+	g := &GPU{cfg: cfg, kernels: make(map[string]*KernelStats)}
+	g.adopt(newStorage(cfg))
 	return g, nil
 }
 
@@ -445,7 +443,12 @@ func (g *GPU) launchSetup(p *isa.Program, grid, block Dim, args []uint32) (*Laun
 	g.kernelStat = ks
 
 	g.launchStart = g.cycle
-	g.launchCores = make(map[int]bool)
+	if n := (len(g.cores) + 63) / 64; cap(g.launchCores) < n {
+		g.launchCores = make(coreSet, n)
+	} else {
+		g.launchCores = g.launchCores[:n]
+		clear(g.launchCores)
+	}
 	if g.access != nil {
 		g.access.beginLaunch()
 	}
@@ -459,7 +462,7 @@ func (g *GPU) launchSetup(p *isa.Program, grid, block Dim, args []uint32) (*Laun
 				break
 			}
 			if c.tryPlaceCTA(g.nextCTA) {
-				g.launchCores[c.id] = true
+				g.launchCores.add(c.id)
 				g.nextCTA++
 				placed = true
 			}
@@ -526,7 +529,7 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 		if g.nextCTA < g.totalCTAs {
 			for _, c := range g.cores {
 				for g.nextCTA < g.totalCTAs && c.tryPlaceCTA(g.nextCTA) {
-					g.launchCores[c.id] = true
+					g.launchCores.add(c.id)
 					g.nextCTA++
 				}
 			}
@@ -542,16 +545,11 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 	// boundaries: dirty local data reaches L2, and stale read-only texture
 	// lines cannot leak into the next launch.
 	for _, c := range g.cores {
-		if g.launchCores[c.id] {
-			if c.l1d != nil {
-				c.l1d.Flush()
-			}
-			c.l1t.Flush()
-			if c.l1c != nil {
-				c.l1c.Flush()
-			}
-			if c.l1i != nil {
-				c.l1i.Flush()
+		if g.launchCores.has(c.id) {
+			for _, l1 := range c.l1s() {
+				if l1 != nil {
+					l1.Flush()
+				}
 			}
 		}
 	}
@@ -562,8 +560,10 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 		g.access.endLaunch(p.Name, g.launchStart, end)
 	}
 	ks.TotalCycles += end - g.launchStart
-	for id := range g.launchCores {
-		ks.UsedCores = appendUnique(ks.UsedCores, id)
+	for _, c := range g.cores {
+		if g.launchCores.has(c.id) {
+			ks.UsedCores = appendUnique(ks.UsedCores, c.id)
+		}
 	}
 	sort.Ints(ks.UsedCores)
 
@@ -590,7 +590,7 @@ func (g *GPU) releaseLaunch() {
 	g.corrupted = false
 	g.curProg = nil
 	g.curParams = nil
-	g.launchCores = nil
+	g.launchCores = g.launchCores[:0]
 }
 
 // fastForward advances the global clock to the next cycle at which any

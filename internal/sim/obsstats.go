@@ -147,6 +147,3 @@ func observeCOWSync(a *cowAgg, ops, fullOps *atomic.Int64) {
 		cowBytesAvoidedCtr.Add(avoided)
 	}
 }
-
-func observeCOWRestore(a *cowAgg) { observeCOWSync(a, &cowRestores, &cowFullRestores) }
-func observeCOWCapture(a *cowAgg) { observeCOWSync(a, &cowCaptures, &cowFullCaptures) }

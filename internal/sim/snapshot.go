@@ -116,9 +116,11 @@ func (g *GPU) SnapshotAt(cycles []uint64, fn func(*Snapshot) error) {
 // NewFork builds a GPU that replays a recorded prefix up to the snapshot
 // and then resumes simulation from its state. The fork is a shell until
 // the snapshot's launch arrives: host calls before it return recorded
-// results without touching simulator state, so no memories, caches or
-// cores are allocated up front — Restore supplies them all. Faults armed
-// on the fork apply once the resumed simulation reaches their cycle.
+// results without touching simulator state, so it holds no memories, caches
+// or cores up front — its first restore borrows them from the device pool
+// (or builds them, when the pool has none of the snapshot's shape) and fills
+// them from the snapshot. Faults armed on the fork apply once the resumed
+// simulation reaches their cycle.
 func NewFork(snap *Snapshot) *GPU {
 	return &GPU{
 		cfg:     snap.gpu.cfg,
@@ -131,21 +133,23 @@ func NewFork(snap *Snapshot) *GPU {
 	}
 }
 
-// capture builds the Snapshot for the current instant. If a recycled
-// snapshot template is available (RecycleSnapshot) the state is copied
-// into its existing storage instead of freshly allocated.
+// capture builds the Snapshot for the current instant: the state is synced
+// into the recycled template if there is one (RecycleSnapshot), else into
+// storage taken from the device pool.
 func (g *GPU) capture() *Snapshot {
 	start := time.Now()
 	defer func() { observeCapture(time.Since(start)) }()
 	s := &Snapshot{Cycle: g.cycle}
-	if sc := g.snapScratch; sc != nil && sc.cfg == g.cfg && sc.mem != nil && len(sc.cores) == len(g.cores) {
-		g.snapScratch = nil
-		sc.captureStateFrom(g)
-		s.gpu = sc
-	} else {
-		s.gpu = cloneGPU(g)
-		s.gpu.adoptCaptureBaseline(g)
+	sc := g.snapScratch
+	g.snapScratch = nil
+	if sc == nil || !sc.fits(g.cfg) {
+		sc = &GPU{kernels: make(map[string]*KernelStats)}
+		st, _ := pool.take(g.cfg)
+		sc.adopt(st)
 	}
+	sc.cfg = g.cfg
+	sc.syncStateFrom(g, true)
+	s.gpu = sc
 	if g.record != nil {
 		n := len(g.record.calls)
 		s.launchCall = n
@@ -185,9 +189,10 @@ func (s *Snapshot) VerifyStorage() error {
 }
 
 // RecycleSnapshot hands a consumed snapshot's storage back to the GPU so
-// the next capture reuses it instead of allocating fresh memories and
-// cache arenas. The caller guarantees no fork still reads s — the campaign
-// engine calls this once a cluster's experiments have all finished.
+// the next capture syncs into it, moving only what the prefix run wrote
+// since, instead of into other storage from the pool; Release parks it along
+// with the device. The caller guarantees no fork still reads s — the
+// campaign engine calls this once a cluster's experiments have all finished.
 func (g *GPU) RecycleSnapshot(s *Snapshot) {
 	if s.gpu != nil && g.snapScratch == nil {
 		g.snapScratch = s.gpu
@@ -197,9 +202,9 @@ func (g *GPU) RecycleSnapshot(s *Snapshot) {
 
 // Refork rewinds a finished fork so it can replay another experiment from
 // snap, which may be the same snapshot or a different one of the same
-// recording. The fork's memories and cache arenas stay allocated, letting
-// the coming restore copy into them instead of re-allocating tens of
-// megabytes per experiment — the dominant cost of small-kernel campaigns.
+// recording. The fork keeps its storage, and with it the record of which
+// snapshot it mirrors and what it wrote since, so the coming restore moves
+// only the pages and lines that diverged.
 func (g *GPU) Refork(snap *Snapshot) {
 	g.seek = &seekState{snap: snap}
 	g.faults = nil
@@ -213,92 +218,26 @@ func (g *GPU) Refork(snap *Snapshot) {
 	g.cycle = snap.Cycle
 }
 
-// restore adopts a deep copy of the snapshot state. A fresh fork clones
-// everything; a reforked GPU already holds same-shaped memories and caches
-// and gets plain copies into the existing storage.
+// restore makes the device a copy of the snapshot state. A fork shell (and
+// a vessel whose storage is gone or shaped for another model) first takes
+// storage from the device pool; the sync that follows is the same one a
+// reforked vessel gets, and its full legs are what give new storage its
+// baseline. The device runs under the snapshot's configuration from here:
+// ECC, lenient memory, latencies and the scheduler are read through cfg.
 func (g *GPU) restore(s *Snapshot) {
 	start := time.Now()
 	defer func() { observeRestore(time.Since(start)) }()
 	src := s.gpu
-	if g.mem == nil || g.l2 == nil || g.cfg != src.cfg || len(g.cores) != len(src.cores) {
-		c := cloneGPU(src)
-		g.mem, g.dram, g.l2 = c.mem, c.dram, c.l2
-		g.bankFree = c.bankFree
-		g.cores = c.cores
-		for _, cc := range g.cores {
-			cc.gpu = g
+	if !g.fits(src.cfg) {
+		st, used := pool.take(src.cfg)
+		if !used {
+			vesselsBuilt.Add(1)
 		}
-		g.cycle = c.cycle
-		g.kernels, g.kernelSeq, g.launches = c.kernels, c.kernelSeq, c.launches
-		g.curProg, g.curParams = c.curProg, c.curParams
-		g.curGrid, g.curBlock = c.curGrid, c.curBlock
-		g.nextCTA, g.totalCTAs, g.doneCTAs = c.nextCTA, c.totalCTAs, c.doneCTAs
-		g.localBase, g.localStep = c.localBase, c.localStep
-		g.paramBase, g.progBase = c.paramBase, c.progBase
-		g.kernelStat = c.kernelStat
-		g.launchStart, g.launchCores, g.launchInstr = c.launchStart, c.launchCores, c.launchInstr
-		g.adoptRestoreBaseline(src)
-	} else {
-		g.restoreStateFrom(src)
+		g.adopt(st)
 	}
+	g.cfg = src.cfg
+	g.syncStateFrom(src, false)
 	g.violation = nil
-}
-
-// adoptCaptureBaseline establishes the COW capture baseline after a fresh
-// full clone of the live GPU into a new snapshot template: the live side
-// starts tracking its writes and the template records the sync point, so
-// the next capture into recycled storage moves only the delta. A no-op
-// under the deep-clone protocol.
-func (t *GPU) adoptCaptureBaseline(live *GPU) {
-	if live.deepClone {
-		return
-	}
-	live.mem.StartTracking()
-	t.mem.SetSyncedTo(live.mem)
-	live.l2.StartTracking()
-	t.l2.SetSyncedTo(live.l2)
-	for i, lc := range live.cores {
-		tc := t.cores[i]
-		captureCacheBaseline(tc.l1d, lc.l1d)
-		captureCacheBaseline(tc.l1t, lc.l1t)
-		captureCacheBaseline(tc.l1c, lc.l1c)
-		captureCacheBaseline(tc.l1i, lc.l1i)
-	}
-}
-
-func captureCacheBaseline(tpl, live *cache.Cache) {
-	if tpl == nil || live == nil {
-		return
-	}
-	live.StartTracking()
-	tpl.SetSyncedTo(live)
-}
-
-// adoptRestoreBaseline establishes the COW restore baseline after a fresh
-// full clone of a snapshot into a new fork vessel: the vessel starts
-// tracking its own writes against the snapshot it now mirrors, so its
-// next Refork restore from the same template moves only what the
-// experiment dirtied. A no-op under the deep-clone protocol.
-func (g *GPU) adoptRestoreBaseline(src *GPU) {
-	if g.deepClone {
-		return
-	}
-	g.mem.SetSyncedTo(src.mem)
-	g.l2.SetSyncedTo(src.l2)
-	for i, sc := range src.cores {
-		vc := g.cores[i]
-		restoreCacheBaseline(vc.l1d, sc.l1d)
-		restoreCacheBaseline(vc.l1t, sc.l1t)
-		restoreCacheBaseline(vc.l1c, sc.l1c)
-		restoreCacheBaseline(vc.l1i, sc.l1i)
-	}
-}
-
-func restoreCacheBaseline(vessel, snap *cache.Cache) {
-	if vessel == nil || snap == nil {
-		return
-	}
-	vessel.SetSyncedTo(snap)
 }
 
 // cowAgg accumulates what one restore or capture moved across all state
@@ -329,64 +268,100 @@ func (a *cowAgg) cache(st cache.SyncStats) {
 	}
 }
 
-// restoreStateFrom rebuilds a fork vessel's state from a snapshot,
-// copying only pages, cache lines and resident structures that can have
-// diverged when the vessel's provenance allows it (see internal/mem and
-// internal/cache for the sync protocol). With deep-clone forced, every
-// leg takes the full copy — the differential baseline.
-func (g *GPU) restoreStateFrom(src *GPU) {
+// syncStateFrom makes g's state a copy of src's: the one routine that fills
+// a device from a source. A restore (capture false) fills a fork vessel from
+// a snapshot template, a capture fills a template from the live device; the
+// two differ in which side's writes the delta protocol tracks (see
+// internal/mem and internal/cache) and in how resident state travels.
+// Pages, cache lines and resident structures that cannot have diverged are
+// not touched when g's provenance says so; storage with no provenance — new,
+// or fresh from the pool with another campaign's contents — takes the full
+// legs, which cost what is resident on either side and establish the
+// baseline for the next sync. With deep-clone forced every leg is a full
+// one, every time: the differential baseline.
+func (g *GPU) syncStateFrom(src *GPU, capture bool) {
 	full := g.deepClone
-	var agg cowAgg
-	agg.mem(g.mem.RestoreFrom(src.mem, full))
-	g.dram.mem, g.dram.latency = g.mem, src.dram.latency
-	if st, err := g.l2.RestoreFrom(src.l2, g.dram, full); err != nil {
-		// Geometry drifted (a poisoned vessel left inconsistent storage):
-		// self-heal by rebuilding from the source instead of panicking.
-		g.l2 = src.l2.Clone(g.dram)
-		restoreCacheBaseline(g.l2, src.l2)
-		agg.full = true
-	} else {
-		agg.cache(st)
+	if capture {
+		full = src.deepClone
 	}
+	var agg cowAgg
+	if capture {
+		agg.mem(g.mem.CaptureFrom(src.mem, full))
+	} else {
+		agg.mem(g.mem.RestoreFrom(src.mem, full))
+	}
+	g.dram.mem, g.dram.latency = g.mem, src.dram.latency
+	syncCache(&g.l2, src.l2, g.dram, capture, full, &agg)
 	g.bankFree = append(g.bankFree[:0], src.bankFree...)
 	for i, sc := range src.cores {
-		g.cores[i].restoreFrom(sc, g, full, &agg)
+		c := g.cores[i]
+		c.copyScalarsFrom(sc, g)
+		syncCache(&c.l1d, sc.l1d, g.l2, capture, full, &agg)
+		syncCache(&c.l1t, sc.l1t, g.l2, capture, full, &agg)
+		syncCache(&c.l1c, sc.l1c, g.l2, capture, full, &agg)
+		syncCache(&c.l1i, sc.l1i, g.l2, capture, full, &agg)
+		if capture || full {
+			// The live device keeps executing after a capture, and the
+			// deep-clone protocol shares nothing: a private deep copy.
+			c.ctas, c.warps = nil, nil
+			sc.cloneResidentInto(c)
+		} else {
+			sc.cowResidentInto(c)
+		}
 	}
 	g.copyMetaFrom(src)
-	observeCOWRestore(&agg)
+	if capture {
+		observeCOWSync(&agg, &cowCaptures, &cowFullCaptures)
+	} else {
+		observeCOWSync(&agg, &cowRestores, &cowFullRestores)
+	}
 }
 
-// captureStateFrom recaptures the live GPU into a recycled snapshot
-// template, moving only the state the prefix run dirtied since the
-// previous capture. Resident SIMT state is always deep-copied: the live
-// GPU keeps executing after the capture, so nothing may be shared with it.
-func (t *GPU) captureStateFrom(src *GPU) {
-	full := src.deepClone
-	var agg cowAgg
-	agg.mem(t.mem.CaptureFrom(src.mem, full))
-	t.dram.mem, t.dram.latency = t.mem, src.dram.latency
-	if st, err := t.l2.CaptureFrom(src.l2, t.dram, full); err != nil {
-		t.l2 = src.l2.Clone(t.dram)
-		captureCacheBaseline(t.l2, src.l2)
-		agg.full = true
-	} else {
-		agg.cache(st)
+// syncCache brings *dst to src's state by RestoreFrom or CaptureFrom. A
+// level the model lacks stays nil. A destination that is missing, or whose
+// geometry drifted (a poisoned fork left inconsistent storage), is rebuilt
+// empty and synced like any other cache without provenance — never a panic.
+func syncCache(dst **cache.Cache, src *cache.Cache, backing cache.Backing, capture, full bool, agg *cowAgg) {
+	if src == nil {
+		*dst = nil
+		return
 	}
-	t.bankFree = append(t.bankFree[:0], src.bankFree...)
-	for i, sc := range src.cores {
-		t.cores[i].captureFrom(sc, t, full, &agg)
+	sync := (*cache.Cache).RestoreFrom
+	if capture {
+		sync = (*cache.Cache).CaptureFrom
 	}
-	t.copyMetaFrom(src)
-	observeCOWCapture(&agg)
+	if *dst != nil {
+		if st, err := sync(*dst, src, backing, full); err == nil {
+			agg.cache(st)
+			return
+		}
+	}
+	*dst = cache.New(src.Geometry(), backing)
+	st, _ := sync(*dst, src, backing, full) // src's own geometry: cannot fail
+	agg.cache(st)
 }
 
 // copyMetaFrom copies the scalar and host-level launch state shared by
-// restore and capture: cycle, statistics, the in-flight launch frame.
+// restore and capture: cycle, statistics, the in-flight launch frame. The
+// per-kernel statistics refill g's own entries, so a vessel restored once
+// per experiment allocates nothing here.
 func (g *GPU) copyMetaFrom(src *GPU) {
 	g.cycle = src.cycle
-	g.kernels = make(map[string]*KernelStats, len(src.kernels))
+	for name := range g.kernels {
+		if src.kernels[name] == nil {
+			delete(g.kernels, name)
+		}
+	}
 	for name, ks := range src.kernels {
-		g.kernels[name] = ks.clone()
+		dst := g.kernels[name]
+		if dst == nil {
+			dst = &KernelStats{}
+			g.kernels[name] = dst
+		}
+		windows, cores := dst.Windows[:0], dst.UsedCores[:0]
+		*dst = *ks
+		dst.Windows = append(windows, ks.Windows...)
+		dst.UsedCores = append(cores, ks.UsedCores...)
 	}
 	g.kernelSeq = append(g.kernelSeq[:0], src.kernelSeq...)
 	g.launches = append(g.launches[:0], src.launches...)
@@ -402,13 +377,7 @@ func (g *GPU) copyMetaFrom(src *GPU) {
 		g.kernelStat = g.kernels[src.kernelStat.Name]
 	}
 	g.launchStart, g.launchInstr = src.launchStart, src.launchInstr
-	g.launchCores = nil
-	if src.launchCores != nil {
-		g.launchCores = make(map[int]bool, len(src.launchCores))
-		for id := range src.launchCores {
-			g.launchCores[id] = true
-		}
-	}
+	g.launchCores = append(g.launchCores[:0], src.launchCores...)
 }
 
 // seekNext consumes the next recorded host call, checking its kind.
@@ -463,93 +432,6 @@ func (g *GPU) seekLaunch(p *isa.Program) (*LaunchResult, error) {
 	return g.runLaunch()
 }
 
-// cloneGPU deep-copies every piece of simulated state into a fresh,
-// internally consistent GPU. Shared immutable inputs (the configuration
-// and assembled programs) are referenced, everything mutable is copied.
-func cloneGPU(g *GPU) *GPU {
-	n := &GPU{
-		cfg:         g.cfg,
-		mem:         g.mem.Clone(),
-		cycle:       g.cycle,
-		kernels:     make(map[string]*KernelStats, len(g.kernels)),
-		kernelSeq:   append([]string(nil), g.kernelSeq...),
-		launches:    append([]LaunchResult(nil), g.launches...),
-		bankFree:    append([]uint64(nil), g.bankFree...),
-		curProg:     g.curProg,
-		curParams:   append([]uint32(nil), g.curParams...),
-		curGrid:     g.curGrid,
-		curBlock:    g.curBlock,
-		nextCTA:     g.nextCTA,
-		totalCTAs:   g.totalCTAs,
-		doneCTAs:    g.doneCTAs,
-		localBase:   g.localBase,
-		localStep:   g.localStep,
-		paramBase:   g.paramBase,
-		progBase:    g.progBase,
-		launchStart: g.launchStart,
-		launchInstr: g.launchInstr,
-	}
-	n.dram = &dramBacking{mem: n.mem, latency: g.dram.latency}
-	n.l2 = g.l2.Clone(n.dram)
-	for name, ks := range g.kernels {
-		n.kernels[name] = ks.clone()
-	}
-	if g.kernelStat != nil {
-		n.kernelStat = n.kernels[g.kernelStat.Name]
-	}
-	if g.launchCores != nil {
-		n.launchCores = make(map[int]bool, len(g.launchCores))
-		for id := range g.launchCores {
-			n.launchCores[id] = true
-		}
-	}
-	n.cores = make([]*core, len(g.cores))
-	for i, c := range g.cores {
-		n.cores[i] = c.clone(n)
-	}
-	return n
-}
-
-// clone deep-copies a KernelStats, including windows, core lists and the
-// cycle-weighted accumulators.
-func (k *KernelStats) clone() *KernelStats {
-	n := *k
-	n.Windows = append([]CycleWindow(nil), k.Windows...)
-	n.UsedCores = append([]int(nil), k.UsedCores...)
-	return &n
-}
-
-// clone deep-copies a SIMT core — caches wired over the new GPU's L2,
-// CTAs, warps (SIMT stacks, fetch state) and their lane state (registers,
-// predicates) — preserving warp placement order and all back-references.
-func (c *core) clone(g *GPU) *core {
-	nc := &core{
-		id:           c.id,
-		gpu:          g,
-		corruptInstr: c.corruptInstr,
-		liveThreads:  c.liveThreads,
-		liveWarps:    c.liveWarps,
-		usedThreads:  c.usedThreads,
-		usedRegs:     c.usedRegs,
-		usedSmem:     c.usedSmem,
-		rr:           c.rr,
-	}
-	if c.l1d != nil {
-		nc.l1d = c.l1d.Clone(g.l2)
-	}
-	if c.l1t != nil {
-		nc.l1t = c.l1t.Clone(g.l2)
-	}
-	if c.l1c != nil {
-		nc.l1c = c.l1c.Clone(g.l2)
-	}
-	if c.l1i != nil {
-		nc.l1i = c.l1i.Clone(g.l2)
-	}
-	c.cloneResidentInto(nc)
-	return nc
-}
-
 // copyScalarsFrom copies a core's scalar occupancy and scheduler state.
 func (c *core) copyScalarsFrom(src *core, g *GPU) {
 	c.id = src.id
@@ -562,90 +444,6 @@ func (c *core) copyScalarsFrom(src *core, g *GPU) {
 	c.usedRegs = src.usedRegs
 	c.usedSmem = src.usedSmem
 	c.rr = src.rr
-}
-
-// restoreFrom makes c (a fork vessel's core) a copy of src (the snapshot
-// core's), reusing its cache storage via delta restores and rebuilding
-// resident state copy-on-write. A RestoreFrom geometry mismatch means the
-// vessel's cache storage drifted (a poisoned fork): self-heal with a
-// fresh Clone instead of panicking.
-func (c *core) restoreFrom(src *core, g *GPU, full bool, agg *cowAgg) {
-	c.copyScalarsFrom(src, g)
-	restoreL1(&c.l1d, src.l1d, g.l2, full, agg)
-	restoreL1(&c.l1t, src.l1t, g.l2, full, agg)
-	restoreL1(&c.l1c, src.l1c, g.l2, full, agg)
-	restoreL1(&c.l1i, src.l1i, g.l2, full, agg)
-	if full {
-		c.ctas, c.warps = nil, nil
-		src.cloneResidentInto(c)
-	} else {
-		src.cowResidentInto(c)
-	}
-}
-
-// captureFrom makes c (a recycled snapshot template's core) a copy of src
-// (the live core's) via delta captures. Resident state is deep-copied —
-// the live core keeps executing.
-func (c *core) captureFrom(src *core, g *GPU, full bool, agg *cowAgg) {
-	c.copyScalarsFrom(src, g)
-	captureL1(&c.l1d, src.l1d, g.l2, full, agg)
-	captureL1(&c.l1t, src.l1t, g.l2, full, agg)
-	captureL1(&c.l1c, src.l1c, g.l2, full, agg)
-	captureL1(&c.l1i, src.l1i, g.l2, full, agg)
-	c.ctas, c.warps = nil, nil
-	src.cloneResidentInto(c)
-}
-
-// restoreL1 delta-restores one L1 from its snapshot counterpart, handling
-// nil legs, shape drift (fresh Clone + new baseline) and the deep-clone
-// protocol.
-func restoreL1(dst **cache.Cache, src *cache.Cache, l2 cache.Backing, full bool, agg *cowAgg) {
-	switch {
-	case src == nil:
-		*dst = nil
-	case *dst == nil:
-		*dst = src.Clone(l2)
-		if !full {
-			restoreCacheBaseline(*dst, src)
-		}
-		agg.full = true
-	default:
-		st, err := (*dst).RestoreFrom(src, l2, full)
-		if err != nil {
-			*dst = src.Clone(l2)
-			if !full {
-				restoreCacheBaseline(*dst, src)
-			}
-			agg.full = true
-			return
-		}
-		agg.cache(st)
-	}
-}
-
-// captureL1 delta-captures one live L1 into its template counterpart.
-func captureL1(dst **cache.Cache, src *cache.Cache, l2 cache.Backing, full bool, agg *cowAgg) {
-	switch {
-	case src == nil:
-		*dst = nil
-	case *dst == nil:
-		*dst = src.Clone(l2)
-		if !full {
-			captureCacheBaseline(*dst, src)
-		}
-		agg.full = true
-	default:
-		st, err := (*dst).CaptureFrom(src, l2, full)
-		if err != nil {
-			*dst = src.Clone(l2)
-			if !full {
-				captureCacheBaseline(*dst, src)
-			}
-			agg.full = true
-			return
-		}
-		agg.cache(st)
-	}
 }
 
 // cloneResidentInto deep-copies c's resident CTAs and warps into nc,
