@@ -184,8 +184,7 @@ func analyticRecords(cfg *CampaignConfig, prof *Profile, specs []*sim.FaultSpec,
 // runAdaptive executes a campaign point under cfg.Plan: analytic pre-pass,
 // then stratified rounds on the fork engine with a stop check between
 // rounds. Journal/Quarantine/Trace/Progress semantics are the engine's
-// own; analytic records flow through the same hooks in the same
-// order (Journal, TraceSink, Progress) as the absent-structure path.
+// own; analytic records reach the hooks through the same deliver call.
 func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan) (*CampaignResult, error) {
 	tracker := plan.NewTracker(*cfg.Plan)
 
@@ -223,20 +222,10 @@ func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *ca
 				continue
 			}
 			analyticPending++
-			if cfg.Journal != nil {
-				if err := cfg.Journal(exp); err != nil {
-					return nil, fmt.Errorf("core: journal experiment %d: %w", i, err)
-				}
-			}
-			if cfg.TraceSink != nil && exp.Trace != nil {
-				if err := cfg.TraceSink(*exp.Trace); err != nil {
-					return nil, fmt.Errorf("core: trace experiment %d: %w", i, err)
-				}
+			if err := cfg.deliver(exp); err != nil {
+				return nil, err
 			}
 			exp.Trace = nil
-			if cfg.Progress != nil {
-				cfg.Progress(exp)
-			}
 			res.Exps = append(res.Exps, exp)
 			res.Counts.Masked++
 		}
@@ -279,7 +268,7 @@ func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *ca
 		}
 		round := queue[off : off+n]
 		off += n
-		r, err := runForked(ctx, cfg, prof, cp.windows, round, cp.specs, cp.extras)
+		r, err := runPoint(ctx, cfg, prof, cp, round)
 		if r != nil {
 			res.Counts.Merge(r.Counts)
 			res.Exps = append(res.Exps, r.Exps...)

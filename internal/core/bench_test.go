@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"syscall"
 	"testing"
 	"time"
 
+	"gpufi/internal/avf"
 	"gpufi/internal/bench"
 	"gpufi/internal/config"
 	"gpufi/internal/obs"
@@ -279,4 +281,56 @@ func BenchmarkPlanCampaign(b *testing.B) {
 		}
 		benchSpec = plan.specs[len(plan.specs)-1]
 	}
+}
+
+// BenchmarkEvaluateMatrix is one pass of the performance ledger's
+// eval-matrix workload — Evaluate of SRAD2, HS, BP and KM, 40 runs per
+// point, seed 7, two workers — with the three numbers that explain its
+// speed: snapshot captures per experiment, simulated experiments per
+// cluster, and how many CPUs the pass kept busy (cpu_s / wall_s). Each pass
+// must reproduce the ledger's exact outcome counts.
+func BenchmarkEvaluateMatrix(b *testing.B) {
+	gpu := config.RTX2060()
+	var apps []*bench.App
+	for _, n := range []string{"SRAD2", "HS", "BP", "KM"} {
+		app, err := bench.ByName(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		apps = append(apps, app)
+	}
+	cpuTime := func() time.Duration {
+		var ru syscall.Rusage
+		if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+			b.Fatal(err)
+		}
+		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
+	}
+	want := avf.Counts{Masked: 1147, SDC: 36, Crash: 16, Performance: 1}
+	before, cpu0 := EngineStats(), cpuTime()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var got avf.Counts
+		for _, app := range apps {
+			ev, err := EvaluateApp(nil, app, gpu, EvalConfig{Runs: 40, Seed: 7, Workers: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, ke := range ev.Kernels {
+				for _, sa := range ke.Structs {
+					got.Merge(sa.Counts)
+				}
+			}
+		}
+		if got != want {
+			b.Fatalf("eval-matrix outcome counts moved: %+v, want %+v", got, want)
+		}
+	}
+	wall, cpu, after := b.Elapsed(), cpuTime()-cpu0, EngineStats()
+	exps := float64(want.Total() * b.N)
+	captures := float64(after.SnapshotCaptures - before.SnapshotCaptures)
+	b.ReportMetric(captures/exps, "captures/exp")
+	b.ReportMetric(float64(after.SnapshotRestores-before.SnapshotRestores)/captures, "exps/cluster")
+	b.ReportMetric(cpu.Seconds()/wall.Seconds(), "busy-cpus")
+	b.ReportMetric(exps/wall.Seconds(), "exps/s")
 }

@@ -105,6 +105,12 @@ type CampaignConfig struct {
 	// it.
 	deepClone bool
 
+	// spanPoint, when set, goes on every per-experiment span as its "point"
+	// attribute. EvaluateApp names each point of its run with it, so the
+	// spans of a run that carries several points stay attributable; a
+	// one-point campaign leaves it empty and its spans are unchanged.
+	spanPoint string
+
 	// Progress, when non-nil, is called once per finished experiment (in
 	// completion order, serialized). Long campaigns use it for progress
 	// reporting and incremental logging.
@@ -318,58 +324,33 @@ func RunCampaign(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*Camp
 	if err != nil {
 		return nil, err
 	}
-	pending := cp.pending
-	if cp.absent {
-		// Structure not present for this kernel/card: every fault is
-		// trivially masked (e.g. shared memory in a kernel that uses none).
-		// The experiments are still materialized so journals and logs
-		// round-trip the same counts as any other campaign.
-		res := &CampaignResult{
-			App: prof.App, GPU: prof.GPU, Kernel: cfg.Kernel,
-			Structure: cfg.Structure.String(), Bits: cfg.Bits, Runs: cfg.Runs, Seed: cfg.Seed,
-		}
-		for _, i := range pending {
-			exp := Experiment{
-				ID: i, Outcome: avf.Masked, Effect: avf.Masked.String(),
-				Cycles: prof.TotalCycles, Detail: "structure absent for kernel",
-			}
-			if cfg.Trace {
-				classifyOnlyTrace(&exp)
-			}
-			if cfg.Journal != nil {
-				if err := cfg.Journal(exp); err != nil {
-					return nil, fmt.Errorf("core: journal experiment %d: %w", i, err)
-				}
-			}
-			if cfg.TraceSink != nil && exp.Trace != nil {
-				if err := cfg.TraceSink(*exp.Trace); err != nil {
-					return nil, fmt.Errorf("core: trace experiment %d: %w", i, err)
-				}
-			}
-			exp.Trace = nil
-			if cfg.Progress != nil {
-				cfg.Progress(exp)
-			}
-			res.Exps = append(res.Exps, exp)
-			res.Counts.Masked++
-		}
-		return res, nil
-	}
-
-	if len(pending) == 0 {
-		// Everything was already completed in an earlier run: nothing to
-		// simulate, and nothing to add to the journal.
-		return &CampaignResult{
-			App: prof.App, GPU: prof.GPU, Kernel: cfg.Kernel,
-			Structure: cfg.Structure.String(), Bits: cfg.Bits, Runs: cfg.Runs, Seed: cfg.Seed,
-			Exps: []Experiment{},
-		}, nil
-	}
-
-	if cfg.Plan.Enabled() {
+	if cfg.Plan.Enabled() && !cp.absent && len(cp.pending) > 0 {
 		return runAdaptive(ctx, cfg, prof, cp)
 	}
-	return runForked(ctx, cfg, prof, cp.windows, pending, cp.specs, cp.extras)
+	return runPoint(ctx, cfg, prof, cp, cp.pending)
+}
+
+// runPoint is the one-point engine run: RunCampaign's, and each round of
+// the adaptive driver's.
+func runPoint(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan, pending []int) (*CampaignResult, error) {
+	res, err := runPoints(ctx, prof, []*point{{cfg: cfg, plan: cp, pending: pending}})
+	if res == nil {
+		return nil, err
+	}
+	return res[0], err
+}
+
+// emitExpSpan records one engine phase of one experiment as a span named
+// by the experiment index, and by its point when the run carries several.
+func (c *CampaignConfig) emitExpSpan(ctx context.Context, name string, start time.Time, i int, more ...obs.Attr) {
+	if !obs.TraceEnabled(ctx) {
+		return
+	}
+	attrs := append([]obs.Attr{{K: "exp", V: strconv.Itoa(i)}}, more...)
+	if c.spanPoint != "" {
+		attrs = append(attrs, obs.Attr{K: "point", V: c.spanPoint})
+	}
+	obs.EmitSpan(ctx, name, start, attrs...)
 }
 
 // runExperiment arms the faults on a prepared GPU (fresh or forked), runs
@@ -393,8 +374,7 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 	execStart := time.Now()
 	out, runErr := cfg.App.Run(g)
 	observePhase(&phaseExecuteNanos, execStart)
-	obs.EmitSpan(ctx, "engine.execute", execStart,
-		obs.Attr{K: "exp", V: strconv.Itoa(i)})
+	cfg.emitExpSpan(ctx, "engine.execute", execStart, i)
 	if runErr != nil && isCancel(runErr) {
 		// A cancelled run is an aborted campaign, not a Crash outcome.
 		return Experiment{}, runErr
@@ -417,9 +397,7 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 		finishTrace(g, &exp)
 	}
 	observePhase(&phaseClassifyNanos, clsStart)
-	obs.EmitSpan(ctx, "engine.classify", clsStart,
-		obs.Attr{K: "exp", V: strconv.Itoa(i)},
-		obs.Attr{K: "outcome", V: exp.Effect})
+	cfg.emitExpSpan(ctx, "engine.classify", clsStart, i, obs.Attr{K: "outcome", V: exp.Effect})
 	return exp, nil
 }
 

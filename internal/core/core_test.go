@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -298,20 +299,51 @@ func TestCampaignDeterministic(t *testing.T) {
 	}
 }
 
+// TestCampaignAbsentStructureAllMasked: a structure the kernel does not use
+// is answered without simulating, through the collector like any other
+// experiment — so each record reaches the journal, then the trace sink,
+// then the progress callback, with the bytes it has always had.
 func TestCampaignAbsentStructureAllMasked(t *testing.T) {
 	app := bench.VA() // uses no shared memory
 	gpu := config.RTX2060()
 	prof, _ := ProfileApp(nil, app, gpu)
+	var calls, wantCalls []string
+	var rec streamRecorder
 	cfg := &CampaignConfig{
 		App: app, GPU: gpu, Kernel: "va_add",
 		Structure: sim.StructShared, Runs: 10, Bits: 1, Seed: 3,
 	}
+	rec.attach(cfg)
+	journal, trace := cfg.Journal, cfg.TraceSink
+	cfg.Journal = func(e Experiment) error { calls = append(calls, fmt.Sprint("journal ", e.ID)); return journal(e) }
+	cfg.TraceSink = func(tr ExperimentTrace) error { calls = append(calls, fmt.Sprint("trace ", tr.ID)); return trace(tr) }
+	cfg.Progress = func(e Experiment) { calls = append(calls, fmt.Sprint("progress ", e.ID)) }
+	before := sim.PoolStats()
 	res, err := RunCampaign(nil, cfg, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts.Masked != 10 || res.Counts.Failures() != 0 {
-		t.Errorf("shared campaign on smem-free kernel: %+v", res.Counts)
+	if res.Counts.Masked != 10 || res.Counts.Failures() != 0 || len(res.Exps) != 10 {
+		t.Errorf("shared campaign on smem-free kernel: %+v, %d experiments", res.Counts, len(res.Exps))
+	}
+	if after := sim.PoolStats(); after != before {
+		t.Errorf("an absent structure touched the device pool: %+v -> %+v", before, after)
+	}
+	for i := 0; i < 10; i++ {
+		wantCalls = append(wantCalls, fmt.Sprint("journal ", i), fmt.Sprint("trace ", i), fmt.Sprint("progress ", i))
+		wantJournal := fmt.Sprintf(`{"id":%d,"cycle":0,"bits":null,"effect":"Masked","cycles":%d,"injected":false,`+
+			`"detail":"structure absent for kernel","why":"masked:not-applied"}`, i, prof.TotalCycles)
+		wantTrace := fmt.Sprintf(`{"id":%d,"effect":"Masked","why":"masked:not-applied","events":[{"ev":"classify","cycle":%d,`+
+			`"core":-1,"warp":-1,"lane":-1,"pc":-1,"outcome":"Masked","why":"masked:not-applied"}]}`, i, prof.TotalCycles)
+		if got := string(rec.journal[i]); got != wantJournal {
+			t.Errorf("journal record %d:\n got  %s\n want %s", i, got, wantJournal)
+		}
+		if got := string(rec.traces[i]); got != wantTrace {
+			t.Errorf("trace record %d:\n got  %s\n want %s", i, got, wantTrace)
+		}
+	}
+	if !reflect.DeepEqual(calls, wantCalls) {
+		t.Errorf("hook order %v, want %v", calls, wantCalls)
 	}
 }
 

@@ -72,8 +72,10 @@ type EvalConfig struct {
 
 // EvaluateApp runs the full campaign matrix for one application on one
 // GPU: every static kernel x every on-chip structure, then assembles
-// AVF_kernel (Eq. 2), wAVF (Eq. 3) and the chip FIT rate. The context
-// cancels the evaluation between (and inside) campaign points.
+// AVF_kernel (Eq. 2), wAVF (Eq. 3) and the chip FIT rate. Every point is
+// planned first, with the seed it would have as a campaign of its own, and
+// the matrix runs as one engine run: one fault-free prefix for the whole
+// application. The context cancels the evaluation.
 func EvaluateApp(ctx context.Context, app *bench.App, gpu *config.GPU, cfg EvalConfig) (*AppEval, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -81,63 +83,93 @@ func EvaluateApp(ctx context.Context, app *bench.App, gpu *config.GPU, cfg EvalC
 	if cfg.Runs <= 0 {
 		return nil, fmt.Errorf("core: evaluation needs a positive run count")
 	}
-	if cfg.Bits <= 0 {
-		cfg.Bits = 1
-	}
-	structures := cfg.Structures
-	if structures == nil {
-		structures = OnChipStructures()
-	}
 	prof, err := ProfileApp(ctx, app, gpu)
 	if err != nil {
 		return nil, err
 	}
+	eval, points, err := planEval(app, gpu, prof, cfg)
+	if err != nil {
+		return nil, err
+	}
+	results, err := runPoints(ctx, prof, points)
+	if err != nil {
+		return nil, fmt.Errorf("core: evaluate %s: %w", app.Name, err)
+	}
+	eval.assemble(gpu, cfg.structures(), results)
+	return eval, nil
+}
 
+// structures resolves the evaluated structure list.
+func (c EvalConfig) structures() []sim.Structure {
+	if c.Structures == nil {
+		return OnChipStructures()
+	}
+	return c.Structures
+}
+
+// planEval lays out the evaluation matrix: the AppEval with every kernel's
+// structures, sizes and derating factors in place (outcome counts still
+// empty), and the planned campaign points in the same kernel-major order.
+func planEval(app *bench.App, gpu *config.GPU, prof *Profile, cfg EvalConfig) (*AppEval, []*point, error) {
+	if cfg.Bits <= 0 {
+		cfg.Bits = 1
+	}
 	eval := &AppEval{App: app.Name, GPU: gpu.Name}
-	var kernelEntries []avf.KernelEntry
-	var occNum float64
-	var occDen uint64
-	seedBase := cfg.Seed
-
+	var points []*point
 	for ki, kname := range prof.KernelOrder {
 		ks := prof.Kernels[kname]
 		ke := KernelEval{Kernel: kname, Cycles: ks.TotalCycles, Occupancy: ks.Occupancy}
-		var results []avf.StructResult
-		for si, st := range structures {
+		for si, st := range cfg.structures() {
 			if ChipSizeBits(gpu, st) == 0 && st != sim.StructShared {
 				continue // absent structure (GTX Titan L1D)
 			}
 			ccfg := &CampaignConfig{
 				App: app, GPU: gpu, Kernel: kname, Structure: st,
 				Runs: cfg.Runs, Bits: cfg.Bits,
-				Seed:    seedBase ^ int64(ki*131+si*17+1)*0x5DEECE66D,
-				Workers: cfg.Workers,
+				Seed:      cfg.Seed ^ int64(ki*131+si*17+1)*0x5DEECE66D,
+				Workers:   cfg.Workers,
+				spanPoint: kname + "/" + st.String(),
 			}
-			cres, err := RunCampaign(ctx, ccfg, prof)
+			cp, err := planCampaign(ccfg, prof)
 			if err != nil {
-				return nil, fmt.Errorf("core: %s/%s/%s: %v", app.Name, kname, st, err)
+				return nil, nil, fmt.Errorf("core: %s/%s/%s: %w", app.Name, kname, st, err)
 			}
-			sa := StructAVF{
-				Structure: st,
-				Counts:    cres.Counts,
-				SizeBits:  ChipSizeBits(gpu, st),
-				Derate:    1,
-			}
+			points = append(points, &point{cfg: ccfg, plan: cp, pending: cp.pending})
+			sa := StructAVF{Structure: st, SizeBits: ChipSizeBits(gpu, st), Derate: 1}
 			switch st {
 			case sim.StructRegFile:
 				sa.Derate = avf.DfReg(ks.RegsPerThread, ks.MeanThreadsPerSM, gpu.RegistersPerSM)
-				eval.RegFile.Merge(cres.Counts)
 			case sim.StructShared:
 				sa.Derate = avf.DfSmem(ks.SmemPerCTA, ks.MeanCTAsPerSM, gpu.SmemPerSM)
 			}
 			ke.Structs = append(ke.Structs, sa)
-			results = append(results, sa.Result())
 		}
-		ke.AVF = avf.KernelAVF(results)
 		eval.Kernels = append(eval.Kernels, ke)
-		kernelEntries = append(kernelEntries, avf.KernelEntry{Name: kname, AVF: ke.AVF, Cycles: ks.TotalCycles})
-		occNum += ks.Occupancy * float64(ks.TotalCycles)
-		occDen += ks.TotalCycles
+	}
+	return eval, points, nil
+}
+
+// assemble fills in the points' outcome counts (results are in planEval's
+// order) and folds them into AVF_kernel, wAVF, occupancy and the chip FIT rate.
+func (eval *AppEval) assemble(gpu *config.GPU, structures []sim.Structure, results []*CampaignResult) {
+	var kernelEntries []avf.KernelEntry
+	var occNum float64
+	var occDen uint64
+	for k := range eval.Kernels {
+		ke := &eval.Kernels[k]
+		var structs []avf.StructResult
+		for s := range ke.Structs {
+			sa := &ke.Structs[s]
+			sa.Counts, results = results[0].Counts, results[1:]
+			if sa.Structure == sim.StructRegFile {
+				eval.RegFile.Merge(sa.Counts)
+			}
+			structs = append(structs, sa.Result())
+		}
+		ke.AVF = avf.KernelAVF(structs)
+		kernelEntries = append(kernelEntries, avf.KernelEntry{Name: ke.Kernel, AVF: ke.AVF, Cycles: ke.Cycles})
+		occNum += ke.Occupancy * float64(ke.Cycles)
+		occDen += ke.Cycles
 	}
 
 	eval.WAVF = avf.WeightedAVF(kernelEntries)
@@ -174,7 +206,6 @@ func EvaluateApp(ctx context.Context, app *bench.App, gpu *config.GPU, cfg EvalC
 		})
 	}
 	eval.FIT = avf.TotalFIT(fitResults, gpu.RawFITPerBit)
-	return eval, nil
 }
 
 // syntheticCounts builds a Counts whose FailureRatio equals the given AVF,

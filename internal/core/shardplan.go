@@ -141,7 +141,7 @@ func PlanShards(cfg *CampaignConfig, prof *Profile, target int) ([][]int, error)
 		// Split the pending indices into near-equal contiguous runs.
 		return splitEven(plan.pending, target), nil
 	}
-	clusters := planClusters(plan.pending, plan.specs, plan.windows)
+	clusters := planClusters([]*point{{plan: plan, pending: plan.pending}})
 	if target > len(clusters) {
 		target = len(clusters)
 	}
@@ -153,17 +153,13 @@ func PlanShards(cfg *CampaignConfig, prof *Profile, target int) ([][]int, error)
 	for s := 0; s < target; s++ {
 		left := target - s
 		quota := (remaining + left - 1) / left
-		var idxs []int
-		for ci < len(clusters) && (len(idxs) == 0 || len(idxs)+len(clusters[ci].idxs) <= quota) {
-			idxs = append(idxs, clusters[ci].idxs...)
-			ci++
-		}
 		// Keep the last shard from leaving clusters behind.
-		if s == target-1 {
-			for ci < len(clusters) {
-				idxs = append(idxs, clusters[ci].idxs...)
-				ci++
+		var idxs []int
+		for ci < len(clusters) && (len(idxs) == 0 || s == target-1 || len(idxs)+len(clusters[ci].jobs) <= quota) {
+			for _, j := range clusters[ci].jobs {
+				idxs = append(idxs, j.i)
 			}
+			ci++
 		}
 		remaining -= len(idxs)
 		shards = append(shards, idxs)
