@@ -333,4 +333,15 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 	b.ReportMetric(float64(after.SnapshotRestores-before.SnapshotRestores)/captures, "exps/cluster")
 	b.ReportMetric(cpu.Seconds()/wall.Seconds(), "busy-cpus")
 	b.ReportMetric(exps/wall.Seconds(), "exps/s")
+	inert := after.EarlyStopsInert - before.EarlyStopsInert
+	stopped := inert + after.EarlyStopsOverwritten - before.EarlyStopsOverwritten +
+		after.EarlyStopsRetired - before.EarlyStopsRetired
+	b.ReportMetric(float64(stopped)/exps, "stopped/exp")
+	b.ReportMetric(float64(after.SuffixCyclesSkipped-before.SuffixCyclesSkipped)/exps, "skipped-cycles/exp")
+	// Which faults are inert is decided by the seed alone, so the count is
+	// exact: 703 of a pass's 1,120 simulated experiments flip only invalid
+	// cache lines or find no live target.
+	if want := int64(703 * b.N); inert != want {
+		b.Fatalf("eval-matrix inert early stops: %d over %d pass(es), want %d", inert, b.N, want)
+	}
 }

@@ -105,6 +105,13 @@ type CampaignConfig struct {
 	// it.
 	deepClone bool
 
+	// runToEnd makes every experiment simulate to the application's last
+	// cycle and compare its output, where the engine otherwise ends a run the
+	// moment the rest of it is provably the golden run (sim.StopWhenGolden).
+	// It is the oracle early stopping is checked against, byte for byte;
+	// unexported so only this package's tests can set it.
+	runToEnd bool
+
 	// spanPoint, when set, goes on every per-experiment span as its "point"
 	// attribute. EvaluateApp names each point of its run with it, so the
 	// spans of a run that carries several points stay attributable; a
@@ -360,6 +367,7 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 
 	g.CycleLimit = 2 * prof.TotalCycles // the paper's timeout threshold
 	g.SetContext(ctx)
+	g.StopWhenGolden(!cfg.runToEnd)
 	if cfg.Trace {
 		g.EnableTrace()
 	}
@@ -375,6 +383,14 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 	out, runErr := cfg.App.Run(g)
 	observePhase(&phaseExecuteNanos, execStart)
 	cfg.emitExpSpan(ctx, "engine.execute", execStart, i)
+	cycles := g.Cycle()
+	if why := g.Stopped(); why != sim.NotStopped {
+		// The device proved the rest of the run to be the golden run and did
+		// not simulate it (whatever the application made of the launch that
+		// stopped): the record is the one the golden suffix ends in.
+		observeEarlyStop(why, prof.TotalCycles-cycles)
+		out, runErr, cycles = prof.Golden, nil, prof.TotalCycles
+	}
 	if runErr != nil && isCancel(runErr) {
 		// A cancelled run is an aborted campaign, not a Crash outcome.
 		return Experiment{}, runErr
@@ -390,8 +406,8 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 		exp.Injected = rec.Applied
 		exp.Detail = rec.Detail
 	}
-	exp.Cycles = g.Cycle()
-	exp.Outcome = classify(runErr, out, prof, g.Cycle())
+	exp.Cycles = cycles
+	exp.Outcome = classify(runErr, out, prof, cycles)
 	exp.Effect = exp.Outcome.String()
 	if cfg.Trace {
 		finishTrace(g, &exp)

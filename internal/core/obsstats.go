@@ -17,6 +17,12 @@ var (
 	phaseExecuteNanos  atomic.Int64 // faulty application runs
 	phaseClassifyNanos atomic.Int64 // outcome comparison + trace assembly
 
+	// Experiments the device ended early because the rest of the run was
+	// provably the golden run, by sim.StopReason, and the cycles of golden
+	// suffix they did not simulate.
+	earlyStops          [sim.StopRetired + 1]atomic.Int64
+	suffixCyclesSkipped atomic.Int64
+
 	expHist = obs.Default().Histogram("gpufi_experiment_seconds",
 		"Wall-clock seconds per sandboxed injection experiment.", nil)
 )
@@ -38,6 +44,14 @@ type EngineCounters struct {
 	ForkNanos     int64
 	ExecuteNanos  int64
 	ClassifyNanos int64
+
+	// Experiments ended the moment the rest of the run was provably the
+	// golden run (sim.StopWhenGolden), by the rule that proved it, and the
+	// simulated cycles that saved.
+	EarlyStopsInert       int64 // no armed fault changed simulated state
+	EarlyStopsOverwritten int64 // the last corrupted cell was overwritten unread
+	EarlyStopsRetired     int64 // the last corrupted cell went unread with its lane or CTA
+	SuffixCyclesSkipped   int64
 
 	// Copy-on-write fork protocol counters (internal/sim): how much state
 	// the delta syncs actually moved versus a deep clone, and how much
@@ -84,6 +98,10 @@ func EngineStats() EngineCounters {
 		ForkNanos:              phaseForkNanos.Load(),
 		ExecuteNanos:           phaseExecuteNanos.Load(),
 		ClassifyNanos:          phaseClassifyNanos.Load(),
+		EarlyStopsInert:        earlyStops[sim.StopInert].Load(),
+		EarlyStopsOverwritten:  earlyStops[sim.StopOverwritten].Load(),
+		EarlyStopsRetired:      earlyStops[sim.StopRetired].Load(),
+		SuffixCyclesSkipped:    suffixCyclesSkipped.Load(),
 		COWRestores:            cow.Restores,
 		COWFullRestores:        cow.FullRestores,
 		COWCaptures:            cow.Captures,
@@ -101,6 +119,11 @@ func EngineStats() EngineCounters {
 		ParallelFallbackCycles: par.Fallbacks,
 		ParallelPools:          par.Pools,
 	}
+}
+
+func observeEarlyStop(why sim.StopReason, skipped uint64) {
+	earlyStops[why].Add(1)
+	suffixCyclesSkipped.Add(int64(skipped))
 }
 
 func observePhase(dst *atomic.Int64, start time.Time) {

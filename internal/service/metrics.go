@@ -98,6 +98,14 @@ func (m *metrics) init() {
 		func() float64 { return float64(core.EngineStats().ExecuteNanos) / 1e9 })
 	r.GaugeFunc("gpufi_engine_classify_seconds", "Cumulative wall-clock seconds classifying outcomes.",
 		func() float64 { return float64(core.EngineStats().ClassifyNanos) / 1e9 })
+	r.GaugeFunc("gpufi_early_stops_inert", "Experiments ended at their injection cycle: no armed fault changed simulated state, so the run was the golden run.",
+		func() float64 { return float64(core.EngineStats().EarlyStopsInert) })
+	r.GaugeFunc("gpufi_early_stops_overwritten", "Experiments ended when the last corrupted register or shared-memory cell was overwritten before any read.",
+		func() float64 { return float64(core.EngineStats().EarlyStopsOverwritten) })
+	r.GaugeFunc("gpufi_early_stops_retired", "Experiments ended when the last corrupted cell went unread with its exiting lane or retiring CTA.",
+		func() float64 { return float64(core.EngineStats().EarlyStopsRetired) })
+	r.GaugeFunc("gpufi_suffix_cycles_skipped", "Simulated cycles of golden-run suffix that early-stopped experiments did not execute.",
+		func() float64 { return float64(core.EngineStats().SuffixCyclesSkipped) })
 }
 
 // registerShardMetrics mirrors the attached coordinator's counters into
@@ -217,6 +225,10 @@ func (m *metrics) snapshot() map[string]any {
 		"forks_created":            es.ForksCreated,
 		"forks_reused":             es.ForksReused,
 		"fork_reuse_ratio":         reuseRatio,
+		"early_stops_inert":        es.EarlyStopsInert,
+		"early_stops_overwritten":  es.EarlyStopsOverwritten,
+		"early_stops_retired":      es.EarlyStopsRetired,
+		"suffix_cycles_skipped":    es.SuffixCyclesSkipped,
 		"devices_built":            es.DevicesBuilt,
 		"devices_parked":           es.DevicesParked,
 		"cow_bytes_copied":         es.COWBytesCopied,

@@ -110,6 +110,13 @@ func TestMetricsPromFormat(t *testing.T) {
 	if !strings.Contains(string(raw), "gpufi_experiment_seconds_count") {
 		t.Error("process-wide gpufi_experiment_seconds histogram missing from the scrape")
 	}
+	// The early-stop counters by rule, and what they saved.
+	for _, name := range []string{"gpufi_early_stops_inert", "gpufi_early_stops_overwritten",
+		"gpufi_early_stops_retired", "gpufi_suffix_cycles_skipped"} {
+		if families[name] != "gauge" {
+			t.Errorf("%s missing from the scrape (families: %v)", name, families[name])
+		}
+	}
 }
 
 // TestRequestIDMiddleware checks the X-Request-ID contract: a client-sent

@@ -85,24 +85,34 @@ func (a *accessLog) endLaunch(kernel string, start, end uint64) {
 	a.smemLast = make(map[uint32]uint64)
 }
 
-// noteRegRead records a register read at the current cycle. RZ reads as a
-// constant zero and is not a fault site.
-func (c *core) noteRegRead(r uint8) {
-	if r == isa.RegRZ {
-		return
+// sourceRegs returns the register fields the pipeline reads for in, RegRZ
+// standing for a field it does not: the address operand of a load, address and
+// data operands of a store, and all three source fields of anything the ALU
+// or SFU executes, whether or not the opcode uses them (SrcB not when the
+// immediate replaces it). Control instructions, S2R and LDC read no register.
+// It is deliberately the widest reading, and the one rule both the access log
+// and the liveness watch (watch.go) go by: either can only over-count reads.
+func sourceRegs(in *isa.Instr) [3]uint8 {
+	switch {
+	case in.Op == isa.OpLDC || in.Op == isa.OpS2R || in.Op.Class() == isa.ClassCtrl:
+		return [3]uint8{isa.RegRZ, isa.RegRZ, isa.RegRZ}
+	case in.Op.IsLoad():
+		return [3]uint8{in.SrcA, isa.RegRZ, isa.RegRZ}
+	case in.Op.IsStore() || in.HasImm:
+		return [3]uint8{in.SrcA, isa.RegRZ, in.SrcC}
 	}
-	c.gpu.access.regLast[r] = c.gpu.cycle
+	return [3]uint8{in.SrcA, in.SrcB, in.SrcC}
 }
 
-// noteALUReads records the source-field reads of one ALU instruction.
-// The pipeline reads all three source fields for every active lane; one
-// note per warp instruction suffices since the cycle is shared.
-func (c *core) noteALUReads(in *isa.Instr) {
-	c.noteRegRead(in.SrcA)
-	if !in.HasImm {
-		c.noteRegRead(in.SrcB)
+// noteRegReads records the source-field reads of one warp instruction at the
+// current cycle; one note per instruction suffices since the cycle is shared.
+// RZ reads as a constant zero and is not a fault site.
+func (c *core) noteRegReads(in *isa.Instr) {
+	for _, r := range sourceRegs(in) {
+		if r != isa.RegRZ {
+			c.gpu.access.regLast[r] = c.gpu.cycle
+		}
 	}
-	c.noteRegRead(in.SrcC)
 }
 
 // noteSmemRead records a shared-memory word read at the current cycle.

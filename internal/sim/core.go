@@ -106,6 +106,11 @@ type warp struct {
 	// snapshot's; core.materializeWarp clears it on first write.
 	sharedSlab bool
 
+	// watched marks a warp holding a register an injection corrupted and no
+	// instruction has read or fully overwritten yet (see watch.go). Never set
+	// in a snapshot, so a restore clears it.
+	watched bool
+
 	// pendBusy, when positive, is 1 + the index of this warp's deferred
 	// instruction record (core.pend) whose commit will finalize busyUntil.
 	// Only ever non-zero within a parallel compute phase; commitPend and
@@ -127,6 +132,9 @@ type cta struct {
 	// sharedSmem marks a COW fork CTA whose shared memory still aliases
 	// the snapshot's; core.materializeSmem clears it on first write.
 	sharedSmem bool
+
+	// watched is warp.watched for the CTA's shared memory.
+	watched bool
 }
 
 // core is one SIMT core (SM): resident CTAs, warp slots, L1 caches, and
@@ -298,6 +306,9 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 // retireCTA releases a fully exited CTA's resources.
 func (c *core) retireCTA(b *cta) {
 	g := c.gpu
+	if b.watched {
+		g.watch.retired(b)
+	}
 	ctaThreads := g.curBlock.Count()
 	for i, x := range c.ctas {
 		if x == b {
@@ -519,6 +530,15 @@ func (c *core) step(w *warp) {
 			return
 		}
 		top.pc = pc + 1
+	}
+
+	// The instruction completed for the lanes in eff: tell whoever follows
+	// register reads and writes.
+	if g.access != nil && eff != 0 {
+		c.noteRegReads(in)
+	}
+	if w.watched {
+		g.watch.issued(w, in, eff)
 	}
 
 	w.popReconverged()

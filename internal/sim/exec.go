@@ -37,9 +37,6 @@ func (c *core) execute(w *warp, in *isa.Instr, eff uint32) int {
 		if eff == 0 { // predicated off in every lane: issues, changes nothing
 			return latency
 		}
-		if g.access != nil {
-			c.noteALUReads(in)
-		}
 		st := w.st
 		b := st.src(in.SrcB)
 		if in.HasImm {
@@ -158,13 +155,6 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 
 	case isa.OpLDS, isa.OpSTS:
 		return c.sharedAccess(w, in, eff)
-	}
-
-	if g.access != nil {
-		c.noteRegRead(in.SrcA) // address operand
-		if !in.Op.IsLoad() {
-			c.noteRegRead(in.SrcC) // store data operand
-		}
 	}
 
 	// First-level cache for this access (Table II routing).
@@ -389,12 +379,6 @@ func (c *core) sharedAccess(w *warp, in *isa.Instr, eff uint32) int {
 		// aliasing the snapshot's bank gets its private copy first.
 		c.materializeSmem(w.cta)
 	}
-	if g.access != nil && eff != 0 {
-		c.noteRegRead(in.SrcA) // address operand
-		if !load {
-			c.noteRegRead(in.SrcC) // store data operand
-		}
-	}
 	smem := w.cta.smem
 	st := w.st
 	base, imm := st.src(in.SrcA), uint32(in.Imm)
@@ -403,6 +387,7 @@ func (c *core) sharedAccess(w *warp, in *isa.Instr, eff uint32) int {
 		reg = st.dst(in.Dst) // nil: the loaded word is discarded
 	}
 	tr := g.tracer
+	watched := w.cta.watched
 	for m := eff; m != 0; m &= m - 1 {
 		lane := firstLane(m)
 		addr := base[lane] + imm
@@ -410,6 +395,9 @@ func (c *core) sharedAccess(w *warp, in *isa.Instr, eff uint32) int {
 			c.fail(&MemViolation{Kernel: g.curProg.Name, PC: c.pcOf(w), Op: in.Op,
 				Addr: addr, Space: "shared"})
 			return 0
+		}
+		if watched {
+			g.watch.smemAccess(w.cta, addr/4, load)
 		}
 		traced := tr != nil && (st.taint[lane] != 0 || len(tr.smemTaint) != 0)
 		if load {

@@ -158,6 +158,7 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 			reg := int(pos / 32)
 			if i := reg*isa.WarpSize + lane; i < len(st.regs) {
 				st.regs[i] ^= 1 << uint(pos%32)
+				g.watch.seedReg(w, lane, reg)
 				if g.tracer != nil {
 					g.tracer.seedReg(st, lane, reg)
 				}
@@ -216,6 +217,7 @@ func (g *GPU) injectLocal(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand)
 		for _, pos := range positions {
 			if byteOff := uint32(pos / 8); byteOff < g.localStep {
 				g.mem.FlipBit(base+byteOff, uint(pos%8))
+				g.watch.close() // device memory is not watched
 				if g.tracer != nil {
 					g.tracer.seedMem(base + byteOff)
 				}
@@ -284,6 +286,7 @@ func (g *GPU) injectShared(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand
 			byteOff := pos / 8
 			if byteOff < int64(len(b.smem)) {
 				b.smem[byteOff] ^= 1 << uint(pos%8)
+				g.watch.seedSmem(b, uint32(byteOff/4))
 				if g.tracer != nil {
 					g.tracer.seedSmem(b.id, uint32(byteOff))
 				}
@@ -318,10 +321,9 @@ func (g *GPU) injectL1(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand, da
 		rec.Core = id
 		return
 	}
-	outcomes := g.injectCacheBits(target, positions)
 	rec.Applied = true
 	rec.Core = id
-	rec.Detail = outcomes
+	rec.Detail, _ = g.injectCacheBits(target, positions)
 }
 
 // injectL2 flips bits in the device L2, addressed as a single entity.
@@ -332,7 +334,7 @@ func (g *GPU) injectL2(spec *FaultSpec, rec *InjectionRecord) {
 	if g.cfg.ECC && len(positions) == 0 {
 		return
 	}
-	rec.Detail = g.injectCacheBits(g.l2, positions)
+	rec.Detail, _ = g.injectCacheBits(g.l2, positions)
 }
 
 // injectL1C flips bits in the L1 constant cache of a random eligible core
@@ -353,12 +355,14 @@ func (g *GPU) injectL1C(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
 	}
 	rec.Applied = true
 	rec.Core = id
-	rec.Detail = g.injectCacheBits(target, positions)
+	rec.Detail, _ = g.injectCacheBits(target, positions)
 }
 
 // injectL1I flips bits in the L1 instruction cache of a random eligible
-// core (extension target) and switches that core to decode-from-cache
-// fetch so the corruption takes architectural effect.
+// core (extension target) and, when a flip landed on a valid line, switches
+// that core to decode-from-cache fetch so the corruption takes architectural
+// effect. Flips that all fell on invalid lines corrupted nothing, and the
+// core is left as it was.
 func (g *GPU) injectL1I(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
 	id := g.pickCore(spec, rng, func(c *core) bool { return c.l1i != nil })
 	if id < 0 {
@@ -375,7 +379,11 @@ func (g *GPU) injectL1I(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
 	}
 	rec.Applied = true
 	rec.Core = id
-	rec.Detail = g.injectCacheBits(target, positions)
+	var landed bool
+	rec.Detail, landed = g.injectCacheBits(target, positions)
+	if !landed {
+		return
+	}
 	core := g.cores[id]
 	core.corruptInstr = true
 	// Decode-from-cache fetch reads ordered L2 state mid-cycle: the
@@ -388,7 +396,10 @@ func (g *GPU) injectL1I(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
 	}
 }
 
-func (g *GPU) injectCacheBits(c *cache.Cache, positions []int64) string {
+// injectCacheBits flips the positions in c and describes where they fell.
+// landed reports that at least one changed the cache: a tag flipped or a
+// data-bit hook armed, which the liveness watch does not follow.
+func (g *GPU) injectCacheBits(c *cache.Cache, positions []int64) (detail string, landed bool) {
 	var masked, tags, hooks int
 	for _, pos := range positions {
 		out, err := c.InjectBit(pos % c.SizeBits())
@@ -407,8 +418,12 @@ func (g *GPU) injectCacheBits(c *cache.Cache, positions []int64) string {
 	// Cache arrays are not cell-tracked by the tracer; flag the injection
 	// so consumption is judged from the cache's own hook counters. Flips
 	// that only landed on invalid lines cannot be read at all.
-	if g.tracer != nil && tags+hooks > 0 {
-		g.tracer.markCacheInjection()
+	landed = tags+hooks > 0
+	if landed {
+		g.watch.close()
+		if g.tracer != nil {
+			g.tracer.markCacheInjection()
+		}
 	}
-	return fmt.Sprintf("cache flips: %d tag, %d hook, %d invalid-line", tags, hooks, masked)
+	return fmt.Sprintf("cache flips: %d tag, %d hook, %d invalid-line", tags, hooks, masked), landed
 }

@@ -78,6 +78,13 @@ type GPU struct {
 	faultRecs []*InjectionRecord
 	faultRNG  *rand.Rand // over a lazyrand.Source; re-seeded per injection, kept by a fork vessel across experiments
 
+	// The early end of a faulty run (see watch.go): whether the owner asked
+	// for it, the liveness watch over what the fired faults changed, and the
+	// verdict once the launch was stopped.
+	stopWhenGolden bool
+	watch          faultWatch
+	stop           StopReason
+
 	kernels   map[string]*KernelStats
 	kernelSeq []string
 	launches  []LaunchResult
@@ -338,6 +345,9 @@ func (g *GPU) CoreL1C(i int) *cache.Cache { return g.cores[i].l1c }
 // Launch runs one kernel to completion (synchronous, like the paper's
 // benchmark applications). Args are 32-bit parameter words read by LDC.
 func (g *GPU) Launch(p *isa.Program, grid, block Dim, args ...uint32) (*LaunchResult, error) {
+	if g.stop != NotStopped {
+		return nil, ErrGoldenRun
+	}
 	if g.seek != nil {
 		return g.seekLaunch(p)
 	}
@@ -517,6 +527,10 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 			g.releaseLaunch()
 			return nil, err
 		}
+		if g.watch.state == watchOpen && g.faultsSpent() {
+			// Inert injection: nothing differs, and no warp has issued since.
+			return g.stopLaunch()
+		}
 		anyReady := g.stepCores()
 		g.commitCycle()
 		g.sampleStats(1)
@@ -536,6 +550,10 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 		}
 		if g.cycleCheck != nil {
 			g.cycleCheck()
+		}
+		if g.watch.state == watchOpen && g.faultsSpent() {
+			// The last corrupted cell died unread in this cycle.
+			return g.stopLaunch()
 		}
 		if !anyReady && g.doneCTAs < g.totalCTAs {
 			g.fastForward()
@@ -691,6 +709,12 @@ func (g *GPU) applyFault(spec *FaultSpec) {
 		Core:      -1, Warp: -1, Thread: -1, CTA: -1,
 	}
 	g.faultRecs = append(g.faultRecs, rec)
+	if g.watch.state == watchIdle {
+		g.watch.state = watchClosed
+		if g.stopWhenGolden {
+			g.watch.state, g.watch.last = watchOpen, StopInert
+		}
+	}
 	// The draws equal a fresh rand.New(rand.NewSource(spec.Seed)); the lazy
 	// source computes only the state words the one or two draws read.
 	if g.faultRNG == nil {

@@ -216,12 +216,14 @@ func (g *GPU) stepCores() bool {
 }
 
 // parallelEligible reports whether this cycle may step cores in parallel.
-// Order-sensitive observers force the serial path; so does a launch with
-// fewer than two populated cores, where the barrier costs more than it
-// buys. The choice is invisible: both paths are bit-identical.
+// Order-sensitive observers, the open liveness watch among them, force the
+// serial path; so does a launch with fewer than two populated cores, where
+// the barrier costs more than it buys. The choice is invisible: both paths
+// are bit-identical.
 func (g *GPU) parallelEligible() bool {
 	if g.parallelCores <= 1 || len(g.cores) < 2 ||
-		g.TraceWriter != nil || g.tracer != nil || g.access != nil || g.corrupted {
+		g.TraceWriter != nil || g.tracer != nil || g.access != nil || g.corrupted ||
+		g.watch.state == watchOpen {
 		return false
 	}
 	active := 0

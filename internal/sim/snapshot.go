@@ -98,7 +98,8 @@ func (g *GPU) Snapshot() *Snapshot { return g.capture() }
 // Restore replaces this GPU's state with a deep copy of the snapshot's.
 // Armed faults, the cycle limit, trace writer and context survive; all
 // simulated state (memories, caches, cores, statistics, the in-flight
-// launch) comes from the snapshot.
+// launch) comes from the snapshot, and a run the device had stopped early
+// (Stopped) is forgotten with the state it was stopped in.
 func (g *GPU) Restore(s *Snapshot) { g.restore(s) }
 
 // EnableRecording turns on host-call recording for a campaign prefix run.
@@ -211,6 +212,8 @@ func (g *GPU) Refork(snap *Snapshot) {
 	g.faultRecs = nil
 	g.violation = nil
 	g.tracer = nil
+	g.watch.reset()
+	g.stop = NotStopped
 	g.snapAt, g.snapFn, g.record = nil, nil, nil
 	// Rewind the visible clock to the capture cycle immediately: otherwise
 	// a pre-restore abort would report the previous experiment's final
@@ -378,6 +381,14 @@ func (g *GPU) copyMetaFrom(src *GPU) {
 	}
 	g.launchStart, g.launchInstr = src.launchStart, src.launchInstr
 	g.launchCores = append(g.launchCores[:0], src.launchCores...)
+	// The liveness watch's cells do not travel: a copy of a device no fault
+	// has fired on starts with none, and a copy of any other can never prove
+	// itself back on the golden run.
+	g.watch.reset()
+	g.stop = NotStopped
+	if src.watch.state != watchIdle {
+		g.watch.state = watchClosed
+	}
 }
 
 // seekNext consumes the next recorded host call, checking its kind.

@@ -34,7 +34,15 @@ import (
 // consumption is observed through the cache's own hook counters instead;
 // predicate registers absorb taint silently (the read is recorded, the
 // predicate is not tracked); threads with more than 64 registers conflate
-// the high registers on one taint bit.
+// the high registers on one taint bit; a tainted address operand is not a
+// read (traceLoad, traceStore and traceShared* look only at the data, so a
+// load through a corrupted pointer records nothing and taints nothing);
+// shared-memory taint is keyed by CTA id and outlives the CTA, so the
+// same-numbered CTA of the next launch inherits it. The liveness watch that
+// ends a run early (watch.go) shares none of these — it counts every
+// operand field as a read and follows the cells themselves — and it keeps a
+// traced run going while taint of the last kind is left, so that a trace is
+// the same bytes whether or not the run was stopped.
 
 // Trace ring sizing: the first traceHeadEvents events and the last
 // traceTailEvents events are kept, so the injection site and the
