@@ -24,6 +24,7 @@ import (
 	"math/bits"
 
 	"gpufi/internal/config"
+	"gpufi/internal/mem"
 )
 
 // Mode selects the write policy applied to an individual access, mirroring
@@ -81,13 +82,15 @@ type Stats struct {
 	HookKills  int64 // hooks disarmed before firing
 }
 
+// line is a line's header and nothing else: 24 bytes for every 64 or 128 of
+// data. Its data is its slice of the arena (Cache.data) and its armed hooks,
+// which almost no line ever has, live in Cache.hooks — a device is mostly
+// line tables and arenas, and a campaign holds several.
 type line struct {
-	tag      uint64 // stored tag, TagBits wide (possibly fault-corrupted)
-	valid    bool
-	dirty    bool
-	lastUse  uint64
-	data     []byte
-	hookBits []uint16 // armed data-bit flips (offsets within data bits)
+	tag     uint64 // stored tag, TagBits wide (possibly fault-corrupted)
+	lastUse uint64
+	valid   bool
+	dirty   bool
 }
 
 // Cache is one set-associative cache level. Not safe for concurrent use.
@@ -95,9 +98,13 @@ type Cache struct {
 	geom    *config.Cache
 	backing Backing
 	lines   []line
-	arena   []byte // contiguous backing store for all line data
-	useCtr  uint64
-	stats   Stats
+	arena   []byte // contiguous backing store for all line data: line i holds bytes [i*LineBytes, (i+1)*LineBytes)
+	// hooks holds the armed data-bit flips (offsets within the line's data
+	// bits) of the few valid lines an injection armed one on, by line index;
+	// nil whenever none is armed.
+	hooks  map[int][]uint16
+	useCtr uint64
+	stats  Stats
 
 	lineShift uint // log2(LineBytes)
 	setMask   uint32
@@ -109,16 +116,15 @@ type Cache struct {
 	// cost what is resident, not what the geometry could hold.
 	resident *lineSet
 
-	// Copy-on-write sync state, mirroring mem.Memory (see cowsync.go):
-	// touched records the lines mutated since the last sync point, epoch
-	// counts content generations, lastDelta holds the lines changed by the
-	// most recent CaptureFrom into this cache, and syncSrc/syncVer record
-	// which cache (at which epoch) this one last mirrored.
-	touched   *lineSet
-	epoch     uint64
-	lastDelta *lineSet
-	syncSrc   *Cache
-	syncVer   uint64
+	// Copy-on-write sync state, mirroring mem.Memory (see cowsync.go): stamp
+	// names the capture this cache was last made equal to, touched records
+	// the lines mutated since, prev (on the cache being recorded) the
+	// interval before that, and delta (on a template) the sets frozen at its
+	// capture for a consumer one and two captures behind.
+	stamp   mem.Stamp
+	touched *lineSet
+	prev    *lineSet
+	delta   [2]*lineSet
 }
 
 // New builds a cache with the given geometry over a backing level.
@@ -132,13 +138,16 @@ func New(geom *config.Cache, backing Backing) *Cache {
 		setMask:   uint32(geom.Sets - 1),
 		tagMask:   (uint64(1) << config.TagBits) - 1,
 		resident:  newLineSet(geom.Lines()),
+		stamp:     mem.NewRecording(),
 	}
 	c.tagShift = c.lineShift + uint(bits.TrailingZeros32(uint32(geom.Sets)))
-	lb := geom.LineBytes
-	for i := range c.lines {
-		c.lines[i].data = c.arena[i*lb : (i+1)*lb : (i+1)*lb]
-	}
 	return c
+}
+
+// data returns line idx's slice of the arena.
+func (c *Cache) data(idx int) []byte {
+	off := idx << c.lineShift
+	return c.arena[off : off+c.geom.LineBytes : off+c.geom.LineBytes]
 }
 
 // Clone returns a deep copy of the cache — tags, data, dirty bits, LRU
@@ -160,11 +169,8 @@ func (c *Cache) Clone(backing Backing) *Cache {
 // caches hold, not what the geometry could. A geometry mismatch returns a
 // typed *Error so the caller can rebuild the cache instead of panicking.
 func (c *Cache) CopyFrom(src *Cache, backing Backing) (int, error) {
-	if c.geom != src.geom && *c.geom != *src.geom {
-		return 0, &Error{Op: "restore", Reason: fmt.Sprintf(
-			"CopyFrom with mismatched geometry (%d/%d/%d into %d/%d/%d)",
-			src.geom.Sets, src.geom.Ways, src.geom.LineBytes,
-			c.geom.Sets, c.geom.Ways, c.geom.LineBytes)}
+	if err := c.sameGeometry(src); err != nil {
+		return 0, err
 	}
 	c.backing = backing
 	c.useCtr = src.useCtr
@@ -176,12 +182,24 @@ func (c *Cache) CopyFrom(src *Cache, backing Backing) (int, error) {
 			moved++
 		}
 	}
-	// A verbatim copy redefines c's content: drop any delta-sync provenance
-	// so stale touched state cannot be mistaken for a valid delta later.
-	// RestoreFrom/CaptureFrom re-establish it when appropriate.
-	c.syncSrc, c.syncVer = nil, 0
-	c.epoch++
+	// A verbatim copy redefines c's content: it is capture 0 of a recording
+	// nothing else has seen, so stale touched state cannot be mistaken for a
+	// valid delta later, and a recording c was the source of ends.
+	// RestoreFrom/CaptureFrom stamp it with the source's when appropriate.
+	c.stamp, c.prev = mem.NewRecording(), nil
 	return moved, nil
+}
+
+// sameGeometry returns the typed error of a copy between caches of different
+// geometry, nil when they match.
+func (c *Cache) sameGeometry(src *Cache) error {
+	if c.geom == src.geom || *c.geom == *src.geom {
+		return nil
+	}
+	return &Error{Op: "restore", Reason: fmt.Sprintf(
+		"CopyFrom with mismatched geometry (%d/%d/%d into %d/%d/%d)",
+		src.geom.Sets, src.geom.Ways, src.geom.LineBytes,
+		c.geom.Sets, c.geom.Ways, c.geom.LineBytes)}
 }
 
 // Reset empties the cache and rewires it over backing: every resident line
@@ -194,17 +212,16 @@ func (c *Cache) Reset(backing Backing) {
 	c.stats = Stats{}
 	c.resident.rangeSet(c.clearLine)
 	c.resident.clear()
+	c.hooks = nil
 	c.Detach()
-	c.epoch++ // content redefined: a cache still synced to c takes the full path
+	c.stamp = mem.NewRecording() // content redefined: a cache still synced to c takes the full path
 }
 
-// Detach drops everything that ties c to another cache or to a sync point:
-// the source it mirrored, its touched set and the last capture's delta.
-// Storage parked for a later owner must not keep the previous owner's
-// snapshot template reachable. Contents are untouched.
+// Detach drops everything that ties c to a recording or to a sync point:
+// its stamp, its touched sets and the deltas frozen at its last capture.
+// Contents are untouched.
 func (c *Cache) Detach() {
-	c.touched, c.lastDelta = nil, nil
-	c.syncSrc, c.syncVer = nil, 0
+	c.stamp, c.touched, c.prev, c.delta = mem.Stamp{}, nil, nil, [2]*lineSet{}
 }
 
 // Stats returns a copy of the event counters.
@@ -262,25 +279,39 @@ func (c *Cache) touch(idx int) {
 	c.markLine(idx)
 }
 
+// dropHooks forgets line idx's armed hooks, and the map with the last of them.
+func (c *Cache) dropHooks(idx int) {
+	if delete(c.hooks, idx); len(c.hooks) == 0 {
+		c.hooks = nil
+	}
+}
+
 // disarm kills any armed hook on the line (replacement or overwrite).
 func (c *Cache) disarm(idx int) {
-	if len(c.lines[idx].hookBits) > 0 {
+	if len(c.hooks) == 0 {
+		return
+	}
+	if _, armed := c.hooks[idx]; armed {
 		c.stats.HookKills++
-		c.lines[idx].hookBits = nil
+		c.dropHooks(idx)
 		c.markLine(idx)
 	}
 }
 
 // fireHooks applies armed flips to the stored line data (read hit).
 func (c *Cache) fireHooks(idx int) {
-	l := &c.lines[idx]
-	if len(l.hookBits) == 0 {
+	if len(c.hooks) == 0 {
 		return
 	}
-	for _, b := range l.hookBits {
-		l.data[b/8] ^= 1 << (b % 8)
+	hb, armed := c.hooks[idx]
+	if !armed {
+		return
 	}
-	l.hookBits = nil
+	data := c.data(idx)
+	for _, b := range hb {
+		data[b/8] ^= 1 << (b % 8)
+	}
+	c.dropHooks(idx)
 	c.stats.HookFires++
 	c.markLine(idx)
 }
@@ -294,7 +325,7 @@ func (c *Cache) evict(idx int) int {
 		c.disarm(idx)
 		if l.dirty {
 			set := (idx / c.geom.Ways)
-			cost += c.backing.StoreLine(c.addrOf(set, l.tag), l.data)
+			cost += c.backing.StoreLine(c.addrOf(set, l.tag), c.data(idx))
 			c.stats.Writebacks++
 		}
 		c.invalidate(idx)
@@ -303,10 +334,11 @@ func (c *Cache) evict(idx int) int {
 }
 
 // clearLine returns line idx to the state New leaves it in: a zero header
-// over its slice of the arena. Every invalidation goes through it, so two
-// caches agree on a line that is valid in neither without comparing it.
+// (its hooks were disarmed first, or go with the whole map). Every
+// invalidation goes through it, so two caches agree on a line that is valid
+// in neither without comparing it.
 func (c *Cache) clearLine(idx int) {
-	c.lines[idx] = line{data: c.lines[idx].data}
+	c.lines[idx] = line{}
 }
 
 // invalidate drops line idx from the cache (the caller has disarmed its
@@ -325,7 +357,7 @@ func (c *Cache) fill(addr uint32) (int, int) {
 	cost := c.evict(idx)
 	l := &c.lines[idx]
 	lineAddr := addr &^ uint32(c.geom.LineBytes-1)
-	cost += c.backing.FetchLine(lineAddr, l.data)
+	cost += c.backing.FetchLine(lineAddr, c.data(idx))
 	l.tag = c.tagOf(addr)
 	l.valid = true
 	l.dirty = false
@@ -400,10 +432,7 @@ func (c *Cache) AccessWrite(addr uint32, mode Mode) (bool, int, error) {
 func (c *Cache) LoadWord(addr uint32) uint32 {
 	set, tag := c.setOf(addr), c.tagOf(addr)
 	if idx := c.lookup(set, tag); idx >= 0 {
-		l := &c.lines[idx]
-		off := addr & uint32(c.geom.LineBytes-1)
-		return uint32(l.data[off]) | uint32(l.data[off+1])<<8 |
-			uint32(l.data[off+2])<<16 | uint32(l.data[off+3])<<24
+		return binary.LittleEndian.Uint32(c.data(idx)[addr&uint32(c.geom.LineBytes-1):])
 	}
 	return c.backing.PeekWord(addr)
 }
@@ -414,13 +443,8 @@ func (c *Cache) LoadWord(addr uint32) uint32 {
 func (c *Cache) StoreWordLocal(addr uint32, v uint32) int {
 	set, tag := c.setOf(addr), c.tagOf(addr)
 	if idx := c.lookup(set, tag); idx >= 0 {
-		l := &c.lines[idx]
-		off := addr & uint32(c.geom.LineBytes-1)
-		l.data[off] = byte(v)
-		l.data[off+1] = byte(v >> 8)
-		l.data[off+2] = byte(v >> 16)
-		l.data[off+3] = byte(v >> 24)
-		l.dirty = true
+		binary.LittleEndian.PutUint32(c.data(idx)[addr&uint32(c.geom.LineBytes-1):], v)
+		c.lines[idx].dirty = true
 		c.markLine(idx)
 		return 0
 	}
@@ -465,7 +489,7 @@ func (c *Cache) StoreWordsLocal(mask uint32, addrs, src *[32]uint32) {
 		if ln := addr >> c.lineShift; ln != cur {
 			cur, data = ln, nil
 			if idx := c.lookup(c.setOf(addr), c.tagOf(addr)); idx >= 0 {
-				data = c.lines[idx].data
+				data = c.data(idx)
 				c.lines[idx].dirty = true
 				c.markLine(idx)
 			}
@@ -489,7 +513,7 @@ func (c *Cache) FetchLine(addr uint32, dst []byte) int {
 	_ = hit
 	set, tag := c.setOf(addr), c.tagOf(addr)
 	if idx := c.lookup(set, tag); idx >= 0 {
-		copy(dst, c.lines[idx].data[:len(dst)])
+		copy(dst, c.data(idx)[:len(dst)])
 	} else {
 		// Only possible if the fetch raced a pathological geometry; fall
 		// back to the backing level.
@@ -505,7 +529,7 @@ func (c *Cache) StoreLine(addr uint32, src []byte) int {
 	cost := c.geom.HitCycles + below
 	set, tag := c.setOf(addr), c.tagOf(addr)
 	if idx := c.lookup(set, tag); idx >= 0 {
-		copy(c.lines[idx].data, src)
+		copy(c.data(idx), src)
 		c.lines[idx].dirty = true
 		c.markLine(idx)
 	}
@@ -584,8 +608,10 @@ func (c *Cache) InjectBit(bit int64) (InjectOutcome, error) {
 		c.markLine(idx)
 		return InjectTag, nil
 	}
-	dataBit := uint16(off - config.TagBits)
-	l.hookBits = append(l.hookBits, dataBit)
+	if c.hooks == nil {
+		c.hooks = make(map[int][]uint16)
+	}
+	c.hooks[idx] = append(c.hooks[idx], uint16(off-config.TagBits))
 	c.stats.HookArms++
 	c.markLine(idx)
 	return InjectHook, nil
@@ -597,7 +623,7 @@ func (c *Cache) InjectBit(bit int64) (InjectOutcome, error) {
 func (c *Cache) PeekLine(addr uint32) []byte {
 	set, tag := c.setOf(addr), c.tagOf(addr)
 	if idx := c.lookup(set, tag); idx >= 0 {
-		return c.lines[idx].data
+		return c.data(idx)
 	}
 	return nil
 }
@@ -614,7 +640,7 @@ func (c *Cache) UpdateResident(addr uint32, src []byte) bool {
 	}
 	c.disarm(idx)
 	off := int(addr & uint32(c.geom.LineBytes-1))
-	copy(c.lines[idx].data[off:], src)
+	copy(c.data(idx)[off:], src)
 	c.markLine(idx)
 	return true
 }

@@ -1,15 +1,20 @@
 package cache
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"gpufi/internal/mem"
+)
 
 // This file is the cache leg of the campaign engine's copy-on-write fork
 // protocol (the device-memory leg lives in internal/mem). A cache tracks
 // which of its lines were touched — filled, evicted, written, injected,
 // or hook-mutated — since its last synchronization point; restoring a fork
 // vessel or recapturing a recycled snapshot template then moves only those
-// lines instead of the whole tag+data arena. The provenance rules
-// (syncSrc/syncVer/epoch/lastDelta) mirror mem.Memory exactly; see
-// DESIGN.md "Memory model & copy-on-write fork" for the invariants.
+// lines instead of the whole tag+data arena. The provenance (stamp, touched,
+// prev, delta) is mem.Memory's, and the rule that reads it is the same
+// function, mem.Stamp.Behind; see DESIGN.md "Memory model & copy-on-write
+// fork" for the invariants.
 
 // lineSet is a fixed-size bitmap over the cache's lines. nil bits = off.
 type lineSet struct {
@@ -24,8 +29,20 @@ func (s *lineSet) mark(i int)     { s.bits[i>>6] |= 1 << uint(i&63) }
 func (s *lineSet) unmark(i int)   { s.bits[i>>6] &^= 1 << uint(i&63) }
 func (s *lineSet) has(i int) bool { return s.bits[i>>6]&(1<<uint(i&63)) != 0 }
 func (s *lineSet) clear()         { clear(s.bits) }
-func (s *lineSet) copyFrom(o *lineSet) {
-	copy(s.bits, o.bits)
+
+// set makes s equal to o; a nil o is the empty set.
+func (s *lineSet) set(o *lineSet) {
+	s.clear()
+	s.merge(o)
+}
+
+// merge adds o's lines to s; a nil o is the empty set.
+func (s *lineSet) merge(o *lineSet) {
+	if o != nil {
+		for i, w := range o.bits {
+			s.bits[i] |= w
+		}
+	}
 }
 
 func (s *lineSet) count() int {
@@ -68,29 +85,22 @@ func (c *Cache) markLine(idx int) {
 	}
 }
 
-// StartTracking enables (or resets) touched-line tracking and advances the
-// cache's epoch, invalidating consumers synced against the previous clean
-// point. The campaign prefix run calls this at its first snapshot capture.
+// StartTracking opens a recording on this cache: what it holds now is
+// capture 0 and touched-line tracking is on and empty.
 func (c *Cache) StartTracking() {
-	if c.touched == nil {
-		c.touched = newLineSet(len(c.lines))
-	} else {
-		c.touched.clear()
-	}
-	c.epoch++
+	c.Detach()
+	c.stamp, c.touched, c.prev = mem.NewRecording(), newLineSet(len(c.lines)), newLineSet(len(c.lines))
 }
 
-// SetSyncedTo records that c's content is an exact copy of src at src's
-// current epoch and enables touch tracking on c, so the next RestoreFrom
-// the same source moves only divergent lines. Called right after a full
-// clone established that equality.
+// SetSyncedTo records that c's content is an exact copy of src's — src's
+// capture plus whatever src itself touched since — and enables touch
+// tracking on c. Called right after a sync established that equality.
 func (c *Cache) SetSyncedTo(src *Cache) {
 	if c.touched == nil {
 		c.touched = newLineSet(len(c.lines))
-	} else {
-		c.touched.clear()
 	}
-	c.syncSrc, c.syncVer = src, src.epoch
+	c.touched.set(src.touched)
+	c.stamp, c.prev, c.delta = src.stamp, nil, [2]*lineSet{}
 }
 
 // TouchedLines returns how many lines were touched since the last sync
@@ -103,114 +113,112 @@ func (c *Cache) TouchedLines() int {
 }
 
 // copyLine copies line i of src — header, hooks, and data when observable —
-// into c, reusing c's arena slice for the data.
+// into c.
 func (c *Cache) copyLine(src *Cache, i int) {
-	d := c.lines[i].data
 	c.lines[i] = src.lines[i]
-	c.lines[i].data = d
 	if src.lines[i].valid {
-		copy(d, src.lines[i].data)
+		copy(c.data(i), src.data(i))
 		c.resident.mark(i)
 	} else {
 		c.resident.unmark(i)
 	}
-	if hb := src.lines[i].hookBits; len(hb) > 0 {
-		c.lines[i].hookBits = append([]uint16(nil), hb...)
+	if len(src.hooks)+len(c.hooks) == 0 {
+		return
 	}
+	if hb, armed := src.hooks[i]; armed {
+		if c.hooks == nil {
+			c.hooks = make(map[int][]uint16)
+		}
+		c.hooks[i] = append([]uint16(nil), hb...)
+	} else {
+		c.dropHooks(i)
+	}
+}
+
+// fullCopy is the full leg of both sync directions: CopyFrom, which costs
+// the lines resident on either side.
+func (c *Cache) fullCopy(src *Cache, backing Backing, st *SyncStats) error {
+	moved, err := c.CopyFrom(src, backing)
+	st.Full, st.UnitsCopied, st.BytesCopied = true, moved, int64(moved*c.geom.LineBytes)
+	return err
+}
+
+// copyLines is the delta leg of both sync directions: it makes c a copy of
+// src given that the two differ at most in the lines of set.
+func (c *Cache) copyLines(src *Cache, backing Backing, set *lineSet, st *SyncStats) {
+	c.backing = backing
+	c.useCtr = src.useCtr
+	c.stats = src.stats
+	set.rangeSet(func(i int) {
+		c.copyLine(src, i)
+		st.UnitsCopied++
+		st.BytesCopied += int64(c.geom.LineBytes)
+	})
 }
 
 // RestoreFrom makes c a copy of src (same geometry) wired over backing,
-// copying only the lines that can differ when provenance allows: c last
-// mirrored src at src's current epoch (or one epoch behind with
-// src.lastDelta available), and c's own mutations since then are in its
-// touched set. Unknown provenance, geometry mismatch handling, and
-// full=true behave like CopyFrom, which is also how a cache that has never
-// mirrored anything (new, Reset or Detached storage) gets its baseline.
-// The per-experiment fork-restore path.
+// copying only the lines that can differ when provenance allows
+// (mem.Stamp.Behind): both hold captures of one recording, src's at most two
+// after c's, so they differ at most in what either touched since its capture
+// and in the delta set src froze for that lag. Unknown provenance, geometry
+// mismatch handling, and full=true behave like CopyFrom, which is also how a
+// cache that has never mirrored anything (new, Reset or Detached storage)
+// gets its baseline. The per-experiment fork-restore path; it reads src and
+// writes only c.
 func (c *Cache) RestoreFrom(src *Cache, backing Backing, full bool) (SyncStats, error) {
-	st := SyncStats{
-		UnitsTotal: len(src.lines),
-		BytesTotal: int64(len(src.arena)),
-	}
-	lb := int64(c.geom.LineBytes)
-	fast := !full && c.touched != nil && c.syncSrc == src &&
-		(c.syncVer == src.epoch || (c.syncVer+1 == src.epoch && src.lastDelta != nil))
-	if !fast {
-		moved, err := c.CopyFrom(src, backing)
-		if err != nil {
+	st := SyncStats{UnitsTotal: len(src.lines), BytesTotal: int64(len(src.arena))}
+	lag, ok := c.stamp.Behind(src.stamp)
+	if full || !ok || c.touched == nil || (lag > 0 && src.delta[lag-1] == nil) {
+		if err := c.fullCopy(src, backing, &st); err != nil || full {
+			c.Detach()
 			return st, err
 		}
-		st.Full, st.UnitsCopied, st.BytesCopied = true, moved, int64(moved)*lb
-		if full {
-			c.touched, c.syncSrc, c.syncVer = nil, nil, 0
-		} else {
-			c.SetSyncedTo(src)
+	} else {
+		if lag > 0 {
+			c.touched.merge(src.delta[lag-1])
 		}
-		c.epoch++
-		return st, nil
+		c.touched.merge(src.touched)
+		c.copyLines(src, backing, c.touched, &st)
 	}
-	c.backing = backing
-	c.useCtr = src.useCtr
-	c.stats = src.stats
-	if c.syncVer+1 == src.epoch {
-		for i, w := range src.lastDelta.bits {
-			c.touched.bits[i] |= w
-		}
-	}
-	c.touched.rangeSet(func(i int) {
-		c.copyLine(src, i)
-		st.UnitsCopied++
-		st.BytesCopied += lb
-	})
-	c.touched.clear()
-	c.syncVer = src.epoch
-	c.epoch++
+	c.SetSyncedTo(src)
 	return st, nil
 }
 
-// CaptureFrom makes c — a recycled snapshot template, unwritten since it
-// was captured — a copy of src, moving only the lines src touched since
-// the previous capture into c. The delta is recorded in c.lastDelta and
-// c's epoch advances; src's touched set resets (epoch bumped) to open the
-// next capture interval. The snapshot-recycling path of the prefix run.
+// CaptureFrom makes c — a snapshot template nothing reads any more — a copy
+// of src, the cache being recorded, as the recording's next capture: the
+// sets for a consumer one and two captures behind are frozen into c.delta,
+// c catches up by the one for its own lag (or takes the full leg), and src
+// opens its next interval. mem.Memory's CaptureFrom, for lines; the
+// snapshot-recycling path of the prefix run.
 func (c *Cache) CaptureFrom(src *Cache, backing Backing, full bool) (SyncStats, error) {
-	st := SyncStats{
-		UnitsTotal: len(src.lines),
-		BytesTotal: int64(len(src.arena)),
+	st := SyncStats{UnitsTotal: len(src.lines), BytesTotal: int64(len(src.arena))}
+	if full {
+		err := c.fullCopy(src, backing, &st)
+		c.Detach()
+		return st, err
 	}
-	lb := int64(c.geom.LineBytes)
-	fast := !full && src.touched != nil && c.syncSrc == src && c.syncVer == src.epoch
-	if !fast {
-		moved, err := c.CopyFrom(src, backing)
-		if err != nil {
-			return st, err
-		}
-		st.Full, st.UnitsCopied, st.BytesCopied = true, moved, int64(moved)*lb
-		c.lastDelta = nil
-		c.epoch++
-		if full {
-			c.syncSrc, c.syncVer = nil, 0
-			return st, nil
-		}
+	if err := c.sameGeometry(src); err != nil {
+		return st, err // before src opens a recording for a capture that will not happen
+	}
+	if src.prev == nil {
 		src.StartTracking()
-		c.syncSrc, c.syncVer = src, src.epoch
-		return st, nil
 	}
-	c.backing = backing
-	c.useCtr = src.useCtr
-	c.stats = src.stats
-	src.touched.rangeSet(func(i int) {
-		c.copyLine(src, i)
-		st.UnitsCopied++
-		st.BytesCopied += lb
-	})
-	if c.lastDelta == nil {
-		c.lastDelta = newLineSet(len(c.lines))
+	at := mem.Stamp{Rec: src.stamp.Rec, N: src.stamp.N + 1}
+	for i := range c.delta {
+		if c.delta[i] == nil {
+			c.delta[i] = newLineSet(len(c.lines))
+		}
+		c.delta[i].set(src.touched)
 	}
-	c.lastDelta.copyFrom(src.touched)
-	c.epoch++
+	c.delta[1].merge(src.prev)
+	if lag, ok := c.stamp.Behind(at); !ok || c.touched != nil {
+		c.fullCopy(src, backing, &st) // same geometry: cannot fail
+		c.touched = nil
+	} else {
+		c.copyLines(src, backing, c.delta[lag-1], &st)
+	}
+	c.stamp, src.stamp = at, at
+	src.prev, src.touched = src.touched, src.prev
 	src.touched.clear()
-	src.epoch++
-	c.syncVer = src.epoch
 	return st, nil
 }

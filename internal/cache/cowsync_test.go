@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gpufi/internal/config"
@@ -27,23 +29,18 @@ func cachesEqual(t *testing.T, got, want *Cache) {
 		t.Fatalf("counters diverged: useCtr %d/%d", got.useCtr, want.useCtr)
 	}
 	for i := range want.lines {
-		gl, wl := &got.lines[i], &want.lines[i]
-		if gl.tag != wl.tag || gl.valid != wl.valid || gl.dirty != wl.dirty ||
-			gl.lastUse != wl.lastUse || len(gl.hookBits) != len(wl.hookBits) {
+		if gl, wl := got.lines[i], want.lines[i]; gl != wl {
 			t.Fatalf("line %d header diverged: %+v vs %+v", i, gl, wl)
 		}
-		for j := range wl.hookBits {
-			if gl.hookBits[j] != wl.hookBits[j] {
-				t.Fatalf("line %d hook %d diverged", i, j)
-			}
+		if gh, wh := got.hooks[i], want.hooks[i]; !slices.Equal(gh, wh) {
+			t.Fatalf("line %d hooks diverged: %v vs %v", i, gh, wh)
 		}
-		if wl.valid {
-			for j := range wl.data {
-				if gl.data[j] != wl.data[j] {
-					t.Fatalf("line %d data byte %d diverged", i, j)
-				}
-			}
+		if want.lines[i].valid && !bytes.Equal(got.data(i), want.data(i)) {
+			t.Fatalf("line %d data diverged", i)
 		}
+	}
+	if len(got.hooks) != len(want.hooks) || (got.hooks == nil) != (want.hooks == nil) {
+		t.Fatalf("hook tables diverged: %v vs %v", got.hooks, want.hooks)
 	}
 }
 
@@ -133,14 +130,14 @@ func TestCacheCaptureFromDelta(t *testing.T) {
 	}
 	cachesEqual(t, tpl, live)
 
-	// One-epoch-behind vessel converges via lastDelta.
+	// A vessel one capture behind converges via the template's frozen delta.
 	vessel.AccessRead(512)
 	st, err = vessel.RestoreFrom(tpl, tplBk, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Full {
-		t.Fatalf("one-epoch-behind vessel restore should be delta")
+		t.Fatalf("one-capture-behind vessel restore should be delta")
 	}
 	cachesEqual(t, vessel, tpl)
 	_ = liveBk

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpufi/internal/config"
+	"gpufi/internal/mem"
 )
 
 // The resident bitmap must equal the lines' valid bits after every
@@ -26,18 +27,20 @@ func flushEveryLine(c *Cache) {
 func copyEveryLine(dst, src *Cache) {
 	dst.useCtr = src.useCtr
 	dst.stats = src.stats
+	dst.hooks = nil
 	for i := range dst.lines {
-		d := dst.lines[i].data
 		dst.lines[i] = src.lines[i]
-		dst.lines[i].data = d
 		if src.lines[i].valid {
-			copy(d, src.lines[i].data)
+			copy(dst.data(i), src.data(i))
 		}
-		if hb := src.lines[i].hookBits; len(hb) > 0 {
-			dst.lines[i].hookBits = append([]uint16(nil), hb...)
+		if hb := src.hooks[i]; len(hb) > 0 {
+			if dst.hooks == nil {
+				dst.hooks = make(map[int][]uint16)
+			}
+			dst.hooks[i] = append([]uint16(nil), hb...)
 		}
 	}
-	dst.resident.copyFrom(src.resident)
+	dst.resident.set(src.resident)
 }
 
 // checkCopy requires got — just made a copy of src by the sync path under
@@ -51,12 +54,14 @@ func checkCopy(t *testing.T, what string, got, src *Cache) {
 	checkResident(t, what, got)
 }
 
-// checkDetached requires that c kept nothing that ties it to another cache.
-func checkDetached(t *testing.T, what string, c *Cache) {
+// checkDetached requires that c kept nothing that ties it to another cache
+// or to a recording; a cache emptied by Reset holds a stamp of its own, like
+// a new one, which nothing else can hold.
+func checkDetached(t *testing.T, what string, c *Cache, reset bool) {
 	t.Helper()
-	if c.touched != nil || c.lastDelta != nil || c.syncSrc != nil || c.syncVer != 0 {
-		t.Fatalf("%s: parked cache kept sync state (touched %v, lastDelta %v, syncSrc %v, syncVer %d)",
-			what, c.touched != nil, c.lastDelta != nil, c.syncSrc != nil, c.syncVer)
+	if c.touched != nil || c.prev != nil || c.delta != [2]*lineSet{} || (c.stamp != (mem.Stamp{}) && !reset) {
+		t.Fatalf("%s: parked cache kept sync state (touched %v, prev %v, delta %v, stamp %v)",
+			what, c.touched != nil, c.prev != nil, c.delta, c.stamp)
 	}
 }
 
@@ -121,7 +126,7 @@ func checkFlush(t *testing.T, c *Cache, bk *storeLog) {
 	ref := c.Clone(refBk)
 	if c.touched != nil {
 		ref.touched = newLineSet(len(c.lines))
-		ref.touched.copyFrom(c.touched)
+		ref.touched.set(c.touched)
 	}
 	bk.addrs, bk.data = nil, nil
 	c.Flush()
@@ -218,7 +223,7 @@ func runResidentOps(t *testing.T, ops []byte) {
 				c, bk = tpl, tplBk
 			}
 			c.Reset(bk)
-			checkDetached(t, "reset cache", c)
+			checkDetached(t, "reset cache", c, true)
 			checkCopy(t, "reset cache", c, New(geom, bk))
 			if c == tpl {
 				if _, err := vessel.RestoreFrom(tpl, vesselBk, false); err != nil {
@@ -228,7 +233,7 @@ func runResidentOps(t *testing.T, ops []byte) {
 			}
 		case 11: // the vessel parks, then restores from a cache it never mirrored
 			vessel.Detach()
-			checkDetached(t, "parked vessel", vessel)
+			checkDetached(t, "parked vessel", vessel, false)
 			st, err := vessel.RestoreFrom(live, vesselBk, false)
 			if err != nil {
 				t.Fatal(err)

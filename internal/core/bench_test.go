@@ -285,10 +285,16 @@ func BenchmarkPlanCampaign(b *testing.B) {
 
 // BenchmarkEvaluateMatrix is one pass of the performance ledger's
 // eval-matrix workload — Evaluate of SRAD2, HS, BP and KM, 40 runs per
-// point, seed 7, two workers — with the three numbers that explain its
-// speed: snapshot captures per experiment, simulated experiments per
-// cluster, and how many CPUs the pass kept busy (cpu_s / wall_s). Each pass
-// must reproduce the ledger's exact outcome counts.
+// point, seed 7, two workers — with the numbers that explain its speed:
+// snapshot captures per experiment, simulated experiments per cluster, how
+// many CPUs the pass kept busy (cpu_s / wall_s) and what it spent
+// (cpu-s/pass), and what the copy-on-write protocol moved — full captures
+// and full restores per pass, bytes per experiment — which is what tells a
+// gain of the prefix/worker overlap from a loss in the delta protocol under
+// it. Each pass must reproduce the ledger's exact outcome counts, and may
+// not take more full legs than its devices need: two templates for each of
+// the four applications, and the full restores the engine took when this
+// bound was written.
 func BenchmarkEvaluateMatrix(b *testing.B) {
 	gpu := config.RTX2060()
 	var apps []*bench.App
@@ -332,7 +338,17 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 	b.ReportMetric(captures/exps, "captures/exp")
 	b.ReportMetric(float64(after.SnapshotRestores-before.SnapshotRestores)/captures, "exps/cluster")
 	b.ReportMetric(cpu.Seconds()/wall.Seconds(), "busy-cpus")
+	b.ReportMetric(cpu.Seconds()/float64(b.N), "cpu-s/pass")
 	b.ReportMetric(exps/wall.Seconds(), "exps/s")
+	fullCaptures := float64(after.COWFullCaptures-before.COWFullCaptures) / float64(b.N)
+	fullRestores := float64(after.COWFullRestores-before.COWFullRestores) / float64(b.N)
+	b.ReportMetric(fullCaptures, "full-captures/pass")
+	b.ReportMetric(fullRestores, "full-restores/pass")
+	b.ReportMetric(float64(after.COWBytesCopied-before.COWBytesCopied)/exps, "cow-bytes/exp")
+	if fullCaptures > 8 || fullRestores > 22 {
+		b.Fatalf("eval-matrix took %.1f full captures and %.1f full restores per pass, want at most 8 and 22",
+			fullCaptures, fullRestores)
+	}
 	inert := after.EarlyStopsInert - before.EarlyStopsInert
 	stopped := inert + after.EarlyStopsOverwritten - before.EarlyStopsOverwritten +
 		after.EarlyStopsRetired - before.EarlyStopsRetired

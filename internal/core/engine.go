@@ -21,9 +21,10 @@ import (
 // half the execution, so ~half of every experiment is redundant work).
 // The engine instead sorts the experiment batch by injection cycle, groups
 // nearby cycles into clusters, and runs the fault-free prefix ONCE: at
-// each cluster's snapshot cycle the prefix pauses, captures the GPU, and
-// the cluster's experiments fork from the capture — each one skipping
-// straight to just before its injection instant. Because the simulator is
+// each cluster's snapshot cycle the prefix captures the GPU, hands the
+// capture to the workers and runs on towards the next one while the
+// cluster's experiments fork from it — each one skipping straight to just
+// before its injection instant. Because the simulator is
 // deterministic, a fork is bit-identical to a run from cycle 0; the
 // package's tests hold it to a full-replay oracle (oracle_test.go).
 //
@@ -56,9 +57,11 @@ type point struct {
 type job struct{ p, i int }
 
 // cluster is a group of experiments whose injection cycles are close
-// enough to share one snapshot, taken one cycle before the earliest.
+// enough to share one snapshot, taken one cycle before the earliest: a range
+// of the run's one sorted job list.
 type cluster struct {
 	snapCycle uint64
+	lo        int   // index of jobs[0] in the run's job list
 	jobs      []job // ascending by (injection cycle, point, index)
 }
 
@@ -139,30 +142,33 @@ func planClusters(points []*point) []cluster {
 	cur := windowCursor{windows: union}
 	var out []cluster
 	var curWin uint64
-	for _, j := range order {
+	for n, j := range order {
 		c := cycleOf(j)
 		w := cur.start(c)
 		if len(out) == 0 || w != curWin || c-(out[len(out)-1].snapCycle+1) > maxSpan {
-			out = append(out, cluster{snapCycle: c - 1})
+			out = append(out, cluster{snapCycle: c - 1, lo: n})
 			curWin = w
 		}
 		cl := &out[len(out)-1]
-		cl.jobs = append(cl.jobs, j)
+		cl.jobs = order[cl.lo : n+1 : n+1]
 	}
 	return out
 }
 
 // runPoints executes the points' pending experiments on the snapshot-and-
-// fork path: one fault-free prefix run for the whole set that pauses at
-// each cluster's snapshot cycle and fans the cluster's experiments out over
-// the worker pool, each on a fork of the snapshot, each reporting to its
-// own point's collector — so a point's hooks receive exactly the records
-// they would receive from a run of that point alone. After the last cluster
-// the prefix aborts (its suffix is never needed). The run's devices — the
-// prefix device, the snapshot template it recycles and one vessel per
-// worker — are borrowed from the device pool and go back to it when the run
-// ends. The results are in point order; after a cancellation, or a prefix
-// that ended early, they hold what finished.
+// fork path, as a two-stage pipeline: one fault-free prefix run for the
+// whole set captures a snapshot at each cluster's cycle, and workers started
+// once per run walk the sorted job list, each experiment on a fork of its
+// cluster's snapshot, each reporting to its own point's collector — so a
+// point's hooks receive exactly the records they would receive from a run of
+// that point alone. The prefix runs one cluster ahead: having published
+// cluster k it simulates and captures towards k+1 while the workers execute
+// k, and waits at k+1 only until k has drained. After the last cluster it
+// aborts (its suffix is never needed). The run's devices — the prefix
+// device, the two snapshot templates it recycles in turn and one vessel per
+// worker — are borrowed from the device pool and go back when the run ends.
+// Results are in point order; after a cancellation, or a prefix that ended
+// early, they hold what finished.
 func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*CampaignResult, error) {
 	for _, pt := range points {
 		pt.col = newCollector(pt.cfg, pt.cfg.Runs)
@@ -209,10 +215,6 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 	if err != nil {
 		return nil, err
 	}
-	// One reusable fork per worker slot, shared across clusters: after its
-	// first experiment a vessel restores snapshots into the memories and
-	// cache arenas it already holds, moving only what the experiment wrote.
-	vessels := make([]*sim.GPU, cfg.workerCount())
 	g.SetContext(ctx)
 	g.SetDeepClone(cfg.deepClone)
 	g.EnableRecording()
@@ -224,73 +226,88 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 	// campaign-level Workers parallelism already covers the fan-out.
 	g.SetParallelCores(cfg.ParallelCores)
 
-	// Tracing: each prefix segment up to a snapshot is an engine.snapshot
-	// span, each cluster fan-out an engine.cluster span. The cluster span
-	// announces itself (provisional zero-duration record) before any work
-	// so per-experiment spans shipped in early batches can never reference
-	// a parent that a crash kept from completing.
-	traced := obs.TraceEnabled(ctx)
-	var prefixMark time.Time
+	last := clusters[len(clusters)-1]
+	run := &pipeline{ctx: ctx, prof: prof, points: points, clusters: clusters,
+		flights: make([]flight, len(clusters)), jobs: last.lo + len(last.jobs)}
+	run.wake.L = &run.mu
+	var workers sync.WaitGroup
+	for w := min(cfg.workerCount(), run.jobs); w > 0; w-- {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			run.work()
+		}()
+	}
 
+	// Tracing: each stretch of the prefix goroutine from one snapshot to the
+	// next is an engine.snapshot span — simulating, capturing, and wait_ns of
+	// it blocked on the previous cluster (near zero on a prefix-bound run,
+	// most of the span on a worker-bound one) — and each cluster's execution
+	// an engine.cluster span, which announces itself (provisional record)
+	// before any work so per-experiment spans shipped in early batches never
+	// reference a parent that a crash kept from completing.
+	traced := obs.TraceEnabled(ctx)
+	prefixMark := time.Now()
 	next := 0
 	g.SnapshotAt(snapCycles, func(s *sim.Snapshot) error {
-		cl := clusters[next]
+		k := next
 		next++
-		cctx, csp := ctx, (*obs.Span)(nil)
+		fl := &run.flights[k]
+		fl.snap, fl.ctx, fl.left = s, ctx, len(clusters[k].jobs)
+		if traced {
+			fl.ctx, fl.span = obs.StartSpan(ctx, "engine.cluster",
+				obs.Attr{K: "cluster", V: strconv.Itoa(k)},
+				obs.Attr{K: "experiments", V: strconv.Itoa(fl.left)})
+			fl.span.Announce()
+		}
+		waitStart := time.Now()
+		err := run.publish(k)
+		wait := time.Since(waitStart)
+		if err == nil && k > 0 {
+			run.retire(g, k-1)
+		}
 		if traced {
 			obs.EmitSpan(ctx, "engine.snapshot", prefixMark,
-				obs.Attr{K: "cluster", V: strconv.Itoa(next - 1)},
-				obs.Attr{K: "cycle", V: strconv.FormatUint(cl.snapCycle, 10)})
-			cctx, csp = obs.StartSpan(ctx, "engine.cluster",
-				obs.Attr{K: "cluster", V: strconv.Itoa(next - 1)},
-				obs.Attr{K: "experiments", V: strconv.Itoa(len(cl.jobs))})
-			csp.Announce()
+				obs.Attr{K: "cluster", V: strconv.Itoa(k)},
+				obs.Attr{K: "cycle", V: strconv.FormatUint(clusters[k].snapCycle, 10)},
+				obs.Attr{K: "wait_ns", V: strconv.FormatInt(wait.Nanoseconds(), 10)})
 		}
-		poisoned, err := runCluster(cctx, prof, s, cl.jobs, points, vessels)
-		csp.End()
 		prefixMark = time.Now()
-		// Every fork of this cluster has finished, also when the cluster was
-		// cancelled or a hook failed; the next capture can reuse the
-		// snapshot's storage instead of allocating afresh, and Release parks
-		// it with the device — but only if no experiment poisoned it and the
-		// storage still passes verification. A panicked fork may have been
-		// killed mid-restore, and recycling suspect storage would silently
-		// corrupt every later cluster of the campaign.
-		if !poisoned {
-			if verr := s.VerifyStorage(); verr == nil {
-				g.RecycleSnapshot(s)
-			}
+		if err == nil && next == len(clusters) {
+			err = sim.ErrReplayStop
 		}
-		if err != nil {
-			return err
-		}
-		if next == len(clusters) {
-			return sim.ErrReplayStop
-		}
-		return nil
+		return err
 	})
-
-	prefixMark = time.Now()
 	_, runErr := cfg.App.Run(g)
+	// Nothing is published after this: workers waiting for a cluster go home.
+	run.mu.Lock()
+	run.closed = true
+	run.wake.Broadcast()
+	run.mu.Unlock()
+	workers.Wait()
 	// Reached by returning, never by a panic unwinding through here: storage
-	// a panic left half-written must not reach the pool. A poisoned vessel's
-	// slot is already nil, so it is not here to be released either.
-	for _, v := range vessels {
-		if v != nil {
-			v.Release()
-		}
+	// a panic left half-written must not reach the pool. The workers released
+	// their vessels; the templates still out, two at most, go the same way.
+	for k := max(next-2, 0); k < next; k++ {
+		run.retire(g, k)
 	}
 	g.Release()
 
-	if runErr != nil && !errors.Is(runErr, sim.ErrReplayStop) {
-		if isCancel(runErr) {
-			// Cancelled mid-campaign: hand back what finished.
-			return results(), runErr
+	err = run.err
+	if err == nil && runErr != nil && !errors.Is(runErr, sim.ErrReplayStop) {
+		if err = runErr; !isCancel(err) {
+			err = fmt.Errorf("core: fault-free prefix run of %s failed: %w", cfg.App.Name, runErr)
 		}
-		return nil, fmt.Errorf("core: fault-free prefix run of %s failed: %w", cfg.App.Name, runErr)
 	}
-	if err := ctx.Err(); err != nil {
-		return results(), err
+	if err == nil {
+		err = ctx.Err()
+	}
+	if err != nil {
+		if isCancel(err) {
+			// Cancelled mid-campaign: hand back what finished.
+			return results(), err
+		}
+		return nil, err
 	}
 	if next != len(clusters) {
 		// The prefix run returned cleanly without visiting every snapshot
@@ -308,74 +325,159 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 	return results(), nil
 }
 
-// runCluster fans one cluster's experiments over a worker pool, each
-// forking from the shared (read-only) snapshot and reporting to its point's
-// collector. poisoned reports that at least one experiment panicked or hit
-// its wall-clock deadline: its vessel is discarded here — dropped, never
-// released to the device pool; the next experiment on that slot starts a
-// new fork — and the caller must not recycle the cluster's snapshot storage.
-func runCluster(ctx context.Context, prof *Profile, snap *sim.Snapshot,
-	jobs []job, points []*point, vessels []*sim.GPU) (bool, error) {
+// pipeline is what the prefix goroutine and the workers of one run share.
+// The prefix publishes clusters in order; workers claim jobs from one cursor
+// over the whole list and block only on a job whose cluster has no snapshot
+// yet. Two invariants carry the overlap: a template is recycled only after
+// every job forked from it has finished unpoisoned (retire), and at most two
+// are out at once, because publish(k) returns only when k-1 has drained.
+type pipeline struct {
+	ctx      context.Context
+	prof     *Profile
+	points   []*point
+	clusters []cluster
+	jobs     int          // length of the job list the clusters are ranges of
+	cursor   atomic.Int64 // next job to claim
 
-	workers := min(len(vessels), len(jobs))
-	var wg sync.WaitGroup
-	var pos int64 = -1
-	var poisonCount atomic.Int64
-	errCh := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				k := int(atomic.AddInt64(&pos, 1))
-				if k >= len(jobs) || ctx.Err() != nil {
-					return
-				}
-				pt, i := points[jobs[k].p], jobs[k].i
-				forkStart := time.Now()
-				g := vessels[w]
-				if g == nil {
-					g = sim.NewFork(snap)
-					g.SetDeepClone(points[0].cfg.deepClone)
-					vessels[w] = g
-				} else {
-					g.Refork(snap)
-					forksReused.Add(1)
-				}
-				observePhase(&phaseForkNanos, forkStart)
-				pt.cfg.emitExpSpan(ctx, "engine.fork", forkStart, i)
-				exp, poisoned, err := runExperimentSandboxed(ctx, pt.cfg, prof, g, pt.plan.specs[i], pt.plan.extras[i], i)
-				if poisoned {
-					// The vessel ran a panicked or deadlined experiment:
-					// its state is suspect, so drop it rather than
-					// Refork-reuse it for the next experiment.
-					vessels[w] = nil
-					poisonCount.Add(1)
-					vesselsDiscarded.Add(1)
-				}
-				if err == nil {
-					err = pt.col.add(i, exp)
-				}
-				if err != nil {
-					select {
-					case errCh <- err:
-					default:
-					}
-					return
-				}
-			}
-		}(w)
+	mu        sync.Mutex
+	wake      sync.Cond // published, drained, closed or stopped
+	flights   []flight  // by cluster
+	published int       // clusters[:published] have their snapshot
+	closed    bool      // the prefix has ended: nothing more will be published
+	err       error     // cancelled or failed: nothing more is handed out
+}
+
+// flight is the run-time side of a published cluster.
+type flight struct {
+	snap     *sim.Snapshot
+	ctx      context.Context // the run's, under the cluster's span when traced
+	span     *obs.Span
+	left     int  // jobs not finished yet
+	poisoned bool // a job panicked or hit its deadline: the template is suspect
+}
+
+// publish makes cluster k runnable and blocks until cluster k-1 has drained:
+// one cluster ahead and no further. It returns what stopped the run, if
+// something did.
+func (p *pipeline) publish(k int) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.published = k + 1
+	p.wake.Broadcast()
+	for k > 0 && p.flights[k-1].left > 0 && p.err == nil {
+		p.wake.Wait()
 	}
-	wg.Wait()
-	poisoned := poisonCount.Load() > 0
-	select {
-	case err := <-errCh:
-		if !isCancel(err) {
-			return poisoned, err
+	return p.err
+}
+
+// stop ends the run early, keeping the first cause. Called with mu held.
+func (p *pipeline) stop(err error) {
+	if p.err == nil {
+		p.err = err
+		p.wake.Broadcast()
+	}
+}
+
+// await blocks until cluster c is published and returns its flight, nil when
+// the run was stopped, cancelled or closed first.
+func (p *pipeline) await(c int) *flight {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.published <= c && !p.closed && p.err == nil {
+		p.wake.Wait()
+	}
+	if err := p.ctx.Err(); err != nil {
+		p.stop(err)
+	}
+	if p.err != nil || p.published <= c {
+		return nil
+	}
+	return &p.flights[c]
+}
+
+// finish books one job of cluster c: a poisoned one marks the cluster's
+// template, a failed one stops the run, any other brings it nearer drained.
+func (p *pipeline) finish(c int, poisoned bool, err error) {
+	p.mu.Lock()
+	fl := &p.flights[c]
+	fl.poisoned = fl.poisoned || poisoned
+	drained := false
+	if err != nil {
+		p.stop(err)
+	} else if fl.left--; fl.left == 0 {
+		drained = true
+		p.wake.Broadcast()
+	}
+	p.mu.Unlock()
+	if drained {
+		fl.span.End() // outside the lock: it calls the run's span sink
+	}
+}
+
+// retire takes cluster k's template out of the run once no worker can read
+// it: every job of the cluster has finished, or every worker has gone home.
+// The next capture but one reuses its storage and Release parks it — unless
+// an experiment poisoned it or it fails verification: a panicked fork may
+// have been killed mid-restore, and recycling suspect storage would silently
+// corrupt every later cluster. Such a template is dropped.
+func (p *pipeline) retire(g *sim.GPU, k int) {
+	fl := &p.flights[k]
+	fl.span.End()
+	if fl.snap != nil && !fl.poisoned && fl.snap.VerifyStorage() == nil {
+		g.RecycleSnapshot(fl.snap)
+	}
+	fl.snap = nil
+}
+
+// work is one worker of the run: it claims jobs in list order until the list
+// or the run ends and runs each on its one fork vessel, which after its first
+// experiment restores snapshots into the memories and cache arenas it already
+// holds, moving only what the experiment and the prefix wrote. A vessel that
+// ran a panicked or deadlined experiment is suspect: it is dropped, never
+// released to the device pool, and the next experiment starts a new fork.
+func (p *pipeline) work() {
+	var v *sim.GPU
+	c := 0 // the cluster of the job in hand: claims only move forward
+	for {
+		k := int(p.cursor.Add(1)) - 1
+		if k >= p.jobs {
+			break
 		}
-	default:
+		for k >= p.clusters[c].lo+len(p.clusters[c].jobs) {
+			c++
+		}
+		fl := p.await(c)
+		if fl == nil {
+			break
+		}
+		j := p.clusters[c].jobs[k-p.clusters[c].lo]
+		pt, i := p.points[j.p], j.i
+		forkStart := time.Now()
+		if v == nil {
+			v = sim.NewFork(fl.snap)
+			v.SetDeepClone(p.points[0].cfg.deepClone)
+		} else {
+			v.Refork(fl.snap)
+			forksReused.Add(1)
+		}
+		observePhase(&phaseForkNanos, forkStart)
+		pt.cfg.emitExpSpan(fl.ctx, "engine.fork", forkStart, i)
+		exp, poisoned, err := runExperimentSandboxed(fl.ctx, pt.cfg, p.prof, v, pt.plan.specs[i], pt.plan.extras[i], i)
+		if poisoned {
+			v = nil
+			vesselsDiscarded.Add(1)
+		}
+		if err == nil {
+			err = pt.col.add(i, exp)
+		}
+		p.finish(c, poisoned, err)
+		if err != nil {
+			break
+		}
 	}
-	return poisoned, ctx.Err()
+	if v != nil {
+		v.Release()
+	}
 }
 
 // collector gathers one point's finished experiments, preserving IDs, and

@@ -89,6 +89,14 @@ type poolPoint struct {
 
 const poolWorkers = 2
 
+// runDevices is how many devices one engine run holds at its peak, exactly:
+// the prefix device, the two snapshot templates it captures into in turn —
+// the second is taken only when a second cluster exists — and one vessel per
+// worker that ever gets a job.
+func runDevices(workers, clusters, jobs int) int64 {
+	return int64(1 + min(clusters, 2) + min(workers, jobs))
+}
+
 // poolChain is a sequence of campaigns in which every neighbour differs in
 // what parked storage could leak: all eight structures, ECC off→on→off, six
 // applications, RTX 2060 → GTX Titan (no L1D) → RTX 2060, a multi-bit
@@ -171,9 +179,9 @@ func sameBytes(t *testing.T, label string, pooled, fresh *journalRecorder) {
 // on whatever its predecessors parked, then each campaign alone on an empty
 // pool, and requires byte-identical journals and traces.
 func TestPooledVsFreshDifferential(t *testing.T) {
-	chain := poolChain(t)
+	chain, shapes := poolChain(t), int64(2)
 	if testing.Short() {
-		chain = chain[:4]
+		chain, shapes = chain[:4], 1 // the GTX Titan comes later
 	}
 	sim.DrainPool()
 	built := EngineStats().DevicesBuilt
@@ -181,10 +189,12 @@ func TestPooledVsFreshDifferential(t *testing.T) {
 	for i := range chain {
 		pooled[i] = chain[i].run(t)
 	}
-	// Two shapes in the chain, workers+2 devices per campaign: everything
-	// else ran on a predecessor's storage.
-	if got, bound := EngineStats().DevicesBuilt-built, int64(2*(poolWorkers+2)); got > bound {
-		t.Errorf("the chain built %d devices, want at most %d", got, bound)
+	// Two shapes in the full chain, and every campaign of it has clusters and jobs
+	// to spare: everything past the first campaign of a shape ran on a
+	// predecessor's storage. A run that dropped a template instead of
+	// recycling it would build one more per campaign.
+	if got, want := EngineStats().DevicesBuilt-built, shapes*runDevices(poolWorkers, 2, poolWorkers); got != want {
+		t.Errorf("the chain built %d devices, want %d", got, want)
 	}
 	for i := range chain {
 		sim.DrainPool()
@@ -217,7 +227,7 @@ func TestPooledConcurrentCampaigns(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if n, bound := EngineStats().DevicesParked, int64(len(pair)*(poolWorkers+2)); n > bound {
+		if n, bound := EngineStats().DevicesParked, int64(len(pair))*runDevices(poolWorkers, 2, poolWorkers); n > bound {
 			t.Errorf("round %d: %d devices parked, want at most %d", round, n, bound)
 		}
 	}
@@ -230,10 +240,10 @@ func TestPooledConcurrentCampaigns(t *testing.T) {
 // TestDevicePoolBounded runs 50 campaigns alternating two applications and
 // two presets. The pool's rule (DESIGN.md, "Device pool") is that per shape
 // parked + in use never exceeds the most devices of that shape in use at
-// once, which for campaigns run one after another is workers+2: so the
-// devices built from nothing stop at that many per shape however many
-// campaigns follow, no more than that are ever parked, and the heap does not
-// grow with campaigns completed.
+// once, which for campaigns run one after another is runDevices — prefix,
+// two templates, a vessel per worker: so the devices built from nothing stop
+// at exactly that many per shape however many campaigns follow, no more than
+// that are ever parked, and the heap does not grow with campaigns completed.
 func TestDevicePoolBounded(t *testing.T) {
 	type combo struct {
 		cfg  CampaignConfig
@@ -256,7 +266,7 @@ func TestDevicePoolBounded(t *testing.T) {
 	}
 	sim.DrainPool()
 	const shapes, campaigns = 2, 50
-	bound := int64(shapes * (poolWorkers + 2))
+	bound := shapes * runDevices(poolWorkers, 2, poolWorkers)
 	builtAtStart := EngineStats().DevicesBuilt
 	heapInuse := func() uint64 {
 		runtime.GC()
@@ -297,6 +307,10 @@ func TestDevicePoolBounded(t *testing.T) {
 	if heapAt50 := heapInuse(); heapAt50 > heapAt10+heapAt10/10+(2<<20) {
 		t.Errorf("HeapInuse after GC grew from %d MB at campaign 10 to %d MB at campaign 50",
 			heapAt10>>20, heapAt50>>20)
+	}
+	if st := EngineStats(); st.DevicesBuilt-builtAtStart != bound || st.DevicesParked != bound {
+		t.Errorf("%d devices built and %d parked after %d campaigns, want exactly %d of each: a template was dropped or never taken",
+			st.DevicesBuilt-builtAtStart, st.DevicesParked, campaigns, bound)
 	}
 	if EngineStats().ForksCreated > EngineStats().DevicesBuilt {
 		t.Errorf("more vessels than devices built from nothing")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -194,10 +195,13 @@ func TestWallClockDeadline(t *testing.T) {
 }
 
 // TestPoisonStress hammers the fork engine with several poison specs at a
-// high worker count: every poisoned vessel must be discarded (never
-// Refork-reused), the snapshot storage of poisoned clusters must not be
-// recycled, and the campaign must still deliver all outcomes. The CI race
-// job runs this test under -race.
+// high worker count, each panicking only once the prefix has captured the
+// cluster after its own (the last cluster's has nowhere to get ahead to):
+// every poisoned vessel must be discarded (never Refork-reused), the template
+// of every poisoned cluster dropped (never recycled into a capture two
+// clusters on, never parked), and every other experiment — the later
+// clusters' included — byte-identical to a campaign without poison. The CI
+// race job runs this test under -race.
 func TestPoisonStress(t *testing.T) {
 	gpu := config.RTX2060()
 	app, err := bench.ByName("VA")
@@ -209,19 +213,38 @@ func TestPoisonStress(t *testing.T) {
 		t.Fatal(err)
 	}
 	poison := map[int]bool{2: true, 9: true, 23: true, 24: true, 41: true}
+	mk := func() (*CampaignConfig, *journalRecorder) {
+		rec := newJournalRecorder()
+		return &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
+			Runs: 48, Bits: 1, Seed: 29, Workers: 16, Journal: rec.journal}, rec
+	}
+	cfg, clean := mk()
+	if _, err := RunCampaign(nil, cfg, prof); err != nil {
+		t.Fatal(err)
+	}
+	of, clusters := clusterOf(t, cfg, prof)
+	poisonedClusters := make(map[int]bool)
+	for id := range poison {
+		poisonedClusters[of[id]] = true
+	}
+
+	sim.DrainPool()
 	_, _, discardedBefore := SandboxStats()
-	cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
-		Runs: 48, Bits: 1, Seed: 29, Workers: 16,
-		ExperimentHook: func(id int, spec *sim.FaultSpec) {
-			if poison[id] {
-				panic("stress poison")
+	before, ahead := EngineStats(), prefixAhead(t)
+	cfg, rec := mk()
+	cfg.ExperimentHook = func(id int, spec *sim.FaultSpec) {
+		if poison[id] {
+			if k := of[id]; k < len(clusters)-1 {
+				ahead(k)
 			}
-		},
+			panic("stress poison")
+		}
 	}
 	res, err := RunCampaign(nil, cfg, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
+	after := EngineStats()
 	if len(res.Exps) != 48 {
 		t.Fatalf("stress campaign finished %d of 48", len(res.Exps))
 	}
@@ -232,9 +255,33 @@ func TestPoisonStress(t *testing.T) {
 		if poison[i] && exp.Outcome != avf.Crash {
 			t.Errorf("poison exp %d classified %s, want Crash", i, exp.Effect)
 		}
+		if !poison[i] && !bytes.Equal(rec.recs[i], clean.recs[i]) {
+			t.Errorf("exp %d (cluster %d) diverged from the campaign without poison:\n  got  %s\n  want %s", i, of[i], rec.recs[i], clean.recs[i])
+		}
 	}
-	if _, _, after := SandboxStats(); after-discardedBefore < int64(len(poison)) {
-		t.Errorf("vessels discarded rose by %d, want >= %d", after-discardedBefore, len(poison))
+	if _, _, discarded := SandboxStats(); discarded-discardedBefore != int64(len(poison)) {
+		t.Errorf("vessels discarded rose by %d, want %d", discarded-discardedBefore, len(poison))
+	}
+	// A dropped template shows two captures later, when the prefix finds no
+	// spare to capture into and takes other storage, which has no provenance:
+	// one full capture per poisoned cluster that has a cluster two after it,
+	// on top of the run's first two.
+	wantFull := int64(2)
+	for k := range poisonedClusters {
+		if k+2 < len(clusters) {
+			wantFull++
+		}
+	}
+	if got := after.COWFullCaptures - before.COWFullCaptures; got != wantFull {
+		t.Errorf("%d full captures, want %d: the templates of the %d poisoned clusters must be dropped, and only those",
+			got, wantFull, len(poisonedClusters))
+	}
+	// The pool was empty, so what the run built and did not park is what it
+	// dropped: those templates, and the poisoned vessels that held storage (a
+	// worker poisoned on its first experiment drops a shell).
+	dropped := (after.DevicesBuilt - before.DevicesBuilt) - (after.DevicesParked - before.DevicesParked)
+	if lo, hi := int64(len(poisonedClusters)), int64(len(poisonedClusters)+len(poison)); dropped < lo || dropped > hi {
+		t.Errorf("%d devices dropped, want %d to %d", dropped, lo, hi)
 	}
 }
 

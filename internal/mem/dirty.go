@@ -123,3 +123,33 @@ func (t *DirtyTracker) Range(fn func(page int) bool) {
 		}
 	}
 }
+
+// Stamp names the content an image was last made equal to: capture N of the
+// recording Rec. A recording is one image's run of numbered captures
+// (StartTracking opens it, every CaptureFrom it is the source of takes the
+// next number); an image holding a stamp differs from that capture at most
+// in the units it tracked as written since. A nil Rec is no provenance.
+type Stamp struct {
+	Rec *Recording
+	N   uint64
+}
+
+// Recording is the identity of a recording and nothing more; it has a size
+// so that every recording has an address of its own.
+type Recording struct{ _ byte }
+
+// NewRecording returns capture 0 of a recording no other image has seen.
+func NewRecording() Stamp { return Stamp{Rec: new(Recording)} }
+
+// Behind is the delta rule, the same for device memory and for caches: an
+// image holding s can be brought up to a source holding src by moving its
+// own writes plus, at lag 1 or 2, the set the source froze for a consumer
+// that many captures behind (its delta[lag-1]). ok is false — the full legs
+// — for an image with no provenance, of another recording, ahead of the
+// source, or three or more captures behind.
+func (s Stamp) Behind(src Stamp) (lag int, ok bool) {
+	if s.Rec == nil || s.Rec != src.Rec || s.N > src.N || src.N-s.N > 2 {
+		return 0, false
+	}
+	return int(src.N - s.N), true
+}

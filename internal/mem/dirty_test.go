@@ -175,8 +175,8 @@ func TestRestoreFromForeignSource(t *testing.T) {
 
 // TestCaptureFromDelta drives the template-side protocol: the live image
 // keeps executing between captures, and each recapture copies only the
-// pages written since the last one. A vessel exactly one capture behind
-// catches up from lastDelta; older vessels full-copy.
+// pages written since the last one. A vessel one or two captures behind
+// catches up from the template's frozen deltas; older vessels full-copy.
 func TestCaptureFromDelta(t *testing.T) {
 	live, a, b := fillImage(t)
 	tpl := New()
@@ -187,7 +187,7 @@ func TestCaptureFromDelta(t *testing.T) {
 	}
 	imagesEqual(t, tpl, live)
 
-	// A vessel syncs to the template now (epoch E).
+	// A vessel syncs to the template now (capture n).
 	vessel := New()
 	vessel.RestoreFrom(tpl, false)
 
@@ -203,25 +203,36 @@ func TestCaptureFromDelta(t *testing.T) {
 	}
 	imagesEqual(t, tpl, live)
 
-	// The vessel is one epoch behind: delta restore must still converge.
+	// The vessel is one capture behind: delta restore must still converge.
 	vessel.Write32(a+PageBytes, 7) // vessel's own dirt on another page
 	st = vessel.RestoreFrom(tpl, false)
 	if st.Full {
-		t.Fatalf("one-epoch-behind restore should use lastDelta")
+		t.Fatalf("one-capture-behind restore should use the template's delta")
 	}
 	if st.UnitsCopied != 3 {
-		t.Fatalf("one-epoch-behind restore copied %d pages, want 3", st.UnitsCopied)
+		t.Fatalf("one-capture-behind restore copied %d pages, want 3", st.UnitsCopied)
 	}
 	imagesEqual(t, vessel, tpl)
 
-	// Two captures behind: the delta no longer covers the gap; full copy.
+	// Two captures behind: the template's second delta covers both intervals.
 	live.Write32(a+8, 44)
 	tpl.CaptureFrom(live, false)
-	live.Write32(a+12, 45)
+	live.Write32(a+2*PageBytes, 45)
 	tpl.CaptureFrom(live, false)
 	st = vessel.RestoreFrom(tpl, false)
+	if st.Full || st.UnitsCopied != 2 {
+		t.Fatalf("two-captures-behind restore: full=%v copied=%d, want a delta of 2 pages", st.Full, st.UnitsCopied)
+	}
+	imagesEqual(t, vessel, tpl)
+
+	// Three behind: no frozen set covers the gap; full copy.
+	for i := uint32(0); i < 3; i++ {
+		live.Write32(a+16+4*i, 46)
+		tpl.CaptureFrom(live, false)
+	}
+	st = vessel.RestoreFrom(tpl, false)
 	if !st.Full {
-		t.Fatalf("two-epochs-behind restore must be full")
+		t.Fatalf("three-captures-behind restore must be full")
 	}
 	imagesEqual(t, vessel, tpl)
 
@@ -373,12 +384,12 @@ func FuzzDirtyTracker(f *testing.F) {
 				vessel.Reset()
 				model, synced = model[:0], false
 				imagesEqual(t, vessel, New())
-				if vessel.track != nil || vessel.lastDelta != nil || vessel.syncSrc != nil {
+				if vessel.track != nil || vessel.prev != nil || vessel.delta != [2]*DirtyTracker{} {
 					t.Fatalf("op %d: emptied image kept sync state", i/3)
 				}
 			case 10: // parked with its contents, then restored from an image it never mirrored
 				vessel.Detach()
-				if vessel.track != nil || vessel.lastDelta != nil || vessel.syncSrc != nil {
+				if vessel.track != nil || vessel.delta != [2]*DirtyTracker{} || vessel.stamp != (Stamp{}) {
 					t.Fatalf("op %d: parked image kept sync state", i/3)
 				}
 				if st := vessel.RestoreFrom(other, false); !st.Full {

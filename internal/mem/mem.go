@@ -39,19 +39,18 @@ type Memory struct {
 	next   uint32   // bump pointer for fresh allocations
 	allocs []extent // sorted by addr; includes reserved regions
 
-	// Copy-on-write sync state (see RestoreFrom/CaptureFrom). track records
-	// the pages this image wrote since it was last synchronized; epoch is
-	// bumped whenever the image's content is redefined relative to its
-	// consumers; lastDelta holds the pages changed by the most recent
-	// CaptureFrom into this image, so a consumer exactly one epoch behind
-	// can catch up without a full copy. syncSrc/syncVer record which image
-	// (at which epoch) this one last mirrored. All nil/zero when delta
-	// syncing is off; reads and writes then cost exactly one nil check.
-	track     *DirtyTracker
-	epoch     uint64
-	lastDelta *DirtyTracker
-	syncSrc   *Memory
-	syncVer   uint64
+	// Copy-on-write sync state (see Stamp, RestoreFrom, CaptureFrom). stamp
+	// names the capture this image was last made equal to and track holds the
+	// pages it wrote since (nil on a template, which is never written, and
+	// when tracking is off: a write then costs one nil check). The image a
+	// recording captures from also keeps prev, the interval before track's —
+	// non-nil marks the one image that numbers the recording's captures. A
+	// template keeps delta, frozen from its capture until the next one into
+	// it: delta[0] brings an image one capture behind up to it, delta[1] two.
+	stamp Stamp
+	track *DirtyTracker
+	prev  *DirtyTracker
+	delta [2]*DirtyTracker
 }
 
 // SyncStats reports what one RestoreFrom/CaptureFrom moved: dirty pages
@@ -65,30 +64,24 @@ type SyncStats struct {
 	Full        bool // provenance unknown or forced: whole image copied
 }
 
-// StartTracking enables (or resets) dirty-page tracking on this image and
-// advances its epoch, so any consumer synced against the previous clean
-// point falls back to a full copy. The campaign prefix run calls this when
-// its first snapshot is captured.
+// StartTracking opens a recording on this image: what it holds now is
+// capture 0 and dirty-page tracking is on and empty. The campaign prefix run
+// gets here through its first snapshot capture.
 func (m *Memory) StartTracking() {
-	if m.track == nil {
-		m.track = NewDirtyTracker()
-	} else {
-		m.track.Clear()
-	}
-	m.epoch++
+	m.Detach()
+	m.stamp, m.track, m.prev = NewRecording(), NewDirtyTracker(), NewDirtyTracker()
 }
 
-// SetSyncedTo records that m's content is an exact copy of src at src's
-// current epoch, and enables dirty tracking on m so the next RestoreFrom
-// the same source copies only what diverged. Called right after a full
-// clone established that equality.
+// SetSyncedTo records that m's content is an exact copy of src's — src's
+// capture plus whatever src itself wrote since — and enables dirty tracking
+// on m, so the next RestoreFrom an image of the same recording copies only
+// what diverged. Called right after a sync established that equality.
 func (m *Memory) SetSyncedTo(src *Memory) {
 	if m.track == nil {
 		m.track = NewDirtyTracker()
-	} else {
-		m.track.Clear()
 	}
-	m.syncSrc, m.syncVer = src, src.epoch
+	m.track.CopyFrom(src.track)
+	m.stamp, m.prev, m.delta = src.stamp, nil, [2]*DirtyTracker{}
 }
 
 // markWrite records the pages of [addr, addr+n) as dirty when tracking is
@@ -100,41 +93,19 @@ func (m *Memory) markWrite(addr uint32, n int) {
 	m.track.MarkRange(int(addr)>>pageShift, (int(addr)+n-1)>>pageShift+1)
 }
 
-// RestoreFrom makes m a copy of src, copying only the pages where the two
-// images can differ when provenance allows: m last mirrored src (at src's
-// current epoch, or one epoch behind with src.lastDelta still available),
-// m's own writes since then are in its dirty set, and src — a frozen
-// snapshot image — only changes via CaptureFrom, which bumps its epoch.
-// Any other provenance, or full=true, falls back to a verbatim deep copy.
-// This is the per-experiment fork-restore path of the campaign engine.
-func (m *Memory) RestoreFrom(src *Memory, full bool) SyncStats {
-	st := SyncStats{
-		UnitsTotal: (len(src.data) + PageBytes - 1) / PageBytes,
-		BytesTotal: int64(len(src.data)),
-	}
-	fast := !full && m.track != nil && m.syncSrc == src &&
-		cap(m.data) >= len(src.data) &&
-		(m.syncVer == src.epoch || (m.syncVer+1 == src.epoch && src.lastDelta != nil))
-	if !fast {
-		m.CopyFrom(src)
-		st.Full, st.UnitsCopied, st.BytesCopied = true, st.UnitsTotal, st.BytesTotal
-		if full {
-			m.track, m.syncSrc, m.syncVer = nil, nil, 0
-		} else {
-			m.SetSyncedTo(src)
-		}
-		m.epoch++
-		return st
-	}
-	if m.syncVer+1 == src.epoch {
-		// src was recaptured once since we last synced: its own changes are
-		// recorded in lastDelta; fold them into our dirty set.
-		m.track.Merge(src.lastDelta)
-	}
-	// All length divergence is in the dirty set (our growth marks pages,
-	// src growth is in lastDelta), so resize first, then copy dirty pages.
+// fullCopy is the full leg of both sync directions: a verbatim deep copy.
+func (m *Memory) fullCopy(src *Memory, st *SyncStats) {
+	m.CopyFrom(src)
+	st.Full, st.UnitsCopied, st.BytesCopied = true, st.UnitsTotal, st.BytesTotal
+}
+
+// copyPages is the delta leg of both sync directions: it makes m a copy of
+// src given that the two differ at most in the pages of set. All length
+// divergence is in the set (growth marks the pages it adds, on either side),
+// so resize first, then copy.
+func (m *Memory) copyPages(src *Memory, set *DirtyTracker, st *SyncStats) {
 	m.data = m.data[:len(src.data)]
-	m.track.Range(func(p int) bool {
+	set.Range(func(p int) bool {
 		lo := p * PageBytes
 		if lo >= len(src.data) {
 			return false // ascending: nothing further overlaps the image
@@ -145,74 +116,73 @@ func (m *Memory) RestoreFrom(src *Memory, full bool) SyncStats {
 		st.BytesCopied += int64(hi - lo)
 		return true
 	})
-	if cap(m.allocs) >= len(src.allocs) {
-		m.allocs = m.allocs[:len(src.allocs)]
+	m.copyAllocator(src)
+}
+
+// RestoreFrom makes m a copy of src, copying only the pages where the two
+// can differ when provenance allows (Stamp.Behind): both hold captures of one
+// recording, src's at most two after m's, so they differ at most in what
+// either wrote since and in the delta set src — a snapshot template, frozen
+// until its next CaptureFrom — carries for that lag. Any other provenance, or
+// full=true, is a verbatim deep copy. The per-experiment fork-restore path;
+// it reads src and writes only m, so any number of vessels restore from one
+// template while the recording captures into another.
+func (m *Memory) RestoreFrom(src *Memory, full bool) SyncStats {
+	st := SyncStats{UnitsTotal: (len(src.data) + PageBytes - 1) / PageBytes, BytesTotal: int64(len(src.data))}
+	lag, ok := m.stamp.Behind(src.stamp)
+	if full || !ok || m.track == nil || cap(m.data) < len(src.data) || (lag > 0 && src.delta[lag-1] == nil) {
+		m.fullCopy(src, &st)
+		if full {
+			m.Detach()
+			return st
+		}
 	} else {
-		m.allocs = make([]extent, len(src.allocs))
+		if lag > 0 {
+			m.track.Merge(src.delta[lag-1])
+		}
+		m.track.Merge(src.track)
+		m.copyPages(src, m.track, &st)
 	}
-	copy(m.allocs, src.allocs)
-	m.next = src.next
-	m.track.Clear()
-	m.syncVer = src.epoch
-	m.epoch++
+	m.SetSyncedTo(src)
 	return st
 }
 
-// CaptureFrom makes m — a recycled snapshot template that has not been
-// written since it was captured — a copy of src, copying only the pages
-// src dirtied since the previous capture into m. It records that delta in
-// m.lastDelta and bumps m's epoch so consumers synced against the old
-// content either catch up from the delta or full-copy. src's dirty set is
-// reset (and its epoch bumped) to open the next capture interval. With
-// unknown provenance or full=true it deep-copies and re-baselines.
-// This is the snapshot-recycling path of the campaign prefix run.
+// CaptureFrom makes m — a snapshot template nothing reads any more — a copy
+// of src, the image being recorded, as the recording's next capture. The
+// sets that bring an image one or two captures behind up to this one are
+// frozen into m.delta first (src's current interval; that plus the one
+// before), and m is the first to use them: a template recaptured every time
+// moves the first, one of two taking turns the second, any other storage the
+// whole image. src then opens its next interval; a src nobody records yet
+// starts a recording here. full=true deep-copies and leaves no provenance.
+// The snapshot-recycling path of the campaign prefix run.
 func (m *Memory) CaptureFrom(src *Memory, full bool) SyncStats {
-	st := SyncStats{
-		UnitsTotal: (len(src.data) + PageBytes - 1) / PageBytes,
-		BytesTotal: int64(len(src.data)),
-	}
-	fast := !full && src.track != nil && m.syncSrc == src && m.syncVer == src.epoch &&
-		cap(m.data) >= len(src.data)
-	if !fast {
-		m.CopyFrom(src)
-		st.Full, st.UnitsCopied, st.BytesCopied = true, st.UnitsTotal, st.BytesTotal
-		m.lastDelta = nil // content redefined: one-epoch catch-up is off
-		m.epoch++
-		if full {
-			m.syncSrc, m.syncVer = nil, 0
-			return st
-		}
-		src.StartTracking()
-		m.syncSrc, m.syncVer = src, src.epoch
+	st := SyncStats{UnitsTotal: (len(src.data) + PageBytes - 1) / PageBytes, BytesTotal: int64(len(src.data))}
+	if full {
+		m.fullCopy(src, &st)
+		m.Detach()
 		return st
 	}
-	m.data = m.data[:len(src.data)]
-	src.track.Range(func(p int) bool {
-		lo := p * PageBytes
-		if lo >= len(src.data) {
-			return false
+	if src.prev == nil {
+		src.StartTracking()
+	}
+	at := Stamp{Rec: src.stamp.Rec, N: src.stamp.N + 1}
+	for i := range m.delta {
+		if m.delta[i] == nil {
+			m.delta[i] = NewDirtyTracker()
 		}
-		hi := min(lo+PageBytes, len(src.data))
-		copy(m.data[lo:hi], src.data[lo:hi])
-		st.UnitsCopied++
-		st.BytesCopied += int64(hi - lo)
-		return true
-	})
-	if cap(m.allocs) >= len(src.allocs) {
-		m.allocs = m.allocs[:len(src.allocs)]
+		m.delta[i].CopyFrom(src.track)
+	}
+	m.delta[1].Merge(src.prev)
+	if lag, ok := m.stamp.Behind(at); !ok || m.track != nil || cap(m.data) < len(src.data) {
+		m.fullCopy(src, &st)
+		m.track = nil
 	} else {
-		m.allocs = make([]extent, len(src.allocs))
+		m.copyPages(src, m.delta[lag-1], &st)
 	}
-	copy(m.allocs, src.allocs)
-	m.next = src.next
-	if m.lastDelta == nil {
-		m.lastDelta = NewDirtyTracker()
-	}
-	m.lastDelta.CopyFrom(src.track)
-	m.epoch++
+	m.stamp, src.stamp = at, at
+	src.prev, src.track = src.track, src.prev
 	src.track.Clear()
-	src.epoch++
-	m.syncVer = src.epoch
 	return st
 }
 
@@ -227,7 +197,7 @@ func (m *Memory) DirtyPages() int {
 
 // New returns an empty device memory.
 func New() *Memory {
-	return &Memory{next: BaseAddr}
+	return &Memory{next: BaseAddr, stamp: NewRecording()}
 }
 
 // Clone returns a deep copy of the memory image and its allocator state.
@@ -247,16 +217,15 @@ func (m *Memory) Reset() {
 	m.allocs = m.allocs[:0]
 	m.next = BaseAddr
 	m.Detach()
-	m.epoch++ // content redefined: an image still synced to m full-copies
+	m.stamp = NewRecording() // content redefined: an image still synced to m full-copies
 }
 
-// Detach drops everything that ties m to another image or to a sync point:
-// the source it mirrored, its dirty set and the last capture's delta.
-// Storage parked for a later owner must not keep the previous owner's
-// snapshot image reachable. Contents are untouched.
+// Detach drops everything that ties m to a recording or to a sync point:
+// its stamp, its dirty sets and the deltas frozen at its last capture. The
+// storage a device parks for a later owner keeps its contents and nothing
+// else. Contents are untouched.
 func (m *Memory) Detach() {
-	m.track, m.lastDelta = nil, nil
-	m.syncSrc, m.syncVer = nil, 0
+	m.stamp, m.track, m.prev, m.delta = Stamp{}, nil, nil, [2]*DirtyTracker{}
 }
 
 // CopyFrom makes m a deep copy of src, reusing m's existing backing arrays
@@ -266,9 +235,21 @@ func (m *Memory) CopyFrom(src *Memory) {
 	if cap(m.data) >= len(src.data) {
 		m.data = m.data[:len(src.data)]
 	} else {
-		m.data = make([]byte, len(src.data))
+		// Reserve what src reserved, up to grow's half again: growth src
+		// absorbs without reallocating, a template or vessel that mirrors it
+		// then absorbs by delta too.
+		m.data = make([]byte, len(src.data), min(cap(src.data), len(src.data)+len(src.data)/2))
 	}
 	copy(m.data, src.data)
+	m.copyAllocator(src)
+	// A verbatim copy redefines m's content: it is capture 0 of a recording
+	// nothing else has seen, so a later RestoreFrom cannot mistake stale dirty
+	// state for a valid delta, and a recording m was the source of ends.
+	// RestoreFrom/CaptureFrom stamp it with the source's when appropriate.
+	m.stamp, m.prev = NewRecording(), nil
+}
+
+func (m *Memory) copyAllocator(src *Memory) {
 	if cap(m.allocs) >= len(src.allocs) {
 		m.allocs = m.allocs[:len(src.allocs)]
 	} else {
@@ -276,11 +257,6 @@ func (m *Memory) CopyFrom(src *Memory) {
 	}
 	copy(m.allocs, src.allocs)
 	m.next = src.next
-	// A verbatim copy redefines m's content: drop any delta-sync provenance
-	// so a later RestoreFrom cannot mistake stale dirty state for a valid
-	// delta. RestoreFrom/CaptureFrom re-establish it when appropriate.
-	m.syncSrc, m.syncVer = nil, 0
-	m.epoch++
 }
 
 // Alloc reserves size bytes and returns the base device address. The
@@ -324,7 +300,7 @@ func (m *Memory) grow(limit uint32) {
 		return
 	}
 	if cap(m.data) >= int(limit) {
-		// Reuse capacity left by a previous, larger epoch — but zero it:
+		// Reuse capacity left by a previous, larger image — but zero it:
 		// Alloc promises zero-initialized regions.
 		m.data = m.data[:limit]
 		clear(m.data[old:])

@@ -76,7 +76,7 @@ func randomSpec(rng *rand.Rand, after uint64) *FaultSpec {
 //     same faults and must produce byte-identical outputs (and identical
 //     errors), and a fault-free COW fork must reproduce the golden
 //     fault-free output;
-//   - vessels are reforked across snapshots (the lastDelta catch-up
+//   - vessels are reforked across snapshots (the frozen-delta catch-up
 //     path), randomly poisoned (storage scribbled) to hit the self-heal
 //     full-copy path, or discarded outright;
 //   - Snapshot.VerifyStorage must hold before every RecycleSnapshot, and

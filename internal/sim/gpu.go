@@ -133,7 +133,7 @@ type GPU struct {
 	snapFn      func(*Snapshot) error // capture sink; an error aborts the run
 	record      *recorder             // non-nil: record host-call results
 	seek        *seekState            // non-nil: elide host calls until restore
-	snapScratch *GPU                  // recycled snapshot template for the next capture
+	snapScratch []*GPU                // recycled snapshot templates for later captures, at most two
 	ctx         context.Context       // optional cancellation for long launches
 	ctxTick     uint32                // simulated cycles toward the next ctx poll
 

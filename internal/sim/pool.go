@@ -10,8 +10,9 @@ import (
 	"gpufi/internal/obs"
 )
 
-// The device pool. A campaign needs workers+2 devices — the prefix run, the
-// snapshot template and one fork vessel per worker — and an evaluation runs
+// The device pool. A campaign needs workers+3 devices — the prefix run, two
+// snapshot templates (one when it has a single cluster) and one fork vessel
+// per worker — and an evaluation runs
 // dozens of campaigns, each a few hundred experiments long. Building those
 // devices (tens of megabytes of zeroed line tables and arenas each) and
 // filling them line by line used to cost more than a fifth of such a
@@ -37,7 +38,7 @@ import (
 // The bound needs no knob. Only a device that was in use is parked, and a
 // borrower takes parked storage before it builds any, so for each shape
 // parked + in use never exceeds the most devices of that shape that were
-// ever in use at once: workers+2 per campaign running concurrently. The
+// ever in use at once: workers+3 per campaign running concurrently. The
 // pool cannot make the process hold more than it already held at its peak.
 
 // storage is what a device is made of once every scalar is taken away: the
@@ -212,7 +213,7 @@ func Borrow(cfg *config.GPU) (*GPU, error) {
 	return g, nil
 }
 
-// Release ends the device's life and parks its storage, and that of the
+// Release ends the device's life and parks its storage, and that of every
 // snapshot template it holds for recycling, for the next borrower. The
 // device must not be used afterwards; what it returned earlier (kernel
 // statistics, launch results, injection records) stays valid, because only
@@ -220,10 +221,7 @@ func Borrow(cfg *config.GPU) (*GPU, error) {
 // differential baseline and never feeds the pool, and a fork shell that
 // never restored has nothing to park.
 func (g *GPU) Release() {
-	for _, d := range []*GPU{g.snapScratch, g} {
-		if d == nil {
-			continue
-		}
+	for _, d := range append(g.snapScratch, g) {
 		s := d.storage
 		d.storage = storage{}
 		if !g.deepClone && s.fits(d.cfg) {

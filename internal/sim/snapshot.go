@@ -135,14 +135,16 @@ func NewFork(snap *Snapshot) *GPU {
 }
 
 // capture builds the Snapshot for the current instant: the state is synced
-// into the recycled template if there is one (RecycleSnapshot), else into
+// into a recycled template if one is held (RecycleSnapshot), else into
 // storage taken from the device pool.
 func (g *GPU) capture() *Snapshot {
 	start := time.Now()
 	defer func() { observeCapture(time.Since(start)) }()
 	s := &Snapshot{Cycle: g.cycle}
-	sc := g.snapScratch
-	g.snapScratch = nil
+	var sc *GPU
+	if n := len(g.snapScratch); n > 0 {
+		sc, g.snapScratch = g.snapScratch[n-1], g.snapScratch[:n-1]
+	}
 	if sc == nil || !sc.fits(g.cfg) {
 		sc = &GPU{kernels: make(map[string]*KernelStats)}
 		st, _ := pool.take(g.cfg)
@@ -189,14 +191,16 @@ func (s *Snapshot) VerifyStorage() error {
 	return nil
 }
 
-// RecycleSnapshot hands a consumed snapshot's storage back to the GPU so
-// the next capture syncs into it, moving only what the prefix run wrote
-// since, instead of into other storage from the pool; Release parks it along
-// with the device. The caller guarantees no fork still reads s — the
-// campaign engine calls this once a cluster's experiments have all finished.
+// RecycleSnapshot hands a consumed snapshot's storage back to the GPU so a
+// later capture syncs into it, moving only what the prefix run wrote since
+// the template's own capture (one or two back), instead of into other storage
+// from the pool; Release parks it along with the device. The GPU holds up to
+// two such spares — a prefix that captures cluster k+1 while cluster k
+// executes has two templates alive — and leaves a third with its snapshot.
+// The caller guarantees no fork still reads s.
 func (g *GPU) RecycleSnapshot(s *Snapshot) {
-	if s.gpu != nil && g.snapScratch == nil {
-		g.snapScratch = s.gpu
+	if s.gpu != nil && len(g.snapScratch) < 2 {
+		g.snapScratch = append(g.snapScratch, s.gpu)
 		s.gpu = nil
 	}
 }
