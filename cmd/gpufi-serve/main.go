@@ -121,7 +121,7 @@ func main() {
 		workerName = flag.String("worker-name", "", "worker identity in coordinator logs (default: hostname)")
 		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "shard lease TTL before a silent worker's shard is re-issued (coordinator mode)")
 		nShards    = flag.Int("shards-per-campaign", 8, "max shards a campaign is split into (coordinator mode)")
-		shardBatch = flag.Int("shard-batch", 64, "journal records per batch POST (worker mode)")
+		shardBatch = flag.Int("shard-batch", 64, "journal records that trigger a batch POST; one carries all that accumulated behind the last (worker mode)")
 
 		backoffBase  = flag.Duration("backoff-base", 100*time.Millisecond, "initial retry delay against an unreachable coordinator (worker mode)")
 		backoffMax   = flag.Duration("backoff-max", 5*time.Second, "retry delay ceiling during a coordinator outage (worker mode)")

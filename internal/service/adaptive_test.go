@@ -98,4 +98,23 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 	if m["plan_experiments_saved"].(float64) < 1 {
 		t.Errorf("plan_experiments_saved: %+v", m["plan_experiments_saved"])
 	}
+
+	// The report survives a restart: the next service lifetime knows the
+	// campaign only from the store, whose completion marker carries it.
+	ts.Close()
+	srv.Close()
+	srv2 := New(st, Options{Workers: 1})
+	if _, err := srv2.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	ts2 := httptest.NewServer(srv2.Handler())
+	defer ts2.Close()
+	var stored status
+	if code := getJSON(t, ts2.URL+"/v1/campaigns/"+sub.ID, &stored); code != 200 {
+		t.Fatalf("status code %d after restart", code)
+	}
+	if stored.State != StateDone || stored.Plan == nil || *stored.Plan != *rep {
+		t.Errorf("after restart: state %q, plan %+v; want done with %+v", stored.State, stored.Plan, rep)
+	}
 }

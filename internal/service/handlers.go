@@ -343,7 +343,7 @@ func (s *Server) storedStatus(id string) (status, error) {
 	st := status{
 		ID: id, App: info.Spec.App, GPU: info.Spec.GPU, Kernel: info.Spec.Kernel,
 		Structure: info.Spec.Structure, Runs: info.Spec.Runs, Seed: info.Spec.Seed,
-		Completed: info.Completed, Counts: info.Counts,
+		Completed: info.Completed, Counts: info.Counts, Plan: info.Plan,
 	}
 	switch {
 	case info.Done:

@@ -431,9 +431,9 @@ func (s *Server) workerLoop(base context.Context) (clean bool) {
 // campaign stays resumable by the retry.
 //
 // Every attempt runs under the job's root span: the span sink persists
-// the campaign's timeline to spans.jsonl through the store (same
-// batch-fsync discipline as the journal, separate file — journal bytes
-// are untouched by tracing), and a panicking attempt dumps the process
+// the campaign's timeline to spans.jsonl through the store (synced with
+// the journal, on its clock, but a separate file — journal bytes are
+// untouched by tracing), and a panicking attempt dumps the process
 // flight ring next to it before the retry machinery sees the error.
 func (s *Server) runJob(ctx context.Context, j *job, attempt int) (res *core.CampaignResult, err error) {
 	defer func() {

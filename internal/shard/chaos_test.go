@@ -1,15 +1,19 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"sort"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -33,9 +37,18 @@ import (
 // connection without a response, which is what a SIGKILLed process looks
 // like from the client side: a transport error, not a status code.
 type chaosProxy struct {
-	ln net.Listener
-	hs *http.Server
-	h  atomic.Pointer[http.Handler]
+	ln       net.Listener
+	hs       *http.Server
+	h        atomic.Pointer[http.Handler]
+	inflight atomic.Int64 // requests inside a lifetime's handler (or about to look for one)
+
+	// tap, when set before the first request, is called with every journal
+	// POST — numbered from 1 in arrival order — before the request looks
+	// for a lifetime: it may delay it, or answer (or drop) it in the
+	// coordinator's place and return true. batches keeps what it saw.
+	tap     func(n int, b shard.Batch, w http.ResponseWriter) bool
+	mu      sync.Mutex
+	batches []shard.Batch
 }
 
 func newChaosProxy(t *testing.T) *chaosProxy {
@@ -46,6 +59,23 @@ func newChaosProxy(t *testing.T) *chaosProxy {
 	}
 	p := &chaosProxy{ln: ln}
 	p.hs = &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		p.inflight.Add(1)
+		defer p.inflight.Add(-1)
+		if p.tap != nil && strings.HasSuffix(r.URL.Path, "/journal") {
+			raw, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+			var b shard.Batch
+			if err := json.Unmarshal(raw, &b); err != nil {
+				t.Errorf("journal POST does not decode: %v", err)
+			}
+			p.mu.Lock()
+			p.batches = append(p.batches, b)
+			n := len(p.batches)
+			p.mu.Unlock()
+			if p.tap(n, b, w) {
+				return
+			}
+		}
 		if h := p.h.Load(); h != nil {
 			(*h).ServeHTTP(w, r)
 			return
@@ -59,12 +89,28 @@ func newChaosProxy(t *testing.T) *chaosProxy {
 
 func (p *chaosProxy) URL() string { return "http://" + p.ln.Addr().String() }
 
+// seen returns the journal POSTs the tap has been shown so far.
+func (p *chaosProxy) seen() []shard.Batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]shard.Batch(nil), p.batches...)
+}
+
 func (p *chaosProxy) set(h http.Handler) {
 	if h == nil {
 		p.h.Store(nil)
 		return
 	}
 	p.h.Store(&h)
+}
+
+// sever detaches the lifetime and waits out the requests already inside
+// it, so what the caller reads next is what the corpse will leave behind.
+func (p *chaosProxy) sever() {
+	p.set(nil)
+	for p.inflight.Load() > 0 {
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // startChaosLifetime is startLifetime without an httptest server: the
@@ -107,15 +153,26 @@ func startChaosWorker(ctx context.Context, base, name string) chan struct{} {
 // false means the campaign finished before the condition came true.
 func killWhen(t *testing.T, l *lifetime, p *chaosProxy, id string, cond func() bool, within time.Duration) bool {
 	t.Helper()
+	finished := func() bool {
+		info, err := l.st.Inspect(id)
+		return err == nil && info.Done
+	}
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {
-		if info, err := l.st.Inspect(id); err == nil && info.Done {
-			return false
-		}
 		if cond() {
-			p.set(nil)
+			// Sever, THEN look: a campaign that finalized between an earlier
+			// look and the crash would count as a landed kill with nothing
+			// left to rebuild.
+			p.sever()
+			if finished() {
+				p.set(l.srv.Handler())
+				return false
+			}
 			l.crash()
 			return true
+		}
+		if finished() {
+			return false
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -159,21 +216,37 @@ func chaosWaitDone(t *testing.T, base, id string, within time.Duration) {
 // an uninterrupted single-process run, every experiment exactly once, no
 // shard stranded. The fixed-N campaign gets full byte identity; the
 // adaptive arm (whose stop point legitimately varies) gets
-// intersection identity plus the planner's own invariants.
+// intersection identity plus the planner's own invariants. The backlog
+// arm holds every journal POST back, so each worker's engine finishes its
+// 24-experiment shard (batch size 2) while the sender's first POST is
+// still out: the first kill lands with the engines eleven batches ahead,
+// the workers park on that POST, and the second kill lands as the
+// restarted coordinator has acknowledged one backlog and synced part of it.
 func TestChaosCoordinatorCrash(t *testing.T) {
 	arms := []struct {
 		name         string
 		adaptive     bool
-		kill1, kill2 int64 // Batches threshold per lifetime
+		kill1, kill2 int64         // Batches threshold per lifetime
+		hold         time.Duration // every journal POST waits this long at the proxy; the first kill waits for one that has
+		shards       int
 	}{
-		{name: "forked", kill1: 1, kill2: 5},
-		{name: "adaptive", adaptive: true, kill1: 2, kill2: 5},
+		{name: "forked", kill1: 1, kill2: 5, shards: 4},
+		{name: "adaptive", adaptive: true, kill1: 2, kill2: 5, shards: 4},
+		{name: "backlog", kill2: 1, hold: 100 * time.Millisecond, shards: 2},
 	}
 	for _, a := range arms {
 		a := a
 		t.Run(a.name, func(t *testing.T) {
 			dir := t.TempDir()
 			p := newChaosProxy(t)
+			var held atomic.Int64 // journal POSTs that sat out the hold
+			if a.hold > 0 {
+				p.tap = func(int, shard.Batch, http.ResponseWriter) bool {
+					time.Sleep(a.hold)
+					held.Add(1)
+					return false
+				}
+			}
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			w1 := startChaosWorker(ctx, p.URL(), "cw1")
@@ -196,19 +269,23 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 				body["plan"] = map[string]any{"target_ci": 0.12, "confidence": 0.95, "min_runs": 40}
 			}
 
-			l := startChaosLifetime(t, dir, 4, 5*time.Second)
+			l := startChaosLifetime(t, dir, a.shards, 5*time.Second)
 			p.set(l.srv.Handler())
 			submit(t, p.URL(), body)
 
 			kills := 0
-			for _, threshold := range []int64{a.kill1, a.kill2} {
+			for i, threshold := range []int64{a.kill1, a.kill2} {
 				co := l.co
 				n := threshold
-				if !killWhen(t, l, p, id, func() bool { return co.Stats().Batches >= n }, 2*time.Minute) {
+				cond := func() bool { return co.Stats().Batches >= n }
+				if i == 0 && a.hold > 0 {
+					cond = func() bool { return held.Load() >= 1 }
+				}
+				if !killWhen(t, l, p, id, cond, 2*time.Minute) {
 					break // finished before the kill point — nothing left to crash
 				}
 				kills++
-				l = startChaosLifetime(t, dir, 4, 5*time.Second)
+				l = startChaosLifetime(t, dir, a.shards, 5*time.Second)
 				p.set(l.srv.Handler())
 			}
 			chaosWaitDone(t, p.URL(), id, 3*time.Minute)
@@ -265,7 +342,25 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 					}
 				}
 				diffJournals(t, a.name, sharded, local)
-				writeChaosDigest(t, a.name, sharded)
+				if a.hold == 0 {
+					writeChaosDigest(t, a.name, sharded)
+				} else {
+					// Same spec as the forked arm, so no digest line of its own.
+					backlog := 0 // the most experiments one POST carried
+					for _, b := range p.seen() {
+						exps := 0
+						for _, rec := range b.Records {
+							if rec.Kind == shard.KindExp {
+								exps++
+							}
+						}
+						backlog = max(backlog, exps)
+					}
+					if kills < 2 || backlog < 20 {
+						t.Errorf("%d kills landed and the largest POST carried %d experiments: the engines never ran ten batches ahead of a parked sender",
+							kills, backlog)
+					}
+				}
 			}
 
 			l.srv.Close()

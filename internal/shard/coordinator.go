@@ -90,10 +90,10 @@ type Coordinator struct {
 	now  func() time.Time // injectable clock for lease-expiry tests
 
 	mu         sync.Mutex
-	campaigns  map[string]*campaignRun
-	order      []string        // claim scan order: oldest campaign first
-	recovering map[string]bool // campaigns mid-rebuild: answer ErrRecovering, not ErrUnknownShard
-	dead       bool            // Crash() was called: refuse new registrations
+	campaigns  map[string]*campaignRun // every campaign of this lifetime; a closed one is a tombstone
+	order      []string                // open campaigns in claim scan order: oldest first
+	recovering map[string]bool         // campaigns mid-rebuild: answer ErrRecovering, not ErrUnknownShard
+	dead       bool                    // Crash() was called: refuse new registrations
 	workers    map[string]*WorkerStat
 
 	shardsPlanned    atomic.Int64
@@ -111,7 +111,11 @@ type Coordinator struct {
 }
 
 // campaignRun is one campaign being coordinated: the open store handle,
-// the control WAL, the shard table, and the merge state.
+// the control WAL, the shard table, and the merge state. Once closed it is
+// a tombstone (entombLocked): id, reason, and what GET /v1/shards reports
+// per shard — enough to answer a late batch with the right typed error and
+// nothing that grows with the campaign's size. The journal on disk is the
+// ground truth for everything else.
 type campaignRun struct {
 	id       string
 	spec     store.Spec
@@ -167,6 +171,8 @@ type WorkerStat struct {
 type shardState struct {
 	shard    Shard // Lease fields empty; filled per claim
 	indexSet map[int]bool
+	size     int              // len(indexSet), kept past the tombstone
+	merged   int              // how many of them are journaled
 	leases   map[string]int64 // token -> epoch it was granted at
 	epoch    int64            // current issue number; only this epoch may write
 	curLease string
@@ -294,11 +300,13 @@ func (co *Coordinator) Run(ctx context.Context, id string, spec store.Spec,
 			close(run.done)
 			co.opts.Logger.Info("campaign coordination cancelled", "id", id,
 				"merged", len(run.merged), "total", run.total)
+			co.entombLocked(run)
 		}
 		co.mu.Unlock()
 	}
 	co.mu.Lock()
 	res, runErr := run.res, run.err
+	run.res = nil // handed over: the tombstone keeps no experiments
 	co.mu.Unlock()
 	return res, runErr
 }
@@ -494,8 +502,8 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 					ID: sid, Campaign: id, Spec: c.Spec,
 					Indices: idxs, Clusters: 1, // clusters per shard not exposed by the planner
 				},
-				indexSet: set,
-				leases:   make(map[string]int64),
+				indexSet: set, size: len(idxs), // a plan covers pending indices only: merged 0
+				leases: make(map[string]int64),
 			}
 			run.sorder = append(run.sorder, sid)
 		}
@@ -578,6 +586,7 @@ func (co *Coordinator) Revoke(id string) {
 	run.c.Close()
 	co.closeWALLocked(run)
 	close(run.done)
+	co.entombLocked(run)
 	co.opts.Logger.Info("campaign revoked", "id", id)
 }
 
@@ -600,6 +609,7 @@ func (co *Coordinator) Crash() {
 		run.err = errors.New("shard: coordinator crashed")
 		run.wal = nil // deliberately leaked: a crash flushes nothing
 		close(run.done)
+		co.entombLocked(run)
 	}
 	co.opts.Logger.Warn("coordinator crashed (simulated)")
 }
@@ -616,9 +626,6 @@ func (co *Coordinator) Claim(worker string) (*Shard, error) {
 	now := co.now()
 	for _, id := range co.order {
 		run := co.campaigns[id]
-		if run == nil || run.closed {
-			continue
-		}
 		for _, sid := range run.sorder {
 			ss := run.shards[sid]
 			if ss.done {
@@ -788,6 +795,7 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 				return res, err
 			}
 			run.merged[exp.ID] = true
+			ss.merged++
 			run.newExps = append(run.newExps, exp)
 			res.Accepted++
 			co.recordsMerged.Add(1)
@@ -848,7 +856,7 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			Shard: b.Shard, Epoch: epoch, Count: res.Accepted})
 	}
 
-	if !ss.done && allMerged(ss, run.merged) {
+	if !ss.done && ss.merged == ss.size {
 		ss.done = true
 		co.shardsCompleted.Add(1)
 		co.walAppend(run, store.ControlRecord{Kind: store.CtlShardDone, Shard: b.Shard})
@@ -932,11 +940,30 @@ func (co *Coordinator) finalizeLocked(run *campaignRun, app, gpu string) {
 	co.closeWALLocked(run)
 	run.res = merged
 	close(run.done)
+	co.entombLocked(run)
 	obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "coordinator.finalize",
 		finStart, obs.Attr{K: "state", V: run.reason},
 		obs.Attr{K: "experiments", V: strconv.Itoa(len(merged.Exps))})
 	co.opts.Logger.Info("campaign merged", "id", run.id, "state", run.reason,
 		"experiments", len(merged.Exps))
+}
+
+// entombLocked reduces a closed campaign to its tombstone: the store
+// handle, the merge sets, this lifetime's experiments and every shard's
+// index list go (run.res follows once Run has returned it), and the
+// campaign leaves the claim scan. Caller holds co.mu.
+func (co *Coordinator) entombLocked(run *campaignRun) {
+	run.c, run.tracker, run.onExp = nil, nil, nil
+	run.merged, run.mergedTraces, run.mergedSpans, run.newExps = nil, nil, nil, nil
+	for _, ss := range run.shards {
+		ss.shard, ss.indexSet, ss.leases = Shard{}, nil, nil
+	}
+	for i, id := range co.order {
+		if id == run.id {
+			co.order = append(co.order[:i], co.order[i+1:]...)
+			break
+		}
+	}
 }
 
 // walAppend journals a diagnostics-grade control record, best-effort: a
@@ -973,14 +1000,15 @@ func (co *Coordinator) closeWALLocked(run *campaignRun) {
 // id is unknown but its campaign prefix is mid-rebuild the caller gets
 // ErrRecovering — park and retry — instead of ErrUnknownShard.
 func (co *Coordinator) findLocked(shardID string) (*campaignRun, *shardState, error) {
-	for _, run := range co.campaigns {
+	campaign, _, _ := strings.Cut(shardID, ":")
+	if run := co.campaigns[campaign]; run != nil {
 		if ss, ok := run.shards[shardID]; ok {
 			return run, ss, nil
 		}
 	}
-	if i := strings.IndexByte(shardID, ':'); i > 0 && co.recovering[shardID[:i]] {
+	if co.recovering[campaign] {
 		return nil, nil, fmt.Errorf("%w: campaign %s is rebuilding its shard table",
-			ErrRecovering, shardID[:i])
+			ErrRecovering, campaign)
 	}
 	return nil, nil, fmt.Errorf("%w: %s", ErrUnknownShard, shardID)
 }
@@ -990,24 +1018,19 @@ func (co *Coordinator) Statuses() []Status {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	var out []Status
-	ids := append([]string(nil), co.order...)
+	ids := make([]string, 0, len(co.campaigns))
+	for id := range co.campaigns {
+		ids = append(ids, id)
+	}
 	sort.Strings(ids)
 	now := co.now()
 	for _, id := range ids {
 		run := co.campaigns[id]
-		if run == nil {
-			continue
-		}
 		for _, sid := range run.sorder {
 			ss := run.shards[sid]
 			st := Status{
-				ID: sid, Campaign: id, Indices: len(ss.shard.Indices),
+				ID: sid, Campaign: id, Indices: ss.size, Merged: ss.merged,
 				Worker: ss.worker, Reissues: ss.reissues,
-			}
-			for i := range ss.indexSet {
-				if run.merged[i] {
-					st.Merged++
-				}
 			}
 			switch {
 			case ss.retired:
@@ -1024,16 +1047,6 @@ func (co *Coordinator) Statuses() []Status {
 		}
 	}
 	return out
-}
-
-// allMerged reports whether every index of the shard is journaled.
-func allMerged(ss *shardState, merged map[int]bool) bool {
-	for i := range ss.indexSet {
-		if !merged[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // maxGen returns the highest plan generation the WAL has seen — complete

@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -342,5 +344,78 @@ func TestCoordinatorResume(t *testing.T) {
 	info, err := st2.Inspect("resume-test")
 	if err != nil || !info.Done || info.Completed != 10 {
 		t.Fatalf("resumed campaign: %+v %v", info, err)
+	}
+}
+
+// TestShardStatusesAfterFinalize pins the tombstone's read side: what GET
+// /v1/shards reports for a campaign the instant before its last batch and
+// after it finalized differs in the last shard's row only, and a batch
+// that arrives later still gets the closed-campaign answer, never
+// ErrUnknownShard.
+func TestShardStatusesAfterFinalize(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	co := NewCoordinator(st, Options{ShardsPerCampaign: 3, LeaseTTL: time.Minute})
+	done := make(chan error, 1)
+	go func() {
+		_, err := co.Run(context.Background(), "tomb", vaSpec(18), nil)
+		done <- err
+	}()
+	var shards []*Shard
+	var batches []Batch
+	for len(shards) < 3 {
+		sh := claimSoon(t, co, fmt.Sprintf("w%d", len(shards)))
+		shards = append(shards, sh)
+		batches = append(batches, expBatch(sh, sh.Lease, execShard(t, sh)))
+	}
+	for _, b := range batches[:2] {
+		if _, err := co.Ingest(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// All of the last shard but one experiment, so the campaign stays open.
+	last := batches[2]
+	head, tail := last, last
+	head.Records, tail.Records = last.Records[:len(last.Records)-1], last.Records[len(last.Records)-1:]
+	if _, err := co.Ingest(head); err != nil {
+		t.Fatal(err)
+	}
+	before := co.Statuses()
+	if res, err := co.Ingest(tail); err != nil || !res.CampaignDone {
+		t.Fatalf("final batch: %+v %v", res, err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	after := co.Statuses()
+
+	want := append([]Status(nil), before...)
+	for i := range want {
+		if want[i].ID == shards[2].ID {
+			if want[i].State != "leased" || want[i].Merged != want[i].Indices-1 {
+				t.Fatalf("last shard before its final record: %+v", want[i])
+			}
+			want[i].State, want[i].Merged = "done", want[i].Indices
+		} else if want[i].State != "done" || want[i].Merged != want[i].Indices {
+			t.Fatalf("merged shard before finalize: %+v", want[i])
+		}
+	}
+	if !reflect.DeepEqual(after, want) {
+		t.Fatalf("statuses after finalize:\n got %+v\nwant %+v", after, want)
+	}
+	if scanned, tracked, live := co.Footprint(); scanned != 0 || tracked != 1 || live != 0 {
+		t.Fatalf("finished campaign: claim scan %d, tracked %d, still holding merge state %d; want 0, 1, 0",
+			scanned, tracked, live)
+	}
+	if _, err := co.Ingest(tail); !errors.Is(err, ErrCampaignClosed) {
+		t.Fatalf("late batch: want ErrCampaignClosed, got %v", err)
+	}
+	if _, err := co.Heartbeat(shards[0].ID, shards[0].Lease); !errors.Is(err, ErrCampaignClosed) {
+		t.Fatalf("late heartbeat: want ErrCampaignClosed, got %v", err)
+	}
+	if _, err := co.Claim("w9"); !errors.Is(err, ErrNoWork) {
+		t.Fatalf("claim after finalize: want ErrNoWork, got %v", err)
 	}
 }

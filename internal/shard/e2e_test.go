@@ -38,7 +38,7 @@ type cluster struct {
 	ts  *httptest.Server
 }
 
-func startCluster(t *testing.T, dir string, shards int, ttl time.Duration) *cluster {
+func startCluster(t testing.TB, dir string, shards int, ttl time.Duration) *cluster {
 	t.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
@@ -70,7 +70,7 @@ func startWorker(ctx context.Context, c *cluster, name string, batch int, hook f
 }
 
 // submit POSTs a campaign spec and fails the test on a non-202 answer.
-func submit(t *testing.T, base string, body map[string]any) {
+func submit(t testing.TB, base string, body map[string]any) {
 	t.Helper()
 	raw, err := json.Marshal(body)
 	if err != nil {
@@ -90,7 +90,7 @@ func submit(t *testing.T, base string, body map[string]any) {
 
 // waitDone polls a campaign's /v1 status until it reaches a terminal
 // state, failing the test if that state is not "done".
-func waitDone(t *testing.T, base, id string, within time.Duration) {
+func waitDone(t testing.TB, base, id string, within time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {

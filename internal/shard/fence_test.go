@@ -51,7 +51,7 @@ func (l *lifetime) crash() {
 
 // claimShard polls /v1/shards/claim until a shard is granted, failing on
 // anything other than "no work yet" or "recovering".
-func claimShard(t *testing.T, base, worker string, within time.Duration) *shard.Shard {
+func claimShard(t testing.TB, base, worker string, within time.Duration) *shard.Shard {
 	t.Helper()
 	deadline := time.Now().Add(within)
 	for time.Now().Before(deadline) {

@@ -61,19 +61,19 @@ func rebuildFromWAL(ctl []store.ControlRecord, merged map[int]bool, total int,
 		}
 		idxs := append([]int(nil), r.Indices...)
 		set := make(map[int]bool, len(idxs))
-		done := true
+		journaled := 0
 		for _, i := range idxs {
 			set[i] = true
 			covered[i] = true
-			if !merged[i] {
-				done = false
+			if merged[i] {
+				journaled++
 			}
 		}
 		rb.shards[r.Shard] = &shardState{
 			shard:    Shard{ID: r.Shard, Indices: idxs, Clusters: 1},
-			indexSet: set,
-			leases:   make(map[string]int64),
-			done:     done,
+			indexSet: set, size: len(idxs), merged: journaled,
+			leases: make(map[string]int64),
+			done:   journaled == len(idxs),
 		}
 		rb.sorder = append(rb.sorder, r.Shard)
 	}

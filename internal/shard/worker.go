@@ -41,8 +41,9 @@ type Worker struct {
 	Name string
 	// Client is the HTTP client; nil uses a default with sane timeouts.
 	Client *http.Client
-	// BatchSize is how many journal records accumulate before a POST.
-	// Default 64.
+	// BatchSize is how many journal records trigger a POST. It is a
+	// minimum, not a cap: a shard has one POST in flight at a time, and the
+	// next carries everything that accumulated behind it. Default 64.
 	BatchSize int
 	// Poll is the nominal wait after ErrNoWork before claiming again; the
 	// actual wait is jittered over [Poll/2, 3*Poll/2) so a worker fleet
@@ -257,22 +258,21 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	// to a third of the lease TTL.
 	defer func() { cancel(); <-hbDone }()
 
-	var (
-		recMu sync.Mutex
-		recs  []Record
-		sent  []Record // every acknowledged record, kept for post-restart re-sends
-		seq   int
-	)
+	batchSize := w.BatchSize
+	if batchSize <= 0 {
+		batchSize = 64
+	}
+	// out is the shard's record stream to the coordinator. The engine's
+	// callbacks and the span sink only append; one sender goroutine POSTs.
+	out := newOutbox(batchSize)
 
 	// Tracing: the shard grant carries the campaign's root trace; worker
 	// spans join it and ride back to the coordinator as span records in
-	// the journal batches (a worker has no store of its own). The sink
-	// only appends — it never triggers a flush — so span completion can
-	// never re-enter the batch POST path. The shard span announces itself
-	// so spans merged before the shard completes (or before the worker
-	// dies) always have a persisted parent. Every POST under shardCtx
-	// carries the W3C traceparent header from here on, heartbeats
-	// included.
+	// the journal batches (a worker has no store of its own). The shard
+	// span announces itself so spans merged before the shard completes (or
+	// before the worker dies) always have a persisted parent. Every POST
+	// under shardCtx carries the W3C traceparent header from here on,
+	// heartbeats included.
 	var shardSpan *obs.Span
 	if tid, ok := obs.ParseTraceID(sh.Trace); ok {
 		if psid, ok2 := obs.ParseSpanID(sh.Span); ok2 {
@@ -280,9 +280,7 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 			tctx = obs.ContextWithNode(tctx, w.Name)
 			tctx = obs.ContextWithSink(tctx, func(rec obs.SpanRecord) {
 				r := rec
-				recMu.Lock()
-				recs = append(recs, Record{Kind: KindSpan, Span: &r})
-				recMu.Unlock()
+				out.add(Record{Kind: KindSpan, Span: &r}, false)
 			})
 			tctx, shardSpan = obs.StartSpan(tctx, "worker.shard",
 				obs.Attr{K: "shard", V: sh.ID},
@@ -354,40 +352,35 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		}
 	}()
 
-	batchSize := w.BatchSize
-	if batchSize <= 0 {
-		batchSize = 64
-	}
-	// send posts one batch, riding out coordinator outages. Records are
-	// NOT consumed here: ownership stays with the caller until the POST
-	// succeeds.
-	send := func(out []Record, final bool) (*BatchResult, error) {
-		recMu.Lock()
+	// send posts one batch, riding out coordinator outages. At most one is
+	// in flight per shard: the sender goroutine calls it while the engine
+	// runs, runShard itself once the sender has drained.
+	seq := 0
+	send := func(recs []Record, final bool) (*BatchResult, error) {
 		seq++
-		s := seq
-		recMu.Unlock()
 		var res *BatchResult
 		err := w.withOutageRetry(shardCtx, sh.ID, func() error {
 			r, err := w.postBatch(shardCtx, sh, Batch{
 				Campaign: sh.Campaign, Shard: sh.ID, Lease: sh.Lease,
-				Seq: s, Final: final, Records: out,
+				Seq: seq, Final: final, Records: recs,
 			})
 			if err == nil {
 				res = r
 			}
 			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		if res.Satisfied {
-			// This batch converged the campaign: stop the engine, there is
-			// nothing left worth simulating.
+		if errors.Is(err, ErrCampaignSatisfied) || (err == nil && res.Satisfied) {
+			// The campaign converged, on this batch or before it (a late
+			// batch the coordinator finalized without): stop the engine,
+			// there is nothing left worth simulating.
 			satisfied.Store(true)
 			cancel()
 		}
+		if err != nil {
+			return nil, err
+		}
 		if w.AfterBatch != nil {
-			w.AfterBatch(sh.ID, s)
+			w.AfterBatch(sh.ID, seq)
 		}
 		if res.Duplicates > 0 {
 			w.logger().Info("coordinator deduplicated records",
@@ -395,108 +388,71 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		}
 		return res, nil
 	}
-	flush := func(final bool) (*BatchResult, error) {
-		recMu.Lock()
-		out := recs
-		recs = nil
-		recMu.Unlock()
-		if len(out) == 0 && !final {
-			return nil, nil
-		}
-		res, err := send(out, final)
-		if err != nil {
-			// A late batch against a converged campaign is success: the
-			// coordinator finalized with the records it already had.
-			if errors.Is(err, ErrCampaignSatisfied) {
-				satisfied.Store(true)
-				cancel()
-				return nil, nil
+	senderDone := make(chan struct{})
+	go func() {
+		defer close(senderDone)
+		out.run(func(recs []Record) error {
+			_, err := send(recs, false)
+			if err == nil && satisfied.Load() {
+				err = ErrCampaignSatisfied // nothing more to send
 			}
-			// Unacknowledged records go back to the front of the queue:
-			// they must reach the coordinator eventually (or die with the
-			// shard, whose lease re-issue makes that safe).
-			recMu.Lock()
-			recs = append(out, recs...)
-			recMu.Unlock()
-			return nil, err
-		}
-		recMu.Lock()
-		sent = append(sent, out...)
-		recMu.Unlock()
-		return res, nil
-	}
-	add := func(r Record) error {
-		recMu.Lock()
-		recs = append(recs, r)
-		n := len(recs)
-		recMu.Unlock()
-		if n >= batchSize {
-			_, err := flush(false)
 			return err
-		}
-		return nil
-	}
+		})
+	}()
 
-	// The engine's collector serializes these callbacks, so add/flush see
-	// experiments in completion order — the same order a local store run
-	// journals them.
+	// The engine's collector serializes these callbacks, so the outbox
+	// sees experiments in completion order — the same order a local store
+	// run journals them. The collector hands a traced experiment's
+	// propagation trace to TraceSink immediately after Journal, and a cut
+	// may only fall after the pair: a trace trailing the campaign's final
+	// exp into the next batch would arrive at an already-finalized
+	// campaign and be rejected.
 	cfg.Journal = func(exp core.Experiment) error {
 		e := exp
-		rec := Record{Kind: KindExp, Exp: &e}
-		if sh.Spec.Trace && exp.Trace != nil {
-			// The collector hands this experiment's propagation trace to
-			// TraceSink immediately after this callback. Append without
-			// flushing so the exp+trace pair can never straddle a batch
-			// boundary: a trace trailing the campaign's final exp into the
-			// next batch would arrive at an already-finalized campaign and
-			// be rejected.
-			recMu.Lock()
-			recs = append(recs, rec)
-			recMu.Unlock()
-			return nil
-		}
-		return add(rec)
+		return out.add(Record{Kind: KindExp, Exp: &e}, !(sh.Spec.Trace && exp.Trace != nil))
 	}
 	if sh.Spec.Trace {
 		cfg.TraceSink = func(tr core.ExperimentTrace) error {
 			t := tr
-			return add(Record{Kind: KindTrace, Trace: &t})
+			return out.add(Record{Kind: KindTrace, Trace: &t}, true)
 		}
 	}
 
-	if _, err := core.RunCampaign(shardCtx, cfg, prof); err != nil {
-		if satisfied.Load() {
-			w.logger().Info("shard stopped early; campaign satisfied", "shard", sh.ID)
-			return nil
-		}
-		return fmt.Errorf("shard %s: engine: %w", sh.ID, err)
-	}
+	_, runErr := core.RunCampaign(shardCtx, cfg, prof)
+	// Drain: the sender stops after the POST it has in flight (which a
+	// cancelled shardCtx aborts).
+	drainStart := time.Now()
+	out.close()
+	<-senderDone
+	waited, sendErr := time.Since(drainStart), out.err
 	if satisfied.Load() {
+		w.logger().Info("shard stopped; campaign satisfied", "shard", sh.ID)
 		return nil
+	}
+	if runErr != nil {
+		return fmt.Errorf("shard %s: engine: %w", sh.ID, runErr)
+	}
+	if sendErr != nil {
+		return sendErr
 	}
 	// Complete the shard span BEFORE the final flush so its real-duration
 	// record rides in the final batch instead of dying with the process.
+	// drain_ns against the span's duration says which side bound the shard:
+	// the engine waited for the coordinator, or never did.
+	shardSpan.SetAttr("drain_ns", strconv.FormatInt(waited.Nanoseconds(), 10))
 	shardSpan.End()
-	res, err := flush(true)
-	if err != nil {
-		return err
-	}
-	if res == nil || satisfied.Load() {
-		return nil
-	}
+	res, err := send(out.records(true), true)
 	// A final batch that does not complete the shard means a restarted
 	// coordinator lost merges it had acknowledged (they were buffered,
 	// never fsynced, when it died). Re-send everything through the
 	// idempotent merge path: the duplicates are absorbed, the lost
 	// records land, and the journal bytes come out identical because the
 	// records themselves are deterministic.
-	for attempt := 1; !res.ShardDone && !res.CampaignDone; attempt++ {
+	for attempt := 1; err == nil && !res.ShardDone && !res.CampaignDone; attempt++ {
 		if attempt > 3 {
 			return fmt.Errorf("shard %s still incomplete after %d full re-sends", sh.ID, attempt-1)
 		}
-		recMu.Lock()
-		all := append([]Record(nil), sent...)
-		recMu.Unlock()
+		all := out.records(false)
 		backoffResends.Add(1)
 		w.logger().Warn("final batch left shard incomplete; re-sending all records",
 			"shard", sh.ID, "records", len(all), "attempt", attempt)
@@ -505,23 +461,105 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		obs.EmitSpan(shardCtx, "worker.resend", resendStart,
 			obs.Attr{K: "records", V: strconv.Itoa(len(all))},
 			obs.Attr{K: "attempt", V: strconv.Itoa(attempt)})
-		if err != nil {
-			if errors.Is(err, ErrCampaignSatisfied) {
-				return nil
-			}
-			return err
-		}
-		if satisfied.Load() {
-			return nil
+	}
+	if satisfied.Load() {
+		return nil // a late batch against a converged campaign is success
+	}
+	return err
+}
+
+// outbox is one shard's record stream towards the coordinator, decoupled
+// from the engine that fills it: add appends and returns, run POSTs from a
+// goroutine of its own. While one POST is in flight records keep
+// accumulating, so the next one carries everything up to the last legal
+// cut — group commit, with min the batch size that triggers a send, not a
+// cap. all holds every record of the shard in engine order (the post-
+// restart re-send needs them anyway), which is also what bounds it.
+type outbox struct {
+	min int // records that trigger a send
+
+	mu     sync.Mutex
+	wake   *sync.Cond // on mu: a send became due, or the outbox closed
+	all    []Record
+	acked  int   // all[:acked] is acknowledged
+	cut    int   // all[:cut] may be sent: a cut never parts an exp from its trace
+	closed bool  // the engine is done: run returns after the POST in flight
+	err    error // the sender's first failure, sticky
+}
+
+func newOutbox(min int) *outbox {
+	o := &outbox{min: min}
+	o.wake = sync.NewCond(&o.mu)
+	return o
+}
+
+// add appends one record; cuttable says a batch may end right after it.
+// It returns the sender's sticky error, which is how a failed POST stops
+// the engine: at its next callback.
+func (o *outbox) add(r Record, cuttable bool) error {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.all = append(o.all, r)
+	if cuttable {
+		o.cut = len(o.all)
+		if o.cut-o.acked >= o.min {
+			o.wake.Signal()
 		}
 	}
-	return nil
+	return o.err
+}
+
+// run is the sender loop: whenever min records are ready it posts
+// everything up to the cut, one POST at a time, in order. The first error
+// ends it, and so does close.
+func (o *outbox) run(post func([]Record) error) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for {
+		for !o.closed && o.cut-o.acked < o.min {
+			o.wake.Wait()
+		}
+		if o.closed {
+			return
+		}
+		n := o.cut
+		recs := o.all[o.acked:n:n]
+		o.mu.Unlock()
+		err := post(recs)
+		o.mu.Lock()
+		if err != nil {
+			o.err = err
+			return
+		}
+		o.acked = n
+	}
+}
+
+// close ends run after the POST in flight.
+func (o *outbox) close() {
+	o.mu.Lock()
+	o.closed = true
+	o.mu.Unlock()
+	o.wake.Signal()
+}
+
+// records returns every record so far, or only those no POST has
+// acknowledged. The span sink may still be appending.
+func (o *outbox) records(unacked bool) []Record {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	from := 0
+	if unacked {
+		from = o.acked
+	}
+	return o.all[from:len(o.all):len(o.all)]
 }
 
 // withOutageRetry runs fn, riding out coordinator outages: transport
-// failures and typed coordinator_recovering answers park the worker (the
-// engine's collector blocks with it) under jittered exponential backoff
-// until the coordinator answers again or the outage budget runs out.
+// failures and typed coordinator_recovering answers park the caller — a
+// shard's sender, while its engine computes on into the outbox — under
+// jittered exponential backoff until the coordinator answers again or the
+// outage budget runs out.
 // Typed protocol errors pass through untouched.
 func (w *Worker) withOutageRetry(ctx context.Context, shardID string, fn func() error) error {
 	bo := w.newBackoff()

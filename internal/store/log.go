@@ -25,7 +25,7 @@ import (
 //	                                        and quarantine now
 //	control.jsonl  ControlRecord            per batch;            plans and lease
 //	                                        AppendSync now        epochs only
-//	spans.jsonl    obs.SpanRecord           per batch             no
+//	spans.jsonl    obs.SpanRecord           with the journal      no
 //	traces.jsonl   core.ExperimentTrace     on close (flushed     no
 //	                                        per record)
 //
@@ -44,10 +44,17 @@ type logPolicy struct {
 	// before a flush+fsync, so a crash loses at most one batch. Zero means
 	// every record is flushed to the OS at once but fsync'd only on Close:
 	// the policy of a file whose readers tail it and whose loss costs
-	// nothing.
+	// nothing. Negative means the log has no durability clock of its own:
+	// records stay buffered until the log it leads syncs, or Close.
 	batch int
 
 	hist *obs.Histogram // times every flush+fsync; nil leaves them untimed
+
+	// lead is a log synced just ahead of every sync of this one: a
+	// campaign's span log leads its journal, so the timeline on disk is
+	// never behind the experiments it describes and the pair costs one
+	// fsync wait per batch, not two clocks. Nil for every other log.
+	lead *appendLog
 }
 
 // appendLog is an append-only JSON-lines file. Safe for concurrent use.
@@ -131,6 +138,9 @@ func (l *appendLog) sync() error {
 // syncLocked is the one place a log reaches the disk: flush, then fsync,
 // in that order, so no record is reported durable while still buffered.
 func (l *appendLog) syncLocked() error {
+	if l.lead != nil {
+		l.lead.sync() // never ground truth: its failure must not fail this log
+	}
 	start := time.Now()
 	if err := l.bw.Flush(); err != nil {
 		return fmt.Errorf("store: flush %s: %v", l.name, err)

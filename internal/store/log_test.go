@@ -532,3 +532,100 @@ func FuzzCodecRecord(f *testing.F) {
 		}
 	})
 }
+
+// TestSpanLogSharesJournalClock is the one-clock rule at every crash
+// point: journal and span appends interleave (spans outnumber experiments,
+// and big ones spill the write buffer early), and after every append the
+// process "dies" — both handles dropped with nothing flushed. What the
+// next lifetime finds: no torn span line before the last one, every span
+// appended before the journal's last completed sync, and exactly one span
+// fsync per journal sync — the span log has no count of its own. A clean
+// shutdown adds the span log's own Close.
+func TestSpanLogSharesJournalClock(t *testing.T) {
+	const steps = 60
+	span := func(i int) obs.SpanRecord {
+		rec := obs.SpanRecord{Trace: "t", Span: fmt.Sprintf("%016x", i), Name: "engine.execute", StartUS: int64(i)}
+		if i%7 == 0 {
+			rec.Attrs = map[string]string{"pad": strings.Repeat("x", 3000)}
+		}
+		return rec
+	}
+	for crashAt := 0; crashAt <= steps; crashAt++ {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.BatchSize = 4
+		journalSyncs, spanSyncs := fsyncHist.Count(), spanFsyncHist.Count()
+		spans, err := st.SpanWriter("c")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := st.Create("c", vaSpec(steps, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		appended, durable := 0, 0 // spans appended; spans appended before the journal's last sync
+		for i := 0; i < crashAt; i++ {
+			if i%4 == 3 {
+				before := fsyncHist.Count()
+				if err := c.Append(core.Experiment{ID: i, Outcome: avf.Masked, Effect: "Masked"}); err != nil {
+					t.Fatal(err)
+				}
+				if fsyncHist.Count() != before {
+					durable = appended
+				}
+				continue
+			}
+			if err := spans.Append(span(i)); err != nil {
+				t.Fatal(err)
+			}
+			appended++
+		}
+		if crashAt == steps {
+			// The clean arm: the journal closes first, as under Store.Run and
+			// the coordinator, then the service closes the span log.
+			if err := c.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := spans.Close(); err != nil {
+				t.Fatal(err)
+			}
+			durable = appended
+			spanSyncs++
+		}
+		if j, s := fsyncHist.Count()-journalSyncs, spanFsyncHist.Count()-spanSyncs; s != j {
+			t.Fatalf("crash after %d appends: %d span-log fsyncs beside %d journal syncs", crashAt, s, j)
+		}
+
+		raw, err := os.ReadFile(filepath.Join(st.Dir(), "c", spansFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := bytes.SplitAfter(raw, []byte("\n"))
+		intact := 0
+		for k, line := range lines {
+			var rec obs.SpanRecord
+			if len(line) == 0 {
+				continue
+			}
+			if err := json.Unmarshal(line, &rec); err != nil {
+				if k != len(lines)-1 {
+					t.Fatalf("crash after %d appends: torn span line %d of %d: %v", crashAt, k+1, len(lines), err)
+				}
+				continue
+			}
+			intact++
+		}
+		if intact < durable {
+			t.Fatalf("crash after %d appends: %d spans on disk, %d were appended before the journal's last sync",
+				crashAt, intact, durable)
+		}
+		// The next lifetime cuts the torn tail and carries on.
+		if again, err := st.SpanWriter("c"); err != nil {
+			t.Fatalf("crash after %d appends: reopen: %v", crashAt, err)
+		} else if err := again.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

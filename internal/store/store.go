@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 	"time"
 
 	"gpufi/internal/avf"
@@ -58,6 +59,9 @@ type Store struct {
 	// BatchSize is the journal fsync batch (records per fsync).
 	// DefaultBatchSize when zero.
 	BatchSize int
+
+	mu    sync.Mutex
+	spans map[string]*appendLog // open span logs by campaign (SpanWriter)
 }
 
 // Open returns a store rooted at dir, creating the directory if needed.
@@ -83,9 +87,12 @@ func (s *Store) batch() int {
 // The journal is fsync'd every BatchSize records, so a crash loses at most
 // one batch of experiments — and since every experiment is re-derivable
 // from the seed, a resumed campaign simply re-runs the lost tail and lands
-// on bit-identical counts.
-func (s *Store) journalPolicy() logPolicy {
-	return logPolicy{name: "journal", batch: s.batch(), hist: fsyncHist}
+// on bit-identical counts. The campaign's open span log, if any, rides
+// the same clock (logPolicy.lead).
+func (s *Store) journalPolicy(id string) logPolicy {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return logPolicy{name: "journal", batch: s.batch(), hist: fsyncHist, lead: s.spans[id]}
 }
 
 // The trace file is flushed, not fsync'd, per record: traces are
@@ -252,7 +259,7 @@ func (s *Store) Create(id string, spec Spec) (*Campaign, error) {
 	if err := writeFileSync(filepath.Join(dir, configFile), append(raw, '\n')); err != nil {
 		return nil, err
 	}
-	j, err := openLog(filepath.Join(dir, journalFile), os.O_CREATE|os.O_EXCL, s.journalPolicy(), logTail{})
+	j, err := openLog(filepath.Join(dir, journalFile), os.O_CREATE|os.O_EXCL, s.journalPolicy(id), logTail{})
 	if err != nil {
 		return nil, err
 	}
@@ -278,6 +285,7 @@ func headerOfSpec(spec Spec) Header {
 type state struct {
 	spec      Spec
 	done      bool
+	plan      *core.PlanReport // from the completion marker; adaptive campaigns only
 	cancelled bool
 	hasHeader bool
 	prior     []core.Experiment
@@ -305,8 +313,14 @@ func (s *Store) readState(id string) (*state, error) {
 		return nil, fmt.Errorf("store: config of %s: %v", id, err)
 	}
 	st.spec = st.spec.normalize()
-	if _, err := os.Stat(filepath.Join(dir, doneFile)); err == nil {
+	if raw, err := os.ReadFile(filepath.Join(dir, doneFile)); err == nil {
+		// The marker's presence is what makes a campaign done; its summary
+		// is read for the plan report, which the journal does not carry.
 		st.done = true
+		var rec doneRecord
+		if json.Unmarshal(raw, &rec) == nil {
+			st.plan = rec.Plan
+		}
 	}
 	if _, err := os.Stat(filepath.Join(dir, cancelledFile)); err == nil {
 		st.cancelled = true
@@ -353,7 +367,7 @@ func (s *Store) Resume(id string) (*Campaign, error) {
 	if st.done {
 		return c, nil
 	}
-	j, err := openLog(filepath.Join(s.campaignDir(id), journalFile), os.O_CREATE, s.journalPolicy(), st.tail)
+	j, err := openLog(filepath.Join(s.campaignDir(id), journalFile), os.O_CREATE, s.journalPolicy(id), st.tail)
 	if err != nil {
 		return nil, err
 	}
@@ -376,6 +390,7 @@ type Info struct {
 	Truncated bool
 	Completed int // intact journaled experiments
 	Counts    avf.Counts
+	Plan      *core.PlanReport // a finished adaptive campaign's final report
 }
 
 // Inspect reads a campaign's state without opening it for writing and
@@ -387,7 +402,7 @@ func (s *Store) Inspect(id string) (*Info, error) {
 	}
 	return &Info{
 		ID: id, Spec: st.spec, Done: st.done, Cancelled: st.cancelled,
-		Truncated: st.tail.torn, Completed: len(st.prior), Counts: st.counts,
+		Truncated: st.tail.torn, Completed: len(st.prior), Counts: st.counts, Plan: st.plan,
 	}, nil
 }
 
