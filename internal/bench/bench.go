@@ -145,7 +145,10 @@ func bytesI32(b []byte) []int32 {
 	return v
 }
 
-// upload allocates device memory and copies data to it.
+// upload allocates device memory and copies data to it. An application
+// encodes the inputs that never change once, when it is built, and every run
+// uploads those bytes: a campaign fork replaying the recorded prefix elides
+// the copy but would still pay for an encoding done inside Run.
 func upload(g *sim.GPU, data []byte) (uint32, error) {
 	d, err := g.Malloc(uint32(len(data)))
 	if err != nil {

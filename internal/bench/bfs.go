@@ -137,40 +137,43 @@ func BFSScale(scale int) *App {
 	rowptr, col := bfsGraph(bfsNodes)
 	refBytes := i32Bytes(bfsReference(rowptr, col))
 
-	run := func(g *sim.GPU) ([]byte, error) {
-		frontier := make([]int32, bfsNodes)
-		visited := make([]int32, bfsNodes)
-		cost := make([]int32, bfsNodes)
-		for i := range cost {
-			cost[i] = -1
-		}
-		frontier[0], visited[0], cost[0] = 1, 1, 0
+	frontier := make([]int32, bfsNodes)
+	visited := make([]int32, bfsNodes)
+	cost := make([]int32, bfsNodes)
+	for i := range cost {
+		cost[i] = -1
+	}
+	frontier[0], visited[0], cost[0] = 1, 1, 0
+	rowBytes, colBytes := i32Bytes(rowptr), i32Bytes(col)
+	frontBytes, visBytes, costBytes := i32Bytes(frontier), i32Bytes(visited), i32Bytes(cost)
+	updBytes, zero := i32Bytes(make([]int32, bfsNodes)), i32Bytes([]int32{0})
 
-		dRow, err := upload(g, i32Bytes(rowptr))
+	run := func(g *sim.GPU) ([]byte, error) {
+		dRow, err := upload(g, rowBytes)
 		if err != nil {
 			return nil, err
 		}
-		dCol, err := upload(g, i32Bytes(col))
+		dCol, err := upload(g, colBytes)
 		if err != nil {
 			return nil, err
 		}
-		dFront, err := upload(g, i32Bytes(frontier))
+		dFront, err := upload(g, frontBytes)
 		if err != nil {
 			return nil, err
 		}
-		dVis, err := upload(g, i32Bytes(visited))
+		dVis, err := upload(g, visBytes)
 		if err != nil {
 			return nil, err
 		}
-		dCost, err := upload(g, i32Bytes(cost))
+		dCost, err := upload(g, costBytes)
 		if err != nil {
 			return nil, err
 		}
-		dUpd, err := upload(g, i32Bytes(make([]int32, bfsNodes)))
+		dUpd, err := upload(g, updBytes)
 		if err != nil {
 			return nil, err
 		}
-		dChanged, err := upload(g, i32Bytes([]int32{0}))
+		dChanged, err := upload(g, zero)
 		if err != nil {
 			return nil, err
 		}
@@ -181,7 +184,7 @@ func BFSScale(scale int) *App {
 			if level > bfsNodes {
 				return nil, fmt.Errorf("bfs: frontier never drained")
 			}
-			if err := g.MemcpyHtoD(dChanged, i32Bytes([]int32{0})); err != nil {
+			if err := g.MemcpyHtoD(dChanged, zero); err != nil {
 				return nil, err
 			}
 			if _, err := g.Launch(progs["bfs_k1"], grid, block,

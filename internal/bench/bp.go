@@ -175,12 +175,14 @@ func BPScale(scale int) *App {
 	}
 	refBytes := f32Bytes(wRef)
 
+	w0Bytes, inputBytes := f32Bytes(w0), f32Bytes(input)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		dW, err := upload(g, f32Bytes(w0))
+		dW, err := upload(g, w0Bytes)
 		if err != nil {
 			return nil, err
 		}
-		dIn, err := upload(g, f32Bytes(input))
+		dIn, err := upload(g, inputBytes)
 		if err != nil {
 			return nil, err
 		}

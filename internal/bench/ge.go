@@ -126,8 +126,10 @@ func GEScale(scale int) *App {
 	refA, refB := geReference(a, b, n)
 	refBytes := append(f32Bytes(refA), f32Bytes(refB)...)
 
+	aBytes, bBytes := f32Bytes(a), f32Bytes(b)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		dA, err := upload(g, f32Bytes(a))
+		dA, err := upload(g, aBytes)
 		if err != nil {
 			return nil, err
 		}
@@ -135,7 +137,7 @@ func GEScale(scale int) *App {
 		if err != nil {
 			return nil, err
 		}
-		dB, err := upload(g, f32Bytes(b))
+		dB, err := upload(g, bBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -157,12 +157,14 @@ func HSScale(scale int) *App {
 	power := f32Slice(n, func(int) float32 { return r.Float32() * 0.5 })
 	refBytes := f32Bytes(hsReference(temp, power, hsDim))
 
+	tempBytes, powerBytes := f32Bytes(temp), f32Bytes(power)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		dA, err := upload(g, f32Bytes(temp))
+		dA, err := upload(g, tempBytes)
 		if err != nil {
 			return nil, err
 		}
-		dP, err := upload(g, f32Bytes(power))
+		dP, err := upload(g, powerBytes)
 		if err != nil {
 			return nil, err
 		}

@@ -133,12 +133,14 @@ func KMScale(scale int) *App {
 	}
 	refBytes := i32Bytes(refAssign)
 
+	pointBytes, centBytes := f32Bytes(points), f32Bytes(initCents)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		dP, err := upload(g, f32Bytes(points))
+		dP, err := upload(g, pointBytes)
 		if err != nil {
 			return nil, err
 		}
-		dC, err := upload(g, f32Bytes(initCents))
+		dC, err := upload(g, centBytes)
 		if err != nil {
 			return nil, err
 		}

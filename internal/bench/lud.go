@@ -104,8 +104,10 @@ func LUDScale(scale int) *App {
 	}
 	refBytes := f32Bytes(ludReference(a, n))
 
+	aBytes := f32Bytes(a)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		dA, err := upload(g, f32Bytes(a))
+		dA, err := upload(g, aBytes)
 		if err != nil {
 			return nil, err
 		}

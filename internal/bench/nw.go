@@ -106,18 +106,20 @@ func NWScale(scale int) *App {
 	}
 	refBytes := i32Bytes(nwReference(ref, nwN))
 
+	n, w := nwN, nwN+1
+	score := make([]int32, w*w)
+	for i := 0; i <= n; i++ {
+		score[i*w] = int32(-i * nwPenalty)
+		score[i] = int32(-i * nwPenalty)
+	}
+	scoreBytes, simBytes := i32Bytes(score), i32Bytes(ref)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		n, w := nwN, nwN+1
-		score := make([]int32, w*w)
-		for i := 0; i <= n; i++ {
-			score[i*w] = int32(-i * nwPenalty)
-			score[i] = int32(-i * nwPenalty)
-		}
-		dScore, err := upload(g, i32Bytes(score))
+		dScore, err := upload(g, scoreBytes)
 		if err != nil {
 			return nil, err
 		}
-		dRef, err := upload(g, i32Bytes(ref))
+		dRef, err := upload(g, simBytes)
 		if err != nil {
 			return nil, err
 		}

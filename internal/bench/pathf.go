@@ -115,12 +115,14 @@ func PATHFScale(scale int) *App {
 	}
 	refBytes := i32Bytes(pfReference(wall, pfCols))
 
+	wallBytes := i32Bytes(wall)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		dWall, err := upload(g, i32Bytes(wall))
+		dWall, err := upload(g, wallBytes)
 		if err != nil {
 			return nil, err
 		}
-		dSrc, err := upload(g, i32Bytes(wall[:pfCols])) // row 0 seeds the result
+		dSrc, err := upload(g, wallBytes[:4*pfCols]) // row 0 seeds the result
 		if err != nil {
 			return nil, err
 		}

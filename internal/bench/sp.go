@@ -90,12 +90,14 @@ func SPScale(scale int) *App {
 	}
 	refBytes := f32Bytes(ref)
 
+	aBytes, bBytes := f32Bytes(a), f32Bytes(b)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		da, err := upload(g, f32Bytes(a))
+		da, err := upload(g, aBytes)
 		if err != nil {
 			return nil, err
 		}
-		db, err := upload(g, f32Bytes(b))
+		db, err := upload(g, bBytes)
 		if err != nil {
 			return nil, err
 		}

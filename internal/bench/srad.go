@@ -454,9 +454,11 @@ func sradApp(name string, src1, src2 string, twoD bool, scale int) *App {
 	refBytes := f32Bytes(sradReference(img, sradDim))
 	k1, k2 := name+"_k1", name+"_k2"
 
+	imgBytes := f32Bytes(img)
+
 	run := func(g *sim.GPU) ([]byte, error) {
 		n := sradDim * sradDim
-		dJ, err := upload(g, f32Bytes(img))
+		dJ, err := upload(g, imgBytes)
 		if err != nil {
 			return nil, err
 		}

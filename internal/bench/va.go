@@ -40,12 +40,14 @@ func VAScale(scale int) *App {
 	ref := f32Slice(n, func(i int) float32 { return a[i] + b[i] })
 	refBytes := f32Bytes(ref)
 
+	aBytes, bBytes := f32Bytes(a), f32Bytes(b)
+
 	run := func(g *sim.GPU) ([]byte, error) {
-		da, err := upload(g, f32Bytes(a))
+		da, err := upload(g, aBytes)
 		if err != nil {
 			return nil, err
 		}
-		db, err := upload(g, f32Bytes(b))
+		db, err := upload(g, bBytes)
 		if err != nil {
 			return nil, err
 		}

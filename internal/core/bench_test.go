@@ -336,7 +336,8 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 	exps := float64(want.Total() * b.N)
 	captures := float64(after.SnapshotCaptures - before.SnapshotCaptures)
 	b.ReportMetric(captures/exps, "captures/exp")
-	b.ReportMetric(float64(after.SnapshotRestores-before.SnapshotRestores)/captures, "exps/cluster")
+	forked := after.SnapshotRestores - before.SnapshotRestores + after.RestoresChained - before.RestoresChained
+	b.ReportMetric(float64(forked)/captures, "exps/cluster")
 	b.ReportMetric(cpu.Seconds()/wall.Seconds(), "busy-cpus")
 	b.ReportMetric(cpu.Seconds()/float64(b.N), "cpu-s/pass")
 	b.ReportMetric(exps/wall.Seconds(), "exps/s")
@@ -349,15 +350,56 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 		b.Fatalf("eval-matrix took %.1f full captures and %.1f full restores per pass, want at most 8 and 22",
 			fullCaptures, fullRestores)
 	}
-	inert := after.EarlyStopsInert - before.EarlyStopsInert
-	stopped := inert + after.EarlyStopsOverwritten - before.EarlyStopsOverwritten +
+	inert, dead := after.EarlyStopsInert-before.EarlyStopsInert, after.EarlyStopsDead-before.EarlyStopsDead
+	stopped := inert + dead + after.EarlyStopsOverwritten - before.EarlyStopsOverwritten +
 		after.EarlyStopsRetired - before.EarlyStopsRetired
 	b.ReportMetric(float64(stopped)/exps, "stopped/exp")
 	b.ReportMetric(float64(after.SuffixCyclesSkipped-before.SuffixCyclesSkipped)/exps, "skipped-cycles/exp")
-	// Which faults are inert is decided by the seed alone, so the count is
-	// exact: 703 of a pass's 1,120 simulated experiments flip only invalid
-	// cache lines or find no live target.
-	if want := int64(703 * b.N); inert != want {
-		b.Fatalf("eval-matrix inert early stops: %d over %d pass(es), want %d", inert, b.N, want)
+	b.ReportMetric(float64(after.RestoresChained-before.RestoresChained)/exps, "chained/exp")
+	// Which faults are inert, and which land on a register that is dead where
+	// its lane stands, is decided by the seed alone, so the counts are exact:
+	// of a pass's 1,120 simulated experiments 703 flip only invalid cache
+	// lines or find no live target, and 184 of the 240 that flip a register
+	// hit one that is dead.
+	if wantInert, wantDead := int64(703*b.N), int64(184*b.N); inert != wantInert || dead != wantDead {
+		b.Fatalf("eval-matrix early stops over %d pass(es): %d inert, %d dead on arrival, want %d and %d",
+			b.N, inert, dead, wantInert, wantDead)
+	}
+}
+
+// BenchmarkCampaignLate is one pass of the performance ledger's
+// campaign-late workload — 10,000 register-file injections into the last
+// invocation of BP's bp_adjust, seed 7, two workers — with the counts that
+// explain its speed: how many experiments restored a snapshot and how many
+// carried on from the state their vessel held (chained), how many stopped
+// dead on arrival, and how many cycles a fork simulated per experiment. Each
+// pass must reproduce the ledger's exact outcome counts, and the structure
+// behind the speed may not erode: at most a restore for every four
+// experiments and 110 simulated cycles each.
+func BenchmarkCampaignLate(b *testing.B) {
+	cfg, prof := benchPoint(b)
+	cfg.Runs, cfg.Seed, cfg.Workers = 10000, 7, 2
+	want := avf.Counts{Masked: 8656, SDC: 855, Crash: 489}
+	before, cyclesBefore := EngineStats(), sim.SnapshotTimings().ForkCycles
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := RunCampaign(nil, cfg, prof)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Counts != want {
+			b.Fatalf("campaign-late outcome counts moved: %+v, want %+v", res.Counts, want)
+		}
+	}
+	after, exps := EngineStats(), float64(cfg.Runs*b.N)
+	restores := float64(after.SnapshotRestores-before.SnapshotRestores) / exps
+	cycles := float64(sim.SnapshotTimings().ForkCycles-cyclesBefore) / exps
+	b.ReportMetric(exps/b.Elapsed().Seconds(), "exps/s")
+	b.ReportMetric(restores, "restores/exp")
+	b.ReportMetric(float64(after.RestoresChained-before.RestoresChained)/exps, "chained/exp")
+	b.ReportMetric(float64(after.EarlyStopsDead-before.EarlyStopsDead)/exps, "dead/exp")
+	b.ReportMetric(cycles, "sim-cycles/exp")
+	if restores > 0.25 || cycles > 110 {
+		b.Fatalf("campaign-late took %.3f restores and %.1f simulated cycles per experiment, want at most 0.25 and 110", restores, cycles)
 	}
 }

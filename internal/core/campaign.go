@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -435,13 +436,8 @@ func classify(runErr error, out []byte, prof *Profile, cycles uint64) avf.Outcom
 		// launch configuration).
 		return avf.Crash
 	}
-	if len(out) != len(prof.Golden) {
+	if !bytes.Equal(out, prof.Golden) {
 		return avf.SDC
-	}
-	for i := range out {
-		if out[i] != prof.Golden[i] {
-			return avf.SDC
-		}
 	}
 	if cycles != prof.TotalCycles {
 		return avf.Performance

@@ -83,10 +83,30 @@ func stopPoints(t *testing.T, app *bench.App, gpu *config.GPU, prof *Profile, ec
 }
 
 // stopCounts reads the engine's early-stop counters as (inert, overwritten,
-// retired).
-func stopCounts() [3]int64 {
+// retired, dead on arrival).
+func stopCounts() [4]int64 {
 	es := EngineStats()
-	return [3]int64{es.EarlyStopsInert, es.EarlyStopsOverwritten, es.EarlyStopsRetired}
+	return [4]int64{es.EarlyStopsInert, es.EarlyStopsOverwritten, es.EarlyStopsRetired, es.EarlyStopsDead}
+}
+
+// withoutWhy returns the journal a traced campaign's untraced twin writes:
+// Why is the one field of a record only a tracer fills in.
+func withoutWhy(t *testing.T, journal [][]byte) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(journal))
+	for i, rec := range journal {
+		var exp Experiment
+		if err := json.Unmarshal(rec, &exp); err != nil {
+			t.Fatal(err)
+		}
+		exp.Why = ""
+		b, err := json.Marshal(exp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = b
+	}
+	return out
 }
 
 // TestEarlyStopVsRunToEndDifferential runs every application on both presets
@@ -94,8 +114,12 @@ func stopCounts() [3]int64 {
 // shared, two simultaneous pairs and ECC on, each point traced: on the engine
 // and on the run-to-the-end oracle, one worker each, so the journal and the
 // trace file of every point must be byte-identical, arrival order included;
-// and on the engine with two workers, identical as sets. The oracle must
-// never stop, and the engine must have stopped by every rule.
+// and on the engine with two workers, identical as sets. Then the engine
+// again without a tracer, where it also stops faults dead on arrival and a
+// vessel that stopped carries on into its next experiment unrestored: the
+// same journals but for the tracer's Why, in arrival order with one worker
+// and as sets with two. The oracle must never stop or chain, and the engine
+// must have stopped by every rule and chained.
 func TestEarlyStopVsRunToEndDifferential(t *testing.T) {
 	presets := []*config.GPU{config.RTX2060(), config.GTXTitan()}
 	apps := bench.All()
@@ -103,8 +127,9 @@ func TestEarlyStopVsRunToEndDifferential(t *testing.T) {
 	if testing.Short() {
 		apps, presets = apps[:4], presets[:1]
 	}
-	var engineStops [3]int64
+	var engineStops [4]int64
 	experiments := 0
+	chainedStart := EngineStats().RestoresChained
 	for _, preset := range presets {
 		for _, app := range apps {
 			for _, ecc := range []bool{false, true} {
@@ -115,8 +140,11 @@ func TestEarlyStopVsRunToEndDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s profile: %v", label, err)
 				}
-				run := func(runToEnd bool, workers int) ([]*point, []*streamRecorder, [3]int64) {
+				run := func(runToEnd, traced bool, workers int) ([]*point, []*streamRecorder, [4]int64) {
 					points, recs := stopPoints(t, app, &gpu, prof, ecc, runToEnd, runs, workers)
+					for _, pt := range points {
+						pt.cfg.Trace = traced
+					}
 					before := stopCounts()
 					if _, err := runPoints(context.Background(), prof, points); err != nil {
 						t.Fatalf("%s runToEnd=%v workers=%d: %v", label, runToEnd, workers, err)
@@ -127,14 +155,17 @@ func TestEarlyStopVsRunToEndDifferential(t *testing.T) {
 					}
 					return points, recs, after
 				}
-				points, oracle, oracleStops := run(true, 1)
-				if oracleStops != [3]int64{} {
-					t.Fatalf("%s: the run-to-the-end oracle stopped early: %v", label, oracleStops)
+				chainedBefore := EngineStats().RestoresChained
+				points, oracle, oracleStops := run(true, true, 1)
+				if oracleStops != [4]int64{} || EngineStats().RestoresChained != chainedBefore {
+					t.Fatalf("%s: the run-to-the-end oracle stopped early or chained: %v", label, oracleStops)
 				}
-				_, engine, stops := run(false, 1)
-				_, engine2, _ := run(false, 2)
+				_, engine, stops := run(false, true, 1)
+				_, engine2, _ := run(false, true, 2)
+				_, bare, bareStops := run(false, false, 1)
+				_, bare2, _ := run(false, false, 2)
 				for k := range stops {
-					engineStops[k] += stops[k]
+					engineStops[k] += stops[k] + bareStops[k]
 				}
 				for n, pt := range points {
 					name := label + "/" + pt.cfg.spanPoint
@@ -153,15 +184,28 @@ func TestEarlyStopVsRunToEndDifferential(t *testing.T) {
 					if !sameRecords(engine2[n].journal, oracle[n].journal, false) || !sameRecords(engine2[n].traces, oracle[n].traces, false) {
 						t.Errorf("%s: two workers diverged from the oracle", name)
 					}
+					want := withoutWhy(t, oracle[n].journal)
+					if !sameRecords(bare[n].journal, want, true) {
+						t.Errorf("%s: untraced journal bytes diverged:\n engine: %s\n to end: %s", name,
+							bytes.Join(bare[n].journal, []byte{' '}), bytes.Join(want, []byte{' '}))
+					}
+					if !sameRecords(bare2[n].journal, want, false) {
+						t.Errorf("%s: untraced, two workers diverged from the oracle", name)
+					}
 				}
 			}
 		}
 	}
-	t.Logf("%d traced experiments: %d stopped inert, %d overwritten, %d retired",
-		experiments, engineStops[0], engineStops[1], engineStops[2])
+	chained := EngineStats().RestoresChained - chainedStart
+	t.Logf("%d restores chained", chained)
+	if chained == 0 {
+		t.Error("no vessel ever carried on from a stop without a restore")
+	}
+	t.Logf("%d experiments: %d stopped inert, %d overwritten, %d retired, %d dead on arrival",
+		experiments, engineStops[0], engineStops[1], engineStops[2], engineStops[3])
 	for k, n := range engineStops {
 		if n == 0 {
-			t.Errorf("the engine never stopped by rule %d (inert, overwritten, retired): %v", k, engineStops)
+			t.Errorf("the engine never stopped by rule %d (inert, overwritten, retired, dead on arrival): %v", k, engineStops)
 		}
 	}
 }
@@ -376,7 +420,7 @@ func TestAnalyticMaskedSitesAllStopEarly(t *testing.T) {
 						t.Fatal(err)
 					}
 					after := stopCounts()
-					stopped := after[0] + after[1] + after[2] - before[0] - before[1] - before[2]
+					stopped := after[0] + after[1] + after[2] + after[3] - before[0] - before[1] - before[2] - before[3]
 					if !analyticHalf {
 						otherStopped += stopped
 						continue
@@ -396,4 +440,42 @@ func TestAnalyticMaskedSitesAllStopEarly(t *testing.T) {
 	}
 	t.Logf("%d register-file and shared-memory sites: %d analytically masked, all %d stopped early by the engine, which also stopped %d the pre-pass could not call",
 		sites, analytic, analyticStopped, otherStopped)
+}
+
+// TestSkippedCyclesAddUp: a campaign in which every run stops on arrival —
+// VA never touches its texture cache, so every flip there lands on an invalid
+// line — executed, of each experiment, the cycles before its injection cycle
+// and skipped the rest. A stop on arrival happens entering the injection
+// cycle, before any warp issues in it, so that cycle is skipped too: the two
+// must add up to the golden run's length for every run.
+func TestSkippedCyclesAddUp(t *testing.T) {
+	gpu := config.RTX2060()
+	va, err := bench.ByName("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := ProfileApp(nil, va, gpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &CampaignConfig{App: va, GPU: gpu, Kernel: "va_add", Structure: sim.StructL1T,
+		Runs: 60, Bits: 1, Seed: 9, Workers: 2}
+	before := EngineStats()
+	res, err := RunCampaign(nil, cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := EngineStats()
+	if stopped := after.EarlyStopsInert - before.EarlyStopsInert; stopped != int64(cfg.Runs) {
+		t.Fatalf("%d of %d runs stopped as inert: the campaign is not the one the test is built on", stopped, cfg.Runs)
+	}
+	var executed uint64
+	for _, exp := range res.Exps {
+		executed += exp.Cycle - 1
+	}
+	skipped := uint64(after.SuffixCyclesSkipped - before.SuffixCyclesSkipped)
+	if want := uint64(cfg.Runs) * prof.TotalCycles; executed+skipped != want {
+		t.Errorf("%d cycles executed before the injections + %d skipped = %d, want %d runs x %d cycles = %d",
+			executed, skipped, executed+skipped, cfg.Runs, prof.TotalCycles, want)
+	}
 }

@@ -20,7 +20,7 @@ var (
 	// Experiments the device ended early because the rest of the run was
 	// provably the golden run, by sim.StopReason, and the cycles of golden
 	// suffix they did not simulate.
-	earlyStops          [sim.StopRetired + 1]atomic.Int64
+	earlyStops          [sim.StopDead + 1]atomic.Int64
 	suffixCyclesSkipped atomic.Int64
 
 	expHist = obs.Default().Histogram("gpufi_experiment_seconds",
@@ -40,6 +40,7 @@ type EngineCounters struct {
 	SnapshotCaptureNanos int64
 	SnapshotRestores     int64 // fork restores from snapshots
 	SnapshotRestoreNanos int64
+	RestoresChained      int64 // restores skipped: the vessel had stopped on the fault-free run inside the snapshot's launch and carried on from there
 
 	ForkNanos     int64
 	ExecuteNanos  int64
@@ -51,6 +52,7 @@ type EngineCounters struct {
 	EarlyStopsInert       int64 // no armed fault changed simulated state
 	EarlyStopsOverwritten int64 // the last corrupted cell was overwritten unread
 	EarlyStopsRetired     int64 // the last corrupted cell went unread with its lane or CTA
+	EarlyStopsDead        int64 // every corrupted register was dead where its lane stood: stopped in the injection cycle
 	SuffixCyclesSkipped   int64
 
 	// Copy-on-write fork protocol counters (internal/sim): how much state
@@ -95,12 +97,14 @@ func EngineStats() EngineCounters {
 		SnapshotCaptureNanos:   st.CaptureNanos,
 		SnapshotRestores:       st.Restores,
 		SnapshotRestoreNanos:   st.RestoreNanos,
+		RestoresChained:        st.Chained,
 		ForkNanos:              phaseForkNanos.Load(),
 		ExecuteNanos:           phaseExecuteNanos.Load(),
 		ClassifyNanos:          phaseClassifyNanos.Load(),
 		EarlyStopsInert:        earlyStops[sim.StopInert].Load(),
 		EarlyStopsOverwritten:  earlyStops[sim.StopOverwritten].Load(),
 		EarlyStopsRetired:      earlyStops[sim.StopRetired].Load(),
+		EarlyStopsDead:         earlyStops[sim.StopDead].Load(),
 		SuffixCyclesSkipped:    suffixCyclesSkipped.Load(),
 		COWRestores:            cow.Restores,
 		COWFullRestores:        cow.FullRestores,

@@ -104,6 +104,10 @@ func (m *metrics) init() {
 		func() float64 { return float64(core.EngineStats().EarlyStopsOverwritten) })
 	r.GaugeFunc("gpufi_early_stops_retired", "Experiments ended when the last corrupted cell went unread with its exiting lane or retiring CTA.",
 		func() float64 { return float64(core.EngineStats().EarlyStopsRetired) })
+	r.GaugeFunc("gpufi_early_stops_dead", "Experiments ended in their injection cycle: every corrupted register was dead, by the kernel's control-flow graph, where its lane stood.",
+		func() float64 { return float64(core.EngineStats().EarlyStopsDead) })
+	r.GaugeFunc("gpufi_restores_chained", "Experiments that ran on from the fault-free state their vessel had stopped in, inside the same launch, instead of restoring a snapshot.",
+		func() float64 { return float64(core.EngineStats().RestoresChained) })
 	r.GaugeFunc("gpufi_suffix_cycles_skipped", "Simulated cycles of golden-run suffix that early-stopped experiments did not execute.",
 		func() float64 { return float64(core.EngineStats().SuffixCyclesSkipped) })
 }
@@ -228,6 +232,8 @@ func (m *metrics) snapshot() map[string]any {
 		"early_stops_inert":        es.EarlyStopsInert,
 		"early_stops_overwritten":  es.EarlyStopsOverwritten,
 		"early_stops_retired":      es.EarlyStopsRetired,
+		"early_stops_dead":         es.EarlyStopsDead,
+		"restores_chained":         es.RestoresChained,
 		"suffix_cycles_skipped":    es.SuffixCyclesSkipped,
 		"devices_built":            es.DevicesBuilt,
 		"devices_parked":           es.DevicesParked,

@@ -112,7 +112,7 @@ func TestMetricsPromFormat(t *testing.T) {
 	}
 	// The early-stop counters by rule, and what they saved.
 	for _, name := range []string{"gpufi_early_stops_inert", "gpufi_early_stops_overwritten",
-		"gpufi_early_stops_retired", "gpufi_suffix_cycles_skipped"} {
+		"gpufi_early_stops_retired", "gpufi_early_stops_dead", "gpufi_restores_chained", "gpufi_suffix_cycles_skipped"} {
 		if families[name] != "gauge" {
 			t.Errorf("%s missing from the scrape (families: %v)", name, families[name])
 		}

@@ -158,7 +158,7 @@ func (g *GPU) injectRegFile(spec *FaultSpec, rec *InjectionRecord, rng *rand.Ran
 			reg := int(pos / 32)
 			if i := reg*isa.WarpSize + lane; i < len(st.regs) {
 				st.regs[i] ^= 1 << uint(pos%32)
-				g.watch.seedReg(w, lane, reg)
+				g.watch.seedReg(w, lane, reg, uint(pos%32))
 				if g.tracer != nil {
 					g.tracer.seedReg(st, lane, reg)
 				}

@@ -80,10 +80,17 @@ type GPU struct {
 
 	// The early end of a faulty run (see watch.go): whether the owner asked
 	// for it, the liveness watch over what the fired faults changed, and the
-	// verdict once the launch was stopped.
+	// verdict once the launch was stopped. onGolden says the stopped device is
+	// still, cell for cell, the fault-free one between two cycles of the
+	// launch base was captured in: no seed left a scar and no host call has
+	// written to it since. watchOnly turns the dead-on-arrival rule off; only
+	// tests set it, to hold that rule to the two that follow execution.
 	stopWhenGolden bool
+	watchOnly      bool
 	watch          faultWatch
 	stop           StopReason
+	onGolden       bool
+	base           *Snapshot // what the state was last restored from
 
 	kernels   map[string]*KernelStats
 	kernelSeq []string
@@ -192,6 +199,7 @@ func (g *GPU) Malloc(size uint32) (uint32, error) {
 		}
 		return c.addr, nil
 	}
+	g.onGolden = false
 	addr, err := g.mem.Alloc(size)
 	if err == nil && g.record != nil {
 		g.record.add(hostCall{kind: callMalloc, addr: addr, size: size})
@@ -211,6 +219,7 @@ func (g *GPU) Free(addr uint32) error {
 		}
 		return nil
 	}
+	g.onGolden = false
 	if err := g.mem.Free(addr); err != nil {
 		return err
 	}
@@ -233,6 +242,7 @@ func (g *GPU) MemcpyHtoD(dst uint32, src []byte) error {
 		}
 		return nil // the snapshot already holds this copy's effect
 	}
+	g.onGolden = false
 	if err := g.mem.HostWrite(dst, src); err != nil {
 		return err
 	}
@@ -488,6 +498,9 @@ func (g *GPU) launchSetup(p *isa.Program, grid, block Dim, args []uint32) (*Laun
 // from a restored mid-launch snapshot: every piece of state it touches
 // lives on the GPU, never in a stack frame.
 func (g *GPU) runLaunch() (*LaunchResult, error) {
+	if g.base != nil {
+		defer func(from uint64) { forkCycles.Add(int64(g.cycle - from)) }(g.cycle)
+	}
 	p := g.curProg
 	ks := g.kernelStat
 	for g.doneCTAs < g.totalCTAs {
@@ -527,9 +540,10 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 			g.releaseLaunch()
 			return nil, err
 		}
-		if g.watch.state == watchOpen && g.faultsSpent() {
-			// Inert injection: nothing differs, and no warp has issued since.
-			return g.stopLaunch()
+		if g.watch.state == watchOpen && g.faultsSpentOnArrival() {
+			// Inert or dead on arrival: nothing differs, and no warp has
+			// issued since.
+			return g.stopLaunch(true)
 		}
 		anyReady := g.stepCores()
 		g.commitCycle()
@@ -553,7 +567,7 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 		}
 		if g.watch.state == watchOpen && g.faultsSpent() {
 			// The last corrupted cell died unread in this cycle.
-			return g.stopLaunch()
+			return g.stopLaunch(false)
 		}
 		if !anyReady && g.doneCTAs < g.totalCTAs {
 			g.fastForward()
@@ -712,7 +726,7 @@ func (g *GPU) applyFault(spec *FaultSpec) {
 	if g.watch.state == watchIdle {
 		g.watch.state = watchClosed
 		if g.stopWhenGolden {
-			g.watch.state, g.watch.last = watchOpen, StopInert
+			g.watch.state, g.watch.last, g.watch.born = watchOpen, StopInert, g.cycle
 		}
 	}
 	// The draws equal a fresh rand.New(rand.NewSource(spec.Seed)); the lazy

@@ -16,6 +16,8 @@ var (
 	snapCaptureNanos atomic.Int64
 	snapRestores     atomic.Int64
 	snapRestoreNanos atomic.Int64
+	snapChained      atomic.Int64 // launches a fork resumed from the state it held, with no restore
+	forkCycles       atomic.Int64 // cycles simulated by devices running from a snapshot
 
 	captureHist = obs.Default().Histogram("gpufi_snapshot_capture_seconds",
 		"Wall-clock seconds to capture one simulator snapshot.", nil)
@@ -29,6 +31,8 @@ type SnapshotStats struct {
 	CaptureNanos int64
 	Restores     int64
 	RestoreNanos int64
+	Chained      int64 // restores a fork skipped: it already held the fault-free state (Refork)
+	ForkCycles   int64 // simulated cycles devices restored from a snapshot have run since
 }
 
 // SnapshotTimings returns the process-wide snapshot phase counters.
@@ -38,6 +42,8 @@ func SnapshotTimings() SnapshotStats {
 		CaptureNanos: snapCaptureNanos.Load(),
 		Restores:     snapRestores.Load(),
 		RestoreNanos: snapRestoreNanos.Load(),
+		Chained:      snapChained.Load(),
+		ForkCycles:   forkCycles.Load(),
 	}
 }
 

@@ -71,6 +71,12 @@ func (r *recorder) add(c hostCall) { r.calls = append(r.calls, c) }
 type seekState struct {
 	snap *Snapshot
 	next int // index of the next recorded host call to elide
+
+	// held: the vessel already stands on the fault-free run inside snap's
+	// launch, at cycle clock (see Refork); the launch resumes there, with no
+	// restore, unless a fault is armed for a cycle it has passed.
+	held  bool
+	clock uint64
 }
 
 // Snapshot is an immutable deep copy of a GPU's full mid-execution state,
@@ -83,9 +89,12 @@ type Snapshot struct {
 	Cycle uint64
 
 	// launchCall is the host-call index of the launch that was in flight
-	// at capture time; forks elide all recorded calls before it.
+	// at capture time; forks elide all recorded calls before it. rec is the
+	// recording the calls are a prefix of: two snapshots of one recording
+	// with one launchCall were captured inside the same launch.
 	launchCall int
 	calls      []hostCall
+	rec        *recorder
 
 	gpu *GPU // the deep-copied state; never ticked, only cloned from
 }
@@ -157,6 +166,7 @@ func (g *GPU) capture() *Snapshot {
 		n := len(g.record.calls)
 		s.launchCall = n
 		s.calls = g.record.calls[:n:n]
+		s.rec = g.record
 	}
 	return s
 }
@@ -210,8 +220,22 @@ func (g *GPU) RecycleSnapshot(s *Snapshot) {
 // recording. The fork keeps its storage, and with it the record of which
 // snapshot it mirrors and what it wrote since, so the coming restore moves
 // only the pages and lines that diverged.
+//
+// A fork that stopped on the fault-free run (onGolden) inside the very launch
+// snap was captured in, at snap's cycle or later, holds a state the restore
+// and the fault-free cycles after it would only rebuild: it is kept, and the
+// replayed launch resumes from it. In a campaign's cycle-sorted hand-out that
+// is every next experiment of the same cluster. The memory image and caches
+// keep the provenance of their last restore and go on tracking what they
+// write, so the next restore's delta covers the whole chain. The deep-clone
+// protocol shares nothing and keeps nothing.
 func (g *GPU) Refork(snap *Snapshot) {
-	g.seek = &seekState{snap: snap}
+	b := g.base
+	held := g.onGolden && !g.deepClone && b != nil && snap.gpu != nil &&
+		(snap == b || snap.rec != nil && snap.rec == b.rec && snap.launchCall == b.launchCall) &&
+		len(g.launches) == len(snap.gpu.launches) && g.cycle >= snap.Cycle
+	g.seek = &seekState{snap: snap, held: held, clock: g.cycle}
+	g.onGolden = false
 	g.faults = nil
 	g.faultRecs = nil
 	g.violation = nil
@@ -245,6 +269,7 @@ func (g *GPU) restore(s *Snapshot) {
 	g.cfg = src.cfg
 	g.syncStateFrom(src, false)
 	g.violation = nil
+	g.base = s
 }
 
 // cowAgg accumulates what one restore or capture moved across all state
@@ -389,7 +414,7 @@ func (g *GPU) copyMetaFrom(src *GPU) {
 	// has fired on starts with none, and a copy of any other can never prove
 	// itself back on the golden run.
 	g.watch.reset()
-	g.stop = NotStopped
+	g.stop, g.onGolden = NotStopped, false
 	if src.watch.state != watchIdle {
 		g.watch.state = watchClosed
 	}
@@ -434,7 +459,12 @@ func (g *GPU) seekLaunch(p *isa.Program) (*LaunchResult, error) {
 		res := c.launch
 		return &res, nil
 	}
-	g.restore(s.snap)
+	if s.held && (len(g.faults) == 0 || g.faults[0].Cycle > s.clock) {
+		g.cycle = s.clock
+		snapChained.Add(1)
+	} else {
+		g.restore(s.snap)
+	}
 	g.seek = nil
 	if g.curProg == nil || g.curProg.Name != p.Name {
 		name := "<none>"

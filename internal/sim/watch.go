@@ -13,7 +13,7 @@ import (
 // fault-free run, and simulating the rest only reproduces the golden output.
 // A device told to (StopWhenGolden — the campaign engine, which holds the
 // golden run to fill the rest in with) ends the launch as soon as that is
-// proved, by one of two rules:
+// proved, by one of three rules:
 //
 //   - inert: every armed fault has fired and none changed simulated state —
 //     no live target, every flip corrected, every cache flip on an invalid
@@ -24,6 +24,16 @@ import (
 //     off, or owned by a lane that exited or a CTA that retired. The cells
 //     that differed can no longer be observed, and nothing derived from them
 //     exists.
+//   - dead on arrival: the seeds are registers, and at the instant of the
+//     flip the kernel's own control-flow graph says none of them is live
+//     where its lane stands (liveness.go). It is the rule above decided ahead
+//     of time: the run stops in the cycle of the injection, before any warp
+//     issues, with the flips taken back out.
+//
+// A device that stopped by a rule that leaves no trace — every rule but a
+// seed that went with its exiting lane or retiring CTA — is, cell for cell,
+// the fault-free device between two cycles of the launch, and the next
+// experiment may carry on from it instead of restoring a snapshot (Refork).
 //
 // Each is a proof, not a prediction. A read counts through any source field
 // the pipeline fetches (address and store-data operands included, fields an
@@ -44,6 +54,9 @@ const (
 	StopOverwritten
 	// StopRetired: the last corrupted cell went unread with its lane or CTA.
 	StopRetired
+	// StopDead: every corrupted register was dead where its lane stood when
+	// the fault fired; the run ended in that cycle, before any warp issued.
+	StopDead
 )
 
 // ErrGoldenRun is what a launch returns when the device stopped it because
@@ -70,6 +83,14 @@ type regSeed struct {
 	reg   uint8
 }
 
+// regFlip is one bit pattern an injection XORed into one word of a warp's
+// register slab: what a dead-on-arrival stop takes back out.
+type regFlip struct {
+	w    *warp
+	word int32
+	mask uint32
+}
+
 // smemSeed is one corrupted shared-memory word of one resident CTA; b is nil
 // once the word is dead.
 type smemSeed struct {
@@ -81,11 +102,18 @@ type smemSeed struct {
 // the GPU by value and keeps its slices across experiments, so a vessel
 // allocates nothing for it once warm.
 type faultWatch struct {
-	state uint8
-	live  int        // seeds not yet dead
-	last  StopReason // what killed the seed that died last; StopInert while open and none has
-	regs  []regSeed
-	smem  []smemSeed
+	state   uint8
+	scarred bool       // a seed went with its lane or CTA: an exited lane's register still differs
+	live    int        // seeds not yet dead
+	last    StopReason // what killed the seed that died last; StopInert while open and none has
+	born    uint64     // the cycle the watch opened in
+	regs    []regSeed
+	smem    []smemSeed
+	flips   []regFlip // every register flip since the watch opened
+
+	// liveIn caches the liveness table of each program a fault has fired in.
+	// It outlives reset: a vessel computes a kernel's table once.
+	liveIn map[*isa.Program]liveIn
 }
 
 // reset forgets everything: the state of a device no fault has fired on.
@@ -113,16 +141,17 @@ func (fw *faultWatch) drop() {
 	}
 	clear(fw.regs)
 	clear(fw.smem)
-	fw.regs, fw.smem = fw.regs[:0], fw.smem[:0]
-	fw.live, fw.last = 0, NotStopped
+	clear(fw.flips)
+	fw.regs, fw.smem, fw.flips = fw.regs[:0], fw.smem[:0], fw.flips[:0]
+	fw.live, fw.last, fw.scarred = 0, NotStopped, false
 }
 
-// seedReg records that an injection flipped a bit of register reg in lane of
-// w.
-func (fw *faultWatch) seedReg(w *warp, lane, reg int) {
+// seedReg records that an injection flipped bit of register reg in lane of w.
+func (fw *faultWatch) seedReg(w *warp, lane, reg int, bit uint) {
 	if fw.state != watchOpen {
 		return
 	}
+	fw.flips = append(fw.flips, regFlip{w: w, word: int32(reg*isa.WarpSize + lane), mask: 1 << bit})
 	w.watched = true
 	for i := range fw.regs {
 		if s := &fw.regs[i]; s.w == w && int(s.reg) == reg {
@@ -181,6 +210,7 @@ func (fw *faultWatch) issued(w *warp, in *isa.Instr, eff uint32) {
 			continue
 		}
 		if exit || s.reg == in.Dst {
+			fw.scarred = fw.scarred || exit && s.lanes&eff != 0
 			if s.lanes &^= eff; s.lanes == 0 {
 				fw.live--
 				fw.last = why
@@ -221,10 +251,42 @@ func (fw *faultWatch) retired(b *cta) {
 		if s := &fw.smem[i]; s.b == b {
 			s.b = nil
 			fw.live--
-			fw.last = StopRetired
+			fw.last, fw.scarred = StopRetired, true
 		}
 	}
 	b.watched = false
+}
+
+// deadOnArrival is the third rule, asked once: in the cycle the watch opened,
+// after every fault of that cycle has fired and before any warp issues. When
+// all that differs is registers and each is dead where its lanes stand, it
+// takes the flips back out and kills the seeds: the device is the fault-free
+// one again. Anything else is left to the rules that follow execution.
+func (fw *faultWatch) deadOnArrival(p *isa.Program) {
+	if fw.live == 0 || len(fw.smem) != 0 {
+		return
+	}
+	live, ok := fw.liveIn[p]
+	if !ok {
+		if fw.liveIn == nil {
+			fw.liveIn = make(map[*isa.Program]liveIn)
+		}
+		live = newLiveIn(p)
+		fw.liveIn[p] = live
+	}
+	for i := range fw.regs {
+		if s := &fw.regs[i]; s.w.cta.core.corruptInstr || !live.deadFor(s.w, s.lanes, s.reg) {
+			return
+		}
+	}
+	for _, f := range fw.flips {
+		f.w.st.regs[f.word] ^= f.mask
+	}
+	for i := range fw.regs {
+		fw.regs[i].lanes = 0
+		fw.regs[i].w.watched = false
+	}
+	fw.live, fw.last = 0, StopDead
 }
 
 // StopWhenGolden lets the device end a launch with ErrGoldenRun as soon as
@@ -237,6 +299,18 @@ func (g *GPU) StopWhenGolden(on bool) { g.stopWhenGolden = on }
 // Stopped reports whether, and why, the device ended its run early because
 // the rest of it is the golden run. Refork and Restore clear it.
 func (g *GPU) Stopped() StopReason { return g.stop }
+
+// faultsSpentOnArrival is faultsSpent for the check that follows fault
+// application, where no warp has issued since the flips: an untraced run's
+// register seeds may die there by the dead-on-arrival rule. A traced run
+// needs the cycle each seed is overwritten in for its trace and keeps to the
+// rules that follow execution.
+func (g *GPU) faultsSpentOnArrival() bool {
+	if fw := &g.watch; fw.born == g.cycle && len(g.faults) == 0 && g.tracer == nil && !g.watchOnly {
+		fw.deadOnArrival(g.curProg)
+	}
+	return g.faultsSpent()
+}
 
 // faultsSpent reports, for an open watch, whether the rest of the run is
 // provably the golden run: every armed fault has fired and every seed of what
@@ -258,10 +332,18 @@ func (g *GPU) faultsSpent() bool {
 	return true
 }
 
-// stopLaunch ends the current launch because faultsSpent holds.
-func (g *GPU) stopLaunch() (*LaunchResult, error) {
+// stopLaunch ends the current launch because faultsSpent holds. The resident
+// state stays: unless a seed left a scar, the device is the fault-free one
+// between two cycles of the launch, which Refork may carry on from. On
+// arrival — the faults fired entering this cycle and no warp has issued in it
+// — the clock goes back to the last cycle that executed.
+func (g *GPU) stopLaunch(onArrival bool) (*LaunchResult, error) {
 	g.stop = g.watch.last
+	g.onGolden = !g.watch.scarred
 	g.watch.close()
-	g.releaseLaunch()
+	if onArrival {
+		g.cycle--
+	}
+	g.stopPool()
 	return nil, ErrGoldenRun
 }

@@ -16,6 +16,23 @@ import (
 // replaces. The reference is the same device with StopWhenGolden off: it
 // simulates to the last cycle, and a run that stopped is right only if that
 // one ended as the golden run — same output, same cycle count, same trace.
+// The dead-on-arrival rule (liveness.go) has a second reference: the device
+// with that rule off (watchOnly), which must reach every verdict the rule
+// reaches, later, by following execution.
+
+// stopMode is how a test device ends a faulty run.
+type stopMode int
+
+const (
+	toTheEnd  stopMode = iota // StopWhenGolden off
+	watchOnly                 // the rules that follow execution, not dead on arrival
+	stopEarly                 // every rule: what the campaign engine runs
+)
+
+func (m stopMode) apply(g *GPU) {
+	g.StopWhenGolden(m != toTheEnd)
+	g.watchOnly = m == watchOnly
+}
 
 // lineKernel is a one-warp kernel skeleton: 32 threads, out[tid] written at
 // the end from R9. The body runs between the prologue and the final store
@@ -55,11 +72,11 @@ type lineRun struct {
 // runLine runs the kernel on a new device: in[] has 64 words (so an address
 // off by a few words stays inside it), 32 threads. With spec nil it is the
 // golden run and records when each pc first issued.
-func runLine(t *testing.T, src string, spec *FaultSpec, stopWhenGolden, trace bool) lineRun {
+func runLine(t *testing.T, src string, spec *FaultSpec, mode stopMode, trace bool) lineRun {
 	t.Helper()
 	g := newTestGPU(t)
 	p := mustAssemble(t, src)
-	g.StopWhenGolden(stopWhenGolden)
+	mode.apply(g)
 	if trace {
 		g.EnableTrace()
 	}
@@ -112,7 +129,9 @@ const bodyPC = 8
 // TestWatchVerdicts drives one fault at a time through one-warp kernels
 // built so that exactly one reading of the rules is right. A case that must
 // not stop also shows why: the run it would have cut short does not end as
-// the golden run.
+// the golden run. want is the verdict of the rules that follow execution;
+// with dead on arrival on, a case marked dead stops in the injection cycle
+// instead and every other case ends exactly as without it.
 func TestWatchVerdicts(t *testing.T) {
 	cases := []struct {
 		name string
@@ -126,11 +145,12 @@ func TestWatchVerdicts(t *testing.T) {
 		want     StopReason
 		stopAt   int  // pc whose issue cycle the run must stop in (stops only)
 		golden   bool // a run that does not stop still ends as the golden run
+		dead     bool // dead on arrival
 	}{
 		{
 			name: "overwritten unread",
 			body: "NOP\nMOV R10, 5\nNOP\nIADD R9, R9, R10",
-			at:   bodyPC, bits: regBits(10, 3), want: StopOverwritten, stopAt: bodyPC + 1,
+			at:   bodyPC, bits: regBits(10, 3), want: StopOverwritten, stopAt: bodyPC + 1, dead: true,
 		},
 		{
 			name: "read before the overwrite",
@@ -140,7 +160,7 @@ func TestWatchVerdicts(t *testing.T) {
 		{
 			name: "unread when the lane exits",
 			body: "NOP\nNOP",
-			at:   bodyPC, bits: regBits(8, 7), want: StopRetired, stopAt: bodyPC + 3,
+			at:   bodyPC, bits: regBits(8, 7), want: StopRetired, stopAt: bodyPC + 3, dead: true,
 		},
 		{
 			name: "bit beyond the allocation flips nothing",
@@ -190,12 +210,14 @@ func TestWatchVerdicts(t *testing.T) {
 		{
 			name: "warp-wide: every lane overwritten, in two halves",
 			body: "MOV R10, 1\nISETP.LT P0, R0, 16\nNOP\n@P0 MOV R10, 1\n@!P0 MOV R10, 1\nIADD R9, R9, R10",
-			at:   bodyPC + 3, bits: regBits(10, 6), warpWide: true, want: StopOverwritten, stopAt: bodyPC + 4,
+			// Each guarded write may be predicated off as far as the graph
+			// knows: the register is live until the IADD.
+			at: bodyPC + 3, bits: regBits(10, 6), warpWide: true, want: StopOverwritten, stopAt: bodyPC + 4,
 		},
 		{
 			name: "three bits in two registers: both must die",
 			body: "MOV R10, 1\nMOV R11, 2\nNOP\nMOV R10, 1\nNOP\nMOV R11, 2\nIADD R9, R10, R11",
-			at:   bodyPC + 3, bits: append(regBits(10, 1, 5), regBits(11, 3)...), want: StopOverwritten, stopAt: bodyPC + 5,
+			at:   bodyPC + 3, bits: append(regBits(10, 1, 5), regBits(11, 3)...), want: StopOverwritten, stopAt: bodyPC + 5, dead: true,
 		},
 		{
 			name: "three bits in two registers: one dies, one is read",
@@ -226,19 +248,33 @@ func TestWatchVerdicts(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			src := lineKernel(tc.body)
-			gold := runLine(t, src, nil, false, false)
+			gold := runLine(t, src, nil, toTheEnd, false)
 			if gold.err != nil {
 				t.Fatal(gold.err)
 			}
 			spec := &FaultSpec{Structure: tc.st, Cycle: gold.issue[tc.at], BitPositions: tc.bits,
 				WarpWide: tc.warpWide, Seed: 11}
-			toEnd := runLine(t, src, spec, false, false)
-			got := runLine(t, src, spec, true, false)
+			toEnd := runLine(t, src, spec, toTheEnd, false)
+			got := runLine(t, src, spec, watchOnly, false)
 			if got.stop != tc.want {
 				t.Fatalf("stopped = %d, want %d (launch error %v, cycle %d)", got.stop, tc.want, got.err, got.cycle)
 			}
 			if !reflect.DeepEqual(got.rec, toEnd.rec) {
 				t.Errorf("injection record %+v, run to the end has %+v", got.rec, toEnd.rec)
+			}
+			all := runLine(t, src, spec, stopEarly, false)
+			if !reflect.DeepEqual(all.rec, toEnd.rec) {
+				t.Errorf("injection record with every rule on %+v, run to the end has %+v", all.rec, toEnd.rec)
+			}
+			if tc.dead {
+				// Stopped on arrival: the injection cycle never executed.
+				if all.stop != StopDead || !errors.Is(all.err, ErrGoldenRun) || all.cycle != spec.Cycle-1 {
+					t.Errorf("with every rule on: stop %d, error %v, clock %d; want dead on arrival with the clock at %d",
+						all.stop, all.err, all.cycle, spec.Cycle-1)
+				}
+			} else if all.stop != got.stop || all.err != got.err || all.cycle != got.cycle || !bytes.Equal(all.out, got.out) {
+				t.Errorf("not dead on arrival, yet every rule on ends stop %d, %v, cycle %d; the watch alone %d, %v, cycle %d",
+					all.stop, all.err, all.cycle, got.stop, got.err, got.cycle)
 			}
 			endsGolden := toEnd.err == nil && bytes.Equal(toEnd.out, gold.out) && toEnd.cycle == gold.cycle
 			if tc.want == NotStopped {
@@ -258,8 +294,12 @@ func TestWatchVerdicts(t *testing.T) {
 				t.Errorf("stopped, but the run to the end is not the golden run: err %v, cycle %d (golden %d)",
 					toEnd.err, toEnd.cycle, gold.cycle)
 			}
-			if want := gold.issue[tc.stopAt]; got.cycle != want {
-				t.Errorf("stopped in cycle %d, want %d (the cycle pc %d issues in)", got.cycle, want, tc.stopAt)
+			want := gold.issue[tc.stopAt]
+			if tc.want == StopInert {
+				want-- // stopped on arrival: the clock stays on the last cycle that executed
+			}
+			if got.cycle != want {
+				t.Errorf("clock at %d after the stop, want %d (pc %d issues in cycle %d)", got.cycle, want, tc.stopAt, gold.issue[tc.stopAt])
 			}
 		})
 	}
@@ -268,7 +308,9 @@ func TestWatchVerdicts(t *testing.T) {
 // TestWatchTracedStopsAreSilent holds the tracer to the same bar: where a
 // traced run stops, the trace it has is the whole trace of the run to the
 // end. A shared word that dies with its CTA is the exception the tracer's
-// CTA-id keying forces: the traced run goes on.
+// CTA-id keying forces: the traced run goes on. A traced run never stops dead
+// on arrival — the trace needs the cycle of the write that clears the taint —
+// so the register cases keep the verdicts of the rules that follow execution.
 func TestWatchTracedStopsAreSilent(t *testing.T) {
 	for _, tc := range []struct {
 		name, body string
@@ -284,14 +326,14 @@ func TestWatchTracedStopsAreSilent(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src := lineKernel(tc.body)
-			gold := runLine(t, src, nil, false, false)
+			gold := runLine(t, src, nil, toTheEnd, false)
 			at := bodyPC
 			if tc.st == StructShared {
 				at = bodyPC + 1
 			}
 			spec := &FaultSpec{Structure: tc.st, Cycle: gold.issue[at], BitPositions: tc.bits, Seed: 11}
-			toEnd := runLine(t, src, spec, false, true)
-			got := runLine(t, src, spec, true, true)
+			toEnd := runLine(t, src, spec, toTheEnd, true)
+			got := runLine(t, src, spec, stopEarly, true)
 			if got.stop != tc.want {
 				t.Fatalf("stopped = %d, want %d", got.stop, tc.want)
 			}
@@ -310,7 +352,7 @@ func TestWatchTracedStopsAreSilent(t *testing.T) {
 // run on; Restore and Refork forget the verdict.
 func TestStoppedDeviceRefusesLaunches(t *testing.T) {
 	src := lineKernel("NOP\nMOV R10, 5\nIADD R9, R9, R10")
-	gold := runLine(t, src, nil, false, false)
+	gold := runLine(t, src, nil, toTheEnd, false)
 	g := newTestGPU(t)
 	p := mustAssemble(t, src)
 	g.StopWhenGolden(true)
@@ -341,7 +383,7 @@ func TestStoppedDeviceRefusesLaunches(t *testing.T) {
 // must not take a later inert fault for proof of a golden run.
 func TestSnapshotOfFaultyDeviceNeverStops(t *testing.T) {
 	src := lineKernel("NOP\nIADD R9, R9, R10\nNOP\nNOP")
-	gold := runLine(t, src, nil, false, false)
+	gold := runLine(t, src, nil, toTheEnd, false)
 	p := mustAssemble(t, src)
 	g := newTestGPU(t)
 	g.StopWhenGolden(true)
@@ -546,6 +588,32 @@ func runWatchApp(t *testing.T, g *GPU) appRun {
 	return r
 }
 
+// checkDeadAgainstWatch is the property of the dead-on-arrival rule, given
+// the same faults run with every rule on (got) and with the watch alone: what
+// it calls dead, the watch sees overwritten or exited unread — never read —
+// and nothing else changes a verdict. The rule moves a stop to the cycle of
+// the injection and moves nothing else.
+func checkDeadAgainstWatch(got, watch appRun) error {
+	if got.stop == StopDead {
+		if watch.stop != StopOverwritten && watch.stop != StopRetired {
+			return fmt.Errorf("dead on arrival (clock %d), but the watch alone ends with stop reason %d, %q at cycle %d",
+				got.cycle, watch.stop, watch.err, watch.cycle)
+		}
+		if watch.cycle <= got.cycle {
+			return fmt.Errorf("dead on arrival with the clock at %d, the watch alone stopped in cycle %d", got.cycle, watch.cycle)
+		}
+		if !reflect.DeepEqual(got.recs, watch.recs) {
+			return fmt.Errorf("injection records %+v, the watch alone has %+v", got.recs, watch.recs)
+		}
+		return nil
+	}
+	if !reflect.DeepEqual(got, watch) {
+		return fmt.Errorf("not dead on arrival, yet stop %d %q cycle %d differs from the watch alone: stop %d %q cycle %d",
+			got.stop, got.err, got.cycle, watch.stop, watch.err, watch.cycle)
+	}
+	return nil
+}
+
 // checkStopAgainstRunToEnd is the property every stop must have, given the
 // same faults run with stopping on (got) and off (toEnd) and the golden run:
 // a run that stopped is one whose run to the end is the golden run, with the
@@ -579,13 +647,13 @@ func checkStopAgainstRunToEnd(got, toEnd, gold appRun) error {
 }
 
 // faultedApp runs watchApp on a new device of cfg with the specs armed.
-func faultedApp(t *testing.T, cfg *config.GPU, specs []*FaultSpec, stopWhenGolden, trace bool) appRun {
+func faultedApp(t *testing.T, cfg *config.GPU, specs []*FaultSpec, mode stopMode, trace bool) appRun {
 	t.Helper()
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.StopWhenGolden(stopWhenGolden)
+	mode.apply(g)
 	g.CycleLimit = 20000
 	if trace {
 		g.EnableTrace()
@@ -606,7 +674,7 @@ func faultedApp(t *testing.T, cfg *config.GPU, specs []*FaultSpec, stopWhenGolde
 // must not reach the next.
 func TestVesselForgetsTheLastFault(t *testing.T) {
 	cfg := testConfig()
-	gold := faultedApp(t, cfg, nil, false, false)
+	gold := faultedApp(t, cfg, nil, toTheEnd, false)
 	if gold.err != "<nil>" {
 		t.Fatal(gold.err)
 	}
@@ -616,9 +684,9 @@ func TestVesselForgetsTheLastFault(t *testing.T) {
 	for seed := int64(0); seed < 400 && (stops == nil || runs == nil || crashes == nil); seed++ {
 		spec := &FaultSpec{Structure: StructRegFile, Cycle: at + 2 + uint64(seed%40),
 			BitPositions: []int64{(seed * 37) % (15 * 32)}, Seed: seed}
-		r := faultedApp(t, cfg, []*FaultSpec{spec}, true, false)
+		r := faultedApp(t, cfg, []*FaultSpec{spec}, stopEarly, false)
 		switch {
-		case r.stop == StopOverwritten || r.stop == StopRetired:
+		case r.stop == StopOverwritten || r.stop == StopRetired || r.stop == StopDead:
 			stops = spec
 		case r.err == "<nil>" && !bytes.Equal(r.out, gold.out):
 			runs = spec
@@ -647,7 +715,7 @@ func TestVesselForgetsTheLastFault(t *testing.T) {
 			}
 			CheckLiveStateEveryCycle(vessel, func(err error) { t.Error(err) })
 			got := runWatchApp(t, vessel)
-			want := faultedApp(t, cfg, []*FaultSpec{spec}, true, false)
+			want := faultedApp(t, cfg, []*FaultSpec{spec}, stopEarly, false)
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("experiment %d on the vessel: %q cycle %d stop %d, a new device gives %q cycle %d stop %d",
 					i, got.err, got.cycle, got.stop, want.err, want.cycle, want.stop)
@@ -660,10 +728,67 @@ func TestVesselForgetsTheLastFault(t *testing.T) {
 	}
 }
 
+// chainOf makes the fuzzed faults four experiments of one campaign cluster,
+// in the order a worker would run them on its vessel: the faults, the same
+// faults again (two jobs at one cycle), the faults a few cycles later, and
+// the first again — by then at a cycle the vessel has passed. The snapshot
+// they fork from is taken up to fifteen cycles ahead of the first.
+func chainOf(specs []*FaultSpec, trace bool, seed int64, lastCycle uint64) (snapAt uint64, jobs []chainJob) {
+	var later []*FaultSpec
+	by := 1 + uint64(seed>>8)&63
+	for _, s := range specs {
+		c := *s
+		c.Cycle = min(s.Cycle+by, lastCycle)
+		c.Seed ^= 0x2545F491
+		later = append(later, &c)
+	}
+	snapAt = specs[0].Cycle - 1
+	snapAt -= min(snapAt, uint64(seed>>16)&15)
+	return snapAt, []chainJob{
+		{name: "first", specs: specs, trace: trace},
+		{name: "again, same cycle", specs: specs, trace: trace},
+		{name: "later", specs: later, trace: trace},
+		{name: "first again", specs: specs, trace: trace},
+	}
+}
+
+// fuzzedFaults turns FuzzEarlyStopSpec's arguments into the faults of one
+// experiment on watchApp (flags: 1 warp-wide, 2 ECC, 4 two blocks, 8 traced,
+// 16 a second fault flags>>5 cycles on).
+func fuzzedFaults(lastCycle uint64, cycle uint16, structure uint8, b0, b1, b2 uint32, seed int64, flags uint8) (specs []*FaultSpec, trace bool) {
+	spec := &FaultSpec{
+		Structure:    Structure(structure % uint8(structCount)),
+		Cycle:        1 + uint64(cycle)%lastCycle,
+		BitPositions: []int64{int64(b0)},
+		WarpWide:     flags&1 != 0,
+		Blocks:       1 + int(flags>>2&1),
+		Seed:         seed,
+	}
+	if b1 != 0 {
+		spec.BitPositions = append(spec.BitPositions, int64(b1))
+	}
+	if b2 != 0 {
+		spec.BitPositions = append(spec.BitPositions, int64(b2))
+	}
+	specs = []*FaultSpec{spec}
+	if flags&16 != 0 {
+		// A second fault, in another structure, at the same instant or later.
+		second := *spec
+		second.Structure = Structure((structure + 1 + uint8(seed&3)) % uint8(structCount))
+		second.Cycle += uint64(flags >> 5)
+		second.Seed = seed ^ 0x5bd1e995
+		specs = append(specs, &second)
+	}
+	return specs, flags&8 != 0
+}
+
 // FuzzEarlyStopSpec arms one or two arbitrary faults on watchApp and runs it
 // with stopping on and off: whatever the structure, cycle, bits, container
 // seed, multiplicity, ECC setting and tracing, the pair must satisfy
-// checkStopAgainstRunToEnd.
+// checkStopAgainstRunToEnd, a dead-on-arrival stop must be one the watch
+// reaches too (checkDeadAgainstWatch), and the faults run as experiments on
+// one vessel, some carrying on from the stop before them, must each end as
+// on a new device (runChain).
 func FuzzEarlyStopSpec(f *testing.F) {
 	f.Add(uint16(300), uint8(0), uint32(163), uint32(0), uint32(0), int64(1), uint8(0))
 	f.Add(uint16(900), uint8(1), uint32(1300), uint32(77), uint32(0), int64(2), uint8(4))
@@ -677,41 +802,24 @@ func FuzzEarlyStopSpec(f *testing.F) {
 		cfg := watchAppCfg(ecc)
 		gold, ok := golds[ecc]
 		if !ok {
-			gold = faultedApp(t, cfg, nil, false, false)
+			gold = faultedApp(t, cfg, nil, toTheEnd, false)
 			if gold.err != "<nil>" {
 				t.Fatal(gold.err)
 			}
 			golds[ecc] = gold
 		}
-		spec := &FaultSpec{
-			Structure:    Structure(structure % uint8(structCount)),
-			Cycle:        1 + uint64(cycle)%gold.cycle,
-			BitPositions: []int64{int64(b0)},
-			WarpWide:     flags&1 != 0,
-			Blocks:       1 + int(flags>>2&1),
-			Seed:         seed,
-		}
-		if b1 != 0 {
-			spec.BitPositions = append(spec.BitPositions, int64(b1))
-		}
-		if b2 != 0 {
-			spec.BitPositions = append(spec.BitPositions, int64(b2))
-		}
-		specs := []*FaultSpec{spec}
-		if flags&16 != 0 {
-			// A second fault, in another structure, at the same instant or later.
-			second := *spec
-			second.Structure = Structure((structure + 1 + uint8(seed&3)) % uint8(structCount))
-			second.Cycle += uint64(flags >> 5)
-			second.Seed = seed ^ 0x5bd1e995
-			specs = append(specs, &second)
-		}
-		trace := flags&8 != 0
-		got := faultedApp(t, cfg, specs, true, trace)
-		toEnd := faultedApp(t, cfg, specs, false, trace)
+		specs, trace := fuzzedFaults(gold.cycle, cycle, structure, b0, b1, b2, seed, flags)
+		spec := specs[0]
+		got := faultedApp(t, cfg, specs, stopEarly, trace)
+		toEnd := faultedApp(t, cfg, specs, toTheEnd, trace)
 		if err := checkStopAgainstRunToEnd(got, toEnd, gold); err != nil {
 			t.Fatalf("%+v (%d faults, ecc %v, traced %v): %v", *spec, len(specs), ecc, trace, err)
 		}
+		if err := checkDeadAgainstWatch(got, faultedApp(t, cfg, specs, watchOnly, trace)); err != nil {
+			t.Fatalf("%+v (%d faults, ecc %v, traced %v): %v", *spec, len(specs), ecc, trace, err)
+		}
+		snapAt, jobs := chainOf(specs, trace, seed, gold.cycle)
+		runChain(t, cfg, snapAt, false, jobs)
 	})
 }
 
@@ -725,13 +833,14 @@ func TestEarlyStopRandomSpecs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(22))
 	golds := map[bool]appRun{}
-	var byReason [StopRetired + 1]int
+	var byReason [StopDead + 1]int
+	chained := 0
 	for i := 0; i < n; i++ {
 		ecc, trace := rng.Intn(6) == 0, rng.Intn(3) == 0
 		cfg := watchAppCfg(ecc)
 		gold, ok := golds[ecc]
 		if !ok {
-			gold = faultedApp(t, cfg, nil, false, false)
+			gold = faultedApp(t, cfg, nil, toTheEnd, false)
 			golds[ecc] = gold
 		}
 		st := Structure(rng.Intn(int(structCount)))
@@ -761,15 +870,30 @@ func TestEarlyStopRandomSpecs(t *testing.T) {
 			second.Seed = rng.Int63()
 			specs = append(specs, &second)
 		}
-		got := faultedApp(t, cfg, specs, true, trace)
-		toEnd := faultedApp(t, cfg, specs, false, trace)
+		got := faultedApp(t, cfg, specs, stopEarly, trace)
+		toEnd := faultedApp(t, cfg, specs, toTheEnd, trace)
 		if err := checkStopAgainstRunToEnd(got, toEnd, gold); err != nil {
 			t.Fatalf("spec %d %+v (%d faults, ecc %v, traced %v): %v", i, *spec, len(specs), ecc, trace, err)
 		}
+		if err := checkDeadAgainstWatch(got, faultedApp(t, cfg, specs, watchOnly, trace)); err != nil {
+			t.Fatalf("spec %d %+v (%d faults, ecc %v, traced %v): %v", i, *spec, len(specs), ecc, trace, err)
+		}
 		byReason[got.stop]++
+		if i%4 == 0 {
+			snapAt, jobs := chainOf(specs, trace, spec.Seed, gold.cycle)
+			_, carriedOn := runChain(t, cfg, snapAt, false, jobs)
+			for _, did := range carriedOn {
+				if did {
+					chained++
+				}
+			}
+		}
 	}
-	t.Logf("of %d runs: %d ran to the end, %d stopped inert, %d overwritten, %d retired",
-		n, byReason[NotStopped], byReason[StopInert], byReason[StopOverwritten], byReason[StopRetired])
+	if chained == 0 {
+		t.Error("no experiment on a vessel carried on without a restore")
+	}
+	t.Logf("of %d runs: %d ran to the end, %d stopped inert, %d overwritten, %d retired, %d dead on arrival; %d vessel experiments carried on without a restore",
+		n, byReason[NotStopped], byReason[StopInert], byReason[StopOverwritten], byReason[StopRetired], byReason[StopDead], chained)
 	for r, c := range byReason {
 		if c == 0 {
 			t.Errorf("no run ended with stop reason %d", r)
@@ -785,18 +909,18 @@ func TestEarlyStopRandomSpecs(t *testing.T) {
 func TestTagFlipPerformanceRunsToItsOwnEnd(t *testing.T) {
 	// The prologue's LDG brings in[]'s line into the L1D; the body reads it again.
 	src := lineKernel("NOP\nNOP\nLDG R10, [R4]\nIADD R9, R9, R10")
-	gold := runLine(t, src, nil, false, false)
+	gold := runLine(t, src, nil, toTheEnd, false)
 	l1d := testConfig().L1D
 	slower := 0
 	for line := 0; line < l1d.Lines(); line++ {
 		spec := &FaultSpec{Structure: StructL1D, Cycle: gold.issue[bodyPC],
 			BitPositions: []int64{int64(line)*int64(l1d.LineBits()) + 3}, CoreMask: []int{0}, Seed: 1}
-		toEnd := runLine(t, src, spec, false, false)
+		toEnd := runLine(t, src, spec, toTheEnd, false)
 		if toEnd.err != nil || !bytes.Equal(toEnd.out, gold.out) || toEnd.cycle == gold.cycle {
 			continue
 		}
 		slower++
-		got := runLine(t, src, spec, true, false)
+		got := runLine(t, src, spec, stopEarly, false)
 		if got.stop != NotStopped || got.err != nil || got.cycle != toEnd.cycle || !bytes.Equal(got.out, gold.out) {
 			t.Errorf("line %d: stop %d, error %v, cycle %d; the run to the end takes %d cycles (golden %d)",
 				line, got.stop, got.err, got.cycle, toEnd.cycle, gold.cycle)
@@ -806,3 +930,7 @@ func TestTagFlipPerformanceRunsToItsOwnEnd(t *testing.T) {
 		t.Fatal("no tag flip changed the cycle count alone: the test shows nothing")
 	}
 }
+
+// WatchOnly turns the dead-on-arrival rule off on g. Exported to the
+// package's external tests, which drive the benchmark applications.
+func WatchOnly(g *GPU) { g.watchOnly = true }
