@@ -9,13 +9,9 @@ package gpufi_test
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"gpufi"
 )
@@ -414,85 +410,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			gpufi.WithRuns(10), gpufi.WithSeed(int64(i)))
 	}
 	b.ReportMetric(10, "injections/op")
-}
-
-// BenchmarkPrefixParallelScaling measures the parallel per-cycle core
-// engine on the workload it targets: the fault-free prefix run of a full
-// application. The same execution runs serially and at 2/4/8 intra-
-// simulation workers; every arm must produce the identical cycle count
-// (the determinism contract), and the reported speedups feed the
-// prefix_parallel_speedup gate in benchmarks/baseline.json. The artifact
-// also records parallel_bench_cpus: benchmarks/compare skips the floor on
-// machines with fewer CPUs than the 4 workers being measured.
-func BenchmarkPrefixParallelScaling(b *testing.B) {
-	app, err := gpufi.AppByName("BP")
-	if err != nil {
-		b.Fatal(err)
-	}
-	gpu := gpufi.RTX2060()
-	run := func(workers int) (uint64, time.Duration) {
-		dev, err := gpufi.NewDevice(gpu)
-		if err != nil {
-			b.Fatal(err)
-		}
-		dev.SetParallelCores(workers)
-		t0 := time.Now()
-		if _, err := app.Run(dev); err != nil {
-			b.Fatal(err)
-		}
-		return dev.Cycle(), time.Since(t0)
-	}
-	widths := []int{0, 2, 4, 8}
-	times := map[int]time.Duration{}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var refCycles uint64
-		for _, w := range widths {
-			// Min-of-two per arm: the speedup ratios below compare short
-			// wall-clock measurements, and the minimum strips scheduler
-			// noise a single sample would pass straight into the CI gate.
-			c1, t1 := run(w)
-			c2, t2 := run(w)
-			if w == 0 {
-				refCycles = c1
-			}
-			if c1 != refCycles || c2 != refCycles {
-				b.Fatalf("workers=%d: cycle count diverged from serial: %d/%d vs %d",
-					w, c1, c2, refCycles)
-			}
-			times[w] += min(t1, t2)
-		}
-	}
-	serial := times[0]
-	b.ReportMetric(serial.Seconds()/float64(b.N), "serial-s/op")
-	for _, w := range widths[1:] {
-		b.ReportMetric(float64(serial)/float64(times[w]), fmt.Sprintf("speedup-%dw-x", w))
-	}
-
-	// Machine-readable artifact: BENCH_PARALLEL_JSON dumps the scaling
-	// numbers for upload; benchmarks/compare gates prefix_parallel_speedup
-	// (the 4-worker ratio) when the machine has at least 4 CPUs.
-	if path := os.Getenv("BENCH_PARALLEL_JSON"); path != "" {
-		out := map[string]any{
-			"benchmark":                  "BenchmarkPrefixParallelScaling",
-			"iterations":                 b.N,
-			"parallel_bench_cpus":        runtime.NumCPU(),
-			"serial_ns_per_op":           serial.Nanoseconds() / int64(b.N),
-			"parallel2_ns_per_op":        times[2].Nanoseconds() / int64(b.N),
-			"parallel4_ns_per_op":        times[4].Nanoseconds() / int64(b.N),
-			"parallel8_ns_per_op":        times[8].Nanoseconds() / int64(b.N),
-			"prefix_parallel_speedup_2w": float64(serial) / float64(times[2]),
-			"prefix_parallel_speedup":    float64(serial) / float64(times[4]),
-			"prefix_parallel_speedup_8w": float64(serial) / float64(times[8]),
-		}
-		raw, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // TestCampaignAPI exercises the public Campaign surface: functional

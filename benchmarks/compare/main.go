@@ -14,9 +14,8 @@
 //	go run ./benchmarks/compare -baseline benchmarks/baseline.json BENCH_*.json
 //	go run ./benchmarks/compare -baseline benchmarks/baseline.json -promote BENCH_*.json
 //
-// -promote rewrites the baseline's values from the current run (directions,
-// tolerances and floors are preserved; a metric whose min_cpus exceeds the
-// recording host's CPU count is not written); benchmarks/promote.sh wraps it.
+// -promote rewrites the baseline's values from the current run (directions
+// and tolerances are preserved); benchmarks/promote.sh wraps it.
 package main
 
 import (
@@ -41,10 +40,8 @@ type Baseline struct {
 
 // Metric is one gated benchmark number.
 type Metric struct {
-	// Value is the promoted baseline measurement. A metric without one is
-	// floor-only: no recording host has produced a number to be relative
-	// to, so only Min is enforced.
-	Value float64 `json:"value,omitempty"`
+	// Value is the promoted baseline measurement.
+	Value float64 `json:"value"`
 	// Direction is "higher" (bigger is better: speedups) or "lower"
 	// (smaller is better: overhead ratios).
 	Direction string `json:"direction"`
@@ -52,18 +49,6 @@ type Metric struct {
 	// this one metric — e.g. a hard ≤5% budget on tracing overhead while
 	// engine speedups keep the looser default.
 	Tolerance float64 `json:"tolerance,omitempty"`
-	// Min, when positive, is an absolute floor on top of the relative
-	// check: the run fails if the measured value dips below it no matter
-	// what the baseline value drifted to. Used for contractual numbers
-	// like "parallel stepping reaches >=1.8x at 4 workers".
-	Min float64 `json:"min,omitempty"`
-	// MinCPUs, when positive, makes the metric conditional on hardware:
-	// it is checked — and promoted — only when the pooled artifacts report
-	// at least this many CPUs under "parallel_bench_cpus". A laptop or
-	// single-core CI leg cannot measure a 4-worker speedup, so the gate
-	// skips (with a note) instead of failing on numbers the machine cannot
-	// produce, and -promote refuses to record them.
-	MinCPUs int `json:"min_cpus,omitempty"`
 }
 
 func main() {
@@ -144,28 +129,11 @@ func sortedNames(base Baseline) []string {
 	return names
 }
 
-// recordedCPUs reports how many CPUs the host that produced the artifacts
-// had, and whether that is enough to measure m (too few CPUs cannot
-// produce a parallel speedup).
-func recordedCPUs(m Metric, current map[string]float64) (cpus float64, enough bool) {
-	if m.MinCPUs <= 0 {
-		return 0, true
-	}
-	cpus, ok := current["parallel_bench_cpus"]
-	return cpus, ok && int(cpus) >= m.MinCPUs
-}
-
 // promote overwrites each baseline value with the current measurement,
-// keeping directions, tolerances and floors. A metric the recording host
-// had too few CPUs to measure is left exactly as committed.
+// keeping directions and tolerances.
 func promote(w io.Writer, base *Baseline, current map[string]float64) error {
 	for _, name := range sortedNames(*base) {
 		m := base.Metrics[name]
-		if cpus, ok := recordedCPUs(m, current); !ok {
-			fmt.Fprintf(w, "%-22s not promoted (needs >=%d CPUs, artifacts report %.0f)\n",
-				name, m.MinCPUs, cpus)
-			continue
-		}
 		got, ok := current[name]
 		if !ok {
 			return fmt.Errorf("metric %q not present in the given artifacts; run every benchmark before promoting", name)
@@ -190,11 +158,6 @@ func mark(bad bool) string {
 func gate(w io.Writer, base Baseline, current map[string]float64) (failed int, err error) {
 	for _, name := range sortedNames(base) {
 		m := base.Metrics[name]
-		if cpus, ok := recordedCPUs(m, current); !ok {
-			fmt.Fprintf(w, "skip %-22s needs >=%d CPUs, artifacts report %.0f; not enforced on this machine\n",
-				name, m.MinCPUs, cpus)
-			continue
-		}
 		got, ok := current[name]
 		if !ok {
 			fmt.Fprintf(w, "FAIL %s: metric missing from the benchmark artifacts\n", name)
@@ -202,16 +165,7 @@ func gate(w io.Writer, base Baseline, current map[string]float64) (failed int, e
 			continue
 		}
 		if m.Value == 0 {
-			if m.Min <= 0 || m.Direction != "higher" {
-				return failed, fmt.Errorf("metric %q has no value: it needs a positive min and direction \"higher\"", name)
-			}
-			bad := got < m.Min
-			if bad {
-				failed++
-			}
-			fmt.Fprintf(w, "%s %-22s floor %.4f, got %.4f (no baseline value recorded)\n",
-				mark(bad), name, m.Min, got)
-			continue
+			return failed, fmt.Errorf("metric %q has no baseline value", name)
 		}
 		tol := base.Tolerance
 		if m.Tolerance > 0 {
@@ -221,7 +175,7 @@ func gate(w io.Writer, base Baseline, current map[string]float64) (failed int, e
 		var bound float64
 		switch m.Direction {
 		case "higher":
-			bound = max(m.Value*(1-tol), m.Min) // the larger of the two binds
+			bound = m.Value * (1 - tol)
 			bad = got < bound
 		case "lower":
 			bound = m.Value * (1 + tol)

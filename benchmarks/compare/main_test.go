@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// TestGateAndPromote covers the three ways a metric is handled specially:
-// a value-less metric is judged on its floor alone, a metric the recording
-// host has too few CPUs for is skipped by the gate, and -promote refuses to
-// write it.
+// TestGateAndPromote covers the gate's verdicts in both directions, the
+// per-metric tolerance, a metric missing from the artifacts, and that
+// -promote writes values and nothing else.
 func TestGateAndPromote(t *testing.T) {
-	floorOnly := Metric{Direction: "higher", Tolerance: 0.5, Min: 1.8, MinCPUs: 4}
-	relative := Metric{Value: 10, Direction: "higher"}
+	speed := Metric{Value: 10, Direction: "higher"}
+	overhead := Metric{Value: 1.0, Direction: "lower", Tolerance: 0.05}
 	for _, tc := range []struct {
 		name       string
 		metrics    map[string]Metric
@@ -21,39 +20,25 @@ func TestGateAndPromote(t *testing.T) {
 		wantValues map[string]float64
 	}{
 		{
-			name:       "value-less above floor passes",
-			metrics:    map[string]Metric{"par": floorOnly},
-			current:    map[string]float64{"par": 1.9, "parallel_bench_cpus": 8},
+			name:       "both within tolerance",
+			metrics:    map[string]Metric{"speed": speed, "overhead": overhead},
+			current:    map[string]float64{"speed": 9, "overhead": 1.04},
 			wantFailed: 0,
-			wantValues: map[string]float64{"par": 1.9},
+			wantValues: map[string]float64{"speed": 9, "overhead": 1.04},
 		},
 		{
-			name:       "value-less below floor fails, relative tolerance ignored",
-			metrics:    map[string]Metric{"par": floorOnly},
-			current:    map[string]float64{"par": 1.7, "parallel_bench_cpus": 8},
-			wantFailed: 1,
-			wantValues: map[string]float64{"par": 1.7},
-		},
-		{
-			name:       "below min_cpus: gate skips, promote leaves it unwritten",
-			metrics:    map[string]Metric{"par": floorOnly, "speed": relative},
-			current:    map[string]float64{"par": 0.5, "speed": 12, "parallel_bench_cpus": 2},
-			wantFailed: 0,
-			wantValues: map[string]float64{"par": 0, "speed": 12},
-		},
-		{
-			name:       "no CPU count in the artifacts counts as too few",
-			metrics:    map[string]Metric{"par": floorOnly},
-			current:    map[string]float64{"par": 0.5},
-			wantFailed: 0,
-			wantValues: map[string]float64{"par": 0},
-		},
-		{
-			name:       "relative metric past tolerance fails",
-			metrics:    map[string]Metric{"speed": relative},
+			name:       "higher-is-better metric past tolerance fails",
+			metrics:    map[string]Metric{"speed": speed},
 			current:    map[string]float64{"speed": 8},
 			wantFailed: 1,
 			wantValues: map[string]float64{"speed": 8},
+		},
+		{
+			name:       "lower-is-better metric past its own tolerance fails",
+			metrics:    map[string]Metric{"speed": speed, "overhead": overhead},
+			current:    map[string]float64{"speed": 12, "overhead": 1.1},
+			wantFailed: 1,
+			wantValues: map[string]float64{"speed": 12, "overhead": 1.1},
 		},
 	} {
 		// promote writes into the map, so the baseline gets its own copy.
@@ -73,14 +58,21 @@ func TestGateAndPromote(t *testing.T) {
 			if m.Value != want {
 				t.Errorf("%s: promote left %s at %v, want %v", tc.name, name, m.Value, want)
 			}
-			if orig := tc.metrics[name]; m.Min != orig.Min || m.MinCPUs != orig.MinCPUs || m.Direction != orig.Direction {
+			if orig := tc.metrics[name]; m.Tolerance != orig.Tolerance || m.Direction != orig.Direction {
 				t.Errorf("%s: promote changed %s's contract: %+v", tc.name, name, m)
 			}
 		}
 	}
 
+	base := Baseline{Tolerance: 0.15, Metrics: map[string]Metric{"speed": speed}}
+	if failed, err := gate(io.Discard, base, map[string]float64{}); err != nil || failed != 1 {
+		t.Errorf("metric missing from the artifacts: gate failed=%d err=%v, want 1", failed, err)
+	}
+	if err := promote(io.Discard, &base, map[string]float64{}); err == nil {
+		t.Error("promote accepted artifacts without the metric")
+	}
 	if _, err := gate(io.Discard, Baseline{Metrics: map[string]Metric{"x": {Direction: "lower"}}},
 		map[string]float64{"x": 1}); err == nil {
-		t.Error("a metric with neither value nor floor was accepted")
+		t.Error("a metric without a baseline value was accepted")
 	}
 }

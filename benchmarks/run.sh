@@ -21,7 +21,4 @@ BENCH_OBS_JSON="$out/BENCH_obs.json" \
 BENCH_FORK_JSON="$out/BENCH_fork.json" \
   go test -run '^$' -bench BenchmarkCOWForkVsDeepClone -benchtime=1x ./internal/core
 
-BENCH_PARALLEL_JSON="$out/BENCH_parallel.json" \
-  go test -run '^$' -bench BenchmarkPrefixParallelScaling -benchtime=1x .
-
 echo "artifacts in benchmarks/current/"

@@ -61,14 +61,6 @@ func WithRuns(n int) CampaignOption { return func(c *Campaign) { c.cfg.Runs = n 
 // (0 = GOMAXPROCS). The outcome is identical for any worker count.
 func WithWorkers(n int) CampaignOption { return func(c *Campaign) { c.cfg.Workers = n } }
 
-// WithParallelCores sets the intra-simulation core-stepping worker count
-// for the fault-free prefix run (0 or 1 = serial). The parallel stepper is
-// bit-identical to the serial cycle loop — same outcomes, journals and
-// traces for any value — so this only trades wall-clock time.
-func WithParallelCores(n int) CampaignOption {
-	return func(c *Campaign) { c.cfg.ParallelCores = n }
-}
-
 // WithSeed sets the campaign seed. Same seed, same outcomes — bit for bit.
 func WithSeed(seed int64) CampaignOption { return func(c *Campaign) { c.cfg.Seed = seed } }
 

@@ -109,7 +109,6 @@ func main() {
 		addr    = flag.String("addr", ":8080", "listen address")
 		dataDir = flag.String("data", "gpufi-data", "campaign store directory")
 		workers = flag.Int("workers", 2, "concurrent campaign runners")
-		parCore = flag.Int("parallel-cores", 0, "default SM-stepping workers inside each campaign's prefix run (0 = serial; bit-identical either way)")
 		queue   = flag.Int("queue", 64, "submission queue depth")
 		batch   = flag.Int("fsync-batch", store.DefaultBatchSize, "journal records per fsync")
 		retries = flag.Int("max-retries", 3, "re-runs of a job whose attempt panicked (negative = none)")
@@ -174,8 +173,7 @@ func main() {
 
 	opts := service.Options{
 		Workers: *workers, QueueDepth: *queue, MaxRetries: *retries,
-		ParallelCores: *parCore,
-		Logger:        logger,
+		Logger: logger,
 	}
 	if *mode == "coordinator" {
 		opts.Coordinator = shard.NewCoordinator(st, shard.Options{

@@ -47,7 +47,6 @@ func main() {
 		scale     = flag.Int("scale", 1, "benchmark problem-size scale")
 		l2queue   = flag.Int("l2queue", 0, "L2 bank service cycles (contention model; 0 = off)")
 		workers   = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
-		parCores  = flag.Int("parallel-cores", 0, "SM-stepping workers inside the fault-free prefix run (0/1 = serial; bit-identical either way)")
 		logPath   = flag.String("log", "", "write the JSONL experiment log to this file")
 		lenient   = flag.Bool("lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed)")
 		ecc       = flag.Bool("ecc", false, "enable SEC-DED ECC on all structures (protection ablation)")
@@ -176,7 +175,7 @@ func main() {
 				App: *appName, Scale: *scale, GPU: *gpuName, Kernel: k,
 				Structure: *structure, Runs: *runs, Bits: *bits,
 				WarpWide: *warpWide, Blocks: *blocks, Seed: *seed,
-				Workers: *workers, ParallelCores: *parCores,
+				Workers: *workers,
 				Lenient: *lenient, ECC: *ecc, L2Queue: *l2queue,
 				ExpTimeoutMS: expTO.Milliseconds(),
 				Trace:        *tracePath != "",
@@ -191,7 +190,6 @@ func main() {
 				gpufi.WithBlocks(*blocks),
 				gpufi.WithSeed(*seed),
 				gpufi.WithWorkers(*workers),
-				gpufi.WithParallelCores(*parCores),
 				gpufi.WithExpTimeout(*expTO),
 				gpufi.WithProfile(prof),
 			}

@@ -80,15 +80,6 @@ type CampaignConfig struct {
 	Seed      int64         // campaign seed
 	Workers   int           // parallel simulations (0 = GOMAXPROCS)
 
-	// ParallelCores sets the intra-simulation core-stepping worker count
-	// for the fault-free prefix run (0 or 1 = serial). The parallel
-	// stepper is bit-identical to the serial loop, so this only changes
-	// wall-clock time, never outcomes, journals or traces. Forked
-	// experiment vessels always step serially: each experiment simulates
-	// only the post-injection suffix, where campaign-level Workers
-	// parallelism already saturates the machine.
-	ParallelCores int
-
 	// Invocation targets a single dynamic instance of the static kernel
 	// (1-based). 0 considers all invocations together, the paper's
 	// default ("we consider all its invocations together").
@@ -224,9 +215,6 @@ func (c *CampaignConfig) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: campaign Workers must not be negative, got %d", c.Workers)
-	}
-	if c.ParallelCores < 0 {
-		return fmt.Errorf("core: campaign ParallelCores must not be negative, got %d", c.ParallelCores)
 	}
 	if c.ExpTimeout < 0 {
 		return fmt.Errorf("core: campaign ExpTimeout must not be negative, got %v", c.ExpTimeout)

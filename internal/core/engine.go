@@ -221,10 +221,6 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 	// The prefix is fault-free, but bound it anyway so a scheduling bug
 	// cannot hang the campaign.
 	g.CycleLimit = 4 * prof.TotalCycles
-	// Parallel core stepping accelerates only the prefix: experiment
-	// vessels fork serially (snapshots never carry pool state), because
-	// campaign-level Workers parallelism already covers the fan-out.
-	g.SetParallelCores(cfg.ParallelCores)
 
 	last := clusters[len(clusters)-1]
 	run := &pipeline{ctx: ctx, prof: prof, points: points, clusters: clusters,

@@ -71,13 +71,6 @@ type EngineCounters struct {
 	WarpsMaterialized   int64   // slabs privatized on first write
 	SmemMaterialized    int64   // shared-memory banks privatized
 	ResidentBytesCopied int64
-
-	// Parallel core-stepping counters (internal/sim): how many cycles ran
-	// on the two-phase parallel stepper versus falling back to the serial
-	// loop, and how many worker pools were started.
-	ParallelCycles         int64 // cycles stepped by the parallel worker pool
-	ParallelFallbackCycles int64 // cycles a parallel GPU stepped serially
-	ParallelPools          int64 // worker pools started (one per launch)
 }
 
 // EngineStats returns the process-wide fork-engine counters and phase
@@ -85,43 +78,39 @@ type EngineCounters struct {
 func EngineStats() EngineCounters {
 	st := sim.SnapshotTimings()
 	cow := sim.COWStats()
-	par := sim.ParallelStats()
 	devs := sim.PoolStats()
 	return EngineCounters{
-		ForksCreated:           devs.VesselsBuilt,
-		ForksReused:            forksReused.Load(),
-		VesselsDiscarded:       vesselsDiscarded.Load(),
-		DevicesBuilt:           devs.DevicesBuilt,
-		DevicesParked:          devs.DevicesParked,
-		SnapshotCaptures:       st.Captures,
-		SnapshotCaptureNanos:   st.CaptureNanos,
-		SnapshotRestores:       st.Restores,
-		SnapshotRestoreNanos:   st.RestoreNanos,
-		RestoresChained:        st.Chained,
-		ForkNanos:              phaseForkNanos.Load(),
-		ExecuteNanos:           phaseExecuteNanos.Load(),
-		ClassifyNanos:          phaseClassifyNanos.Load(),
-		EarlyStopsInert:        earlyStops[sim.StopInert].Load(),
-		EarlyStopsOverwritten:  earlyStops[sim.StopOverwritten].Load(),
-		EarlyStopsRetired:      earlyStops[sim.StopRetired].Load(),
-		EarlyStopsDead:         earlyStops[sim.StopDead].Load(),
-		SuffixCyclesSkipped:    suffixCyclesSkipped.Load(),
-		COWRestores:            cow.Restores,
-		COWFullRestores:        cow.FullRestores,
-		COWCaptures:            cow.Captures,
-		COWFullCaptures:        cow.FullCaptures,
-		COWPagesCopied:         cow.UnitsCopied,
-		COWPagesShared:         cow.UnitsShared,
-		COWBytesCopied:         cow.BytesCopied,
-		COWBytesAvoided:        cow.BytesAvoided,
-		COWDirtyRatio:          cow.DirtyRatio(),
-		WarpsShared:            cow.WarpsShared,
-		WarpsMaterialized:      cow.WarpsMaterialized,
-		SmemMaterialized:       cow.SmemMaterialized,
-		ResidentBytesCopied:    cow.ResidentBytesCopied,
-		ParallelCycles:         par.Cycles,
-		ParallelFallbackCycles: par.Fallbacks,
-		ParallelPools:          par.Pools,
+		ForksCreated:          devs.VesselsBuilt,
+		ForksReused:           forksReused.Load(),
+		VesselsDiscarded:      vesselsDiscarded.Load(),
+		DevicesBuilt:          devs.DevicesBuilt,
+		DevicesParked:         devs.DevicesParked,
+		SnapshotCaptures:      st.Captures,
+		SnapshotCaptureNanos:  st.CaptureNanos,
+		SnapshotRestores:      st.Restores,
+		SnapshotRestoreNanos:  st.RestoreNanos,
+		RestoresChained:       st.Chained,
+		ForkNanos:             phaseForkNanos.Load(),
+		ExecuteNanos:          phaseExecuteNanos.Load(),
+		ClassifyNanos:         phaseClassifyNanos.Load(),
+		EarlyStopsInert:       earlyStops[sim.StopInert].Load(),
+		EarlyStopsOverwritten: earlyStops[sim.StopOverwritten].Load(),
+		EarlyStopsRetired:     earlyStops[sim.StopRetired].Load(),
+		EarlyStopsDead:        earlyStops[sim.StopDead].Load(),
+		SuffixCyclesSkipped:   suffixCyclesSkipped.Load(),
+		COWRestores:           cow.Restores,
+		COWFullRestores:       cow.FullRestores,
+		COWCaptures:           cow.Captures,
+		COWFullCaptures:       cow.FullCaptures,
+		COWPagesCopied:        cow.UnitsCopied,
+		COWPagesShared:        cow.UnitsShared,
+		COWBytesCopied:        cow.BytesCopied,
+		COWBytesAvoided:       cow.BytesAvoided,
+		COWDirtyRatio:         cow.DirtyRatio(),
+		WarpsShared:           cow.WarpsShared,
+		WarpsMaterialized:     cow.WarpsMaterialized,
+		SmemMaterialized:      cow.SmemMaterialized,
+		ResidentBytesCopied:   cow.ResidentBytesCopied,
 	}
 }
 

@@ -186,19 +186,21 @@ func TestWrongMethodOnKnownRoute(t *testing.T) {
 }
 
 // TestRemovedSpecFieldRejected checks a submission that still asks for the
-// removed full-replay engine is refused as a bad spec, not silently run on
-// the fork engine.
+// removed full-replay engine or the removed parallel core stepper is refused
+// as a bad spec naming the field, not silently run without it.
 func TestRemovedSpecFieldRejected(t *testing.T) {
 	srv, ts := newAPIServer(t)
-	body := strings.Replace(vaBody, "{", `{"legacy_replay":true,`, 1)
-	resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	code, msg, _ := decodeEnvelope(t, resp)
-	if resp.StatusCode != 400 || code != "invalid_request" ||
-		!strings.Contains(msg, "bad campaign spec") || !strings.Contains(msg, "legacy_replay") {
-		t.Errorf("legacy_replay submission: status=%d code=%q message=%q", resp.StatusCode, code, msg)
+	for field, value := range map[string]string{"legacy_replay": "true", "parallel_cores": "4"} {
+		body := strings.Replace(vaBody, "{", fmt.Sprintf(`{%q:%s,`, field, value), 1)
+		resp, err := http.Post(ts.URL+"/v1/campaigns", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, msg, _ := decodeEnvelope(t, resp)
+		if resp.StatusCode != 400 || code != "invalid_request" ||
+			!strings.Contains(msg, "bad campaign spec") || !strings.Contains(msg, field) {
+			t.Errorf("%s submission: status=%d code=%q message=%q", field, resp.StatusCode, code, msg)
+		}
 	}
 	if ids, err := srv.st.List(); err != nil || len(ids) != 0 {
 		t.Errorf("rejected submission created a campaign: ids=%v err=%v", ids, err)

@@ -242,8 +242,5 @@ func (m *metrics) snapshot() map[string]any {
 		"cow_dirty_ratio":          es.COWDirtyRatio,
 		"cow_full_restores":        es.COWFullRestores,
 		"warps_materialized":       es.WarpsMaterialized,
-		"parallel_cycles":          es.ParallelCycles,
-		"parallel_fallback_cycles": es.ParallelFallbackCycles,
-		"parallel_pools":           es.ParallelPools,
 	}
 }

@@ -47,12 +47,6 @@ type Options struct {
 	// transitions, retries, HTTP requests with their X-Request-ID). Nil
 	// discards logs, keeping library consumers and tests quiet.
 	Logger *slog.Logger
-	// ParallelCores is the default intra-simulation core-stepping worker
-	// count applied to submitted specs that leave parallel_cores unset
-	// (0 = serial). Purely a wall-clock knob: outcomes and journal bytes
-	// are bit-identical for any value, so the default never changes what
-	// a campaign produces.
-	ParallelCores int
 	// Coordinator, when non-nil, switches the service into coordinator
 	// mode: instead of running campaigns in-process, each job is sharded
 	// and leased to worker nodes over the /v1/shards endpoints, and the
@@ -294,11 +288,6 @@ func (s *Server) newJobLocked(id string, spec store.Spec) *job {
 // submit validates and enqueues a campaign. It returns the job, or an
 // httpError describing why the submission was refused.
 func (s *Server) submit(id string, spec store.Spec) (*job, error) {
-	if spec.ParallelCores == 0 {
-		// Safe to default here: parallel_cores never changes outcomes or
-		// journal bytes, and SameSpec ignores it on resume.
-		spec.ParallelCores = s.opts.ParallelCores
-	}
 	if _, err := spec.Config(); err != nil {
 		return nil, &httpError{code: 400, msg: err.Error()}
 	}

@@ -56,7 +56,7 @@ func stateOf(g *GPU) deviceState {
 		"CTA counters":     [3]int{g.nextCTA, g.totalCTAs, g.doneCTAs},
 		"launch addresses": [4]uint32{g.localBase, g.localStep, g.paramBase, g.progBase},
 		"launch start":     g.launchStart, "launch instructions": g.launchInstr, "launch cores": g.launchCores,
-		"corrupted": g.corrupted, "violation": g.violation,
+		"violation": g.violation,
 	}
 	for i, c := range g.cores {
 		core := fmt.Sprintf("core %d ", i)

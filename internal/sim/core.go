@@ -110,12 +110,6 @@ type warp struct {
 	// instruction has read or fully overwritten yet (see watch.go). Never set
 	// in a snapshot, so a restore clears it.
 	watched bool
-
-	// pendBusy, when positive, is 1 + the index of this warp's deferred
-	// instruction record (core.pend) whose commit will finalize busyUntil.
-	// Only ever non-zero within a parallel compute phase; commitPend and
-	// checkBarrier clear it, so it is always zero between cycles.
-	pendBusy int
 }
 
 // liveMask returns the mask of threads that have not exited.
@@ -175,17 +169,15 @@ type core struct {
 	// until the core's first copy-on-write restore (see cow.go).
 	pool *residentPool
 
-	// Two-phase (compute/commit) cycle state. During a cycle, cores only
-	// touch core-local state plus these fields; commitCycle folds them
-	// into GPU-global state in core-ID order. All of them are empty
-	// between cycles, so snapshots never observe or carry them.
-	viol       error       // first violation this core raised, in issue order
-	stop       bool        // core stops issuing for the rest of the cycle
-	instrDelta int64       // instructions issued this cycle
-	ctaRetired int         // CTAs retired this cycle
-	deferOps   bool        // true while computing under the worker pool
-	pend       []pendInstr // deferred shared-state effects (see parallel.go)
-	pi         int         // pend index of the current instruction, -1 = none
+	// Per-cycle latches. A violation on one core does not keep the cores
+	// after it from finishing their tick of the same cycle; commitCycle
+	// folds these into GPU-global state at the end of the cycle, in core-ID
+	// order. All of them are empty between cycles, so snapshots never
+	// observe or carry them.
+	viol       error // first violation this core raised, in issue order
+	stop       bool  // core stops issuing for the rest of the cycle
+	instrDelta int64 // instructions issued this cycle
+	ctaRetired int   // CTAs retired this cycle
 }
 
 // newCore builds core id of a device's storage: its L1s over l2, no device
@@ -225,8 +217,6 @@ func (c *core) reset() {
 	c.stop = false
 	c.instrDelta = 0
 	c.ctaRetired = 0
-	c.pend = c.pend[:0]
-	c.pi = -1
 }
 
 // placedWarp is a warp as tryPlaceCTA allocates it, in one piece with what
@@ -445,17 +435,10 @@ func (c *core) setViol(err error) {
 	}
 }
 
-// fail raises a compute-phase violation: the core stops issuing for the
-// rest of the cycle. Under the parallel engine the violation is recorded
-// as a deferred op so it lands in issue order behind any shared-state
-// effects (e.g. an L1I fetch, or a store's write error) that must replay
-// first at commit.
+// fail raises a violation that ends the instruction: the core stops
+// issuing for the rest of the cycle.
 func (c *core) fail(err error) {
 	c.stop = true
-	if c.deferOps {
-		c.newPend(nil).viol = err
-		return
-	}
 	c.setViol(err)
 }
 
@@ -467,7 +450,6 @@ func (c *core) step(w *warp) {
 		// taint): give a COW fork warp its private copy first.
 		c.materializeWarp(w)
 	}
-	c.pi = -1
 	g := c.gpu
 	p := g.curProg
 	top := &w.stack[len(w.stack)-1]
@@ -543,33 +525,7 @@ func (c *core) step(w *warp) {
 
 	w.popReconverged()
 	w.lastIssue = g.cycle
-	if c.pi >= 0 {
-		pi := &c.pend[c.pi]
-		switch in.Op {
-		case isa.OpBRA, isa.OpEXIT, isa.OpBAR, isa.OpNOP:
-			// Control-class latency includes the (deferred) fetch cost.
-			pi.chargeFetch = true
-			pi.setBusy, pi.baseLat = true, g.cfg.ALULatency
-		default:
-			if pi.mem.kind != pmNone {
-				pi.setBusy = true // latency comes from the deferred memory phase
-			}
-		}
-		if pi.setBusy {
-			// Provisional stall until commit writes the real latency, so
-			// the warp cannot re-issue within this cycle. A same-cycle
-			// barrier release arriving after this point must win over the
-			// commit write, exactly as its later store wins in the serial
-			// engine — checkBarrier cancels the pending write through
-			// pendBusy.
-			w.busyUntil = g.cycle + 1
-			w.pendBusy = c.pi + 1
-		} else {
-			w.busyUntil = g.cycle + uint64(latency)
-		}
-	} else {
-		w.busyUntil = g.cycle + uint64(latency)
-	}
+	w.busyUntil = g.cycle + uint64(latency)
 
 	// Lanes leave the live set only through exitThreads, so only an EXIT
 	// can empty it: every other instruction skips the 32-lane scan.
@@ -602,13 +558,6 @@ func (c *core) checkBarrier(b *cta) {
 		if w.atBarrier {
 			w.atBarrier = false
 			w.busyUntil = c.gpu.cycle + 1
-			if w.pendBusy > 0 {
-				// The warp issued its BAR earlier this same cycle with a
-				// deferred latency; the release must be the last write to
-				// busyUntil, as it is in the serial engine.
-				c.pend[w.pendBusy-1].setBusy = false
-				w.pendBusy = 0
-			}
 		}
 	}
 }
@@ -626,14 +575,6 @@ func (c *core) fetchAccess(w *warp, pc int32) int {
 		return 0
 	}
 	w.fetchLine, w.fetchValid = lineAddr, true
-	if c.deferOps {
-		// Parallel compute: the L1I state transition reaches the shared L2
-		// on a miss, so it replays at commit. Whether the cost matters is
-		// decided by the instruction class (chargeFetch, see step).
-		pi := c.newPend(w)
-		pi.doFetch, pi.fetchAddr = true, lineAddr
-		return 0
-	}
 	hit, below := c.l1i.AccessRead(lineAddr)
 	if hit {
 		return 0 // hit latency hidden by the fetch pipeline

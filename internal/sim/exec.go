@@ -133,15 +133,6 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 				Addr: uint32(idx), Space: "param"})
 			return 0
 		}
-		if c.l1c != nil && c.deferOps {
-			// The constant cache misses into the shared L2: defer the
-			// access, the loaded value, and the cost to the commit phase.
-			pi := c.newPend(w)
-			pi.mem.kind = pmLDC
-			pi.mem.in, pi.mem.eff = in, eff
-			pi.mem.ldcAddr = g.paramBase + uint32(idx)
-			return 0
-		}
 		v := g.curParams[idx/4]
 		cost := g.cfg.ALULatency
 		if c.l1c != nil {
@@ -211,23 +202,6 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 		}
 	}
 
-	if c.deferOps {
-		// Parallel compute: every line/word transaction below touches the
-		// shared L2 (directly, or through L1 miss fills, write-through and
-		// bank-queue charges). Capture the whole access — addresses, the
-		// coalesced lines and, for stores, the register operands, which
-		// cannot change before commit — and replay it there.
-		pi := c.newPend(w)
-		m := &pi.mem
-		m.kind = pmData
-		m.in, m.eff, m.l1 = in, eff, l1
-		m.addrs = addrs
-		m.nLines = copy(m.lines[:], lines)
-		if !in.Op.IsLoad() {
-			m.data = *w.st.src(in.SrcC)
-		}
-		return 0
-	}
 	if in.Op.IsLoad() {
 		return c.loadLines(w, in, eff, l1, lines, &addrs)
 	}
@@ -236,9 +210,8 @@ func (c *core) executeMem(w *warp, in *isa.Instr, eff uint32) int {
 
 // coalesce appends line address la to a warp instruction's transactions
 // unless it is already among them. The linear dedup keeps first-occurrence
-// order (at most 32 candidates) without allocating, which both engines and
-// the deferred records rely on; a lane on its predecessor's line, the
-// common case, stops at the first comparison.
+// order (at most 32 candidates) without allocating; a lane on its
+// predecessor's line, the common case, stops at the first comparison.
 func coalesce(lines []uint32, la uint32) []uint32 {
 	for i := len(lines) - 1; i >= 0; i-- {
 		if lines[i] == la {
@@ -262,9 +235,8 @@ func (c *core) broadcastLoad(w *warp, r uint8, eff uint32, v uint32) {
 	}
 }
 
-// loadLines is the shared-state half of a global/local/texture load: the
-// line transitions in first-occurrence order, then the words. Serial
-// stepping runs it at issue, parallel stepping at commit. Returns the
+// loadLines is the cache half of a global/local/texture load: the line
+// transitions in first-occurrence order, then the words. Returns the
 // instruction's latency.
 func (c *core) loadLines(w *warp, in *isa.Instr, eff uint32, l1 *cache.Cache, lines []uint32, addrs *[isa.WarpSize]uint32) int {
 	maxCost := 0
@@ -350,10 +322,8 @@ func (c *core) lineWrite(l1 *cache.Cache, lineAddr uint32, mode cache.Mode) int 
 	hit, below, werr := l1.AccessWrite(lineAddr, mode)
 	if werr != nil {
 		// A store routed into a read-only mode latches the violation but
-		// does not stop the instruction (the remaining lines and lanes
-		// complete, then the launch aborts at the end of the cycle) — the
-		// same semantics under both engines, since the parallel one only
-		// discovers the error when the deferred store replays at commit.
+		// does not stop the instruction: the remaining lines and lanes
+		// complete, then the launch aborts at the end of the cycle.
 		c.setViol(werr)
 		return 0
 	}

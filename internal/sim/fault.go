@@ -386,10 +386,6 @@ func (g *GPU) injectL1I(spec *FaultSpec, rec *InjectionRecord, rng *rand.Rand) {
 	}
 	core := g.cores[id]
 	core.corruptInstr = true
-	// Decode-from-cache fetch reads ordered L2 state mid-cycle: the
-	// parallel stepping engine falls back to serial for the rest of the
-	// launch (see parallelEligible).
-	g.corrupted = true
 	// Force every warp on the core to refetch so armed hooks can fire.
 	for _, w := range core.warps {
 		w.fetchValid = false

@@ -122,19 +122,6 @@ type GPU struct {
 	launchCores coreSet // cores that ran a CTA of the current launch
 	launchInstr int64
 
-	// Parallel per-cycle core stepping (see parallel.go). parallelCores
-	// is the requested worker count (0 or 1 = serial); the pool starts
-	// lazily at the first eligible cycle and stops at launch teardown.
-	// Deliberately not cloned by snapshots: forks default to serial.
-	parallelCores int
-	pool          *stepPool
-
-	// corrupted marks that some core decodes instructions from (possibly
-	// fault-corrupted) cache bits after an L1I injection. Decode then
-	// depends on ordered L2 state mid-cycle, so the engine falls back to
-	// serial stepping for the rest of the launch.
-	corrupted bool
-
 	// snapshot-and-fork machinery (see snapshot.go)
 	snapAt      []uint64              // pending capture cycles, ascending
 	snapFn      func(*Snapshot) error // capture sink; an error aborts the run
@@ -144,9 +131,9 @@ type GPU struct {
 	ctx         context.Context       // optional cancellation for long launches
 	ctxTick     uint32                // simulated cycles toward the next ctx poll
 
-	// cycleCheck, when non-nil, runs on the coordinator at the end of every
-	// simulated cycle, after commit and CTA refill. Only tests set it, to
-	// hold the cached scheduler state to what a full scan would compute.
+	// cycleCheck, when non-nil, runs at the end of every simulated cycle,
+	// after commit and CTA refill. Only tests set it, to hold the cached
+	// scheduler state to what a full scan would compute.
 	cycleCheck func()
 }
 
@@ -534,8 +521,7 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 		}
 		if g.violation != nil {
 			// An uncorrectable (DUE) ECC detection aborts at fault
-			// application, before any warp issues this cycle — the same
-			// point under both engines.
+			// application, before any warp issues this cycle.
 			err := g.violation
 			g.releaseLaunch()
 			return nil, err
@@ -545,7 +531,12 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 			// issued since.
 			return g.stopLaunch(true)
 		}
-		anyReady := g.stepCores()
+		anyReady := false
+		for _, c := range g.cores {
+			if c.tick() {
+				anyReady = true
+			}
+		}
 		g.commitCycle()
 		g.sampleStats(1)
 		if g.violation != nil {
@@ -611,15 +602,35 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 	return &res, nil
 }
 
+// commitCycle folds every core's per-cycle latches into GPU-global state
+// in ascending core-ID order, after every core has finished its tick: of
+// the violations raised in one cycle, the lowest core ID's is the launch's.
+func (g *GPU) commitCycle() {
+	for _, c := range g.cores {
+		if c.instrDelta != 0 {
+			g.kernelStat.Instructions += c.instrDelta
+			c.instrDelta = 0
+		}
+		if c.ctaRetired != 0 {
+			g.doneCTAs += c.ctaRetired
+			c.ctaRetired = 0
+		}
+		if c.viol != nil {
+			if g.violation == nil {
+				g.violation = c.viol
+			}
+			c.viol = nil
+		}
+		c.stop = false
+	}
+}
+
 // releaseLaunch clears per-launch core state (CTAs, warps) after
-// completion or abort, and stops the parallel stepping pool — every exit
-// path of runLaunch funnels through here, so no workers outlive a launch.
+// completion or abort.
 func (g *GPU) releaseLaunch() {
-	g.stopPool()
 	for _, c := range g.cores {
 		c.reset()
 	}
-	g.corrupted = false
 	g.curProg = nil
 	g.curParams = nil
 	g.launchCores = g.launchCores[:0]

@@ -9,20 +9,17 @@ import (
 )
 
 // TestLiveStateInvariantsOnAllKernels runs the twelve applications on both
-// presets, serially and with two core-stepping workers, with the per-cycle
-// live-state check installed (readyAt never past the true next-ready
-// cycle, the live-warp and live-thread counters equal to their scans, every
-// warp's exited flag equal to the unguarded stack/lane check), and requires
-// the checked runs to take exactly the cycles and warp instructions of an
-// unchecked serial run. readyAt is written by the stepping workers and read
-// by the coordinator, so CI runs this under the race detector and at
-// GOMAXPROCS 1 and 4.
+// presets with the per-cycle live-state check installed (readyAt never past
+// the true next-ready cycle, the live-warp and live-thread counters equal to
+// their scans, every warp's exited flag equal to the unguarded stack/lane
+// check), and requires the checked run to take exactly the cycles and warp
+// instructions of an unchecked one.
 func TestLiveStateInvariantsOnAllKernels(t *testing.T) {
 	for _, preset := range []func() *config.GPU{config.RTX2060, config.GTXTitan} {
 		cfg := preset()
 		for _, name := range bench.Names() {
 			t.Run(cfg.Name+"/"+name, func(t *testing.T) {
-				run := func(workers int, checked bool) []sim.LaunchResult {
+				run := func(checked bool) []sim.LaunchResult {
 					t.Helper()
 					app, err := bench.ByName(name)
 					if err != nil {
@@ -32,7 +29,6 @@ func TestLiveStateInvariantsOnAllKernels(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					g.SetParallelCores(workers)
 					if checked {
 						sim.CheckLiveStateEveryCycle(g, func(err error) { t.Error(err) })
 					}
@@ -41,16 +37,13 @@ func TestLiveStateInvariantsOnAllKernels(t *testing.T) {
 					}
 					return g.Launches()
 				}
-				want := run(0, false)
-				for _, workers := range []int{0, 2} {
-					got := run(workers, true)
-					if len(got) != len(want) {
-						t.Fatalf("workers %d: %d launches, unchecked run made %d", workers, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("workers %d launch %d: %+v, unchecked run %+v", workers, i, got[i], want[i])
-						}
+				want, got := run(false), run(true)
+				if len(got) != len(want) {
+					t.Fatalf("%d launches, unchecked run made %d", len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("launch %d: %+v, unchecked run %+v", i, got[i], want[i])
 					}
 				}
 			})

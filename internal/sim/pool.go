@@ -140,7 +140,6 @@ func (s *storage) park() {
 	for _, c := range s.cores {
 		c.reset()
 		c.gpu = nil
-		c.pend = nil
 		if c.pool != nil {
 			c.pool.scrub()
 		}

@@ -424,6 +424,53 @@ func TestCrashOnMisalignedLoad(t *testing.T) {
 	}
 }
 
+// TestViolationLowestCoreWins pins which of several same-cycle violations a
+// launch reports: every CTA performs a wild store whose address encodes its
+// CTA id, all on the same cycle, one CTA per SM. Breadth-first placement puts
+// CTA 0 on core 0, so the reported violation must be CTA 0's address.
+func TestViolationLowestCoreWins(t *testing.T) {
+	src := `
+.kernel wildcta
+	S2R R0, %ctaid.x
+	SHL R1, R0, 2
+	IADD R1, R1, 64
+	STG [R1], R0
+	EXIT
+`
+	g := newTestGPU(t)
+	_, err := g.Launch(mustAssemble(t, src), Dim1(4), Dim1(32))
+	if err == nil {
+		t.Fatal("wild store did not crash")
+	}
+	mv, ok := err.(*MemViolation)
+	if !ok {
+		t.Fatalf("error type %T, want *MemViolation", err)
+	}
+	// Any other address means a higher core's same-cycle violation won.
+	if mv.Addr != 64 {
+		t.Fatalf("violation addr %#x, want 0x40 (CTA 0 on core 0)", mv.Addr)
+	}
+}
+
+// TestCommitViolationFoldOrder pins the fold rule directly: commitCycle
+// visits cores in ascending ID order and keeps the first violation, so the
+// lowest core ID wins regardless of the order the latches were set.
+func TestCommitViolationFoldOrder(t *testing.T) {
+	g := newTestGPU(t)
+	lo := &MemViolation{Addr: 0x100}
+	hi := &MemViolation{Addr: 0x200}
+	g.cores[2].setViol(hi) // higher core latches first
+	g.cores[0].setViol(lo)
+	g.commitCycle()
+	if g.violation != lo {
+		t.Fatalf("violation fold kept %v, want the lowest core's %v", g.violation, lo)
+	}
+	// Latches must be consumed so the next cycle starts clean.
+	if g.cores[0].viol != nil || g.cores[2].viol != nil {
+		t.Fatal("commitCycle left core violation latches set")
+	}
+}
+
 func TestTimeout(t *testing.T) {
 	src := `
 .kernel spin

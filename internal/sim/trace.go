@@ -26,7 +26,7 @@ import (
 // state only, never modify either, so outcomes with tracing on are
 // bit-identical to outcomes with tracing off — and since no wall-clock or
 // randomness enters an event, the trace bytes themselves are identical
-// across engines, worker counts and -race runs.
+// across worker counts and -race runs.
 //
 // Known approximations (documented in DESIGN.md "Observability"): cache
 // array injections are not cell-tracked — the flip lives in a tag or a

@@ -254,13 +254,10 @@ func (r *warpRig) setReg(reg int, f func(lane int) uint32) {
 }
 
 // violation returns, and clears, what the last instruction raised: still
-// latched on the core after serial issue, folded into the GPU by a commit.
+// latched on the core, since the rig runs no end-of-cycle fold.
 func (r *warpRig) violation() error {
 	err := r.c.viol
-	if err == nil {
-		err = r.g.violation
-	}
-	r.c.viol, r.c.stop, r.g.violation = nil, false, nil
+	r.c.viol, r.c.stop = nil, false
 	return err
 }
 
@@ -474,8 +471,7 @@ func memCases() []memCase {
 }
 
 // TestMemInstrMatchesLaneReference runs every memCase twice over — on a
-// model with an L1D and on one without, through serial issue and through
-// the parallel stepper's defer-and-commit — against refExecuteMem on an
+// model with an L1D and on one without — against refExecuteMem on an
 // identically prepared twin, and requires the same latency, the same
 // violation (first failing lane, PC, address), and identical lane state and
 // memory hierarchy after every instruction. State carries over from case to
@@ -484,74 +480,48 @@ func TestMemInstrMatchesLaneReference(t *testing.T) {
 	noL1D := testConfig()
 	noL1D.Name, noL1D.L1D = "TestGPU-noL1D", nil
 	for _, cfg := range []*config.GPU{testConfig(), noL1D} {
-		for _, parallel := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/parallel=%v", cfg.Name, parallel), func(t *testing.T) {
-				got, want := newWarpRig(t, cfg), newWarpRig(t, cfg)
-				violations := 0
-				for round := 0; round < 2; round++ {
-					for i, mc := range memCases() {
-						label := fmt.Sprintf("round %d case %d %s %s mask %08x", round, i, mc.op, mc.name, mc.mask)
-						in := isa.Instr{Op: mc.op, Dst: 3, SrcA: 1, SrcC: 2, Imm: mc.imm,
-							Guard: isa.PredPT, PDst: isa.PredPT, PSrc: isa.PredPT, Reconv: -1}
-						if i%7 == 6 {
-							in.Dst, in.SrcC = isa.RegRZ, isa.RegRZ // discard the load, store zeros
-						}
-						for _, r := range []*warpRig{got, want} {
-							r.g.cycle += 50
-							r.setReg(1, func(lane int) uint32 { return mc.addr(r, lane) })
-							r.setReg(2, func(lane int) uint32 { return uint32(round<<24 | i<<8 | lane) })
-							if mc.prep != nil {
-								mc.prep(r)
-							}
-						}
-						wantLat := refExecuteMem(want.c, want.w, &in, mc.mask)
-						wantViol := want.violation()
-						gotLat := got.issue(&in, mc.mask, parallel)
-						gotViol := got.violation()
-						if !reflect.DeepEqual(gotViol, wantViol) {
-							t.Fatalf("%s: violation %v, want %v", label, gotViol, wantViol)
-						}
-						if wantViol != nil {
-							violations++
-						} else if gotLat != wantLat {
-							t.Fatalf("%s: latency %d, want %d", label, gotLat, wantLat)
-						}
-						if err := diffRigs(got, want); err != nil {
-							t.Fatalf("%s: %v", label, err)
+		t.Run(cfg.Name, func(t *testing.T) {
+			got, want := newWarpRig(t, cfg), newWarpRig(t, cfg)
+			violations := 0
+			for round := 0; round < 2; round++ {
+				for i, mc := range memCases() {
+					label := fmt.Sprintf("round %d case %d %s %s mask %08x", round, i, mc.op, mc.name, mc.mask)
+					in := isa.Instr{Op: mc.op, Dst: 3, SrcA: 1, SrcC: 2, Imm: mc.imm,
+						Guard: isa.PredPT, PDst: isa.PredPT, PSrc: isa.PredPT, Reconv: -1}
+					if i%7 == 6 {
+						in.Dst, in.SrcC = isa.RegRZ, isa.RegRZ // discard the load, store zeros
+					}
+					for _, r := range []*warpRig{got, want} {
+						r.g.cycle += 50
+						r.setReg(1, func(lane int) uint32 { return mc.addr(r, lane) })
+						r.setReg(2, func(lane int) uint32 { return uint32(round<<24 | i<<8 | lane) })
+						if mc.prep != nil {
+							mc.prep(r)
 						}
 					}
+					wantLat := refExecuteMem(want.c, want.w, &in, mc.mask)
+					wantViol := want.violation()
+					gotLat := got.c.execute(got.w, &in, mc.mask)
+					gotViol := got.violation()
+					if !reflect.DeepEqual(gotViol, wantViol) {
+						t.Fatalf("%s: violation %v, want %v", label, gotViol, wantViol)
+					}
+					if wantViol != nil {
+						violations++
+					} else if gotLat != wantLat {
+						t.Fatalf("%s: latency %d, want %d", label, gotLat, wantLat)
+					}
+					if err := diffRigs(got, want); err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
 				}
-				if violations < 20 {
-					t.Fatalf("only %d violating instructions seen", violations)
-				}
-				if ev := got.g.l2.Stats().Evictions; ev == 0 {
-					t.Fatal("no L2 eviction: the set-overflow cases did not overflow")
-				}
-			})
-		}
+			}
+			if violations < 20 {
+				t.Fatalf("only %d violating instructions seen", violations)
+			}
+			if ev := got.g.l2.Stats().Evictions; ev == 0 {
+				t.Fatal("no L2 eviction: the set-overflow cases did not overflow")
+			}
+		})
 	}
-}
-
-// issue runs one memory instruction the way the engine would and returns
-// its latency: at once for serial stepping; for parallel stepping, recorded
-// in compute mode and replayed by commitCycle, with the two lines of step's
-// epilogue that hand a deferred memory phase its warp.
-func (r *warpRig) issue(in *isa.Instr, mask uint32, parallel bool) int {
-	c := r.c
-	c.pi = -1
-	if !parallel {
-		return c.execute(r.w, in, mask)
-	}
-	c.deferOps = true
-	lat := c.execute(r.w, in, mask)
-	c.deferOps = false
-	if c.pi < 0 {
-		return lat // nothing touched shared state: LDS/STS, an empty mask
-	}
-	if !c.stop {
-		c.pend[c.pi].setBusy = true
-		r.w.pendBusy = c.pi + 1
-	}
-	r.g.commitCycle()
-	return int(r.w.busyUntil - r.g.cycle)
 }

@@ -344,6 +344,5 @@ func (g *GPU) stopLaunch(onArrival bool) (*LaunchResult, error) {
 	if onArrival {
 		g.cycle--
 	}
-	g.stopPool()
 	return nil, ErrGoldenRun
 }

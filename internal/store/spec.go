@@ -19,27 +19,22 @@ import (
 // resumable: the re-run derives the same fault list and skips the indices
 // already on disk.
 type Spec struct {
-	App       string `json:"app"`
-	Scale     int    `json:"scale,omitempty"` // problem-size scale, default 1
-	GPU       string `json:"gpu"`
-	Kernel    string `json:"kernel"`
-	Structure string `json:"structure"`
-	Runs      int    `json:"runs"`
-	Bits      int    `json:"bits,omitempty"` // fault multiplicity, default 1
-	WarpWide  bool   `json:"warp_wide,omitempty"`
-	Blocks    int    `json:"blocks,omitempty"`
-	Seed      int64  `json:"seed"`
-	Workers   int    `json:"workers,omitempty"`
-
-	// ParallelCores sets the prefix run's intra-simulation core-stepping
-	// worker count (0 or 1 = serial). Bit-identical either way; it only
-	// affects wall-clock time, so it is excluded from the campaign ID.
-	ParallelCores int      `json:"parallel_cores,omitempty"`
-	Invocation    int      `json:"invocation,omitempty"`
-	Simultaneous  []string `json:"simultaneous,omitempty"`
-	Lenient       bool     `json:"lenient_memory,omitempty"`
-	ECC           bool     `json:"ecc,omitempty"`
-	L2Queue       int      `json:"l2_queue,omitempty"`
+	App          string   `json:"app"`
+	Scale        int      `json:"scale,omitempty"` // problem-size scale, default 1
+	GPU          string   `json:"gpu"`
+	Kernel       string   `json:"kernel"`
+	Structure    string   `json:"structure"`
+	Runs         int      `json:"runs"`
+	Bits         int      `json:"bits,omitempty"` // fault multiplicity, default 1
+	WarpWide     bool     `json:"warp_wide,omitempty"`
+	Blocks       int      `json:"blocks,omitempty"`
+	Seed         int64    `json:"seed"`
+	Workers      int      `json:"workers,omitempty"`
+	Invocation   int      `json:"invocation,omitempty"`
+	Simultaneous []string `json:"simultaneous,omitempty"`
+	Lenient      bool     `json:"lenient_memory,omitempty"`
+	ECC          bool     `json:"ecc,omitempty"`
+	L2Queue      int      `json:"l2_queue,omitempty"`
 
 	// ExpTimeoutMS is the per-experiment wall-clock deadline in
 	// milliseconds (0 = none): a simulator-side hang is classified as a
@@ -111,7 +106,7 @@ func (s Spec) Config() (*core.CampaignConfig, error) {
 	cfg := &core.CampaignConfig{
 		App: app, GPU: gpu, Kernel: s.Kernel, Structure: st,
 		Runs: s.Runs, Bits: s.Bits, WarpWide: s.WarpWide, Blocks: s.Blocks,
-		Seed: s.Seed, Workers: s.Workers, ParallelCores: s.ParallelCores,
+		Seed: s.Seed, Workers: s.Workers,
 		Invocation: s.Invocation,
 		ExpTimeout: time.Duration(s.ExpTimeoutMS) * time.Millisecond,
 		Trace:      s.Trace,

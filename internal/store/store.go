@@ -580,11 +580,6 @@ func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profil
 // different campaign. The JSON encoding is the comparison domain — it is
 // also what the config record stores, so empty and nil slices coincide.
 func SameSpec(a, b Spec) bool {
-	// ParallelCores only changes how fast the fault-free prefix runs —
-	// outcomes and journal bytes are bit-identical for any value — so a
-	// resume may legitimately pick a different count for the machine it
-	// lands on.
-	a.ParallelCores, b.ParallelCores = 0, 0
 	ra, errA := json.Marshal(a.normalize())
 	rb, errB := json.Marshal(b.normalize())
 	return errA == nil && errB == nil && bytes.Equal(ra, rb)

@@ -126,8 +126,9 @@ func TestKillAndResume(t *testing.T) {
 }
 
 // TestResumeConfigFromOlderBuild: a campaign directory whose config record
-// still carries "legacy_replay": true — written by a build that had the
-// full-replay engine — must open, match the submitted spec, resume, and
+// still carries "legacy_replay": true and "parallel_cores": 4 — written by a
+// build that had the full-replay engine and the parallel core stepper — must
+// open, match the submitted spec, resume, and
 // finish with a journal byte-identical to a fresh run of the same spec.
 // One worker keeps completion order, and so journal bytes, deterministic.
 func TestResumeConfigFromOlderBuild(t *testing.T) {
@@ -182,6 +183,7 @@ func TestResumeConfigFromOlderBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec["legacy_replay"] = true
+	rec["parallel_cores"] = 4
 	if raw, err = json.MarshalIndent(rec, "", "  "); err != nil {
 		t.Fatal(err)
 	}
