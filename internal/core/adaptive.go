@@ -134,11 +134,11 @@ func analyticallyMasked(cfg *CampaignConfig, spec *sim.FaultSpec, accesses []sim
 
 // PlanAnalytic runs the access pre-pass for a campaign point and returns
 // one journal-ready Masked record per provably never-read index, covering
-// ALL Runs indices (completed or not) in index order. The distributed
+// ALL Runs indices (completed or not) in index order, for SeedAdaptive: the
 // coordinator journals the pending ones itself and excludes them from the
-// shards it plans; records for completed indices size the estimator's
-// strata. Returns nil for campaign points the pre-pass cannot soundly
-// cover (ineligible structures, simultaneous faults, absent structures).
+// shards it plans. Returns nil for campaign points the pre-pass cannot
+// soundly cover (ineligible structures, simultaneous faults, absent
+// structures).
 func PlanAnalytic(ctx context.Context, cfg *CampaignConfig, prof *Profile) ([]Experiment, error) {
 	if !analyticEligible(cfg) {
 		return nil, nil
@@ -181,20 +181,46 @@ func analyticRecords(cfg *CampaignConfig, prof *Profile, specs []*sim.FaultSpec,
 	return recs
 }
 
+// SeedAdaptive is where an adaptive campaign point starts, on one process
+// or under the shard coordinator: given the pre-pass's records for ALL
+// indices (nil when the point is ineligible), it returns the tracker seeded
+// with both strata and the records still to be journaled, in index order.
+// The strata sizes cover the whole campaign, and a resumed prior — the
+// journal's tally, which pools both strata — is split back by peeling the
+// completed analytic indices off its Masked count (an analytically masked
+// index was journaled Masked no matter which earlier run handled it), so
+// only simulated outcomes enter the binomial.
+func SeedAdaptive(cfg *CampaignConfig, recs []Experiment, prior avf.Counts) (*plan.Tracker, []Experiment) {
+	journaled := make(map[int]bool, len(cfg.Completed))
+	for _, i := range cfg.Completed {
+		journaled[i] = true
+	}
+	var pending []Experiment
+	for _, e := range recs {
+		if !journaled[e.ID] {
+			pending = append(pending, e)
+		}
+	}
+	tracker := plan.NewTracker(*cfg.Plan)
+	tracker.AddAnalytic(len(recs))
+	tracker.SetStratum(cfg.Runs - len(recs))
+	prior.Masked = max(prior.Masked-(len(recs)-len(pending)), 0)
+	tracker.AddCounts(prior)
+	return tracker, pending
+}
+
 // runAdaptive executes a campaign point under cfg.Plan: analytic pre-pass,
 // then stratified rounds on the fork engine with a stop check between
 // rounds. Journal/Quarantine/Trace/Progress semantics are the engine's
 // own; analytic records reach the hooks through the same deliver call.
 func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan) (*CampaignResult, error) {
-	tracker := plan.NewTracker(*cfg.Plan)
-
 	res := &CampaignResult{
 		App: prof.App, GPU: prof.GPU, Kernel: cfg.Kernel,
 		Structure: cfg.Structure.String(), Bits: cfg.Bits,
 		Runs: cfg.Runs, Seed: cfg.Seed, Exps: []Experiment{},
 	}
 
-	simPending := cp.pending
+	var recs []Experiment
 	if analyticEligible(cfg) {
 		accesses, err := AccessPrepass(ctx, cfg)
 		if err != nil {
@@ -203,49 +229,24 @@ func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *ca
 			}
 			return nil, err
 		}
-		// Classify ALL indices, pending or completed: the strata sizes the
-		// estimator scales by cover the whole campaign, and the analytic
-		// membership of already-journaled indices is what lets a resumed
-		// prior be split back into its strata (an analytically masked index
-		// was journaled Masked no matter which earlier run handled it).
-		recs := analyticRecords(cfg, prof, cp.specs, accesses)
-		analyticTotal, analyticPending := len(recs), 0
-		byID := make(map[int]Experiment, len(recs))
-		for _, e := range recs {
-			byID[e.ID] = e
+		recs = analyticRecords(cfg, prof, cp.specs, accesses)
+	}
+	tracker, analytic := SeedAdaptive(cfg, recs, cfg.PlanPrior)
+	masked := make(map[int]bool, len(analytic))
+	for _, exp := range analytic {
+		masked[exp.ID] = true
+		if err := cfg.deliver(exp); err != nil {
+			return nil, err
 		}
-		keep := simPending[:0:0]
-		for _, i := range simPending {
-			exp, ok := byID[i]
-			if !ok {
-				keep = append(keep, i)
-				continue
-			}
-			analyticPending++
-			if err := cfg.deliver(exp); err != nil {
-				return nil, err
-			}
-			exp.Trace = nil
-			res.Exps = append(res.Exps, exp)
-			res.Counts.Masked++
+		exp.Trace = nil
+		res.Exps = append(res.Exps, exp)
+		res.Counts.Masked++
+	}
+	simPending := make([]int, 0, len(cp.pending)-len(analytic))
+	for _, i := range cp.pending {
+		if !masked[i] {
+			simPending = append(simPending, i)
 		}
-		simPending = keep
-		tracker.AddAnalytic(analyticTotal)
-		tracker.SetStratum(cfg.Runs - analyticTotal)
-		// The resumed prior pools both strata; peel the analytic Masked
-		// records (completed analytic indices) off so only simulated
-		// outcomes enter the binomial.
-		prior := cfg.PlanPrior
-		if completedAnalytic := analyticTotal - analyticPending; completedAnalytic > 0 {
-			prior.Masked -= completedAnalytic
-			if prior.Masked < 0 {
-				prior.Masked = 0
-			}
-		}
-		tracker.AddCounts(prior)
-	} else {
-		// No analytic stratum: the prior is all simulated outcomes.
-		tracker.AddCounts(cfg.PlanPrior)
 	}
 
 	// Stratified execution order over the to-simulate sites: any stopped
@@ -261,30 +262,22 @@ func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *ca
 	}
 
 	simulated := 0
-	for off := 0; off < len(queue); {
+	var err error
+	for off := 0; off < len(queue) && err == nil; {
 		n := tracker.SuggestNext(len(queue) - off)
 		if n == 0 {
 			break
 		}
-		round := queue[off : off+n]
+		var r *CampaignResult
+		r, err = runPoint(ctx, cfg, prof, cp, queue[off:off+n])
 		off += n
-		r, err := runPoint(ctx, cfg, prof, cp, round)
 		if r != nil {
 			res.Counts.Merge(r.Counts)
 			res.Exps = append(res.Exps, r.Exps...)
 			tracker.AddCounts(r.Counts)
 			simulated += r.Counts.Total()
 		}
-		if err != nil {
-			res.Plan = planReport(tracker, simulated, len(queue)-simulated)
-			return res, err
-		}
 	}
-	res.Plan = planReport(tracker, simulated, len(queue)-simulated)
-	return res, nil
-}
-
-// planReport snapshots the tracker into the result's report.
-func planReport(t *plan.Tracker, simulated, skipped int) *PlanReport {
-	return &PlanReport{Status: t.Status(), Simulated: simulated, Skipped: skipped}
+	res.Plan = &PlanReport{Status: tracker.Status(), Simulated: simulated, Skipped: len(queue) - simulated}
+	return res, err
 }

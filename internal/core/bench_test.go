@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-	"encoding/json"
-	"os"
 	"syscall"
 	"testing"
 	"time"
@@ -18,7 +16,9 @@ import (
 // The two benchmarks here measure the fork engine against the reference
 // implementations only this package's tests can reach: the full-replay
 // oracle (oracle_test.go) and the deep-clone restore baseline
-// (CampaignConfig.deepClone). Their JSON artifacts feed benchmarks/compare.
+// (CampaignConfig.deepClone). Each fails on any outcome disagreement, which
+// is what CI runs one iteration of them for; the ratios they print are
+// reading matter, not gates — a pass is ~20 ms on the recording host.
 
 // benchPoint is the campaign both benchmarks run: 300 register-file
 // injections into the last invocation of BP's bp_adjust kernel — a late
@@ -41,30 +41,11 @@ func benchPoint(b *testing.B) (*CampaignConfig, *Profile) {
 	}, prof
 }
 
-// writeBenchJSON dumps a benchmark's numbers to the file named by env, if
-// set, so runs can be compared across commits without scraping output.
-func writeBenchJSON(b *testing.B, env string, out map[string]any) {
-	b.Helper()
-	path := os.Getenv(env)
-	if path == "" {
-		return
-	}
-	raw, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
 // BenchmarkCampaignForkVsReplay runs the benchmark point on the
 // snapshot-and-fork engine and on the full-replay oracle. Each iteration
 // verifies the two produce bit-identical Counts and reports the wall-clock
 // speedup, plus the cost of propagation tracing and of span
-// instrumentation on the fork engine. BENCH_CAMPAIGN_JSON and
-// BENCH_OBS_JSON name the artifacts benchmarks/compare gates (speedup_x,
-// trace_overhead_ratio, span_overhead_ratio).
+// instrumentation on the fork engine.
 func BenchmarkCampaignForkVsReplay(b *testing.B) {
 	base, prof := benchPoint(b)
 	// spanCtx enables the distributed-tracing spans (engine phase spans to
@@ -93,8 +74,7 @@ func BenchmarkCampaignForkVsReplay(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// The fork, traced, and spans arms run twice, keeping the per-pair
 		// minimum: the overhead ratios below compare short wall-clock
-		// measurements, and min-of-two strips scheduler noise that a single
-		// -benchtime=1x sample would pass straight into the CI gate.
+		// measurements, and min-of-two strips some of the scheduler noise.
 		fork, tf1 := run(nil, RunCampaign, false)
 		replay, tr := run(nil, replayCampaign, false)
 		traced, tt1 := run(nil, RunCampaign, true)
@@ -124,30 +104,6 @@ func BenchmarkCampaignForkVsReplay(b *testing.B) {
 	b.ReportMetric(overhead*100, "trace-overhead-%")
 	spanOverhead := float64(spansTime)/float64(forkTime) - 1
 	b.ReportMetric(spanOverhead*100, "span-overhead-%")
-
-	writeBenchJSON(b, "BENCH_OBS_JSON", map[string]any{
-		"benchmark":              "BenchmarkCampaignForkVsReplay",
-		"iterations":             b.N,
-		"runs_per_campaign":      base.Runs,
-		"fork_ns_per_op":         forkTime.Nanoseconds() / int64(b.N),
-		"traced_fork_ns_per_op":  tracedTime.Nanoseconds() / int64(b.N),
-		"trace_overhead_ratio":   float64(tracedTime) / float64(forkTime),
-		"trace_overhead_percent": overhead * 100,
-		"spans_fork_ns_per_op":   spansTime.Nanoseconds() / int64(b.N),
-		"span_overhead_ratio":    float64(spansTime) / float64(forkTime),
-		"span_overhead_percent":  spanOverhead * 100,
-	})
-	exps := int64(base.Runs) * int64(b.N)
-	writeBenchJSON(b, "BENCH_CAMPAIGN_JSON", map[string]any{
-		"benchmark":                  "BenchmarkCampaignForkVsReplay",
-		"iterations":                 b.N,
-		"runs_per_campaign":          base.Runs,
-		"fork_ns_per_op":             forkTime.Nanoseconds() / int64(b.N),
-		"replay_ns_per_op":           replayTime.Nanoseconds() / int64(b.N),
-		"fork_experiments_per_sec":   float64(exps) / forkTime.Seconds(),
-		"replay_experiments_per_sec": float64(exps) / replayTime.Seconds(),
-		"speedup_x":                  float64(replayTime) / float64(forkTime),
-	})
 }
 
 // BenchmarkCOWForkVsDeepClone runs the benchmark point on the fork
@@ -155,8 +111,7 @@ func BenchmarkCampaignForkVsReplay(b *testing.B) {
 // baseline. Each iteration verifies bit-identical Counts, then reports the
 // wall-clock ratio and — the number the COW work actually targets — the
 // per-experiment fork+recycle cost (vessel restore plus snapshot capture
-// nanoseconds, metered via EngineStats deltas). BENCH_FORK_JSON names the
-// artifact benchmarks/compare gates (fork_recycle_speedup, wall_speedup).
+// nanoseconds, metered via EngineStats deltas).
 func BenchmarkCOWForkVsDeepClone(b *testing.B) {
 	base, prof := benchPoint(b)
 	// run executes one campaign and returns its result, wall-clock, and
@@ -179,15 +134,14 @@ func BenchmarkCOWForkVsDeepClone(b *testing.B) {
 	}
 	var cowWall, deepWall time.Duration
 	var cowSync, deepSync int64
-	var cowStats EngineCounters
+	var dirtyRatio float64 // of the first COW campaign
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// Min-of-two per arm: the gate compares two short wall-clock
-		// measurements, and the minimum strips scheduler noise a single
-		// sample would pass straight into CI.
-		statsBefore := EngineStats()
+		// Min-of-two per arm: these are short wall-clock measurements, and
+		// the minimum strips some of the scheduler noise.
+		before := EngineStats()
 		cowRes, cw1, cs1 := run(false)
-		statsAfter := EngineStats()
+		after := EngineStats()
 		deepRes, dw1, ds1 := run(true)
 		_, cw2, cs2 := run(false)
 		_, dw2, ds2 := run(true)
@@ -198,8 +152,9 @@ func BenchmarkCOWForkVsDeepClone(b *testing.B) {
 		deepWall += min(dw1, dw2)
 		cowSync += min(cs1, cs2)
 		deepSync += min(ds1, ds2)
-		if i == 0 {
-			cowStats = diffCounters(statsBefore, statsAfter)
+		copied, avoided := after.COWBytesCopied-before.COWBytesCopied, after.COWBytesAvoided-before.COWBytesAvoided
+		if i == 0 && copied+avoided > 0 {
+			dirtyRatio = float64(copied) / float64(copied+avoided)
 		}
 	}
 	perExpCow := float64(cowSync) / float64(base.Runs*b.N)
@@ -211,44 +166,7 @@ func BenchmarkCOWForkVsDeepClone(b *testing.B) {
 	b.ReportMetric(perExpDeep, "deep-fork-ns/exp")
 	b.ReportMetric(syncRatio, "fork-speedup-x")
 	b.ReportMetric(float64(deepWall)/float64(cowWall), "wall-speedup-x")
-	b.ReportMetric(cowStats.COWDirtyRatio, "dirty-ratio")
-
-	writeBenchJSON(b, "BENCH_FORK_JSON", map[string]any{
-		"benchmark":             "BenchmarkCOWForkVsDeepClone",
-		"iterations":            b.N,
-		"runs_per_campaign":     base.Runs,
-		"cow_wall_ns_per_op":    cowWall.Nanoseconds() / int64(b.N),
-		"deep_wall_ns_per_op":   deepWall.Nanoseconds() / int64(b.N),
-		"cow_fork_ns_per_exp":   perExpCow,
-		"deep_fork_ns_per_exp":  perExpDeep,
-		"fork_recycle_speedup":  syncRatio,
-		"wall_speedup":          float64(deepWall) / float64(cowWall),
-		"cow_dirty_ratio":       cowStats.COWDirtyRatio,
-		"cow_bytes_copied":      cowStats.COWBytesCopied,
-		"cow_bytes_avoided":     cowStats.COWBytesAvoided,
-		"cow_full_restores":     cowStats.COWFullRestores,
-		"warps_shared":          cowStats.WarpsShared,
-		"warps_materialized":    cowStats.WarpsMaterialized,
-		"resident_bytes_copied": cowStats.ResidentBytesCopied,
-	})
-}
-
-// diffCounters subtracts two cumulative EngineCounters readings, keeping
-// only the COW fields the fork benchmark reports.
-func diffCounters(before, after EngineCounters) EngineCounters {
-	d := EngineCounters{
-		COWRestores:         after.COWRestores - before.COWRestores,
-		COWFullRestores:     after.COWFullRestores - before.COWFullRestores,
-		COWBytesCopied:      after.COWBytesCopied - before.COWBytesCopied,
-		COWBytesAvoided:     after.COWBytesAvoided - before.COWBytesAvoided,
-		WarpsShared:         after.WarpsShared - before.WarpsShared,
-		WarpsMaterialized:   after.WarpsMaterialized - before.WarpsMaterialized,
-		ResidentBytesCopied: after.ResidentBytesCopied - before.ResidentBytesCopied,
-	}
-	if tot := d.COWBytesCopied + d.COWBytesAvoided; tot > 0 {
-		d.COWDirtyRatio = float64(d.COWBytesCopied) / float64(tot)
-	}
-	return d
+	b.ReportMetric(dirtyRatio, "dirty-ratio")
 }
 
 var benchSpec *sim.FaultSpec

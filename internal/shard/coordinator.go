@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpufi/internal/avf"
@@ -79,11 +78,13 @@ type Stats struct {
 // Run call owns the store handle and blocks until the distributed workers
 // complete it (or ctx cancels it).
 //
-// Every control-plane transition is journaled to the campaign's control
-// WAL: plans and grants synchronously (they carry the fencing epochs),
-// renewals and merges batched (the journal is the source of truth for
-// merged indices; losing their tail costs nothing). A restarted
-// coordinator rebuilds its full in-memory state from WAL + journal.
+// The coordinator is the I/O shell around each campaign's shard table
+// (table.go), which owns every protocol transition: it holds the mutex,
+// the store and WAL handles, the clock, spans, logs and counters. What
+// the control WAL gets is exactly what a restart replays — plans and
+// grants, fsynced, since they carry the fencing epochs; the journal is the
+// source of truth for merged indices. A restarted coordinator rebuilds its
+// state from WAL + journal through the table's own plan and grant.
 type Coordinator struct {
 	st   *store.Store
 	opts Options
@@ -95,51 +96,33 @@ type Coordinator struct {
 	recovering map[string]bool         // campaigns mid-rebuild: answer ErrRecovering, not ErrUnknownShard
 	dead       bool                    // Crash() was called: refuse new registrations
 	workers    map[string]*WorkerStat
-
-	shardsPlanned    atomic.Int64
-	shardsCompleted  atomic.Int64
-	shardsReissued   atomic.Int64
-	batches          atomic.Int64
-	recordsMerged    atomic.Int64
-	recordsDuped     atomic.Int64
-	leaseExpiries    atomic.Int64
-	shardsRetired    atomic.Int64
-	experimentsSaved atomic.Int64
-	walRecords       atomic.Int64
-	walRebuilds      atomic.Int64
-	leasesFenced     atomic.Int64
+	stats      Stats // lifetime counters
 }
 
 // campaignRun is one campaign being coordinated: the open store handle,
 // the control WAL, the shard table, and the merge state. Once closed it is
-// a tombstone (entombLocked): id, reason, and what GET /v1/shards reports
-// per shard — enough to answer a late batch with the right typed error and
-// nothing that grows with the campaign's size. The journal on disk is the
-// ground truth for everything else.
+// a tombstone (endLocked): the table's ids, reason and per-shard counts —
+// enough to answer a late batch with the right typed error and GET
+// /v1/shards, and nothing that grows with the campaign's size. The journal
+// on disk is the ground truth for everything else.
 type campaignRun struct {
 	id       string
 	spec     store.Spec
 	app, gpu string // canonical profile names (may differ from spec aliases)
 	c        *store.Campaign
 	wal      *store.ControlWAL
-	gen      int // plan generation the shard table belongs to
-	shards   map[string]*shardState
-	sorder   []string // shard issue order (cycle order)
+	tab      *table
 
-	merged       map[int]bool // experiment indices journaled (incl. prior)
 	mergedTraces map[int]bool
-	total        int
 	newExps      []core.Experiment // merged this coordinator lifetime
 	onExp        func(core.Experiment)
 
 	// tracker is the adaptive campaign's stratified interval estimator
 	// (nil for fixed-N campaigns); simulated counts the simulated records
 	// merged across the campaign's whole life — seeded from the journal
-	// tally on a resume so the final report's strata add up — and
-	// satisfied marks an early finalize.
+	// tally on a resume so the final report's strata add up.
 	tracker   *plan.Tracker
 	simulated int
-	satisfied bool
 
 	// trace/rootSpan are the campaign's distributed-tracing linkage,
 	// taken from the service's root span at prepare time; zero when the
@@ -149,11 +132,9 @@ type campaignRun struct {
 	rootSpan    obs.SpanID
 	mergedSpans map[string]bool
 
-	closed bool   // no more claims/batches; reason says why
-	reason string // "done" | "cancelled" | "failed"
-	res    *core.CampaignResult
-	err    error
-	done   chan struct{} // closed exactly once, on any terminal state
+	res  *core.CampaignResult
+	err  error
+	done chan struct{} // closed exactly once, when the table closes
 }
 
 // WorkerStat is one worker's cumulative control-plane activity, for the
@@ -165,22 +146,6 @@ type WorkerStat struct {
 	Batches  int64
 	Records  int64
 	LastSeen time.Time
-}
-
-// shardState is the coordinator-side view of one shard.
-type shardState struct {
-	shard    Shard // Lease fields empty; filled per claim
-	indexSet map[int]bool
-	size     int              // len(indexSet), kept past the tombstone
-	merged   int              // how many of them are journaled
-	leases   map[string]int64 // token -> epoch it was granted at
-	epoch    int64            // current issue number; only this epoch may write
-	curLease string
-	worker   string
-	expiry   time.Time
-	done     bool
-	retired  bool // withdrawn by adaptive convergence, not merged
-	reissues int
 }
 
 // NewCoordinator builds a coordinator over st.
@@ -224,20 +189,9 @@ func (co *Coordinator) WorkerStats() []WorkerStat {
 
 // Stats snapshots the lifetime counters.
 func (co *Coordinator) Stats() Stats {
-	return Stats{
-		ShardsPlanned:    co.shardsPlanned.Load(),
-		ShardsCompleted:  co.shardsCompleted.Load(),
-		ShardsReissued:   co.shardsReissued.Load(),
-		Batches:          co.batches.Load(),
-		RecordsMerged:    co.recordsMerged.Load(),
-		RecordsDuped:     co.recordsDuped.Load(),
-		LeaseExpiries:    co.leaseExpiries.Load(),
-		ShardsRetired:    co.shardsRetired.Load(),
-		ExperimentsSaved: co.experimentsSaved.Load(),
-		WALRecords:       co.walRecords.Load(),
-		WALRebuilds:      co.walRebuilds.Load(),
-		LeasesFenced:     co.leasesFenced.Load(),
-	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.stats
 }
 
 // MarkRecovering flags a campaign as mid-rebuild: between a coordinator
@@ -288,20 +242,7 @@ func (co *Coordinator) Run(ctx context.Context, id string, spec store.Spec,
 	case <-run.done:
 	case <-ctx.Done():
 		co.mu.Lock()
-		if !run.closed {
-			run.closed = true
-			run.reason = "cancelled"
-			partial := &core.CampaignResult{App: run.app, GPU: run.gpu,
-				Exps: append([]core.Experiment(nil), run.newExps...)}
-			run.res = run.c.MergedResult(partial)
-			run.err = ctx.Err()
-			run.c.Close()
-			co.closeWALLocked(run)
-			close(run.done)
-			co.opts.Logger.Info("campaign coordination cancelled", "id", id,
-				"merged", len(run.merged), "total", run.total)
-			co.entombLocked(run)
-		}
+		co.cancelLocked(run, ctx.Err())
 		co.mu.Unlock()
 	}
 	co.mu.Lock()
@@ -316,7 +257,7 @@ func (co *Coordinator) Run(ctx context.Context, id string, spec store.Spec,
 // campaign's recovering flag on every exit path — success or error — so a
 // failed rebuild cannot park workers on 503s forever.
 func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
-	onExp func(core.Experiment)) (*campaignRun, *core.CampaignResult, error) {
+	onExp func(core.Experiment)) (run *campaignRun, early *core.CampaignResult, err error) {
 
 	defer co.clearRecovering(id)
 
@@ -339,9 +280,17 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	if c.Done {
 		return nil, c.MergedResult(nil), nil
 	}
+	var wal *store.ControlWAL
+	defer func() {
+		if err != nil {
+			c.Close()
+			if wal != nil {
+				wal.Close()
+			}
+		}
+	}()
 	if spec.Trace {
 		if err := c.EnableTraces(); err != nil {
-			c.Close()
 			return nil, nil, err
 		}
 	}
@@ -359,12 +308,18 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	profStart := time.Now()
 	prof, err := core.ProfileApp(ctx, cfg.App, cfg.GPU)
 	if err != nil {
-		c.Close()
 		return nil, nil, err
 	}
 	obs.EmitSpan(ctx, "coordinator.profile", profStart,
 		obs.Attr{K: "app", V: prof.App}, obs.Attr{K: "gpu", V: prof.GPU})
 	cfg.Completed = c.CompletedIDs()
+
+	run = &campaignRun{
+		id: id, spec: c.Spec, app: prof.App, gpu: prof.GPU, c: c, onExp: onExp,
+		trace: trace, rootSpan: rootSpan,
+		mergedTraces: make(map[int]bool), mergedSpans: make(map[string]bool),
+		done: make(chan struct{}),
+	}
 
 	// Adaptive campaigns: the coordinator owns the stop rule. The analytic
 	// pre-pass runs once, here — its Masked records are journaled
@@ -375,194 +330,130 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	// coordinator is the only place the sequential interval is evaluated.
 	// On a post-crash resume the pre-pass is a no-op append-wise (the
 	// analytic records are already journaled) but still seeds the tracker.
-	var (
-		tracker        *plan.Tracker
-		analyticExps   []core.Experiment
-		priorSimulated int
-	)
+	// The analytic records are this lifetime's merges too: they reach the
+	// final result's Exps and the caller's progress hook.
 	if cfg.Plan.Enabled() {
 		prepassStart := time.Now()
-		tracker = plan.NewTracker(*cfg.Plan)
 		recs, err := core.PlanAnalytic(ctx, cfg, prof)
 		if err != nil {
-			c.Close()
 			return nil, nil, err
 		}
-		prior := c.Counts
-		journaled := make(map[int]bool, len(cfg.Completed))
-		for _, i := range cfg.Completed {
-			journaled[i] = true
-		}
-		completedAnalytic := 0
-		for _, e := range recs {
-			if journaled[e.ID] {
-				completedAnalytic++
-				continue
-			}
+		var pending []core.Experiment
+		run.tracker, pending = core.SeedAdaptive(cfg, recs, c.Counts)
+		run.simulated = run.tracker.Counts().Total()
+		for _, e := range pending {
 			if err := c.Append(e); err != nil {
-				c.Close()
 				return nil, nil, err
 			}
 			if e.Trace != nil {
 				if err := c.AppendTrace(*e.Trace); err != nil {
-					c.Close()
 					return nil, nil, err
 				}
 				e.Trace = nil
 			}
 			cfg.Completed = append(cfg.Completed, e.ID)
-			analyticExps = append(analyticExps, e)
+			run.newExps = append(run.newExps, e)
+			if onExp != nil {
+				onExp(e)
+			}
 		}
-		tracker.AddAnalytic(len(recs))
-		tracker.SetStratum(c.Spec.Runs - len(recs))
-		// The journaled tally pools both strata; peel the analytic Masked
-		// records off so only simulated outcomes enter the binomial.
-		prior.Masked -= completedAnalytic
-		if prior.Masked < 0 {
-			prior.Masked = 0
-		}
-		tracker.AddCounts(prior)
-		priorSimulated = prior.Total()
 		obs.EmitSpan(ctx, "coordinator.prepass", prepassStart,
 			obs.Attr{K: "analytic", V: strconv.Itoa(len(recs))})
+	}
+	for _, i := range cfg.Completed {
+		run.mergedTraces[i] = true
 	}
 
 	// Fsync ordering invariant: the journal is synced BEFORE any control
 	// record can reference its state, so a durable plan never presumes
 	// analytic appends that a crash could un-write.
 	if err := c.Sync(); err != nil {
-		c.Close()
 		return nil, nil, err
 	}
 	ctl, torn, wal, err := co.st.OpenControlWAL(id)
 	if err != nil {
-		c.Close()
 		return nil, nil, err
 	}
+	run.wal = wal
 	if torn {
 		co.opts.Logger.Warn("control WAL had a torn final record; cut", "id", id)
 	}
 
-	run := &campaignRun{
-		id: id, spec: c.Spec, app: prof.App, gpu: prof.GPU,
-		c: c, wal: wal, total: c.Spec.Runs, onExp: onExp,
-		tracker: tracker, simulated: priorSimulated,
-		trace: trace, rootSpan: rootSpan,
-		shards: make(map[string]*shardState),
-		merged: make(map[int]bool), mergedTraces: make(map[int]bool),
-		mergedSpans: make(map[string]bool),
-		done:        make(chan struct{}),
-	}
-	for _, i := range cfg.Completed {
-		run.merged[i] = true
-		run.mergedTraces[i] = true
-	}
-	// The analytic records are this lifetime's merges too: they must reach
-	// the final result's Exps and the caller's progress hook.
-	run.newExps = append(run.newExps, analyticExps...)
-	if onExp != nil {
-		for _, e := range analyticExps {
-			onExp(e)
+	// The table: replayed from the WAL, or planned afresh and written to it.
+	tableStart, now := time.Now(), co.now()
+	tab := newTable(id, c.Spec.Runs, cfg.Completed)
+	run.tab = tab
+	gen, rebuilt := replay(tab, ctl, now.Add(co.opts.LeaseTTL))
+	genAttr := obs.Attr{K: "gen", V: strconv.Itoa(gen)}
+	if rebuilt {
+		live := 0
+		for _, ss := range tab.shards {
+			if ss.state(now) == "leased" {
+				live++
+			}
 		}
-	}
-
-	tableStart := time.Now()
-	if rb, ok := rebuildFromWAL(ctl, run.merged, run.total, co.now(), co.opts.LeaseTTL); ok {
-		run.gen = rb.gen
-		run.shards = rb.shards
-		run.sorder = rb.sorder
-		for _, ss := range run.shards {
-			ss.shard.Campaign = id
-			ss.shard.Spec = c.Spec
-		}
-		co.walRebuilds.Add(1)
-		co.shardsPlanned.Add(int64(len(run.sorder)))
-		obs.EmitSpan(ctx, "coordinator.recover", tableStart,
-			obs.Attr{K: "gen", V: strconv.Itoa(run.gen)},
-			obs.Attr{K: "shards", V: strconv.Itoa(len(run.sorder))},
-			obs.Attr{K: "live_leases", V: strconv.Itoa(rb.liveLeases)})
+		obs.EmitSpan(ctx, "coordinator.recover", tableStart, genAttr,
+			obs.Attr{K: "shards", V: strconv.Itoa(len(tab.order))},
+			obs.Attr{K: "live_leases", V: strconv.Itoa(live)})
 		co.opts.Logger.Info("shard state rebuilt from control WAL", "id", id,
-			"gen", run.gen, "shards", len(run.sorder), "live_leases", rb.liveLeases)
+			"gen", gen, "shards", len(tab.order), "live_leases", live)
 	} else {
-		parts, err := core.PlanShards(cfg, prof, co.opts.ShardsPerCampaign)
+		idxs, err := core.PlanShards(cfg, prof, co.opts.ShardsPerCampaign)
 		if err != nil {
-			c.Close()
-			wal.Close()
 			return nil, nil, err
 		}
-		run.gen = maxGen(ctl) + 1
-		for k, idxs := range parts {
-			sid := fmt.Sprintf("%s:%d:%d", id, run.gen, k)
-			set := make(map[int]bool, len(idxs))
-			for _, i := range idxs {
-				set[i] = true
-			}
-			run.shards[sid] = &shardState{
-				shard: Shard{
-					ID: sid, Campaign: id, Spec: c.Spec,
-					Indices: idxs, Clusters: 1, // clusters per shard not exposed by the planner
-				},
-				indexSet: set, size: len(idxs), // a plan covers pending indices only: merged 0
-				leases: make(map[string]int64),
-			}
-			run.sorder = append(run.sorder, sid)
+		parts := make([]part, len(idxs))
+		for k := range idxs {
+			parts[k] = part{id: fmt.Sprintf("%s:%d:%d", id, gen, k), indices: idxs[k]}
 		}
+		tab.plan(gen, parts)
 		// Journal the plan, then the generation-complete marker, one fsync
 		// for the set: a crash mid-plan leaves a generation without its
 		// plan_done, and the next lifetime discards it and re-plans.
-		for _, sid := range run.sorder {
-			ss := run.shards[sid]
+		for _, p := range parts {
 			if err := wal.Append(store.ControlRecord{Kind: store.CtlPlan,
-				Gen: run.gen, Shard: sid, Indices: ss.shard.Indices}); err != nil {
-				c.Close()
-				wal.Close()
+				Gen: gen, Shard: p.id, Indices: p.indices}); err != nil {
 				return nil, nil, err
 			}
-			co.walRecords.Add(1)
 		}
 		fsyncStart := time.Now()
 		if err := wal.AppendSync(store.ControlRecord{Kind: store.CtlPlanDone,
-			Gen: run.gen, Count: len(run.sorder)}); err != nil {
-			c.Close()
-			wal.Close()
+			Gen: gen, Count: len(parts)}); err != nil {
 			return nil, nil, err
 		}
 		obs.EmitSpan(ctx, "wal.fsync", fsyncStart, obs.Attr{K: "kind", V: "plan_done"})
-		co.walRecords.Add(1)
-		co.shardsPlanned.Add(int64(len(parts)))
-		obs.EmitSpan(ctx, "coordinator.plan", tableStart,
-			obs.Attr{K: "gen", V: strconv.Itoa(run.gen)},
+		obs.EmitSpan(ctx, "coordinator.plan", tableStart, genAttr,
 			obs.Attr{K: "shards", V: strconv.Itoa(len(parts))})
 	}
 
 	co.mu.Lock()
+	defer co.mu.Unlock()
+	co.stats.ShardsPlanned += int64(len(tab.order))
+	if rebuilt {
+		co.stats.WALRebuilds++
+	} else {
+		co.stats.WALRecords += int64(len(tab.order)) + 1
+	}
 	if co.dead {
-		co.mu.Unlock()
-		c.Close()
-		wal.Close()
 		return nil, nil, errors.New("shard: coordinator crashed")
 	}
-	if prev, ok := co.campaigns[id]; ok && !prev.closed {
-		co.mu.Unlock()
-		c.Close()
-		wal.Close()
+	if prev, ok := co.campaigns[id]; ok && !prev.tab.closed {
 		return nil, nil, fmt.Errorf("shard: campaign %s is already being coordinated", id)
 	}
 	co.campaigns[id] = run
 	co.order = append(co.order, id)
+	co.opts.Logger.Info("campaign sharded", "id", id, "gen", gen,
+		"shards", len(tab.order), "pending", tab.pending())
 	switch {
-	case len(run.merged) == run.total:
+	case tab.pending() == 0:
 		// Nothing pending (fully journaled campaign resumed, or the
 		// pre-pass covered every remaining index): finalize now.
-		co.finalizeLocked(run, prof.App, prof.GPU)
-	case tracker != nil && tracker.Satisfied():
+		co.finalizeLocked(run)
+	case run.tracker != nil && run.tracker.Satisfied():
 		// The resumed prior (plus the analytic stratum) already meets the
 		// rule: no shard ever gets claimed.
 		co.satisfyLocked(run)
 	}
-	co.mu.Unlock()
-	co.opts.Logger.Info("campaign sharded", "id", id, "gen", run.gen,
-		"shards", len(run.sorder), "pending", run.total-len(cfg.Completed))
 	return run, nil, nil
 }
 
@@ -573,21 +464,20 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 func (co *Coordinator) Revoke(id string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	run, ok := co.campaigns[id]
-	if !ok || run.closed {
+	if run, ok := co.campaigns[id]; ok {
+		co.cancelLocked(run, context.Canceled)
+	}
+}
+
+// cancelLocked closes a campaign that is still open as cancelled: Run
+// returns the partial merged result with err. Caller holds co.mu.
+func (co *Coordinator) cancelLocked(run *campaignRun, err error) {
+	if run.tab.closed {
 		return
 	}
-	run.closed = true
-	run.reason = "cancelled"
-	run.res = run.c.MergedResult(&core.CampaignResult{
-		App: run.app, GPU: run.gpu,
-		Exps: append([]core.Experiment(nil), run.newExps...)})
-	run.err = context.Canceled
-	run.c.Close()
-	co.closeWALLocked(run)
-	close(run.done)
-	co.entombLocked(run)
-	co.opts.Logger.Info("campaign revoked", "id", id)
+	co.opts.Logger.Info("campaign coordination cancelled", "id", run.id,
+		"merged", run.tab.total-run.tab.pending(), "total", run.tab.total)
+	co.endLocked(run, "cancelled", run.result(), err)
 }
 
 // Crash simulates the coordinator process dying, for the chaos harness:
@@ -601,15 +491,9 @@ func (co *Coordinator) Crash() {
 	defer co.mu.Unlock()
 	co.dead = true
 	for _, run := range co.campaigns {
-		if run.closed {
-			continue
+		if !run.tab.closed {
+			co.endLocked(run, "failed", nil, errors.New("shard: coordinator crashed"))
 		}
-		run.closed = true
-		run.reason = "failed"
-		run.err = errors.New("shard: coordinator crashed")
-		run.wal = nil // deliberately leaked: a crash flushes nothing
-		close(run.done)
-		co.entombLocked(run)
 	}
 	co.opts.Logger.Warn("coordinator crashed (simulated)")
 }
@@ -626,63 +510,46 @@ func (co *Coordinator) Claim(worker string) (*Shard, error) {
 	now := co.now()
 	for _, id := range co.order {
 		run := co.campaigns[id]
-		for _, sid := range run.sorder {
-			ss := run.shards[sid]
-			if ss.done {
-				continue
-			}
-			if ss.curLease != "" && now.Before(ss.expiry) {
-				continue
-			}
-			expired := ss.curLease != ""
-			if expired {
-				co.walAppend(run, store.ControlRecord{Kind: store.CtlExpire,
-					Shard: sid, Lease: ss.curLease, Epoch: ss.epoch, Worker: ss.worker})
-			}
-			claimStart := time.Now()
-			lease := newLease()
-			epoch := ss.epoch + 1
-			if run.wal != nil {
-				fsyncStart := time.Now()
-				if err := run.wal.AppendSync(store.ControlRecord{Kind: store.CtlGrant,
-					Gen: run.gen, Shard: sid, Lease: lease, Epoch: epoch, Worker: worker}); err != nil {
-					return nil, fmt.Errorf("shard: journal grant for %s: %v", sid, err)
-				}
-				co.walRecords.Add(1)
-				obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "wal.fsync",
-					fsyncStart, obs.Attr{K: "kind", V: "grant"}, obs.Attr{K: "shard", V: sid})
-			}
-			if expired {
-				co.leaseExpiries.Add(1)
-				co.shardsReissued.Add(1)
-				ss.reissues++
-				co.opts.Logger.Warn("lease expired; re-issuing shard",
-					"shard", sid, "dead_worker", ss.worker, "to", worker, "epoch", epoch)
-			}
-			ss.epoch = epoch
-			ss.leases[lease] = epoch
-			ss.curLease = lease
-			ss.worker = worker
-			ss.expiry = now.Add(co.opts.LeaseTTL)
-			sh := ss.shard // copy
-			sh.Lease = lease
-			sh.LeaseTTLMS = co.opts.LeaseTTL.Milliseconds()
-			sh.Epoch = epoch
-			if !run.trace.IsZero() {
-				// Stamped per grant, not per plan: a rebuilt shard table and
-				// a re-issued shard both inherit the campaign's original
-				// trace, so successor workers extend the same timeline.
-				sh.Trace = run.trace.String()
-				sh.Span = run.rootSpan.String()
-			}
-			co.touchWorker(worker, 1, 0, 0)
-			obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "coordinator.claim",
-				claimStart, obs.Attr{K: "shard", V: sid}, obs.Attr{K: "worker", V: worker},
-				obs.Attr{K: "epoch", V: strconv.FormatInt(epoch, 10)})
-			co.opts.Logger.Info("shard claimed", "shard", sid, "worker", worker,
-				"indices", len(sh.Indices), "epoch", epoch, "reissues", ss.reissues)
-			return &sh, nil
+		ss := run.tab.claimable(now)
+		if ss == nil {
+			continue
 		}
+		claimStart := time.Now()
+		lease, epoch := newLease(), ss.epoch+1
+		fsyncStart := time.Now()
+		if err := run.wal.AppendSync(store.ControlRecord{Kind: store.CtlGrant,
+			Gen: run.tab.gen, Shard: ss.id, Lease: lease, Epoch: epoch, Worker: worker}); err != nil {
+			return nil, fmt.Errorf("shard: journal grant for %s: %v", ss.id, err)
+		}
+		co.stats.WALRecords++
+		obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "wal.fsync",
+			fsyncStart, obs.Attr{K: "kind", V: "grant"}, obs.Attr{K: "shard", V: ss.id})
+		if ss.curLease != "" {
+			co.stats.LeaseExpiries++
+			co.stats.ShardsReissued++
+			co.opts.Logger.Warn("lease expired; re-issuing shard",
+				"shard", ss.id, "dead_worker", ss.worker, "to", worker, "epoch", epoch)
+		}
+		run.tab.grant(ss.id, lease, epoch, worker, now.Add(co.opts.LeaseTTL))
+		sh := &Shard{
+			ID: ss.id, Campaign: id, Spec: run.spec, Indices: ss.indices,
+			Clusters: 1, // clusters per shard not exposed by the planner
+			Lease:    lease, LeaseTTLMS: co.opts.LeaseTTL.Milliseconds(), Epoch: epoch,
+		}
+		if !run.trace.IsZero() {
+			// Stamped per grant, not per plan: a rebuilt shard table and
+			// a re-issued shard both inherit the campaign's original
+			// trace, so successor workers extend the same timeline.
+			sh.Trace = run.trace.String()
+			sh.Span = run.rootSpan.String()
+		}
+		co.touchWorker(worker, 1, 0, 0)
+		obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "coordinator.claim",
+			claimStart, obs.Attr{K: "shard", V: ss.id}, obs.Attr{K: "worker", V: worker},
+			obs.Attr{K: "epoch", V: strconv.FormatInt(epoch, 10)})
+		co.opts.Logger.Info("shard claimed", "shard", ss.id, "worker", worker,
+			"indices", ss.size, "epoch", epoch, "reissues", ss.reissues())
+		return sh, nil
 	}
 	if len(co.recovering) > 0 {
 		return nil, fmt.Errorf("%w: shard table rebuilding", ErrRecovering)
@@ -696,33 +563,23 @@ func (co *Coordinator) Claim(worker string) (*Shard, error) {
 func (co *Coordinator) Heartbeat(shardID, lease string) (*HeartbeatResult, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	run, ss, err := co.findLocked(shardID)
+	run, err := co.findLocked(shardID)
 	if err != nil {
 		return nil, err
 	}
-	if run.closed {
-		if run.satisfied {
-			return nil, fmt.Errorf("%w: campaign %s converged", ErrCampaignSatisfied, run.id)
-		}
-		return nil, fmt.Errorf("%w: campaign %s is %s", ErrCampaignClosed, run.id, run.reason)
+	if err := run.tab.renew(shardID, lease, co.now().Add(co.opts.LeaseTTL)); err != nil {
+		return nil, co.fencedLocked(err)
 	}
-	if ss.done {
-		return nil, fmt.Errorf("%w: shard %s is complete", ErrCampaignClosed, shardID)
-	}
-	epoch, ok := ss.leases[lease]
-	if !ok {
-		return nil, fmt.Errorf("%w: shard %s does not recognize this lease", ErrLeaseRevoked, shardID)
-	}
-	if epoch != ss.epoch {
-		co.leasesFenced.Add(1)
-		return nil, fmt.Errorf("%w: shard %s was re-issued at epoch %d (lease holds epoch %d)",
-			ErrLeaseFenced, shardID, ss.epoch, epoch)
-	}
-	ss.expiry = co.now().Add(co.opts.LeaseTTL)
-	co.touchWorker(ss.worker, 0, 0, 0)
-	co.walAppend(run, store.ControlRecord{Kind: store.CtlRenew,
-		Shard: shardID, Lease: lease, Epoch: epoch})
+	co.touchWorker(run.tab.shards[shardID].worker, 0, 0, 0)
 	return &HeartbeatResult{Lease: lease, ExpiresInMS: co.opts.LeaseTTL.Milliseconds()}, nil
+}
+
+// fencedLocked counts a refusal that was the fence at work.
+func (co *Coordinator) fencedLocked(err error) error {
+	if errors.Is(err, ErrLeaseFenced) {
+		co.stats.LeasesFenced++
+	}
+	return err
 }
 
 // Ingest merges one journal batch into the campaign's store. Records for
@@ -737,8 +594,8 @@ func (co *Coordinator) Heartbeat(shardID, lease string) (*HeartbeatResult, error
 func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	co.batches.Add(1)
-	run, ss, err := co.findLocked(b.Shard)
+	co.stats.Batches++
+	run, err := co.findLocked(b.Shard)
 	if err != nil {
 		return nil, err
 	}
@@ -746,21 +603,11 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 		return nil, fmt.Errorf("%w: batch names campaign %s, shard belongs to %s",
 			ErrBadBatch, b.Campaign, run.id)
 	}
-	if run.closed {
-		if run.satisfied {
-			return nil, fmt.Errorf("%w: campaign %s converged", ErrCampaignSatisfied, run.id)
-		}
-		return nil, fmt.Errorf("%w: campaign %s is %s", ErrCampaignClosed, run.id, run.reason)
+	tab := run.tab
+	if err := tab.check(b.Shard, b.Lease); err != nil {
+		return nil, co.fencedLocked(err)
 	}
-	epoch, ok := ss.leases[b.Lease]
-	if !ok {
-		return nil, fmt.Errorf("%w: shard %s does not recognize this lease", ErrLeaseRevoked, b.Shard)
-	}
-	if epoch != ss.epoch {
-		co.leasesFenced.Add(1)
-		return nil, fmt.Errorf("%w: shard %s was re-issued at epoch %d (lease holds epoch %d)",
-			ErrLeaseFenced, b.Shard, ss.epoch, epoch)
-	}
+	ss := tab.shards[b.Shard]
 
 	res := &BatchResult{}
 	for _, rec := range b.Records {
@@ -770,7 +617,7 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 				return res, fmt.Errorf("%w: exp record without payload", ErrBadBatch)
 			}
 			exp := *rec.Exp
-			if !ss.indexSet[exp.ID] {
+			if !tab.owns(b.Shard, exp.ID) {
 				return res, fmt.Errorf("%w: experiment %d is not in shard %s", ErrBadBatch, exp.ID, b.Shard)
 			}
 			o, err := avf.ParseOutcome(exp.Effect)
@@ -778,9 +625,9 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 				return res, fmt.Errorf("%w: experiment %d: %v", ErrBadBatch, exp.ID, err)
 			}
 			exp.Outcome = o
-			if run.merged[exp.ID] {
+			if tab.journaled[exp.ID] {
 				res.Duplicates++
-				co.recordsDuped.Add(1)
+				co.stats.RecordsDuped++
 				continue
 			}
 			// Same order as the local engine's collector: the quarantine
@@ -794,11 +641,13 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			if err := run.c.Append(exp); err != nil {
 				return res, err
 			}
-			run.merged[exp.ID] = true
-			ss.merged++
+			if tab.merged(b.Shard, exp.ID) {
+				co.stats.ShardsCompleted++
+				co.opts.Logger.Info("shard complete", "shard", b.Shard, "worker", ss.worker)
+			}
 			run.newExps = append(run.newExps, exp)
 			res.Accepted++
-			co.recordsMerged.Add(1)
+			co.stats.RecordsMerged++
 			if run.tracker != nil {
 				run.tracker.Add(exp.Outcome)
 				run.simulated++
@@ -810,12 +659,12 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			if rec.Trace == nil {
 				return res, fmt.Errorf("%w: trace record without payload", ErrBadBatch)
 			}
-			if !ss.indexSet[rec.Trace.ID] {
+			if !tab.owns(b.Shard, rec.Trace.ID) {
 				return res, fmt.Errorf("%w: trace %d is not in shard %s", ErrBadBatch, rec.Trace.ID, b.Shard)
 			}
 			if run.mergedTraces[rec.Trace.ID] {
 				res.Duplicates++
-				co.recordsDuped.Add(1)
+				co.stats.RecordsDuped++
 				continue
 			}
 			if err := run.c.AppendTrace(*rec.Trace); err != nil {
@@ -823,7 +672,7 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			}
 			run.mergedTraces[rec.Trace.ID] = true
 			res.Accepted++
-			co.recordsMerged.Add(1)
+			co.stats.RecordsMerged++
 		case KindSpan:
 			if rec.Span == nil {
 				return res, fmt.Errorf("%w: span record without payload", ErrBadBatch)
@@ -831,11 +680,10 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			// Worker spans ride the batch stream because workers have no
 			// store of their own. They are observability, not journal state:
 			// dedup replayed re-sends, route through the trace's registered
-			// sink, and never count toward Accepted — CtlMerge counts stay
-			// journal-only and journal bytes stay identical to an untraced
-			// run. The dedup key includes the duration because a parent
-			// span's provisional announce (dur 0) and its final record share
-			// a span ID, and both must land.
+			// sink, and never count toward Accepted — journal bytes stay
+			// identical to an untraced run. The dedup key includes the
+			// duration because a parent span's provisional announce (dur 0)
+			// and its final record share a span ID, and both must land.
 			sp := *rec.Span
 			if sp.Span == "" {
 				continue
@@ -851,21 +699,11 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 		}
 	}
 	co.touchWorker(ss.worker, 0, 1, int64(res.Accepted))
-	if res.Accepted > 0 {
-		co.walAppend(run, store.ControlRecord{Kind: store.CtlMerge,
-			Shard: b.Shard, Epoch: epoch, Count: res.Accepted})
-	}
 
-	if !ss.done && ss.merged == ss.size {
-		ss.done = true
-		co.shardsCompleted.Add(1)
-		co.walAppend(run, store.ControlRecord{Kind: store.CtlShardDone, Shard: b.Shard})
-		co.opts.Logger.Info("shard complete", "shard", b.Shard, "worker", ss.worker)
-	}
 	res.ShardDone = ss.done
 	switch {
-	case len(run.merged) == run.total:
-		co.finalizeLocked(run, run.app, run.gpu)
+	case tab.pending() == 0:
+		co.finalizeLocked(run)
 		if run.err != nil {
 			return res, run.err
 		}
@@ -888,76 +726,74 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 // campaign completes exactly like a fully merged one — the done marker
 // carries the plan report with the skipped count. Caller holds co.mu.
 func (co *Coordinator) satisfyLocked(run *campaignRun) {
-	if run.closed {
+	if run.tab.closed {
 		return
 	}
-	run.satisfied = true
-	retired := 0
-	for _, sid := range run.sorder {
-		ss := run.shards[sid]
-		if !ss.done {
-			ss.done = true
-			ss.retired = true
-			retired++
-			co.walAppend(run, store.ControlRecord{Kind: store.CtlRetire, Shard: sid})
-		}
-	}
-	co.shardsRetired.Add(int64(retired))
-	co.experimentsSaved.Add(int64(run.total - len(run.merged)))
+	retired := run.tab.retire()
+	co.stats.ShardsRetired += int64(retired)
+	co.stats.ExperimentsSaved += int64(run.tab.pending())
 	co.opts.Logger.Info("campaign satisfied; retiring shards", "id", run.id,
-		"merged", len(run.merged), "total", run.total, "retired", retired)
-	co.finalizeLocked(run, run.app, run.gpu)
+		"merged", run.tab.total-run.tab.pending(), "total", run.tab.total, "retired", retired)
+	co.finalizeLocked(run)
 }
 
-// finalizeLocked completes a fully merged campaign: sync, done marker,
-// terminal state, and the control WAL's finalize record (then the WAL is
-// closed — its job is over once the done marker exists). Caller holds
-// co.mu.
-func (co *Coordinator) finalizeLocked(run *campaignRun, app, gpu string) {
-	if run.closed {
+// result is the campaign's merged result as of now: the journal's prior
+// plus what this lifetime merged.
+func (run *campaignRun) result() *core.CampaignResult {
+	return run.c.MergedResult(&core.CampaignResult{App: run.app, GPU: run.gpu,
+		Exps: append([]core.Experiment(nil), run.newExps...)})
+}
+
+// finalizeLocked completes a merged (or satisfied) campaign: sync, done
+// marker, terminal state. Caller holds co.mu.
+func (co *Coordinator) finalizeLocked(run *campaignRun) {
+	if run.tab.closed {
 		return
 	}
 	finStart := time.Now()
-	merged := run.c.MergedResult(&core.CampaignResult{
-		App: app, GPU: gpu, Exps: append([]core.Experiment(nil), run.newExps...)})
+	merged := run.result()
 	if run.tracker != nil {
 		merged.Plan = &core.PlanReport{Status: run.tracker.Status(),
-			Simulated: run.simulated, Skipped: run.total - len(run.merged)}
+			Simulated: run.simulated, Skipped: run.tab.pending()}
 	}
-	run.closed = true
-	if err := co.st.ClearCancelled(run.id); err != nil {
-		run.reason, run.err = "failed", err
-	} else if err := run.c.Finish(merged); err != nil {
-		run.reason, run.err = "failed", err
-	} else {
-		run.reason = "done"
-		if run.satisfied {
-			co.walAppend(run, store.ControlRecord{Kind: store.CtlFinalize, Reason: "satisfied"})
-		} else {
-			co.walAppend(run, store.ControlRecord{Kind: store.CtlFinalize, Reason: "done"})
-		}
+	reason := "done"
+	err := co.st.ClearCancelled(run.id)
+	if err == nil {
+		err = run.c.Finish(merged)
 	}
-	co.closeWALLocked(run)
-	run.res = merged
-	close(run.done)
-	co.entombLocked(run)
+	if err != nil {
+		reason = "failed"
+	}
+	co.endLocked(run, reason, merged, err)
 	obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "coordinator.finalize",
-		finStart, obs.Attr{K: "state", V: run.reason},
+		finStart, obs.Attr{K: "state", V: reason},
 		obs.Attr{K: "experiments", V: strconv.Itoa(len(merged.Exps))})
-	co.opts.Logger.Info("campaign merged", "id", run.id, "state", run.reason,
+	co.opts.Logger.Info("campaign merged", "id", run.id, "state", reason,
 		"experiments", len(merged.Exps))
 }
 
-// entombLocked reduces a closed campaign to its tombstone: the store
-// handle, the merge sets, this lifetime's experiments and every shard's
-// index list go (run.res follows once Run has returned it), and the
-// campaign leaves the claim scan. Caller holds co.mu.
-func (co *Coordinator) entombLocked(run *campaignRun) {
-	run.c, run.tracker, run.onExp = nil, nil, nil
-	run.merged, run.mergedTraces, run.mergedSpans, run.newExps = nil, nil, nil, nil
-	for _, ss := range run.shards {
-		ss.shard, ss.indexSet, ss.leases = Shard{}, nil, nil
+// endLocked is the one way a campaign leaves the coordinator, whatever
+// ended it — merged, satisfied, cancelled, revoked or crashed: the table
+// closes under reason, Run's result and error are set, the journal and the
+// control WAL are flushed and closed (its job is over once nothing can be
+// granted) — unless the coordinator itself died, which flushes nothing —
+// Run unblocks, and the run shrinks to its tombstone: the store handles,
+// the merge sets, this lifetime's experiments and every shard's index list
+// go (run.res follows once Run has returned it), and the campaign leaves
+// the claim scan. Caller holds co.mu.
+func (co *Coordinator) endLocked(run *campaignRun, reason string, res *core.CampaignResult, err error) {
+	run.tab.close(reason)
+	run.res, run.err = res, err
+	if !co.dead {
+		run.c.Close()
+		if werr := run.wal.Close(); werr != nil {
+			co.opts.Logger.Warn("control WAL close failed", "id", run.id, "err", werr)
+		}
 	}
+	close(run.done)
+	run.tab.entomb()
+	run.c, run.wal, run.tracker, run.onExp = nil, nil, nil, nil
+	run.mergedTraces, run.mergedSpans, run.newExps = nil, nil, nil
 	for i, id := range co.order {
 		if id == run.id {
 			co.order = append(co.order[:i], co.order[i+1:]...)
@@ -966,51 +802,20 @@ func (co *Coordinator) entombLocked(run *campaignRun) {
 	}
 }
 
-// walAppend journals a diagnostics-grade control record, best-effort: a
-// failed append is logged, never fatal — the experiment journal, not the
-// WAL, is the source of truth for merge state, and the next grant
-// re-syncs the file anyway. Caller holds co.mu.
-func (co *Coordinator) walAppend(run *campaignRun, rec store.ControlRecord) {
-	if run.wal == nil {
-		return
-	}
-	rec.Gen = run.gen
-	if err := run.wal.Append(rec); err != nil {
-		co.opts.Logger.Warn("control WAL append failed", "id", run.id,
-			"kind", rec.Kind, "err", err)
-		return
-	}
-	co.walRecords.Add(1)
-}
-
-// closeWALLocked flushes and closes the campaign's control WAL. Caller
-// holds co.mu.
-func (co *Coordinator) closeWALLocked(run *campaignRun) {
-	if run.wal == nil {
-		return
-	}
-	if err := run.wal.Close(); err != nil {
-		co.opts.Logger.Warn("control WAL close failed", "id", run.id, "err", err)
-	}
-	run.wal = nil
-}
-
-// findLocked resolves a shard id to its campaign and shard state. Shard
-// ids are campaign:gen:k and campaign ids cannot contain ':', so when the
-// id is unknown but its campaign prefix is mid-rebuild the caller gets
+// findLocked resolves a shard id to the campaign that holds it. Shard ids
+// are campaign:gen:k and campaign ids cannot contain ':', so when the id
+// is unknown but its campaign prefix is mid-rebuild the caller gets
 // ErrRecovering — park and retry — instead of ErrUnknownShard.
-func (co *Coordinator) findLocked(shardID string) (*campaignRun, *shardState, error) {
+func (co *Coordinator) findLocked(shardID string) (*campaignRun, error) {
 	campaign, _, _ := strings.Cut(shardID, ":")
-	if run := co.campaigns[campaign]; run != nil {
-		if ss, ok := run.shards[shardID]; ok {
-			return run, ss, nil
-		}
+	if run := co.campaigns[campaign]; run != nil && run.tab.shards[shardID] != nil {
+		return run, nil
 	}
 	if co.recovering[campaign] {
-		return nil, nil, fmt.Errorf("%w: campaign %s is rebuilding its shard table",
+		return nil, fmt.Errorf("%w: campaign %s is rebuilding its shard table",
 			ErrRecovering, campaign)
 	}
-	return nil, nil, fmt.Errorf("%w: %s", ErrUnknownShard, shardID)
+	return nil, fmt.Errorf("%w: %s", ErrUnknownShard, shardID)
 }
 
 // Statuses snapshots every tracked shard, ordered by campaign then shard.
@@ -1025,40 +830,20 @@ func (co *Coordinator) Statuses() []Status {
 	sort.Strings(ids)
 	now := co.now()
 	for _, id := range ids {
-		run := co.campaigns[id]
-		for _, sid := range run.sorder {
-			ss := run.shards[sid]
+		tab := co.campaigns[id].tab
+		for _, sid := range tab.order {
+			ss := tab.shards[sid]
 			st := Status{
-				ID: sid, Campaign: id, Indices: ss.size, Merged: ss.merged,
-				Worker: ss.worker, Reissues: ss.reissues,
+				ID: sid, Campaign: id, State: ss.state(now), Indices: ss.size,
+				Merged: ss.merged, Worker: ss.worker, Reissues: ss.reissues(),
 			}
-			switch {
-			case ss.retired:
-				st.State = "retired"
-			case ss.done:
-				st.State = "done"
-			case ss.curLease != "" && now.Before(ss.expiry):
-				st.State = "leased"
-			default:
-				st.State = "pending"
+			if st.State == "pending" {
 				st.Worker = ""
 			}
 			out = append(out, st)
 		}
 	}
 	return out
-}
-
-// maxGen returns the highest plan generation the WAL has seen — complete
-// or not; a fresh plan must never reuse a generation a crash abandoned.
-func maxGen(ctl []store.ControlRecord) int {
-	g := 0
-	for _, r := range ctl {
-		if (r.Kind == store.CtlPlan || r.Kind == store.CtlPlanDone) && r.Gen > g {
-			g = r.Gen
-		}
-	}
-	return g
 }
 
 // newLease returns a random 128-bit lease token.

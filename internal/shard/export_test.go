@@ -14,10 +14,10 @@ func (co *Coordinator) Footprint() (scanned, tracked, live int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, run := range co.campaigns {
-		heavy := run.c != nil || run.merged != nil || run.mergedTraces != nil ||
+		heavy := run.c != nil || run.tab.journaled != nil || run.mergedTraces != nil ||
 			run.mergedSpans != nil || run.newExps != nil || run.res != nil
-		for _, ss := range run.shards {
-			heavy = heavy || ss.indexSet != nil || ss.shard.Indices != nil
+		for _, ss := range run.tab.shards {
+			heavy = heavy || ss.indexSet != nil || ss.indices != nil || ss.leases != nil
 		}
 		if heavy {
 			live++

@@ -19,12 +19,13 @@
 //     worker's successor — or by the dead worker itself, limping back —
 //     merges to the exact same journal bytes and is deduplicated.
 //   - The coordinator journals experiments through the same
-//     store.Campaign codec the local engine uses, and its own control
-//     plane (plans, grants, epochs, merges) through a per-campaign WAL
-//     with the same torn-tail recovery discipline. A restarted
-//     coordinator rebuilds the shard table and lease fences from
-//     WAL + journal and answers 503 coordinator_recovering while it
-//     does; workers park on outages with jittered exponential backoff
+//     store.Campaign codec the local engine uses, and what a restart
+//     needs of its own control plane (plans, grants and their epochs)
+//     through a per-campaign WAL with the same torn-tail recovery
+//     discipline. Every protocol transition is a method of one pure
+//     shard table (table.go); a restarted coordinator replays the WAL
+//     through those same methods, on top of the journal, and answers
+//     503 coordinator_recovering while it does; workers park on outages with jittered exponential backoff
 //     and resume cleanly, re-sending unacknowledged batches through the
 //     idempotent merge path. The merged journal of a sharded, crashed,
 //     restarted campaign stays byte-identical (per experiment record) to

@@ -145,7 +145,7 @@ func logFixtures(t testing.TB) []logFixture {
 				return nil, err
 			}
 			return &openedLog{n: len(recs), recs: recs, torn: torn, close: w.Close, appendNext: func() error {
-				return w.AppendSync(ControlRecord{Kind: CtlFinalize, Reason: "done"})
+				return w.AppendSync(ControlRecord{Kind: CtlGrant, Shard: "x:1:0", Lease: "l", Epoch: 9})
 			}}, nil
 		},
 	}, {

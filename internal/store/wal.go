@@ -11,33 +11,29 @@ import (
 
 // The control-plane WAL is the shard coordinator's durability layer: an
 // append-only JSONL file (control.jsonl, next to the experiment journal)
-// recording every control-plane state transition — shard plans, lease
-// grants, renewals and expiries, batch merges, and retire/finalize events.
-// A restarted coordinator replays it (together with the journal, which
-// stays the single source of truth for WHICH experiments are merged) to
-// rebuild its in-memory shard table, outstanding leases, and lease epochs.
+// holding exactly what a restarted coordinator replays to rebuild its
+// shard table, outstanding leases and lease epochs — shard plans and lease
+// grants. The journal stays the single source of truth for WHICH
+// experiments are merged.
 //
-// It is an appendLog like the experiment journal: records are batch-fsync'd
-// by default, with AppendSync for the records whose durability is
-// load-bearing (plans and grants — a lease epoch handed to a worker must
-// survive the coordinator, or fencing breaks), and opening it tolerates
-// exactly one torn record at the tail, cutting it.
+// It is an appendLog like the experiment journal: plan records are
+// batched, and AppendSync closes a plan generation and writes every grant
+// (a lease epoch handed to a worker must survive the coordinator, or
+// fencing breaks); opening it tolerates exactly one torn record at the
+// tail, cutting it.
 const controlFile = "control.jsonl"
 
-// Control record kinds. Plan records carry a generation: a coordinator
-// that cannot trust a partial plan (no plan_done marker for its
-// generation) re-plans under the next generation, and stale grants are
-// ignored because shard ids embed the generation.
+// Control record kinds: the ones replay reads, which are the only ones
+// written. Plan records carry a generation: a coordinator that cannot
+// trust a partial plan (no plan_done marker for its generation) re-plans
+// under the next generation, and stale grants are ignored because shard
+// ids embed the generation. Builds up to PR 27 also wrote renew, expire,
+// merge, shard_done, retire and finalize records that nothing read; a file
+// that carries them still opens and replays, the reader skips them.
 const (
-	CtlPlan      = "plan"       // one shard of a plan generation: Gen, Shard, Indices
-	CtlPlanDone  = "plan_done"  // plan generation complete and durable: Gen, Count
-	CtlGrant     = "grant"      // lease issued: Shard, Lease, Epoch, Worker
-	CtlRenew     = "renew"      // heartbeat extended a lease: Shard, Lease, Epoch
-	CtlExpire    = "expire"     // lease expired before completion: Shard, Lease, Epoch, Worker
-	CtlMerge     = "merge"      // journal batch merged: Shard, Count accepted
-	CtlShardDone = "shard_done" // every index of the shard is journaled: Shard
-	CtlRetire    = "retire"     // shard withdrawn by adaptive convergence: Shard
-	CtlFinalize  = "finalize"   // campaign finalized: Reason ("done" | "satisfied")
+	CtlPlan     = "plan"      // one shard of a plan generation: Gen, Shard, Indices
+	CtlPlanDone = "plan_done" // plan generation complete and durable: Gen, Count
+	CtlGrant    = "grant"     // lease issued: Shard, Lease, Epoch, Worker
 )
 
 // ControlRecord is one control-plane WAL line. Fields are a union over the
@@ -51,7 +47,6 @@ type ControlRecord struct {
 	Epoch   int64  `json:"epoch,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 	Count   int    `json:"count,omitempty"`
-	Reason  string `json:"reason,omitempty"`
 }
 
 // Control-WAL instruments live in the process-wide registry so a
@@ -109,14 +104,12 @@ func (s *Store) OpenControlWAL(id string) ([]ControlRecord, bool, *ControlWAL, e
 }
 
 // Append journals one control record, flushing and fsyncing once a batch
-// has accumulated. Use it for the high-rate diagnostics records (renewals,
-// merges): losing a batched tail to a crash costs nothing, because the
-// journal is the source of truth for merged indices and restored leases
-// get a fresh expiry anyway.
+// has accumulated. Plan records use it: the plan_done that follows them
+// syncs the set, and a generation without one is discarded.
 func (w *ControlWAL) Append(rec ControlRecord) error { return w.append(rec, false) }
 
-// AppendSync journals one control record and fsyncs immediately. Plans and
-// grants use it: a lease epoch is only allowed to fence workers if it is
+// AppendSync journals one control record and fsyncs immediately. Plan
+// markers and grants use it: a lease epoch is only allowed to fence workers if it is
 // guaranteed to survive the coordinator that issued it.
 func (w *ControlWAL) AppendSync(rec ControlRecord) error { return w.append(rec, true) }
 

@@ -7,13 +7,14 @@ import (
 )
 
 // walRecs is a small but representative control-plane history: a plan
-// generation, its durable marker, a grant, and a merge.
+// generation, its durable marker, a grant, and a merge record of the kind older
+// builds wrote.
 func walRecs() []ControlRecord {
 	return []ControlRecord{
 		{Kind: CtlPlan, Gen: 1, Shard: "walt:1:0", Indices: []int{0, 1, 2, 3}},
 		{Kind: CtlPlanDone, Gen: 1, Count: 1},
 		{Kind: CtlGrant, Shard: "walt:1:0", Lease: "lease-abc", Epoch: 1, Worker: "w1"},
-		{Kind: CtlMerge, Shard: "walt:1:0", Count: 4},
+		{Kind: "merge", Shard: "walt:1:0", Count: 4}, // written up to PR 27, still read
 	}
 }
 
@@ -51,20 +52,20 @@ func TestControlWALBatching(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := w.Append(ControlRecord{Kind: CtlRenew, Shard: "batch:1:0", Epoch: 1}); err != nil {
+		if err := w.Append(ControlRecord{Kind: CtlPlan, Gen: 1, Shard: "batch:1:0", Indices: []int{1}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if data, _ := os.ReadFile(path); len(data) != 0 {
 		t.Fatalf("2 of 3 batched records already on disk (%d bytes)", len(data))
 	}
-	if err := w.Append(ControlRecord{Kind: CtlRenew, Shard: "batch:1:0", Epoch: 1}); err != nil {
+	if err := w.Append(ControlRecord{Kind: CtlPlan, Gen: 1, Shard: "batch:1:0", Indices: []int{1}}); err != nil {
 		t.Fatal(err)
 	}
 	if data, _ := os.ReadFile(path); len(data) == 0 {
 		t.Fatal("full batch not flushed")
 	}
-	if err := w.Append(ControlRecord{Kind: CtlMerge, Shard: "batch:1:0", Count: 1}); err != nil {
+	if err := w.Append(ControlRecord{Kind: CtlPlanDone, Gen: 1, Count: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
@@ -80,7 +81,7 @@ func TestControlWALBatching(t *testing.T) {
 	w2.Close()
 
 	// Appends after Close are refused, not silently dropped.
-	if err := w.Append(ControlRecord{Kind: CtlRenew}); err == nil {
+	if err := w.Append(ControlRecord{Kind: CtlPlan}); err == nil {
 		t.Fatal("append to closed WAL succeeded")
 	}
 
