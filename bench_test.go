@@ -1,31 +1,27 @@
-// Tests of the public facade. The paper's tables and figures have one
-// producer, cmd/gpufi-figures, and its test regenerates every committed
-// snapshot of them.
+// Tests of the public facade; example_test.go holds its runnable
+// examples. The paper's tables and figures have one producer,
+// cmd/gpufi-figures, and its test regenerates every committed snapshot of
+// them.
 package gpufi_test
 
 import (
 	"context"
 	"errors"
-	"fmt"
 	"testing"
 
 	"gpufi"
 )
 
-// runPoint runs one campaign point against an already computed profile.
-func runPoint(tb testing.TB, prof *gpufi.AppProfile, opts ...gpufi.CampaignOption) *gpufi.CampaignResult {
-	tb.Helper()
-	res, err := gpufi.NewCampaign(append(opts, gpufi.WithProfile(prof))...).Run(context.Background())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return res
-}
-
-// TestCampaignAPI exercises the public Campaign surface: functional
-// options, validation, progress callbacks, and cancellation with partial
-// results.
+// TestCampaignAPI exercises the public Campaign surface: the registries,
+// functional options, validation, a precomputed profile, progress
+// callbacks, and cancellation with partial results.
 func TestCampaignAPI(t *testing.T) {
+	if len(gpufi.Apps()) != 12 || len(gpufi.Cards()) != 3 {
+		t.Fatalf("%d apps and %d cards, want 12 and 3", len(gpufi.Apps()), len(gpufi.Cards()))
+	}
+	if n := gpufi.SampleSize(1e12, 0.99, 0.02); n < 4000 {
+		t.Errorf("SampleSize = %d", n)
+	}
 	app, err := gpufi.AppByName("VA")
 	if err != nil {
 		t.Fatal(err)
@@ -35,20 +31,24 @@ func TestCampaignAPI(t *testing.T) {
 		gpufi.WithRuns(5)).Validate(); err == nil {
 		t.Error("Validate accepted an unknown kernel")
 	}
-	done := 0
-	c := gpufi.NewCampaign(
-		gpufi.WithTarget(app, gpu, "va_add", gpufi.StructRegFile),
-		gpufi.WithRuns(12),
-		gpufi.WithSeed(9),
-		gpufi.WithWorkers(4),
-		gpufi.WithProgress(func(gpufi.Experiment) { done++ }),
-	)
-	res, err := c.Run(context.Background())
+	prof, err := gpufi.Profile(nil, app, gpu)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts.Total() != 12 || done != 12 {
-		t.Errorf("total=%d progress=%d, want 12/12", res.Counts.Total(), done)
+	done := 0
+	res, err := gpufi.NewCampaign(
+		gpufi.WithTarget(app, gpu, "va_add", gpufi.StructRegFile),
+		gpufi.WithRuns(8),
+		gpufi.WithSeed(1),
+		gpufi.WithWorkers(4),
+		gpufi.WithProfile(prof),
+		gpufi.WithProgress(func(gpufi.Experiment) { done++ }),
+	).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts.Total() != 8 || done != 8 {
+		t.Errorf("total=%d progress=%d, want 8/8", res.Counts.Total(), done)
 	}
 	// Cancelling from the progress callback returns promptly with the
 	// finished subset.
@@ -74,32 +74,3 @@ func TestCampaignAPI(t *testing.T) {
 		t.Errorf("partial result: %+v", res2)
 	}
 }
-
-// Example-style smoke check for the facade, so `go test` at the repo root
-// exercises the public API.
-func TestFacadeSmoke(t *testing.T) {
-	if len(gpufi.Apps()) != 12 || len(gpufi.Cards()) != 3 {
-		t.Fatal("facade registry wrong")
-	}
-	if n := gpufi.SampleSize(1e12, 0.99, 0.02); n < 4000 {
-		t.Errorf("SampleSize = %d", n)
-	}
-	app, err := gpufi.AppByName("VA")
-	if err != nil {
-		t.Fatal(err)
-	}
-	prof, err := gpufi.Profile(nil, app, gpufi.RTX2060())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := runPoint(t, prof, gpufi.WithTarget(app, gpufi.RTX2060(), "va_add", gpufi.StructRegFile),
-		gpufi.WithRuns(8), gpufi.WithSeed(1))
-	if res.Counts.Total() != 8 {
-		t.Errorf("counts: %+v", res.Counts)
-	}
-	fmt.Fprintln(discard{}, res.Counts)
-}
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

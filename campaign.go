@@ -74,19 +74,6 @@ func WithProgress(fn func(Experiment)) CampaignOption {
 	return func(c *Campaign) { c.cfg.Progress = fn }
 }
 
-// WithJournal registers a durability hook invoked once per finished
-// experiment, serialized, before the WithProgress callback. Unlike
-// Progress, the hook returns an error: a failed write (disk full, closed
-// journal) aborts the campaign instead of silently losing outcomes. Pair
-// it with a LogWriter for an incremental JSONL log that survives crashes:
-//
-//	lw := gpufi.NewLogWriter(f)
-//	lw.Begin(hdr)
-//	c := gpufi.NewCampaign(..., gpufi.WithJournal(lw.Experiment))
-func WithJournal(fn func(Experiment) error) CampaignOption {
-	return func(c *Campaign) { c.cfg.Journal = fn }
-}
-
 // WithCompleted marks experiment indices as already finished — the
 // campaign derives every fault specification as usual (so the seed→fault
 // mapping is undisturbed) but only simulates the remaining indices.
@@ -125,9 +112,9 @@ func WithExpTimeout(d time.Duration) CampaignOption {
 }
 
 // WithTrace enables fault-propagation tracing and delivers each finished
-// experiment's trace to sink (serialized, after the WithJournal hook and
-// before the WithProgress callback). Tracing is purely observational —
-// outcomes stay bit-identical with it on or off — but it annotates every
+// experiment's trace to sink (serialized, before the WithProgress
+// callback). Tracing is purely observational — outcomes stay
+// bit-identical with it on or off — but it annotates every
 // experiment with a Why classification ("masked:never-read",
 // "sdc:read", ...) and records the injection site, the first architectural
 // read of the corrupted cell, and the taint hops in between. A sink error

@@ -21,7 +21,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"log"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -31,45 +31,72 @@ import (
 	"gpufi/internal/store"
 )
 
+// errUsage reports a command line the flag set has already complained about.
+var errUsage = errors.New("usage")
+
+// errInterrupted reports a campaign SIGINT cut short, after its partial
+// results were printed and flushed.
+var errInterrupted = errors.New("interrupted")
+
 func main() {
-	log.SetFlags(0)
-	log.SetPrefix("gpufi: ")
+	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
+	case err == nil:
+	case errors.Is(err, errUsage):
+		os.Exit(2)
+	case errors.Is(err, errInterrupted):
+		os.Exit(130)
+	default:
+		fmt.Fprintf(os.Stderr, "gpufi: %v\n", err)
+		os.Exit(1)
+	}
+}
+
+// run executes the command line args: the report goes to stdout, flag
+// diagnostics to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("gpufi", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		appName   = flag.String("app", "VA", "benchmark: HS KM SRAD1 SRAD2 LUD BFS PATHF NW GE BP VA SP")
-		gpuName   = flag.String("gpu", "RTX2060", "GPU model: RTX2060 QuadroGV100 GTXTitan")
-		kernel    = flag.String("kernel", "", "target static kernel (default: every kernel of the app)")
-		structure = flag.String("structure", "regfile", "target: regfile shared local l1d l1t l2 l1c")
-		runs      = flag.Int("n", 300, "injections per campaign point")
-		bits      = flag.Int("bits", 1, "fault multiplicity (1=single, 3=triple, ...)")
-		warpWide  = flag.Bool("warp", false, "warp-granularity injection (regfile/local)")
-		blocks    = flag.Int("blocks", 1, "CTAs hit per shared-memory injection")
-		seed      = flag.Int64("seed", 1, "campaign seed (results are reproducible)")
-		scale     = flag.Int("scale", 1, "benchmark problem-size scale")
-		l2queue   = flag.Int("l2queue", 0, "L2 bank service cycles (contention model; 0 = off)")
-		workers   = flag.Int("workers", 0, "parallel simulations (0 = all cores)")
-		logPath   = flag.String("log", "", "write the JSONL experiment log to this file")
-		lenient   = flag.Bool("lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed)")
-		ecc       = flag.Bool("ecc", false, "enable SEC-DED ECC on all structures (protection ablation)")
-		stats     = flag.Bool("stats", false, "print the memory-system statistics of the fault-free run")
-		progress  = flag.Bool("progress", false, "print one dot per finished experiment")
-		tracePath = flag.String("trace", "", "record fault-propagation traces (JSONL; with -store they land in the campaign directory)")
-		instTrace = flag.String("instr-trace", "", "write the fault-free instruction trace to this file (slow)")
-		listApps  = flag.Bool("list", false, "list benchmarks and kernels, then exit")
-		storeDir  = flag.String("store", "", "journal campaigns durably into this directory (crash-safe)")
-		resume    = flag.Bool("resume", false, "with -store: continue interrupted campaigns, skipping journaled experiments")
-		expTO     = flag.Duration("exp-timeout", 0, "wall-clock deadline per experiment (0 = none); expiry classifies as quarantined Timeout")
-		targetCI  = flag.Float64("target-ci", 0, "adaptive early stop: halt each campaign point once its 99% interval half-width is at most this (0 = fixed -n runs)")
+		appName   = fs.String("app", "VA", "benchmark: HS KM SRAD1 SRAD2 LUD BFS PATHF NW GE BP VA SP")
+		gpuName   = fs.String("gpu", "RTX2060", "GPU model: RTX2060 QuadroGV100 GTXTitan")
+		kernel    = fs.String("kernel", "", "target static kernel (default: every kernel of the app)")
+		structure = fs.String("structure", "regfile", "target: regfile shared local l1d l1t l2 l1c")
+		runs      = fs.Int("n", 300, "injections per campaign point")
+		bits      = fs.Int("bits", 1, "fault multiplicity (1=single, 3=triple, ...)")
+		warpWide  = fs.Bool("warp", false, "warp-granularity injection (regfile/local)")
+		blocks    = fs.Int("blocks", 1, "CTAs hit per shared-memory injection")
+		seed      = fs.Int64("seed", 1, "campaign seed (results are reproducible)")
+		scale     = fs.Int("scale", 1, "benchmark problem-size scale")
+		l2queue   = fs.Int("l2queue", 0, "L2 bank service cycles (contention model; 0 = off)")
+		workers   = fs.Int("workers", 0, "parallel simulations (0 = all cores)")
+		logPath   = fs.String("log", "", "write the JSONL experiment log to this file")
+		lenient   = fs.Bool("lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed)")
+		ecc       = fs.Bool("ecc", false, "enable SEC-DED ECC on all structures (protection ablation)")
+		stats     = fs.Bool("stats", false, "print the memory-system statistics of the fault-free run")
+		progress  = fs.Bool("progress", false, "print one dot per finished experiment")
+		tracePath = fs.String("trace", "", "record fault-propagation traces (JSONL; with -store they land in the campaign directory)")
+		instTrace = fs.String("instr-trace", "", "write the fault-free instruction trace to this file (slow)")
+		listApps  = fs.Bool("list", false, "list benchmarks and kernels, then exit")
+		storeDir  = fs.String("store", "", "journal campaigns durably into this directory (crash-safe)")
+		resume    = fs.Bool("resume", false, "with -store: continue interrupted campaigns, skipping journaled experiments")
+		expTO     = fs.Duration("exp-timeout", 0, "wall-clock deadline per experiment (0 = none); expiry classifies as quarantined Timeout")
+		targetCI  = fs.Float64("target-ci", 0, "adaptive early stop: halt each campaign point once its 99% interval half-width is at most this (0 = fixed -n runs)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 	if *resume && *storeDir == "" {
-		log.Fatal("-resume requires -store")
+		return errors.New("-resume requires -store")
 	}
 
 	if *listApps {
 		for _, a := range gpufi.Apps() {
-			fmt.Printf("%-7s kernels: %v\n", a.Name, a.Kernels)
+			fmt.Fprintf(stdout, "%-7s kernels: %v\n", a.Name, a.Kernels)
 		}
-		return
+		return nil
 	}
 
 	// SIGINT cancels the campaign context; a second SIGINT kills the
@@ -79,47 +106,47 @@ func main() {
 
 	app, err := gpufi.AppByNameScale(*appName, *scale)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gpu, err := gpufi.CardByName(*gpuName)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	gpu.LenientMemory = *lenient
 	gpu.ECC = *ecc
 	gpu.L2QueueCycles = *l2queue
 	st, err := gpufi.ParseStructure(*structure)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Printf("profiling %s on %s...\n", app.Name, gpu.Name)
+	fmt.Fprintf(stdout, "profiling %s on %s...\n", app.Name, gpu.Name)
 	prof, err := gpufi.Profile(ctx, app, gpu)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("fault-free execution: %d cycles, kernels %v\n\n", prof.TotalCycles, prof.KernelOrder)
+	fmt.Fprintf(stdout, "fault-free execution: %d cycles, kernels %v\n\n", prof.TotalCycles, prof.KernelOrder)
 	if *stats || *instTrace != "" {
 		dev, err := gpufi.NewDevice(gpu)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		var traceFile *os.File
 		if *instTrace != "" {
 			if traceFile, err = os.Create(*instTrace); err != nil {
-				log.Fatal(err)
+				return err
 			}
+			defer traceFile.Close()
 			dev.TraceWriter = traceFile
 		}
 		if _, err := app.Run(dev); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if traceFile != nil {
-			traceFile.Close()
-			fmt.Printf("instruction trace: %s\n", *instTrace)
+			fmt.Fprintf(stdout, "instruction trace: %s\n", *instTrace)
 		}
 		if *stats {
-			fmt.Println(dev.StatsReport())
+			fmt.Fprintln(stdout, dev.StatsReport())
 		}
 	}
 
@@ -132,7 +159,7 @@ func main() {
 	if *logPath != "" {
 		logFile, err := os.Create(*logPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer logFile.Close()
 		lw = gpufi.NewLogWriter(logFile)
@@ -141,7 +168,7 @@ func main() {
 	var cstore *store.Store
 	if *storeDir != "" {
 		if cstore, err = store.Open(*storeDir); err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -153,10 +180,15 @@ func main() {
 	if *tracePath != "" && cstore == nil {
 		tf, err := os.Create(*tracePath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer tf.Close()
 		traceEnc = json.NewEncoder(tf)
+	}
+
+	var onExp func(gpufi.Experiment)
+	if *progress {
+		onExp = func(gpufi.Experiment) { fmt.Fprint(stdout, ".") }
 	}
 
 	tb := &report.Table{
@@ -171,7 +203,7 @@ func main() {
 		var res *gpufi.CampaignResult
 		var traces []gpufi.ExperimentTrace
 		if cstore != nil {
-			res, err = runStored(ctx, cstore, *resume, store.Spec{
+			res, err = runStored(ctx, stdout, cstore, *resume, store.Spec{
 				App: *appName, Scale: *scale, GPU: *gpuName, Kernel: k,
 				Structure: *structure, Runs: *runs, Bits: *bits,
 				WarpWide: *warpWide, Blocks: *blocks, Seed: *seed,
@@ -180,7 +212,7 @@ func main() {
 				ExpTimeoutMS: expTO.Milliseconds(),
 				Trace:        *tracePath != "",
 				TargetCI:     *targetCI,
-			}, prof, *progress)
+			}, prof, onExp)
 		} else {
 			opts := []gpufi.CampaignOption{
 				gpufi.WithTarget(app, gpu, k, st),
@@ -202,22 +234,19 @@ func main() {
 					return nil
 				}))
 			}
-			if *progress {
-				opts = append(opts, gpufi.WithProgress(func(gpufi.Experiment) {
-					fmt.Print(".")
-					os.Stdout.Sync()
-				}))
+			if onExp != nil {
+				opts = append(opts, gpufi.WithProgress(onExp))
 			}
 			res, err = gpufi.NewCampaign(opts...).Run(ctx)
 		}
 		if *progress {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 		if err != nil {
 			// Cancellation still yields the finished experiments; anything
 			// else is fatal.
 			if !errors.Is(err, context.Canceled) || res == nil {
-				log.Fatal(err)
+				return err
 			}
 			cancelled = true
 		}
@@ -227,7 +256,7 @@ func main() {
 		// its journal is in completion order and merge-sorted on read.)
 		if lw != nil {
 			if err := lw.Result(res); err != nil {
-				log.Fatal(err)
+				return err
 			}
 		}
 		// Same contract for the -trace file: sorted by id, so traced runs
@@ -237,7 +266,7 @@ func main() {
 			sort.Slice(traces, func(i, j int) bool { return traces[i].ID < traces[j].ID })
 			for i := range traces {
 				if err := traceEnc.Encode(traces[i]); err != nil {
-					log.Fatal(err)
+					return err
 				}
 			}
 		}
@@ -256,10 +285,10 @@ func main() {
 				res.Plan.HalfWidth, res.Plan.TargetCI))
 		}
 		if cancelled {
-			fmt.Printf("interrupted: %s finished %d of %d experiments; partial results follow\n",
+			fmt.Fprintf(stdout, "interrupted: %s finished %d of %d experiments; partial results follow\n",
 				k, c.Total(), *runs)
 			if cstore != nil {
-				fmt.Printf("journal saved in %s — rerun with -resume to continue\n", *storeDir)
+				fmt.Fprintf(stdout, "journal saved in %s — rerun with -resume to continue\n", *storeDir)
 			}
 			break
 		}
@@ -272,25 +301,26 @@ func main() {
 			fmt.Sprintf("±%.4f", gpufi.Margin(total.Failures(), total.Total(), 0.99)),
 			ciCell(total))
 	}
-	if err := tb.Render(os.Stdout); err != nil {
-		log.Fatal(err)
+	if err := tb.Render(stdout); err != nil {
+		return err
 	}
 	for _, line := range planLines {
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	if *logPath != "" {
-		fmt.Printf("\nexperiment log: %s\n", *logPath)
+		fmt.Fprintf(stdout, "\nexperiment log: %s\n", *logPath)
 	}
 	if *tracePath != "" {
 		if cstore != nil {
-			fmt.Printf("propagation traces: %s/<id>/traces.jsonl (summarize with gpufi-report -why)\n", *storeDir)
+			fmt.Fprintf(stdout, "propagation traces: %s/<id>/traces.jsonl (summarize with gpufi-report -why)\n", *storeDir)
 		} else {
-			fmt.Printf("propagation traces: %s (summarize with gpufi-report -why)\n", *tracePath)
+			fmt.Fprintf(stdout, "propagation traces: %s (summarize with gpufi-report -why)\n", *tracePath)
 		}
 	}
 	if cancelled {
-		os.Exit(130)
+		return errInterrupted
 	}
+	return nil
 }
 
 // ciCell renders the 99% Wilson interval on the failure ratio as a table
@@ -304,8 +334,8 @@ func ciCell(c gpufi.Counts) string {
 // journal is fsync'd in batches as experiments finish, and an id that is
 // already on disk is resumed (with -resume) or refused, never silently
 // restarted from scratch.
-func runStored(ctx context.Context, cstore *store.Store, resume bool,
-	spec store.Spec, prof *gpufi.AppProfile, progress bool) (*gpufi.CampaignResult, error) {
+func runStored(ctx context.Context, stdout io.Writer, cstore *store.Store, resume bool,
+	spec store.Spec, prof *gpufi.AppProfile, onExp func(gpufi.Experiment)) (*gpufi.CampaignResult, error) {
 
 	id := spec.ID()
 	if cstore.Exists(id) {
@@ -315,20 +345,13 @@ func runStored(ctx context.Context, cstore *store.Store, resume bool,
 		}
 		switch {
 		case info.Done:
-			fmt.Printf("campaign %s already complete in the store; reporting journaled outcomes\n", id)
+			fmt.Fprintf(stdout, "campaign %s already complete in the store; reporting journaled outcomes\n", id)
 		case !resume:
 			return nil, fmt.Errorf("campaign %s has a partial journal (%d experiments); pass -resume to continue it",
 				id, info.Completed)
 		default:
-			fmt.Printf("resuming %s: %d of %d experiments already journaled\n",
+			fmt.Fprintf(stdout, "resuming %s: %d of %d experiments already journaled\n",
 				id, info.Completed, spec.Runs)
-		}
-	}
-	var onExp func(gpufi.Experiment)
-	if progress {
-		onExp = func(gpufi.Experiment) {
-			fmt.Print(".")
-			os.Stdout.Sync()
 		}
 	}
 	return cstore.Run(ctx, id, spec, prof, onExp)

@@ -233,9 +233,6 @@ func ParseLogLenient(r io.Reader) (res []*CampaignResult, truncated bool, err er
 	return store.ParseLogLenient(r)
 }
 
-// LogHeader is a campaign's log header record.
-type LogHeader = store.Header
-
 // LogWriter writes campaign records incrementally (header, then one
 // record per experiment) through the same codec the durable campaign
 // store journals with.

@@ -187,6 +187,3 @@ func bytesRepeat(ch byte, n int) []byte {
 
 // Pct formats a ratio as a percentage string.
 func Pct(v float64) string { return fmt.Sprintf("%.2f%%", v*100) }
-
-// F formats a float compactly.
-func F(v float64) string { return fmt.Sprintf("%.4g", v) }

@@ -92,7 +92,4 @@ func TestFormatters(t *testing.T) {
 	if Pct(0.1234) != "12.34%" {
 		t.Errorf("Pct = %s", Pct(0.1234))
 	}
-	if F(1.23456) != "1.235" {
-		t.Errorf("F = %s", F(1.23456))
-	}
 }

@@ -20,8 +20,8 @@ import (
 // one record per experiment. The parser module reads these back and
 // aggregates the fault-effect statistics — the third of the paper's three
 // gpuFI-4 modules (bash + text logs there, structured logs here). The same
-// codec serves one-shot log files (gpufi -log, examples) and the durable
-// campaign journals of this package.
+// codec serves one-shot log files (gpufi -log) and the durable campaign
+// journals of this package.
 
 // Header is a campaign's log header record.
 type Header struct {
