@@ -7,14 +7,18 @@ package gpufi_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"gpufi"
 )
 
 // TestCampaignAPI exercises the public Campaign surface: the registries,
-// functional options, validation, a precomputed profile, progress
-// callbacks, and cancellation with partial results.
+// functional options, validation, a precomputed profile, progress and trace
+// callbacks (each experiment's trace before its progress call, whatever the
+// order of the options), and cancellation with partial results.
 func TestCampaignAPI(t *testing.T) {
 	if len(gpufi.Apps()) != 12 || len(gpufi.Cards()) != 3 {
 		t.Fatalf("%d apps and %d cards, want 12 and 3", len(gpufi.Apps()), len(gpufi.Cards()))
@@ -35,20 +39,30 @@ func TestCampaignAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := 0
+	var calls []string
 	res, err := gpufi.NewCampaign(
 		gpufi.WithTarget(app, gpu, "va_add", gpufi.StructRegFile),
 		gpufi.WithRuns(8),
 		gpufi.WithSeed(1),
 		gpufi.WithWorkers(4),
 		gpufi.WithProfile(prof),
-		gpufi.WithProgress(func(gpufi.Experiment) { done++ }),
+		gpufi.WithProgress(func(e gpufi.Experiment) { calls = append(calls, fmt.Sprint("progress ", e.ID)) }),
+		gpufi.WithTrace(func(tr gpufi.ExperimentTrace) error {
+			calls = append(calls, fmt.Sprint("trace ", tr.ID))
+			return nil
+		}),
 	).Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Counts.Total() != 8 || done != 8 {
-		t.Errorf("total=%d progress=%d, want 8/8", res.Counts.Total(), done)
+	if res.Counts.Total() != 8 || len(calls) != 16 {
+		t.Fatalf("total=%d, %d callbacks, want 8 and 16", res.Counts.Total(), len(calls))
+	}
+	for k := 0; k < len(calls); k += 2 {
+		var id int
+		if _, err := fmt.Sscanf(calls[k], "trace %d", &id); err != nil || calls[k+1] != fmt.Sprint("progress ", id) {
+			t.Errorf("callbacks %q, %q: want an experiment's trace, then its progress", calls[k], calls[k+1])
+		}
 	}
 	// Cancelling from the progress callback returns promptly with the
 	// finished subset.
@@ -72,5 +86,102 @@ func TestCampaignAPI(t *testing.T) {
 	}
 	if res2 == nil || res2.Counts.Total() == 0 || res2.Counts.Total() >= 200 {
 		t.Errorf("partial result: %+v", res2)
+	}
+}
+
+// TestWithCompletedResumes drives the resume primitive: the even indices
+// run, then the odd ones with the even ones marked completed, and the two
+// halves merge into exactly the uninterrupted campaign.
+func TestWithCompletedResumes(t *testing.T) {
+	app, err := gpufi.AppByName("BP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := gpufi.RTX2060()
+	prof, err := gpufi.Profile(nil, app, gpu)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 40
+	run := func(completed ...int) *gpufi.CampaignResult {
+		t.Helper()
+		res, err := gpufi.NewCampaign(
+			gpufi.WithTarget(app, gpu, "bp_adjust", gpufi.StructRegFile),
+			gpufi.WithRuns(runs), gpufi.WithSeed(5), gpufi.WithProfile(prof),
+			gpufi.WithCompleted(completed...),
+		).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var even, odd []int
+	for i := 0; i < runs; i++ {
+		if i%2 == 0 {
+			even = append(even, i)
+		} else {
+			odd = append(odd, i)
+		}
+	}
+	full, first, second := run(), run(odd...), run(even...)
+	merged := first.Counts
+	merged.Merge(second.Counts)
+	if merged != full.Counts || full.Counts.Failures() == 0 {
+		t.Fatalf("halves %+v + %+v, uninterrupted %+v", first.Counts, second.Counts, full.Counts)
+	}
+	for _, half := range []*gpufi.CampaignResult{first, second} {
+		if len(half.Exps) != runs/2 {
+			t.Fatalf("a half ran %d experiments, want %d", len(half.Exps), runs/2)
+		}
+		for _, e := range half.Exps {
+			if w := full.Exps[e.ID]; e.Effect != w.Effect || e.Cycle != w.Cycle || e.Cycles != w.Cycles {
+				t.Errorf("experiment %d resumed as %+v, uninterrupted %+v", e.ID, e, w)
+			}
+		}
+	}
+}
+
+// TestWithSimultaneous runs one of the paper's Table IV combination points,
+// register file and shared memory struck in the same run, and refuses a
+// partner structure the card does not have.
+func TestWithSimultaneous(t *testing.T) {
+	app, err := gpufi.AppByName("SP") // uses shared memory
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := gpufi.NewCampaign(
+		gpufi.WithTarget(app, gpufi.RTX2060(), "sp_dot", gpufi.StructRegFile),
+		gpufi.WithSimultaneous(gpufi.StructShared),
+		gpufi.WithRuns(20), gpufi.WithSeed(6),
+	)
+	if got := c.Config().Simultaneous; !reflect.DeepEqual(got, []gpufi.Structure{gpufi.StructShared}) {
+		t.Fatalf("Simultaneous = %v", got)
+	}
+	res, err := c.Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counts.Total() != 20 {
+		t.Errorf("%d experiments of 20", res.Counts.Total())
+	}
+	if err := gpufi.NewCampaign(
+		gpufi.WithTarget(app, gpufi.GTXTitan(), "sp_dot", gpufi.StructRegFile),
+		gpufi.WithSimultaneous(gpufi.StructL1D), gpufi.WithRuns(20),
+	).Validate(); err == nil {
+		t.Error("an L1D partner on a card without an L1D was accepted")
+	}
+}
+
+// TestParseGPUReadsPresetsBack: each preset reads back from its own text
+// unchanged.
+func TestParseGPUReadsPresetsBack(t *testing.T) {
+	for _, p := range gpufi.Cards() {
+		got, err := gpufi.ParseGPU(strings.NewReader(p.Marshal()))
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		if !reflect.DeepEqual(got, p) {
+			t.Errorf("%s reads back as %+v, want %+v", p.Name, got, p)
+		}
 	}
 }

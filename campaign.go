@@ -30,6 +30,9 @@ import (
 type Campaign struct {
 	cfg  CampaignConfig
 	prof *AppProfile
+
+	progress func(Experiment)            // WithProgress
+	trace    func(ExperimentTrace) error // WithTrace
 }
 
 // CampaignOption configures a Campaign under construction.
@@ -42,6 +45,19 @@ func NewCampaign(opts ...CampaignOption) *Campaign {
 	c := &Campaign{cfg: CampaignConfig{Bits: 1}}
 	for _, o := range opts {
 		o(c)
+	}
+	if c.progress != nil || c.trace != nil {
+		c.cfg.Sink = func(e Experiment) error {
+			if c.trace != nil && e.Trace != nil {
+				if err := c.trace(*e.Trace); err != nil {
+					return err
+				}
+			}
+			if c.progress != nil {
+				c.progress(e)
+			}
+			return nil
+		}
 	}
 	return c
 }
@@ -71,7 +87,7 @@ func WithBits(bits int) CampaignOption { return func(c *Campaign) { c.cfg.Bits =
 // (serialized, in completion order) — for progress bars and incremental
 // log flushing.
 func WithProgress(fn func(Experiment)) CampaignOption {
-	return func(c *Campaign) { c.cfg.Progress = fn }
+	return func(c *Campaign) { c.progress = fn }
 }
 
 // WithCompleted marks experiment indices as already finished — the
@@ -122,7 +138,7 @@ func WithExpTimeout(d time.Duration) CampaignOption {
 func WithTrace(sink func(ExperimentTrace) error) CampaignOption {
 	return func(c *Campaign) {
 		c.cfg.Trace = true
-		c.cfg.TraceSink = sink
+		c.trace = sink
 	}
 }
 

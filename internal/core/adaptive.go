@@ -211,8 +211,7 @@ func SeedAdaptive(cfg *CampaignConfig, recs []Experiment, prior avf.Counts) (*pl
 
 // runAdaptive executes a campaign point under cfg.Plan: analytic pre-pass,
 // then stratified rounds on the fork engine with a stop check between
-// rounds. Journal/Quarantine/Trace/Progress semantics are the engine's
-// own; analytic records reach the hooks through the same deliver call.
+// rounds. Analytic records reach the campaign's sink like simulated ones.
 func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan) (*CampaignResult, error) {
 	res := &CampaignResult{
 		App: prof.App, GPU: prof.GPU, Kernel: cfg.Kernel,
@@ -235,7 +234,7 @@ func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *ca
 	masked := make(map[int]bool, len(analytic))
 	for _, exp := range analytic {
 		masked[exp.ID] = true
-		if err := cfg.deliver(exp); err != nil {
+		if err := cfg.emit(exp); err != nil {
 			return nil, err
 		}
 		exp.Trace = nil

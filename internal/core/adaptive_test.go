@@ -18,7 +18,7 @@ func journalJSON(t *testing.T, cfg *CampaignConfig, prof *Profile) ([]byte, *Cam
 	t.Helper()
 	var buf []byte
 	c := *cfg
-	c.Journal = func(e Experiment) error {
+	c.Sink = func(e Experiment) error {
 		b, err := json.Marshal(e)
 		if err != nil {
 			return err
@@ -203,7 +203,7 @@ func TestAdaptivePriorSatisfies(t *testing.T) {
 		PlanPrior: avf.Counts{Masked: 900, SDC: 100},
 	}
 	journaled := 0
-	cfg.Journal = func(Experiment) error { journaled++; return nil }
+	cfg.Sink = func(Experiment) error { journaled++; return nil }
 	res, err := RunCampaign(nil, cfg, prof)
 	if err != nil {
 		t.Fatal(err)

@@ -60,7 +60,7 @@ func BenchmarkCampaignForkVsReplay(b *testing.B) {
 		cfg := *base
 		if trace {
 			cfg.Trace = true
-			cfg.TraceSink = func(ExperimentTrace) error { return nil }
+			cfg.Sink = func(Experiment) error { return nil }
 		}
 		t0 := time.Now()
 		res, err := eng(ctx, &cfg, prof)

@@ -110,16 +110,15 @@ type CampaignConfig struct {
 	// one-point campaign leaves it empty and its spans are unchanged.
 	spanPoint string
 
-	// Progress, when non-nil, is called once per finished experiment (in
-	// completion order, serialized). Long campaigns use it for progress
-	// reporting and incremental logging.
-	Progress func(Experiment)
-
-	// Journal, when non-nil, is called once per finished experiment,
-	// before Progress, serialized in completion order. Unlike Progress it
-	// may fail: a non-nil error aborts the campaign, so a durable store
-	// never silently loses records it believes it has written.
-	Journal func(Experiment) error
+	// Sink, when non-nil, receives every finished experiment once —
+	// simulated, answered for an absent structure or by the analytic
+	// pre-pass — serialized in completion order, with Trace set when the
+	// campaign runs traced. A durable store journals it (store.Campaign's
+	// Record writes a quarantined experiment's write-ahead marker, the
+	// outcome and the trace, in that order); a progress bar counts it. A
+	// non-nil error aborts the campaign, so a store never silently loses
+	// records it believes it has written.
+	Sink func(Experiment) error
 
 	// Completed lists experiment indices already finished by an earlier
 	// run of the same campaign (same seed), e.g. recovered from a journal.
@@ -139,25 +138,12 @@ type CampaignConfig struct {
 	// instead of aborting the campaign.
 	ExpTimeout time.Duration
 
-	// Quarantine, when non-nil, is called for each experiment the sandbox
-	// poisoned (panicked or wall-clock-deadlined), serialized, before the
-	// Journal hook. A durable store uses it to write a synced quarantine
-	// record ahead of the batched outcome record, so a crash-looping spec
-	// is skipped on resume even if the process dies before the outcome
-	// reaches disk. A non-nil error aborts the campaign.
-	Quarantine func(exp Experiment) error
-
 	// Trace enables fault-propagation tracing: every experiment runs with
 	// the simulator's taint tracer attached, Experiment.Why carries the
-	// propagation sub-classification, and each experiment yields an
-	// ExperimentTrace delivered to TraceSink. Tracing is observational
-	// only — outcome counts are bit-identical with it on or off.
+	// propagation sub-classification, and each experiment reaches Sink with
+	// its ExperimentTrace attached. Tracing is observational only — outcome
+	// counts are bit-identical with it on or off.
 	Trace bool
-
-	// TraceSink, when non-nil (with Trace set), receives one propagation
-	// trace per finished experiment, serialized in completion order after
-	// Journal and before Progress. A non-nil error aborts the campaign.
-	TraceSink func(ExperimentTrace) error
 
 	// Plan, when enabled (TargetCI > 0), switches the campaign to the
 	// adaptive planner: an analytic never-read pre-pass folds provably
@@ -273,9 +259,9 @@ type Experiment struct {
 	// bytes are unchanged from earlier builds.
 	Why string `json:"why,omitempty"`
 
-	// Trace carries the propagation trace from the engine to the
-	// collector, which hands it to CampaignConfig.TraceSink and drops it.
-	// Never part of the journal record.
+	// Trace carries the propagation trace from the engine to
+	// CampaignConfig.Sink; the campaign result drops it. Never part of the
+	// journal record.
 	Trace *ExperimentTrace `json:"-"`
 }
 

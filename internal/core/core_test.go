@@ -302,8 +302,8 @@ func TestCampaignDeterministic(t *testing.T) {
 
 // TestCampaignAbsentStructureAllMasked: a structure the kernel does not use
 // is answered without simulating, through the collector like any other
-// experiment — so each record reaches the journal, then the trace sink,
-// then the progress callback, with the bytes it has always had.
+// experiment — so each record reaches the sink once, its trace attached,
+// with the bytes it has always had.
 func TestCampaignAbsentStructureAllMasked(t *testing.T) {
 	app := bench.VA() // uses no shared memory
 	gpu := config.RTX2060()
@@ -315,10 +315,11 @@ func TestCampaignAbsentStructureAllMasked(t *testing.T) {
 		Structure: sim.StructShared, Runs: 10, Bits: 1, Seed: 3,
 	}
 	rec.attach(cfg)
-	journal, trace := cfg.Journal, cfg.TraceSink
-	cfg.Journal = func(e Experiment) error { calls = append(calls, fmt.Sprint("journal ", e.ID)); return journal(e) }
-	cfg.TraceSink = func(tr ExperimentTrace) error { calls = append(calls, fmt.Sprint("trace ", tr.ID)); return trace(tr) }
-	cfg.Progress = func(e Experiment) { calls = append(calls, fmt.Sprint("progress ", e.ID)) }
+	record := cfg.Sink
+	cfg.Sink = func(e Experiment) error {
+		calls = append(calls, fmt.Sprintf("%d traced=%v", e.ID, e.Trace != nil && e.Trace.ID == e.ID))
+		return record(e)
+	}
 	before := sim.PoolStats()
 	res, err := RunCampaign(nil, cfg, prof)
 	if err != nil {
@@ -331,7 +332,7 @@ func TestCampaignAbsentStructureAllMasked(t *testing.T) {
 		t.Errorf("an absent structure touched the device pool: %+v -> %+v", before, after)
 	}
 	for i := 0; i < 10; i++ {
-		wantCalls = append(wantCalls, fmt.Sprint("journal ", i), fmt.Sprint("trace ", i), fmt.Sprint("progress ", i))
+		wantCalls = append(wantCalls, fmt.Sprintf("%d traced=true", i))
 		wantJournal := fmt.Sprintf(`{"id":%d,"cycle":0,"bits":null,"effect":"Masked","cycles":%d,"injected":false,`+
 			`"detail":"structure absent for kernel","why":"masked:not-applied"}`, i, prof.TotalCycles)
 		wantTrace := fmt.Sprintf(`{"id":%d,"effect":"Masked","why":"masked:not-applied","events":[{"ev":"classify","cycle":%d,`+
@@ -344,7 +345,7 @@ func TestCampaignAbsentStructureAllMasked(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(calls, wantCalls) {
-		t.Errorf("hook order %v, want %v", calls, wantCalls)
+		t.Errorf("sink calls %v, want %v", calls, wantCalls)
 	}
 }
 
@@ -382,7 +383,7 @@ func TestSkipCompleted(t *testing.T) {
 	cfg2 := *cfg
 	cfg2.Completed = []int{0, 1, 2, 3, 4, 5, 6, 12, 13, 99, -1}
 	var journaled []Experiment
-	cfg2.Journal = func(e Experiment) error { journaled = append(journaled, e); return nil }
+	cfg2.Sink = func(e Experiment) error { journaled = append(journaled, e); return nil }
 	part, err := RunCampaign(nil, &cfg2, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +414,7 @@ func TestSkipCompleted(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		cfg3.Completed = append(cfg3.Completed, i)
 	}
-	cfg3.Journal = func(Experiment) error { t.Error("journaled with nothing pending"); return nil }
+	cfg3.Sink = func(Experiment) error { t.Error("journaled with nothing pending"); return nil }
 	empty, err := RunCampaign(nil, &cfg3, prof)
 	if err != nil {
 		t.Fatal(err)
@@ -423,15 +424,15 @@ func TestSkipCompleted(t *testing.T) {
 	}
 }
 
-// TestJournalHookError verifies a failing journal hook aborts the
-// campaign instead of silently dropping records.
+// TestJournalHookError verifies a failing sink — a journal that cannot
+// write — aborts the campaign instead of silently dropping records.
 func TestJournalHookError(t *testing.T) {
 	app := bench.VA()
 	gpu := config.RTX2060()
 	prof, _ := ProfileApp(nil, app, gpu)
 	cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add",
 		Structure: sim.StructRegFile, Runs: 8, Bits: 1, Seed: 2,
-		Journal: func(Experiment) error { return errDisk },
+		Sink: func(Experiment) error { return errDisk },
 	}
 	if _, err := RunCampaign(nil, cfg, prof); err == nil || !strings.Contains(err.Error(), "disk full") {
 		t.Errorf("journal error not propagated: %v", err)

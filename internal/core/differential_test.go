@@ -33,24 +33,24 @@ func newJournalRecorder() *journalRecorder {
 	return &journalRecorder{recs: make(map[int][]byte), traces: make(map[int][]byte)}
 }
 
-func (r *journalRecorder) journal(exp Experiment) error {
+// record is a campaign sink: the experiment's journal bytes and, when it
+// carries one, its trace's.
+func (r *journalRecorder) record(exp Experiment) error {
 	b, err := json.Marshal(exp)
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	r.recs[exp.ID] = b
-	r.mu.Unlock()
-	return nil
-}
-
-func (r *journalRecorder) trace(tr ExperimentTrace) error {
-	b, err := json.Marshal(tr)
-	if err != nil {
-		return err
+	var tb []byte
+	if exp.Trace != nil {
+		if tb, err = json.Marshal(exp.Trace); err != nil {
+			return err
+		}
 	}
 	r.mu.Lock()
-	r.traces[tr.ID] = b
+	r.recs[exp.ID] = b
+	if tb != nil {
+		r.traces[exp.ID] = tb
+	}
 	r.mu.Unlock()
 	return nil
 }
@@ -95,12 +95,9 @@ func runDifferentialPair(t *testing.T, label string, base CampaignConfig, prof *
 	t.Helper()
 	run := func(deepClone bool) (*CampaignResult, *journalRecorder) {
 		rec := newJournalRecorder()
-		cfg := base // struct copy; hooks below are per-run
+		cfg := base // struct copy; the sink below is per-run
 		cfg.deepClone = deepClone
-		cfg.Journal = rec.journal
-		if cfg.Trace {
-			cfg.TraceSink = rec.trace
-		}
+		cfg.Sink = rec.record
 		res, err := RunCampaign(nil, &cfg, prof)
 		if err != nil {
 			t.Fatalf("%s deepClone=%v: %v", label, deepClone, err)

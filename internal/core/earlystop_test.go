@@ -237,7 +237,7 @@ func TestEarlyStopUntracedMatchesRunToEnd(t *testing.T) {
 			var journal [][]byte
 			for _, pt := range points {
 				pt.cfg.runToEnd = runToEnd
-				pt.cfg.Journal = func(exp Experiment) error {
+				pt.cfg.Sink = func(exp Experiment) error {
 					b, err := json.Marshal(exp)
 					journal = append(journal, b)
 					return err
@@ -343,13 +343,13 @@ func TestL1IJournalsUnchanged(t *testing.T) {
 				h := sha256.New()
 				cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: kernel, Structure: sim.StructL1I,
 					Runs: 100, Bits: 1, Seed: 7, Workers: 1, Trace: true,
-					Journal: func(exp Experiment) error {
+					Sink: func(exp Experiment) error {
 						b, err := json.Marshal(exp)
 						h.Write(append(b, '\n'))
-						return err
-					},
-					TraceSink: func(tr ExperimentTrace) error {
-						b, err := json.Marshal(tr)
+						if err != nil || exp.Trace == nil {
+							return err
+						}
+						b, err = json.Marshal(exp.Trace)
 						h.Write(append(b, '\n'))
 						return err
 					},

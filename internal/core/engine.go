@@ -33,8 +33,8 @@ import (
 // an evaluation's whole (kernel, structure) matrix shares one prefix run
 // and one cluster plan; a campaign is the set of one.
 
-// point is one campaign point of an engine run: the config whose hooks
-// receive its records, its plan, and the indices of it this run executes
+// point is one campaign point of an engine run: the config whose sink
+// receives its records, its plan, and the indices of it this run executes
 // (the plan's pending list, or one adaptive round of it). A run is a set of
 // points over one application and one GPU; the application, the GPU, the
 // worker count and the prefix settings are the first point's.
@@ -152,7 +152,7 @@ func planClusters(points []*point) []cluster {
 // whole set captures a snapshot at each cluster's cycle, and workers started
 // once per run walk the sorted job list, each experiment on a fork of its
 // cluster's snapshot, each reporting to its own point's collector — so a
-// point's hooks receive exactly the records they would receive from a run of
+// point's sink receives exactly the records it would receive from a run of
 // that point alone. The prefix runs one cluster ahead: having published
 // cluster k it simulates and captures towards k+1 while the workers execute
 // k, and waits at k+1 only until k has drained. After the last cluster it
@@ -468,7 +468,7 @@ func (p *pipeline) work() {
 }
 
 // collector gathers one point's finished experiments, preserving IDs, and
-// feeds the point's hooks. It tolerates partial completion (cancellation).
+// feeds the point's sink. It tolerates partial completion (cancellation).
 type collector struct {
 	cfg  *CampaignConfig
 	mu   sync.Mutex
@@ -485,37 +485,21 @@ func (c *collector) add(i int, exp Experiment) error {
 	defer c.mu.Unlock()
 	c.exps[i] = exp
 	c.done[i] = true
-	// The trace is delivered below; don't hold event buffers for the whole
-	// campaign in the collector's result slice.
+	// The trace goes to the sink below; don't hold event buffers for the
+	// whole campaign in the collector's result slice.
 	c.exps[i].Trace = nil
-	return c.cfg.deliver(exp)
+	return c.cfg.emit(exp)
 }
 
-// deliver hands a finished experiment to the campaign's hooks, in the one
-// order every path that finishes experiments uses — simulated, absent
-// structure, analytic pre-pass: Quarantine, Journal, TraceSink, Progress.
+// emit hands a finished experiment to the campaign's sink — from every path
+// that finishes one: simulated, absent structure, analytic pre-pass.
 // Callers serialize it.
-func (c *CampaignConfig) deliver(exp Experiment) error {
-	if exp.Quarantined && c.Quarantine != nil {
-		// Write-ahead: the quarantine record must be durable before the
-		// (batched) outcome record, so a process crash right after a
-		// poison run still leaves the spec marked skip-on-resume.
-		if err := c.Quarantine(exp); err != nil {
-			return fmt.Errorf("core: quarantine experiment %d: %w", exp.ID, err)
-		}
+func (c *CampaignConfig) emit(exp Experiment) error {
+	if c.Sink == nil {
+		return nil
 	}
-	if c.Journal != nil {
-		if err := c.Journal(exp); err != nil {
-			return fmt.Errorf("core: journal experiment %d: %w", exp.ID, err)
-		}
-	}
-	if c.TraceSink != nil && exp.Trace != nil {
-		if err := c.TraceSink(*exp.Trace); err != nil {
-			return fmt.Errorf("core: trace experiment %d: %w", exp.ID, err)
-		}
-	}
-	if c.Progress != nil {
-		c.Progress(exp)
+	if err := c.Sink(exp); err != nil {
+		return fmt.Errorf("core: record experiment %d: %w", exp.ID, err)
 	}
 	return nil
 }

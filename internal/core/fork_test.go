@@ -114,10 +114,11 @@ func TestCampaignCancellation(t *testing.T) {
 	res, err := RunCampaign(ctx, &CampaignConfig{
 		App: app, GPU: gpu, Kernel: "bfs_k1", Structure: sim.StructRegFile,
 		Runs: 300, Bits: 1, Seed: 3, Workers: 2,
-		Progress: func(Experiment) {
+		Sink: func(Experiment) error {
 			if seen++; seen == 5 {
 				cancel()
 			}
+			return nil
 		},
 	}, prof)
 	cancel()

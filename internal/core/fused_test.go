@@ -22,26 +22,26 @@ import (
 )
 
 // This file is the gate on running an application's campaign points as one
-// engine run: nothing a point's hooks receive may depend on which other
+// engine run: nothing a point's sink receives may depend on which other
 // points shared the prefix with it. The reference is the evaluation as a
 // loop of one-point campaigns (oracle_test.go).
 
 // streamRecorder keeps one point's journal and trace records as serialized
-// bytes in the order the hooks received them. The collector serializes a
-// point's hooks, so it needs no lock of its own.
+// bytes in the order the sink received them. The collector serializes a
+// point's sink, so it needs no lock of its own.
 type streamRecorder struct {
 	journal, traces [][]byte
 }
 
 func (r *streamRecorder) attach(cfg *CampaignConfig) {
 	cfg.Trace = true
-	cfg.Journal = func(exp Experiment) error {
+	cfg.Sink = func(exp Experiment) error {
 		b, err := json.Marshal(exp)
 		r.journal = append(r.journal, b)
-		return err
-	}
-	cfg.TraceSink = func(tr ExperimentTrace) error {
-		b, err := json.Marshal(tr)
+		if err != nil || exp.Trace == nil {
+			return err
+		}
+		b, err = json.Marshal(exp.Trace)
 		r.traces = append(r.traces, b)
 		return err
 	}
@@ -268,8 +268,8 @@ func vaPoints(t *testing.T, runs int) (*Profile, []*point) {
 }
 
 // TestFusedCancellationKeepsEveryPoint cancels a five-point run from one
-// point's progress callback: the run must come back promptly with a result
-// for every point, each holding exactly the experiments its own hooks saw.
+// point's sink: the run must come back promptly with a result
+// for every point, each holding exactly the experiments its own sink saw.
 func TestFusedCancellationKeepsEveryPoint(t *testing.T) {
 	const runs = 80
 	prof, points := vaPoints(t, runs)
@@ -278,11 +278,12 @@ func TestFusedCancellationKeepsEveryPoint(t *testing.T) {
 	seen := make([]int, len(points))
 	var simulated atomic.Int64
 	for n, pt := range points {
-		pt.cfg.Progress = func(exp Experiment) {
+		pt.cfg.Sink = func(exp Experiment) error {
 			seen[n]++
 			if !pt.plan.absent && simulated.Add(1) == 12 {
 				cancel()
 			}
+			return nil
 		}
 	}
 	results, err := runPoints(ctx, prof, points)
@@ -298,7 +299,7 @@ func TestFusedCancellationKeepsEveryPoint(t *testing.T) {
 			t.Fatalf("point %d has no partial result", n)
 		}
 		if r.Counts.Total() != seen[n] || len(r.Exps) != seen[n] {
-			t.Errorf("point %s: result holds %d experiments (%d listed), its progress hook saw %d",
+			t.Errorf("point %s: result holds %d experiments (%d listed), its sink saw %d",
 				points[n].cfg.spanPoint, r.Counts.Total(), len(r.Exps), seen[n])
 		}
 		if points[n].plan.absent {

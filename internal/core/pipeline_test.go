@@ -24,7 +24,7 @@ import (
 )
 
 // This file is the gate on the engine as a pipeline: the prefix device runs
-// one cluster ahead of the workers, and none of what a run's hooks receive,
+// one cluster ahead of the workers, and none of what a run's sink receives,
 // what it leaves in the device pool or which goroutines it leaves behind may
 // depend on how far ahead it got. The CI race job runs all of it under -race.
 
@@ -199,7 +199,7 @@ func TestPipelinePoisonWhilePrefixAhead(t *testing.T) {
 
 	run := func(hook func(int, *sim.FaultSpec)) (*journalRecorder, *CampaignResult) {
 		rec, cfg := newJournalRecorder(), mk()
-		cfg.Journal = rec.journal
+		cfg.Sink = rec.record
 		res, err := runHooked(nil, cfg, prof, hook)
 		if err != nil {
 			t.Fatal(err)
@@ -257,8 +257,8 @@ func settled(t *testing.T, what string, before EngineCounters, goroutines int) {
 	}
 }
 
-// TestPipelineStopsWhilePrefixAhead cancels a run, and fails its Journal
-// hook, from cluster k once the prefix has captured cluster k+1: the
+// TestPipelineStopsWhilePrefixAhead cancels a run, and fails its sink,
+// from cluster k once the prefix has captured cluster k+1: the
 // cancelled run hands back what finished, the failed one its error, and both
 // release every device and leave no goroutine.
 func TestPipelineStopsWhilePrefixAhead(t *testing.T) {
@@ -273,7 +273,7 @@ func TestPipelineStopsWhilePrefixAhead(t *testing.T) {
 		defer cancel()
 		cfg := mk()
 		var finished atomic.Int64
-		cfg.Progress = func(Experiment) { finished.Add(1) }
+		cfg.Sink = func(Experiment) error { finished.Add(1); return nil }
 		res, err := runHooked(ctx, cfg, prof, func(id int, _ *sim.FaultSpec) {
 			if id == stopID {
 				ahead(k)
@@ -284,7 +284,7 @@ func TestPipelineStopsWhilePrefixAhead(t *testing.T) {
 			t.Fatalf("want context.Canceled, got %v", err)
 		}
 		if res == nil || len(res.Exps) != int(finished.Load()) || len(res.Exps) == 0 || len(res.Exps) >= cfg.Runs {
-			t.Fatalf("cancelled run returned %v, its progress hook saw %d of %d", res, finished.Load(), cfg.Runs)
+			t.Fatalf("cancelled run returned %v, its sink saw %d of %d", res, finished.Load(), cfg.Runs)
 		}
 		for _, e := range res.Exps {
 			if of[e.ID] > k+1 {
@@ -296,12 +296,12 @@ func TestPipelineStopsWhilePrefixAhead(t *testing.T) {
 	t.Run("journal", func(t *testing.T) {
 		sim.DrainPool()
 		before, goroutines, ahead := EngineStats(), runtime.NumGoroutine(), prefixAhead(t)
-		// One worker: a journal hook runs under its point's collector, and a
+		// One worker: the campaign's sink runs under its point's collector, and a
 		// second worker held up there on the last job of cluster k-1 would
 		// keep the prefix in the sink of cluster k, waiting for it.
 		cfg := mk()
 		cfg.Workers = 1
-		cfg.Journal = func(exp Experiment) error {
+		cfg.Sink = func(exp Experiment) error {
 			if exp.ID == stopID {
 				ahead(k)
 				return errDisk
@@ -309,8 +309,8 @@ func TestPipelineStopsWhilePrefixAhead(t *testing.T) {
 			return nil
 		}
 		res, err := RunCampaign(nil, cfg, prof)
-		if err == nil || !strings.Contains(err.Error(), "journal experiment") || !errors.Is(err, error(errDisk)) {
-			t.Fatalf("want the journal hook's error, got %v", err)
+		if err == nil || !strings.Contains(err.Error(), "record experiment") || !errors.Is(err, error(errDisk)) {
+			t.Fatalf("want the sink's error, got %v", err)
 		}
 		if res != nil {
 			t.Errorf("failed run returned a result: %+v", res.Counts)

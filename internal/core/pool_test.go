@@ -146,10 +146,7 @@ func (p *poolPoint) run(t *testing.T) *journalRecorder {
 	t.Helper()
 	rec := newJournalRecorder()
 	cfg := p.cfg
-	cfg.Journal = rec.journal
-	if cfg.Trace {
-		cfg.TraceSink = rec.trace
-	}
+	cfg.Sink = rec.record
 	if _, err := RunCampaign(nil, &cfg, p.prof); err != nil {
 		t.Errorf("%s: %v", p.name, err)
 	}
@@ -285,10 +282,11 @@ func TestDevicePoolBounded(t *testing.T) {
 		} else {
 			cfg.GPU = config.RTX2060()
 		}
-		cfg.Progress = func(Experiment) {
+		cfg.Sink = func(Experiment) error {
 			if n := EngineStats().DevicesParked; n > bound {
 				t.Errorf("campaign %d: %d devices parked mid-campaign, bound %d", i, n, bound)
 			}
+			return nil
 		}
 		if _, err := RunCampaign(nil, &cfg, c.prof); err != nil {
 			t.Fatalf("campaign %d: %v", i, err)

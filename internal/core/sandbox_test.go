@@ -25,7 +25,7 @@ func runHooked(ctx context.Context, cfg *CampaignConfig, prof *Profile, hook fun
 // that one experiment. Every other outcome of the batch stays
 // bit-identical to a clean run of the same seed, the poison run is
 // classified as a quarantined Crash carrying a diagnosable detail string,
-// and the Quarantine hook sees it. The vessel it ran on leaves the system
+// and it reaches the sink marked quarantined. The vessel it ran on leaves the system
 // with it: it is not among the devices the campaign returns to the pool, and
 // the next campaign, on what was returned, matches the clean run.
 func TestPoisonedCampaignIsolation(t *testing.T) {
@@ -50,8 +50,10 @@ func TestPoisonedCampaignIsolation(t *testing.T) {
 
 	var quarantined []Experiment
 	cfg := mk()
-	cfg.Quarantine = func(exp Experiment) error {
-		quarantined = append(quarantined, exp) // serialized under the collector lock
+	cfg.Sink = func(exp Experiment) error {
+		if exp.Quarantined {
+			quarantined = append(quarantined, exp) // serialized under the collector lock
+		}
 		return nil
 	}
 	poisoned, err := runHooked(nil, cfg, prof, func(id int, spec *sim.FaultSpec) {
@@ -84,7 +86,7 @@ func TestPoisonedCampaignIsolation(t *testing.T) {
 		}
 	}
 	if len(quarantined) != 1 || quarantined[0].ID != poisonID {
-		t.Errorf("Quarantine hook saw %v, want exactly experiment %d", quarantined, poisonID)
+		t.Errorf("the sink saw %v quarantined, want exactly experiment %d", quarantined, poisonID)
 	}
 	wantCrash := clean.Counts.Crash + 1
 	if clean.Exps[poisonID].Outcome == avf.Crash {
@@ -221,7 +223,7 @@ func TestPoisonStress(t *testing.T) {
 	mk := func() (*CampaignConfig, *journalRecorder) {
 		rec := newJournalRecorder()
 		return &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
-			Runs: 48, Bits: 1, Seed: 29, Workers: 16, Journal: rec.journal}, rec
+			Runs: 48, Bits: 1, Seed: 29, Workers: 16, Sink: rec.record}, rec
 	}
 	cfg, clean := mk()
 	if _, err := RunCampaign(nil, cfg, prof); err != nil {

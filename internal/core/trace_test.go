@@ -95,12 +95,12 @@ func TestTraceBytesIdenticalAcrossEngines(t *testing.T) {
 		cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
 			Runs: 50, Bits: 1, Seed: 21, Workers: 4,
 			Trace: true,
-			TraceSink: func(tr ExperimentTrace) error {
-				raw, err := json.Marshal(tr)
+			Sink: func(exp Experiment) error {
+				raw, err := json.Marshal(exp.Trace)
 				if err != nil {
 					return err
 				}
-				out[tr.ID] = raw
+				out[exp.ID] = raw
 				return nil
 			},
 		}

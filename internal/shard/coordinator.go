@@ -112,9 +112,8 @@ type campaignRun struct {
 	wal      *store.ControlWAL
 	tab      *table
 
-	mergedTraces map[int]bool
-	newExps      []core.Experiment // merged this coordinator lifetime
-	onExp        func(core.Experiment)
+	newExps []core.Experiment // merged this coordinator lifetime
+	onExp   func(core.Experiment)
 
 	// tracker is the adaptive campaign's stratified interval estimator
 	// (nil for fixed-N campaigns); simulated counts the simulated records
@@ -300,9 +299,7 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 
 	run = &campaignRun{
 		id: id, spec: c.Spec, app: prof.App, gpu: prof.GPU, c: c, onExp: onExp,
-		trace: trace, rootSpan: rootSpan,
-		mergedTraces: make(map[int]bool),
-		done:         make(chan struct{}),
+		trace: trace, rootSpan: rootSpan, done: make(chan struct{}),
 	}
 
 	// Adaptive campaigns: the coordinator owns the stop rule. The analytic
@@ -326,15 +323,10 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		run.tracker, pending = core.SeedAdaptive(cfg, recs, c.Counts)
 		run.simulated = run.tracker.Counts().Total()
 		for _, e := range pending {
-			if err := c.Append(e); err != nil {
+			if err := c.Record(e); err != nil {
 				return nil, nil, err
 			}
-			if e.Trace != nil {
-				if err := c.AppendTrace(*e.Trace); err != nil {
-					return nil, nil, err
-				}
-				e.Trace = nil
-			}
+			e.Trace = nil
 			cfg.Completed = append(cfg.Completed, e.ID)
 			run.newExps = append(run.newExps, e)
 			if onExp != nil {
@@ -343,9 +335,6 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		}
 		obs.EmitSpan(ctx, "coordinator.prepass", prepassStart,
 			obs.Attr{K: "analytic", V: strconv.Itoa(len(recs))})
-	}
-	for _, i := range cfg.Completed {
-		run.mergedTraces[i] = true
 	}
 
 	// Fsync ordering invariant: the journal is synced BEFORE any control
@@ -514,8 +503,7 @@ func (co *Coordinator) Claim(worker string) (*Shard, error) {
 		run.tab.grant(ss.id, lease, epoch, worker, now.Add(co.opts.LeaseTTL))
 		sh := &Shard{
 			ID: ss.id, Campaign: id, Spec: run.spec, Indices: ss.indices,
-			Clusters: 1, // clusters per shard not exposed by the planner
-			Lease:    lease, LeaseTTLMS: co.opts.LeaseTTL.Milliseconds(), Epoch: epoch,
+			Lease: lease, LeaseTTLMS: co.opts.LeaseTTL.Milliseconds(), Epoch: epoch,
 		}
 		if !run.trace.IsZero() {
 			// Stamped per grant, not per plan: a rebuilt shard table and
@@ -568,7 +556,9 @@ func (co *Coordinator) fencedLocked(err error) error {
 // shard re-issue, a straggler whose lease expired, or a worker re-sending
 // after a coordinator restart lost its acknowledged merges — are
 // deduplicated idempotently; the simulator's determinism guarantees the
-// duplicate would have carried the same bytes anyway. A lease from a
+// duplicate would have carried the same bytes anyway. A traced experiment's
+// trace rides in its record and is written or dropped with it; a trace that
+// names another experiment makes the batch malformed. A lease from a
 // superseded epoch is fenced (the shard was re-issued; only the successor
 // may write), and batches against a closed campaign are refused with
 // ErrCampaignClosed so they cannot resurrect it.
@@ -606,22 +596,21 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 				return res, fmt.Errorf("%w: experiment %d: %v", ErrBadBatch, exp.ID, err)
 			}
 			exp.Outcome = o
+			if rec.Trace != nil && rec.Trace.ID != exp.ID {
+				return res, fmt.Errorf("%w: experiment %d carries the trace of %d", ErrBadBatch, exp.ID, rec.Trace.ID)
+			}
 			if tab.journaled[exp.ID] {
 				res.Duplicates++
 				co.stats.RecordsDuped++
 				continue
 			}
-			// Same order as the local engine's collector: the quarantine
-			// record is written (synced) ahead of the batched outcome
-			// record, so resume semantics match a single-process run.
-			if exp.Quarantined {
-				if err := run.c.Quarantine(exp); err != nil {
-					return res, err
-				}
-			}
-			if err := run.c.Append(exp); err != nil {
+			// The store writes it exactly as a single-process run does:
+			// quarantine record, outcome, trace.
+			exp.Trace = rec.Trace
+			if err := run.c.Record(exp); err != nil {
 				return res, err
 			}
+			exp.Trace = nil
 			if tab.merged(b.Shard, exp.ID) {
 				co.stats.ShardsCompleted++
 				co.opts.Logger.Info("shard complete", "shard", b.Shard, "worker", ss.worker)
@@ -636,24 +625,6 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			if run.onExp != nil {
 				run.onExp(exp)
 			}
-		case KindTrace:
-			if rec.Trace == nil {
-				return res, fmt.Errorf("%w: trace record without payload", ErrBadBatch)
-			}
-			if !tab.owns(b.Shard, rec.Trace.ID) {
-				return res, fmt.Errorf("%w: trace %d is not in shard %s", ErrBadBatch, rec.Trace.ID, b.Shard)
-			}
-			if run.mergedTraces[rec.Trace.ID] {
-				res.Duplicates++
-				co.stats.RecordsDuped++
-				continue
-			}
-			if err := run.c.AppendTrace(*rec.Trace); err != nil {
-				return res, err
-			}
-			run.mergedTraces[rec.Trace.ID] = true
-			res.Accepted++
-			co.stats.RecordsMerged++
 		case KindSpan:
 			if rec.Span == nil {
 				return res, fmt.Errorf("%w: span record without payload", ErrBadBatch)
@@ -730,10 +701,7 @@ func (co *Coordinator) finalizeLocked(run *campaignRun) {
 			Simulated: run.simulated, Skipped: run.tab.pending()}
 	}
 	reason := "done"
-	err := co.st.ClearCancelled(run.id)
-	if err == nil {
-		err = run.c.Finish(merged)
-	}
+	err := run.c.Finish(merged)
 	if err != nil {
 		reason = "failed"
 	}
@@ -765,8 +733,7 @@ func (co *Coordinator) endLocked(run *campaignRun, reason string, res *core.Camp
 	}
 	close(run.done)
 	run.tab.entomb()
-	run.c, run.wal, run.tracker, run.onExp = nil, nil, nil, nil
-	run.mergedTraces, run.newExps = nil, nil
+	run.c, run.wal, run.tracker, run.onExp, run.newExps = nil, nil, nil, nil, nil
 	for i, id := range co.order {
 		if id == run.id {
 			co.order = append(co.order[:i], co.order[i+1:]...)

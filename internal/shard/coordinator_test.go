@@ -59,7 +59,7 @@ func execShard(t *testing.T, sh *Shard) []core.Experiment {
 	}
 	var mu sync.Mutex
 	var exps []core.Experiment
-	cfg.Journal = func(e core.Experiment) error {
+	cfg.Sink = func(e core.Experiment) error {
 		mu.Lock()
 		exps = append(exps, e)
 		mu.Unlock()
@@ -169,6 +169,15 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	exps0 := execShard(t, sh0)
 	if _, err := co.Ingest(expBatch(sh0, sh0.Lease, exps0)); !errors.Is(err, ErrLeaseFenced) {
 		t.Fatalf("ingest under fenced lease: want ErrLeaseFenced, got %v", err)
+	}
+
+	// A trace rides in its own experiment's record: one that names another
+	// experiment makes the batch malformed, refused before anything of it
+	// is written (the next ingest accepts every record).
+	mixed := expBatch(sh0, re0.Lease, exps0)
+	mixed.Records[0].Trace = &core.ExperimentTrace{ID: exps0[1].ID}
+	if _, err := co.Ingest(mixed); !errors.Is(err, ErrBadBatch) {
+		t.Fatalf("trace of experiment %d riding with %d: want ErrBadBatch, got %v", exps0[1].ID, exps0[0].ID, err)
 	}
 
 	// The successor delivers the same results under the live lease.

@@ -14,8 +14,7 @@ func (co *Coordinator) Footprint() (scanned, tracked, live int) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, run := range co.campaigns {
-		heavy := run.c != nil || run.tab.journaled != nil || run.mergedTraces != nil ||
-			run.newExps != nil || run.res != nil
+		heavy := run.c != nil || run.tab.journaled != nil || run.newExps != nil || run.res != nil
 		for _, ss := range run.tab.shards {
 			heavy = heavy || ss.indexSet != nil || ss.indices != nil || ss.leases != nil
 		}

@@ -9,23 +9,19 @@ import (
 )
 
 // TestOutboxCuts drives an outbox by hand, its POSTs held at a gate: a
-// batch is everything up to the last record after which a cut is legal —
-// never the experiment whose trace has not arrived — batches follow one
-// another without gap or overlap, nothing is posted below the minimum, and
-// the first error ends the sender and comes back from every later add.
+// batch is everything up to the last experiment record — a span rides along
+// with the experiment after it — batches follow one another without gap or
+// overlap, nothing is posted below the minimum, and the first error ends the
+// sender and comes back from every later add.
 func TestOutboxCuts(t *testing.T) {
 	exp := func(id int) Record { return Record{Kind: KindExp, Exp: &core.Experiment{ID: id}} }
-	trace := func(id int) Record { return Record{Kind: KindTrace, Trace: &core.ExperimentTrace{ID: id}} }
 	span := Record{Kind: KindSpan}
 	show := func(recs []Record) string {
 		s := ""
 		for _, r := range recs {
-			switch r.Kind {
-			case KindExp:
+			if r.Kind == KindExp {
 				s += fmt.Sprintf("e%d ", r.Exp.ID)
-			case KindTrace:
-				s += fmt.Sprintf("t%d ", r.Trace.ID)
-			default:
+			} else {
 				s += "s "
 			}
 		}
@@ -43,47 +39,57 @@ func TestOutboxCuts(t *testing.T) {
 			return <-answer
 		})
 	}()
-	add := func(r Record, cuttable bool) {
+	add := func(r Record) {
 		t.Helper()
-		if err := o.add(r, cuttable); err != nil {
+		if err := o.add(r); err != nil {
 			t.Fatalf("add: %v", err)
 		}
 	}
+	cutAt := func(want int) {
+		t.Helper()
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		if o.cut != want {
+			t.Fatalf("cut after %d records, want %d", o.cut, want)
+		}
+	}
 
-	add(exp(1), false)
-	add(span, false)
-	add(trace(1), true)
-	if got := <-posted; got != "e1 s t1 " {
+	add(exp(1))
+	add(span)
+	cutAt(1)
+	add(exp(2))
+	if got := <-posted; got != "e1 s e2 " {
 		t.Fatalf("first POST %q", got)
 	}
-	// While it is out: a whole pair, then an experiment still waiting for
-	// its trace. The next POST ends after the pair.
-	add(exp(2), false)
-	add(trace(2), true)
-	add(span, false)
-	add(exp(3), false)
+	// While it is out: one experiment and a span behind it. One record up to
+	// the cut is below the minimum, so nothing is posted until the next
+	// experiment, and the span travels with it.
+	add(exp(3))
+	add(span)
 	answer <- nil
-	if got := <-posted; got != "e2 t2 " {
+	add(exp(4))
+	if got := <-posted; got != "e3 s e4 " {
 		t.Fatalf("second POST %q", got)
 	}
-	add(trace(3), true)
-	add(exp(4), true) // untraced: a cut may follow at once
+	add(span)
+	cutAt(6)
 	answer <- nil
-	if got := <-posted; got != "s e3 t3 e4 " {
+	add(exp(5))
+	if got := <-posted; got != "s e5 " {
 		t.Fatalf("third POST %q", got)
 	}
-	add(exp(5), true) // one record: below the minimum, stays for the final flush
+	add(exp(6))
 	boom := errors.New("refused")
 	answer <- boom
 	<-done
-	if err := o.add(exp(6), true); !errors.Is(err, boom) {
+	if err := o.add(exp(7)); !errors.Is(err, boom) {
 		t.Fatalf("add after a failed POST: %v, want the sender's error", err)
 	}
-	if got := show(o.records(true)); got != "s e3 t3 e4 e5 e6 " {
+	if got := show(o.records(true)); got != "s e5 e6 e7 " {
 		t.Fatalf("unacknowledged after the failure: %q", got)
 	}
-	if got := len(o.records(false)); got != 11 {
-		t.Fatalf("%d records kept for a full re-send, want 11", got)
+	if got := len(o.records(false)); got != 10 {
+		t.Fatalf("%d records kept for a full re-send, want 10", got)
 	}
 	o.close()
 }

@@ -77,7 +77,8 @@ var (
 	ErrCampaignClosed = errors.New("shard: campaign closed")
 
 	// ErrBadBatch reports a malformed batch: a record for an index outside
-	// the shard, an unparsable outcome, or a missing payload.
+	// the shard, an unparsable outcome, a missing payload, or a trace that
+	// names another experiment than the record it rides in.
 	ErrBadBatch = errors.New("shard: bad batch")
 
 	// ErrCampaignSatisfied reports a batch or heartbeat against a campaign
@@ -98,7 +99,6 @@ type Shard struct {
 	Campaign string     `json:"campaign"`
 	Spec     store.Spec `json:"spec"`
 	Indices  []int      `json:"indices"`
-	Clusters int        `json:"clusters"` // snapshot clusters covered, for sizing
 
 	// Lease is the token authorizing journal batches and heartbeats for
 	// this issue of the shard; LeaseTTLMS is how long it lives without a
@@ -121,17 +121,17 @@ type Shard struct {
 
 // Record kinds on the journal-batch wire.
 const (
-	KindExp   = "exp"   // one finished experiment (journal record)
-	KindTrace = "trace" // one propagation trace (traced campaigns)
-	KindSpan  = "span"  // one completed tracing span (worker-side timeline)
+	KindExp  = "exp"  // one finished experiment, with its trace when traced
+	KindSpan = "span" // one completed tracing span (worker-side timeline)
 )
 
 // Record is one journal-stream element. An experiment record carries the
-// full core.Experiment — the coordinator re-encodes it through the store
-// codec, which is byte-deterministic, so wire transport preserves journal
-// identity. A quarantined experiment (Exp.Quarantined) additionally
-// yields a write-ahead quarantine record on the coordinator, in the same
-// order the local engine would have written it.
+// full core.Experiment and, on a traced campaign, its propagation trace in
+// Trace — one finished experiment is one record. The coordinator hands it
+// to store.Campaign.Record, whose codec is byte-deterministic, so wire
+// transport preserves journal and trace identity, and a quarantined
+// experiment gets its write-ahead quarantine record in the same order a
+// single-process run writes it.
 type Record struct {
 	Kind  string                `json:"kind"`
 	Exp   *core.Experiment      `json:"exp,omitempty"`

@@ -279,8 +279,7 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 			tctx := obs.ContextWithRemote(shardCtx, tid, psid)
 			tctx = obs.ContextWithNode(tctx, w.Name)
 			tctx = obs.ContextWithSink(tctx, func(rec obs.SpanRecord) {
-				r := rec
-				out.add(Record{Kind: KindSpan, Span: &r}, false)
+				out.add(Record{Kind: KindSpan, Span: &rec})
 			})
 			tctx, shardSpan = obs.StartSpan(tctx, "worker.shard",
 				obs.Attr{K: "shard", V: sh.ID},
@@ -400,22 +399,11 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		})
 	}()
 
-	// The engine's collector serializes these callbacks, so the outbox
-	// sees experiments in completion order — the same order a local store
-	// run journals them. The collector hands a traced experiment's
-	// propagation trace to TraceSink immediately after Journal, and a cut
-	// may only fall after the pair: a trace trailing the campaign's final
-	// exp into the next batch would arrive at an already-finalized
-	// campaign and be rejected.
-	cfg.Journal = func(exp core.Experiment) error {
-		e := exp
-		return out.add(Record{Kind: KindExp, Exp: &e}, !(sh.Spec.Trace && exp.Trace != nil))
-	}
-	if sh.Spec.Trace {
-		cfg.TraceSink = func(tr core.ExperimentTrace) error {
-			t := tr
-			return out.add(Record{Kind: KindTrace, Trace: &t}, true)
-		}
+	// The engine's collector serializes the sink, so the outbox sees
+	// experiments in completion order — the same order a local store run
+	// journals them — each one record with its trace attached.
+	cfg.Sink = func(exp core.Experiment) error {
+		return out.add(Record{Kind: KindExp, Exp: &exp, Trace: exp.Trace})
 	}
 
 	_, runErr := core.RunCampaign(shardCtx, cfg, prof)
@@ -482,7 +470,7 @@ type outbox struct {
 	wake   *sync.Cond // on mu: a send became due, or the outbox closed
 	all    []Record
 	acked  int   // all[:acked] is acknowledged
-	cut    int   // all[:cut] may be sent: a cut never parts an exp from its trace
+	cut    int   // all[:cut] may be sent: it ends on an experiment record
 	closed bool  // the engine is done: run returns after the POST in flight
 	err    error // the sender's first failure, sticky
 }
@@ -493,14 +481,14 @@ func newOutbox(min int) *outbox {
 	return o
 }
 
-// add appends one record; cuttable says a batch may end right after it.
-// It returns the sender's sticky error, which is how a failed POST stops
-// the engine: at its next callback.
-func (o *outbox) add(r Record, cuttable bool) error {
+// add appends one record. A batch may end right after an experiment; spans
+// ride along with the next one. It returns the sender's sticky error,
+// which is how a failed POST stops the engine: at its next callback.
+func (o *outbox) add(r Record) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.all = append(o.all, r)
-	if cuttable {
+	if r.Kind != KindSpan {
 		o.cut = len(o.all)
 		if o.cut-o.acked >= o.min {
 			o.wake.Signal()

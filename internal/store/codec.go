@@ -44,12 +44,12 @@ type logExp struct {
 	core.Experiment
 }
 
-// logQuar is a quarantine record: the sandbox writes one, synced, the
-// moment an experiment poisons its vessel (simulator panic or wall-clock
-// deadline), BEFORE the batched outcome record. If the process dies in
-// that window, recovery synthesizes the outcome from this record — so a
-// crash-looping spec is skipped on resume instead of re-crashing the
-// campaign forever.
+// logQuar is a quarantine record: Campaign.Record writes one, synced, for
+// an experiment that poisoned its vessel (simulator panic or wall-clock
+// deadline), BEFORE the batched outcome record. The decoder ignores it when
+// the outcome record follows; if the process died in that window, recovery
+// synthesizes the outcome from it — so a crash-looping spec is skipped on
+// resume instead of re-crashing the campaign forever.
 type logQuar struct {
 	Type   string `json:"type"` // "quarantine"
 	ID     int    `json:"id"`
@@ -57,8 +57,9 @@ type logQuar struct {
 	Reason string `json:"reason,omitempty"`
 }
 
-// The record constructors are the one encoding of each record type, shared
-// by LogWriter (any stream) and the store's journal (an appendLog).
+// The record constructors are the one encoding of each record type:
+// LogWriter (any stream) and the store's journal (an appendLog) share the
+// header and experiment records; only the journal writes quarantine records.
 func headerRecord(h Header) logHeader { return logHeader{Type: "campaign", Header: h} }
 
 func expRecord(exp core.Experiment) logExp { return logExp{Type: "exp", Experiment: exp} }
@@ -100,17 +101,6 @@ func (lw *LogWriter) Begin(h Header) error {
 func (lw *LogWriter) Experiment(exp core.Experiment) error {
 	if err := lw.enc.Encode(expRecord(exp)); err != nil {
 		return fmt.Errorf("store: write log record %d: %v", exp.ID, err)
-	}
-	return nil
-}
-
-// Quarantine emits a quarantine record for a poisoned experiment: its id,
-// classified outcome and diagnostic reason. ParseLog treats it as a
-// write-ahead shadow of the experiment record — ignored when the outcome
-// record follows, substituted for it when a crash lost the outcome.
-func (lw *LogWriter) Quarantine(exp core.Experiment) error {
-	if err := lw.enc.Encode(quarantineRecord(exp)); err != nil {
-		return fmt.Errorf("store: write quarantine record %d: %v", exp.ID, err)
 	}
 	return nil
 }

@@ -185,8 +185,9 @@ func logFixtures(t testing.TB) []logFixture {
 				t.Fatal(err)
 			}
 			for i := 0; i < 4; i++ {
-				if err := c.AppendTrace(core.ExperimentTrace{ID: i, Effect: "Masked", Why: "masked:never-read",
-					Events: []sim.TraceEvent{{Ev: "inject", Cycle: 7, Cell: "r3@t17"}, {Ev: "classify", Outcome: "Masked"}}}); err != nil {
+				if err := c.Record(core.Experiment{ID: i, Outcome: avf.Masked, Effect: "Masked", Trace: &core.ExperimentTrace{
+					ID: i, Effect: "Masked", Why: "masked:never-read",
+					Events: []sim.TraceEvent{{Ev: "inject", Cycle: 7, Cell: "r3@t17"}, {Ev: "classify", Outcome: "Masked"}}}}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -203,8 +204,10 @@ func logFixtures(t testing.TB) []logFixture {
 				c.Close()
 				return nil, err
 			}
+			// The trace file's own writer: Record would add a journal line at
+			// every offset as well.
 			return &openedLog{n: -1, close: c.Close, appendNext: func() error {
-				return c.AppendTrace(core.ExperimentTrace{ID: 9, Effect: "SDC", Events: []sim.TraceEvent{{Ev: "classify"}}})
+				return c.traces.append(core.ExperimentTrace{ID: 9, Effect: "SDC", Events: []sim.TraceEvent{{Ev: "classify"}}}, false)
 			}}, nil
 		},
 	}}

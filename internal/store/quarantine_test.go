@@ -21,6 +21,7 @@ import (
 func TestQuarantineRecordRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	lw := NewLogWriter(&buf)
+	quarantine := func(exp core.Experiment) error { return json.NewEncoder(&buf).Encode(quarantineRecord(exp)) }
 	if err := lw.Begin(Header{App: "VA", GPU: "RTX2060", Kernel: "va_add",
 		Structure: "regfile", Bits: 1, Runs: 3, Seed: 1}); err != nil {
 		t.Fatal(err)
@@ -28,7 +29,7 @@ func TestQuarantineRecordRoundTrip(t *testing.T) {
 	// Exp 0: quarantined with its outcome record on disk (the normal case).
 	shadowed := core.Experiment{ID: 0, Outcome: avf.Crash, Effect: "Crash",
 		Quarantined: true, Detail: "quarantined: simulator panic: boom"}
-	if err := lw.Quarantine(shadowed); err != nil {
+	if err := quarantine(shadowed); err != nil {
 		t.Fatal(err)
 	}
 	if err := lw.Experiment(shadowed); err != nil {
@@ -39,7 +40,7 @@ func TestQuarantineRecordRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Exp 2: quarantine record only — the crash window.
-	if err := lw.Quarantine(core.Experiment{ID: 2, Outcome: avf.Timeout, Effect: "Timeout",
+	if err := quarantine(core.Experiment{ID: 2, Outcome: avf.Timeout, Effect: "Timeout",
 		Quarantined: true, Detail: "quarantined: wall-clock deadline 1s exceeded"}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,9 +83,12 @@ func TestQuarantineRecordRoundTrip(t *testing.T) {
 }
 
 // TestQuarantineResumeSkipsPoison is the robustness acceptance test at the
-// store layer: a campaign whose journal holds a quarantine record but lost
-// the batched outcome record (the exact crash window the write-ahead sync
-// exists for) resumes WITHOUT re-running the poison spec, and the merged
+// store layer, driven through Campaign.Record, the one writer of the order
+// resume depends on. The journal a crash leaves right after a poisoned
+// experiment is recorded must hold its synced quarantine record and no
+// outcome record ahead of it (a Record that wrote the outcome first would
+// have flushed it with the marker's sync, in front of it). The campaign then
+// resumes from that image WITHOUT re-running the poison spec, and the merged
 // counts match a complete run bit for bit.
 func TestQuarantineResumeSkipsPoison(t *testing.T) {
 	spec := vaSpec(30, 13)
@@ -118,30 +122,35 @@ func TestQuarantineResumeSkipsPoison(t *testing.T) {
 		t.Fatalf("reference incomplete: %+v", ref.Counts)
 	}
 
-	// Build the crash image: run to completion, then strip the done marker,
-	// the poison experiment's outcome record (its synced quarantine record
-	// stays), and the records of ids >= 25 (a lost fsync batch).
+	// Record the reference's first 25 experiments and take the journal as it
+	// is on disk right after the last one: the crash image. The fsync batch
+	// (DefaultBatchSize, 32) never filled, so only the poison's quarantine
+	// sync reached the disk.
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Run(nil, "crash", spec, prof, nil); err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(st.Dir(), "crash")
-	if err := os.Remove(filepath.Join(dir, doneFile)); err != nil {
-		t.Fatal(err)
-	}
-	jp := filepath.Join(dir, journalFile)
-	data, err := os.ReadFile(jp)
+	c, err := st.Create("crash", spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var kept [][]byte
-	for _, line := range bytes.Split(data, []byte("\n")) {
-		if len(line) == 0 {
-			continue
+	for _, e := range ref.Exps[:25] {
+		if err := c.Record(e); err != nil {
+			t.Fatal(err)
 		}
+	}
+	jp := filepath.Join(st.Dir(), "crash", journalFile)
+	image, err := os.ReadFile(jp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(jp, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range bytes.Split(bytes.TrimSpace(image), []byte("\n")) {
 		var rec struct {
 			Type string `json:"type"`
 			ID   int    `json:"id"`
@@ -149,23 +158,23 @@ func TestQuarantineResumeSkipsPoison(t *testing.T) {
 		if err := json.Unmarshal(line, &rec); err != nil {
 			t.Fatalf("journal line unparseable: %v", err)
 		}
-		if rec.Type == "exp" && (rec.ID == poisonID || rec.ID >= 25) {
+		if rec.ID != poisonID {
 			continue
 		}
-		kept = append(kept, line)
-	}
-	if err := os.WriteFile(jp, append(bytes.Join(kept, []byte("\n")), '\n'), 0o644); err != nil {
-		t.Fatal(err)
+		if rec.Type != "quarantine" {
+			t.Fatalf("the poison's %s record reached the disk ahead of its quarantine record:\n%s", rec.Type, image)
+		}
+		break
 	}
 
 	// The synthesized outcome makes the poison spec count as completed:
-	// 24 intact records (0..24 minus the poison) plus the synthesis.
+	// the 17 records synced ahead of it plus the synthesis.
 	info, err := st.Inspect("crash")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Completed != 25 {
-		t.Fatalf("Inspect.Completed = %d, want 25 (quarantine synthesis missing?)", info.Completed)
+	if info.Completed != poisonID+1 {
+		t.Fatalf("Inspect.Completed = %d, want %d (quarantine synthesis missing?)", info.Completed, poisonID+1)
 	}
 
 	// Resume: the lost batch re-runs, the poison spec must not.
@@ -186,7 +195,7 @@ func TestQuarantineResumeSkipsPoison(t *testing.T) {
 	if reran[poisonID] {
 		t.Error("resume re-ran the quarantined poison spec")
 	}
-	for id := 25; id < 30; id++ {
+	for id := poisonID + 1; id < 30; id++ {
 		if !reran[id] {
 			t.Errorf("resume skipped experiment %d of the lost batch", id)
 		}

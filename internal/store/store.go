@@ -130,24 +130,41 @@ func (c *Campaign) CompletedIDs() []int {
 	return ids
 }
 
-// Append journals one newly finished experiment.
+// Record journals one newly finished experiment with everything that rides
+// with it, in the order resume depends on. A quarantined experiment's
+// quarantine record goes first, synced: it is a write-ahead marker, so even
+// a process crash before the next batch fsync cannot bring the poison spec
+// back on resume. The outcome record follows in the batch, then the
+// experiment's propagation trace, if it carries one. Nothing else writes
+// quarantine or trace records.
+func (c *Campaign) Record(exp core.Experiment) error {
+	switch {
+	case c.journal == nil:
+		return fmt.Errorf("store: campaign %s is complete; nothing to record", c.ID)
+	case exp.Trace != nil && c.traces == nil:
+		return fmt.Errorf("store: campaign %s has no trace file open", c.ID)
+	}
+	if exp.Quarantined {
+		if err := c.journal.append(quarantineRecord(exp), true); err != nil {
+			return err
+		}
+	}
+	if err := c.journal.append(expRecord(exp), false); err != nil {
+		return err
+	}
+	if exp.Trace == nil {
+		return nil
+	}
+	return c.traces.append(*exp.Trace, false)
+}
+
+// Append journals one experiment's outcome record alone, for callers that
+// build a journal by hand; a campaign run journals through Record.
 func (c *Campaign) Append(exp core.Experiment) error {
 	if c.journal == nil {
 		return fmt.Errorf("store: campaign %s is complete; nothing to append", c.ID)
 	}
 	return c.journal.append(expRecord(exp), false)
-}
-
-// Quarantine journals a quarantine record for a poisoned experiment and
-// syncs it immediately — it is a write-ahead marker: by the time the
-// sandbox reports the outcome upward, the spec is already durably flagged,
-// so even a process crash before the next batch fsync cannot bring the
-// poison spec back on resume.
-func (c *Campaign) Quarantine(exp core.Experiment) error {
-	if c.journal == nil {
-		return fmt.Errorf("store: campaign %s is complete; nothing to quarantine", c.ID)
-	}
-	return c.journal.append(quarantineRecord(exp), true)
 }
 
 // Sync flushes and fsyncs any batched journal records. The shard
@@ -161,17 +178,9 @@ func (c *Campaign) Sync() error {
 	return c.journal.sync()
 }
 
-// AppendTrace persists one experiment's propagation trace.
-func (c *Campaign) AppendTrace(tr core.ExperimentTrace) error {
-	if c.traces == nil {
-		return fmt.Errorf("store: campaign %s has no trace file open", c.ID)
-	}
-	return c.traces.append(tr, false)
-}
-
 // EnableTraces opens (creating if needed) the campaign's trace file for
-// appending, so AppendTrace works: whoever drives the journal of a traced
-// spec calls it once after Create/Resume. Idempotent.
+// appending, so Record can write traces: whoever drives the journal of a
+// traced spec calls it once after Create/Resume. Idempotent.
 func (c *Campaign) EnableTraces() error {
 	if c.traces != nil {
 		return nil
@@ -211,11 +220,15 @@ type doneRecord struct {
 	FinishedAt time.Time        `json:"finished_at"`
 }
 
-// Finish marks the campaign complete: the journal is synced and closed
-// and the completion marker is written with the merged summary. After
-// Finish the store will never resume this campaign again.
+// Finish marks the campaign complete: the journal is synced and closed, a
+// cancellation marker an earlier stop left behind is removed, and the
+// completion marker is written with the merged summary. After Finish the
+// store will never resume this campaign again.
 func (c *Campaign) Finish(res *core.CampaignResult) error {
 	if err := c.Close(); err != nil {
+		return err
+	}
+	if err := c.st.ClearCancelled(c.ID); err != nil {
 		return err
 	}
 	rec := doneRecord{Header: HeaderOf(res), Counts: res.Counts, Plan: res.Plan, FinishedAt: time.Now().UTC()}
@@ -536,7 +549,7 @@ func (s *Store) openRead(id, name string) (io.ReadCloser, error) {
 
 // Run executes a campaign durably: create the journal (or resume it if the
 // id already exists, skipping every journaled experiment), run the engine
-// with the journal hook attached, and on completion write the done marker.
+// with Record as its sink, and on completion write the done marker.
 // A context cancellation syncs whatever finished and returns the merged
 // partial result with ctx's error — a later Run with the same id picks up
 // where it stopped. prof may be nil (the golden run is performed first) or
@@ -563,11 +576,14 @@ func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profil
 	}
 	cfg.Completed = c.CompletedIDs()
 	cfg.PlanPrior = c.Counts
-	cfg.Journal = c.Append
-	cfg.Quarantine = c.Quarantine
-	cfg.Progress = onExp
-	if cfg.Trace {
-		cfg.TraceSink = c.AppendTrace
+	cfg.Sink = func(exp core.Experiment) error {
+		if err := c.Record(exp); err != nil {
+			return err
+		}
+		if onExp != nil {
+			onExp(exp)
+		}
+		return nil
 	}
 	if prof == nil {
 		prof, err = core.ProfileApp(ctx, cfg.App, cfg.GPU)
@@ -587,9 +603,6 @@ func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profil
 			return merged, err
 		}
 		return merged, runErr
-	}
-	if err := s.ClearCancelled(c.ID); err != nil {
-		return merged, err
 	}
 	if err := c.Finish(merged); err != nil {
 		return merged, err
