@@ -9,9 +9,13 @@ import (
 	"gpufi/internal/sim"
 )
 
-// This file is the adaptive campaign driver. A fixed-N campaign runs every
-// derived experiment; the adaptive driver treats Runs as a ceiling and
-// spends only what the requested confidence interval needs:
+// This file is the campaign schedule: the rounds a campaign runs in, a pure
+// function of its config and its journal, computed here for both drivers —
+// RunCampaign runs each round on the engine, the shard coordinator plans
+// each one as a shard generation. A fixed-N campaign is one round holding
+// every pending index. An adaptive campaign (CampaignConfig.Plan) treats
+// Runs as a ceiling and spends only what the requested confidence interval
+// needs:
 //
 //  1. Analytic pre-pass — one extra fault-free run with the simulator's
 //     access log on proves which register/shared-memory sites are never
@@ -20,17 +24,19 @@ import (
 //     yields exactly what simulating them would: register and shared
 //     state dies with its launch, so an unread flip cannot reach the
 //     output or the cycle count).
-//  2. Stratified rounds — the remaining sites execute in an order that
-//     sweeps the injection-cycle range evenly, in rounds sized by the
-//     tracker; between rounds the stop rule is re-evaluated. Round
-//     granularity (floor 32) bounds the optional-stopping bias of
-//     checking a sequential interval after every single outcome.
+//  2. Stratified rounds — every other index of [0, Runs) is ordered to
+//     sweep the injection-cycle range evenly, and the order is cut into
+//     rounds sized by the tracker; the stop rule is evaluated only between
+//     rounds. Round granularity (floor 32) bounds the optional-stopping
+//     bias of checking a sequential interval after every single outcome.
 //
-// The seed-to-fault mapping is untouched: every index's spec is still
-// derived up front, the planner just stops running indices once the
-// interval is tight enough. Journals from an adaptive campaign are a
-// subset of the fixed-N journal plus analytic records, so resume (and the
-// shard layer) work unchanged.
+// The order covers the whole campaign, journaled indices included, and a
+// round's outcomes reach the tracker only once the whole round is in the
+// journal. So a resumed campaign walks exactly the rounds an uninterrupted
+// one does, and a sharded one, whose records arrive in any order, stops
+// exactly where the library does. The seed-to-fault mapping is untouched:
+// every index's spec is still derived up front, the schedule just stops
+// handing out indices once the interval is tight enough.
 
 // AnalyticDetail marks journal records produced by the analytic pre-pass.
 const AnalyticDetail = "plan: analytic never-read"
@@ -43,17 +49,18 @@ const planStrata = 16
 // /metrics, and the CLIs).
 type PlanReport struct {
 	plan.Status
-	// Simulated is how many experiments this process actually simulated.
+	// Simulated is how many experiments of the simulated stratum the
+	// campaign ran over its whole life, resumed runs included.
 	Simulated int `json:"simulated"`
 	// Skipped is how many pending experiments never ran because the stop
 	// rule was satisfied first — the campaign's saving.
 	Skipped int `json:"skipped"`
 }
 
-// AccessPrepass runs the application once, fault-free, with the access log
+// accessPrepass runs the application once, fault-free, with the access log
 // enabled, and returns the per-launch last-read records the analytic
 // masking test consumes.
-func AccessPrepass(ctx context.Context, cfg *CampaignConfig) ([]sim.LaunchAccess, error) {
+func accessPrepass(ctx context.Context, cfg *CampaignConfig) ([]sim.LaunchAccess, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -132,31 +139,6 @@ func analyticallyMasked(cfg *CampaignConfig, spec *sim.FaultSpec, accesses []sim
 	return false
 }
 
-// PlanAnalytic runs the access pre-pass for a campaign point and returns
-// one journal-ready Masked record per provably never-read index, covering
-// ALL Runs indices (completed or not) in index order, for SeedAdaptive: the
-// coordinator journals the pending ones itself and excludes them from the
-// shards it plans. Returns nil for campaign points the pre-pass cannot
-// soundly cover (ineligible structures, simultaneous faults, absent
-// structures).
-func PlanAnalytic(ctx context.Context, cfg *CampaignConfig, prof *Profile) ([]Experiment, error) {
-	if !analyticEligible(cfg) {
-		return nil, nil
-	}
-	cp, err := planCampaign(cfg, prof)
-	if err != nil {
-		return nil, err
-	}
-	if cp.absent {
-		return nil, nil
-	}
-	accesses, err := AccessPrepass(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return analyticRecords(cfg, prof, cp.specs, accesses), nil
-}
-
 // analyticRecords builds the journal-ready Masked records for every
 // provably never-read index, in index order. The records carry the exact
 // fields a simulated Masked run would have journaled (golden cycle count,
@@ -181,102 +163,134 @@ func analyticRecords(cfg *CampaignConfig, prof *Profile, specs []*sim.FaultSpec,
 	return recs
 }
 
-// SeedAdaptive is where an adaptive campaign point starts, on one process
-// or under the shard coordinator: given the pre-pass's records for ALL
-// indices (nil when the point is ineligible), it returns the tracker seeded
-// with both strata and the records still to be journaled, in index order.
-// The strata sizes cover the whole campaign, and a resumed prior — the
-// journal's tally, which pools both strata — is split back by peeling the
-// completed analytic indices off its Masked count (an analytically masked
-// index was journaled Masked no matter which earlier run handled it), so
-// only simulated outcomes enter the binomial.
-func SeedAdaptive(cfg *CampaignConfig, recs []Experiment, prior avf.Counts) (*plan.Tracker, []Experiment) {
-	journaled := make(map[int]bool, len(cfg.Completed))
-	for _, i := range cfg.Completed {
-		journaled[i] = true
-	}
-	var pending []Experiment
-	for _, e := range recs {
-		if !journaled[e.ID] {
-			pending = append(pending, e)
-		}
-	}
-	tracker := plan.NewTracker(*cfg.Plan)
-	tracker.AddAnalytic(len(recs))
-	tracker.SetStratum(cfg.Runs - len(recs))
-	prior.Masked = max(prior.Masked-(len(recs)-len(pending)), 0)
-	tracker.AddCounts(prior)
-	return tracker, pending
+// Schedule is a campaign's rounds. NewSchedule builds it from the config,
+// whose Completed and PlanPrior say what the journal already holds; Next
+// hands out one round at a time, the driver runs it and reports every
+// experiment that reaches the journal to Add, then asks again. Nothing else
+// moves it, so two drivers fed the same journal walk the same rounds.
+type Schedule struct {
+	cp        *campaignPlan
+	tracker   *plan.Tracker // nil: one round, no stop rule
+	queue     []int         // the indices rounds are cut from, in execution order
+	lo, hi    int           // the open round is queue[lo:hi]
+	journaled map[int]bool
+	outcomes  map[int]avf.Outcome // adaptive only: journaled outcomes, for the tracker
 }
 
-// runAdaptive executes a campaign point under cfg.Plan: analytic pre-pass,
-// then stratified rounds on the fork engine with a stop check between
-// rounds. Analytic records reach the campaign's sink like simulated ones.
-func runAdaptive(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan) (*CampaignResult, error) {
-	res := &CampaignResult{
-		App: prof.App, GPU: prof.GPU, Kernel: cfg.Kernel,
-		Structure: cfg.Structure.String(), Bits: cfg.Bits,
-		Runs: cfg.Runs, Seed: cfg.Seed, Exps: []Experiment{},
+// NewSchedule plans cfg's campaign against prof. An adaptive campaign runs
+// its analytic pre-pass here and returns the pre-pass's Masked records that
+// are not journaled yet, in index order, for the caller to journal before
+// the first round. A fixed-N campaign — and an adaptive one whose
+// structure the kernel lacks or that has nothing pending — is one round of
+// every pending index, with no stop rule and no plan report.
+func NewSchedule(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*Schedule, []Experiment, error) {
+	cp, err := planCampaign(cfg, prof)
+	if err != nil {
+		return nil, nil, err
 	}
-
+	s := &Schedule{cp: cp, journaled: make(map[int]bool, len(cfg.Completed))}
+	for _, i := range cfg.Completed {
+		s.journaled[i] = true
+	}
+	if !cfg.Plan.Enabled() || cp.absent || len(cp.pending) == 0 {
+		s.queue = cp.pending
+		return s, nil, nil
+	}
 	var recs []Experiment
 	if analyticEligible(cfg) {
-		accesses, err := AccessPrepass(ctx, cfg)
+		accesses, err := accessPrepass(ctx, cfg)
 		if err != nil {
-			if isCancel(err) {
-				return res, err
-			}
-			return nil, err
+			return nil, nil, err
 		}
 		recs = analyticRecords(cfg, prof, cp.specs, accesses)
 	}
-	tracker, analytic := SeedAdaptive(cfg, recs, cfg.PlanPrior)
-	masked := make(map[int]bool, len(analytic))
-	for _, exp := range analytic {
-		masked[exp.ID] = true
-		if err := cfg.emit(exp); err != nil {
-			return nil, err
-		}
-		exp.Trace = nil
-		res.Exps = append(res.Exps, exp)
-		res.Counts.Masked++
-	}
-	simPending := make([]int, 0, len(cp.pending)-len(analytic))
-	for _, i := range cp.pending {
-		if !masked[i] {
-			simPending = append(simPending, i)
+	s.tracker = plan.NewTracker(*cfg.Plan)
+	s.tracker.AddAnalytic(len(recs))
+	s.tracker.SetStratum(cfg.Runs - len(recs))
+	analytic := make([]bool, cfg.Runs)
+	var pending []Experiment
+	for _, e := range recs {
+		analytic[e.ID] = true
+		if !s.journaled[e.ID] {
+			pending = append(pending, e)
 		}
 	}
-
-	// Stratified execution order over the to-simulate sites: any stopped
-	// prefix of it has sampled all cycle regions of the kernel evenly.
-	cycles := make([]uint64, len(simPending))
-	for j, i := range simPending {
-		cycles[j] = cp.specs[i].Cycle
-	}
-	order := plan.StratifiedOrder(cycles, planStrata)
-	queue := make([]int, len(order))
-	for j, o := range order {
-		queue[j] = simPending[o]
-	}
-
-	simulated := 0
-	var err error
-	for off := 0; off < len(queue) && err == nil; {
-		n := tracker.SuggestNext(len(queue) - off)
-		if n == 0 {
-			break
-		}
-		var r *CampaignResult
-		r, err = runPoint(ctx, cfg, prof, cp, queue[off:off+n])
-		off += n
-		if r != nil {
-			res.Counts.Merge(r.Counts)
-			res.Exps = append(res.Exps, r.Exps...)
-			tracker.AddCounts(r.Counts)
-			simulated += r.Counts.Total()
+	// Stratified order over the whole simulated stratum: any stopped prefix
+	// of it has sampled all cycle regions of the kernel evenly.
+	var simulated []int
+	var cycles []uint64
+	for i := 0; i < cfg.Runs; i++ {
+		if !analytic[i] {
+			simulated = append(simulated, i)
+			cycles = append(cycles, cp.specs[i].Cycle)
 		}
 	}
-	res.Plan = &PlanReport{Status: tracker.Status(), Simulated: simulated, Skipped: len(queue) - simulated}
-	return res, err
+	for _, j := range plan.StratifiedOrder(cycles, planStrata) {
+		s.queue = append(s.queue, simulated[j])
+	}
+	s.outcomes = make(map[int]avf.Outcome, len(cfg.PlanPrior))
+	for _, e := range cfg.PlanPrior {
+		s.outcomes[e.ID] = e.Outcome
+	}
+	return s, pending, nil
 }
+
+// Add records that exp reached the journal.
+func (s *Schedule) Add(exp Experiment) {
+	s.journaled[exp.ID] = true
+	if s.tracker != nil {
+		s.outcomes[exp.ID] = exp.Outcome
+	}
+}
+
+// Next returns the indices of the next round that are not journaled yet,
+// nil once the stop rule holds or the queue is spent. A round the journal
+// holds whole is folded into the tracker and passed over; one it holds in
+// part (a resumed campaign, a coordinator restarted mid-round) returns what
+// it still lacks, and so does asking again before the round is complete.
+func (s *Schedule) Next() []int {
+	for {
+		if s.lo == s.hi {
+			n := len(s.queue) - s.lo
+			if s.tracker != nil {
+				n = s.tracker.SuggestNext(n)
+			}
+			if n == 0 {
+				return nil
+			}
+			s.hi = s.lo + n
+		}
+		var missing []int
+		for _, i := range s.queue[s.lo:s.hi] {
+			if !s.journaled[i] {
+				missing = append(missing, i)
+			}
+		}
+		if missing != nil {
+			return missing
+		}
+		if s.tracker != nil {
+			for _, i := range s.queue[s.lo:s.hi] {
+				if o, ok := s.outcomes[i]; ok {
+					s.tracker.Add(o)
+				}
+			}
+		}
+		s.lo = s.hi
+	}
+}
+
+// Report is the planner's summary of the rounds folded so far — the
+// campaign's PlanReport once Next has returned nil — and nil for a campaign
+// without a stop rule.
+func (s *Schedule) Report() *PlanReport {
+	if s.tracker == nil {
+		return nil
+	}
+	n := s.tracker.Counts().Total()
+	return &PlanReport{Status: s.tracker.Status(), Simulated: n, Skipped: len(s.queue) - n}
+}
+
+// Shards partitions a round into at most target shards along snapshot-
+// cluster boundaries, the way PlanShards partitions a whole campaign.
+func (s *Schedule) Shards(round []int, target int) [][]int { return s.cp.shards(round, target) }

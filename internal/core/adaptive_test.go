@@ -186,9 +186,10 @@ func TestAdaptiveStopsEarlyWithinInterval(t *testing.T) {
 		rep.Analytic, rep.Skipped, float64(rep.Skipped+rep.Analytic)/200, rep.Lo, rep.Hi, truth)
 }
 
-// TestAdaptivePriorSatisfies: a resumed campaign whose journaled tally
-// already meets the rule simulates nothing — only the free pre-pass runs,
-// its analytic records are journaled, and the rest is skipped.
+// TestAdaptivePriorSatisfies: a campaign whose journal already holds every
+// round its stop rule needed — it died after its last record, before its
+// completion marker — simulates and journals nothing when resumed, and
+// reports exactly what the uninterrupted run reported.
 func TestAdaptivePriorSatisfies(t *testing.T) {
 	app := bench.VA()
 	gpu := config.RTX2060()
@@ -198,31 +199,34 @@ func TestAdaptivePriorSatisfies(t *testing.T) {
 	}
 	cfg := &CampaignConfig{
 		App: app, GPU: gpu, Kernel: "va_add",
-		Structure: sim.StructRegFile, Runs: 50, Bits: 1, Seed: 5,
-		Plan:      &plan.Rule{TargetCI: 0.1},
-		PlanPrior: avf.Counts{Masked: 900, SDC: 100},
+		Structure: sim.StructRegFile, Runs: 200, Bits: 1, Seed: 5,
+		Plan: &plan.Rule{TargetCI: 0.12, Confidence: 0.95, MinRuns: 40},
 	}
-	journaled := 0
-	cfg.Sink = func(Experiment) error { journaled++; return nil }
-	res, err := RunCampaign(nil, cfg, prof)
+	var journal []Experiment
+	cfg.Sink = func(e Experiment) error { journal = append(journal, e); return nil }
+	first, err := RunCampaign(nil, cfg, prof)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := res.Plan
-	if rep == nil || !rep.Satisfied {
-		t.Fatalf("prior tally did not satisfy: %+v", rep)
+	if rep := first.Plan; rep == nil || !rep.Satisfied || rep.Skipped == 0 || rep.Analytic == 0 {
+		t.Fatalf("the fixture no longer stops early with both strata: %+v", rep)
 	}
-	if rep.Simulated != 0 {
-		t.Errorf("satisfied-at-start campaign still simulated %d experiments", rep.Simulated)
+
+	resumed := *cfg
+	resumed.Sink = func(e Experiment) error { t.Errorf("experiment %d journaled again", e.ID); return nil }
+	for _, e := range journal {
+		resumed.Completed = append(resumed.Completed, e.ID)
 	}
-	if journaled != rep.Analytic {
-		t.Errorf("journaled %d records, want the %d analytic ones", journaled, rep.Analytic)
+	resumed.PlanPrior = journal
+	res, err := RunCampaign(nil, &resumed, prof)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rep.Skipped != 50-rep.Analytic {
-		t.Errorf("skipped %d, want %d", rep.Skipped, 50-rep.Analytic)
+	if res.Plan == nil || *res.Plan != *first.Plan {
+		t.Errorf("resumed report %+v, uninterrupted %+v", res.Plan, first.Plan)
 	}
-	if rep.Observed != 1000+rep.Analytic {
-		t.Errorf("observed %d, want prior 1000 plus %d analytic", rep.Observed, rep.Analytic)
+	if len(res.Exps) != 0 || res.Counts.Total() != 0 {
+		t.Errorf("the resumed run finished %d experiments (%+v); the journal held every round", len(res.Exps), res.Counts)
 	}
 }
 

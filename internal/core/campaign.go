@@ -155,12 +155,12 @@ type CampaignConfig struct {
 	// (and journal bytes) identical to pre-planner builds.
 	Plan *plan.Rule
 
-	// PlanPrior seeds the adaptive tracker with the outcome tally already
-	// journaled by an earlier run of this campaign (the counts behind
-	// Completed), so a resumed adaptive campaign decides to stop based on
-	// everything observed, not just this process's experiments. Ignored
-	// when Plan is disabled.
-	PlanPrior avf.Counts
+	// PlanPrior carries the experiments already journaled by an earlier
+	// run of this campaign (the records behind Completed), so the schedule
+	// folds each outcome into the round it belongs to and a resumed adaptive
+	// campaign walks the rounds an uninterrupted one would. Ignored when
+	// Plan is disabled.
+	PlanPrior []Experiment
 }
 
 // workerCount resolves the configured worker count.
@@ -289,24 +289,54 @@ type CampaignResult struct {
 // engine; results are deterministic given the seed, independent of the
 // worker count.
 //
+// The campaign runs its schedule's rounds one after another: a fixed-N
+// campaign is one round, an adaptive one journals its analytic records
+// first and stops between rounds once its interval is tight enough.
+//
 // On context cancellation RunCampaign returns promptly with ctx's error
 // and a partial CampaignResult holding every experiment that finished.
 func RunCampaign(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*CampaignResult, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	cp, err := planCampaign(cfg, prof)
-	if err != nil {
+	s, analytic, err := NewSchedule(ctx, cfg, prof)
+	if err != nil && !isCancel(err) {
 		return nil, err
 	}
-	if cfg.Plan.Enabled() && !cp.absent && len(cp.pending) > 0 {
-		return runAdaptive(ctx, cfg, prof, cp)
+	res := &CampaignResult{App: prof.App, GPU: prof.GPU, Kernel: cfg.Kernel,
+		Structure: cfg.Structure.String(), Bits: cfg.Bits, Runs: cfg.Runs, Seed: cfg.Seed}
+	if err != nil {
+		return res, err // cancelled in the pre-pass
 	}
-	return runPoint(ctx, cfg, prof, cp, cp.pending)
+	for _, exp := range analytic {
+		if err := cfg.emit(exp); err != nil {
+			return nil, err
+		}
+		s.Add(exp)
+		exp.Trace = nil
+		res.Exps = append(res.Exps, exp)
+		res.Counts.Add(exp.Outcome)
+	}
+	for round := s.Next(); round != nil && err == nil; round = s.Next() {
+		var r *CampaignResult
+		if r, err = runPoint(ctx, cfg, prof, s.cp, round); r == nil {
+			return nil, err
+		}
+		for _, exp := range r.Exps {
+			s.Add(exp)
+		}
+		res.Counts.Merge(r.Counts)
+		if res.Exps == nil {
+			res.Exps = r.Exps // a fixed-N campaign's one round: no copy
+		} else {
+			res.Exps = append(res.Exps, r.Exps...)
+		}
+	}
+	res.Plan = s.Report()
+	return res, err
 }
 
-// runPoint is the one-point engine run: RunCampaign's, and each round of
-// the adaptive driver's.
+// runPoint is the one-point engine run of one round.
 func runPoint(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan, pending []int) (*CampaignResult, error) {
 	res, err := runPoints(ctx, prof, []*point{{cfg: cfg, plan: cp, pending: pending}})
 	if res == nil {

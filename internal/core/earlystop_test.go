@@ -14,6 +14,7 @@ import (
 
 	"gpufi/internal/bench"
 	"gpufi/internal/config"
+	"gpufi/internal/plan"
 	"gpufi/internal/sim"
 )
 
@@ -372,7 +373,7 @@ func TestL1IJournalsUnchanged(t *testing.T) {
 }
 
 // TestAnalyticMaskedSitesAllStopEarly crosses the two proofs of "never read":
-// every site the adaptive planner's pre-pass (AccessPrepass: last read of a
+// every site the adaptive planner's pre-pass (accessPrepass: last read of a
 // register index or shared word over all threads, one extra fault-free run)
 // calls analytically masked must be a run the engine stops early, since the
 // watch follows the very cells and reads. The engine proves more — it knows
@@ -398,7 +399,9 @@ func TestAnalyticMaskedSitesAllStopEarly(t *testing.T) {
 			for _, st := range []sim.Structure{sim.StructRegFile, sim.StructShared} {
 				cfg := &CampaignConfig{App: app, GPU: gpu, Kernel: kernel, Structure: st,
 					Runs: 120, Bits: 1, Seed: 7, Workers: 2}
-				recs, err := PlanAnalytic(nil, cfg, prof)
+				adaptive := *cfg
+				adaptive.Plan = &plan.Rule{TargetCI: 0.01}
+				_, recs, err := NewSchedule(nil, &adaptive, prof)
 				if err != nil {
 					t.Fatal(err)
 				}

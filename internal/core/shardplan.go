@@ -10,8 +10,9 @@ import (
 // distributed sharding layer. planCampaign derives everything a campaign
 // needs before any simulation happens — the injection windows, the
 // pending experiment indices, and the per-experiment fault specs — and
-// PlanShards partitions the pending work along snapshot-cluster
-// boundaries so a coordinator can hand whole clusters to worker nodes.
+// PlanShards (Schedule.Shards for one round) partitions the pending work
+// along snapshot-cluster boundaries so a coordinator can hand whole
+// clusters to worker nodes.
 
 // campaignPlan is the deterministic front half of a campaign: the
 // injection windows for the target kernel, the experiment indices still
@@ -130,41 +131,48 @@ func PlanShards(cfg *CampaignConfig, prof *Profile, target int) ([][]int, error)
 	if err != nil {
 		return nil, err
 	}
-	if len(plan.pending) == 0 {
-		return nil, nil
+	return plan.shards(plan.pending, target), nil
+}
+
+// shards partitions the indices idxs of the plan into at most target
+// shards of whole snapshot clusters: PlanShards over a campaign's pending
+// indices, Schedule.Shards over one round.
+func (cp *campaignPlan) shards(idxs []int, target int) [][]int {
+	if len(idxs) == 0 {
+		return nil
 	}
 	if target <= 0 {
 		target = 1
 	}
-	if plan.absent {
+	if cp.absent {
 		// Every experiment is trivially masked; any partition is valid.
-		// Split the pending indices into near-equal contiguous runs.
-		return splitEven(plan.pending, target), nil
+		// Split the indices into near-equal contiguous runs.
+		return splitEven(idxs, target)
 	}
-	clusters := planClusters([]*point{{plan: plan, pending: plan.pending}})
+	clusters := planClusters([]*point{{plan: cp, pending: idxs}})
 	if target > len(clusters) {
 		target = len(clusters)
 	}
 	// Greedy contiguous fill: each shard takes whole clusters until it
 	// reaches its fair share of the remaining experiments.
 	shards := make([][]int, 0, target)
-	remaining := len(plan.pending)
+	remaining := len(idxs)
 	ci := 0
 	for s := 0; s < target; s++ {
 		left := target - s
 		quota := (remaining + left - 1) / left
 		// Keep the last shard from leaving clusters behind.
-		var idxs []int
-		for ci < len(clusters) && (len(idxs) == 0 || s == target-1 || len(idxs)+len(clusters[ci].jobs) <= quota) {
+		var part []int
+		for ci < len(clusters) && (len(part) == 0 || s == target-1 || len(part)+len(clusters[ci].jobs) <= quota) {
 			for _, j := range clusters[ci].jobs {
-				idxs = append(idxs, j.i)
+				part = append(part, j.i)
 			}
 			ci++
 		}
-		remaining -= len(idxs)
-		shards = append(shards, idxs)
+		remaining -= len(part)
+		shards = append(shards, part)
 	}
-	return shards, nil
+	return shards
 }
 
 // splitEven cuts idxs into at most n contiguous, near-equal pieces.

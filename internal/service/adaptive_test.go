@@ -11,8 +11,9 @@ import (
 
 // TestServiceAdaptiveCampaign runs a local (non-sharded) adaptive campaign
 // through the HTTP surface: the SSE progress events must carry the running
-// interval half-width and the analytic pre-pass count, and the terminal
-// status must attach the planner's stratified report with a real saving.
+// interval half-width and the analytic pre-pass count, the last one the
+// very half-width the planner reports, and the terminal status must attach
+// the planner's stratified report with a real saving.
 func TestServiceAdaptiveCampaign(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
@@ -34,9 +35,10 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 	}
 	events := readSSE(t, resp, func(ev sseEvent) bool { return ev.name == "done" })
 
-	// Every progress event on an adaptive campaign reports the live pooled
-	// half-width and the analytic count alongside the tally.
+	// Every progress event on an adaptive campaign reports the planner's
+	// live half-width and the analytic count alongside the tally.
 	var sawHalfWidth, sawAnalytic bool
+	last := -1.0
 	for _, ev := range events {
 		if ev.name != "progress" {
 			continue
@@ -47,6 +49,7 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 		}
 		if hw, ok := data["ci_half_width"].(float64); ok && hw > 0 {
 			sawHalfWidth = true
+			last = hw
 		}
 		if an, ok := data["analytic"].(float64); ok && an > 0 {
 			sawAnalytic = true
@@ -75,6 +78,10 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 	}
 	if rep.HalfWidth > rep.TargetCI {
 		t.Errorf("half-width %f above target %f", rep.HalfWidth, rep.TargetCI)
+	}
+	if last != rep.HalfWidth || got.CIHalfWidth != rep.HalfWidth {
+		t.Errorf("live half-width %v after the last record, %v on the status; the planner reports %v",
+			last, got.CIHalfWidth, rep.HalfWidth)
 	}
 	if got.Analytic != rep.Analytic {
 		t.Errorf("status analytic %d != report analytic %d", got.Analytic, rep.Analytic)

@@ -124,7 +124,7 @@ type status struct {
 	TraceID string `json:"trace_id,omitempty"`
 
 	// Adaptive campaigns only: the pre-pass's analytically masked count,
-	// the running pooled interval half-width over the live tally, and — on
+	// the planner's interval half-width over the live tally, and — on
 	// terminal states — the planner's stratified report.
 	Analytic    int              `json:"analytic,omitempty"`
 	CIHalfWidth float64          `json:"ci_half_width,omitempty"`
@@ -142,7 +142,7 @@ func (s *Server) statusLocked(j *job) status {
 		Analytic: j.analytic, Plan: j.plan,
 	}
 	if j.rule != nil {
-		st.CIHalfWidth = pooledHalfWidth(j.counts, j.rule)
+		st.CIHalfWidth = j.halfWidth()
 	}
 	if !j.trace.IsZero() {
 		st.TraceID = j.trace.String()
@@ -222,8 +222,6 @@ func shardErr(err error) error {
 		return &httpError{code: 409, kind: "lease_fenced", msg: err.Error()}
 	case errors.Is(err, shard.ErrLeaseRevoked):
 		return &httpError{code: 409, kind: "lease_revoked", msg: err.Error()}
-	case errors.Is(err, shard.ErrCampaignSatisfied):
-		return &httpError{code: 409, kind: "campaign_satisfied", msg: err.Error()}
 	case errors.Is(err, shard.ErrCampaignClosed):
 		return &httpError{code: 409, kind: "campaign_closed", msg: err.Error()}
 	case errors.Is(err, shard.ErrBadBatch):

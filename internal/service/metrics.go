@@ -106,10 +106,6 @@ func (s *Server) registerShardMetrics() {
 		func() float64 { return float64(co.Stats().RecordsDuped) })
 	r.GaugeFunc("gpufi_shard_lease_expiries", "Leases that expired without completing their shard.",
 		func() float64 { return float64(co.Stats().LeaseExpiries) })
-	r.GaugeFunc("gpufi_shards_retired", "Shards retired early by a satisfied stop rule.",
-		func() float64 { return float64(co.Stats().ShardsRetired) })
-	r.GaugeFunc("gpufi_shard_experiments_saved", "Experiments never run because their campaign converged.",
-		func() float64 { return float64(co.Stats().ExperimentsSaved) })
 	r.GaugeFunc("gpufi_shard_wal_rebuilds", "Campaigns whose shard table was rebuilt from the control WAL.",
 		func() float64 { return float64(co.Stats().WALRebuilds) })
 	r.GaugeFunc("gpufi_shard_leases_fenced", "Stale-epoch heartbeats and batches refused after a re-issue.",

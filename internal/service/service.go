@@ -215,6 +215,7 @@ func (s *Server) Start(ctx context.Context) ([]string, error) {
 		j.resumed = true
 		j.counts = info.Counts
 		j.done = info.Completed
+		j.analytic = info.Analytic
 		s.queue = append(s.queue, j) // recovery bypasses the queue bound
 		s.cond.Signal()
 		s.mu.Unlock()
@@ -603,30 +604,29 @@ func (s *Server) onExperiment(j *job, exp core.Experiment) {
 		"eta_seconds": eta,
 	}
 	if j.rule != nil {
-		// Live convergence signal for adaptive campaigns: the running
-		// pooled interval half-width over everything journaled so far, and
-		// how much of it the analytic pre-pass contributed for free. The
-		// terminal "done" event carries the planner's authoritative
-		// stratified report.
-		data["ci_half_width"] = pooledHalfWidth(j.counts, j.rule)
+		// Live convergence signal for adaptive campaigns: the planner's
+		// interval half-width over everything journaled so far, and how much
+		// of it the analytic pre-pass contributed for free. After the last
+		// record it is the half-width of the terminal report.
+		data["ci_half_width"] = j.halfWidth()
 		data["analytic"] = j.analytic
 	}
 	s.broadcastLocked(j, event{name: "progress", data: data})
 }
 
-// pooledHalfWidth is the running confidence-interval half-width over a
-// job's live tally, at the stop rule's confidence level.
-func pooledHalfWidth(c avf.Counts, r *plan.Rule) float64 {
-	n := c.Total()
-	if n == 0 {
-		return 1
-	}
-	conf := r.Confidence
-	if conf == 0 {
-		conf = 0.99
-	}
-	lo, hi := plan.Wilson(c.Failures(), n, conf)
-	return (hi - lo) / 2
+// halfWidth is the stop rule's interval half-width over an adaptive job's
+// live tally, estimated the way the planner estimates it: the analytic
+// records — all Masked, all journaled before the first simulated one — are
+// the exact zero-failure stratum, and the binomial runs over the rest,
+// scaled by its share of the campaign. The caller holds s.mu.
+func (j *job) halfWidth() float64 {
+	t := plan.NewTracker(*j.rule)
+	t.AddAnalytic(j.analytic)
+	t.SetStratum(j.total - j.analytic)
+	simulated := j.counts
+	simulated.Masked -= j.analytic
+	t.AddCounts(simulated)
+	return t.HalfWidth()
 }
 
 // finishJob moves a job to its terminal state and notifies everyone

@@ -68,7 +68,7 @@ func TestIsOutage(t *testing.T) {
 	}
 	verdicts := []error{
 		nil, ErrLeaseFenced, ErrLeaseRevoked, ErrNoWork,
-		ErrCampaignSatisfied, ErrCampaignClosed, errors.New("http 500"),
+		ErrCampaignClosed, errors.New("http 500"),
 	}
 	for _, err := range verdicts {
 		if isOutage(err) {

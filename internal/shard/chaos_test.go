@@ -18,9 +18,11 @@ import (
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/plan"
 	"gpufi/internal/service"
 	"gpufi/internal/shard"
+	"gpufi/internal/sim"
 	"gpufi/internal/store"
 )
 
@@ -29,8 +31,8 @@ import (
 // lost) at scheduled points mid-campaign and restarted over the same
 // store, while the SAME worker processes ride through the outage on
 // jittered backoff. The merged journal must come out identical to an
-// uninterrupted local run — for a fixed-N campaign, and through the
-// adaptive early-stop path.
+// uninterrupted local run — for a fixed-N campaign, and for an adaptive
+// one, whose rounds are shard generations.
 
 // chaosProxy gives workers one stable address across coordinator
 // lifetimes. While no lifetime is attached the handler aborts the
@@ -213,21 +215,23 @@ func chaosWaitDone(t *testing.T, base, id string, within time.Duration) {
 // once just after batches start landing (merged-but-unsynced journal
 // tail), once deep mid-ingest — restarts it over the same store, and
 // asserts the differential invariant: the merged journal is identical to
-// an uninterrupted single-process run, every experiment exactly once, no
-// shard stranded. The fixed-N campaign gets full byte identity; the
-// adaptive arm (whose stop point legitimately varies) gets
-// intersection identity plus the planner's own invariants. The backlog
-// arm holds every journal POST back, so each worker's engine finishes its
-// 24-experiment shard (batch size 2) while the sender's first POST is
-// still out: the first kill lands with the engines eleven batches ahead,
-// the workers park on that POST, and the second kill lands as the
-// restarted coordinator has acknowledged one backlog and synced part of it.
+// an uninterrupted single-process run byte for byte, every experiment
+// exactly once, no shard stranded, and the adaptive arm's plan report is
+// the local run's. The backlog arm holds every journal POST back at the
+// proxy, and lets through none in the first lifetime and the POSTs of one
+// shard in the second. Its experiments are paced at 5 ms, so a sender,
+// woken at its shard's second record, has cut its first POST long before
+// the engine is done: each worker's engine finishes its ~24-experiment
+// shard (batch size 2) while that POST is parked, the first kill lands with
+// both senders parked and the engines a shard ahead, and the second lands
+// once the restarted coordinator has taken one shard's backlog and synced
+// part of it, the other shard still parked.
 func TestChaosCoordinatorCrash(t *testing.T) {
 	arms := []struct {
 		name         string
 		adaptive     bool
 		kill1, kill2 int64         // Batches threshold per lifetime
-		hold         time.Duration // every journal POST waits this long at the proxy; the first kill waits for one that has
+		hold         time.Duration // backlog arm: every journal POST waits this long at the proxy, then maybe parks
 		shards       int
 	}{
 		{name: "forked", kill1: 1, kill2: 5, shards: 4},
@@ -240,10 +244,35 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 			dir := t.TempDir()
 			p := newChaosProxy(t)
 			var held atomic.Int64 // journal POSTs that sat out the hold
+			var life atomic.Int64 // coordinator lifetimes killed so far
 			if a.hold > 0 {
-				p.tap = func(int, shard.Batch, http.ResponseWriter) bool {
+				defer core.SetExperimentHook(core.SetExperimentHook(func(int, *sim.FaultSpec) {
+					time.Sleep(5 * time.Millisecond)
+				}))
+				var mu sync.Mutex
+				admitted := map[int64]map[string]bool{} // per lifetime: the shards whose POSTs go through
+				p.tap = func(_ int, b shard.Batch, _ http.ResponseWriter) bool {
 					time.Sleep(a.hold)
 					held.Add(1)
+					at := p.h.Load()
+					if at == nil {
+						return false // between lifetimes: the connection drops
+					}
+					mu.Lock()
+					n := life.Load()
+					if admitted[n] == nil {
+						admitted[n] = map[string]bool{}
+					}
+					let := n >= 2 || admitted[n][b.Shard] || len(admitted[n]) < int(n)
+					if let {
+						admitted[n][b.Shard] = true
+					}
+					mu.Unlock()
+					// Parked until the kill: the POST then meets the dead
+					// lifetime as a dropped connection.
+					for !let && p.h.Load() == at {
+						time.Sleep(time.Millisecond)
+					}
 					return false
 				}
 			}
@@ -279,13 +308,16 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 				n := threshold
 				cond := func() bool { return co.Stats().Batches >= n }
 				if i == 0 && a.hold > 0 {
-					cond = func() bool { return held.Load() >= 1 }
+					// Both senders parked on their first POST, the engines
+					// given a hold to run ahead of them.
+					cond = func() bool { return held.Load() >= int64(a.shards) }
 				}
 				if !killWhen(t, l, p, id, cond, 2*time.Minute) {
 					break // finished before the kill point — nothing left to crash
 				}
 				kills++
 				l = startChaosLifetime(t, dir, a.shards, 5*time.Second)
+				life.Add(1)
 				p.set(l.srv.Handler())
 			}
 			chaosWaitDone(t, p.URL(), id, 3*time.Minute)
@@ -310,38 +342,27 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 			}
 
 			// Differential arm: the same spec, uninterrupted, one process.
-			localSt, err := store.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := localSt.Run(context.Background(), id, spec, nil, nil); err != nil {
-				t.Fatal(err)
-			}
+			local, lib := libraryRun(t, id, spec)
 			sharded, dups := journalRecords(t, l.st, id)
-			local, _ := journalRecords(t, localSt, id)
 			if dups != 0 {
 				t.Errorf("%d duplicate exp records survived the chaos merge", dups)
 			}
+			diffJournals(t, a.name, sharded, local)
+			info, err := l.st.Inspect(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			samePlan(t, a.name, info, lib)
 			if a.adaptive {
-				// Stop points differ legitimately; the records that exist
-				// must still be byte-identical, and the planner's own
-				// accounting must hold.
-				for key, sb := range sharded {
-					if lb, ok := local[key]; ok && string(sb) != string(lb) {
-						t.Errorf("record %s diverged across the restart:\n  sharded: %s\n  local:   %s", key, sb, lb)
-					}
+				if lib.Plan == nil || lib.Plan.Skipped == 0 {
+					t.Errorf("the adaptive arm no longer stops early: %+v", lib.Plan)
 				}
-				if exps := len(sharded) - 1; exps >= spec.Runs {
-					t.Errorf("adaptive chaos arm journaled %d experiments, want fewer than the %d ceiling", exps, spec.Runs)
-				}
-				assertPlanReport(t, p.URL(), id, spec.Runs)
 			} else {
 				for i := 0; i < spec.Runs; i++ {
 					if _, ok := sharded[fmt.Sprintf("exp:%d", i)]; !ok {
 						t.Errorf("experiment %d stranded by the crashes", i)
 					}
 				}
-				diffJournals(t, a.name, sharded, local)
 				if a.hold == 0 {
 					writeChaosDigest(t, a.name, sharded)
 				} else {
@@ -392,40 +413,4 @@ func writeChaosDigest(t *testing.T, label string, recs map[string][]byte) {
 	}
 	defer f.Close()
 	fmt.Fprintf(f, "%s chaos-%s %d-records\n", hex.EncodeToString(h.Sum(nil)), label, len(recs))
-}
-
-// assertPlanReport checks the finished adaptive campaign still carries a
-// satisfied, self-consistent planner report after surviving the crashes.
-func assertPlanReport(t *testing.T, base, id string, runs int) {
-	t.Helper()
-	var st struct {
-		State string `json:"state"`
-		Plan  *struct {
-			Satisfied bool    `json:"satisfied"`
-			Analytic  int     `json:"analytic"`
-			Observed  int     `json:"observed"`
-			Simulated int     `json:"simulated"`
-			Skipped   int     `json:"skipped"`
-			HalfWidth float64 `json:"half_width"`
-			TargetCI  float64 `json:"target_ci"`
-		} `json:"plan"`
-	}
-	resp, err := http.Get(base + "/v1/campaigns/" + id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if st.Plan == nil || !st.Plan.Satisfied {
-		t.Fatalf("adaptive chaos campaign has no satisfied plan report: %+v", st.Plan)
-	}
-	if st.Plan.HalfWidth > st.Plan.TargetCI {
-		t.Errorf("half-width %g above target %g", st.Plan.HalfWidth, st.Plan.TargetCI)
-	}
-	if st.Plan.Observed != st.Plan.Simulated+st.Plan.Analytic {
-		t.Errorf("strata do not add up: %+v", st.Plan)
-	}
-	if st.Plan.Observed != runs-st.Plan.Skipped {
-		t.Errorf("observed %d != runs %d - skipped %d", st.Plan.Observed, runs, st.Plan.Skipped)
-	}
 }

@@ -17,7 +17,6 @@ import (
 	"gpufi/internal/avf"
 	"gpufi/internal/core"
 	"gpufi/internal/obs"
-	"gpufi/internal/plan"
 	"gpufi/internal/store"
 )
 
@@ -56,12 +55,6 @@ type Stats struct {
 	RecordsMerged   int64
 	RecordsDuped    int64
 	LeaseExpiries   int64
-
-	// ShardsRetired counts shards withdrawn because their campaign's
-	// adaptive stop rule converged before they merged; ExperimentsSaved is
-	// the experiments those campaigns never had to run.
-	ShardsRetired    int64
-	ExperimentsSaved int64
 
 	// WALRebuilds counts campaigns whose shard table was rebuilt from a
 	// durable WAL plan after a restart; LeasesFenced counts stale-epoch
@@ -115,12 +108,10 @@ type campaignRun struct {
 	newExps []core.Experiment // merged this coordinator lifetime
 	onExp   func(core.Experiment)
 
-	// tracker is the adaptive campaign's stratified interval estimator
-	// (nil for fixed-N campaigns); simulated counts the simulated records
-	// merged across the campaign's whole life — seeded from the journal
-	// tally on a resume so the final report's strata add up.
-	tracker   *plan.Tracker
-	simulated int
+	// sched is the campaign's schedule, fed every merged record: each of its
+	// rounds is one generation of the table, and it alone says when the
+	// campaign is finished.
+	sched *core.Schedule
 
 	// trace/rootSpan are the campaign's distributed-tracing linkage,
 	// taken from the service's root span at prepare time; zero when the
@@ -296,50 +287,46 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	obs.EmitSpan(ctx, "coordinator.profile", profStart,
 		obs.Attr{K: "app", V: prof.App}, obs.Attr{K: "gpu", V: prof.GPU})
 	cfg.Completed = c.CompletedIDs()
+	cfg.PlanPrior = c.Prior
 
 	run = &campaignRun{
 		id: id, spec: c.Spec, app: prof.App, gpu: prof.GPU, c: c, onExp: onExp,
 		trace: trace, rootSpan: rootSpan, done: make(chan struct{}),
 	}
 
-	// Adaptive campaigns: the coordinator owns the stop rule. The analytic
-	// pre-pass runs once, here — its Masked records are journaled
-	// coordinator-side and their indices never enter a shard — and the
-	// stratified tracker is fed from every ingested batch, so the campaign
-	// is finalized (and its outstanding shards retired) the moment the
-	// interval converges. Workers run their shard's indices fixed-N; the
-	// coordinator is the only place the sequential interval is evaluated.
-	// On a post-crash resume the pre-pass is a no-op append-wise (the
-	// analytic records are already journaled) but still seeds the tracker.
-	// The analytic records are this lifetime's merges too: they reach the
-	// final result's Exps and the caller's progress hook.
-	if cfg.Plan.Enabled() {
-		prepassStart := time.Now()
-		recs, err := core.PlanAnalytic(ctx, cfg, prof)
-		if err != nil {
+	// The schedule walks the rounds store.Run walks, from the same journal.
+	// An adaptive campaign's analytic pre-pass runs once, here: its Masked
+	// records are journaled coordinator-side and their indices never enter
+	// a shard (on a resume they are already journaled, and the pre-pass only
+	// sizes the analytic stratum). They are this lifetime's merges too: they
+	// reach the final result's Exps and the caller's progress hook.
+	prepassStart := time.Now()
+	sched, analytic, err := core.NewSchedule(ctx, cfg, prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	run.sched = sched
+	for _, e := range analytic {
+		if err := c.Record(e); err != nil {
 			return nil, nil, err
 		}
-		var pending []core.Experiment
-		run.tracker, pending = core.SeedAdaptive(cfg, recs, c.Counts)
-		run.simulated = run.tracker.Counts().Total()
-		for _, e := range pending {
-			if err := c.Record(e); err != nil {
-				return nil, nil, err
-			}
-			e.Trace = nil
-			cfg.Completed = append(cfg.Completed, e.ID)
-			run.newExps = append(run.newExps, e)
-			if onExp != nil {
-				onExp(e)
-			}
+		e.Trace = nil
+		sched.Add(e)
+		cfg.Completed = append(cfg.Completed, e.ID)
+		run.newExps = append(run.newExps, e)
+		if onExp != nil {
+			onExp(e)
 		}
-		obs.EmitSpan(ctx, "coordinator.prepass", prepassStart,
-			obs.Attr{K: "analytic", V: strconv.Itoa(len(recs))})
 	}
+	if cfg.Plan.Enabled() {
+		obs.EmitSpan(ctx, "coordinator.prepass", prepassStart,
+			obs.Attr{K: "analytic", V: strconv.Itoa(len(analytic))})
+	}
+	round := sched.Next()
 
 	// Fsync ordering invariant: the journal is synced BEFORE any control
 	// record can reference its state, so a durable plan never presumes
-	// analytic appends that a crash could un-write.
+	// appends that a crash could un-write.
 	if err := c.Sync(); err != nil {
 		return nil, nil, err
 	}
@@ -352,11 +339,12 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		co.opts.Logger.Warn("control WAL had a torn final record; cut", "id", id)
 	}
 
-	// The table: replayed from the WAL, or planned afresh and written to it.
+	// The table: replayed from the WAL, or the round planned afresh and
+	// written to it.
 	tableStart, now := time.Now(), co.now()
 	tab := newTable(id, c.Spec.Runs, cfg.Completed)
 	run.tab = tab
-	gen, rebuilt := replay(tab, ctl, now.Add(co.opts.LeaseTTL))
+	gen, rebuilt := replay(tab, ctl, round, now.Add(co.opts.LeaseTTL))
 	genAttr := obs.Attr{K: "gen", V: strconv.Itoa(gen)}
 	if rebuilt {
 		live := 0
@@ -371,32 +359,11 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		co.opts.Logger.Info("shard state rebuilt from control WAL", "id", id,
 			"gen", gen, "shards", len(tab.order), "live_leases", live)
 	} else {
-		idxs, err := core.PlanShards(cfg, prof, co.opts.ShardsPerCampaign)
-		if err != nil {
+		if err := co.planRound(run, gen, round); err != nil {
 			return nil, nil, err
 		}
-		parts := make([]part, len(idxs))
-		for k := range idxs {
-			parts[k] = part{id: fmt.Sprintf("%s:%d:%d", id, gen, k), indices: idxs[k]}
-		}
-		tab.plan(gen, parts)
-		// Journal the plan, then the generation-complete marker, one fsync
-		// for the set: a crash mid-plan leaves a generation without its
-		// plan_done, and the next lifetime discards it and re-plans.
-		for _, p := range parts {
-			if err := wal.Append(store.ControlRecord{Kind: store.CtlPlan,
-				Gen: gen, Shard: p.id, Indices: p.indices}); err != nil {
-				return nil, nil, err
-			}
-		}
-		fsyncStart := time.Now()
-		if err := wal.AppendSync(store.ControlRecord{Kind: store.CtlPlanDone,
-			Gen: gen, Count: len(parts)}); err != nil {
-			return nil, nil, err
-		}
-		obs.EmitSpan(ctx, "wal.fsync", fsyncStart, obs.Attr{K: "kind", V: "plan_done"})
 		obs.EmitSpan(ctx, "coordinator.plan", tableStart, genAttr,
-			obs.Attr{K: "shards", V: strconv.Itoa(len(parts))})
+			obs.Attr{K: "shards", V: strconv.Itoa(len(tab.order))})
 	}
 
 	co.mu.Lock()
@@ -415,17 +382,67 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	co.order = append(co.order, id)
 	co.opts.Logger.Info("campaign sharded", "id", id, "gen", gen,
 		"shards", len(tab.order), "pending", tab.pending())
-	switch {
-	case tab.pending() == 0:
-		// Nothing pending (fully journaled campaign resumed, or the
-		// pre-pass covered every remaining index): finalize now.
-		co.finalizeLocked(run)
-	case run.tracker != nil && run.tracker.Satisfied():
-		// The resumed prior (plus the analytic stratum) already meets the
-		// rule: no shard ever gets claimed.
-		co.satisfyLocked(run)
+	if tab.left == 0 {
+		// Nothing to merge in this generation: the campaign was journaled
+		// whole, or its stop rule already holds.
+		co.nextRoundLocked(run)
 	}
 	return run, nil, nil
+}
+
+// planRound plans round as generation gen of run's table: its shards go to
+// the control WAL — the plan records, then the generation-complete marker,
+// one fsync for the set — and then into the table. A crash mid-plan leaves
+// a generation without its plan_done, and the next lifetime discards it and
+// re-plans.
+func (co *Coordinator) planRound(run *campaignRun, gen int, round []int) error {
+	idxs := run.sched.Shards(round, co.opts.ShardsPerCampaign)
+	parts := make([]part, len(idxs))
+	for k := range idxs {
+		parts[k] = part{id: fmt.Sprintf("%s:%d:%d", run.id, gen, k), indices: idxs[k]}
+	}
+	for _, p := range parts {
+		if err := run.wal.Append(store.ControlRecord{Kind: store.CtlPlan,
+			Gen: gen, Shard: p.id, Indices: p.indices}); err != nil {
+			return err
+		}
+	}
+	fsyncStart := time.Now()
+	if err := run.wal.AppendSync(store.ControlRecord{Kind: store.CtlPlanDone,
+		Gen: gen, Count: len(parts)}); err != nil {
+		return err
+	}
+	obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "wal.fsync",
+		fsyncStart, obs.Attr{K: "kind", V: "plan_done"})
+	run.tab.plan(gen, parts)
+	return nil
+}
+
+// nextRoundLocked is the one place a campaign's next step is decided, each
+// time its current generation has nothing left to merge: the schedule's
+// next round becomes the next generation, or, once the schedule says stop,
+// the campaign is finalized. The journal is synced first, so a durable plan
+// never presumes outcomes a crash could un-write. Workers that finished
+// their shards early poll until the round's last shard merges. Caller
+// holds co.mu.
+func (co *Coordinator) nextRoundLocked(run *campaignRun) {
+	round := run.sched.Next()
+	if round == nil {
+		co.finalizeLocked(run)
+		return
+	}
+	gen := run.tab.gen + 1
+	err := run.c.Sync()
+	if err == nil {
+		err = co.planRound(run, gen, round)
+	}
+	if err != nil {
+		co.endLocked(run, "failed", nil, fmt.Errorf("shard: plan round %d of %s: %w", gen, run.id, err))
+		return
+	}
+	co.stats.ShardsPlanned += int64(len(run.tab.order))
+	co.opts.Logger.Info("round planned", "id", run.id, "gen", gen,
+		"shards", len(run.tab.order), "experiments", len(round))
 }
 
 // Revoke closes a campaign to further claims and journal batches without
@@ -616,12 +633,9 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 				co.opts.Logger.Info("shard complete", "shard", b.Shard, "worker", ss.worker)
 			}
 			run.newExps = append(run.newExps, exp)
+			run.sched.Add(exp)
 			res.Accepted++
 			co.stats.RecordsMerged++
-			if run.tracker != nil {
-				run.tracker.Add(exp.Outcome)
-				run.simulated++
-			}
 			if run.onExp != nil {
 				run.onExp(exp)
 			}
@@ -645,40 +659,14 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 	co.touchWorker(ss.worker, 0, 1, int64(res.Accepted))
 
 	res.ShardDone = ss.done
-	switch {
-	case tab.pending() == 0:
-		co.finalizeLocked(run)
+	if tab.left == 0 {
+		co.nextRoundLocked(run)
 		if run.err != nil {
 			return res, run.err
 		}
-		res.CampaignDone = true
-	case run.tracker != nil && run.tracker.Satisfied():
-		co.satisfyLocked(run)
-		if run.err != nil {
-			return res, run.err
-		}
-		res.Satisfied = true
-		res.ShardDone = true
-		res.CampaignDone = true
+		res.CampaignDone = tab.closed
 	}
 	return res, nil
-}
-
-// satisfyLocked finalizes a campaign whose adaptive stop rule converged
-// before every shard merged: outstanding shards are retired (their workers
-// learn on the next batch or heartbeat), the saving is recorded, and the
-// campaign completes exactly like a fully merged one — the done marker
-// carries the plan report with the skipped count. Caller holds co.mu.
-func (co *Coordinator) satisfyLocked(run *campaignRun) {
-	if run.tab.closed {
-		return
-	}
-	retired := run.tab.retire()
-	co.stats.ShardsRetired += int64(retired)
-	co.stats.ExperimentsSaved += int64(run.tab.pending())
-	co.opts.Logger.Info("campaign satisfied; retiring shards", "id", run.id,
-		"merged", run.tab.total-run.tab.pending(), "total", run.tab.total, "retired", retired)
-	co.finalizeLocked(run)
 }
 
 // result is the campaign's merged result as of now: the journal's prior
@@ -688,18 +676,15 @@ func (run *campaignRun) result() *core.CampaignResult {
 		Exps: append([]core.Experiment(nil), run.newExps...)})
 }
 
-// finalizeLocked completes a merged (or satisfied) campaign: sync, done
-// marker, terminal state. Caller holds co.mu.
+// finalizeLocked completes a campaign whose schedule has no round left:
+// sync, done marker, terminal state. Caller holds co.mu.
 func (co *Coordinator) finalizeLocked(run *campaignRun) {
 	if run.tab.closed {
 		return
 	}
 	finStart := time.Now()
 	merged := run.result()
-	if run.tracker != nil {
-		merged.Plan = &core.PlanReport{Status: run.tracker.Status(),
-			Simulated: run.simulated, Skipped: run.tab.pending()}
-	}
+	merged.Plan = run.sched.Report()
 	reason := "done"
 	err := run.c.Finish(merged)
 	if err != nil {
@@ -714,14 +699,14 @@ func (co *Coordinator) finalizeLocked(run *campaignRun) {
 }
 
 // endLocked is the one way a campaign leaves the coordinator, whatever
-// ended it — merged, satisfied, cancelled, revoked or crashed: the table
+// ended it — merged, cancelled, revoked or crashed: the table
 // closes under reason, Run's result and error are set, the journal and the
 // control WAL are flushed and closed (its job is over once nothing can be
 // granted) — unless the coordinator itself died, which flushes nothing —
 // Run unblocks, and the run shrinks to its tombstone: the store handles,
-// the merge sets, this lifetime's experiments and every shard's index list
-// go (run.res follows once Run has returned it), and the campaign leaves
-// the claim scan. Caller holds co.mu.
+// the merge sets, the schedule, this lifetime's experiments and every
+// shard's index list go (run.res follows once Run has returned it), and
+// the campaign leaves the claim scan. Caller holds co.mu.
 func (co *Coordinator) endLocked(run *campaignRun, reason string, res *core.CampaignResult, err error) {
 	run.tab.close(reason)
 	run.res, run.err = res, err
@@ -733,7 +718,7 @@ func (co *Coordinator) endLocked(run *campaignRun, reason string, res *core.Camp
 	}
 	close(run.done)
 	run.tab.entomb()
-	run.c, run.wal, run.tracker, run.onExp, run.newExps = nil, nil, nil, nil, nil
+	run.c, run.wal, run.sched, run.onExp, run.newExps = nil, nil, nil, nil, nil
 	for i, id := range co.order {
 		if id == run.id {
 			co.order = append(co.order[:i], co.order[i+1:]...)

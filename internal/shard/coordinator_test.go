@@ -44,6 +44,7 @@ func execShard(t *testing.T, sh *Shard) []core.Experiment {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Plan = nil // a shard runs fixed-N: the coordinator owns the rounds
 	prof, err := core.ProfileApp(nil, cfg.App, cfg.GPU)
 	if err != nil {
 		t.Fatal(err)

@@ -8,22 +8,24 @@ import (
 
 // replay rebuilds a campaign's shard table from its control WAL by feeding
 // the records through the same plan and grant the live path calls. t is the
-// campaign's table as the journal alone leaves it (newTable). On true, t
-// holds generation gen and every lease the WAL granted for it; on false —
-// no durable plan, or one that no longer covers the pending work — t holds
-// no shards and gen is the generation to plan afresh under.
+// campaign's table as the journal alone leaves it (newTable), and round the
+// unjournaled indices of the round the campaign's schedule is in. On true,
+// t holds generation gen and every lease the WAL granted for it; on false —
+// no durable plan, or one that does not cover the round — t holds no shards
+// and gen is the generation to plan afresh under.
 //
-// Only the highest generation WITH a plan_done marker is trusted: a crash
-// mid-plan leaves a prefix of plan records that looks complete but is not,
-// and a fresh plan must never reuse a generation a crash abandoned. Grants
-// replay on top in WAL order, each restored with a fresh TTL of grace
-// (expiry): its worker may well be parked, waiting for the coordinator to
-// come back. Grants for other generations' shards find no shard and fall
-// away. The switches below name every kind replay reads; a kind not named
-// here is skipped, which is how a WAL written by an older build — renew,
-// expire, merge, shard_done, retire, finalize — still resumes, and why no
-// new code may write one (TestEveryWrittenControlKindIsReplayed).
-func replay(t *table, ctl []store.ControlRecord, expiry time.Time) (gen int, ok bool) {
+// Only the highest generation is trusted, and only WITH its plan_done
+// marker: a crash mid-plan leaves plan records that look complete but are
+// not, the generation below is a round already finished, and a fresh plan
+// must never reuse a generation a crash abandoned. Grants replay on top in
+// WAL order, each restored with a fresh TTL of grace (expiry): its worker
+// may well be parked, waiting for the coordinator to come back. Grants for
+// other generations' shards find no shard and fall away. A kind the
+// switches below do not name is skipped, which is how a WAL written by an
+// older build — renew, expire, merge, shard_done, retire, finalize — still
+// resumes, and why no new code may write one
+// (TestEveryWrittenControlKindIsReplayed).
+func replay(t *table, ctl []store.ControlRecord, round []int, expiry time.Time) (gen int, ok bool) {
 	seen := 0
 	for _, r := range ctl {
 		switch r.Kind {
@@ -33,7 +35,7 @@ func replay(t *table, ctl []store.ControlRecord, expiry time.Time) (gen int, ok 
 			seen, gen = max(seen, r.Gen), max(gen, r.Gen)
 		}
 	}
-	if gen == 0 {
+	if gen == 0 || gen < seen {
 		return seen + 1, false
 	}
 	var parts []part
@@ -43,7 +45,7 @@ func replay(t *table, ctl []store.ControlRecord, expiry time.Time) (gen int, ok 
 		}
 	}
 	t.plan(gen, parts)
-	if !t.covers() {
+	if !t.covers(round) {
 		t.plan(0, nil)
 		return seen + 1, false
 	}

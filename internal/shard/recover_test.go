@@ -105,7 +105,7 @@ func TestParentControlReplays(t *testing.T) {
 
 	now, ttl := time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC), time.Minute
 	tab := newTable("parent", want.Total, want.Journaled)
-	gen, ok := replay(tab, ctl, now.Add(ttl))
+	gen, ok := replay(tab, ctl, unjournaled(want.Total, want.Journaled), now.Add(ttl))
 	if !ok {
 		t.Fatal("the parent's control WAL does not replay")
 	}
@@ -139,20 +139,39 @@ func TestParentControlReplays(t *testing.T) {
 	}
 }
 
+// unjournaled is the round of a campaign whose schedule is one round:
+// every index of [0, total) the journal does not hold.
+func unjournaled(total int, journaled []int) []int {
+	held := map[int]bool{}
+	for _, i := range journaled {
+		held[i] = true
+	}
+	var round []int
+	for i := 0; i < total; i++ {
+		if !held[i] {
+			round = append(round, i)
+		}
+	}
+	return round
+}
+
 // sweepControl cuts ctl at every record boundary — every point a crash can
 // leave the file at, torn tails aside (internal/store's own sweep) — and
-// holds replay to its contract: with a complete generation in the prefix
-// that still covers the campaign the table comes back at that generation,
-// fenced at or above every grant the prefix holds, the newest grant per
-// shard the only token that may write; otherwise the table is empty and the
-// answer is a generation no record in the prefix has used.
+// holds replay to its contract, asked to cover the round the newest
+// complete generation was planned for: when that generation is the newest
+// the prefix has used at all, the table comes back at it, fenced at or
+// above every grant the prefix holds, the newest grant per shard the only
+// token that may write; otherwise the table is empty and the answer is a
+// generation no record in the prefix has used.
 func sweepControl(t *testing.T, ctl []store.ControlRecord, total int, journaled []int) {
 	t.Helper()
+	held := map[int]bool{}
+	for _, i := range journaled {
+		held[i] = true
+	}
 	rebuilt := 0
 	for cut := 0; cut <= len(ctl); cut++ {
 		prefix := ctl[:cut]
-		tab := newTable("sweep", total, journaled)
-		gen, ok := replay(tab, prefix, time.Unix(1, 0))
 		done, seen := 0, 0
 		for _, r := range prefix {
 			if r.Kind == store.CtlPlanDone {
@@ -162,18 +181,30 @@ func sweepControl(t *testing.T, ctl []store.ControlRecord, total int, journaled 
 				seen = max(seen, r.Gen)
 			}
 		}
+		var round []int
+		for _, r := range prefix {
+			if r.Kind == store.CtlPlan && r.Gen == done {
+				for _, i := range r.Indices {
+					if !held[i] {
+						round = append(round, i)
+					}
+				}
+			}
+		}
+		tab := newTable("sweep", total, journaled)
+		gen, ok := replay(tab, prefix, round, time.Unix(1, 0))
 		if !ok {
 			if gen != seen+1 || len(tab.shards) != 0 {
 				t.Fatalf("cut %d: no rebuild, yet gen %d (highest seen %d) and %d shards", cut, gen, seen, len(tab.shards))
 			}
-			if done > 0 {
-				t.Fatalf("cut %d: generation %d is complete and was not rebuilt", cut, done)
+			if done > 0 && done == seen {
+				t.Fatalf("cut %d: generation %d is the newest, complete, and was not rebuilt", cut, done)
 			}
 			continue
 		}
 		rebuilt++
-		if gen != done || !tab.covers() {
-			t.Fatalf("cut %d: rebuilt generation %d (complete: %d), covers=%v", cut, gen, done, tab.covers())
+		if gen != done || done != seen || !tab.covers(round) {
+			t.Fatalf("cut %d: rebuilt generation %d (complete: %d, newest: %d), covers=%v", cut, gen, done, seen, tab.covers(round))
 		}
 		newest := map[string]store.ControlRecord{}
 		for _, r := range prefix {
@@ -321,7 +352,7 @@ func TestEveryWrittenControlKindIsReplayed(t *testing.T) {
 }
 
 // FuzzControlReplay feeds replay whatever record sequence decodes: it must
-// not panic, a table it vouches for must cover the campaign and fence every
+// not panic, a table it vouches for must cover the round and fence every
 // shard at its highest grant with exactly one writer, and a refusal must
 // leave nothing behind and name an unused generation.
 func FuzzControlReplay(f *testing.F) {
@@ -354,7 +385,8 @@ func FuzzControlReplay(f *testing.F) {
 			}
 		}
 		tab := newTable("f", int(total), journaled)
-		gen, ok := replay(tab, ctl, time.Unix(1, 0))
+		round := unjournaled(int(total), journaled)
+		gen, ok := replay(tab, ctl, round, time.Unix(1, 0))
 		for _, r := range ctl {
 			if (r.Kind == store.CtlPlan || r.Kind == store.CtlPlanDone) && r.Gen > gen {
 				t.Fatalf("replay answered generation %d; the WAL already used %d", gen, r.Gen)
@@ -366,8 +398,8 @@ func FuzzControlReplay(f *testing.F) {
 			}
 			return
 		}
-		if !tab.covers() || len(tab.order) != len(tab.shards) {
-			t.Fatalf("vouched for a table that covers=%v with %d ids for %d shards", tab.covers(), len(tab.order), len(tab.shards))
+		if !tab.covers(round) || len(tab.order) != len(tab.shards) {
+			t.Fatalf("vouched for a table that covers=%v with %d ids for %d shards", tab.covers(round), len(tab.order), len(tab.shards))
 		}
 		for sid, ss := range tab.shards {
 			n := 0

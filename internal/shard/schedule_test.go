@@ -97,6 +97,16 @@ func (s *schedule) drop(w *fakeWorker) {
 	w.sh, w.recs, w.sent = nil, nil, 0
 }
 
+// bygone reports whether shard sid belongs to a generation other than the
+// campaign's current one: a round that has since been merged, or a plan a
+// restart discarded. The coordinator no longer knows such a shard.
+func (s *schedule) bygone(sid string) bool {
+	s.co.mu.Lock()
+	defer s.co.mu.Unlock()
+	run := s.co.campaigns[s.id]
+	return run == nil || run.tab.shards[sid] == nil
+}
+
 // refused sorts an error from a write under w's lease: the typed refusals
 // end the worker's hold on the shard, anything else is a bug.
 func (s *schedule) refused(w *fakeWorker, op string, err error) {
@@ -106,7 +116,8 @@ func (s *schedule) refused(w *fakeWorker, op string, err error) {
 			s.t.Fatalf("%s by %s fenced at epoch %d, and no later epoch was ever granted", op, w.name, w.sh.Epoch)
 		}
 		s.fenced++
-	case errors.Is(err, ErrCampaignClosed), errors.Is(err, ErrCampaignSatisfied):
+	case errors.Is(err, ErrCampaignClosed):
+	case errors.Is(err, ErrUnknownShard) && s.bygone(w.sh.ID):
 	default:
 		s.t.Fatalf("%s by %s on %s: %v", op, w.name, w.sh.ID, err)
 	}
@@ -162,7 +173,8 @@ func (s *schedule) probe(old *Shard) {
 		return // still the newest grant of its shard: it may well be live
 	}
 	for _, err := range []error{hbErr, inErr} {
-		if !errors.Is(err, ErrLeaseFenced) && !errors.Is(err, ErrCampaignClosed) && !errors.Is(err, ErrCampaignSatisfied) {
+		if !errors.Is(err, ErrLeaseFenced) && !errors.Is(err, ErrCampaignClosed) &&
+			!(errors.Is(err, ErrUnknownShard) && s.bygone(old.ID)) {
 			s.t.Fatalf("%s was granted at epoch %d; its epoch-%d lease still gets %v",
 				old.ID, s.granted[old.ID], old.Epoch, err)
 		}
@@ -254,9 +266,9 @@ func journalByKey(t *testing.T, st *store.Store, id string) (map[string]string, 
 // and dying, leases expiring by the injected clock, old grants coming back,
 // and the coordinator crashing (buffered journal tail lost) and restarting
 // — after which the merged journal must equal an uninterrupted local run
-// byte for byte (the adaptive arm, whose stop point moves with the
-// schedule: wherever both have a record), and the control.jsonl the run
-// left behind must replay from every one of its record boundaries.
+// byte for byte, the adaptive arm's rounds and plan report included, and
+// the control.jsonl the run left behind must replay from every one of its
+// record boundaries.
 func TestCoordinatorRandomSchedules(t *testing.T) {
 	adaptive := &plan.Rule{TargetCI: 0.12, Confidence: 0.95, MinRuns: 40}
 	for _, arm := range []struct {
@@ -295,7 +307,8 @@ func TestCoordinatorRandomSchedules(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := localSt.Run(context.Background(), s.id, s.spec, nil, nil); err != nil {
+			lib, err := localSt.Run(context.Background(), s.id, s.spec, nil, nil)
+			if err != nil {
 				t.Fatal(err)
 			}
 			sharded, dups := journalByKey(t, s.st, s.id)
@@ -303,20 +316,19 @@ func TestCoordinatorRandomSchedules(t *testing.T) {
 			if dups != 0 {
 				t.Errorf("%d experiment records were journaled twice", dups)
 			}
-			if arm.plan == nil && len(sharded) != len(local) {
+			if len(sharded) != len(local) {
 				t.Errorf("%d journal records, the local run has %d", len(sharded), len(local))
 			}
 			for key, line := range sharded {
-				if l, ok := local[key]; ok && l != line {
-					t.Errorf("record %s diverged:\n  sharded: %s\n  local:   %s", key, line, l)
-				} else if !ok && arm.plan == nil {
+				if l, ok := local[key]; !ok {
 					t.Errorf("record %s is in no local run", key)
+				} else if l != line {
+					t.Errorf("record %s diverged:\n  sharded: %s\n  local:   %s", key, line, l)
 				}
 			}
 			if arm.plan != nil {
-				if p := s.res.Plan; p == nil || !p.Satisfied || p.Observed != p.Simulated+p.Analytic ||
-					p.Observed != arm.runs-p.Skipped {
-					t.Errorf("adaptive arm's plan report does not add up: %+v", p)
+				if s.res.Plan == nil || lib.Plan == nil || *s.res.Plan != *lib.Plan || lib.Plan.Skipped == 0 {
+					t.Errorf("plan report %+v, the local run's %+v", s.res.Plan, lib.Plan)
 				}
 			}
 

@@ -85,9 +85,9 @@ func TestSenderGroupCommit(t *testing.T) {
 // TestSenderErrorStopsShard answers one journal POST with each way a
 // coordinator can refuse it. The engine is far from done at that point, so
 // it must stop at its next callback (the error comes back wrapped as the
-// engine's), nothing may follow the refused POST, the typed error decides
-// between abandoned and cleanly stopped exactly as it did when the engine
-// itself made the POST, and the shard leaves no goroutine behind.
+// engine's), nothing may follow the refused POST, the shard is abandoned
+// with the typed error exactly as when the engine itself made the POST, and
+// it leaves no goroutine behind.
 func TestSenderErrorStopsShard(t *testing.T) {
 	envelope := func(code string) func(http.ResponseWriter) {
 		return func(w http.ResponseWriter) {
@@ -99,12 +99,11 @@ func TestSenderErrorStopsShard(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		answer func(http.ResponseWriter)
-		want   error // nil: the shard stops cleanly
-		outage bool  // the refusal is a dead connection, retried until the budget runs out
+		want   error
+		outage bool // the refusal is a dead connection, retried until the budget runs out
 	}{
 		{name: "lease_fenced", answer: envelope("lease_fenced"), want: shard.ErrLeaseFenced},
 		{name: "campaign_closed", answer: envelope("campaign_closed"), want: shard.ErrCampaignClosed},
-		{name: "campaign_satisfied", answer: envelope("campaign_satisfied")},
 		{name: "dropped", answer: func(http.ResponseWriter) { panic(http.ErrAbortHandler) }, outage: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -143,10 +142,6 @@ func TestSenderErrorStopsShard(t *testing.T) {
 				}
 				if posts <= failAt {
 					t.Errorf("%d POSTs: the dropped one was never retried", posts)
-				}
-			case tc.want == nil:
-				if err != nil {
-					t.Errorf("shard of a converged campaign: %v, want a clean stop", err)
 				}
 			case !errors.Is(err, tc.want):
 				t.Errorf("shard error %v, want %v", err, tc.want)

@@ -1,9 +1,11 @@
 // Package shard turns a gpuFI campaign into distributed work: a
-// coordinator partitions a campaign's pending experiments into shards
-// along snapshot-cluster boundaries (each cluster is one prefix run plus
-// its forks — the fork engine's natural unit), leases shards to stateless
-// worker nodes over HTTP, and merges the journal batches they stream back
-// into the existing crash-safe campaign store.
+// coordinator partitions each round of a campaign's schedule (core.Schedule:
+// all pending experiments for a fixed-N campaign, one stratified round for
+// an adaptive one) into a generation of shards along snapshot-cluster
+// boundaries (each cluster is one prefix run plus its forks — the fork
+// engine's natural unit), leases shards to stateless worker nodes over
+// HTTP, and merges the journal batches they stream back into the existing
+// crash-safe campaign store.
 //
 // The protocol is built so EITHER side can die at any point:
 //
@@ -80,13 +82,6 @@ var (
 	// the shard, an unparsable outcome, a missing payload, or a trace that
 	// names another experiment than the record it rides in.
 	ErrBadBatch = errors.New("shard: bad batch")
-
-	// ErrCampaignSatisfied reports a batch or heartbeat against a campaign
-	// whose adaptive stop rule already converged: the coordinator finalized
-	// it early and retired the outstanding shards. Unlike ErrCampaignClosed
-	// this is a success signal — the worker stops the shard cleanly instead
-	// of abandoning it.
-	ErrCampaignSatisfied = errors.New("shard: campaign satisfied")
 )
 
 // Shard is the unit of distributed work: one campaign's experiments for a
@@ -159,12 +154,6 @@ type BatchResult struct {
 	Duplicates   int  `json:"duplicates"`
 	ShardDone    bool `json:"shard_done"`
 	CampaignDone bool `json:"campaign_done"`
-
-	// Satisfied reports that this batch pushed the campaign's adaptive
-	// confidence interval under its target: the campaign is finalized and
-	// every outstanding shard retired. The worker stops the shard's engine
-	// instead of running the remaining experiments.
-	Satisfied bool `json:"satisfied,omitempty"`
 }
 
 // ClaimRequest names the worker asking for a shard (diagnostics only).
@@ -187,7 +176,7 @@ type HeartbeatResult struct {
 type Status struct {
 	ID       string `json:"id"`
 	Campaign string `json:"campaign"`
-	State    string `json:"state"` // pending | leased | done | retired
+	State    string `json:"state"` // pending | leased | done
 	Worker   string `json:"worker,omitempty"`
 	Indices  int    `json:"indices"`
 	Merged   int    `json:"merged"`

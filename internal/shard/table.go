@@ -8,8 +8,8 @@ import (
 // table is one campaign's shard state machine: which shards exist, who
 // holds each and at which epoch, which experiment indices are journaled,
 // and whether the campaign is still open. Every transition of the plan /
-// lease / fence / merge / retire / close protocol is a method here and
-// nowhere else. The Coordinator holds the mutex, the store handles and the
+// lease / fence / merge / close protocol is a method here and nowhere
+// else. The Coordinator holds the mutex, the store handles and the
 // clock and calls them; a restarted coordinator replays control.jsonl
 // through the same plan and grant (recover.go). The table takes no lock,
 // reads no clock and does no I/O, so its invariants can be driven by a
@@ -18,13 +18,13 @@ type table struct {
 	id        string       // campaign, for error texts
 	total     int          // the campaign's experiment count
 	journaled map[int]bool // experiment indices in the journal, from any lifetime
-	gen       int          // plan generation the shards belong to
+	gen       int          // plan generation the shards belong to: one round of the campaign
 	shards    map[string]*shardState
 	order     []string // issue order (cycle order)
+	left      int      // shards of the generation not merged yet
 
-	closed    bool   // no more claims, renewals or batches; reason says why
-	reason    string // "done" | "cancelled" | "failed"
-	satisfied bool   // the adaptive stop rule converged: outstanding shards retired
+	closed bool   // no more claims, renewals or batches; reason says why
+	reason string // "done" | "cancelled" | "failed"
 }
 
 // shardState is the coordinator-side view of one shard.
@@ -40,7 +40,6 @@ type shardState struct {
 	worker   string
 	expiry   time.Time
 	done     bool
-	retired  bool // withdrawn by adaptive convergence, not merged
 }
 
 // part is one shard of a plan: its id (campaign:gen:k) and its indices.
@@ -58,9 +57,11 @@ func newTable(id string, total int, journaled []int) *table {
 }
 
 // plan installs generation gen as the table's shards, replacing whatever
-// it held. A shard whose every index is already journaled is born done.
+// it held: the previous round's shards are all merged by then, or belong
+// to a generation a restart discarded. A shard whose every index is already
+// journaled is born done.
 func (t *table) plan(gen int, parts []part) {
-	t.gen, t.order = gen, nil
+	t.gen, t.order, t.left = gen, nil, 0
 	t.shards = make(map[string]*shardState, len(parts))
 	for _, p := range parts {
 		if t.shards[p.id] != nil {
@@ -78,17 +79,21 @@ func (t *table) plan(gen int, parts []part) {
 		}
 		ss.size = len(ss.indexSet)
 		ss.done = ss.merged == ss.size
+		if !ss.done {
+			t.left++
+		}
 		t.shards[p.id] = ss
 		t.order = append(t.order, p.id)
 	}
 }
 
 // covers reports whether the journal and the plan between them account for
-// every experiment: the safety net that keeps a corrupt or foreign WAL from
-// silently dropping work.
-func (t *table) covers() bool {
+// every experiment of the round the plan is meant to run: the safety net
+// that keeps a corrupt or foreign WAL, or the plan of a round the journal
+// has moved past, from silently dropping work.
+func (t *table) covers(round []int) bool {
 next:
-	for i := 0; i < t.total; i++ {
+	for _, i := range round {
 		if t.journaled[i] {
 			continue
 		}
@@ -102,11 +107,9 @@ next:
 	return true
 }
 
-// state is what GET /v1/shards reports: pending | leased | done | retired.
+// state is what GET /v1/shards reports: pending | leased | done.
 func (ss *shardState) state(now time.Time) string {
 	switch {
-	case ss.retired:
-		return "retired"
 	case ss.done:
 		return "done"
 	case ss.curLease != "" && now.Before(ss.expiry):
@@ -156,8 +159,6 @@ func (t *table) open(sid string) (*shardState, error) {
 	switch {
 	case ss == nil:
 		return nil, fmt.Errorf("%w: %s", ErrUnknownShard, sid)
-	case t.satisfied && t.closed:
-		return nil, fmt.Errorf("%w: campaign %s converged", ErrCampaignSatisfied, t.id)
 	case t.closed:
 		return nil, fmt.Errorf("%w: campaign %s is %s", ErrCampaignClosed, t.id, t.reason)
 	}
@@ -179,7 +180,7 @@ func (ss *shardState) holds(lease string) error {
 }
 
 // check decides whether lease may write to shard sid: the one place the
-// closed / satisfied / revoked / fenced answers are made.
+// closed / revoked / fenced answers are made.
 func (t *table) check(sid, lease string) error {
 	ss, err := t.open(sid)
 	if err != nil {
@@ -209,13 +210,15 @@ func (t *table) renew(sid, lease string, expiry time.Time) error {
 func (t *table) owns(sid string, i int) bool { return t.shards[sid].indexSet[i] }
 
 // merged records that experiment i of shard sid reached the journal, and
-// reports whether that completed the shard.
+// reports whether that completed the shard. Once left is 0 the generation
+// is merged and its round complete.
 func (t *table) merged(sid string, i int) (shardDone bool) {
 	ss := t.shards[sid]
 	t.journaled[i] = true
 	ss.merged++
 	if !ss.done && ss.merged == ss.size {
 		ss.done = true
+		t.left--
 		return true
 	}
 	return false
@@ -224,22 +227,8 @@ func (t *table) merged(sid string, i int) (shardDone bool) {
 // pending is how many experiments are not journaled yet.
 func (t *table) pending() int { return t.total - len(t.journaled) }
 
-// retire withdraws every shard that has not merged — the adaptive stop rule
-// converged without them — and returns how many there were.
-func (t *table) retire() int {
-	t.satisfied = true
-	n := 0
-	for _, ss := range t.shards {
-		if !ss.done {
-			ss.done, ss.retired = true, true
-			n++
-		}
-	}
-	return n
-}
-
-// close ends the campaign: from here every check answers closed (or
-// satisfied) and nothing is claimable.
+// close ends the campaign: from here every check answers closed and
+// nothing is claimable.
 func (t *table) close(reason string) { t.closed, t.reason = true, reason }
 
 // entomb reduces a closed table to what answers a late batch and a status

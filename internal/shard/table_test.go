@@ -13,21 +13,24 @@ import (
 // model is the reference the table is held to: the protocol as DESIGN.md
 // §10 and §12 state it, written without looking at table.go. It judges a
 // lease by comparing epochs where the table compares tokens; that the two
-// agree on every history the generator finds is part of the test.
+// agree on every history the generator finds is part of the test. It holds
+// the current round's generation only: a round's shards are gone once the
+// next round is planned.
 type model struct {
-	order             []string
-	shards            map[string]*modelShard
-	journaled         map[int]bool
-	closed, satisfied bool
+	order     []string
+	shards    map[string]*modelShard
+	journaled map[int]bool
+	closed    bool
 }
 
 type modelShard struct {
-	idx           map[int]bool
-	issued        map[string]int64 // every token ever granted -> epoch
-	epoch         int64
-	worker        string
-	until         time.Time
-	done, retired bool
+	idx    map[int]bool
+	list   []int            // idx as planned
+	issued map[string]int64 // every token ever granted -> epoch
+	epoch  int64
+	worker string
+	until  time.Time
+	done   bool
 }
 
 func (m *model) merged(s *modelShard) (n int) {
@@ -54,8 +57,6 @@ func (m *model) verdict(sid, lease string) error {
 	switch {
 	case s == nil:
 		return ErrUnknownShard
-	case m.closed && m.satisfied:
-		return ErrCampaignSatisfied
 	case m.closed:
 		return ErrCampaignClosed
 	}
@@ -99,6 +100,9 @@ type tableRun struct {
 	n      int // campaigns so far
 	id     string
 	total  int
+	round  []int    // the indices the current generation was planned for
+	rest   []int    // the indices of the rounds still to come
+	past   []string // shards of earlier generations
 	tab    *table
 	m      *model
 	wal    []store.ControlRecord // durable
@@ -110,37 +114,36 @@ type tableRun struct {
 	high   map[string]int64    // highest epoch ever granted per shard
 	seen   map[string]int64    // last epoch the table showed per shard
 
-	replays, fences, closes int
+	replays, fences, closes, rounds int
 }
 
 var legacyKinds = []string{"renew", "expire", "merge", "shard_done", "retire", "finalize"}
 
 // start opens a new campaign: a random prior journal (the analytic
-// pre-pass, an earlier lifetime), a random partition of the rest, and —
+// pre-pass, an earlier lifetime), the rest in one to three rounds, and —
 // one time in four — a coordinator that died mid-plan first, so the
 // generation that survives is not the first one written.
 func (r *tableRun) start() {
 	r.n++
 	r.id = fmt.Sprintf("c%d", r.n)
 	r.total = 1 + r.rng.Intn(40)
-	r.wal, r.tail, r.jrn, r.synced = nil, nil, nil, 0
+	r.wal, r.tail, r.jrn, r.synced, r.rest, r.past = nil, nil, nil, 0, nil, nil
 	r.tokens, r.high, r.seen = map[string][]string{}, map[string]int64{}, map[string]int64{}
-	var pending []int
 	for k, i := range r.rng.Perm(r.total) {
 		if k > 0 && r.rng.Intn(5) == 0 {
 			r.jrn = append(r.jrn, i)
 		} else {
-			pending = append(pending, i)
+			r.rest = append(r.rest, i)
 		}
 	}
 	r.synced = len(r.jrn) // the journal is synced before the WAL is opened
 	r.tab = newTable(r.id, r.total, r.jrn)
-	r.m = &model{shards: map[string]*modelShard{}, journaled: map[int]bool{}}
+	r.m = &model{journaled: map[int]bool{}}
 	for _, i := range r.jrn {
 		r.m.journaled[i] = true
 	}
 
-	gen, ok := replay(r.tab, nil, r.now)
+	gen, ok := replay(r.tab, nil, r.rest, r.now)
 	if ok || gen != 1 {
 		r.t.Fatalf("empty WAL replayed: gen %d ok %v", gen, ok)
 	}
@@ -148,13 +151,30 @@ func (r *tableRun) start() {
 		// Died mid-plan: some plan records of gen 1 durable, no plan_done.
 		for k := 0; k < 1+r.rng.Intn(3); k++ {
 			r.wal = append(r.wal, store.ControlRecord{Kind: store.CtlPlan, Gen: 1,
-				Shard: fmt.Sprintf("%s:1:%d", r.id, k), Indices: pending})
+				Shard: fmt.Sprintf("%s:1:%d", r.id, k), Indices: r.rest})
 		}
-		if gen, ok = replay(r.tab, r.wal, r.now); ok || gen != 2 {
+		if gen, ok = replay(r.tab, r.wal, r.rest, r.now); ok || gen != 2 {
 			r.t.Fatalf("abandoned generation: replay gave gen %d ok %v, want a fresh plan at 2", gen, ok)
 		}
 	}
+	r.plan(gen)
+}
+
+// plan takes the next round off rest — all of it, or a random head of it
+// when a stop rule cuts rounds — and plans it as generation gen: plan
+// records and plan_done, synced with everything before them, then the
+// table. The previous generation's shards leave the model.
+func (r *tableRun) plan(gen int) {
+	n := len(r.rest)
+	if r.rng.Intn(4) != 0 {
+		n = 1 + r.rng.Intn(n)
+	}
+	r.round, r.rest = r.rest[:n], r.rest[n:]
+	r.past = append(r.past, r.m.order...)
+	r.m.shards, r.m.order = map[string]*modelShard{}, nil
+	r.wal, r.tail = append(r.wal, r.tail...), nil
 	var parts []part
+	pending := r.round
 	for k, shards := 0, 1+r.rng.Intn(6); len(pending) > 0; k++ {
 		n := max(1, len(pending)/shards)
 		if k == shards-1 {
@@ -164,7 +184,7 @@ func (r *tableRun) start() {
 		pending = pending[n:]
 		parts = append(parts, p)
 		r.wal = append(r.wal, store.ControlRecord{Kind: store.CtlPlan, Gen: gen, Shard: p.id, Indices: p.indices})
-		s := &modelShard{idx: map[int]bool{}, issued: map[string]int64{}}
+		s := &modelShard{idx: map[int]bool{}, list: p.indices, issued: map[string]int64{}}
 		for _, i := range p.indices {
 			s.idx[i] = true
 		}
@@ -172,9 +192,10 @@ func (r *tableRun) start() {
 	}
 	r.wal = append(r.wal, store.ControlRecord{Kind: store.CtlPlanDone, Gen: gen, Count: len(parts)})
 	r.tab.plan(gen, parts)
-	if !r.tab.covers() {
-		r.t.Fatalf("fresh plan does not cover the campaign")
+	if !r.tab.covers(r.round) {
+		r.t.Fatalf("fresh plan does not cover its round")
 	}
+	r.rounds++
 }
 
 // finish closes the table the way the coordinator's one close path does and
@@ -213,7 +234,7 @@ func (r *tableRun) finish(reason string) {
 
 // pickLease returns a shard and a token to try on it: mostly one it was
 // granted (current or superseded), sometimes another shard's, sometimes
-// one nobody issued.
+// one nobody issued, sometimes a shard of a round gone by.
 func (r *tableRun) pickLease() (sid, lease string) {
 	sid = r.m.order[r.rng.Intn(len(r.m.order))]
 	from := sid
@@ -224,6 +245,11 @@ func (r *tableRun) pickLease() (sid, lease string) {
 		from = r.m.order[r.rng.Intn(len(r.m.order))]
 	case 2:
 		return "nope:1:0", "x"
+	case 3:
+		if len(r.past) > 0 {
+			sid = r.past[r.rng.Intn(len(r.past))]
+			from = sid
+		}
 	}
 	if toks := r.tokens[from]; len(toks) > 0 {
 		lease = toks[len(toks)-1] // the current holder's
@@ -286,6 +312,9 @@ func (r *tableRun) step() {
 			return
 		}
 		i, s := r.rng.Intn(r.total), r.m.shards[sid] // fresh, duplicate or foreign, as it falls
+		if r.rng.Intn(2) == 0 {
+			i = s.list[r.rng.Intn(len(s.list))] // the shard's own: fresh or duplicate
+		}
 		if r.tab.owns(sid, i) != s.idx[i] || r.tab.journaled[i] != r.m.journaled[i] {
 			r.t.Fatalf("index %d of %s: table owns=%v journaled=%v, model %v %v",
 				i, sid, r.tab.owns(sid, i), r.tab.journaled[i], s.idx[i], r.m.journaled[i])
@@ -299,8 +328,16 @@ func (r *tableRun) step() {
 		if done := r.tab.merged(sid, i); done != s.done {
 			r.t.Fatalf("merged(%s, %d) reported shard done=%v, model %v", sid, i, done, s.done)
 		}
-		if r.tab.pending() == 0 {
+		if r.tab.left > 0 {
+			return
+		}
+		// The round is merged: the journal is synced, then the next round
+		// is planned as the next generation — or the campaign is done.
+		r.synced = len(r.jrn)
+		if len(r.rest) == 0 {
 			r.finish("done")
+		} else {
+			r.plan(r.tab.gen + 1)
 		}
 	case op == 16: // the journal's batch fills: fsync
 		r.synced = len(r.jrn)
@@ -315,31 +352,15 @@ func (r *tableRun) step() {
 		r.now = r.now.Add(time.Duration(r.rng.Int63n(int64(r.ttl))))
 		gen := r.tab.gen
 		r.tab = newTable(r.id, r.total, r.jrn)
-		if g, ok := replay(r.tab, ctl, r.now.Add(r.ttl)); !ok || g != gen {
+		if g, ok := replay(r.tab, ctl, r.round, r.now.Add(r.ttl)); !ok || g != gen {
 			r.t.Fatalf("replay of a durable generation %d: gen %d ok %v", gen, g, ok)
 		}
 		r.m.restart(r.jrn, r.now.Add(r.ttl))
 		r.replays++
-	default: // the campaign ends early: converged, or cancelled
-		if r.rng.Intn(12) != 0 {
-			return
-		}
-		if r.rng.Intn(2) == 0 {
+	default: // the campaign is cancelled
+		if r.rng.Intn(24) == 0 {
 			r.finish("cancelled")
-			return
 		}
-		want := 0
-		for _, s := range r.m.shards {
-			if !s.done {
-				s.done, s.retired = true, true
-				want++
-			}
-		}
-		r.m.satisfied = true
-		if n := r.tab.retire(); n != want {
-			r.t.Fatalf("retire withdrew %d shards, model %d", n, want)
-		}
-		r.finish("done")
 	}
 }
 
@@ -355,16 +376,25 @@ func (r *tableRun) audit(after string) {
 	if r.tab.journaled != nil && r.tab.pending() != r.total-len(r.m.journaled) {
 		fail("pending %d, model %d", r.tab.pending(), r.total-len(r.m.journaled))
 	}
+	left := 0
+	for _, s := range r.m.shards {
+		if !s.done {
+			left++
+		}
+	}
+	if r.tab.left != left {
+		fail("%d shards left to merge, model %d", r.tab.left, left)
+	}
 	for k, sid := range r.m.order {
 		ss, s := r.tab.shards[sid], r.m.shards[sid]
 		if r.tab.order[k] != sid || ss == nil {
 			fail("shard %d is %q, model %q", k, r.tab.order[k], sid)
 		}
-		if ss.merged != r.m.merged(s) || ss.done != s.done || ss.retired != s.retired ||
+		if ss.merged != r.m.merged(s) || ss.done != s.done ||
 			ss.epoch != s.epoch || ss.worker != s.worker || ss.size != len(s.idx) {
-			fail("shard %s: table merged=%d done=%v retired=%v epoch=%d worker=%q size=%d; model %d %v %v %d %q %d",
-				sid, ss.merged, ss.done, ss.retired, ss.epoch, ss.worker, ss.size,
-				r.m.merged(s), s.done, s.retired, s.epoch, s.worker, len(s.idx))
+			fail("shard %s: table merged=%d done=%v epoch=%d worker=%q size=%d; model %d %v %d %q %d",
+				sid, ss.merged, ss.done, ss.epoch, ss.worker, ss.size,
+				r.m.merged(s), s.done, s.epoch, s.worker, len(s.idx))
 		}
 		// Epochs never decrease, across any number of replays, and the fence
 		// is never below a grant that was made.
@@ -372,8 +402,8 @@ func (r *tableRun) audit(after string) {
 			fail("shard %s epoch %d, was %d, highest granted %d", sid, ss.epoch, r.seen[sid], r.high[sid])
 		}
 		r.seen[sid] = ss.epoch
-		// A done or retired shard is never claimable or leased.
-		if st := ss.state(r.now); s.done && st != "done" && st != "retired" {
+		// A done shard is never claimable or leased.
+		if st := ss.state(r.now); s.done && st != "done" {
 			fail("done shard %s reads %q", sid, st)
 		}
 		// At most one token passes, and never one from a superseded epoch.
@@ -399,24 +429,25 @@ func (r *tableRun) audit(after string) {
 
 // TestTableProperties drives the shard table through generated histories —
 // claim, heartbeat, expiry by the clock, ingest of fresh, duplicate and
-// foreign indices, retirement, cancellation, and coordinator crashes whose
-// replay sees every synced record and an arbitrary prefix of the batched
-// ones — against the reference model, checking the fencing invariants after
-// every step. A seed that ever fails goes into this table.
+// foreign indices, a round's last merge planning the next generation,
+// cancellation, and coordinator crashes whose replay sees every synced
+// record and an arbitrary prefix of the batched ones — against the
+// reference model, checking the fencing invariants after every step. A
+// seed that ever fails goes into this table.
 func TestTableProperties(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 2026} {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) {
 			r := &tableRun{t: t, rng: rand.New(rand.NewSource(seed)), ttl: time.Minute,
 				now: time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)}
 			r.start()
-			for i := 0; i < 5000; i++ {
+			for i := 0; i < 10000; i++ {
 				r.step()
 				r.audit(fmt.Sprint("step ", i))
 			}
-			t.Logf("seed %d: %d campaigns, %d closed, %d replays, %d fenced writes",
-				seed, r.n, r.closes, r.replays, r.fences)
-			if r.closes < 10 || r.replays < 50 || r.fences < 50 {
-				t.Errorf("the generator no longer reaches closes, replays and fenced writes often enough to mean anything")
+			t.Logf("seed %d: %d campaigns, %d rounds, %d closed, %d replays, %d fenced writes",
+				seed, r.n, r.rounds, r.closes, r.replays, r.fences)
+			if r.closes < 10 || r.rounds-r.n < 5 || r.replays < 50 || r.fences < 50 {
+				t.Errorf("the generator no longer reaches closes, later rounds, replays and fenced writes often enough to mean anything")
 			}
 		})
 	}

@@ -12,7 +12,6 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"gpufi/internal/core"
@@ -226,10 +225,10 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	if err != nil {
 		return fmt.Errorf("shard %s: bad spec: %w", sh.ID, err)
 	}
-	// The coordinator owns the adaptive stop rule: it ran the analytic
-	// pre-pass before planning shards and evaluates the interval on every
-	// ingested batch. The worker runs its indices fixed-N and stops when
-	// the coordinator says the campaign is satisfied.
+	// The coordinator owns the campaign's schedule: it ran the analytic
+	// pre-pass, and a shard is a piece of one round. The worker runs its
+	// indices fixed-N; the next round, if the stop rule wants one, is more
+	// shards.
 	cfg.Plan = nil
 	profStart := time.Now()
 	prof, err := w.profile(ctx, sh.Spec, cfg)
@@ -251,7 +250,6 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	}
 
 	shardCtx, cancel := context.WithCancel(ctx)
-	var satisfied atomic.Bool // campaign converged: stop the shard cleanly
 	hbDone := make(chan struct{})
 	// Cancel BEFORE waiting: the heartbeat loop only wakes on its ticker
 	// or the context, so waiting first would stall shard turnaround by up
@@ -322,11 +320,6 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 					}
 				case shardCtx.Err() != nil:
 					return
-				case errors.Is(err, ErrCampaignSatisfied):
-					w.logger().Info("campaign satisfied; stopping shard", "shard", sh.ID)
-					satisfied.Store(true)
-					cancel()
-					return
 				case isOutage(err):
 					if outageSince.IsZero() {
 						outageSince = time.Now()
@@ -368,13 +361,6 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 			}
 			return err
 		})
-		if errors.Is(err, ErrCampaignSatisfied) || (err == nil && res.Satisfied) {
-			// The campaign converged, on this batch or before it (a late
-			// batch the coordinator finalized without): stop the engine,
-			// there is nothing left worth simulating.
-			satisfied.Store(true)
-			cancel()
-		}
 		if err != nil {
 			return nil, err
 		}
@@ -392,9 +378,6 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		defer close(senderDone)
 		out.run(func(recs []Record) error {
 			_, err := send(recs, false)
-			if err == nil && satisfied.Load() {
-				err = ErrCampaignSatisfied // nothing more to send
-			}
 			return err
 		})
 	}()
@@ -413,10 +396,6 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	out.close()
 	<-senderDone
 	waited, sendErr := time.Since(drainStart), out.err
-	if satisfied.Load() {
-		w.logger().Info("shard stopped; campaign satisfied", "shard", sh.ID)
-		return nil
-	}
 	if runErr != nil {
 		return fmt.Errorf("shard %s: engine: %w", sh.ID, runErr)
 	}
@@ -449,9 +428,6 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		obs.EmitSpan(shardCtx, "worker.resend", resendStart,
 			obs.Attr{K: "records", V: strconv.Itoa(len(all))},
 			obs.Attr{K: "attempt", V: strconv.Itoa(attempt)})
-	}
-	if satisfied.Load() {
-		return nil // a late batch against a converged campaign is success
 	}
 	return err
 }
@@ -680,8 +656,6 @@ func codeErr(code string) error {
 		return ErrUnknownShard
 	case "invalid_batch":
 		return ErrBadBatch
-	case "campaign_satisfied":
-		return ErrCampaignSatisfied
 	case "coordinator_recovering":
 		return ErrRecovering
 	default:

@@ -6,7 +6,7 @@ import "gpufi/internal/isa"
 // which each architectural cell of the adaptive planner's analytic
 // structures is read: every register index (max over all threads) and
 // every shared-memory word offset (max over all CTAs). The planner's
-// pre-pass (core.AccessPrepass) runs the application once with the log
+// pre-pass (core.accessPrepass) runs the application once with the log
 // enabled; a fault injected into cell x at cycle c with lastRead[x] < c
 // can never be architecturally consumed — register and shared-memory
 // state dies with its launch — so the experiment is provably Masked

@@ -169,8 +169,8 @@ func (c *Campaign) Append(exp core.Experiment) error {
 
 // Sync flushes and fsyncs any batched journal records. The shard
 // coordinator calls it before writing a plan to the control WAL: a durable
-// plan record must never reference analytic pre-pass appends that are
-// still sitting in the journal's batch buffer.
+// plan record must never presume appends (pre-pass records, the last
+// round's outcomes) still sitting in the journal's batch buffer.
 func (c *Campaign) Sync() error {
 	if c.journal == nil {
 		return nil
@@ -440,6 +440,7 @@ type Info struct {
 	Cancelled bool
 	Truncated bool
 	Completed int // intact journaled experiments
+	Analytic  int // of them, the adaptive planner's analytic pre-pass records
 	Counts    avf.Counts
 	Plan      *core.PlanReport // a finished adaptive campaign's final report
 }
@@ -451,10 +452,16 @@ func (s *Store) Inspect(id string) (*Info, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Info{
+	info := &Info{
 		ID: id, Spec: st.spec, Done: st.done, Cancelled: st.cancelled,
 		Truncated: st.tail.torn, Completed: len(st.prior), Counts: st.counts, Plan: st.plan,
-	}, nil
+	}
+	for _, e := range st.prior {
+		if e.Detail == core.AnalyticDetail {
+			info.Analytic++
+		}
+	}
+	return info, nil
 }
 
 // Exists reports whether a campaign directory exists for id.
@@ -552,9 +559,10 @@ func (s *Store) openRead(id, name string) (io.ReadCloser, error) {
 // with Record as its sink, and on completion write the done marker.
 // A context cancellation syncs whatever finished and returns the merged
 // partial result with ctx's error — a later Run with the same id picks up
-// where it stopped. prof may be nil (the golden run is performed first) or
-// a shared precomputed profile. onExp, when non-nil, observes every newly
-// finished experiment after it is journaled.
+// where it stopped, in the rounds an uninterrupted run walks. prof may be
+// nil (the golden run is performed first) or a shared precomputed profile.
+// onExp, when non-nil, observes every newly finished experiment after it is
+// journaled.
 func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profile,
 	onExp func(core.Experiment)) (*core.CampaignResult, error) {
 
@@ -575,7 +583,7 @@ func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profil
 		return nil, err
 	}
 	cfg.Completed = c.CompletedIDs()
-	cfg.PlanPrior = c.Counts
+	cfg.PlanPrior = c.Prior
 	cfg.Sink = func(exp core.Experiment) error {
 		if err := c.Record(exp); err != nil {
 			return err
