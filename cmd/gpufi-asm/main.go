@@ -4,46 +4,60 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 
 	"gpufi"
 	"gpufi/internal/asm"
+	"gpufi/internal/cli"
 )
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("gpufi-asm: ")
-	var (
-		showCFG = flag.Bool("cfg", false, "print basic blocks and post-dominators")
-		quiet   = flag.Bool("q", false, "only validate; print nothing on success")
-	)
-	flag.Parse()
+func main() { os.Exit(cli.Exit("gpufi-asm", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
+
+// options is gpufi-asm's command line.
+type options struct{ cfg, quiet bool }
+
+// flags declares the command line on o.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("gpufi-asm", flag.ContinueOnError)
+	fs.BoolVar(&o.cfg, "cfg", false, "print basic blocks and post-dominators")
+	fs.BoolVar(&o.quiet, "q", false, "only validate; print nothing on success")
+	return fs
+}
+
+// run assembles the file args names (stdin when none) and prints its
+// kernels to stdout.
+func run(args []string, stdout, stderr io.Writer) error {
+	var o options
+	fs := o.flags()
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
+	}
 
 	var src []byte
 	var err error
-	switch flag.NArg() {
+	switch fs.NArg() {
 	case 0:
 		src, err = io.ReadAll(os.Stdin)
 	case 1:
-		src, err = os.ReadFile(flag.Arg(0))
+		src, err = os.ReadFile(fs.Arg(0))
 	default:
-		log.Fatal("usage: gpufi-asm [-cfg] [-q] [file.gasm]")
+		return errors.New("usage: gpufi-asm [-cfg] [-q] [file.gasm]")
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	progs, err := gpufi.AssembleAll(string(src))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	if *quiet {
-		return
+	if o.quiet {
+		return nil
 	}
 	names := make([]string, 0, len(progs))
 	for n := range progs {
@@ -52,27 +66,28 @@ func main() {
 	sort.Strings(names)
 	for _, n := range names {
 		p := progs[n]
-		fmt.Print(p.Disassemble())
-		if *showCFG {
+		fmt.Fprint(stdout, p.Disassemble())
+		if o.cfg {
 			g := asm.BuildCFG(p)
 			ipdom := asm.PostDominators(g)
-			fmt.Printf("// %d basic blocks:\n", len(g.Blocks))
+			fmt.Fprintf(stdout, "// %d basic blocks:\n", len(g.Blocks))
 			for i, b := range g.Blocks {
-				fmt.Printf("//   B%d [%d,%d) succs=%v", i, b.Start, b.End, b.Succs)
+				fmt.Fprintf(stdout, "//   B%d [%d,%d) succs=%v", i, b.Start, b.End, b.Succs)
 				switch d := ipdom[i]; d {
 				case -1:
-					fmt.Print(" ipdom=EXIT")
+					fmt.Fprint(stdout, " ipdom=EXIT")
 				case -2:
-					fmt.Print(" ipdom=unreachable")
+					fmt.Fprint(stdout, " ipdom=unreachable")
 				default:
-					fmt.Printf(" ipdom=B%d", d)
+					fmt.Fprintf(stdout, " ipdom=B%d", d)
 				}
 				if b.ToExit {
-					fmt.Print(" ->exit")
+					fmt.Fprint(stdout, " ->exit")
 				}
-				fmt.Println()
+				fmt.Fprintln(stdout)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(stdout)
 	}
+	return nil
 }

@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"strings"
 
 	"gpufi"
+	"gpufi/internal/cli"
 	"gpufi/internal/report"
 )
 
@@ -27,17 +27,11 @@ type evalKey struct {
 }
 
 type driver struct {
-	runs    int
-	seed    int64
-	workers int
-	lenient bool
-	scale   int
-	l2queue int
-	csvDir  string
-	apps    []string
-	out     io.Writer // the artifacts
-	log     io.Writer // progress
-	cache   map[evalKey]*gpufi.AppEval
+	options
+	apps  []string
+	out   io.Writer // the artifacts
+	log   io.Writer // progress
+	cache map[evalKey]*gpufi.AppEval
 }
 
 // emit renders a table to the output and, when -csv is set, writes it as
@@ -404,54 +398,48 @@ func (d *driver) fig7() error {
 	return nil
 }
 
-// errUsage reports a command line the flag set has already complained about.
-var errUsage = errors.New("usage")
-
 func main() {
-	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
-	case err == nil:
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	default:
-		fmt.Fprintf(os.Stderr, "gpufi-figures: %v\n", err)
-		os.Exit(1)
-	}
+	os.Exit(cli.Exit("gpufi-figures", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// options is gpufi-figures' command line.
+type options struct {
+	exp, csvDir, appList          string
+	runs, workers, scale, l2queue int
+	seed                          int64
+	lenient                       bool
+}
+
+// flags declares the command line on o.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("gpufi-figures", flag.ContinueOnError)
+	fs.StringVar(&o.exp, "exp", "all", "artifact: table1 table2 table4 table5 fig1..fig7, or all")
+	fs.IntVar(&o.runs, "n", 100, "injections per (kernel, structure) campaign point")
+	fs.Int64Var(&o.seed, "seed", 1, "campaign seed")
+	fs.IntVar(&o.workers, "workers", 0, "parallel simulations per campaign (0 = all cores)")
+	fs.BoolVar(&o.lenient, "lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed; reproduces the paper's near-zero Crash rates)")
+	fs.StringVar(&o.csvDir, "csv", "", "also write each artifact as CSV into this directory")
+	fs.IntVar(&o.scale, "scale", 1, "benchmark problem-size scale (larger = closer to the paper's inputs)")
+	fs.IntVar(&o.l2queue, "l2queue", 0, "L2 bank service cycles (0 = no contention model; ~8 raises Performance effects toward the paper's)")
+	fs.StringVar(&o.appList, "apps", strings.Join(gpufi.AppNames(), ","), "benchmark subset")
+	return fs
 }
 
 // run renders the artifacts args name to stdout, progress to stderr.
 func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("gpufi-figures", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		exp     = fs.String("exp", "all", "artifact: table1 table2 table4 table5 fig1..fig7, or all")
-		runs    = fs.Int("n", 100, "injections per (kernel, structure) campaign point")
-		seed    = fs.Int64("seed", 1, "campaign seed")
-		workers = fs.Int("workers", 0, "parallel simulations per campaign (0 = all cores)")
-		lenient = fs.Bool("lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed; reproduces the paper's near-zero Crash rates)")
-		csvDir  = fs.String("csv", "", "also write each artifact as CSV into this directory")
-		scale   = fs.Int("scale", 1, "benchmark problem-size scale (larger = closer to the paper's inputs)")
-		l2queue = fs.Int("l2queue", 0, "L2 bank service cycles (0 = no contention model; ~8 raises Performance effects toward the paper's)")
-		appsCSV = fs.String("apps", strings.Join(gpufi.AppNames(), ","), "benchmark subset")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+	var o options
+	fs := o.flags()
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
 
-	if *csvDir != "" {
-		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
+	if o.csvDir != "" {
+		if err := os.MkdirAll(o.csvDir, 0o755); err != nil {
 			return err
 		}
 	}
-	d := &driver{
-		runs: *runs, seed: *seed, workers: *workers, lenient: *lenient, scale: *scale, l2queue: *l2queue, csvDir: *csvDir,
-		apps:  strings.Split(*appsCSV, ","),
-		out:   stdout,
-		log:   stderr,
-		cache: make(map[evalKey]*gpufi.AppEval),
-	}
+	d := &driver{options: o, apps: strings.Split(o.appList, ","), out: stdout, log: stderr,
+		cache: make(map[evalKey]*gpufi.AppEval)}
 	artifacts := map[string]func() error{
 		"table1": d.table1, "table2": d.table2, "table4": d.table4, "table5": d.table5,
 		"fig1": d.fig1, "fig2": d.fig2, "fig3": d.fig3, "fig4": d.fig4,
@@ -460,8 +448,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	order := []string{"table1", "table2", "table4", "table5",
 		"fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7"}
 	names := order
-	if *exp != "all" {
-		names = strings.Split(*exp, ",")
+	if o.exp != "all" {
+		names = strings.Split(o.exp, ",")
 	}
 	for _, name := range names {
 		f, ok := artifacts[name]

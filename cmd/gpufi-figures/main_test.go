@@ -2,12 +2,14 @@ package main
 
 import (
 	"bytes"
-	"fmt"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"gpufi/internal/cli/clitest"
 )
 
 // snapshots is every committed figure file and the command line that
@@ -20,7 +22,20 @@ var snapshots = []struct {
 }{
 	{"figures_output.txt", "-exp all -n 150 -seed 1 -lenient"},
 	{"figures_output_strict.txt", "-exp fig1,fig3,fig7 -n 150 -seed 1"},
-	{"figures_scale4.txt", "-exp fig3 -n 60 -scale 4 -lenient -apps HS,VA,SP,KM"},
+	{"figures_scale4.txt", "-exp fig3 -n 60 -seed 1 -scale 4 -lenient -apps HS,VA,SP,KM"},
+}
+
+// rows is a command line for each flag the snapshots leave at its default,
+// with the file in testdata holding its transcript (clitest.Golden:
+// the artifacts, the progress lines on stderr and every CSV written).
+var rows = []struct {
+	file string
+	args string
+}{
+	{"table4_seed2.txt", "-exp table4 -seed 2"},
+	{"fig1_workers1.txt", "-exp fig1 -apps VA -n 20 -seed 1 -workers 1"},
+	{"fig3_l2queue.txt", "-exp fig3 -apps VA,SP -n 20 -seed 1 -l2queue 64"},
+	{"csv.txt", "-exp table1,table5 -seed 1 -csv out"},
 }
 
 // tables narrows a command to the paper's tables, the head of the first
@@ -53,30 +68,34 @@ func TestSnapshotsRegenerate(t *testing.T) {
 			if err := run(strings.Fields(args), &got, io.Discard); err != nil {
 				t.Fatalf("gpufi-figures %s: %v", args, err)
 			}
-			if line := firstDiff(want, got.String()); line != "" {
+			if line := clitest.FirstDiff(want, got.String()); line != "" {
 				t.Errorf("gpufi-figures %s no longer reproduces %s; first difference at %s", args, s.file, line)
 			}
 		})
 	}
 }
 
-// firstDiff describes the first line where got differs from want, or
-// returns "" when they are equal.
-func firstDiff(want, got string) string {
-	if want == got {
-		return ""
+// TestRows reruns each command line of rows and requires its transcript
+// to equal the recorded file byte for byte.
+func TestRows(t *testing.T) {
+	for _, c := range rows {
+		t.Run(c.file, func(t *testing.T) {
+			clitest.Golden(t, "gpufi-figures", run, "", c.args, c.file)
+		})
 	}
-	w, g := strings.SplitAfter(want, "\n"), strings.SplitAfter(got, "\n")
-	for i := 0; ; i++ {
-		var wl, gl string
-		if i < len(w) {
-			wl = w[i]
-		}
-		if i < len(g) {
-			gl = g[i]
-		}
-		if wl != gl {
-			return fmt.Sprintf("line %d:\n  want %q\n  got  %q", i+1, wl, gl)
-		}
+}
+
+// TestEveryFlagHasARow fails on a flag no snapshot or row sets to a value
+// other than its default: every flag earns its keep with a test.
+func TestEveryFlagHasARow(t *testing.T) {
+	var scripts []string
+	for _, s := range snapshots {
+		scripts = append(scripts, s.args)
+	}
+	for _, c := range rows {
+		scripts = append(scripts, c.args)
+	}
+	if unset := clitest.Unset(func() *flag.FlagSet { return new(options).flags() }, scripts); len(unset) > 0 {
+		t.Errorf("no snapshot or row sets %v", unset)
 	}
 }

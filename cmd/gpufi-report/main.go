@@ -20,30 +20,46 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"log"
 	"os"
 	"sort"
 
 	"gpufi"
+	"gpufi/internal/cli"
 	"gpufi/internal/obs"
 	"gpufi/internal/report"
 )
 
-// parseSource reads one log, naming the offending line on failure and
-// tolerating only a crash-torn final record. dropped reports whether a
-// torn tail record was cut from this source.
-func parseSource(name string, r io.Reader) ([]*gpufi.CampaignResult, bool) {
-	res, truncated, err := gpufi.ParseLogLenient(r)
-	if err != nil {
-		log.Fatalf("%s: %v", name, err)
+func main() {
+	os.Exit(cli.Exit("gpufi-report", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// options is gpufi-report's command line.
+type options struct {
+	csv, strict, why, ci bool
+	spans                string
+}
+
+// flags declares the command line on o.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("gpufi-report", flag.ContinueOnError)
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of an aligned table")
+	fs.BoolVar(&o.strict, "strict", false, "exit non-zero when torn-tail salvage dropped records")
+	fs.BoolVar(&o.why, "why", false, "append the fault-propagation breakdown (campaigns journaled with tracing)")
+	fs.BoolVar(&o.ci, "ci", false, "append 99% Wilson confidence intervals per outcome proportion")
+	fs.StringVar(&o.spans, "spans", "", "render a phase breakdown from a campaign spans.jsonl timeline and exit")
+	return fs
+}
+
+// render writes tb to w, as CSV when asked.
+func render(w io.Writer, tb *report.Table, csvOut bool) error {
+	if csvOut {
+		return tb.WriteCSV(w)
 	}
-	if truncated {
-		fmt.Fprintf(os.Stderr, "gpufi-report: warning: %s: final record is torn (interrupted write?); ignoring it\n", name)
-	}
-	return res, truncated
+	return tb.Render(w)
 }
 
 // renderWhy aggregates the per-experiment Why annotations that traced
@@ -51,7 +67,7 @@ func parseSource(name string, r io.Reader) ([]*gpufi.CampaignResult, bool) {
 // propagation table per structure: how each structure's faults actually
 // met their fate. Experiments from untraced campaigns group under
 // "(untraced)".
-func renderWhy(all []*gpufi.CampaignResult, csvOut bool) error {
+func renderWhy(w io.Writer, all []*gpufi.CampaignResult, csvOut bool) error {
 	type key struct{ structure, why string }
 	counts := map[key]int{}
 	totals := map[string]int{}
@@ -84,10 +100,7 @@ func renderWhy(all []*gpufi.CampaignResult, csvOut bool) error {
 		tb.AddRow(k.structure, k.why, fmt.Sprint(n),
 			fmt.Sprintf("%.1f%%", 100*float64(n)/float64(totals[k.structure])))
 	}
-	if csvOut {
-		return tb.WriteCSV(os.Stdout)
-	}
-	return tb.Render(os.Stdout)
+	return render(w, tb, csvOut)
 }
 
 // renderSpans aggregates a campaign's distributed-tracing timeline
@@ -95,7 +108,7 @@ func renderWhy(all []*gpufi.CampaignResult, csvOut bool) error {
 // store directory), one record per span (obs.ReadSpans), into a phase
 // breakdown: per span name, how many spans ran, how much cumulative time
 // they took, and what share of the campaign's wall clock that is.
-func renderSpans(path string, csvOut bool) error {
+func renderSpans(w io.Writer, path string, csvOut bool) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -161,71 +174,67 @@ func renderSpans(path string, csvOut bool) error {
 			fmt.Sprintf("%.3f", float64(a.totalUS)/1e3/float64(a.count)),
 			fmt.Sprintf("%.1f%%", share))
 	}
-	if csvOut {
-		return tb.WriteCSV(os.Stdout)
-	}
-	return tb.Render(os.Stdout)
+	return render(w, tb, csvOut)
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("gpufi-report: ")
-	csvOut := flag.Bool("csv", false, "emit CSV instead of an aligned table")
-	strict := flag.Bool("strict", false, "exit non-zero when torn-tail salvage dropped records")
-	why := flag.Bool("why", false, "append the fault-propagation breakdown (campaigns journaled with tracing)")
-	ci := flag.Bool("ci", false, "append Wilson confidence intervals per outcome proportion")
-	conf := flag.Float64("confidence", 0.99, "confidence level for -ci intervals")
-	spans := flag.String("spans", "", "render a phase breakdown from a campaign spans.jsonl timeline and exit")
-	flag.Parse()
-	if *spans != "" {
-		if err := renderSpans(*spans, *csvOut); err != nil {
-			log.Fatal(err)
-		}
-		return
+// run renders the logs args names to stdout; warnings and the salvage
+// count go to stderr.
+func run(args []string, stdout, stderr io.Writer) error {
+	var o options
+	fs := o.flags()
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
-	if flag.NArg() == 0 {
-		log.Fatal(`usage: gpufi-report [-csv] [-strict] [-why] log.jsonl... ("-" reads stdin; -spans spans.jsonl for timelines)`)
+	if o.spans != "" {
+		return renderSpans(stdout, o.spans, o.csv)
+	}
+	if fs.NArg() == 0 {
+		return errors.New(`usage: gpufi-report [-csv] [-strict] [-why] log.jsonl... ("-" reads stdin; -spans spans.jsonl for timelines)`)
 	}
 
 	var all []*gpufi.CampaignResult
 	dropped := 0 // torn tail records cut during salvage (at most one per source)
-	for _, path := range flag.Args() {
+	for _, path := range fs.Args() {
+		name, r := path, io.Reader(os.Stdin)
 		if path == "-" {
-			res, cut := parseSource("stdin", os.Stdin)
-			if cut {
-				dropped++
+			name = "stdin"
+		} else {
+			f, err := os.Open(path)
+			if err != nil {
+				return err
 			}
-			all = append(all, res...)
-			continue
+			defer f.Close()
+			r = f
 		}
-		f, err := os.Open(path)
+		// Only a crash-torn final record is tolerated; a corrupt one
+		// anywhere else is named by its line.
+		res, torn, err := gpufi.ParseLogLenient(r)
 		if err != nil {
-			log.Fatal(err)
+			return fmt.Errorf("%s: %v", name, err)
 		}
-		res, cut := parseSource(path, f)
-		f.Close()
-		if cut {
+		if torn {
 			dropped++
+			fmt.Fprintf(stderr, "gpufi-report: warning: %s: final record is torn (interrupted write?); ignoring it\n", name)
 		}
 		all = append(all, res...)
 	}
 	if len(all) == 0 {
-		log.Fatal("no campaigns found in the given logs")
+		return errors.New("no campaigns found in the given logs")
 	}
 
 	header := []string{"app", "gpu", "kernel", "structure", "bits", "runs",
 		"Masked", "SDC", "Crash", "Timeout", "Perf", "FR", "99% margin"}
-	if *ci {
-		pct := fmt.Sprintf("%g%%", *conf*100)
-		header = append(header, "SDC "+pct+" CI", "Crash "+pct+" CI", "FR "+pct+" CI")
+	if o.ci {
+		header = append(header, "SDC 99% CI", "Crash 99% CI", "FR 99% CI")
 	}
 	tb := &report.Table{
 		Title:  fmt.Sprintf("%d campaign(s)", len(all)),
 		Header: header,
 	}
 	// row renders one tally, with the -ci interval columns appended when
-	// asked: the Wilson interval on each outcome's proportion, so a report
-	// reader sees not just the point estimate but how tight it is.
+	// asked: the 99% Wilson interval on each outcome's proportion, the level
+	// of the margin column, so a report reader sees not just the point
+	// estimate but how tight it is.
 	row := func(c gpufi.Counts) []string {
 		cells := []string{
 			fmt.Sprint(c.Masked), fmt.Sprint(c.SDC), fmt.Sprint(c.Crash),
@@ -233,9 +242,9 @@ func main() {
 			fmt.Sprintf("%.4f", c.FailureRatio()),
 			fmt.Sprintf("±%.4f", gpufi.Margin(c.Failures(), c.Total(), 0.99)),
 		}
-		if *ci {
+		if o.ci {
 			interval := func(k int) string {
-				lo, hi := gpufi.Wilson(k, c.Total(), *conf)
+				lo, hi := gpufi.Wilson(k, c.Total(), 0.99)
 				return fmt.Sprintf("[%.4f, %.4f]", lo, hi)
 			}
 			cells = append(cells, interval(c.SDC), interval(c.Crash), interval(c.Failures()))
@@ -252,26 +261,21 @@ func main() {
 	}
 	tb.AddRow(append([]string{"ALL", "", "", "", "", fmt.Sprint(total.Total())}, row(total)...)...)
 
-	var err error
-	if *csvOut {
-		err = tb.WriteCSV(os.Stdout)
-	} else {
-		err = tb.Render(os.Stdout)
+	if err := render(stdout, tb, o.csv); err != nil {
+		return err
 	}
-	if err != nil {
-		log.Fatal(err)
-	}
-	if *why {
-		fmt.Println()
-		if err := renderWhy(all, *csvOut); err != nil {
-			log.Fatal(err)
+	if o.why {
+		fmt.Fprintln(stdout)
+		if err := renderWhy(stdout, all, o.csv); err != nil {
+			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "gpufi-report: %d record(s) salvaged, %d torn record(s) dropped\n",
+	fmt.Fprintf(stderr, "gpufi-report: %d record(s) salvaged, %d torn record(s) dropped\n",
 		total.Total(), dropped)
-	if *strict && dropped > 0 {
+	if o.strict && dropped > 0 {
 		// Strict mode: pipelines treating the report as authoritative must
 		// notice that the journal was incomplete.
-		log.Fatalf("strict: %d torn record(s) dropped during salvage", dropped)
+		return fmt.Errorf("strict: %d torn record(s) dropped during salvage", dropped)
 	}
+	return nil
 }

@@ -56,19 +56,24 @@
 // Retry-After. A worker that loses its coordinator parks in jittered
 // exponential backoff (-backoff-base/-backoff-max) and resumes when the
 // coordinator returns, re-sending unacknowledged batches through the
-// idempotent merge path; mid-shard it gives up after -outage-budget.
+// idempotent merge path; mid-shard it gives up after two minutes.
 //
 //	gpufi-serve -mode coordinator -addr :8080 -data gpufi-data
 //	gpufi-serve -mode worker -coordinator http://host:8080 -worker-name w1
 //
 // With -debug-addr the net/http/pprof endpoints are served on a separate
-// listener for CPU/heap profiling of a live service.
+// listener for CPU/heap profiling of a live service. SIGQUIT dumps the
+// process's flight ring to <data>/flight.jsonl, next to the dumps of panics
+// and recoveries (worker mode: gpufi-flight.jsonl in the working
+// directory).
 package main
 
 import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net/http"
@@ -78,63 +83,84 @@ import (
 	"syscall"
 	"time"
 
+	"gpufi/internal/cli"
 	"gpufi/internal/obs"
 	"gpufi/internal/service"
 	"gpufi/internal/shard"
 	"gpufi/internal/store"
 )
 
+func main() {
+	os.Exit(cli.Exit("gpufi-serve", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr))
+}
+
+// node is gpufi-serve's command line: the role it runs, and the options of
+// the service, coordinator and worker it builds, which the flags fill in.
+type node struct {
+	mode, addr, data, debug string
+	drain                   time.Duration
+	service                 service.Options
+	coord                   shard.Options
+	worker                  shard.Worker
+}
+
+// flags declares the command line on n.
+func (n *node) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("gpufi-serve", flag.ContinueOnError)
+	fs.StringVar(&n.addr, "addr", ":8080", "listen address")
+	fs.StringVar(&n.data, "data", "gpufi-data", "campaign store directory")
+	fs.IntVar(&n.service.Workers, "workers", 2, "concurrent campaign runners")
+	fs.IntVar(&n.service.QueueDepth, "queue", 64, "submission queue depth")
+	fs.IntVar(&n.service.MaxRetries, "max-retries", 3, "re-runs of a job whose attempt panicked (negative = none)")
+	fs.DurationVar(&n.drain, "drain-timeout", 30*time.Second, "grace period for in-flight campaigns on SIGINT/SIGTERM")
+	fs.StringVar(&n.debug, "debug-addr", "", "serve net/http/pprof profiling on this address (e.g. localhost:6060; empty = off)")
+
+	fs.StringVar(&n.mode, "mode", "local", "node role: local, coordinator, or worker")
+	fs.StringVar(&n.worker.Base, "coordinator", "", "coordinator base URL (worker mode), e.g. http://host:8080")
+	fs.StringVar(&n.worker.Name, "worker-name", "", "worker identity in coordinator logs (default: hostname)")
+	fs.DurationVar(&n.coord.LeaseTTL, "lease-ttl", 15*time.Second, "shard lease TTL before a silent worker's shard is re-issued (coordinator mode)")
+	fs.IntVar(&n.coord.ShardsPerCampaign, "shards-per-campaign", 8, "max shards a campaign is split into (coordinator mode)")
+	fs.IntVar(&n.worker.BatchSize, "shard-batch", 64, "journal records that trigger a batch POST; one carries all that accumulated behind the last (worker mode)")
+
+	fs.DurationVar(&n.worker.BackoffBase, "backoff-base", 100*time.Millisecond, "initial retry delay against an unreachable coordinator (worker mode)")
+	fs.DurationVar(&n.worker.BackoffMax, "backoff-max", 5*time.Second, "retry delay ceiling during a coordinator outage (worker mode)")
+	return fs
+}
+
 // watchSIGQUIT dumps the process-wide flight ring — the last few thousand
-// span records, crash-safe in memory — to path every time SIGQUIT lands.
-// kill -QUIT of a wedged node yields a timeline of its final moments
-// instead of (only) a goroutine dump.
-func watchSIGQUIT(path string) {
+// span records, crash-safe in memory — to path every time SIGQUIT lands,
+// until the returned stop is called. kill -QUIT of a wedged node yields a
+// timeline of its final moments instead of (only) a goroutine dump.
+func watchSIGQUIT(logf *log.Logger, path string) (stop func()) {
 	ch := make(chan os.Signal, 1)
 	signal.Notify(ch, syscall.SIGQUIT)
 	go func() {
 		for range ch {
 			if n, err := obs.Flight().DumpTo(path); err != nil {
-				log.Printf("SIGQUIT: flight dump to %s failed: %v", path, err)
+				logf.Printf("SIGQUIT: flight dump to %s failed: %v", path, err)
 			} else {
-				log.Printf("SIGQUIT: dumped %d flight records to %s", n, path)
+				logf.Printf("SIGQUIT: dumped %d flight records to %s", n, path)
 			}
 		}
 	}()
+	return func() {
+		signal.Stop(ch)
+		close(ch)
+	}
 }
 
-func main() {
-	log.SetFlags(0)
-	log.SetPrefix("gpufi-serve: ")
-	var (
-		addr    = flag.String("addr", ":8080", "listen address")
-		dataDir = flag.String("data", "gpufi-data", "campaign store directory")
-		workers = flag.Int("workers", 2, "concurrent campaign runners")
-		queue   = flag.Int("queue", 64, "submission queue depth")
-		batch   = flag.Int("fsync-batch", store.DefaultBatchSize, "journal records per fsync")
-		retries = flag.Int("max-retries", 3, "re-runs of a job whose attempt panicked (negative = none)")
-		drainTO = flag.Duration("drain-timeout", 30*time.Second, "grace period for in-flight campaigns on SIGINT/SIGTERM")
-		debug   = flag.String("debug-addr", "", "serve net/http/pprof profiling on this address (e.g. localhost:6060; empty = off)")
-
-		mode       = flag.String("mode", "local", "node role: local, coordinator, or worker")
-		coordURL   = flag.String("coordinator", "", "coordinator base URL (worker mode), e.g. http://host:8080")
-		workerName = flag.String("worker-name", "", "worker identity in coordinator logs (default: hostname)")
-		leaseTTL   = flag.Duration("lease-ttl", 15*time.Second, "shard lease TTL before a silent worker's shard is re-issued (coordinator mode)")
-		nShards    = flag.Int("shards-per-campaign", 8, "max shards a campaign is split into (coordinator mode)")
-		shardBatch = flag.Int("shard-batch", 64, "journal records that trigger a batch POST; one carries all that accumulated behind the last (worker mode)")
-
-		backoffBase  = flag.Duration("backoff-base", 100*time.Millisecond, "initial retry delay against an unreachable coordinator (worker mode)")
-		backoffMax   = flag.Duration("backoff-max", 5*time.Second, "retry delay ceiling during a coordinator outage (worker mode)")
-		outageBudget = flag.Duration("outage-budget", 2*time.Minute, "how long a worker mid-shard waits out a coordinator outage before abandoning the shard (worker mode)")
-
-		flightPath = flag.String("flight", "", "flight-recorder dump path for SIGQUIT (default <data>/flight.jsonl; worker mode: gpufi-flight.jsonl)")
-	)
-	flag.Parse()
-
-	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
+// run serves until SIGINT or SIGTERM, logging to stderr.
+func run(args []string, _, stderr io.Writer) error {
+	n := new(node)
+	if err := cli.Parse(n.flags(), args, stderr); err != nil {
+		return err
+	}
+	logf := log.New(stderr, "gpufi-serve: ", 0)
+	logger := slog.New(slog.NewTextHandler(stderr, nil))
 
 	// The pprof endpoints run on their own listener so profiling is never
 	// exposed on the public API address by accident.
-	if *debug != "" {
+	if n.debug != "" {
 		dm := http.NewServeMux()
 		dm.HandleFunc("/debug/pprof/", pprof.Index)
 		dm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -142,111 +168,98 @@ func main() {
 		dm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		dm.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		go func() {
-			log.Printf("pprof profiling on %s/debug/pprof/", *debug)
-			if err := http.ListenAndServe(*debug, dm); err != nil {
-				log.Printf("debug server: %v", err)
+			logf.Printf("pprof profiling on %s/debug/pprof/", n.debug)
+			if err := http.ListenAndServe(n.debug, dm); err != nil {
+				logf.Printf("debug server: %v", err)
 			}
 		}()
 	}
 
-	if *mode == "worker" {
-		if *flightPath == "" {
-			*flightPath = "gpufi-flight.jsonl"
-		}
-		watchSIGQUIT(*flightPath)
-		runWorker(*coordURL, *workerName, *shardBatch, *backoffBase, *backoffMax, *outageBudget, logger)
-		return
+	switch n.mode {
+	case "worker":
+		return runWorker(&n.worker, logf, logger)
+	case "local", "coordinator":
+	default:
+		return fmt.Errorf("unknown -mode %q (want local, coordinator, or worker)", n.mode)
 	}
-	if *mode != "local" && *mode != "coordinator" {
-		log.Fatalf("unknown -mode %q (want local, coordinator, or worker)", *mode)
-	}
-
-	st, err := store.Open(*dataDir)
+	st, err := store.Open(n.data)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	st.BatchSize = *batch
-	if *flightPath == "" {
-		*flightPath = st.FlightPath()
-	}
-	watchSIGQUIT(*flightPath)
+	defer watchSIGQUIT(logf, st.FlightPath())()
 
-	opts := service.Options{
-		Workers: *workers, QueueDepth: *queue, MaxRetries: *retries,
-		Logger: logger,
+	n.service.Logger = logger
+	if n.mode == "coordinator" {
+		n.coord.Logger = logger
+		n.service.Coordinator = shard.NewCoordinator(st, n.coord)
 	}
-	if *mode == "coordinator" {
-		opts.Coordinator = shard.NewCoordinator(st, shard.Options{
-			LeaseTTL: *leaseTTL, ShardsPerCampaign: *nShards, Logger: logger,
-		})
-	}
-	srv := service.New(st, opts)
+	srv := service.New(st, n.service)
 
 	// The pool runs under the background context: shutdown goes through the
 	// drain below, not through cancelling every campaign the instant a
 	// signal lands.
 	resumed, err := srv.Start(context.Background())
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	for _, id := range resumed {
-		log.Printf("resuming interrupted campaign %s", id)
+		logf.Printf("resuming interrupted campaign %s", id)
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: n.addr, Handler: srv.Handler()}
 
 	sigCh := make(chan os.Signal, 2)
 	signal.Notify(sigCh, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigCh)
 	go func() {
 		sig := <-sigCh
-		log.Printf("%v: draining — intake stopped, finishing queued and running campaigns", sig)
-		drainCtx, cancel := context.WithTimeout(context.Background(), *drainTO)
+		logf.Printf("%v: draining — intake stopped, finishing queued and running campaigns", sig)
+		drainCtx, cancel := context.WithTimeout(context.Background(), n.drain)
 		defer cancel()
 		go func() {
 			sig := <-sigCh
-			log.Printf("%v again: cancelling in-flight campaigns (journals stay resumable)", sig)
+			logf.Printf("%v again: cancelling in-flight campaigns (journals stay resumable)", sig)
 			cancel()
 		}()
 		if err := srv.Drain(drainCtx); err != nil {
-			log.Printf("drain cut short (%v); in-flight campaigns cancelled, journals stay resumable", err)
+			logf.Printf("drain cut short (%v); in-flight campaigns cancelled, journals stay resumable", err)
 		} else {
-			log.Print("drained cleanly")
+			logf.Print("drained cleanly")
 		}
 		shutdownCtx, stop := context.WithTimeout(context.Background(), 10*time.Second)
 		defer stop()
 		hs.Shutdown(shutdownCtx)
 	}()
 
-	log.Printf("serving campaigns on %s (mode: %s, store: %s, %d workers)", *addr, *mode, *dataDir, *workers)
+	logf.Printf("serving campaigns on %s (mode: %s, store: %s, %d workers)", n.addr, n.mode, n.data, n.service.Workers)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+		return err
 	}
 	srv.Close()
+	return nil
 }
 
 // runWorker runs the process as a stateless shard worker: claim, execute,
 // stream back, repeat, until SIGINT/SIGTERM. A coordinator outage parks
 // the worker in jittered exponential backoff instead of killing it.
-func runWorker(coordURL, name string, batchSize int, backoffBase, backoffMax, outageBudget time.Duration, logger *slog.Logger) {
-	if coordURL == "" {
-		log.Fatal("-mode worker requires -coordinator URL")
+func runWorker(w *shard.Worker, logf *log.Logger, logger *slog.Logger) error {
+	if w.Base == "" {
+		return errors.New("-mode worker requires -coordinator URL")
 	}
-	if name == "" {
-		name, _ = os.Hostname()
-		if name == "" {
-			name = "worker"
+	if w.Name == "" {
+		w.Name, _ = os.Hostname()
+		if w.Name == "" {
+			w.Name = "worker"
 		}
 	}
+	w.Client, w.Logger = &http.Client{Timeout: 30 * time.Second}, logger
+	defer watchSIGQUIT(logf, "gpufi-flight.jsonl")()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	w := &shard.Worker{
-		Base: coordURL, Name: name, BatchSize: batchSize, Logger: logger,
-		BackoffBase: backoffBase, BackoffMax: backoffMax, OutageBudget: outageBudget,
-		Client: &http.Client{Timeout: 30 * time.Second},
-	}
-	log.Printf("worker %s pulling shards from %s", name, coordURL)
+	logf.Printf("worker %s pulling shards from %s", w.Name, w.Base)
 	if err := w.Run(ctx); err != nil && !errors.Is(err, context.Canceled) {
-		log.Fatal(err)
+		return err
 	}
-	log.Print("worker stopped")
+	logf.Print("worker stopped")
+	return nil
 }

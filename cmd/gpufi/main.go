@@ -10,9 +10,9 @@
 // whatever finished is still reported and flushed to the log file.
 //
 // With -store DIR every campaign point is journaled durably as it runs;
-// an interrupted invocation can be continued with -resume, skipping the
+// rerunning an interrupted invocation continues it, skipping the
 // experiments already on disk (merged outcomes are bit-identical to an
-// uninterrupted run).
+// uninterrupted run, whatever -workers either run used).
 package main
 
 import (
@@ -25,74 +25,73 @@ import (
 	"os"
 	"os/signal"
 	"sort"
+	"time"
 
 	"gpufi"
+	"gpufi/internal/cli"
+	"gpufi/internal/core"
 	"gpufi/internal/report"
 	"gpufi/internal/store"
 )
 
-// errUsage reports a command line the flag set has already complained about.
-var errUsage = errors.New("usage")
+func main() { os.Exit(cli.Exit("gpufi", run(os.Args[1:], os.Stdout, os.Stderr), os.Stderr)) }
 
-// errInterrupted reports a campaign SIGINT cut short, after its partial
-// results were printed and flushed.
-var errInterrupted = errors.New("interrupted")
+// options is gpufi's command line: the campaign point every kernel runs,
+// and what to do around it.
+type options struct {
+	spec                                     store.Spec
+	kernel                                   string
+	stats, progress, list                    bool
+	logPath, tracePath, instrTrace, storeDir string
+	expTimeout                               time.Duration
+}
 
-func main() {
-	switch err := run(os.Args[1:], os.Stdout, os.Stderr); {
-	case err == nil:
-	case errors.Is(err, errUsage):
-		os.Exit(2)
-	case errors.Is(err, errInterrupted):
-		os.Exit(130)
-	default:
-		fmt.Fprintf(os.Stderr, "gpufi: %v\n", err)
-		os.Exit(1)
-	}
+// flags declares the command line on o.
+func (o *options) flags() *flag.FlagSet {
+	fs := flag.NewFlagSet("gpufi", flag.ContinueOnError)
+	fs.StringVar(&o.spec.App, "app", "VA", "benchmark: HS KM SRAD1 SRAD2 LUD BFS PATHF NW GE BP VA SP")
+	fs.StringVar(&o.spec.GPU, "gpu", "RTX2060", "GPU model: RTX2060 QuadroGV100 GTXTitan")
+	fs.StringVar(&o.kernel, "kernel", "", "target static kernel (default: every kernel of the app)")
+	fs.StringVar(&o.spec.Structure, "structure", "regfile", "target: regfile shared local l1d l1t l2 l1c")
+	fs.IntVar(&o.spec.Runs, "n", 300, "injections per campaign point")
+	fs.IntVar(&o.spec.Bits, "bits", 1, "fault multiplicity (1=single, 3=triple, ...)")
+	fs.BoolVar(&o.spec.WarpWide, "warp", false, "warp-granularity injection (regfile/local)")
+	fs.IntVar(&o.spec.Blocks, "blocks", 1, "CTAs hit per shared-memory injection")
+	fs.Int64Var(&o.spec.Seed, "seed", 1, "campaign seed (results are reproducible)")
+	fs.IntVar(&o.spec.Scale, "scale", 1, "benchmark problem-size scale")
+	fs.IntVar(&o.spec.L2Queue, "l2queue", 0, "L2 bank service cycles (contention model; 0 = off)")
+	fs.IntVar(&o.spec.Workers, "workers", 0, "parallel simulations (0 = all cores)")
+	fs.StringVar(&o.logPath, "log", "", "write the JSONL experiment log to this file")
+	fs.BoolVar(&o.spec.Lenient, "lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed)")
+	fs.BoolVar(&o.spec.ECC, "ecc", false, "enable SEC-DED ECC on all structures (protection ablation)")
+	fs.BoolVar(&o.stats, "stats", false, "print the memory-system statistics of the fault-free run")
+	fs.BoolVar(&o.progress, "progress", false, "print one dot per finished experiment")
+	fs.StringVar(&o.tracePath, "trace", "", "record fault-propagation traces (JSONL; with -store they land in the campaign directory)")
+	fs.StringVar(&o.instrTrace, "instr-trace", "", "write the fault-free instruction trace to this file (slow)")
+	fs.BoolVar(&o.list, "list", false, "list benchmarks and kernels, then exit")
+	fs.StringVar(&o.storeDir, "store", "", "journal campaigns durably into this directory (crash-safe)")
+	fs.DurationVar(&o.expTimeout, "exp-timeout", 0, "wall-clock deadline per experiment (0 = none); expiry classifies as quarantined Timeout")
+	fs.Float64Var(&o.spec.TargetCI, "target-ci", 0, "adaptive early stop: halt each campaign point once its 99% interval half-width is at most this (0 = fixed -n runs)")
+	return fs
 }
 
 // run executes the command line args: the report goes to stdout, flag
 // diagnostics to stderr.
 func run(args []string, stdout, stderr io.Writer) error {
-	fs := flag.NewFlagSet("gpufi", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	var (
-		appName   = fs.String("app", "VA", "benchmark: HS KM SRAD1 SRAD2 LUD BFS PATHF NW GE BP VA SP")
-		gpuName   = fs.String("gpu", "RTX2060", "GPU model: RTX2060 QuadroGV100 GTXTitan")
-		kernel    = fs.String("kernel", "", "target static kernel (default: every kernel of the app)")
-		structure = fs.String("structure", "regfile", "target: regfile shared local l1d l1t l2 l1c")
-		runs      = fs.Int("n", 300, "injections per campaign point")
-		bits      = fs.Int("bits", 1, "fault multiplicity (1=single, 3=triple, ...)")
-		warpWide  = fs.Bool("warp", false, "warp-granularity injection (regfile/local)")
-		blocks    = fs.Int("blocks", 1, "CTAs hit per shared-memory injection")
-		seed      = fs.Int64("seed", 1, "campaign seed (results are reproducible)")
-		scale     = fs.Int("scale", 1, "benchmark problem-size scale")
-		l2queue   = fs.Int("l2queue", 0, "L2 bank service cycles (contention model; 0 = off)")
-		workers   = fs.Int("workers", 0, "parallel simulations (0 = all cores)")
-		logPath   = fs.String("log", "", "write the JSONL experiment log to this file")
-		lenient   = fs.Bool("lenient", false, "GPGPU-Sim-style lazily allocated memory (wild accesses succeed)")
-		ecc       = fs.Bool("ecc", false, "enable SEC-DED ECC on all structures (protection ablation)")
-		stats     = fs.Bool("stats", false, "print the memory-system statistics of the fault-free run")
-		progress  = fs.Bool("progress", false, "print one dot per finished experiment")
-		tracePath = fs.String("trace", "", "record fault-propagation traces (JSONL; with -store they land in the campaign directory)")
-		instTrace = fs.String("instr-trace", "", "write the fault-free instruction trace to this file (slow)")
-		listApps  = fs.Bool("list", false, "list benchmarks and kernels, then exit")
-		storeDir  = fs.String("store", "", "journal campaigns durably into this directory (crash-safe)")
-		resume    = fs.Bool("resume", false, "with -store: continue interrupted campaigns, skipping journaled experiments")
-		expTO     = fs.Duration("exp-timeout", 0, "wall-clock deadline per experiment (0 = none); expiry classifies as quarantined Timeout")
-		targetCI  = fs.Float64("target-ci", 0, "adaptive early stop: halt each campaign point once its 99% interval half-width is at most this (0 = fixed -n runs)")
-	)
-	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return nil
-		}
-		return errUsage
+	var o options
+	fs := o.flags()
+	if err := cli.Parse(fs, args, stderr); err != nil {
+		return err
 	}
-	if *resume && *storeDir == "" {
-		return errors.New("-resume requires -store")
+	if o.expTimeout%time.Millisecond != 0 {
+		fmt.Fprintf(stderr, "invalid value %q for flag -exp-timeout: not a whole number of milliseconds\n", o.expTimeout)
+		fs.Usage()
+		return cli.ErrUsage
 	}
+	o.spec.ExpTimeoutMS = o.expTimeout.Milliseconds()
+	o.spec.Trace = o.tracePath != ""
 
-	if *listApps {
+	if o.list {
 		for _, a := range gpufi.Apps() {
 			fmt.Fprintf(stdout, "%-7s kernels: %v\n", a.Name, a.Kernels)
 		}
@@ -104,18 +103,18 @@ func run(args []string, stdout, stderr io.Writer) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	app, err := gpufi.AppByNameScale(*appName, *scale)
+	app, err := gpufi.AppByNameScale(o.spec.App, o.spec.Scale)
 	if err != nil {
 		return err
 	}
-	gpu, err := gpufi.CardByName(*gpuName)
+	gpu, err := gpufi.CardByName(o.spec.GPU)
 	if err != nil {
 		return err
 	}
-	gpu.LenientMemory = *lenient
-	gpu.ECC = *ecc
-	gpu.L2QueueCycles = *l2queue
-	st, err := gpufi.ParseStructure(*structure)
+	gpu.LenientMemory = o.spec.Lenient
+	gpu.ECC = o.spec.ECC
+	gpu.L2QueueCycles = o.spec.L2Queue
+	st, err := gpufi.ParseStructure(o.spec.Structure)
 	if err != nil {
 		return err
 	}
@@ -126,14 +125,14 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(stdout, "fault-free execution: %d cycles, kernels %v\n\n", prof.TotalCycles, prof.KernelOrder)
-	if *stats || *instTrace != "" {
+	if o.stats || o.instrTrace != "" {
 		dev, err := gpufi.NewDevice(gpu)
 		if err != nil {
 			return err
 		}
 		var traceFile *os.File
-		if *instTrace != "" {
-			if traceFile, err = os.Create(*instTrace); err != nil {
+		if o.instrTrace != "" {
+			if traceFile, err = os.Create(o.instrTrace); err != nil {
 				return err
 			}
 			defer traceFile.Close()
@@ -143,21 +142,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		if traceFile != nil {
-			fmt.Fprintf(stdout, "instruction trace: %s\n", *instTrace)
+			fmt.Fprintf(stdout, "instruction trace: %s\n", o.instrTrace)
 		}
-		if *stats {
+		if o.stats {
 			fmt.Fprintln(stdout, dev.StatsReport())
 		}
 	}
 
 	kernels := prof.KernelOrder
-	if *kernel != "" {
-		kernels = []string{*kernel}
+	if o.kernel != "" {
+		kernels = []string{o.kernel}
 	}
 
 	var lw *gpufi.LogWriter
-	if *logPath != "" {
-		logFile, err := os.Create(*logPath)
+	if o.logPath != "" {
+		logFile, err := os.Create(o.logPath)
 		if err != nil {
 			return err
 		}
@@ -166,8 +165,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	var cstore *store.Store
-	if *storeDir != "" {
-		if cstore, err = store.Open(*storeDir); err != nil {
+	if o.storeDir != "" {
+		if cstore, err = store.Open(o.storeDir); err != nil {
 			return err
 		}
 	}
@@ -177,8 +176,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// (<store>/<id>/traces.jsonl) and the -trace value only switches
 	// tracing on.
 	var traceEnc *json.Encoder
-	if *tracePath != "" && cstore == nil {
-		tf, err := os.Create(*tracePath)
+	if o.tracePath != "" && cstore == nil {
+		tf, err := os.Create(o.tracePath)
 		if err != nil {
 			return err
 		}
@@ -186,60 +185,27 @@ func run(args []string, stdout, stderr io.Writer) error {
 		traceEnc = json.NewEncoder(tf)
 	}
 
-	var onExp func(gpufi.Experiment)
-	if *progress {
-		onExp = func(gpufi.Experiment) { fmt.Fprint(stdout, ".") }
-	}
-
 	tb := &report.Table{
 		Title: fmt.Sprintf("%s / %s / %s, %d-bit faults, %d runs per kernel",
-			app.Name, gpu.Name, st, *bits, *runs),
+			app.Name, gpu.Name, st, o.spec.Bits, o.spec.Runs),
 		Header: []string{"kernel", "Masked", "SDC", "Crash", "Timeout", "Performance", "FR (Eq.1)", "99% margin", "99% CI"},
 	}
 	var total gpufi.Counts
 	var planLines []string
 	cancelled := false
 	for _, k := range kernels {
-		var res *gpufi.CampaignResult
 		var traces []gpufi.ExperimentTrace
-		if cstore != nil {
-			res, err = runStored(ctx, stdout, cstore, *resume, store.Spec{
-				App: *appName, Scale: *scale, GPU: *gpuName, Kernel: k,
-				Structure: *structure, Runs: *runs, Bits: *bits,
-				WarpWide: *warpWide, Blocks: *blocks, Seed: *seed,
-				Workers: *workers,
-				Lenient: *lenient, ECC: *ecc, L2Queue: *l2queue,
-				ExpTimeoutMS: expTO.Milliseconds(),
-				Trace:        *tracePath != "",
-				TargetCI:     *targetCI,
-			}, prof, onExp)
-		} else {
-			opts := []gpufi.CampaignOption{
-				gpufi.WithTarget(app, gpu, k, st),
-				gpufi.WithRuns(*runs),
-				gpufi.WithBits(*bits),
-				gpufi.WithWarpWide(*warpWide),
-				gpufi.WithBlocks(*blocks),
-				gpufi.WithSeed(*seed),
-				gpufi.WithWorkers(*workers),
-				gpufi.WithExpTimeout(*expTO),
-				gpufi.WithProfile(prof),
-			}
-			if *targetCI != 0 {
-				opts = append(opts, gpufi.WithPlan(&gpufi.PlanRule{TargetCI: *targetCI}))
-			}
+		spec := o.spec
+		spec.Kernel = k
+		res, err := runPoint(ctx, stdout, cstore, spec, prof, func(e gpufi.Experiment) {
 			if traceEnc != nil {
-				opts = append(opts, gpufi.WithTrace(func(t gpufi.ExperimentTrace) error {
-					traces = append(traces, t)
-					return nil
-				}))
+				traces = append(traces, *e.Trace)
 			}
-			if onExp != nil {
-				opts = append(opts, gpufi.WithProgress(onExp))
+			if o.progress {
+				fmt.Fprint(stdout, ".")
 			}
-			res, err = gpufi.NewCampaign(opts...).Run(ctx)
-		}
-		if *progress {
+		})
+		if o.progress {
 			fmt.Fprintln(stdout)
 		}
 		if err != nil {
@@ -271,35 +237,25 @@ func run(args []string, stdout, stderr io.Writer) error {
 			}
 		}
 		c := res.Counts
-		tb.AddRow(k,
-			fmt.Sprint(c.Masked), fmt.Sprint(c.SDC), fmt.Sprint(c.Crash),
-			fmt.Sprint(c.Timeout), fmt.Sprint(c.Performance),
-			fmt.Sprintf("%.4f", c.FailureRatio()),
-			fmt.Sprintf("±%.4f", gpufi.Margin(c.Failures(), c.Total(), 0.99)),
-			ciCell(c))
+		addRow(tb, k, c)
 		total.Merge(c)
 		if res.Plan != nil {
 			planLines = append(planLines, fmt.Sprintf(
 				"adaptive %s: simulated %d, analytic %d, skipped %d of %d (half-width %.4f, target %.4f)",
-				k, res.Plan.Simulated, res.Plan.Analytic, res.Plan.Skipped, *runs,
+				k, res.Plan.Simulated, res.Plan.Analytic, res.Plan.Skipped, o.spec.Runs,
 				res.Plan.HalfWidth, res.Plan.TargetCI))
 		}
 		if cancelled {
 			fmt.Fprintf(stdout, "interrupted: %s finished %d of %d experiments; partial results follow\n",
-				k, c.Total(), *runs)
+				k, c.Total(), o.spec.Runs)
 			if cstore != nil {
-				fmt.Fprintf(stdout, "journal saved in %s — rerun with -resume to continue\n", *storeDir)
+				fmt.Fprintf(stdout, "journal saved in %s — rerun the same command to continue\n", o.storeDir)
 			}
 			break
 		}
 	}
 	if len(kernels) > 1 {
-		tb.AddRow("TOTAL",
-			fmt.Sprint(total.Masked), fmt.Sprint(total.SDC), fmt.Sprint(total.Crash),
-			fmt.Sprint(total.Timeout), fmt.Sprint(total.Performance),
-			fmt.Sprintf("%.4f", total.FailureRatio()),
-			fmt.Sprintf("±%.4f", gpufi.Margin(total.Failures(), total.Total(), 0.99)),
-			ciCell(total))
+		addRow(tb, "TOTAL", total)
 	}
 	if err := tb.Render(stdout); err != nil {
 		return err
@@ -307,52 +263,65 @@ func run(args []string, stdout, stderr io.Writer) error {
 	for _, line := range planLines {
 		fmt.Fprintln(stdout, line)
 	}
-	if *logPath != "" {
-		fmt.Fprintf(stdout, "\nexperiment log: %s\n", *logPath)
+	if o.logPath != "" {
+		fmt.Fprintf(stdout, "\nexperiment log: %s\n", o.logPath)
 	}
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		if cstore != nil {
-			fmt.Fprintf(stdout, "propagation traces: %s/<id>/traces.jsonl (summarize with gpufi-report -why)\n", *storeDir)
+			fmt.Fprintf(stdout, "propagation traces: %s/<id>/traces.jsonl (summarize with gpufi-report -why)\n", o.storeDir)
 		} else {
-			fmt.Fprintf(stdout, "propagation traces: %s (summarize with gpufi-report -why)\n", *tracePath)
+			fmt.Fprintf(stdout, "propagation traces: %s (summarize with gpufi-report -why)\n", o.tracePath)
 		}
 	}
 	if cancelled {
-		return errInterrupted
+		return cli.ErrInterrupted
 	}
 	return nil
 }
 
-// ciCell renders the 99% Wilson interval on the failure ratio as a table
-// cell.
-func ciCell(c gpufi.Counts) string {
+// addRow renders one tally as a table row, closing with the 99% Wilson
+// interval on the failure ratio.
+func addRow(tb *report.Table, name string, c gpufi.Counts) {
 	lo, hi := gpufi.Wilson(c.Failures(), c.Total(), 0.99)
-	return fmt.Sprintf("[%.4f, %.4f]", lo, hi)
+	tb.AddRow(name,
+		fmt.Sprint(c.Masked), fmt.Sprint(c.SDC), fmt.Sprint(c.Crash),
+		fmt.Sprint(c.Timeout), fmt.Sprint(c.Performance),
+		fmt.Sprintf("%.4f", c.FailureRatio()),
+		fmt.Sprintf("±%.4f", gpufi.Margin(c.Failures(), c.Total(), 0.99)),
+		fmt.Sprintf("[%.4f, %.4f]", lo, hi))
 }
 
-// runStored executes one campaign point through the durable store: the
-// journal is fsync'd in batches as experiments finish, and an id that is
-// already on disk is resumed (with -resume) or refused, never silently
-// restarted from scratch.
-func runStored(ctx context.Context, stdout io.Writer, cstore *store.Store, resume bool,
-	spec store.Spec, prof *gpufi.AppProfile, onExp func(gpufi.Experiment)) (*gpufi.CampaignResult, error) {
+// runPoint runs one campaign point, handing observe every experiment it
+// finishes. With a store the journal is fsync'd in batches as experiments
+// finish, and a campaign already on disk continues where its journal stops
+// (or, when it is done, reports its journaled outcomes); without one the
+// point runs straight on the engine.
+func runPoint(ctx context.Context, stdout io.Writer, cstore *store.Store, spec store.Spec,
+	prof *gpufi.AppProfile, observe func(gpufi.Experiment)) (*gpufi.CampaignResult, error) {
 
+	if cstore == nil {
+		cfg, err := spec.Config()
+		if err != nil {
+			return nil, err
+		}
+		cfg.Sink = func(e core.Experiment) error {
+			observe(e)
+			return nil
+		}
+		return core.RunCampaign(ctx, cfg, prof)
+	}
 	id := spec.ID()
 	if cstore.Exists(id) {
 		info, err := cstore.Inspect(id)
 		if err != nil {
 			return nil, err
 		}
-		switch {
-		case info.Done:
+		if info.Done {
 			fmt.Fprintf(stdout, "campaign %s already complete in the store; reporting journaled outcomes\n", id)
-		case !resume:
-			return nil, fmt.Errorf("campaign %s has a partial journal (%d experiments); pass -resume to continue it",
-				id, info.Completed)
-		default:
+		} else {
 			fmt.Fprintf(stdout, "resuming %s: %d of %d experiments already journaled\n",
 				id, info.Completed, spec.Runs)
 		}
 	}
-	return cstore.Run(ctx, id, spec, prof, onExp)
+	return cstore.Run(ctx, id, spec, prof, observe)
 }

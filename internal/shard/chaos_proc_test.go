@@ -138,7 +138,7 @@ func startCoordinatorProc(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-mode", "coordinator", "-addr", addr, "-data", dataDir,
-		"-lease-ttl", "5s", "-shards-per-campaign", "4", "-fsync-batch", "8", "-workers", "2")
+		"-lease-ttl", "5s", "-shards-per-campaign", "4", "-workers", "2")
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)
@@ -156,8 +156,7 @@ func startWorkerProc(t *testing.T, bin, base, name string) {
 	t.Helper()
 	cmd := exec.Command(bin,
 		"-mode", "worker", "-coordinator", base, "-worker-name", name,
-		"-shard-batch", "2", "-backoff-base", "50ms", "-backoff-max", "500ms",
-		"-outage-budget", "2m")
+		"-shard-batch", "2", "-backoff-base", "50ms", "-backoff-max", "500ms")
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

@@ -3,11 +3,13 @@ package shard_test
 import (
 	"context"
 	"fmt"
+	"net/http"
 	"runtime"
 	"testing"
 	"time"
 
 	"gpufi/internal/shard"
+	"gpufi/internal/sim"
 )
 
 // TestSoakFinishedCampaignsAreTombstones is the proof that steady-state
@@ -33,27 +35,46 @@ func TestSoakFinishedCampaignsAreTombstones(t *testing.T) {
 			p := newChaosProxy(t)
 			l := startChaosLifetime(t, dir, 4, time.Minute)
 			p.set(l.srv.Handler())
-			ctx, cancel := context.WithCancel(context.Background())
-			var workers []chan struct{}
-			for _, name := range []string{"s1", "s2"} {
-				w := &shard.Worker{Base: p.URL(), Name: name, BatchSize: 4, Poll: 2 * time.Millisecond,
-					BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond}
-				done := make(chan struct{})
-				workers = append(workers, done)
-				go func() { defer close(done); w.Run(ctx) }()
-			}
-			defer func() {
-				cancel()
-				for _, done := range workers {
-					<-done
+			var stop func()
+			startWorkers := func() {
+				ctx, cancel := context.WithCancel(context.Background())
+				var done []chan struct{}
+				for _, name := range []string{"s1", "s2"} {
+					w := &shard.Worker{Base: p.URL(), Name: name, BatchSize: 4, Poll: 2 * time.Millisecond,
+						BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond}
+					d := make(chan struct{})
+					done = append(done, d)
+					go func() { defer close(d); w.Run(ctx) }()
 				}
+				stop = func() {
+					cancel()
+					for _, d := range done {
+						<-d
+					}
+				}
+			}
+			startWorkers()
+			defer func() {
+				stop()
 				l.srv.Close()
 			}()
 
 			// Reachable bytes, not HeapInuse: the spans the heap holds them in
 			// settle 4-5 MB higher over a process's first hundred campaigns
-			// however little stays reachable, and then stop moving.
+			// however little stays reachable, and then stop moving. Both ends
+			// are read in one quiet state, or a 20-campaign window (-short)
+			// reads noise: the workers stop, so no HTTP exchange is in flight
+			// and no vessel is borrowed; the device pool is drained, because
+			// its parked storage keeps each core's arenas at their high-water
+			// capacity, which doubles at whichever campaign first needs more
+			// warps (230 KB at once on VA) and is the pool's bound, not a
+			// campaign's; idle connections close; and two collections empty
+			// the sync.Pool victim caches (net/http's 32 KB copy buffers).
 			heap := func() int64 {
+				stop()
+				sim.DrainPool()
+				http.DefaultClient.CloseIdleConnections()
+				runtime.GC()
 				runtime.GC()
 				var ms runtime.MemStats
 				runtime.ReadMemStats(&ms)
@@ -77,6 +98,7 @@ func TestSoakFinishedCampaignsAreTombstones(t *testing.T) {
 				}
 				if i == settle {
 					heapAt, goroutinesAt = heap(), runtime.NumGoroutine()
+					startWorkers()
 				}
 				if restart && i == campaigns/2 {
 					p.sever()
@@ -98,7 +120,7 @@ func TestSoakFinishedCampaignsAreTombstones(t *testing.T) {
 					end>>10, campaigns, heapAt>>10, settle, (end-heapAt)/int64(campaigns-settle), perCampaign)
 			}
 			// Per-shard sender and heartbeat goroutines, per-campaign job and
-			// SSE machinery: all gone. Idle connections take a moment.
+			// SSE machinery: all gone. Closed connections take a moment.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > goroutinesAt && time.Now().Before(deadline) {
 				time.Sleep(10 * time.Millisecond)

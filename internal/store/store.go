@@ -622,7 +622,11 @@ func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profil
 // Run (and the shard coordinator) can detect an id collision with a
 // different campaign. The JSON encoding is the comparison domain — it is
 // also what the config record stores, so empty and nil slices coincide.
+// The worker count is not part of a campaign's identity: outcomes and
+// journal records are the same for any count, so a campaign resumes under
+// another one.
 func SameSpec(a, b Spec) bool {
+	a.Workers, b.Workers = 0, 0
 	ra, errA := json.Marshal(a.normalize())
 	rb, errB := json.Marshal(b.normalize())
 	return errA == nil && errB == nil && bytes.Equal(ra, rb)
