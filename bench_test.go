@@ -8,6 +8,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"reflect"
 	"strings"
 	"testing"
@@ -182,6 +185,64 @@ func TestParseGPUReadsPresetsBack(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, p) {
 			t.Errorf("%s reads back as %+v, want %+v", p.Name, got, p)
+		}
+	}
+}
+
+// TestEveryOptionHasARow holds the facade's options to a row each: a row
+// applies its option and checks that it took, through Config() or the
+// callback it installs. A With* function of campaign.go with no row fails.
+func TestEveryOptionHasARow(t *testing.T) {
+	app, err := gpufi.AppByName("VA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := gpufi.RTX2060()
+	config := func(o gpufi.CampaignOption) gpufi.CampaignConfig { return gpufi.NewCampaign(o).Config() }
+	rows := map[string]func() bool{
+		"WithTarget": func() bool {
+			cfg := config(gpufi.WithTarget(app, gpu, "va_add", gpufi.StructShared))
+			return cfg.App == app && cfg.GPU == gpu && cfg.Kernel == "va_add" && cfg.Structure == gpufi.StructShared
+		},
+		"WithRuns":       func() bool { return config(gpufi.WithRuns(7)).Runs == 7 },
+		"WithWorkers":    func() bool { return config(gpufi.WithWorkers(3)).Workers == 3 },
+		"WithSeed":       func() bool { return config(gpufi.WithSeed(9)).Seed == 9 },
+		"WithInvocation": func() bool { return config(gpufi.WithInvocation(2)).Invocation == 2 },
+		"WithCompleted": func() bool {
+			return reflect.DeepEqual(config(gpufi.WithCompleted(1, 3)).Completed, []int{1, 3})
+		},
+		"WithSimultaneous": func() bool {
+			return reflect.DeepEqual(config(gpufi.WithSimultaneous(gpufi.StructL1D)).Simultaneous,
+				[]gpufi.Structure{gpufi.StructL1D})
+		},
+		"WithProgress": func() bool {
+			got := -1
+			config(gpufi.WithProgress(func(e gpufi.Experiment) { got = e.ID })).Sink(gpufi.Experiment{ID: 4})
+			return got == 4
+		},
+		"WithTrace": func() bool {
+			got := -1
+			cfg := config(gpufi.WithTrace(func(tr gpufi.ExperimentTrace) error { got = tr.ID; return nil }))
+			return cfg.Trace && cfg.Sink(gpufi.Experiment{Trace: &gpufi.ExperimentTrace{ID: 5}}) == nil && got == 5
+		},
+		"WithProfile": func() bool {
+			prof := &gpufi.AppProfile{}
+			got, err := gpufi.NewCampaign(gpufi.WithProfile(prof)).Profile(context.Background())
+			return err == nil && got == prof
+		},
+	}
+	for name, took := range rows {
+		if !took() {
+			t.Errorf("%s did not take", name)
+		}
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "campaign.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok && fn.Recv == nil && strings.HasPrefix(fn.Name.Name, "With") && rows[fn.Name.Name] == nil {
+			t.Errorf("gpufi.%s has no row", fn.Name.Name)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package gpufi
 
 import (
 	"context"
-	"time"
 
 	"gpufi/internal/core"
 )
@@ -80,9 +79,6 @@ func WithWorkers(n int) CampaignOption { return func(c *Campaign) { c.cfg.Worker
 // WithSeed sets the campaign seed. Same seed, same outcomes — bit for bit.
 func WithSeed(seed int64) CampaignOption { return func(c *Campaign) { c.cfg.Seed = seed } }
 
-// WithBits sets the fault multiplicity (1 = single-bit, 3 = triple, ...).
-func WithBits(bits int) CampaignOption { return func(c *Campaign) { c.cfg.Bits = bits } }
-
 // WithProgress registers a callback invoked once per finished experiment
 // (serialized, in completion order) — for progress bars and incremental
 // log flushing.
@@ -104,27 +100,10 @@ func WithCompleted(idxs ...int) CampaignOption {
 // (1-based; 0 = all invocations together, the paper's default).
 func WithInvocation(n int) CampaignOption { return func(c *Campaign) { c.cfg.Invocation = n } }
 
-// WithWarpWide makes register-file and local-memory injections hit the
-// same register of every thread in a warp.
-func WithWarpWide(v bool) CampaignOption { return func(c *Campaign) { c.cfg.WarpWide = v } }
-
-// WithBlocks sets how many CTAs a shared-memory injection hits.
-func WithBlocks(n int) CampaignOption { return func(c *Campaign) { c.cfg.Blocks = n } }
-
 // WithSimultaneous adds structures injected in the same run at the same
 // cycle as the primary target (the paper's combination campaigns).
 func WithSimultaneous(sts ...Structure) CampaignOption {
 	return func(c *Campaign) { c.cfg.Simultaneous = append(c.cfg.Simultaneous, sts...) }
-}
-
-// WithExpTimeout bounds each experiment's wall-clock runtime (0 = none).
-// The cycle-limit catches faulty runs whose cycle counter keeps ticking;
-// this deadline catches the complementary failure where the simulator
-// itself stops advancing. An expired experiment is classified as a
-// quarantined Timeout and the campaign continues — it never aborts the
-// batch.
-func WithExpTimeout(d time.Duration) CampaignOption {
-	return func(c *Campaign) { c.cfg.ExpTimeout = d }
 }
 
 // WithTrace enables fault-propagation tracing and delivers each finished
@@ -141,12 +120,6 @@ func WithTrace(sink func(ExperimentTrace) error) CampaignOption {
 		c.trace = sink
 	}
 }
-
-// WithPlan enables adaptive early stopping: the campaign treats its run
-// count as a ceiling and stops once the rule's confidence interval is
-// satisfied (CampaignResult.Plan reports the saving). A nil rule or zero
-// TargetCI keeps the fixed-N behavior.
-func WithPlan(r *PlanRule) CampaignOption { return func(c *Campaign) { c.cfg.Plan = r } }
 
 // WithProfile supplies a precomputed fault-free profile, so several
 // campaign points against the same app/GPU share one golden run.

@@ -54,9 +54,10 @@
 // workers get a typed 409 and re-claim). While a campaign's state is
 // being rebuilt, shard requests answer 503 coordinator_recovering with a
 // Retry-After. A worker that loses its coordinator parks in jittered
-// exponential backoff (-backoff-base/-backoff-max) and resumes when the
-// coordinator returns, re-sending unacknowledged batches through the
-// idempotent merge path; mid-shard it gives up after two minutes.
+// exponential backoff (-backoff-base/-backoff-max) for as long as the
+// outage lasts, idle or mid-shard, and resumes when the coordinator
+// returns, re-sending unacknowledged batches through the idempotent merge
+// path.
 //
 //	gpufi-serve -mode coordinator -addr :8080 -data gpufi-data
 //	gpufi-serve -mode worker -coordinator http://host:8080 -worker-name w1

@@ -89,14 +89,6 @@ type (
 	// EngineCounters are the process-wide fork-engine, phase and
 	// copy-on-write counters (see EngineStats).
 	EngineCounters = core.EngineCounters
-	// PlanRule configures adaptive early stopping for a campaign point
-	// (see WithPlan and CampaignConfig.Plan).
-	PlanRule = plan.Rule
-	// PlanStatus is a snapshot of an adaptive campaign's interval estimate.
-	PlanStatus = plan.Status
-	// PlanReport is the adaptive planner's summary on a finished campaign
-	// (CampaignResult.Plan).
-	PlanReport = core.PlanReport
 )
 
 // Injectable structures (paper Table IV, plus the L1C/L1I extensions).

@@ -210,25 +210,14 @@ func writeErr(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 // shardErr maps the shard package's typed protocol errors to enveloped
-// HTTP errors, so workers can branch on the code field.
+// HTTP errors through shard.Wire, the table the worker decodes with.
 func shardErr(err error) error {
-	switch {
-	case errors.Is(err, shard.ErrRecovering):
-		return &httpError{code: 503, kind: "coordinator_recovering", msg: err.Error(),
-			retryAfter: 1}
-	case errors.Is(err, shard.ErrUnknownShard):
-		return &httpError{code: 404, kind: "shard_unknown", msg: err.Error()}
-	case errors.Is(err, shard.ErrLeaseFenced):
-		return &httpError{code: 409, kind: "lease_fenced", msg: err.Error()}
-	case errors.Is(err, shard.ErrLeaseRevoked):
-		return &httpError{code: 409, kind: "lease_revoked", msg: err.Error()}
-	case errors.Is(err, shard.ErrCampaignClosed):
-		return &httpError{code: 409, kind: "campaign_closed", msg: err.Error()}
-	case errors.Is(err, shard.ErrBadBatch):
-		return &httpError{code: 400, kind: "invalid_batch", msg: err.Error()}
-	default:
-		return err
+	for _, we := range shard.Wire {
+		if errors.Is(err, we.Err) {
+			return &httpError{code: we.Status, kind: we.Code, msg: err.Error(), retryAfter: we.RetryAfter}
+		}
 	}
+	return err
 }
 
 // coordinator returns the attached shard coordinator, or an httpError if

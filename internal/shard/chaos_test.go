@@ -134,13 +134,11 @@ func startChaosLifetime(t *testing.T, dir string, shards int, ttl time.Duration)
 }
 
 // startChaosWorker launches a worker tuned for fast outage cycles:
-// aggressive poll and backoff so the test wall-clock stays short, an
-// outage budget far beyond any restart gap so shards are never abandoned.
+// aggressive poll and backoff so the test wall-clock stays short.
 func startChaosWorker(ctx context.Context, base, name string) chan struct{} {
 	w := &shard.Worker{
 		Base: base, Name: name, BatchSize: 2, Poll: 5 * time.Millisecond,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-		OutageBudget: 30 * time.Second,
 	}
 	done := make(chan struct{})
 	go func() {

@@ -6,6 +6,11 @@ import "context"
 // tests that play coordinator themselves.
 func (w *Worker) RunShard(ctx context.Context, sh *Shard) error { return w.runShard(ctx, sh) }
 
+// Call is the worker's one request path, for the wire round-trip test.
+func (w *Worker) Call(ctx context.Context, path string, body, out any) error {
+	return w.call(ctx, path, body, out)
+}
+
 // Footprint is what the soak test bounds: how many campaigns the claim
 // scan walks, how many the coordinator tracks at all, and how many of
 // those still hold anything that grows with a campaign's size — a store

@@ -7,10 +7,14 @@ import (
 	"net/http"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/shard"
+	"gpufi/internal/sim"
+	"gpufi/internal/store"
 )
 
 // These tests hold the worker's batch sender to its contract from the
@@ -32,7 +36,10 @@ func tapCluster(t *testing.T, c *cluster, tap func(n int, b shard.Batch, w http.
 // next one carries them all, so the shard takes fewer POSTs than
 // records / BatchSize — and every experiment record of the traced campaign
 // carries its own propagation trace, sequence numbers count up by one, and
-// the coordinator sees the experiments in engine order.
+// the coordinator sees the experiments in engine order. Exactly the last
+// POST is final, unless the sender's own last POST carried the campaign's
+// last experiments: the coordinator closes the campaign on it, and a final
+// batch after it would only be refused as closed.
 func TestSenderGroupCommit(t *testing.T) {
 	c := startCluster(t, t.TempDir(), 1, time.Minute)
 	tap := tapCluster(t, c, func(int, shard.Batch, http.ResponseWriter) bool {
@@ -46,10 +53,10 @@ func TestSenderGroupCommit(t *testing.T) {
 	exited := make(chan struct{})
 	go func() { defer close(exited); w.Run(ctx) }()
 
-	id := "group-commit"
+	const id, runs = "group-commit", 60
 	submit(t, c.ts.URL, map[string]any{
 		"id": id, "app": "VA", "gpu": "RTX2060", "kernel": "va_add", "structure": "regfile",
-		"runs": 60, "seed": 7, "workers": 1, "trace": true,
+		"runs": runs, "seed": 7, "workers": 1, "trace": true,
 	})
 	waitDone(t, c.ts.URL, id, 2*time.Minute)
 	cancel()
@@ -68,100 +75,152 @@ func TestSenderGroupCommit(t *testing.T) {
 	if len(seen) >= records/batch {
 		t.Errorf("%d POSTs for %d records at batch size %d: the engine waited for every one", len(seen), records, batch)
 	}
+	exps := func(bs []shard.Batch) int {
+		ids := map[int]bool{}
+		for _, b := range bs {
+			for _, r := range b.Records {
+				if r.Kind == shard.KindExp {
+					ids[r.Exp.ID] = true
+				}
+			}
+		}
+		return len(ids)
+	}
+	if len(seen) == 0 {
+		t.Fatal("no journal POSTs")
+	}
+	last := len(seen) - 1
 	for i, b := range seen {
 		if b.Seq != i+1 {
 			t.Errorf("POST %d carries seq %d", i+1, b.Seq)
 		}
-		if b.Final != (i == len(seen)-1) {
-			t.Errorf("POST %d of %d: final=%v", i+1, len(seen), b.Final)
+		if b.Final && i != last {
+			t.Errorf("POST %d of %d is final", i+1, len(seen))
 		}
 	}
+	// The campaign is this one shard, so it closes on the POST that carries
+	// its last experiments. That POST is the last one, final or not: a
+	// sender's POST that closed it is followed by nothing.
+	if before, all := exps(seen[:last]), exps(seen); all != runs || before == runs {
+		t.Errorf("POSTs carry %d of %d experiments, %d of them before the last POST (final=%v): the campaign must close on the last POST",
+			all, runs, before, seen[last].Final)
+	}
 	sharded, dups := journalRecords(t, c.st, id)
-	if len(sharded) != 61 || dups != 0 {
-		t.Errorf("merged journal has %d records (%d duplicates), want 61", len(sharded), dups)
+	if len(sharded) != runs+1 || dups != 0 {
+		t.Errorf("merged journal has %d records (%d duplicates), want %d", len(sharded), dups, runs+1)
 	}
 }
 
-// TestSenderErrorStopsShard answers one journal POST with each way a
-// coordinator can refuse it. The engine is far from done at that point, so
-// it must stop at its next callback (the error comes back wrapped as the
-// engine's), nothing may follow the refused POST, the shard is abandoned
-// with the typed error exactly as when the engine itself made the POST, and
-// it leaves no goroutine behind.
+// TestSenderErrorStopsShard holds a shard to the one outage rule: only a
+// verdict ends it. The verdict arms answer one journal POST with each way a
+// coordinator can refuse it while the engine is far from done: the engine
+// must stop at its next callback (the error comes back wrapped as the
+// engine's), nothing may follow the refused POST, and the shard is
+// abandoned with the typed error exactly as when the engine itself made the
+// POST. The outage arms are waited out: the dropped arm drops one journal
+// POST three times before admitting it, and the heartbeat arm answers
+// heartbeats coordinator_recovering for longer than the lease lives. Their
+// shard completes, a retried POST keeps its Seq, and the merged journal is
+// the library's. No arm leaves a goroutine behind.
 func TestSenderErrorStopsShard(t *testing.T) {
-	envelope := func(code string) func(http.ResponseWriter) {
+	envelope := func(status int, code string) func(http.ResponseWriter) {
 		return func(w http.ResponseWriter) {
 			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusConflict)
+			w.WriteHeader(status)
 			fmt.Fprintf(w, `{"error":{"code":%q,"message":"injected by the test"}}`, code)
 		}
 	}
+	const (
+		failAt = 2
+		drops  = 3
+		ttl    = 300 * time.Millisecond
+		outage = 4 * ttl / 3 // the heartbeat arm's: four heartbeat intervals
+	)
 	for _, tc := range []struct {
-		name   string
-		answer func(http.ResponseWriter)
-		want   error
-		outage bool // the refusal is a dead connection, retried until the budget runs out
+		name      string
+		journal   func(n int, w http.ResponseWriter) bool // the tap on journal POSTs
+		heartbeat func(w http.ResponseWriter) bool        // the tap on heartbeats
+		want      error                                   // nil: the shard completes
 	}{
-		{name: "lease_fenced", answer: envelope("lease_fenced"), want: shard.ErrLeaseFenced},
-		{name: "campaign_closed", answer: envelope("campaign_closed"), want: shard.ErrCampaignClosed},
-		{name: "dropped", answer: func(http.ResponseWriter) { panic(http.ErrAbortHandler) }, outage: true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			const failAt = 2
-			c := startCluster(t, t.TempDir(), 1, time.Minute)
-			tap := tapCluster(t, c, func(n int, _ shard.Batch, w http.ResponseWriter) bool {
-				if n < failAt {
+		{name: "lease_fenced", want: shard.ErrLeaseFenced, journal: func(n int, w http.ResponseWriter) bool {
+			if n >= failAt {
+				envelope(http.StatusConflict, "lease_fenced")(w)
+			}
+			return n >= failAt
+		}},
+		{name: "campaign_closed", want: shard.ErrCampaignClosed, journal: func(n int, w http.ResponseWriter) bool {
+			if n >= failAt {
+				envelope(http.StatusConflict, "campaign_closed")(w)
+			}
+			return n >= failAt
+		}},
+		{name: "dropped", journal: func(n int, w http.ResponseWriter) bool {
+			if n >= failAt && n < failAt+drops {
+				panic(http.ErrAbortHandler)
+			}
+			return false
+		}},
+		{name: "heartbeat", heartbeat: func() func(http.ResponseWriter) bool {
+			var first time.Time
+			return func(w http.ResponseWriter) bool {
+				if first.IsZero() {
+					first = time.Now()
+				}
+				if time.Since(first) > outage {
 					return false
 				}
-				tc.answer(w)
+				w.Header().Set("Retry-After", "1")
+				envelope(http.StatusServiceUnavailable, "coordinator_recovering")(w)
 				return true
+			}
+		}()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startCluster(t, t.TempDir(), 1, ttl)
+			tap := tapCluster(t, c, func(n int, _ shard.Batch, w http.ResponseWriter) bool {
+				return tc.journal != nil && tc.journal(n, w)
 			})
-			submit(t, c.ts.URL, map[string]any{
-				"id": "refused-" + strings.ReplaceAll(tc.name, "_", "-"), "app": "VA", "gpu": "RTX2060",
-				"kernel": "va_add", "structure": "regfile", "runs": 2000, "seed": 7, "workers": 1,
-			})
+			var mu sync.Mutex
+			var refused []time.Time // heartbeats the tap answered, under mu
+			if tc.heartbeat != nil {
+				tap.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+					if strings.HasSuffix(r.URL.Path, "/heartbeat") {
+						mu.Lock()
+						answered := tc.heartbeat(w)
+						if answered {
+							refused = append(refused, time.Now())
+						}
+						mu.Unlock()
+						if answered {
+							return
+						}
+					}
+					c.srv.Handler().ServeHTTP(w, r)
+				}))
+			}
+			id := "refused-" + strings.ReplaceAll(tc.name, "_", "-")
+			spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
+				Runs: 2000, Seed: 7, Workers: 1}
+			submitSpec(t, c.ts.URL, id, spec)
 			sh := claimShard(t, tap.URL(), "w", time.Minute)
-			// Every retry through the outage re-sends the refused batch whole,
-			// and that batch holds whatever the engine finished while the
-			// first POST was in flight — over a hundred records at times. A
-			// backoff of 10–20 ms fits at most four retries into the budget,
-			// so the re-sends cannot add up to the bound below.
+			// Every retry re-sends the dropped batch whole, with whatever the
+			// engine finished while the first POST was in flight.
 			tr := &http.Transport{}
 			w := &shard.Worker{
 				Base: tap.URL(), Name: "w", BatchSize: 2, Client: &http.Client{Transport: tr},
-				BackoffBase: 20 * time.Millisecond, BackoffMax: 20 * time.Millisecond, OutageBudget: 40 * time.Millisecond,
+				BackoffBase: 20 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
+			}
+			if tc.heartbeat != nil {
+				// Paced, the engine outlives the outage by a margin; the
+				// library run below is not paced.
+				core.SetExperimentHook(func(int, *sim.FaultSpec) { time.Sleep(300 * time.Microsecond) })
 			}
 			goroutines := runtime.NumGoroutine()
+			start := time.Now()
 			err := w.RunShard(context.Background(), sh)
-			posts := len(tap.seen())
-
-			switch {
-			case tc.outage:
-				if err == nil || !strings.Contains(err.Error(), "outage budget") {
-					t.Errorf("shard on a dead connection: %v, want the outage budget exhausted", err)
-				}
-				if posts <= failAt {
-					t.Errorf("%d POSTs: the dropped one was never retried", posts)
-				}
-			case !errors.Is(err, tc.want):
-				t.Errorf("shard error %v, want %v", err, tc.want)
-			}
-			if !tc.outage && posts != failAt {
-				t.Errorf("%d journal POSTs, want %d: nothing may follow the refused one", posts, failAt)
-			}
-			if err != nil && !strings.Contains(err.Error(), ": engine: ") {
-				t.Errorf("%v: the engine ran to its end instead of stopping at its next callback", err)
-			}
-			if n := len(sh.Indices); n != 2000 {
-				t.Fatalf("shard has %d experiments, want the whole campaign", n)
-			}
-			shipped := 0
-			for _, b := range tap.seen() {
-				shipped += len(b.Records)
-			}
-			if shipped > 1000 {
-				t.Errorf("%d of 2000 records left the worker: the engine kept going after the refusal", shipped)
-			}
+			ran := time.Since(start)
+			core.SetExperimentHook(nil)
+			seen := tap.seen()
 
 			// Nothing is sent once the shard has returned, and its sender and
 			// heartbeat goroutines are gone (the connections' own go with
@@ -174,8 +233,69 @@ func TestSenderErrorStopsShard(t *testing.T) {
 			if n := runtime.NumGoroutine(); n > goroutines {
 				t.Errorf("%d goroutines after the shard, %d before it", n, goroutines)
 			}
-			if late := len(tap.seen()); late != posts {
-				t.Errorf("%d journal POSTs arrived after the shard returned", late-posts)
+			if late := len(tap.seen()); late != len(seen) {
+				t.Errorf("%d journal POSTs arrived after the shard returned", late-len(seen))
+			}
+			if n := len(sh.Indices); n != 2000 {
+				t.Fatalf("shard has %d experiments, want the whole campaign", n)
+			}
+
+			if tc.want != nil {
+				if !errors.Is(err, tc.want) {
+					t.Errorf("shard error %v, want %v", err, tc.want)
+				}
+				if len(seen) != failAt {
+					t.Errorf("%d journal POSTs, want %d: nothing may follow the refused one", len(seen), failAt)
+				}
+				if err != nil && !strings.Contains(err.Error(), ": engine: ") {
+					t.Errorf("%v: the engine ran to its end instead of stopping at its next callback", err)
+				}
+				shipped := 0
+				for _, b := range seen {
+					shipped += len(b.Records)
+				}
+				if shipped > 1000 {
+					t.Errorf("%d of 2000 records left the worker: the engine kept going after the refusal", shipped)
+				}
+			} else {
+				if err != nil {
+					t.Fatalf("the shard gave up on an outage: %v", err)
+				}
+				waitDone(t, c.ts.URL, id, time.Minute)
+				sharded, dups := journalRecords(t, c.st, id)
+				local, _ := libraryRun(t, id, spec)
+				if dups != 0 {
+					t.Errorf("%d duplicate exp records", dups)
+				}
+				diffJournals(t, tc.name, sharded, local)
+			}
+			if tc.name == "dropped" {
+				// POSTs failAt … failAt+drops are one batch: dropped three
+				// times, then admitted, under one Seq.
+				if len(seen) <= failAt+drops {
+					t.Fatalf("%d journal POSTs: the dropped one was not retried %d times", len(seen), drops)
+				}
+				for i, b := range seen {
+					want := i + 1
+					if i >= failAt {
+						want = max(failAt, i+1-drops)
+					}
+					if b.Seq != want || (i > failAt-1 && i < failAt+drops && len(b.Records) != len(seen[failAt-1].Records)) {
+						t.Errorf("POST %d: seq %d with %d records, want seq %d", i+1, b.Seq, len(b.Records), want)
+					}
+				}
+			}
+			if tc.heartbeat != nil {
+				mu.Lock()
+				var span time.Duration
+				if len(refused) > 0 {
+					span = refused[len(refused)-1].Sub(refused[0])
+				}
+				if span < ttl || ran < outage {
+					t.Errorf("%d heartbeats refused over %v of a %v shard: the outage did not outlast the lease",
+						len(refused), span, ran)
+				}
+				mu.Unlock()
 			}
 		})
 	}

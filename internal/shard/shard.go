@@ -27,11 +27,11 @@
 //     discipline. Every protocol transition is a method of one pure
 //     shard table (table.go); a restarted coordinator replays the WAL
 //     through those same methods, on top of the journal, and answers
-//     503 coordinator_recovering while it does; workers park on outages with jittered exponential backoff
-//     and resume cleanly, re-sending unacknowledged batches through the
-//     idempotent merge path. The merged journal of a sharded, crashed,
-//     restarted campaign stays byte-identical (per experiment record) to
-//     a single-process run.
+//     503 coordinator_recovering while it does; workers wait out outages
+//     under jittered exponential backoff and resume cleanly, re-sending
+//     unacknowledged batches through the idempotent merge path. The
+//     merged journal of a sharded, crashed, restarted campaign stays
+//     byte-identical (per experiment record) to a single-process run.
 package shard
 
 import (
@@ -42,8 +42,7 @@ import (
 	"gpufi/internal/store"
 )
 
-// Typed protocol errors. The HTTP layer (internal/service) maps them to
-// the API's uniform error envelope; the worker maps envelope codes back.
+// Typed protocol errors. They cross HTTP as the rows of Wire.
 var (
 	// ErrNoWork reports a claim when no shard is pending — not a failure,
 	// the worker polls again.
@@ -83,6 +82,29 @@ var (
 	// names another experiment than the record it rides in.
 	ErrBadBatch = errors.New("shard: bad batch")
 )
+
+// WireError is how one typed protocol error crosses HTTP: its status, the
+// code field of the API's error envelope, and a Retry-After in seconds
+// (0: none).
+type WireError struct {
+	Err        error
+	Status     int
+	Code       string
+	RetryAfter int
+}
+
+// Wire is the one table between the typed protocol errors and the error
+// envelope: internal/service answers a row's status and code, and the
+// worker reads the code back into the row's error. ErrNoWork has no row:
+// a claim with nothing to hand out is a 204 without a body.
+var Wire = []WireError{
+	{ErrRecovering, 503, "coordinator_recovering", 1},
+	{ErrUnknownShard, 404, "shard_unknown", 0},
+	{ErrLeaseFenced, 409, "lease_fenced", 0},
+	{ErrLeaseRevoked, 409, "lease_revoked", 0},
+	{ErrCampaignClosed, 409, "campaign_closed", 0},
+	{ErrBadBatch, 400, "invalid_batch", 0},
+}
 
 // Shard is the unit of distributed work: one campaign's experiments for a
 // contiguous run of snapshot clusters. The worker reconstructs the full
@@ -138,7 +160,8 @@ type Record struct {
 // for one shard under one lease. Seq increments per POST (diagnostics
 // only — idempotence comes from per-index dedup, not sequencing). Final
 // marks the worker's last batch for the shard; the coordinator then
-// checks the shard for completeness.
+// checks the shard for completeness. A worker whose earlier batch finished
+// the campaign sends no final one.
 type Batch struct {
 	Campaign string   `json:"campaign"`
 	Shard    string   `json:"shard"`

@@ -324,7 +324,6 @@ func TestTraceparentRetryPropagation(t *testing.T) {
 	w := &shard.Worker{
 		Base: ts.URL, Name: "tpw", BatchSize: 4, Poll: 5 * time.Millisecond,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-		OutageBudget: 30 * time.Second,
 	}
 	done := make(chan struct{})
 	go func() { defer close(done); w.Run(ctx) }()

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,13 +27,14 @@ import (
 // reconstructs the faults), so a worker can be killed at any instant and
 // replaced by any other.
 //
-// The worker also outlives its coordinator: transport failures and typed
-// coordinator_recovering answers park it under jittered exponential
-// backoff until the coordinator returns (or the outage budget runs out
-// mid-shard, at which point the lease protocol makes abandoning safe),
-// and a final batch that leaves the shard incomplete — the signature of a
-// restarted coordinator that lost acknowledged merges — triggers a full
-// re-send of the shard's records through the idempotent merge path.
+// The worker also outlives its coordinator: every request waits out an
+// outage — a transport failure or a typed coordinator_recovering answer —
+// under jittered exponential backoff until the coordinator answers, idle
+// or holding a shard, so only a verdict (fenced, revoked, closed, unknown
+// shard, bad batch) ends a shard. A final batch that leaves the shard
+// incomplete — the signature of a restarted coordinator that lost
+// acknowledged merges — triggers a full re-send of the shard's records
+// through the idempotent merge path.
 type Worker struct {
 	// Base is the coordinator's base URL, e.g. "http://10.0.0.1:8080".
 	Base string
@@ -55,11 +57,6 @@ type Worker struct {
 	BackoffBase time.Duration
 	// BackoffMax caps the backoff growth. Default 5s.
 	BackoffMax time.Duration
-	// OutageBudget bounds how long a worker that holds a shard stays
-	// parked on an unreachable coordinator before abandoning the shard
-	// (idle claim polling is not budgeted — a worker waits for a
-	// coordinator forever). Default 2m.
-	OutageBudget time.Duration
 	// Logger receives worker logs. Nil discards.
 	Logger *slog.Logger
 
@@ -68,7 +65,7 @@ type Worker struct {
 	AfterBatch func(shardID string, seq int)
 
 	mu       sync.Mutex
-	profiles map[string]*core.Profile // fault-free profile cache per app/gpu point
+	profiles map[string]*core.Profile // fault-free profile cache, by profileKey
 }
 
 func (w *Worker) client() *http.Client {
@@ -106,37 +103,21 @@ func (w *Worker) newBackoff() *backoff {
 	return b
 }
 
-func (w *Worker) outageBudget() time.Duration {
-	if w.OutageBudget > 0 {
-		return w.OutageBudget
-	}
-	return 2 * time.Minute
-}
-
-// Run claims and executes shards until ctx is cancelled. Claim errors and
-// shard failures are logged and retried — a worker outlives any single
-// coordinator hiccup; the lease protocol makes abandoning a shard safe.
-// An unreachable (or recovering) coordinator parks the worker under
-// exponential backoff with no budget: an idle worker has nothing to lose
-// by waiting.
+// Run claims and executes shards until ctx is cancelled. A coordinator
+// outage is waited out inside each request; a refused claim is logged and
+// polled again, and a shard that ends in a verdict is abandoned — the
+// lease protocol makes that safe.
 func (w *Worker) Run(ctx context.Context) error {
 	log := w.logger()
-	bo := w.newBackoff()
-	parked := false
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		sh, err := w.claim(ctx)
+		var sh Shard
+		err := w.call(ctx, "/v1/shards/claim", ClaimRequest{Worker: w.Name}, &sh)
 		switch {
+		case ctx.Err() != nil:
+			return ctx.Err()
 		case err == nil:
-			if parked {
-				log.Info("coordinator reachable again; worker resuming", "worker", w.Name)
-				parked = false
-			}
-			bo.reset()
 			log.Info("shard claimed", "shard", sh.ID, "experiments", len(sh.Indices))
-			if err := w.runShard(ctx, sh); err != nil {
+			if err := w.runShard(ctx, &sh); err != nil {
 				if ctx.Err() != nil {
 					return ctx.Err()
 				}
@@ -146,33 +127,12 @@ func (w *Worker) Run(ctx context.Context) error {
 			} else {
 				log.Info("shard complete", "shard", sh.ID)
 			}
-		case errors.Is(err, ErrNoWork):
-			if parked {
-				log.Info("coordinator reachable again; worker resuming", "worker", w.Name)
-				parked = false
-			}
-			bo.reset()
-			if !sleepCtx(ctx, jitter(w.poll())) {
-				return ctx.Err()
-			}
-		case isOutage(err) && ctx.Err() == nil:
-			if !parked {
-				parked = true
-				backoffParks.Add(1)
-				log.Warn("coordinator unreachable; worker parked", "worker", w.Name, "err", err)
-			}
-			backoffRetries.Add(1)
-			if !sleepCtx(ctx, bo.next()) {
-				return ctx.Err()
-			}
-		default:
-			if ctx.Err() != nil {
-				return ctx.Err()
-			}
+			continue
+		case !errors.Is(err, ErrNoWork):
 			log.Warn("claim failed", "err", err)
-			if !sleepCtx(ctx, jitter(w.poll())) {
-				return ctx.Err()
-			}
+		}
+		if !sleepCtx(ctx, jitter(w.poll())) {
+			return ctx.Err()
 		}
 	}
 }
@@ -181,8 +141,7 @@ func (w *Worker) Run(ctx context.Context) error {
 // cached: every shard of a campaign (and every campaign over the same
 // benchmark) shares one golden run per worker process.
 func (w *Worker) profile(ctx context.Context, spec store.Spec, cfg *core.CampaignConfig) (*core.Profile, error) {
-	key := fmt.Sprintf("%s|%v|%s|%v|%v|%v",
-		spec.App, spec.Scale, spec.GPU, spec.ECC, spec.Lenient, spec.L2Queue)
+	key := profileKey(spec, cfg)
 	w.mu.Lock()
 	prof := w.profiles[key]
 	w.mu.Unlock()
@@ -200,6 +159,13 @@ func (w *Worker) profile(ctx context.Context, spec store.Spec, cfg *core.Campaig
 	w.profiles[key] = prof
 	w.mu.Unlock()
 	return prof, nil
+}
+
+// profileKey names everything a fault-free profile depends on: the
+// application at its scale and the whole resolved GPU, so any spec field
+// that reaches the GPU keys a profile of its own.
+func profileKey(spec store.Spec, cfg *core.CampaignConfig) string {
+	return fmt.Sprintf("%s|%d|%s", cfg.App.Name, max(spec.Scale, 1), cfg.GPU.Marshal())
 }
 
 // heartbeatInterval derives the heartbeat cadence from the lease TTL: one
@@ -291,50 +257,22 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		}
 	}
 
-	// Heartbeat loop. A heartbeat rejection means the lease was fenced or
-	// the campaign closed — stop burning cycles on the shard. An outage
-	// (coordinator unreachable or recovering) parks the shard instead: the
-	// engine keeps computing, batches park with it, and the restored lease
-	// on the rebuilt coordinator picks everything back up — unless the
-	// outage outlives the budget, in which case the shard is abandoned for
-	// the lease protocol to re-issue.
+	// Heartbeat loop. A verdict — the lease was fenced, the campaign
+	// closed — stops the shard. An outage is waited out inside the call:
+	// the engine keeps computing, batches wait with the heartbeat, and the
+	// restored lease on the rebuilt coordinator picks everything back up.
+	path := "/v1/shards/" + url.PathEscape(sh.ID)
 	go func() {
 		defer close(hbDone)
 		t := time.NewTicker(heartbeatInterval(time.Duration(sh.LeaseTTLMS) * time.Millisecond))
 		defer t.Stop()
-		var outageSince time.Time
 		for {
 			select {
 			case <-shardCtx.Done():
 				return
 			case <-t.C:
-				err := w.heartbeat(shardCtx, sh)
-				switch {
-				case err == nil:
-					if !outageSince.IsZero() {
-						obs.EmitSpan(shardCtx, "worker.park", outageSince,
-							obs.Attr{K: "where", V: "heartbeat"})
-						w.logger().Info("coordinator reachable again; worker resuming",
-							"shard", sh.ID)
-						outageSince = time.Time{}
-					}
-				case shardCtx.Err() != nil:
-					return
-				case isOutage(err):
-					if outageSince.IsZero() {
-						outageSince = time.Now()
-						backoffParks.Add(1)
-						w.logger().Warn("coordinator unreachable; worker parked",
-							"shard", sh.ID, "err", err)
-					}
-					backoffRetries.Add(1)
-					if time.Since(outageSince) > w.outageBudget() {
-						w.logger().Warn("outage budget exhausted; abandoning shard",
-							"shard", sh.ID, "budget", w.outageBudget())
-						cancel()
-						return
-					}
-				default:
+				err := w.call(shardCtx, path+"/heartbeat", HeartbeatRequest{Lease: sh.Lease}, nil)
+				if err != nil && shardCtx.Err() == nil {
 					w.logger().Warn("heartbeat failed; abandoning shard",
 						"shard", sh.ID, "err", err)
 					cancel()
@@ -344,24 +282,17 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		}
 	}()
 
-	// send posts one batch, riding out coordinator outages. At most one is
-	// in flight per shard: the sender goroutine calls it while the engine
-	// runs, runShard itself once the sender has drained.
+	// send posts one batch. At most one is in flight per shard: the sender
+	// goroutine calls it while the engine runs, runShard itself once the
+	// sender has drained.
 	seq := 0
 	send := func(recs []Record, final bool) (*BatchResult, error) {
 		seq++
-		var res *BatchResult
-		err := w.withOutageRetry(shardCtx, sh.ID, func() error {
-			r, err := w.postBatch(shardCtx, sh, Batch{
-				Campaign: sh.Campaign, Shard: sh.ID, Lease: sh.Lease,
-				Seq: seq, Final: final, Records: recs,
-			})
-			if err == nil {
-				res = r
-			}
-			return err
-		})
-		if err != nil {
+		var res BatchResult
+		if err := w.call(shardCtx, path+"/journal", Batch{
+			Campaign: sh.Campaign, Shard: sh.ID, Lease: sh.Lease,
+			Seq: seq, Final: final, Records: recs,
+		}, &res); err != nil {
 			return nil, err
 		}
 		if w.AfterBatch != nil {
@@ -371,13 +302,17 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 			w.logger().Info("coordinator deduplicated records",
 				"shard", sh.ID, "duplicates", res.Duplicates)
 		}
-		return res, nil
+		return &res, nil
 	}
 	senderDone := make(chan struct{})
+	finalized := false // a batch of the sender's finished the campaign
 	go func() {
 		defer close(senderDone)
 		out.run(func(recs []Record) error {
-			_, err := send(recs, false)
+			res, err := send(recs, false)
+			if err == nil && res.CampaignDone {
+				finalized = true
+			}
 			return err
 		})
 	}()
@@ -408,6 +343,11 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	// the engine waited for the coordinator, or never did.
 	shardSpan.SetAttr("drain_ns", strconv.FormatInt(waited.Nanoseconds(), 10))
 	shardSpan.End()
+	if finalized {
+		// The coordinator closed the campaign on the sender's last batch: a
+		// final one would only be refused as closed.
+		return nil
+	}
 	res, err := send(out.records(true), true)
 	// A final batch that does not complete the shard means a restarted
 	// coordinator lost merges it had acknowledged (they were buffered,
@@ -519,75 +459,6 @@ func (o *outbox) records(unacked bool) []Record {
 	return o.all[from:len(o.all):len(o.all)]
 }
 
-// withOutageRetry runs fn, riding out coordinator outages: transport
-// failures and typed coordinator_recovering answers park the caller — a
-// shard's sender, while its engine computes on into the outbox — under
-// jittered exponential backoff until the coordinator answers again or the
-// outage budget runs out.
-// Typed protocol errors pass through untouched.
-func (w *Worker) withOutageRetry(ctx context.Context, shardID string, fn func() error) error {
-	bo := w.newBackoff()
-	var outageSince time.Time
-	for {
-		err := fn()
-		if err == nil {
-			if !outageSince.IsZero() {
-				obs.EmitSpan(ctx, "worker.park", outageSince,
-					obs.Attr{K: "where", V: "batch"})
-				w.logger().Info("coordinator reachable again; worker resuming", "shard", shardID)
-			}
-			return nil
-		}
-		if !isOutage(err) || ctx.Err() != nil {
-			return err
-		}
-		if outageSince.IsZero() {
-			outageSince = time.Now()
-			backoffParks.Add(1)
-			w.logger().Warn("coordinator unreachable; worker parked",
-				"shard", shardID, "err", err)
-		}
-		if time.Since(outageSince) > w.outageBudget() {
-			return fmt.Errorf("shard %s: outage budget %v exhausted: %w",
-				shardID, w.outageBudget(), err)
-		}
-		backoffRetries.Add(1)
-		if !sleepCtx(ctx, bo.next()) {
-			return ctx.Err()
-		}
-	}
-}
-
-// claim asks the coordinator for a shard. ErrNoWork when none is pending.
-func (w *Worker) claim(ctx context.Context) (*Shard, error) {
-	var sh Shard
-	status, err := w.post(ctx, "/v1/shards/claim", ClaimRequest{Worker: w.Name}, &sh)
-	if err != nil {
-		return nil, err
-	}
-	if status == http.StatusNoContent {
-		return nil, ErrNoWork
-	}
-	return &sh, nil
-}
-
-// heartbeat extends the shard's lease.
-func (w *Worker) heartbeat(ctx context.Context, sh *Shard) error {
-	path := "/v1/shards/" + url.PathEscape(sh.ID) + "/heartbeat"
-	_, err := w.post(ctx, path, HeartbeatRequest{Lease: sh.Lease}, &HeartbeatResult{})
-	return err
-}
-
-// postBatch sends one journal batch.
-func (w *Worker) postBatch(ctx context.Context, sh *Shard, b Batch) (*BatchResult, error) {
-	var res BatchResult
-	path := "/v1/shards/" + url.PathEscape(sh.ID) + "/journal"
-	if _, err := w.post(ctx, path, b, &res); err != nil {
-		return nil, err
-	}
-	return &res, nil
-}
-
 // errorEnvelope is the API's uniform error shape.
 type errorEnvelope struct {
 	Error struct {
@@ -597,68 +468,80 @@ type errorEnvelope struct {
 	} `json:"error"`
 }
 
-// post sends a JSON body and decodes a JSON reply (unless 204). Non-2xx
-// replies decode the error envelope and map its code back to the typed
-// protocol errors, so the worker's control flow matches an in-process
-// coordinator's. Transport-level failures are wrapped in errUnreachable,
-// the outage signal.
-func (w *Worker) post(ctx context.Context, path string, body, out any) (int, error) {
+// call is the worker's one request path to the coordinator. It POSTs body
+// to path and decodes the reply into out; a 204 is ErrNoWork, and an error
+// envelope comes back as the typed error of its Wire row, so the worker's
+// control flow matches an in-process coordinator's. An outage — no answer
+// at all, or coordinator_recovering — is waited out under jittered
+// exponential backoff until the coordinator answers or ctx ends, when call
+// returns the outage's last error. A retry sends the same bytes under the
+// same traceparent; the wait's worker.park span names the request by the
+// last segment of its path.
+func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 	raw, err := json.Marshal(body)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(raw))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	obs.InjectTraceparent(ctx, req.Header)
-	resp, err := w.client().Do(req)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errUnreachable, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		return resp.StatusCode, nil
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-	if err != nil {
-		// The connection died mid-response: same outage as never reaching
-		// the coordinator, and just as retryable.
-		return resp.StatusCode, fmt.Errorf("%w: %v", errUnreachable, err)
-	}
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		var env errorEnvelope
-		if json.Unmarshal(data, &env) == nil && env.Error.Code != "" {
-			base := codeErr(env.Error.Code)
-			return resp.StatusCode, fmt.Errorf("%w: %s (http %d)", base, env.Error.Message, resp.StatusCode)
+	try := func() error {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(raw))
+		if err != nil {
+			return err
 		}
-		return resp.StatusCode, fmt.Errorf("shard: %s: http %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
-	}
-	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("shard: decode %s reply: %v", path, err)
+		req.Header.Set("Content-Type", "application/json")
+		obs.InjectTraceparent(ctx, req.Header)
+		resp, err := w.client().Do(req)
+		if err != nil {
+			return fmt.Errorf("%w: %v", errUnreachable, err)
 		}
+		defer resp.Body.Close()
+		if resp.StatusCode == http.StatusNoContent {
+			return ErrNoWork
+		}
+		data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+		if err != nil {
+			// The connection died mid-response: same outage as never reaching
+			// the coordinator.
+			return fmt.Errorf("%w: %v", errUnreachable, err)
+		}
+		if resp.StatusCode < 200 || resp.StatusCode > 299 {
+			var env errorEnvelope
+			if json.Unmarshal(data, &env) == nil {
+				for _, we := range Wire {
+					if we.Code == env.Error.Code {
+						return fmt.Errorf("%w: %s (http %d)", we.Err, env.Error.Message, resp.StatusCode)
+					}
+				}
+			}
+			return fmt.Errorf("shard: %s: http %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
+		}
+		if out != nil {
+			if err := json.Unmarshal(data, out); err != nil {
+				return fmt.Errorf("shard: decode %s reply: %v", path, err)
+			}
+		}
+		return nil
 	}
-	return resp.StatusCode, nil
-}
 
-// codeErr maps an envelope error code to the typed protocol error.
-func codeErr(code string) error {
-	switch code {
-	case "lease_revoked":
-		return ErrLeaseRevoked
-	case "lease_fenced":
-		return ErrLeaseFenced
-	case "campaign_closed":
-		return ErrCampaignClosed
-	case "shard_unknown":
-		return ErrUnknownShard
-	case "invalid_batch":
-		return ErrBadBatch
-	case "coordinator_recovering":
-		return ErrRecovering
-	default:
-		return fmt.Errorf("shard: coordinator error %s", code)
+	bo := w.newBackoff()
+	var parked time.Time
+	for {
+		err := try()
+		if ctx.Err() != nil || !isOutage(err) {
+			if !parked.IsZero() && ctx.Err() == nil {
+				obs.EmitSpan(ctx, "worker.park", parked,
+					obs.Attr{K: "where", V: path[strings.LastIndexByte(path, '/')+1:]})
+				w.logger().Info("coordinator reachable again; worker resuming", "worker", w.Name, "path", path)
+			}
+			return err
+		}
+		if parked.IsZero() {
+			parked = time.Now()
+			backoffParks.Add(1)
+			w.logger().Warn("coordinator unreachable; worker parked", "worker", w.Name, "path", path, "err", err)
+		}
+		backoffRetries.Add(1)
+		if !sleepCtx(ctx, bo.next()) {
+			return err
+		}
 	}
 }
