@@ -262,7 +262,7 @@ func TestAdaptiveLegacyEngineAgrees(t *testing.T) {
 	}
 	fixed := *base
 	fixed.Plan = nil
-	replay, err := runReplay(context.Background(), &fixed, prof, ids, cp.specs, cp.extras)
+	replay, err := runReplay(context.Background(), &fixed, prof, cp, ids)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,16 +13,10 @@ import (
 	"gpufi/internal/sim"
 )
 
-// The two benchmarks here measure the fork engine against the reference
-// implementations only this package's tests can reach: the full-replay
-// oracle (oracle_test.go) and the deep-clone restore baseline
-// (CampaignConfig.deepClone). Each fails on any outcome disagreement, which
-// is what CI runs one iteration of them for; the ratios they print are
-// reading matter, not gates — a pass is ~20 ms on the recording host.
-
-// benchPoint is the campaign both benchmarks run: 300 register-file
-// injections into the last invocation of BP's bp_adjust kernel — a late
-// injection window, where replaying the fault-free prefix hurts most.
+// benchPoint is the campaign the benchmarks here start from: 300
+// register-file injections into the last invocation of BP's bp_adjust
+// kernel — a late injection window, where replaying the fault-free prefix
+// hurts most.
 func benchPoint(b *testing.B) (*CampaignConfig, *Profile) {
 	b.Helper()
 	app, err := bench.ByName("BP")
@@ -45,7 +39,9 @@ func benchPoint(b *testing.B) (*CampaignConfig, *Profile) {
 // snapshot-and-fork engine and on the full-replay oracle. Each iteration
 // verifies the two produce bit-identical Counts and reports the wall-clock
 // speedup, plus the cost of propagation tracing and of span
-// instrumentation on the fork engine.
+// instrumentation on the fork engine. It fails on any outcome
+// disagreement, which is what CI runs one iteration of it for; the ratios
+// it prints are reading matter, not gates.
 func BenchmarkCampaignForkVsReplay(b *testing.B) {
 	base, prof := benchPoint(b)
 	// spanCtx enables the distributed-tracing spans (engine phase spans to
@@ -104,69 +100,6 @@ func BenchmarkCampaignForkVsReplay(b *testing.B) {
 	b.ReportMetric(overhead*100, "trace-overhead-%")
 	spanOverhead := float64(spansTime)/float64(forkTime) - 1
 	b.ReportMetric(spanOverhead*100, "span-overhead-%")
-}
-
-// BenchmarkCOWForkVsDeepClone runs the benchmark point on the fork
-// engine's copy-on-write restore protocol and on the eager deep-clone
-// baseline. Each iteration verifies bit-identical Counts, then reports the
-// wall-clock ratio and — the number the COW work actually targets — the
-// per-experiment fork+recycle cost (vessel restore plus snapshot capture
-// nanoseconds, metered via EngineStats deltas).
-func BenchmarkCOWForkVsDeepClone(b *testing.B) {
-	base, prof := benchPoint(b)
-	// run executes one campaign and returns its result, wall-clock, and
-	// the fork+recycle (restore + capture) nanoseconds it spent.
-	run := func(deep bool) (*CampaignResult, time.Duration, int64) {
-		cfg := *base
-		cfg.deepClone = deep
-		before := EngineStats()
-		t0 := time.Now()
-		res, err := RunCampaign(nil, &cfg, prof)
-		wall := time.Since(t0)
-		after := EngineStats()
-		if err != nil {
-			b.Fatal(err)
-		}
-		sync := (after.ForkNanos - before.ForkNanos) +
-			(after.SnapshotRestoreNanos - before.SnapshotRestoreNanos) +
-			(after.SnapshotCaptureNanos - before.SnapshotCaptureNanos)
-		return res, wall, sync
-	}
-	var cowWall, deepWall time.Duration
-	var cowSync, deepSync int64
-	var dirtyRatio float64 // of the first COW campaign
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Min-of-two per arm: these are short wall-clock measurements, and
-		// the minimum strips some of the scheduler noise.
-		before := EngineStats()
-		cowRes, cw1, cs1 := run(false)
-		after := EngineStats()
-		deepRes, dw1, ds1 := run(true)
-		_, cw2, cs2 := run(false)
-		_, dw2, ds2 := run(true)
-		if cowRes.Counts != deepRes.Counts {
-			b.Fatalf("protocols disagree: COW %+v vs deep-clone %+v", cowRes.Counts, deepRes.Counts)
-		}
-		cowWall += min(cw1, cw2)
-		deepWall += min(dw1, dw2)
-		cowSync += min(cs1, cs2)
-		deepSync += min(ds1, ds2)
-		copied, avoided := after.COWBytesCopied-before.COWBytesCopied, after.COWBytesAvoided-before.COWBytesAvoided
-		if i == 0 && copied+avoided > 0 {
-			dirtyRatio = float64(copied) / float64(copied+avoided)
-		}
-	}
-	perExpCow := float64(cowSync) / float64(base.Runs*b.N)
-	perExpDeep := float64(deepSync) / float64(base.Runs*b.N)
-	syncRatio := perExpDeep / perExpCow
-	b.ReportMetric(cowWall.Seconds()/float64(b.N), "cow-s/op")
-	b.ReportMetric(deepWall.Seconds()/float64(b.N), "deep-s/op")
-	b.ReportMetric(perExpCow, "cow-fork-ns/exp")
-	b.ReportMetric(perExpDeep, "deep-fork-ns/exp")
-	b.ReportMetric(syncRatio, "fork-speedup-x")
-	b.ReportMetric(float64(deepWall)/float64(cowWall), "wall-speedup-x")
-	b.ReportMetric(dirtyRatio, "dirty-ratio")
 }
 
 var benchSpec *sim.FaultSpec

@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -12,13 +14,14 @@ import (
 	"gpufi/internal/sim"
 )
 
-// This file is the differential gate on the copy-on-write fork engine:
-// every campaign must be bit-identical whether vessels restore through
-// the COW delta protocol (what ships) or through eager deep clones (the
-// unexported CampaignConfig.deepClone baseline). Identity is checked at the strongest
-// observable layer — the exact journal record bytes per experiment and
-// the exact trace bytes per experiment — across all twelve paper
-// benchmarks on two GPU presets, including the poison/quarantine path.
+// This file is the differential gate on the fork engine: every campaign
+// must be bit-identical to the replay oracle (oracle_test.go), which
+// simulates each experiment from cycle 0 on a new device and so shares no
+// snapshot, fork or restore code with the engine. Identity is checked at
+// the strongest observable layer — the exact journal record bytes per
+// experiment and the exact trace bytes per experiment — across all twelve
+// paper benchmarks on two GPU presets, including the poison/quarantine
+// path.
 
 // journalRecorder captures the serialized journal and trace bytes of a
 // campaign, keyed by experiment ID (completion order varies with worker
@@ -55,83 +58,76 @@ func (r *journalRecorder) record(exp Experiment) error {
 	return nil
 }
 
-// diffRecorders compares two recorders' byte maps entry by entry.
-func diffRecorders(t *testing.T, label string, cow, deep *journalRecorder) {
+// sameBytes requires two runs of a point, named by names, to have
+// journaled and traced the same experiments with the same bytes.
+func sameBytes(t *testing.T, label string, names [2]string, a, b *journalRecorder) {
 	t.Helper()
-	if len(cow.recs) != len(deep.recs) {
-		t.Errorf("%s: %d COW journal records vs %d deep-clone", label, len(cow.recs), len(deep.recs))
-		return
-	}
-	for id, cb := range cow.recs {
-		db, ok := deep.recs[id]
-		if !ok {
-			t.Errorf("%s: experiment %d journaled by COW only", label, id)
-			continue
+	for _, kind := range []struct {
+		what string
+		a, b map[int][]byte
+	}{{"journal record", a.recs, b.recs}, {"trace", a.traces, b.traces}} {
+		if len(kind.a) != len(kind.b) {
+			t.Errorf("%s: %d %ss %s, %d %s", label, len(kind.a), kind.what, names[0], len(kind.b), names[1])
 		}
-		if !bytes.Equal(cb, db) {
-			t.Errorf("%s: journal bytes diverged for experiment %d:\n  cow:  %s\n  deep: %s", label, id, cb, db)
-		}
-	}
-	if len(cow.traces) != len(deep.traces) {
-		t.Errorf("%s: %d COW traces vs %d deep-clone", label, len(cow.traces), len(deep.traces))
-		return
-	}
-	for id, cb := range cow.traces {
-		db, ok := deep.traces[id]
-		if !ok {
-			t.Errorf("%s: experiment %d traced by COW only", label, id)
-			continue
-		}
-		if !bytes.Equal(cb, db) {
-			t.Errorf("%s: trace bytes diverged for experiment %d:\n  cow:  %s\n  deep: %s", label, id, cb, db)
+		for id, bb := range kind.b {
+			if ab := kind.a[id]; !bytes.Equal(ab, bb) {
+				t.Errorf("%s: %s of experiment %d differs\n  %s: %s\n  %s: %s", label, kind.what, id, names[0], ab, names[1], bb)
+			}
 		}
 	}
 }
 
-// runDifferentialPair runs the same campaign point twice — deep-clone
-// baseline and COW — and checks Counts, per-experiment fields, and the
-// journal/trace byte maps for exact equality.
-func runDifferentialPair(t *testing.T, label string, base CampaignConfig, prof *Profile) {
+// replayView is an experiment as the replay oracle can reproduce it. A
+// quarantined record's cycle count is the clock of the device the panic
+// left behind, and its stack digest names the engine's call path: both
+// depend on the engine, so neither is compared.
+func replayView(exp Experiment) Experiment {
+	if exp.Quarantined {
+		exp.Cycles = 0
+		exp.Detail, _, _ = strings.Cut(exp.Detail, " stack ")
+	}
+	return exp
+}
+
+// runReplayDifferential runs the same campaign point on the fork engine and
+// on the replay oracle and requires equal Counts and per-ID journal and
+// trace bytes. The oracle's experiments are independent of one another, so
+// it runs on four workers whatever the fork engine's count.
+func runReplayDifferential(t *testing.T, label string, cfg CampaignConfig, prof *Profile) {
 	t.Helper()
-	run := func(deepClone bool) (*CampaignResult, *journalRecorder) {
-		rec := newJournalRecorder()
-		cfg := base // struct copy; the sink below is per-run
-		cfg.deepClone = deepClone
-		cfg.Sink = rec.record
-		res, err := RunCampaign(nil, &cfg, prof)
+	names := [2]string{"fork", "replay"}
+	var res [2]*CampaignResult
+	var recs [2]*journalRecorder
+	for k, engine := range []func(context.Context, *CampaignConfig, *Profile) (*CampaignResult, error){RunCampaign, replayCampaign} {
+		c, rec := cfg, newJournalRecorder() // struct copy; the sink is per run
+		c.Sink = func(exp Experiment) error { return rec.record(replayView(exp)) }
+		if k == 1 {
+			c.Workers = 4
+		}
+		r, err := engine(nil, &c, prof)
 		if err != nil {
-			t.Fatalf("%s deepClone=%v: %v", label, deepClone, err)
+			t.Fatalf("%s (%s): %v", label, names[k], err)
 		}
-		return res, rec
+		res[k], recs[k] = r, rec
 	}
-	deepRes, deepRec := run(true)
-	cowRes, cowRec := run(false)
-
-	if cowRes.Counts != deepRes.Counts {
-		t.Errorf("%s: COW counts %+v vs deep-clone %+v", label, cowRes.Counts, deepRes.Counts)
+	if res[0].Counts != res[1].Counts {
+		t.Errorf("%s: fork counts %+v vs replay %+v", label, res[0].Counts, res[1].Counts)
 	}
-	if len(cowRes.Exps) != len(deepRes.Exps) {
-		t.Fatalf("%s: %d COW experiments vs %d deep-clone", label, len(cowRes.Exps), len(deepRes.Exps))
+	if n := len(recs[1].recs); n != cfg.Runs {
+		t.Errorf("%s: the oracle journaled %d experiments of %d", label, n, cfg.Runs)
 	}
-	for i := range cowRes.Exps {
-		c, d := cowRes.Exps[i], deepRes.Exps[i]
-		if c.Effect != d.Effect || c.Cycles != d.Cycles || c.Detail != d.Detail ||
-			c.Injected != d.Injected || c.Quarantined != d.Quarantined || c.Why != d.Why {
-			t.Errorf("%s exp %d: COW {%s %d %q inj=%v q=%v why=%q} deep {%s %d %q inj=%v q=%v why=%q}",
-				label, i, c.Effect, c.Cycles, c.Detail, c.Injected, c.Quarantined, c.Why,
-				d.Effect, d.Cycles, d.Detail, d.Injected, d.Quarantined, d.Why)
-		}
-	}
-	diffRecorders(t, label, cowRec, deepRec)
+	sameBytes(t, label, names, recs[0], recs[1])
 }
 
-// TestCOWDeepCloneDifferentialAllBenchmarks sweeps every paper benchmark
-// on two GPU presets (Turing RTX 2060 and Kepler GTX Titan — the latter
-// has no L1D, exercising the nil-cache sync legs), alternating the target
-// structure between the register file (mem/resident-state COW) and the
-// L2 (cache COW). The journal record bytes must match the deep-clone
-// baseline exactly.
-func TestCOWDeepCloneDifferentialAllBenchmarks(t *testing.T) {
+// TestCOWReplayDifferentialAllBenchmarks sweeps every paper benchmark on
+// two GPU presets (Turing RTX 2060 and Kepler GTX Titan — the latter has no
+// L1D, exercising the nil-cache sync legs), alternating the target
+// structure between the register file (mem/resident-state COW) and the L2
+// (cache COW). The fork engine runs on one worker, so one vessel walks
+// every cluster of a point in order and its restores take the delta legs;
+// the test requires that most of them did, or it would hold the full legs
+// (a copy of everything) to the oracle and the delta legs to nothing.
+func TestCOWReplayDifferentialAllBenchmarks(t *testing.T) {
 	presets := []struct {
 		name string
 		gpu  *config.GPU
@@ -146,6 +142,7 @@ func TestCOWDeepCloneDifferentialAllBenchmarks(t *testing.T) {
 	}
 	structures := []sim.Structure{sim.StructRegFile, sim.StructL2}
 	for _, ps := range presets {
+		before := EngineStats()
 		for i, app := range apps {
 			st := structures[i%len(structures)]
 			prof, err := ProfileApp(nil, app, ps.gpu)
@@ -153,53 +150,65 @@ func TestCOWDeepCloneDifferentialAllBenchmarks(t *testing.T) {
 				t.Fatalf("%s/%s profile: %v", ps.name, app.Name, err)
 			}
 			label := ps.name + "/" + app.Name + "/" + st.String()
-			runDifferentialPair(t, label, CampaignConfig{
+			runReplayDifferential(t, label, CampaignConfig{
 				App: app, GPU: ps.gpu, Kernel: app.Kernels[0], Structure: st,
-				Runs: 12, Bits: 1, Seed: 23, Workers: 4,
+				Runs: 12, Bits: 1, Seed: 23, Workers: 1,
 			}, prof)
+		}
+		after := EngineStats()
+		restores, full := after.COWRestores-before.COWRestores, after.COWFullRestores-before.COWFullRestores
+		if restores == 0 || 2*full >= restores {
+			t.Errorf("%s: %d of %d restores took the full legs, want fewer than half", ps.name, full, restores)
 		}
 	}
 }
 
-// TestCOWDeepCloneDifferentialStructures covers the structures the
-// benchmark sweep leaves out — shared memory and the L1 data cache, plus
-// a warp-wide multi-bit register campaign — on kernels known to exercise
-// them.
-func TestCOWDeepCloneDifferentialStructures(t *testing.T) {
+// TestCOWReplayDifferentialStructures covers the structures the benchmark
+// sweep leaves out — shared memory, the L1 data cache and a structure the
+// kernel does not have — plus a warp-wide multi-bit register campaign, on
+// kernels known to exercise them.
+func TestCOWReplayDifferentialStructures(t *testing.T) {
 	gpu := config.RTX2060()
+	profs := map[string]*Profile{}
 	for _, tc := range []struct {
 		app      string
 		kernel   string
 		st       sim.Structure
+		runs     int
+		seed     int64
 		bits     int
 		warpWide bool
 	}{
-		{"BP", "bp_forward", sim.StructShared, 1, false},
-		{"NW", "nw_diag", sim.StructL1D, 1, false},
-		{"LUD", "lud_update", sim.StructRegFile, 3, true},
+		{"BP", "bp_forward", sim.StructShared, 15, 5, 1, false},
+		{"NW", "nw_diag", sim.StructL1D, 15, 5, 1, false},
+		{"LUD", "lud_update", sim.StructRegFile, 15, 5, 3, true},
+		{"HS", "hs_step", sim.StructLocal, 15, 5, 1, false}, // absent: hs_step uses no local memory
 	} {
 		app, err := bench.ByName(tc.app)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prof, err := ProfileApp(nil, app, gpu)
-		if err != nil {
-			t.Fatal(err)
+		prof := profs[tc.app]
+		if prof == nil {
+			if prof, err = ProfileApp(nil, app, gpu); err != nil {
+				t.Fatal(err)
+			}
+			profs[tc.app] = prof
 		}
-		label := tc.app + "/" + tc.st.String()
-		runDifferentialPair(t, label, CampaignConfig{
+		label := fmt.Sprintf("%s/%s/%s/seed %d", tc.app, tc.kernel, tc.st, tc.seed)
+		runReplayDifferential(t, label, CampaignConfig{
 			App: app, GPU: gpu, Kernel: tc.kernel, Structure: tc.st,
-			Runs: 15, Bits: tc.bits, Seed: 5, Workers: 4, WarpWide: tc.warpWide,
+			Runs: tc.runs, Bits: tc.bits, Seed: tc.seed, Workers: 4, WarpWide: tc.warpWide,
 		}, prof)
 	}
 }
 
-// TestCOWDeepCloneDifferentialTraced repeats the differential check with
+// TestCOWReplayDifferentialTraced repeats the differential check with
 // fault-propagation tracing enabled: the per-experiment trace bytes (the
 // injection site, first read, taint hops and Why classification) must be
-// identical across protocols, and so must the journal records, whose Why
+// identical to the oracle's, and so must the journal records, whose Why
 // field is populated when tracing is on.
-func TestCOWDeepCloneDifferentialTraced(t *testing.T) {
+func TestCOWReplayDifferentialTraced(t *testing.T) {
 	gpu := config.RTX2060()
 	app, err := bench.ByName("VA")
 	if err != nil {
@@ -209,19 +218,19 @@ func TestCOWDeepCloneDifferentialTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runDifferentialPair(t, "VA/traced", CampaignConfig{
+	runReplayDifferential(t, "VA/traced", CampaignConfig{
 		App: app, GPU: gpu, Kernel: "va_add", Structure: sim.StructRegFile,
 		Runs: 20, Bits: 1, Seed: 31, Workers: 4, Trace: true,
 	}, prof)
 }
 
-// TestCOWDeepCloneDifferentialPoisonPath forces experiments through the
-// sandbox's panic boundary on both protocols: the induced-crash
-// experiments must quarantine identically, and — more importantly — the
-// experiments that run AFTER a poisoned vessel was discarded must still
-// be bit-identical, proving the COW self-heal path (fresh fork, new
-// provenance baseline) converges to the same state as a deep clone.
-func TestCOWDeepCloneDifferentialPoisonPath(t *testing.T) {
+// TestCOWReplayDifferentialPoisonPath forces experiments through the
+// sandbox's panic boundary: the induced-crash experiments must quarantine
+// as the oracle's do, and — more importantly — the experiments that run
+// AFTER a poisoned vessel was discarded must still be bit-identical,
+// proving the COW self-heal path (fresh fork, new provenance baseline)
+// converges to the state a simulation from cycle 0 reaches.
+func TestCOWReplayDifferentialPoisonPath(t *testing.T) {
 	gpu := config.RTX2060()
 	app, err := bench.ByName("BFS")
 	if err != nil {
@@ -236,7 +245,7 @@ func TestCOWDeepCloneDifferentialPoisonPath(t *testing.T) {
 			panic("differential-test: induced poison")
 		}
 	}))
-	runDifferentialPair(t, "BFS/poison", CampaignConfig{
+	runReplayDifferential(t, "BFS/poison", CampaignConfig{
 		App: app, GPU: gpu, Kernel: "bfs_k1", Structure: sim.StructRegFile,
 		Runs: 20, Bits: 1, Seed: 13, Workers: 2,
 	}, prof)

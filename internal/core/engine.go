@@ -208,7 +208,6 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 		return nil, err
 	}
 	g.SetContext(ctx)
-	g.SetDeepClone(cfg.deepClone)
 	g.EnableRecording()
 	// The prefix is fault-free, but bound it anyway so a scheduling bug
 	// cannot hang the campaign.
@@ -443,7 +442,6 @@ func (p *pipeline) work() {
 		forkStart := time.Now()
 		if v == nil {
 			v = sim.NewFork(fl.snap)
-			v.SetDeepClone(p.points[0].cfg.deepClone)
 		} else {
 			v.Refork(fl.snap)
 			forksReused.Inc()

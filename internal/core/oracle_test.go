@@ -24,26 +24,47 @@ import (
 
 // replayCampaign runs cfg's pending experiments on the oracle.
 func replayCampaign(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*CampaignResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	cp, err := planCampaign(cfg, prof)
 	if err != nil {
 		return nil, err
 	}
-	return runReplay(ctx, cfg, prof, cp.pending, cp.specs, cp.extras)
+	return runReplay(ctx, cfg, prof, cp, cp.pending)
 }
 
-// runReplay simulates the pending experiment indices from cycle 0, one
-// fresh GPU each, over cfg's worker pool.
-func runReplay(ctx context.Context, cfg *CampaignConfig, prof *Profile,
-	pending []int, specs []*sim.FaultSpec, extras [][]*sim.FaultSpec) (*CampaignResult, error) {
-
+// runReplay simulates the experiment indices pending of plan cp from cycle
+// 0, one fresh GPU each, over cfg's worker pool. When the structure is
+// absent it runs the application fault-free once on a fresh GPU instead, and
+// records every index Masked with that run's cycle count.
+func runReplay(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan, pending []int) (*CampaignResult, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	col := newCollector(cfg, cfg.Runs)
+	if cp.absent {
+		g, err := sim.New(cfg.GPU)
+		if err != nil {
+			return nil, err
+		}
+		g.SetContext(ctx)
+		if _, err := cfg.App.Run(g); err != nil {
+			return nil, err
+		}
+		for _, i := range pending {
+			exp := Experiment{ID: i, Outcome: avf.Masked, Effect: avf.Masked.String(),
+				Cycles: g.Cycle(), Detail: "structure absent for kernel"}
+			if cfg.Trace {
+				classifyOnlyTrace(&exp)
+			}
+			if err := col.add(i, exp); err != nil {
+				return nil, err
+			}
+		}
+		return col.result(prof), nil
+	}
 	workers := cfg.workerCount()
 	if workers > len(pending) {
 		workers = len(pending)
 	}
-	col := newCollector(cfg, len(specs))
 	var wg sync.WaitGroup
 	var pos int64 = -1
 	errCh := make(chan error, workers)
@@ -60,7 +81,7 @@ func runReplay(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 				g, err := sim.New(cfg.GPU)
 				if err == nil {
 					var exp Experiment
-					exp, _, err = runExperimentSandboxed(ctx, cfg, prof, g, specs[i], extras[i], i)
+					exp, _, err = runExperimentSandboxed(ctx, cfg, prof, g, cp.specs[i], cp.extras[i], i)
 					if err == nil {
 						err = col.add(i, exp)
 						if err == nil {

@@ -153,25 +153,6 @@ func (p *poolPoint) run(t *testing.T) *journalRecorder {
 	return rec
 }
 
-// sameBytes requires the pooled and the fresh run of a point to have
-// journaled and traced the same experiments with the same bytes.
-func sameBytes(t *testing.T, label string, pooled, fresh *journalRecorder) {
-	t.Helper()
-	for _, kind := range []struct {
-		what          string
-		pooled, fresh map[int][]byte
-	}{{"journal record", pooled.recs, fresh.recs}, {"trace", pooled.traces, fresh.traces}} {
-		if len(kind.pooled) != len(kind.fresh) {
-			t.Errorf("%s: %d %ss on pooled storage, %d on fresh", label, len(kind.pooled), kind.what, len(kind.fresh))
-		}
-		for id, fb := range kind.fresh {
-			if pb := kind.pooled[id]; !bytes.Equal(pb, fb) {
-				t.Errorf("%s: %s of experiment %d differs\n  pooled: %s\n  fresh:  %s", label, kind.what, id, pb, fb)
-			}
-		}
-	}
-}
-
 // TestPooledVsFreshDifferential runs the chain back to back, every campaign
 // on whatever its predecessors parked, then each campaign alone on an empty
 // pool, and requires byte-identical journals and traces.
@@ -200,7 +181,7 @@ func TestPooledVsFreshDifferential(t *testing.T) {
 		if EngineStats().DevicesBuilt-before < 3 {
 			t.Errorf("%s: the reference run did not build its devices from nothing", chain[i].name)
 		}
-		sameBytes(t, chain[i].name, pooled[i], fresh)
+		sameBytes(t, chain[i].name, [2]string{"pooled", "fresh"}, pooled[i], fresh)
 	}
 }
 
@@ -230,7 +211,7 @@ func TestPooledConcurrentCampaigns(t *testing.T) {
 	}
 	for i, p := range pair {
 		sim.DrainPool()
-		sameBytes(t, p.name+" (concurrent)", pooled[i], p.run(t))
+		sameBytes(t, p.name+" (concurrent)", [2]string{"pooled", "fresh"}, pooled[i], p.run(t))
 	}
 }
 

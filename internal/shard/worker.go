@@ -13,6 +13,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gpufi/internal/core"
@@ -261,7 +262,11 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	// closed — stops the shard. An outage is waited out inside the call:
 	// the engine keeps computing, batches wait with the heartbeat, and the
 	// restored lease on the rebuilt coordinator picks everything back up.
+	// Once the engine has returned, a verdict only ends the heartbeats:
+	// every POST left hears its own verdict, and the one in flight may be
+	// the batch that closed the campaign, whose answer a cancel would lose.
 	path := "/v1/shards/" + url.PathEscape(sh.ID)
+	var engineDone atomic.Bool
 	go func() {
 		defer close(hbDone)
 		t := time.NewTicker(heartbeatInterval(time.Duration(sh.LeaseTTLMS) * time.Millisecond))
@@ -273,6 +278,9 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 			case <-t.C:
 				err := w.call(shardCtx, path+"/heartbeat", HeartbeatRequest{Lease: sh.Lease}, nil)
 				if err != nil && shardCtx.Err() == nil {
+					if engineDone.Load() {
+						return
+					}
 					w.logger().Warn("heartbeat failed; abandoning shard",
 						"shard", sh.ID, "err", err)
 					cancel()
@@ -325,6 +333,7 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	}
 
 	_, runErr := core.RunCampaign(shardCtx, cfg, prof)
+	engineDone.Store(true)
 	// Drain: the sender stops after the POST it has in flight (which a
 	// cancelled shardCtx aborts).
 	drainStart := time.Now()

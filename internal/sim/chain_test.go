@@ -141,7 +141,11 @@ type chainJob struct {
 // vessel on the fault-free run, the vessel must pass the live-state check and
 // equal a new fork run fault-free to the cycle it stands at. It returns each
 // job's stop reason and whether it carried on without a restore.
-func runChain(t *testing.T, cfg *config.GPU, snapAt uint64, deep bool, jobs []chainJob) (stops []StopReason, chained []bool) {
+//
+// The vessel's first restore lands in new storage, or with pooled in storage
+// another device ran watchApp on and parked: the full legs then overwrite
+// foreign contents instead of filling zeroed ones.
+func runChain(t *testing.T, cfg *config.GPU, snapAt uint64, pooled bool, jobs []chainJob) (stops []StopReason, chained []bool) {
 	t.Helper()
 	prefix, err := New(cfg)
 	if err != nil {
@@ -149,11 +153,22 @@ func runChain(t *testing.T, cfg *config.GPU, snapAt uint64, deep bool, jobs []ch
 	}
 	prefix.EnableRecording()
 	prefix.SnapshotAt([]uint64{snapAt}, func(s *Snapshot) error {
+		DrainPool()
+		if pooled {
+			other, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := watchApp(t, other); err != nil {
+				t.Fatal(err)
+			}
+			other.Release()
+		}
 		var vessel *GPU
 		for _, job := range jobs {
-			if vessel == nil {
+			first := vessel == nil
+			if first {
 				vessel = NewFork(s)
-				vessel.SetDeepClone(deep)
 			} else {
 				vessel.Refork(s)
 			}
@@ -168,9 +183,12 @@ func runChain(t *testing.T, cfg *config.GPU, snapAt uint64, deep bool, jobs []ch
 				}
 			}
 			CheckLiveStateEveryCycle(vessel, func(err error) { t.Errorf("%s: %v", job.name, err) })
-			before := restoresChained.Load()
+			before, built := restoresChained.Load(), PoolStats().VesselsBuilt
 			got := runWatchApp(t, vessel)
 			stops, chained = append(stops, got.stop), append(chained, restoresChained.Load() != before)
+			if reused := PoolStats().VesselsBuilt == built; first && reused != pooled {
+				t.Errorf("the vessel's first restore took parked storage = %v, want %v", reused, pooled)
+			}
 			if want := faultedApp(t, cfg, job.specs, stopEarly, job.trace); !reflect.DeepEqual(got, want) {
 				t.Errorf("%s: on the vessel %q cycle %d stop %d, a new device gives %q cycle %d stop %d",
 					job.name, got.err, got.cycle, got.stop, want.err, want.cycle, want.stop)
@@ -230,8 +248,9 @@ func inertAt(cycle uint64) *FaultSpec {
 // leave it on the fault-free run — inert, dead on arrival, overwritten — and
 // the things that must make it restore instead: a seed that left with its
 // lane, a fault armed for a cycle the vessel has passed, a stop in a later
-// launch, a host write to the stopped device, a run that did not stop, the
-// deep-clone protocol.
+// launch, a host write to the stopped device, a run that did not stop. The
+// chains run twice: from a vessel whose first restore filled new storage,
+// and from one whose first restore overwrote storage another device parked.
 func TestChainedVesselEqualsRestored(t *testing.T) {
 	gold := faultedApp(t, testConfig(), nil, toTheEnd, false)
 	first := gold.cycle / 8 // inside watchApp's first launch
@@ -257,8 +276,8 @@ func TestChainedVesselEqualsRestored(t *testing.T) {
 		nextLaunch = g.Launches()[1].StartCycle + 5
 	}
 
-	check := func(t *testing.T, deep bool, jobs []chainJob) {
-		stops, chained := runChain(t, testConfig(), first, deep, jobs)
+	check := func(t *testing.T, pooled bool, jobs []chainJob) {
+		stops, chained := runChain(t, testConfig(), first, pooled, jobs)
 		for i, job := range jobs {
 			if stops[i] != job.stop || chained[i] != job.chains {
 				t.Errorf("%s: stop reason %d, carried on without a restore = %v; the case is built for %d, %v",
@@ -266,17 +285,17 @@ func TestChainedVesselEqualsRestored(t *testing.T) {
 			}
 		}
 	}
-	t.Run("chains", func(t *testing.T) {
-		check(t, false, []chainJob{
-			{name: "inert, from a restore", specs: one(inertAt(at)), stop: StopInert},
-			{name: "inert again, same cycle", specs: one(inertAt(at)), stop: StopInert, chains: true},
-			{name: "dead on arrival, same cycle", specs: one(dead), stop: StopDead, chains: true},
-			{name: "dead on arrival again", specs: one(dead), stop: StopDead, chains: true},
-			{name: "overwritten, traced", specs: one(overwritten), trace: true, stop: StopOverwritten, chains: true},
-			{name: "inert, after the overwrite", specs: one(inertAt(at + 60)), stop: StopInert, chains: true},
-			{name: "dead and inert in one cycle", specs: []*FaultSpec{deadLater, inertAt(deadLater.Cycle)}, stop: StopDead, chains: true},
-		})
-	})
+	chains := []chainJob{
+		{name: "inert, from a restore", specs: one(inertAt(at)), stop: StopInert},
+		{name: "inert again, same cycle", specs: one(inertAt(at)), stop: StopInert, chains: true},
+		{name: "dead on arrival, same cycle", specs: one(dead), stop: StopDead, chains: true},
+		{name: "dead on arrival again", specs: one(dead), stop: StopDead, chains: true},
+		{name: "overwritten, traced", specs: one(overwritten), trace: true, stop: StopOverwritten, chains: true},
+		{name: "inert, after the overwrite", specs: one(inertAt(at + 60)), stop: StopInert, chains: true},
+		{name: "dead and inert in one cycle", specs: []*FaultSpec{deadLater, inertAt(deadLater.Cycle)}, stop: StopDead, chains: true},
+	}
+	t.Run("chains", func(t *testing.T) { check(t, false, chains) })
+	t.Run("chains from pooled storage", func(t *testing.T) { check(t, true, chains) })
 	t.Run("refusals", func(t *testing.T) {
 		check(t, false, []chainJob{
 			{name: "overwritten, traced", specs: one(overwritten), trace: true, stop: StopOverwritten},
@@ -288,12 +307,6 @@ func TestChainedVesselEqualsRestored(t *testing.T) {
 			{name: "runs on", specs: one(runsOn), stop: NotStopped},
 			{name: "after a run that did not stop", specs: one(inertAt(at)), stop: StopInert, host: true},
 			{name: "after a host write to the stopped device", specs: one(inertAt(at)), stop: StopInert},
-		})
-	})
-	t.Run("deep clone never chains", func(t *testing.T) {
-		check(t, true, []chainJob{
-			{name: "inert", specs: one(inertAt(at)), stop: StopInert},
-			{name: "inert again", specs: one(inertAt(at)), stop: StopInert},
 		})
 	})
 }

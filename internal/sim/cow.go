@@ -237,10 +237,3 @@ func (c *core) materializeSmem(b *cta) {
 	smemMaterialized.Inc()
 	residentBytesCopied.Add(int64(len(sm)))
 }
-
-// SetDeepClone switches this GPU to the eager deep-clone protocol:
-// restores and captures copy every page, line and warp whether or not it
-// diverged, and no state is shared between a vessel and its snapshot. No
-// campaign runs this way; it is the baseline the differential tests in
-// this package and internal/core hold the COW protocol to, bit for bit.
-func (g *GPU) SetDeepClone(v bool) { g.deepClone = v }

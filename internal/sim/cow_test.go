@@ -72,10 +72,10 @@ func randomSpec(rng *rand.Rand, after uint64) *FaultSpec {
 // way internal/core drives it:
 //
 //   - a recording prefix run pauses at several snapshot cycles;
-//   - at each snapshot, a COW vessel and a deep-clone vessel replay the
-//     same faults and must produce byte-identical outputs (and identical
-//     errors), and a fault-free COW fork must reproduce the golden
-//     fault-free output;
+//   - at each snapshot, a COW vessel replays faults that a new device armed
+//     with the same spec runs from cycle 0, and the two must end on the same
+//     cycle with byte-identical outputs, errors and injection records; a
+//     fault-free COW fork must reproduce the golden fault-free output;
 //   - vessels are reforked across snapshots (the frozen-delta catch-up
 //     path), randomly poisoned (storage scribbled) to hit the self-heal
 //     full-copy path, or discarded outright;
@@ -101,7 +101,7 @@ func TestCOWForkDifferentialAndRecycleProperty(t *testing.T) {
 	prefix := newTestGPU(t)
 	prefix.EnableRecording()
 	rng := rand.New(rand.NewSource(7))
-	var cowVessel, deepVessel *GPU
+	var cowVessel *GPU
 	recycled := 0
 	prefix.SnapshotAt(snaps, func(s *Snapshot) error {
 		if err := s.VerifyStorage(); err != nil {
@@ -122,7 +122,8 @@ func TestCOWForkDifferentialAndRecycleProperty(t *testing.T) {
 			t.Fatalf("fault-free COW fork diverged from golden at cycle %d", s.Cycle)
 		}
 
-		// Same faults through both protocols: byte-identical outcomes.
+		// Same faults on the vessel and on a new device run from cycle 0:
+		// byte-identical outcomes.
 		for k := 0; k < 4; k++ {
 			spec := randomSpec(rng, s.Cycle)
 			cowVessel.Refork(s)
@@ -131,29 +132,24 @@ func TestCOWForkDifferentialAndRecycleProperty(t *testing.T) {
 			}
 			cowOut, cowErr := vecaddCalls(t, cowVessel, n)
 
-			if deepVessel == nil {
-				deepVessel = NewFork(s)
-				deepVessel.SetDeepClone(true)
-			} else {
-				deepVessel.Refork(s)
-			}
-			if err := deepVessel.ArmFault(spec); err != nil {
+			ref := newTestGPU(t)
+			if err := ref.ArmFault(spec); err != nil {
 				t.Fatal(err)
 			}
-			deepOut, deepErr := vecaddCalls(t, deepVessel, n)
+			refOut, refErr := vecaddCalls(t, ref, n)
 
-			if fmt.Sprint(cowErr) != fmt.Sprint(deepErr) {
-				t.Fatalf("cycle %d spec %d: COW error %v, deep-clone error %v",
-					s.Cycle, k, cowErr, deepErr)
+			if fmt.Sprint(cowErr) != fmt.Sprint(refErr) || cowVessel.Cycle() != ref.Cycle() {
+				t.Fatalf("cycle %d spec %d: COW error %v at cycle %d, from cycle 0 error %v at cycle %d",
+					s.Cycle, k, cowErr, cowVessel.Cycle(), refErr, ref.Cycle())
 			}
-			if !bytes.Equal(cowOut, deepOut) {
-				t.Fatalf("cycle %d spec %d (%v x%d): COW and deep-clone outputs diverged",
+			if !bytes.Equal(cowOut, refOut) {
+				t.Fatalf("cycle %d spec %d (%v x%d): COW and from-cycle-0 outputs diverged",
 					s.Cycle, k, spec.Structure, len(spec.BitPositions))
 			}
-			ci, di := cowVessel.Injection(), deepVessel.Injection()
-			if (ci == nil) != (di == nil) || (ci != nil && *ci != *di) {
+			ci, ri := cowVessel.Injection(), ref.Injection()
+			if (ci == nil) != (ri == nil) || (ci != nil && *ci != *ri) {
 				t.Fatalf("cycle %d spec %d: injection records diverged: %+v vs %+v",
-					s.Cycle, k, ci, di)
+					s.Cycle, k, ci, ri)
 			}
 		}
 

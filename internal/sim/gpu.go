@@ -111,11 +111,6 @@ type GPU struct {
 	violation  error
 	kernelStat *KernelStats
 
-	// deepClone forces the eager fork protocol: no dirty-page tracking, no
-	// shared slabs — every restore and capture copies the complete state.
-	// Only tests set it (SetDeepClone), as the COW differential baseline.
-	deepClone bool
-
 	// mid-launch bookkeeping, held on the GPU (not the Launch frame) so a
 	// snapshot captures it and a fork can resume the launch epilogue.
 	launchStart uint64

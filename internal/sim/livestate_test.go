@@ -327,8 +327,8 @@ func pickCalls(t *testing.T, g *GPU) error {
 
 // TestInjectionSiteMatchesListReference: for every structure, WarpWide on
 // and off, the record applyFault leaves equals the one the candidate-list
-// reference predicts from the same mid-launch state — on a deep-cloned
-// vessel and on a copy-on-write vessel whose warps still share the
+// reference predicts from the same mid-launch state — on a new fork's
+// first restore and on a reforked vessel whose warps still share the
 // snapshot's slabs.
 func TestInjectionSiteMatchesListReference(t *testing.T) {
 	gold := newTestGPU(t)
@@ -361,8 +361,8 @@ func TestInjectionSiteMatchesListReference(t *testing.T) {
 					}
 					var recs [2]InjectionRecord
 					for arm := range recs {
-						// Arm 0 restores into an empty fork (deep clone);
-						// arm 1 reforks it (copy-on-write, shared slabs).
+						// Arm 0 restores into an empty fork (full legs);
+						// arm 1 reforks it (delta legs, shared slabs).
 						if arm == 0 {
 							vessel = NewFork(s)
 						} else {
@@ -404,7 +404,7 @@ func TestInjectionSiteMatchesListReference(t *testing.T) {
 						checked++
 					}
 					if recs[0] != recs[1] {
-						t.Errorf("cycle %d %s warpWide=%v seed %d: clone and COW vessels disagree:\n %+v\n %+v",
+						t.Errorf("cycle %d %s warpWide=%v seed %d: new and reforked vessels disagree:\n %+v\n %+v",
 							s.Cycle, st, warpWide, spec.Seed, recs[0], recs[1])
 					}
 				}

@@ -22,9 +22,9 @@ import (
 // What parks is storage, never a *GPU. Release takes the storage out of the
 // device and nils the device's pointers to it; a borrower gets a new GPU
 // struct around it. No scalar of the old device (cycle, statistics, fault
-// RNG, tracer, context, cycle limit, deep-clone flag) can reach the new one,
-// and what the old device handed out that aliases its struct — a Profile's
-// kernel statistics are the device's own map — stays valid.
+// RNG, tracer, context, cycle limit) can reach the new one, and what the old
+// device handed out that aliases its struct — a Profile's kernel statistics
+// are the device's own map — stays valid.
 //
 // Parked storage keeps its last owner's contents; only what tied it to that
 // owner is dropped (park). The two kinds of borrower deal with the contents
@@ -215,14 +215,13 @@ func Borrow(cfg *config.GPU) (*GPU, error) {
 // snapshot template it holds for recycling, for the next borrower. The
 // device must not be used afterwards; what it returned earlier (kernel
 // statistics, launch results, injection records) stays valid, because only
-// the storage leaves it. A device on the deep-clone protocol is the
-// differential baseline and never feeds the pool, and a fork shell that
-// never restored has nothing to park.
+// the storage leaves it. A fork shell that never restored has nothing to
+// park.
 func (g *GPU) Release() {
 	for _, d := range append(g.snapScratch, g) {
 		s := d.storage
 		d.storage = storage{}
-		if !g.deepClone && s.fits(d.cfg) {
+		if s.fits(d.cfg) {
 			pool.put(s)
 		}
 	}

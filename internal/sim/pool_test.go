@@ -178,9 +178,8 @@ func TestPoolKeyIsShapeByValue(t *testing.T) {
 	}
 }
 
-// TestNeverParked: a fork shell that never restored, a vessel whose storage
-// was scribbled on, a device on the deep-clone protocol and the template it
-// recycled leave nothing in the pool.
+// TestNeverParked: a fork shell that never restored and a vessel whose
+// storage was scribbled on leave nothing in the pool.
 func TestNeverParked(t *testing.T) {
 	DrainPool()
 	g := newTestGPU(t)
@@ -197,24 +196,10 @@ func TestNeverParked(t *testing.T) {
 	poisoned.mem = nil
 	poisoned.Release()
 
-	deep := NewFork(snap)
-	deep.SetDeepClone(true)
-	deep.restore(snap)
-	deep.Release()
-
-	g.SetDeepClone(true)
-	g.RecycleSnapshot(snap)
-	g.Release()
-
 	if n := PoolStats().DevicesParked; n != 0 {
 		t.Fatalf("%d devices parked, want none", n)
 	}
-	// The same three devices do park when nothing is wrong with them.
-	g = newTestGPU(t)
-	if _, err := g.launchSetup(p, Dim1(4), Dim1(64), []uint32{0, 0, 0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	snap = g.Snapshot()
+	// A vessel that restored parks, and so do the device and its template.
 	v := NewFork(snap)
 	v.restore(snap)
 	v.Release()

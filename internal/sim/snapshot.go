@@ -227,11 +227,10 @@ func (g *GPU) RecycleSnapshot(s *Snapshot) {
 // replayed launch resumes from it. In a campaign's cycle-sorted hand-out that
 // is every next experiment of the same cluster. The memory image and caches
 // keep the provenance of their last restore and go on tracking what they
-// write, so the next restore's delta covers the whole chain. The deep-clone
-// protocol shares nothing and keeps nothing.
+// write, so the next restore's delta covers the whole chain.
 func (g *GPU) Refork(snap *Snapshot) {
 	b := g.base
-	held := g.onGolden && !g.deepClone && b != nil && snap.gpu != nil &&
+	held := g.onGolden && b != nil && snap.gpu != nil &&
 		(snap == b || snap.rec != nil && snap.rec == b.rec && snap.launchCall == b.launchCall) &&
 		len(g.launches) == len(snap.gpu.launches) && g.cycle >= snap.Cycle
 	g.seek = &seekState{snap: snap, held: held, clock: g.cycle}
@@ -309,32 +308,27 @@ func (a *cowAgg) cache(st cache.SyncStats) {
 // not touched when g's provenance says so; storage with no provenance — new,
 // or fresh from the pool with another campaign's contents — takes the full
 // legs, which cost what is resident on either side and establish the
-// baseline for the next sync. With deep-clone forced every leg is a full
-// one, every time: the differential baseline.
+// baseline for the next sync.
 func (g *GPU) syncStateFrom(src *GPU, capture bool) {
-	full := g.deepClone
-	if capture {
-		full = src.deepClone
-	}
 	var agg cowAgg
 	if capture {
-		agg.mem(g.mem.CaptureFrom(src.mem, full))
+		agg.mem(g.mem.CaptureFrom(src.mem, false))
 	} else {
-		agg.mem(g.mem.RestoreFrom(src.mem, full))
+		agg.mem(g.mem.RestoreFrom(src.mem, false))
 	}
 	g.dram.mem, g.dram.latency = g.mem, src.dram.latency
-	syncCache(&g.l2, src.l2, g.dram, capture, full, &agg)
+	syncCache(&g.l2, src.l2, g.dram, capture, &agg)
 	g.bankFree = append(g.bankFree[:0], src.bankFree...)
 	for i, sc := range src.cores {
 		c := g.cores[i]
 		c.copyScalarsFrom(sc, g)
-		syncCache(&c.l1d, sc.l1d, g.l2, capture, full, &agg)
-		syncCache(&c.l1t, sc.l1t, g.l2, capture, full, &agg)
-		syncCache(&c.l1c, sc.l1c, g.l2, capture, full, &agg)
-		syncCache(&c.l1i, sc.l1i, g.l2, capture, full, &agg)
-		if capture || full {
-			// The live device keeps executing after a capture, and the
-			// deep-clone protocol shares nothing: a private deep copy.
+		syncCache(&c.l1d, sc.l1d, g.l2, capture, &agg)
+		syncCache(&c.l1t, sc.l1t, g.l2, capture, &agg)
+		syncCache(&c.l1c, sc.l1c, g.l2, capture, &agg)
+		syncCache(&c.l1i, sc.l1i, g.l2, capture, &agg)
+		if capture {
+			// The live device keeps executing after a capture: a private
+			// deep copy.
 			c.ctas, c.warps = nil, nil
 			sc.cloneResidentInto(c)
 		} else {
@@ -349,7 +343,7 @@ func (g *GPU) syncStateFrom(src *GPU, capture bool) {
 // level the model lacks stays nil. A destination that is missing, or whose
 // geometry drifted (a poisoned fork left inconsistent storage), is rebuilt
 // empty and synced like any other cache without provenance — never a panic.
-func syncCache(dst **cache.Cache, src *cache.Cache, backing cache.Backing, capture, full bool, agg *cowAgg) {
+func syncCache(dst **cache.Cache, src *cache.Cache, backing cache.Backing, capture bool, agg *cowAgg) {
 	if src == nil {
 		*dst = nil
 		return
@@ -359,13 +353,13 @@ func syncCache(dst **cache.Cache, src *cache.Cache, backing cache.Backing, captu
 		sync = (*cache.Cache).CaptureFrom
 	}
 	if *dst != nil {
-		if st, err := sync(*dst, src, backing, full); err == nil {
+		if st, err := sync(*dst, src, backing, false); err == nil {
 			agg.cache(st)
 			return
 		}
 	}
 	*dst = cache.New(src.Geometry(), backing)
-	st, _ := sync(*dst, src, backing, full) // src's own geometry: cannot fail
+	st, _ := sync(*dst, src, backing, false) // src's own geometry: cannot fail
 	agg.cache(st)
 }
 
