@@ -17,8 +17,6 @@ var (
 		"Retries against an unreachable or recovering coordinator, across all workers in this process.")
 	backoffParks = obs.Default().Counter("gpufi_worker_backoff_parked_total",
 		"Times a worker parked itself to wait out a coordinator outage.")
-	backoffResends = obs.Default().Counter("gpufi_worker_backoff_resends_total",
-		"Full-shard record re-sends after a restarted coordinator lost acknowledged batches.")
 )
 
 // backoff produces a jittered exponential delay sequence: each call to

@@ -306,10 +306,10 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		return nil, nil, err
 	}
 	run.sched = sched
+	if err := c.Record(analytic...); err != nil {
+		return nil, nil, err
+	}
 	for _, e := range analytic {
-		if err := c.Record(e); err != nil {
-			return nil, nil, err
-		}
 		e.Trace = nil
 		sched.Add(e)
 		cfg.Completed = append(cfg.Completed, e.ID)
@@ -421,10 +421,10 @@ func (co *Coordinator) planRound(run *campaignRun, gen int, round []int) error {
 // nextRoundLocked is the one place a campaign's next step is decided, each
 // time its current generation has nothing left to merge: the schedule's
 // next round becomes the next generation, or, once the schedule says stop,
-// the campaign is finalized. The journal is synced first, so a durable plan
-// never presumes outcomes a crash could un-write. Workers that finished
-// their shards early poll until the round's last shard merges. Caller
-// holds co.mu.
+// the campaign is finalized. Both callers have just synced the journal, so
+// a durable plan never presumes outcomes a crash could un-write. Workers
+// that finished their shards early poll until the round's last shard
+// merges. Caller holds co.mu.
 func (co *Coordinator) nextRoundLocked(run *campaignRun) {
 	round := run.sched.Next()
 	if round == nil {
@@ -432,11 +432,7 @@ func (co *Coordinator) nextRoundLocked(run *campaignRun) {
 		return
 	}
 	gen := run.tab.gen + 1
-	err := run.c.Sync()
-	if err == nil {
-		err = co.planRound(run, gen, round)
-	}
-	if err != nil {
+	if err := co.planRound(run, gen, round); err != nil {
 		co.endLocked(run, "failed", nil, fmt.Errorf("shard: plan round %d of %s: %w", gen, run.id, err))
 		return
 	}
@@ -568,17 +564,17 @@ func (co *Coordinator) fencedLocked(err error) error {
 	return err
 }
 
-// Ingest merges one journal batch into the campaign's store. Records for
+// Ingest merges one journal batch into the campaign's store: its new
+// experiments as one journal group, synced once before anything is merged
+// or answered, so an acknowledged record survives a crash. Records for
 // indices already journaled — a batch replayed after a worker death and
-// shard re-issue, a straggler whose lease expired, or a worker re-sending
-// after a coordinator restart lost its acknowledged merges — are
-// deduplicated idempotently; the simulator's determinism guarantees the
-// duplicate would have carried the same bytes anyway. A traced experiment's
-// trace rides in its record and is written or dropped with it; a trace that
-// names another experiment makes the batch malformed. A lease from a
-// superseded epoch is fenced (the shard was re-issued; only the successor
-// may write), and batches against a closed campaign are refused with
-// ErrCampaignClosed so they cannot resurrect it.
+// shard re-issue, a straggler whose lease expired, or a retry whose answer
+// was lost — are deduplicated; determinism guarantees the same bytes. A
+// traced experiment's trace rides in its record; one that names another
+// experiment makes the batch malformed, and a malformed batch journals
+// nothing. A lease from a superseded epoch is fenced (only the re-issued
+// shard's successor may write), and batches against a closed campaign are
+// refused with ErrCampaignClosed so they cannot resurrect it.
 func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -598,6 +594,8 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 	ss := tab.shards[b.Shard]
 
 	res := &BatchResult{}
+	var exps []core.Experiment
+	fresh := map[int]bool{} // accepted by this batch
 	for _, rec := range b.Records {
 		switch rec.Kind {
 		case KindExp:
@@ -616,29 +614,18 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			if rec.Trace != nil && rec.Trace.ID != exp.ID {
 				return res, fmt.Errorf("%w: experiment %d carries the trace of %d", ErrBadBatch, exp.ID, rec.Trace.ID)
 			}
-			if tab.journaled[exp.ID] {
+			if rec.Trace != nil && !run.spec.Trace {
+				return res, fmt.Errorf("%w: experiment %d carries a trace into an untraced campaign", ErrBadBatch, exp.ID)
+			}
+			if tab.journaled[exp.ID] || fresh[exp.ID] {
 				res.Duplicates++
-				co.stats.RecordsDuped++
 				continue
 			}
 			// The store writes it exactly as a single-process run does:
 			// quarantine record, outcome, trace.
+			fresh[exp.ID] = true
 			exp.Trace = rec.Trace
-			if err := run.c.Record(exp); err != nil {
-				return res, err
-			}
-			exp.Trace = nil
-			if tab.merged(b.Shard, exp.ID) {
-				co.stats.ShardsCompleted++
-				co.opts.Logger.Info("shard complete", "shard", b.Shard, "worker", ss.worker)
-			}
-			run.newExps = append(run.newExps, exp)
-			run.sched.Add(exp)
-			res.Accepted++
-			co.stats.RecordsMerged++
-			if run.onExp != nil {
-				run.onExp(exp)
-			}
+			exps = append(exps, exp)
 		case KindSpan:
 			if rec.Span == nil {
 				return res, fmt.Errorf("%w: span record without payload", ErrBadBatch)
@@ -656,6 +643,28 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			return res, fmt.Errorf("%w: unknown record kind %q", ErrBadBatch, rec.Kind)
 		}
 	}
+	if err = run.c.Record(exps...); err == nil {
+		err = run.c.Sync()
+	}
+	if err != nil { // what reached the disk is unknown: fail, resumable, rather than answer
+		co.endLocked(run, "failed", nil, err)
+		return nil, err
+	}
+	for _, exp := range exps {
+		exp.Trace = nil
+		if tab.merged(b.Shard, exp.ID) {
+			co.stats.ShardsCompleted++
+			co.opts.Logger.Info("shard complete", "shard", b.Shard, "worker", ss.worker)
+		}
+		run.newExps = append(run.newExps, exp)
+		run.sched.Add(exp)
+		if run.onExp != nil {
+			run.onExp(exp)
+		}
+	}
+	res.Accepted = len(exps)
+	co.stats.RecordsMerged += int64(res.Accepted)
+	co.stats.RecordsDuped += int64(res.Duplicates)
 	co.touchWorker(ss.worker, 0, 1, int64(res.Accepted))
 
 	res.ShardDone = ss.done

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -100,6 +101,27 @@ func claimSoon(t *testing.T, co *Coordinator, worker string) *Shard {
 	return nil
 }
 
+// journalBytes syncs campaign id's journal and reads it back from disk.
+func journalBytes(t *testing.T, co *Coordinator, st *store.Store, id string) []byte {
+	t.Helper()
+	co.mu.Lock()
+	err := co.campaigns[id].c.Sync()
+	co.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := st.OpenLog(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	raw, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
 // TestCoordinatorLifecycle drives the whole lease protocol against a real
 // campaign, with an injected clock standing in for wall time: claim,
 // bogus and valid heartbeats, lease expiry and re-issue, ingest under an
@@ -172,13 +194,31 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		t.Fatalf("ingest under fenced lease: want ErrLeaseFenced, got %v", err)
 	}
 
-	// A trace rides in its own experiment's record: one that names another
-	// experiment makes the batch malformed, refused before anything of it
-	// is written (the next ingest accepts every record).
-	mixed := expBatch(sh0, re0.Lease, exps0)
-	mixed.Records[0].Trace = &core.ExperimentTrace{ID: exps0[1].ID}
-	if _, err := co.Ingest(mixed); !errors.Is(err, ErrBadBatch) {
-		t.Fatalf("trace of experiment %d riding with %d: want ErrBadBatch, got %v", exps0[1].ID, exps0[0].ID, err)
+	// A malformed batch is refused before anything of it is written, its bad
+	// record last behind good ones: a trace that names another experiment
+	// (a trace rides in its own experiment's record), a trace at all (the
+	// campaign is untraced), an experiment of another shard, a kind nobody
+	// knows. The journal does not change, and
+	// the next ingest accepts every record.
+	exps1 := execShard(t, sh1)
+	before := journalBytes(t, co, st, "lease-test")
+	for _, bad := range []struct {
+		what string
+		rec  Record
+	}{
+		{"a foreign trace", Record{Kind: KindExp, Exp: &exps0[len(exps0)-1], Trace: &core.ExperimentTrace{ID: exps0[0].ID}}},
+		{"a trace, the campaign untraced", Record{Kind: KindExp, Exp: &exps0[len(exps0)-1], Trace: &core.ExperimentTrace{ID: exps0[len(exps0)-1].ID}}},
+		{"an out-of-shard experiment", Record{Kind: KindExp, Exp: &exps1[0]}},
+		{"an unknown kind", Record{Kind: "bogus"}},
+	} {
+		b := expBatch(sh0, re0.Lease, exps0[:len(exps0)-1])
+		b.Records = append(b.Records, bad.rec)
+		if _, err := co.Ingest(b); !errors.Is(err, ErrBadBatch) {
+			t.Fatalf("batch ending in %s: want ErrBadBatch, got %v", bad.what, err)
+		}
+		if after := journalBytes(t, co, st, "lease-test"); !bytes.Equal(after, before) {
+			t.Fatalf("batch ending in %s was refused, and the journal grew by %d bytes", bad.what, len(after)-len(before))
+		}
 	}
 
 	// The successor delivers the same results under the live lease.
@@ -197,13 +237,6 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	}
 	if res.Accepted != 0 || res.Duplicates != len(exps0) {
 		t.Fatalf("duplicate ingest: %+v (want all duplicates)", res)
-	}
-
-	// A record outside the shard's index set is a malformed batch.
-	exps1 := execShard(t, sh1)
-	bad := expBatch(sh0, re0.Lease, exps1[:1])
-	if _, err := co.Ingest(bad); !errors.Is(err, ErrBadBatch) {
-		t.Fatalf("out-of-shard record: want ErrBadBatch, got %v", err)
 	}
 
 	// Lease never issued for this shard: revoked even though it is valid

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"gpufi/internal/core"
+	"gpufi/internal/obs"
 	"gpufi/internal/plan"
 	"gpufi/internal/store"
 )
@@ -143,9 +144,9 @@ func (s *schedule) claim(w *fakeWorker) {
 	w.sh, w.recs, w.sent = sh, s.engine[sh.ID], 0
 }
 
-// send posts the next n records of w's shard. A worker that has sent
-// everything and is told the shard is not done lost acknowledged records to
-// a crash, and starts over — as the real worker's final flush does.
+// send posts the next n records of w's shard. An acknowledged record is on
+// disk, so once every record of a shard is acknowledged — across any number
+// of crashes — the shard is done.
 func (s *schedule) send(w *fakeWorker, n int) {
 	n = min(n, len(w.recs)-w.sent)
 	res, err := s.co.Ingest(expBatch(w.sh, w.sh.Lease, w.recs[w.sent:w.sent+n]))
@@ -159,7 +160,8 @@ func (s *schedule) send(w *fakeWorker, n int) {
 	case res.ShardDone:
 		s.drop(w)
 	default:
-		w.sent = 0
+		s.t.Fatalf("%s acknowledged every record of %s, and the shard is not done: a crash lost acknowledged records",
+			w.name, w.sh.ID)
 	}
 }
 
@@ -353,5 +355,77 @@ func TestCoordinatorRandomSchedules(t *testing.T) {
 			}
 			sweepControl(t, ctl, arm.runs, prior)
 		})
+	}
+}
+
+// TestAcknowledgedIsDurable crashes the coordinator after every batch it
+// acknowledges and reopens the store: every acknowledged experiment is in
+// the journal, exactly once, a record repeated within its batch included.
+// Each batch costs one journal fsync, whether it is shorter or longer than
+// the store's batch clock, and the same batch retried costs none.
+func TestAcknowledgedIsDurable(t *testing.T) {
+	journalFsyncs := obs.Default().Histogram("gpufi_journal_fsync_seconds", "", nil)
+	s := &schedule{t: t, clk: &testClock{base: time.Now()}, dir: t.TempDir(), id: "durable",
+		spec: vaSpec(60), granted: map[string]int64{}, engine: map[string][]core.Experiment{}}
+	s.boot()
+	w := &fakeWorker{name: "fw"}
+	acked := map[int]bool{}
+	sizes := []int{3, 6, 1, 5} // around the batch clock of 4 that boot sets
+	for k := 0; !s.done; k++ {
+		if w.sh == nil {
+			s.claim(w)
+			continue
+		}
+		batch := w.recs[w.sent : w.sent+min(sizes[k%len(sizes)], len(w.recs)-w.sent)]
+		syncs := journalFsyncs.Count()
+		res, err := s.co.Ingest(expBatch(w.sh, w.sh.Lease, append(batch[:len(batch):len(batch)], batch[0])))
+		if err != nil {
+			t.Fatalf("ingest: %v", err)
+		}
+		if res.Accepted != len(batch) || res.Duplicates != 1 {
+			t.Fatalf("batch of %d and its first record again: %+v", len(batch), res)
+		}
+		for _, e := range batch {
+			acked[e.ID] = true
+		}
+		if res.CampaignDone {
+			s.settle()
+			break
+		}
+		if n := journalFsyncs.Count() - syncs; n != 1 {
+			t.Fatalf("a batch of %d records cost %d journal fsyncs, want 1", len(batch), n)
+		}
+		syncs = journalFsyncs.Count()
+		if res, err := s.co.Ingest(expBatch(w.sh, w.sh.Lease, batch)); err != nil || res.Duplicates != len(batch) {
+			t.Fatalf("the same batch retried: %+v, %v", res, err)
+		}
+		if n := journalFsyncs.Count() - syncs; n != 0 {
+			t.Fatalf("a batch of duplicates cost %d journal fsyncs, want 0", n)
+		}
+		w.sent += len(batch)
+		if res.ShardDone {
+			s.drop(w)
+		}
+
+		s.co.Crash()
+		if err := <-s.runCh; err == nil {
+			t.Fatal("Run outlived its coordinator's crash without an error")
+		}
+		s.boot()
+		journal, dups := journalByKey(t, s.st, s.id)
+		if dups != 0 {
+			t.Fatalf("%d experiments journaled twice", dups)
+		}
+		for id := range acked {
+			if _, ok := journal[fmt.Sprint("exp:", id)]; !ok {
+				t.Fatalf("experiment %d was acknowledged and is not in the journal after a crash", id)
+			}
+		}
+	}
+	if !s.done || len(acked) != s.spec.Runs {
+		t.Fatalf("campaign done %v with %d of %d experiments acknowledged", s.done, len(acked), s.spec.Runs)
+	}
+	if journal, dups := journalByKey(t, s.st, s.id); dups != 0 || len(journal) != s.spec.Runs+1 {
+		t.Fatalf("final journal: %d records with %d duplicates, want the header and %d experiments", len(journal), dups, s.spec.Runs)
 	}
 }

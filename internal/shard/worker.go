@@ -32,10 +32,10 @@ import (
 // outage — a transport failure or a typed coordinator_recovering answer —
 // under jittered exponential backoff until the coordinator answers, idle
 // or holding a shard, so only a verdict (fenced, revoked, closed, unknown
-// shard, bad batch) ends a shard. A final batch that leaves the shard
-// incomplete — the signature of a restarted coordinator that lost
-// acknowledged merges — triggers a full re-send of the shard's records
-// through the idempotent merge path.
+// shard, bad batch) ends a shard. The coordinator acknowledges a batch only
+// once it is on disk, so an acknowledged record is never sent again: a
+// restarted coordinator has it, and a retry carries only what no answer
+// covered.
 type Worker struct {
 	// Base is the coordinator's base URL, e.g. "http://10.0.0.1:8080".
 	Base string
@@ -357,26 +357,10 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		// final one would only be refused as closed.
 		return nil
 	}
-	res, err := send(out.records(true), true)
-	// A final batch that does not complete the shard means a restarted
-	// coordinator lost merges it had acknowledged (they were buffered,
-	// never fsynced, when it died). Re-send everything through the
-	// idempotent merge path: the duplicates are absorbed, the lost
-	// records land, and the journal bytes come out identical because the
-	// records themselves are deterministic.
-	for attempt := 1; err == nil && !res.ShardDone && !res.CampaignDone; attempt++ {
-		if attempt > 3 {
-			return fmt.Errorf("shard %s still incomplete after %d full re-sends", sh.ID, attempt-1)
-		}
-		all := out.records(false)
-		backoffResends.Add(1)
-		w.logger().Warn("final batch left shard incomplete; re-sending all records",
-			"shard", sh.ID, "records", len(all), "attempt", attempt)
-		resendStart := time.Now()
-		res, err = send(all, true)
-		obs.EmitSpan(shardCtx, "worker.resend", resendStart,
-			obs.Attr{K: "records", V: strconv.Itoa(len(all))},
-			obs.Attr{K: "attempt", V: strconv.Itoa(attempt)})
+	res, err := send(out.records(), true)
+	if err == nil && !res.ShardDone && !res.CampaignDone {
+		// Every record of it was acknowledged, so durable: a coordinator fault.
+		err = fmt.Errorf("shard %s: incomplete after its final batch", sh.ID)
 	}
 	return err
 }
@@ -386,18 +370,17 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 // goroutine of its own. While one POST is in flight records keep
 // accumulating, so the next one carries everything up to the last legal
 // cut — group commit, with min the batch size that triggers a send, not a
-// cap. all holds every record of the shard in engine order (the post-
-// restart re-send needs them anyway), which is also what bounds it.
+// cap. An acknowledged record is on the coordinator's disk, so the outbox
+// lets it go: it holds only what no POST has acknowledged yet.
 type outbox struct {
 	min int // records that trigger a send
 
 	mu     sync.Mutex
 	wake   *sync.Cond // on mu: a send became due, or the outbox closed
-	all    []Record
-	acked  int   // all[:acked] is acknowledged
-	cut    int   // all[:cut] may be sent: it ends on an experiment record
-	closed bool  // the engine is done: run returns after the POST in flight
-	err    error // the sender's first failure, sticky
+	recs   []Record   // not yet acknowledged, in engine order
+	cut    int        // recs[:cut] may be sent: it ends on an experiment record
+	closed bool       // the engine is done: run returns after the POST in flight
+	err    error      // the sender's first failure, sticky
 }
 
 func newOutbox(min int) *outbox {
@@ -412,10 +395,10 @@ func newOutbox(min int) *outbox {
 func (o *outbox) add(r Record) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	o.all = append(o.all, r)
+	o.recs = append(o.recs, r)
 	if r.Kind != KindSpan {
-		o.cut = len(o.all)
-		if o.cut-o.acked >= o.min {
+		o.cut = len(o.recs)
+		if o.cut >= o.min {
 			o.wake.Signal()
 		}
 	}
@@ -429,14 +412,14 @@ func (o *outbox) run(post func([]Record) error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for {
-		for !o.closed && o.cut-o.acked < o.min {
+		for !o.closed && o.cut < o.min {
 			o.wake.Wait()
 		}
 		if o.closed {
 			return
 		}
 		n := o.cut
-		recs := o.all[o.acked:n:n]
+		recs := o.recs[:n:n]
 		o.mu.Unlock()
 		err := post(recs)
 		o.mu.Lock()
@@ -444,7 +427,8 @@ func (o *outbox) run(post func([]Record) error) {
 			o.err = err
 			return
 		}
-		o.acked = n
+		clear(o.recs[:n])
+		o.recs, o.cut = o.recs[n:], o.cut-n
 	}
 }
 
@@ -456,16 +440,12 @@ func (o *outbox) close() {
 	o.wake.Signal()
 }
 
-// records returns every record so far, or only those no POST has
-// acknowledged. The span sink may still be appending.
-func (o *outbox) records(unacked bool) []Record {
+// records returns the records no POST has acknowledged. The span sink may
+// still be appending.
+func (o *outbox) records() []Record {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	from := 0
-	if unacked {
-		from = o.acked
-	}
-	return o.all[from:len(o.all):len(o.all)]
+	return o.recs[:len(o.recs):len(o.recs)]
 }
 
 // errorEnvelope is the API's uniform error shape.

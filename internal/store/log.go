@@ -21,8 +21,9 @@ import (
 // append and its logPolicy:
 //
 //	file           records                  fsync                 ground truth
-//	journal.jsonl  header, exp, quarantine  per batch; header     yes
-//	                                        and quarantine now
+//	journal.jsonl  header, exp, quarantine  per batch and before  yes
+//	                                        a coordinator's ack;
+//	                                        header, quarantine now
 //	control.jsonl  ControlRecord            per batch;            plans and lease
 //	                                        AppendSync now        epochs only
 //	spans.jsonl    obs.SpanRecord           with the journal      no
@@ -101,19 +102,23 @@ func openLog(path string, flag int, p logPolicy, tail logTail) (*appendLog, erro
 	return &appendLog{logPolicy: p, f: f, bw: bw, enc: json.NewEncoder(bw)}, nil
 }
 
-// append encodes rec as one line. The bytes reach the disk when the policy
-// says so, or before append returns if syncNow — the write-ahead records
-// whose durability something else is about to rely on.
-func (l *appendLog) append(rec any, syncNow bool) error {
+// append encodes recs, one line each. The bytes reach the disk when the
+// policy says so — its batch clock is read once, after the last of them, so
+// a group is never split by a sync — or before append returns if syncNow:
+// the write-ahead records whose durability something else is about to rely
+// on.
+func (l *appendLog) append(syncNow bool, recs ...any) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return fmt.Errorf("store: append to closed %s", l.name)
 	}
-	if err := l.enc.Encode(rec); err != nil {
-		return fmt.Errorf("store: write %s record: %v", l.name, err)
+	for _, rec := range recs {
+		if err := l.enc.Encode(rec); err != nil {
+			return fmt.Errorf("store: write %s record: %v", l.name, err)
+		}
 	}
-	l.pending++
+	l.pending += len(recs)
 	if syncNow || (l.batch > 0 && l.pending >= l.batch) {
 		return l.syncLocked()
 	}
@@ -125,11 +130,12 @@ func (l *appendLog) append(rec any, syncNow bool) error {
 	return nil
 }
 
-// sync flushes buffered records and fsyncs the file.
-func (l *appendLog) sync() error {
+// sync flushes buffered records and fsyncs the file; with nothing appended
+// since the last sync it costs nothing, unless always.
+func (l *appendLog) sync(always bool) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
+	if l.closed || (l.pending == 0 && !always) {
 		return nil
 	}
 	return l.syncLocked()
@@ -139,7 +145,7 @@ func (l *appendLog) sync() error {
 // in that order, so no record is reported durable while still buffered.
 func (l *appendLog) syncLocked() error {
 	if l.lead != nil {
-		l.lead.sync() // never ground truth: its failure must not fail this log
+		l.lead.sync(true) // one clock; never ground truth: its failure must not fail this log
 	}
 	start := time.Now()
 	if err := l.bw.Flush(); err != nil {

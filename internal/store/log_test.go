@@ -207,7 +207,7 @@ func logFixtures(t testing.TB) []logFixture {
 			// The trace file's own writer: Record would add a journal line at
 			// every offset as well.
 			return &openedLog{n: -1, close: c.Close, appendNext: func() error {
-				return c.traces.append(core.ExperimentTrace{ID: 9, Effect: "SDC", Events: []sim.TraceEvent{{Ev: "classify"}}}, false)
+				return c.traces.append(false, core.ExperimentTrace{ID: 9, Effect: "SDC", Events: []sim.TraceEvent{{Ev: "classify"}}})
 			}}, nil
 		},
 	}}
@@ -629,6 +629,81 @@ func TestSpanLogSharesJournalClock(t *testing.T) {
 			t.Fatalf("crash after %d appends: reopen: %v", crashAt, err)
 		} else if err := again.Close(); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestRecordGroupReadsTheClockOnce holds Record to both of its callers'
+// cadences. One experiment a call, the journal syncs every BatchSize
+// records; a group syncs once, after its last record, however long it is,
+// plus once for a quarantine record, which goes to the disk at once with
+// whatever precedes it. A Sync with nothing pending costs nothing. Resumed,
+// the journal holds every record once, in the order recorded.
+func TestRecordGroupReadsTheClockOnce(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.BatchSize = 4
+	c, err := st.Create("g", vaSpec(40, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := 0
+	exps := func(n int) []core.Experiment {
+		var out []core.Experiment
+		for ; n > 0; n-- {
+			out = append(out, core.Experiment{ID: next, Outcome: avf.Masked, Effect: "Masked"})
+			next++
+		}
+		return out
+	}
+	for _, step := range []struct {
+		what  string
+		do    func() error
+		syncs int64
+	}{
+		{"ten records one at a time", func() error {
+			for _, e := range exps(10) {
+				if err := c.Record(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 2},
+		{"a group of nine behind two pending", func() error { return c.Record(exps(9)...) }, 1},
+		{"a Sync with nothing pending", c.Sync, 0},
+		{"a group of two", func() error { return c.Record(exps(2)...) }, 0},
+		{"a Sync after it", c.Sync, 1},
+		{"a group of three with a quarantined record", func() error {
+			g := exps(3)
+			g[1].Quarantined, g[1].Outcome, g[1].Effect = true, avf.Crash, "Crash"
+			return c.Record(g...)
+		}, 1},
+		{"a group of six", func() error { return c.Record(exps(6)...) }, 1},
+	} {
+		before := fsyncHist.Count()
+		if err := step.do(); err != nil {
+			t.Fatalf("%s: %v", step.what, err)
+		}
+		if n := fsyncHist.Count() - before; n != step.syncs {
+			t.Fatalf("%s: %d journal fsyncs, want %d", step.what, n, step.syncs)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := st.Resume("g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if len(r.Prior) != next {
+		t.Fatalf("resumed %d experiments, recorded %d", len(r.Prior), next)
+	}
+	for i, e := range r.Prior {
+		if e.ID != i || e.Quarantined != (i == 22) {
+			t.Fatalf("resumed record %d is experiment %d (quarantined %v)", i, e.ID, e.Quarantined)
 		}
 	}
 }

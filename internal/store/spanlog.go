@@ -69,7 +69,7 @@ func (s *Store) SpanWriter(id string) (*SpanLog, error) {
 }
 
 // Append buffers one span record; the journal's next sync carries it.
-func (l *SpanLog) Append(rec obs.SpanRecord) error { return l.log.append(rec, false) }
+func (l *SpanLog) Append(rec obs.SpanRecord) error { return l.log.append(false, rec) }
 
 // Close syncs outstanding spans and closes the file.
 func (l *SpanLog) Close() error {

@@ -130,32 +130,36 @@ func (c *Campaign) CompletedIDs() []int {
 	return ids
 }
 
-// Record journals one newly finished experiment with everything that rides
-// with it, in the order resume depends on. A quarantined experiment's
-// quarantine record goes first, synced: it is a write-ahead marker, so even
-// a process crash before the next batch fsync cannot bring the poison spec
-// back on resume. The outcome record follows in the batch, then the
-// experiment's propagation trace, if it carries one. Nothing else writes
-// quarantine or trace records.
-func (c *Campaign) Record(exp core.Experiment) error {
-	switch {
-	case c.journal == nil:
+// Record journals a group of newly finished experiments with everything
+// that rides with them, in the order resume depends on. A quarantined
+// experiment's quarantine record goes first, synced: it is a write-ahead
+// marker, so even a process crash before the next batch fsync cannot bring
+// the poison spec back on resume. The outcome record follows in the batch,
+// then the propagation trace, if any. The batch clock is read once, after
+// the group. Nothing else writes quarantine or trace records.
+func (c *Campaign) Record(exps ...core.Experiment) error {
+	if c.journal == nil {
 		return fmt.Errorf("store: campaign %s is complete; nothing to record", c.ID)
-	case exp.Trace != nil && c.traces == nil:
-		return fmt.Errorf("store: campaign %s has no trace file open", c.ID)
 	}
-	if exp.Quarantined {
-		if err := c.journal.append(quarantineRecord(exp), true); err != nil {
-			return err
+	recs := make([]any, 0, len(exps))
+	for _, exp := range exps {
+		switch {
+		case exp.Trace != nil && c.traces == nil:
+			return fmt.Errorf("store: campaign %s has no trace file open", c.ID)
+		case exp.Quarantined:
+			if err := c.journal.append(true, append(recs, quarantineRecord(exp))...); err != nil {
+				return err
+			}
+			recs = recs[:0]
+		}
+		recs = append(recs, expRecord(exp))
+		if exp.Trace != nil {
+			if err := c.traces.append(false, *exp.Trace); err != nil {
+				return err
+			}
 		}
 	}
-	if err := c.journal.append(expRecord(exp), false); err != nil {
-		return err
-	}
-	if exp.Trace == nil {
-		return nil
-	}
-	return c.traces.append(*exp.Trace, false)
+	return c.journal.append(false, recs...)
 }
 
 // Append journals one experiment's outcome record alone, for callers that
@@ -164,18 +168,19 @@ func (c *Campaign) Append(exp core.Experiment) error {
 	if c.journal == nil {
 		return fmt.Errorf("store: campaign %s is complete; nothing to append", c.ID)
 	}
-	return c.journal.append(expRecord(exp), false)
+	return c.journal.append(false, expRecord(exp))
 }
 
-// Sync flushes and fsyncs any batched journal records. The shard
-// coordinator calls it before writing a plan to the control WAL: a durable
-// plan record must never presume appends (pre-pass records, the last
-// round's outcomes) still sitting in the journal's batch buffer.
+// Sync flushes and fsyncs any batched journal records; with none it costs
+// nothing. The shard coordinator calls it before it acknowledges a batch,
+// and before it writes a plan to the control WAL: a durable plan record
+// must never presume appends (pre-pass records, the last round's outcomes)
+// still sitting in the journal's batch buffer.
 func (c *Campaign) Sync() error {
 	if c.journal == nil {
 		return nil
 	}
-	return c.journal.sync()
+	return c.journal.sync(false)
 }
 
 // EnableTraces opens (creating if needed) the campaign's trace file for
@@ -276,7 +281,7 @@ func (s *Store) Create(id string, spec Spec) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := j.append(headerRecord(headerOfSpec(spec)), true); err != nil {
+	if err := j.append(true, headerRecord(headerOfSpec(spec))); err != nil {
 		j.close()
 		return nil, err
 	}
@@ -390,7 +395,7 @@ func (s *Store) resume(id string, st *state) (*Campaign, error) {
 		return nil, err
 	}
 	if !st.hasHeader {
-		if err := j.append(headerRecord(headerOfSpec(st.spec)), true); err != nil {
+		if err := j.append(true, headerRecord(headerOfSpec(st.spec))); err != nil {
 			j.close()
 			return nil, err
 		}

@@ -114,7 +114,7 @@ func (w *ControlWAL) Append(rec ControlRecord) error { return w.append(rec, fals
 func (w *ControlWAL) AppendSync(rec ControlRecord) error { return w.append(rec, true) }
 
 func (w *ControlWAL) append(rec ControlRecord, syncNow bool) error {
-	if err := w.log.append(rec, syncNow); err != nil {
+	if err := w.log.append(syncNow, rec); err != nil {
 		return err
 	}
 	walRecords.Add(1)
