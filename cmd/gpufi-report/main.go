@@ -26,6 +26,7 @@ import (
 	"io"
 	"os"
 	"sort"
+	"strconv"
 
 	"gpufi"
 	"gpufi/internal/cli"
@@ -107,7 +108,9 @@ func renderWhy(w io.Writer, all []*gpufi.CampaignResult, csvOut bool) error {
 // (spans.jsonl, from GET /v1/campaigns/{id}/trace?format=jsonl or the
 // store directory), one record per span (obs.ReadSpans), into a phase
 // breakdown: per span name, how many spans ran, how much cumulative time
-// they took, and what share of the campaign's wall clock that is.
+// they took, and what share of the campaign's wall clock that is. A cluster
+// span's fork_ns, execute_ns and classify_ns fold into the engine.fork,
+// engine.execute and engine.classify rows, counting its experiments.
 func renderSpans(w io.Writer, path string, csvOut bool) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -122,26 +125,17 @@ func renderSpans(w io.Writer, path string, csvOut bool) error {
 		return fmt.Errorf("%s: no span records", path)
 	}
 
-	type agg struct {
-		count         int
-		totalUS       int64
-		minStart, end int64
-	}
-	phases := map[string]*agg{}
+	count, totalUS := map[string]int{}, map[string]int64{}
 	var wallStart, wallEnd int64
 	for i, rec := range spans {
-		a := phases[rec.Name]
-		if a == nil {
-			a = &agg{minStart: rec.StartUS}
-			phases[rec.Name] = a
-		}
-		a.count++
-		a.totalUS += rec.DurUS
-		if rec.StartUS < a.minStart {
-			a.minStart = rec.StartUS
-		}
-		if e := rec.StartUS + rec.DurUS; e > a.end {
-			a.end = e
+		count[rec.Name]++
+		totalUS[rec.Name] += rec.DurUS
+		n, _ := strconv.Atoi(rec.Attrs["experiments"])
+		for _, p := range []string{"fork", "execute", "classify"} {
+			if ns, err := strconv.ParseInt(rec.Attrs[p+"_ns"], 10, 64); err == nil {
+				count["engine."+p] += n
+				totalUS["engine."+p] += ns / 1000
+			}
 		}
 		if i == 0 || rec.StartUS < wallStart {
 			wallStart = rec.StartUS
@@ -151,27 +145,25 @@ func renderSpans(w io.Writer, path string, csvOut bool) error {
 		}
 	}
 	wallUS := wallEnd - wallStart
-	names := make([]string, 0, len(phases))
-	for n := range phases {
+	names := make([]string, 0, len(count))
+	for n := range count {
 		names = append(names, n)
 	}
-	sort.Slice(names, func(a, b int) bool {
-		return phases[names[a]].totalUS > phases[names[b]].totalUS
-	})
+	sort.Strings(names) // ties in time go by name
+	sort.SliceStable(names, func(a, b int) bool { return totalUS[names[a]] > totalUS[names[b]] })
 
 	tb := &report.Table{
 		Title:  fmt.Sprintf("span phases (%d spans, %.1f ms wall clock)", len(spans), float64(wallUS)/1e3),
 		Header: []string{"phase", "spans", "total ms", "mean ms", "wall share"},
 	}
 	for _, n := range names {
-		a := phases[n]
 		share := 0.0
 		if wallUS > 0 {
-			share = 100 * float64(a.totalUS) / float64(wallUS)
+			share = 100 * float64(totalUS[n]) / float64(wallUS)
 		}
-		tb.AddRow(n, fmt.Sprint(a.count),
-			fmt.Sprintf("%.2f", float64(a.totalUS)/1e3),
-			fmt.Sprintf("%.3f", float64(a.totalUS)/1e3/float64(a.count)),
+		tb.AddRow(n, fmt.Sprint(count[n]),
+			fmt.Sprintf("%.2f", float64(totalUS[n])/1e3),
+			fmt.Sprintf("%.3f", float64(totalUS[n])/1e3/float64(count[n])),
 			fmt.Sprintf("%.1f%%", share))
 	}
 	return render(w, tb, csvOut)

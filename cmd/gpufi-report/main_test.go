@@ -12,7 +12,9 @@ import (
 // testdata/fixtures: va.jsonl is a traced 40-run VA campaign's log
 // (gpufi -app VA -n 40 -seed 5 -log va.jsonl -trace ...), va_torn.jsonl
 // the same log cut 37 bytes into its last record, and spans.jsonl a traced
-// 16-run campaign's timeline from gpufi-serve.
+// 16-run campaign's timeline from gpufi-serve, with a span per experiment
+// and phase; spans_cluster.jsonl is one of the same campaign recorded since
+// the phase times ride on the engine.cluster spans.
 var rows = []struct {
 	file string
 	args string
@@ -25,6 +27,7 @@ var rows = []struct {
 	{"va_torn_strict.txt", "-strict va_torn.jsonl"},
 	{"stdin.txt", "-why - < va_torn.jsonl"},
 	{"spans.txt", "-spans spans.jsonl"},
+	{"spans_cluster.txt", "-spans spans_cluster.jsonl"},
 	{"err_usage.txt", ""},
 }
 

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"strconv"
 	"time"
 
 	"gpufi/internal/avf"
@@ -100,12 +99,6 @@ type CampaignConfig struct {
 	// experiments of TestEarlyStopVsRunToEndDifferential to the end takes
 	// 39.6 s against 12.9 s on the engine with this set (one worker, 2 vCPUs).
 	runToEnd bool
-
-	// spanPoint, when set, goes on every per-experiment span as its "point"
-	// attribute. EvaluateApp names each point of its run with it, so the
-	// spans of a run that carries several points stay attributable; a
-	// one-point campaign leaves it empty and its spans are unchanged.
-	spanPoint string
 
 	// Sink, when non-nil, receives every finished experiment once —
 	// simulated, answered for an absent structure or by the analytic
@@ -342,25 +335,21 @@ func runPoint(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campa
 	return res[0], err
 }
 
-// phase records one engine phase of experiment i, from start to now: into
-// the phase's histogram always, and, when the run is traced, as a span named
-// by the experiment index and by its point when the run carries several.
-func (c *CampaignConfig) phase(ctx context.Context, h *obs.Histogram, name string, start time.Time, i int, more ...obs.Attr) {
-	h.Observe(time.Since(start).Seconds())
-	if !obs.TraceEnabled(ctx) {
-		return
-	}
-	attrs := append([]obs.Attr{{K: "exp", V: strconv.Itoa(i)}}, more...)
-	if c.spanPoint != "" {
-		attrs = append(attrs, obs.Attr{K: "point", V: c.spanPoint})
-	}
-	obs.EmitSpan(ctx, name, start, attrs...)
+// phaseNS is the fork, execute and classify ns of an experiment or a cluster.
+type phaseNS [3]int64
+
+// phase observes engine phase n, from start to now, into h, the phase's one
+// per-experiment timing, and adds it to t for the cluster's span.
+func (t *phaseNS) phase(n int, h *obs.Histogram, start time.Time) {
+	d := time.Since(start)
+	h.Observe(d.Seconds())
+	t[n] += d.Nanoseconds()
 }
 
 // runExperiment arms the faults on a prepared GPU (fresh or forked), runs
 // the application and classifies the outcome.
 func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
-	g *sim.GPU, spec *sim.FaultSpec, extras []*sim.FaultSpec, i int) (Experiment, error) {
+	g *sim.GPU, spec *sim.FaultSpec, extras []*sim.FaultSpec, i int, t *phaseNS) (Experiment, error) {
 
 	g.CycleLimit = 2 * prof.TotalCycles // the paper's timeout threshold
 	g.SetContext(ctx)
@@ -378,7 +367,7 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 	}
 	execStart := time.Now()
 	out, runErr := cfg.App.Run(g)
-	cfg.phase(ctx, executeHist, "engine.execute", execStart, i)
+	t.phase(1, executeHist, execStart)
 	cycles := g.Cycle()
 	if why := g.Stopped(); why != sim.NotStopped {
 		// The device proved the rest of the run to be the golden run and did
@@ -409,7 +398,7 @@ func runExperiment(ctx context.Context, cfg *CampaignConfig, prof *Profile,
 	if cfg.Trace {
 		finishTrace(g, &exp)
 	}
-	cfg.phase(ctx, classifyHist, "engine.classify", clsStart, i, obs.Attr{K: "outcome", V: exp.Effect})
+	t.phase(2, classifyHist, clsStart)
 	return exp, nil
 }
 

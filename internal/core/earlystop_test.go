@@ -62,18 +62,18 @@ func stopPoints(t *testing.T, app *bench.App, gpu *config.GPU, prof *Profile, ec
 					App: app, GPU: gpu, Kernel: kname, Structure: st,
 					Runs: runs, Bits: v.bits, WarpWide: v.warpWide, Blocks: v.blocks,
 					Simultaneous: v.simultaneous, Workers: workers,
-					Seed:      22 ^ int64(ki*131+si*17+vi*7+1)*0x5DEECE66D,
-					runToEnd:  runToEnd,
-					spanPoint: kname + "/" + st.String() + "/" + v.name,
+					Seed:     22 ^ int64(ki*131+si*17+vi*7+1)*0x5DEECE66D,
+					runToEnd: runToEnd,
 				}
 				if cfg.Validate() != nil {
 					continue // the model lacks the structure (GTX Titan has no L1D)
 				}
+				name := kname + "/" + st.String() + "/" + v.name
 				cp, err := planCampaign(cfg, prof)
 				if err != nil {
-					t.Fatalf("%s/%s plan: %v", app.Name, cfg.spanPoint, err)
+					t.Fatalf("%s/%s plan: %v", app.Name, name, err)
 				}
-				rec := &streamRecorder{}
+				rec := &streamRecorder{name: name}
 				rec.attach(cfg)
 				points = append(points, &point{cfg: cfg, plan: cp, pending: cp.pending})
 				recs = append(recs, rec)
@@ -168,8 +168,8 @@ func TestEarlyStopVsRunToEndDifferential(t *testing.T) {
 				for k := range stops {
 					engineStops[k] += stops[k] + bareStops[k]
 				}
-				for n, pt := range points {
-					name := label + "/" + pt.cfg.spanPoint
+				for n := range points {
+					name := label + "/" + oracle[n].name
 					experiments += runs
 					if got := len(engine[n].journal); got != runs {
 						t.Errorf("%s: %d journal records, want %d", name, got, runs)

@@ -230,9 +230,7 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 	// next is an engine.snapshot span — simulating, capturing, and wait_ns of
 	// it blocked on the previous cluster (near zero on a prefix-bound run,
 	// most of the span on a worker-bound one) — and each cluster's execution
-	// an engine.cluster span, which announces itself (provisional record)
-	// before any work so per-experiment spans shipped in early batches never
-	// reference a parent that a crash kept from completing.
+	// an engine.cluster span carrying its experiments' summed phase times.
 	traced := obs.TraceEnabled(ctx)
 	prefixMark := time.Now()
 	next := 0
@@ -240,12 +238,11 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 		k := next
 		next++
 		fl := &run.flights[k]
-		fl.snap, fl.ctx, fl.left = s, ctx, len(clusters[k].jobs)
+		fl.snap, fl.left = s, len(clusters[k].jobs)
 		if traced {
-			fl.ctx, fl.span = obs.StartSpan(ctx, "engine.cluster",
+			_, fl.span = obs.StartSpan(ctx, "engine.cluster",
 				obs.Attr{K: "cluster", V: strconv.Itoa(k)},
 				obs.Attr{K: "experiments", V: strconv.Itoa(fl.left)})
-			fl.span.Announce()
 		}
 		waitStart := time.Now()
 		err := run.publish(k)
@@ -337,10 +334,21 @@ type pipeline struct {
 // flight is the run-time side of a published cluster.
 type flight struct {
 	snap     *sim.Snapshot
-	ctx      context.Context // the run's, under the cluster's span when traced
 	span     *obs.Span
-	left     int  // jobs not finished yet
-	poisoned bool // a job panicked or hit its deadline: the template is suspect
+	ns       phaseNS // summed over the finished jobs
+	left     int     // jobs not finished yet
+	poisoned bool    // a job panicked or hit its deadline: the template is suspect
+}
+
+// end closes the cluster's span with its jobs' summed phase times.
+func (fl *flight) end() {
+	if fl.span == nil {
+		return
+	}
+	for n, k := range [...]string{"fork_ns", "execute_ns", "classify_ns"} {
+		fl.span.SetAttr(k, strconv.FormatInt(fl.ns[n], 10))
+	}
+	fl.span.End()
 }
 
 // publish makes cluster k runnable and blocks until cluster k-1 has drained:
@@ -382,11 +390,14 @@ func (p *pipeline) await(c int) *flight {
 	return &p.flights[c]
 }
 
-// finish books one job of cluster c: a poisoned one marks the cluster's
-// template, a failed one stops the run, any other brings it nearer drained.
-func (p *pipeline) finish(c int, poisoned bool, err error) {
+// finish books one job of cluster c and its phase times: a poisoned job marks
+// the template, a failed one stops the run, any other brings it nearer drained.
+func (p *pipeline) finish(c int, t phaseNS, poisoned bool, err error) {
 	p.mu.Lock()
 	fl := &p.flights[c]
+	for n := range t {
+		fl.ns[n] += t[n]
+	}
 	fl.poisoned = fl.poisoned || poisoned
 	drained := false
 	if err != nil {
@@ -397,7 +408,7 @@ func (p *pipeline) finish(c int, poisoned bool, err error) {
 	}
 	p.mu.Unlock()
 	if drained {
-		fl.span.End() // outside the lock: it calls the run's span sink
+		fl.end() // outside the lock: it calls the run's span sink
 	}
 }
 
@@ -409,7 +420,7 @@ func (p *pipeline) finish(c int, poisoned bool, err error) {
 // corrupt every later cluster. Such a template is dropped.
 func (p *pipeline) retire(g *sim.GPU, k int) {
 	fl := &p.flights[k]
-	fl.span.End()
+	fl.end()
 	if fl.snap != nil && !fl.poisoned && fl.snap.VerifyStorage() == nil {
 		g.RecycleSnapshot(fl.snap)
 	}
@@ -439,6 +450,7 @@ func (p *pipeline) work() {
 		}
 		j := p.clusters[c].jobs[k-p.clusters[c].lo]
 		pt, i := p.points[j.p], j.i
+		var t phaseNS
 		forkStart := time.Now()
 		if v == nil {
 			v = sim.NewFork(fl.snap)
@@ -446,16 +458,19 @@ func (p *pipeline) work() {
 			v.Refork(fl.snap)
 			forksReused.Inc()
 		}
-		pt.cfg.phase(fl.ctx, forkHist, "engine.fork", forkStart, i)
-		exp, poisoned, err := runExperimentSandboxed(fl.ctx, pt.cfg, p.prof, v, pt.plan.specs[i], pt.plan.extras[i], i)
+		t.phase(0, forkHist, forkStart)
+		exp, poisoned, err := runExperimentSandboxed(p.ctx, pt.cfg, p.prof, v, pt.plan.specs[i], pt.plan.extras[i], i, &t)
 		if poisoned {
 			v = nil
 			vesselsDiscarded.Inc()
 		}
-		if err == nil {
-			err = pt.col.add(i, exp)
+		// Booked before the sink sees the record, so the span of the cluster
+		// it drains travels ahead of the cluster's last experiment.
+		if p.finish(c, t, poisoned, err); err == nil {
+			if err = pt.col.add(i, exp); err != nil {
+				p.finish(c, phaseNS{}, false, err) // the sink failed: stop the run
+			}
 		}
-		p.finish(c, poisoned, err)
 		if err != nil {
 			break
 		}

@@ -126,9 +126,8 @@ func planEval(app *bench.App, gpu *config.GPU, prof *Profile, cfg EvalConfig) (*
 			ccfg := &CampaignConfig{
 				App: app, GPU: gpu, Kernel: kname, Structure: st,
 				Runs: cfg.Runs, Bits: cfg.Bits,
-				Seed:      cfg.Seed ^ int64(ki*131+si*17+1)*0x5DEECE66D,
-				Workers:   cfg.Workers,
-				spanPoint: kname + "/" + st.String(),
+				Seed:    cfg.Seed ^ int64(ki*131+si*17+1)*0x5DEECE66D,
+				Workers: cfg.Workers,
 			}
 			cp, err := planCampaign(ccfg, prof)
 			if err != nil {

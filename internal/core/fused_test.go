@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"reflect"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,6 +31,7 @@ import (
 // bytes in the order the sink received them. The collector serializes a
 // point's sink, so it needs no lock of its own.
 type streamRecorder struct {
+	name            string // the point's, for failure messages
 	journal, traces [][]byte
 }
 
@@ -109,7 +111,7 @@ func TestEvaluateFusedVsPerPointDifferential(t *testing.T) {
 					t.Fatalf("%s: %d fused points vs %d per-point campaigns", label, len(points), len(soloCfgs))
 				}
 				for n, pt := range points {
-					name := label + "/" + pt.cfg.spanPoint
+					name := label + "/" + pointName(pt)
 					if pt.cfg.Seed != soloCfgs[n].Seed || pt.cfg.Kernel != soloCfgs[n].Kernel || pt.cfg.Structure != soloCfgs[n].Structure {
 						t.Fatalf("%s: point %d is %s/%s seed %d, the loop's is %s/%s seed %d", name, n,
 							pt.cfg.Kernel, pt.cfg.Structure, pt.cfg.Seed, soloCfgs[n].Kernel, soloCfgs[n].Structure, soloCfgs[n].Seed)
@@ -300,11 +302,11 @@ func TestFusedCancellationKeepsEveryPoint(t *testing.T) {
 		}
 		if r.Counts.Total() != seen[n] || len(r.Exps) != seen[n] {
 			t.Errorf("point %s: result holds %d experiments (%d listed), its sink saw %d",
-				points[n].cfg.spanPoint, r.Counts.Total(), len(r.Exps), seen[n])
+				pointName(points[n]), r.Counts.Total(), len(r.Exps), seen[n])
 		}
 		if points[n].plan.absent {
 			if r.Counts.Masked != runs {
-				t.Errorf("absent point %s finished %d of %d", points[n].cfg.spanPoint, r.Counts.Masked, runs)
+				t.Errorf("absent point %s finished %d of %d", pointName(points[n]), r.Counts.Masked, runs)
 			}
 			continue
 		}
@@ -338,65 +340,102 @@ func TestFusedPrefixEndingEarlyCountsEveryPoint(t *testing.T) {
 	}
 }
 
-// TestFusedSpansNameTheirPoint: experiment indices repeat across the points
-// of a run, so its per-experiment spans carry the point; a one-point
-// campaign's spans are as they were.
-func TestFusedSpansNameTheirPoint(t *testing.T) {
-	collect := func() (context.Context, func() []obs.SpanRecord) {
-		var mu sync.Mutex
-		var recs []obs.SpanRecord
-		ctx := obs.ContextWithSink(
-			obs.ContextWithNode(obs.ContextWithTrace(context.Background(), obs.NewTraceID()), "test"),
-			func(r obs.SpanRecord) { mu.Lock(); recs = append(recs, r); mu.Unlock() })
-		return ctx, func() []obs.SpanRecord { mu.Lock(); defer mu.Unlock(); return recs }
+// pointName names a campaign point in failure messages.
+func pointName(pt *point) string { return pt.cfg.Kernel + "/" + pt.cfg.Structure.String() }
+
+// tracedRun runs fn under a trace and returns the span records it emitted.
+func tracedRun(t *testing.T, fn func(ctx context.Context) error) []obs.SpanRecord {
+	t.Helper()
+	var mu sync.Mutex
+	var recs []obs.SpanRecord
+	ctx := obs.ContextWithSink(
+		obs.ContextWithNode(obs.ContextWithTrace(context.Background(), obs.NewTraceID()), "test"),
+		func(r obs.SpanRecord) { mu.Lock(); recs = append(recs, r); mu.Unlock() })
+	if err := fn(ctx); err != nil {
+		t.Fatal(err)
 	}
+	mu.Lock()
+	defer mu.Unlock()
+	return recs
+}
+
+// phaseSums is what the three engine phase histograms hold, in ns.
+func phaseSums() [3]int64 {
+	st := EngineStats()
+	return [3]int64{st.ForkNanos, st.ExecuteNanos, st.ClassifyNanos}
+}
+
+// checkClusterSpans holds a traced run's engine.cluster spans to the run:
+// their experiments sum to want, the experiments it simulated, and their
+// fork_ns, execute_ns and classify_ns to what the phase histograms gained
+// since before, within 1 µs in all: both sum the same durations, and only
+// round differently.
+func checkClusterSpans(t *testing.T, recs []obs.SpanRecord, before [3]int64, want int) {
+	t.Helper()
+	exps, got := 0, [3]int64{}
+	for _, r := range recs {
+		if r.Name != "engine.cluster" {
+			continue
+		}
+		n, err := strconv.Atoi(r.Attrs["experiments"])
+		if err != nil {
+			t.Fatalf("engine.cluster span with attributes %v", r.Attrs)
+		}
+		exps += n
+		for i, k := range []string{"fork_ns", "execute_ns", "classify_ns"} {
+			ns, err := strconv.ParseInt(r.Attrs[k], 10, 64)
+			if err != nil {
+				t.Fatalf("engine.cluster span %s: %s %q", r.Attrs["cluster"], k, r.Attrs[k])
+			}
+			got[i] += ns
+		}
+	}
+	if exps != want {
+		t.Errorf("engine.cluster spans count %d experiments, the run simulated %d", exps, want)
+	}
+	after := phaseSums()
+	for i, k := range []string{"fork_ns", "execute_ns", "classify_ns"} {
+		if d := got[i] - (after[i] - before[i]); d < -1000 || d > 1000 {
+			t.Errorf("%s sums to %d over the clusters, the histogram gained %d", k, got[i], after[i]-before[i])
+		}
+	}
+}
+
+// TestFusedSpansNameTheirPoint: a traced run emits no span per experiment;
+// its engine.cluster spans carry the phase times, and a fused cluster's sums
+// cover every point in it, as a one-point campaign's cover its one.
+func TestFusedSpansNameTheirPoint(t *testing.T) {
 	perExp := map[string]bool{"engine.fork": true, "engine.execute": true, "engine.classify": true}
+	check := func(recs []obs.SpanRecord, before [3]int64, want int) {
+		t.Helper()
+		for _, r := range recs {
+			if perExp[r.Name] {
+				t.Fatalf("per-experiment %s span with attributes %v", r.Name, r.Attrs)
+			}
+		}
+		checkClusterSpans(t, recs, before, want)
+	}
 
 	const runs = 6
 	prof, points := vaPoints(t, runs)
-	ctx, spans := collect()
-	if _, err := runPoints(ctx, prof, points); err != nil {
-		t.Fatal(err)
-	}
-	byPoint := map[string]int{}
-	for _, r := range spans() {
-		if !perExp[r.Name] {
-			continue
-		}
-		if r.Attrs["point"] == "" || r.Attrs["exp"] == "" {
-			t.Fatalf("%s span of a five-point run has attributes %v", r.Name, r.Attrs)
-		}
-		byPoint[r.Attrs["point"]]++
-	}
+	simulated := 0
 	for _, pt := range points {
-		want := 3 * runs
-		if pt.plan.absent {
-			want = 0
-		}
-		if byPoint[pt.cfg.spanPoint] != want {
-			t.Errorf("point %s has %d per-experiment spans, want %d", pt.cfg.spanPoint, byPoint[pt.cfg.spanPoint], want)
+		if !pt.plan.absent {
+			simulated += runs
 		}
 	}
+	before := phaseSums()
+	check(tracedRun(t, func(ctx context.Context) error { _, err := runPoints(ctx, prof, points); return err }),
+		before, simulated)
 
-	ctx, spans = collect()
-	if _, err := RunCampaign(ctx, &CampaignConfig{
-		App: bench.VA(), GPU: config.RTX2060(), Kernel: "va_add", Structure: sim.StructRegFile,
-		Runs: runs, Bits: 1, Seed: 3, Workers: 2,
-	}, prof); err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for _, r := range spans() {
-		if perExp[r.Name] {
-			n++
-			if _, has := r.Attrs["point"]; has || r.Attrs["exp"] == "" {
-				t.Fatalf("%s span of a one-point campaign has attributes %v", r.Name, r.Attrs)
-			}
-		}
-	}
-	if n != 3*runs {
-		t.Errorf("one-point campaign emitted %d per-experiment spans, want %d", n, 3*runs)
-	}
+	before = phaseSums()
+	check(tracedRun(t, func(ctx context.Context) error {
+		_, err := RunCampaign(ctx, &CampaignConfig{
+			App: bench.VA(), GPU: config.RTX2060(), Kernel: "va_add", Structure: sim.StructRegFile,
+			Runs: runs, Bits: 1, Seed: 3, Workers: 2,
+		}, prof)
+		return err
+	}), before, runs)
 }
 
 // TestEvaluateAppCancellation cancels an evaluation in the middle of its

@@ -7,11 +7,11 @@ import (
 
 // The engine's instruments: each is the one count of what it measures, and
 // EngineStats reads them back beside the simulator's. The three phase
-// histograms are observed by CampaignConfig.phase from the start time the
-// traced run's engine.* span uses, so a span timeline and an untraced run
-// time a phase the same way. They observe host time only and never touch
-// simulated state, so campaign outcomes are unaffected by their presence.
-// The sandbox's counters are in sandbox.go.
+// histograms are the one per-experiment timing (phaseNS.phase); a traced
+// run's engine.cluster span carries the same durations summed over its
+// cluster. They observe host time only and never touch simulated state, so
+// campaign outcomes are unaffected by their presence. The sandbox's
+// counters are in sandbox.go.
 var (
 	forkHist = obs.Default().Histogram("gpufi_engine_fork_seconds",
 		"Wall-clock seconds preparing the fork vessel of one experiment.", nil)

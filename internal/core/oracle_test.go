@@ -81,7 +81,7 @@ func runReplay(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *camp
 				g, err := sim.New(cfg.GPU)
 				if err == nil {
 					var exp Experiment
-					exp, _, err = runExperimentSandboxed(ctx, cfg, prof, g, cp.specs[i], cp.extras[i], i)
+					exp, _, err = runExperimentSandboxed(ctx, cfg, prof, g, cp.specs[i], cp.extras[i], i, new(phaseNS))
 					if err == nil {
 						err = col.add(i, exp)
 						if err == nil {

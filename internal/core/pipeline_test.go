@@ -10,7 +10,6 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -428,41 +427,33 @@ func TestPipelinePrefixEndsEarly(t *testing.T) {
 	settled(t, "run whose prefix ended early", before, goroutines)
 }
 
-// TestPipelineSpans: the span model of a run is what it was — one
-// engine.snapshot and one engine.cluster span per cluster under one parent,
-// the cluster span announced before any span of its experiments — except that
-// a cluster's span now overlaps the next snapshot's, and a snapshot span says
-// how much of it the prefix spent waiting for the previous cluster (wait_ns).
+// TestPipelineSpans: the span model of a run is one engine.snapshot and one
+// engine.cluster span per cluster under one parent, and no span under a
+// cluster's; a cluster's span overlaps the next snapshot's, and a snapshot
+// span says how much of it the prefix spent waiting for the previous cluster
+// (wait_ns).
 func TestPipelineSpans(t *testing.T) {
 	mk, prof := bfsPoint(t)
 	_, clusters := clusterOf(t, mk(), prof)
-	var mu sync.Mutex
-	var recs []obs.SpanRecord
-	ctx := obs.ContextWithSink(
-		obs.ContextWithNode(obs.ContextWithTrace(context.Background(), obs.NewTraceID()), "test"),
-		func(r obs.SpanRecord) { mu.Lock(); recs = append(recs, r); mu.Unlock() })
-	if _, err := RunCampaign(ctx, mk(), prof); err != nil {
-		t.Fatal(err)
-	}
-	announced := map[string]bool{}       // cluster span ids seen so far
-	final := map[string]obs.SpanRecord{} // cluster number -> completed cluster span
+	recs := tracedRun(t, func(ctx context.Context) error { _, err := RunCampaign(ctx, mk(), prof); return err })
+	final := map[string]obs.SpanRecord{} // cluster number -> cluster span
 	snaps := map[string]obs.SpanRecord{}
 	for _, r := range recs {
 		switch r.Name {
 		case "engine.cluster":
-			announced[r.Span] = true
-			if prev, ok := final[r.Attrs["cluster"]]; !ok || r.DurUS >= prev.DurUS {
-				final[r.Attrs["cluster"]] = r
-			}
+			final[r.Attrs["cluster"]] = r
 		case "engine.snapshot":
 			snaps[r.Attrs["cluster"]] = r
 			wait, err := strconv.ParseInt(r.Attrs["wait_ns"], 10, 64)
 			if err != nil || wait < 0 || wait/1000 > r.DurUS+1 {
 				t.Errorf("engine.snapshot %s: wait_ns %q of a span lasting %d us", r.Attrs["cluster"], r.Attrs["wait_ns"], r.DurUS)
 			}
-		case "engine.fork", "engine.execute", "engine.classify":
-			if !announced[r.Parent] {
-				t.Fatalf("%s span of experiment %s arrived before its cluster span announced itself", r.Name, r.Attrs["exp"])
+		}
+	}
+	for _, r := range recs {
+		for _, cl := range final {
+			if r.Parent == cl.Span {
+				t.Fatalf("%s span %v has an engine.cluster parent", r.Name, r.Attrs)
 			}
 		}
 	}

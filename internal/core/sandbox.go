@@ -84,7 +84,7 @@ func loadExperimentHook() func(int, *sim.FaultSpec) {
 // poisoned reports that the vessel g ran a panicked or deadlined
 // experiment and must not be Refork-reused.
 func runExperimentSandboxed(ctx context.Context, cfg *CampaignConfig, prof *Profile,
-	g *sim.GPU, spec *sim.FaultSpec, extras []*sim.FaultSpec, i int) (exp Experiment, poisoned bool, err error) {
+	g *sim.GPU, spec *sim.FaultSpec, extras []*sim.FaultSpec, i int, t *phaseNS) (exp Experiment, poisoned bool, err error) {
 
 	expStart := time.Now()
 	defer func() { expHist.Observe(time.Since(expStart).Seconds()) }()
@@ -109,7 +109,7 @@ func runExperimentSandboxed(ctx context.Context, cfg *CampaignConfig, prof *Prof
 		if hook := loadExperimentHook(); hook != nil {
 			hook(i, spec)
 		}
-		exp, err = runExperiment(runCtx, cfg, prof, g, spec, extras, i)
+		exp, err = runExperiment(runCtx, cfg, prof, g, spec, extras, i, t)
 	}()
 
 	switch {

@@ -283,7 +283,7 @@ func (s *Span) record(dur time.Duration) SpanRecord {
 
 // Announce dispatches a provisional zero-duration record for a span that
 // is still open. Spans that will parent records shipped before they end
-// (a worker's shard span, an engine cluster span) announce themselves so
+// (a worker's shard span, a campaign's root span) announce themselves so
 // a crash cannot orphan their already-persisted children. Nil-safe.
 func (s *Span) Announce() {
 	if s == nil {
@@ -309,9 +309,9 @@ func (s *Span) End() {
 }
 
 // EmitSpan records an already-measured operation as a completed span
-// from start to now, parented under the context's current span. This is
-// the cheap per-experiment form: the engine reuses the time.Now() it
-// already takes for the phase timers. No-op on an untraced context.
+// from start to now, parented under the context's current span: the cheap
+// form for an operation whose start time the caller already took. No-op on
+// an untraced context.
 func EmitSpan(ctx context.Context, name string, start time.Time, attrs ...Attr) {
 	ref, ok := ctx.Value(spanRefKey{}).(spanRef)
 	if !ok {

@@ -7,10 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/obs"
 	"gpufi/internal/store"
 )
@@ -35,6 +37,49 @@ func newRunningServer(t *testing.T) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() { ts.Close(); srv.Close() })
 	return srv, ts
+}
+
+// phaseSums is what the engine's three phase histograms hold, in ns.
+func phaseSums() [3]int64 {
+	st := core.EngineStats()
+	return [3]int64{st.ForkNanos, st.ExecuteNanos, st.ClassifyNanos}
+}
+
+// checkClusterSpans holds a campaign's engine.cluster spans to the campaign:
+// their experiments sum to want, the experiments it simulated, and their
+// fork_ns, execute_ns and classify_ns to what the phase histograms gained
+// since before, within 1 µs in all: both sum the same durations, and only
+// round differently.
+func checkClusterSpans(t *testing.T, recs []obs.SpanRecord, before [3]int64, want int) {
+	t.Helper()
+	keys := []string{"fork_ns", "execute_ns", "classify_ns"}
+	exps, got := 0, [3]int64{}
+	for _, r := range recs {
+		if r.Name != "engine.cluster" {
+			continue
+		}
+		n, err := strconv.Atoi(r.Attrs["experiments"])
+		if err != nil {
+			t.Fatalf("engine.cluster span with attributes %v", r.Attrs)
+		}
+		exps += n
+		for i, k := range keys {
+			ns, err := strconv.ParseInt(r.Attrs[k], 10, 64)
+			if err != nil {
+				t.Fatalf("engine.cluster span %s: %s %q", r.Attrs["cluster"], k, r.Attrs[k])
+			}
+			got[i] += ns
+		}
+	}
+	if exps != want {
+		t.Errorf("engine.cluster spans count %d experiments, the campaign simulated %d", exps, want)
+	}
+	after := phaseSums()
+	for i, k := range keys {
+		if d := got[i] - (after[i] - before[i]); d < -1000 || d > 1000 {
+			t.Errorf("%s sums to %d over the clusters, the histogram gained %d", k, got[i], after[i]-before[i])
+		}
+	}
 }
 
 // submitSmall POSTs a tiny local campaign and returns its id.
@@ -122,10 +167,12 @@ func TestSSETerminalEventCarriesTraceID(t *testing.T) {
 
 // TestLocalTraceTimeline checks a local-mode (non-sharded) campaign still
 // produces a complete span timeline: root campaign span, queue wait, and
-// the engine phases, served over /trace in both formats.
+// the engine's snapshot and cluster spans, the clusters carrying every
+// experiment's phase times, served over /trace in both formats.
 func TestLocalTraceTimeline(t *testing.T) {
 	_, ts := newRunningServer(t)
 	id := "local-trace"
+	before := phaseSums()
 	submitSmall(t, ts.URL, id)
 
 	// Wait for the campaign to finish.
@@ -178,12 +225,12 @@ func TestLocalTraceTimeline(t *testing.T) {
 		names[rec.Name]++
 		spanIDs[rec.Span] = true
 	}
-	for _, want := range []string{"campaign", "service.queue",
-		"engine.snapshot", "engine.fork", "engine.execute", "engine.classify"} {
+	for _, want := range []string{"campaign", "service.queue", "engine.snapshot", "engine.cluster"} {
 		if names[want] == 0 {
 			t.Errorf("local timeline missing %s spans (have %v)", want, names)
 		}
 	}
+	checkClusterSpans(t, recs, before, 6) // submitSmall's runs
 	for _, rec := range recs {
 		if rec.Parent != "" && !spanIDs[rec.Parent] {
 			t.Errorf("span %s (%s) has orphaned parent %s", rec.Span, rec.Name, rec.Parent)

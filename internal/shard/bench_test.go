@@ -1,9 +1,12 @@
 package shard_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"runtime"
 	"syscall"
@@ -41,11 +44,12 @@ func liveHeap() float64 {
 // runs) through store + coordinator + HTTP + two one-thread shard workers,
 // 8 shards, batches of 64, traced like every service campaign — with the
 // explanation attached: how busy the two CPUs were, how many POSTs and
-// fsync waits a campaign cost, and what a finished campaign leaves on the
-// heap. It fails when a campaign costs more fsyncs than its POSTs and
-// control records allow — a batch is acknowledged after one journal fsync,
-// with the span log synced just ahead of it — or leaves more behind than a
-// tombstone.
+// fsync waits a campaign cost, how many span records it wrote, and what a
+// finished campaign leaves on the heap. It fails when a campaign costs more
+// fsyncs than its POSTs and control records allow — a batch is acknowledged
+// after one journal fsync, with the span log synced just ahead of it — when
+// it writes a span per experiment rather than per cluster, or when it
+// leaves more behind than a tombstone.
 func BenchmarkShardedCampaign(b *testing.B) {
 	spec := store.Spec{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "regfile",
 		Runs: 5000, Seed: 7, Workers: 1}
@@ -108,8 +112,36 @@ func BenchmarkShardedCampaign(b *testing.B) {
 		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	}
 
+	// spanBytes reads a campaign's spans.jsonl.
+	spanBytes := func(id string) []byte {
+		f, err := c.st.OpenSpans(id)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer f.Close()
+		raw, err := io.ReadAll(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return raw
+	}
+
 	walRecords := obs.Default().Counter("gpufi_shard_wal_records_total", "")
 	campaign("bench-warm") // profiles cached, device pool and heap at their working size
+	// The process flight ring keeps the last obs.DefaultFlightSize span
+	// records. A campaign writes a few hundred, so a ring still filling up
+	// would be heap charged to the campaigns below: fill it first with
+	// copies of the warm campaign's records, each as much heap as a new one,
+	// under traces nobody reads.
+	warm, err := obs.ReadSpans(bytes.NewReader(spanBytes("bench-warm")))
+	if err != nil || len(warm) == 0 {
+		b.Fatalf("warm campaign's span log: %d records, %v", len(warm), err)
+	}
+	for n := 0; n < obs.DefaultFlightSize; n++ {
+		rec := warm[n%len(warm)]
+		rec.Trace, rec.Attrs = obs.NewTraceID().String(), maps.Clone(rec.Attrs)
+		obs.EmitRecord(rec)
+	}
 	heap0, fsync0, batches0, wal0, cpu0 := liveHeap(), fsyncCount(), c.co.Stats().Batches, walRecords.Load(), cpuTime()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -117,6 +149,11 @@ func BenchmarkShardedCampaign(b *testing.B) {
 	}
 	wall, cpu := b.Elapsed(), cpuTime()-cpu0
 	n := float64(b.N)
+	spans := 0
+	for i := 0; i < b.N; i++ {
+		spans += bytes.Count(spanBytes(fmt.Sprintf("bench-%d", i)), []byte("\n"))
+	}
+	perExp := float64(spans) / n / float64(spec.Runs)
 	fsyncs := float64(fsyncCount()-fsync0) / n
 	heapMB := (liveHeap() - heap0) / n / (1 << 20)
 	posts := float64(c.co.Stats().Batches-batches0) / n
@@ -126,12 +163,16 @@ func BenchmarkShardedCampaign(b *testing.B) {
 	b.ReportMetric(posts, "batches/campaign")
 	b.ReportMetric(fsyncs, "fsyncs/campaign")
 	b.ReportMetric(heapMB, "heap-mb/campaign")
+	b.ReportMetric(perExp, "spans/exp")
 	// Two per POST (span log, then journal), one per control record (plans
 	// and grants), and the header's and the close's pairs plus the span
 	// log's own close.
 	if bound := 2*posts + ctl + 5; fsyncs > bound {
 		b.Errorf("%.0f fsyncs per campaign, want at most %.0f for %.1f POSTs and %.1f control records: a batch costs more than one journal sync",
 			fsyncs, bound, posts, ctl)
+	}
+	if perExp > 0.25 {
+		b.Errorf("%.2f span records per experiment, want at most 0.25: the engine traces experiments, not clusters", perExp)
 	}
 	if b.N >= 10 && heapMB > 0.2 { // over fewer campaigns the slope is what the last one has not let go of yet
 		b.Errorf("%.2f MB of live heap per finished campaign, want at most 0.2: a closed campaign keeps more than its tombstone", heapMB)

@@ -11,11 +11,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/obs"
 	"gpufi/internal/service"
 	"gpufi/internal/shard"
@@ -95,11 +97,55 @@ func assertNoOrphans(t *testing.T, spans map[string]obs.SpanRecord) {
 	}
 }
 
+// phaseSums is what the engine's three phase histograms hold, in ns.
+func phaseSums() [3]int64 {
+	st := core.EngineStats()
+	return [3]int64{st.ForkNanos, st.ExecuteNanos, st.ClassifyNanos}
+}
+
+// checkClusterSpans holds a campaign's engine.cluster spans to the campaign:
+// their experiments sum to want, the experiments its workers simulated, and
+// their fork_ns, execute_ns and classify_ns to what the phase histograms
+// gained since before, within 1 µs in all: both sum the same durations,
+// and only round differently.
+func checkClusterSpans(t *testing.T, spans map[string]obs.SpanRecord, before [3]int64, want int) {
+	t.Helper()
+	keys := []string{"fork_ns", "execute_ns", "classify_ns"}
+	exps, got := 0, [3]int64{}
+	for _, r := range spans {
+		if r.Name != "engine.cluster" {
+			continue
+		}
+		n, err := strconv.Atoi(r.Attrs["experiments"])
+		if err != nil {
+			t.Fatalf("engine.cluster span with attributes %v", r.Attrs)
+		}
+		exps += n
+		for i, k := range keys {
+			ns, err := strconv.ParseInt(r.Attrs[k], 10, 64)
+			if err != nil {
+				t.Fatalf("engine.cluster span %s: %s %q", r.Attrs["cluster"], k, r.Attrs[k])
+			}
+			got[i] += ns
+		}
+	}
+	if exps != want {
+		t.Errorf("engine.cluster spans count %d experiments, the workers simulated %d", exps, want)
+	}
+	after := phaseSums()
+	for i, k := range keys {
+		if d := got[i] - (after[i] - before[i]); d < -1000 || d > 1000 {
+			t.Errorf("%s sums to %d over the clusters, the histogram gained %d", k, got[i], after[i]-before[i])
+		}
+	}
+}
+
 // TestTraceSmoke runs a small sharded campaign over HTTP workers and
 // checks the full trace contract: one root trace spanning service,
-// coordinator, and workers; at least one span per engine phase and per
-// claiming worker; a loadable Chrome export; and a journal that is
-// byte-identical to an untraced local run.
+// coordinator, and workers; at least one span per engine stage and per
+// claiming worker, the cluster spans carrying every experiment's phase
+// times; a loadable Chrome export; and a journal that is byte-identical to
+// an untraced local run.
 func TestTraceSmoke(t *testing.T) {
 	c := startCluster(t, t.TempDir(), 4, time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -112,6 +158,7 @@ func TestTraceSmoke(t *testing.T) {
 		App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
 		Runs: 48, Seed: 7, Workers: 2,
 	}
+	before := phaseSums()
 	submit(t, c.ts.URL, map[string]any{
 		"id": id, "app": spec.App, "gpu": spec.GPU, "kernel": spec.Kernel,
 		"structure": spec.Structure, "runs": spec.Runs, "seed": spec.Seed,
@@ -153,13 +200,13 @@ func TestTraceSmoke(t *testing.T) {
 		"campaign", "service.queue",
 		"coordinator.profile", "coordinator.plan", "coordinator.claim",
 		"coordinator.ingest", "coordinator.finalize", "wal.fsync",
-		"worker.shard", "worker.profile",
-		"engine.snapshot", "engine.fork", "engine.execute", "engine.classify",
+		"worker.shard", "worker.profile", "engine.snapshot", "engine.cluster",
 	} {
 		if byName[want] == 0 {
 			t.Errorf("no %s span in the timeline (have %v)", want, byName)
 		}
 	}
+	checkClusterSpans(t, spans, before, spec.Runs)
 	if len(claimed) == 0 {
 		t.Fatal("no coordinator.claim spans name a worker")
 	}
@@ -219,6 +266,11 @@ func TestTraceSmoke(t *testing.T) {
 			threads[ev.Args["name"]] = true
 		case "X":
 			chromeNames[ev.Name]++
+			for _, k := range []string{"fork_ns", "execute_ns", "classify_ns"} {
+				if _, err := strconv.ParseInt(ev.Args[k], 10, 64); ev.Name == "engine.cluster" && err != nil {
+					t.Errorf("chrome engine.cluster event has %s %q", k, ev.Args[k])
+				}
+			}
 		default:
 			t.Errorf("unexpected chrome event phase %q", ev.Ph)
 		}
@@ -228,7 +280,7 @@ func TestTraceSmoke(t *testing.T) {
 			t.Errorf("chrome export missing thread track for worker %s (have %v)", w, threads)
 		}
 	}
-	for _, phase := range []string{"engine.snapshot", "engine.fork", "engine.execute", "engine.classify"} {
+	for _, phase := range []string{"engine.snapshot", "engine.cluster"} {
 		if chromeNames[phase] == 0 {
 			t.Errorf("chrome export has no %s events", phase)
 		}
