@@ -34,26 +34,33 @@
 //
 // # Distributed mode
 //
-// -mode selects the node's role:
+// -mode selects the node's role. Every campaign runs the same way: it is
+// partitioned into shards along snapshot-cluster boundaries, the shards are
+// leased to workers, and the coordinator merges the journal batches they
+// stream back into the store. The modes differ only in where the workers
+// live:
 //
-//   - local (default): campaigns run in this process, as before.
-//   - coordinator: campaigns are partitioned into shards along
-//     snapshot-cluster boundaries and leased to worker nodes over
-//     POST /v1/shards/claim; workers stream journal batches back and the
-//     coordinator merges them into the store. The journal, resume, and
-//     cancellation semantics are identical to local mode.
+//   - local (default): -workers shard workers run inside this process and
+//     call its coordinator directly, with no HTTP between them. The node
+//     still answers the /v1/shards routes, so worker nodes may join it.
+//   - coordinator: no workers in this process; worker nodes claim shards
+//     over POST /v1/shards/claim and stream journal batches back over
+//     HTTP. The journal, resume, and cancellation semantics are identical
+//     to local mode.
 //   - worker: no store, no API — the process claims shards from
 //     -coordinator, runs them with the local engine, and streams results
 //     back until killed. Workers are stateless and disposable: a killed
 //     worker's lease expires and its shard is re-issued.
 //
-// Either side can die. A coordinator journals its shard plans and lease
-// grants to a per-campaign control WAL; restarted with the same -data
-// directory it resumes in-flight sharded campaigns, rebuilds the shard
-// table, and fences out pre-crash leases with monotonic epochs (stale
-// workers get a typed 409 and re-claim). While a campaign's state is
-// being rebuilt, shard requests answer 503 coordinator_recovering with a
-// Retry-After. A worker that loses its coordinator parks in jittered
+// Either side can die. A coordinator — a local node too — journals its
+// shard plans and lease grants to a per-campaign control WAL; restarted
+// with the same -data directory it resumes in-flight campaigns, rebuilds
+// the shard table, and fences out pre-crash leases with monotonic epochs
+// (stale workers get a typed 409 and re-claim). A local node's leases live
+// two seconds, not -lease-ttl: its workers died with it, so a restart
+// waits that long before it re-issues their shards. While a campaign's
+// state is being rebuilt, shard requests answer 503 coordinator_recovering
+// with a Retry-After. A worker that loses its coordinator parks in jittered
 // exponential backoff (-backoff-base/-backoff-max) for as long as the
 // outage lasts, idle or mid-shard, and resumes when the coordinator
 // returns, re-sending unacknowledged batches through the idempotent merge
@@ -110,7 +117,7 @@ func (n *node) flags() *flag.FlagSet {
 	fs := flag.NewFlagSet("gpufi-serve", flag.ContinueOnError)
 	fs.StringVar(&n.addr, "addr", ":8080", "listen address")
 	fs.StringVar(&n.data, "data", "gpufi-data", "campaign store directory")
-	fs.IntVar(&n.service.Workers, "workers", 2, "concurrent campaign runners")
+	fs.IntVar(&n.service.Workers, "workers", 2, "concurrent campaign runners; in local mode also the number of in-process shard workers")
 	fs.IntVar(&n.service.QueueDepth, "queue", 64, "submission queue depth")
 	fs.IntVar(&n.service.MaxRetries, "max-retries", 3, "re-runs of a job whose attempt panicked (negative = none)")
 	fs.DurationVar(&n.drain, "drain-timeout", 30*time.Second, "grace period for in-flight campaigns on SIGINT/SIGTERM")

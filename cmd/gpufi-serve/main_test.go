@@ -77,13 +77,15 @@ func TestConfigs(t *testing.T) {
 }
 
 // modes are the roles end to end: the nodes of each run side by side in
-// this process, the first serving the API on $ADDR over the store $DATA.
+// this process, the first serving the API on $ADDR over the store $DATA,
+// and worker is the one worker every shard must have been run by.
 var modes = []struct {
-	name  string
-	nodes []string
+	name   string
+	worker string
+	nodes  []string
 }{
-	{"local", []string{"-addr $ADDR -data $DATA -workers 1"}},
-	{"coordinator", []string{
+	{"local", "local-1", []string{"-addr $ADDR -data $DATA -workers 1"}},
+	{"coordinator", "w1", []string{
 		"-mode coordinator -addr $ADDR -data $DATA -shards-per-campaign 2 -lease-ttl 5s",
 		"-mode worker -coordinator http://$ADDR -worker-name w1 -shard-batch 4 -backoff-base 10ms -backoff-max 100ms",
 	}},
@@ -123,6 +125,23 @@ func TestModes(t *testing.T) {
 			}
 			resp.Body.Close()
 			waitFor(t, &logs, func() bool { return state(base+"/v1/campaigns/va") == "done" })
+			// A local node's shards ran on its in-process worker, a
+			// coordinator's on the worker node alone.
+			resp, err = http.Get(base + "/v1/shards")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var shards struct{ Shards []shard.Status }
+			json.NewDecoder(resp.Body).Decode(&shards)
+			resp.Body.Close()
+			if len(shards.Shards) == 0 {
+				t.Errorf("%s mode: no shards listed", m.name)
+			}
+			for _, sh := range shards.Shards {
+				if sh.State != "done" || sh.Worker != m.worker {
+					t.Errorf("%s mode: shard %s %s by %q, want done by %q", m.name, sh.ID, sh.State, sh.Worker, m.worker)
+				}
+			}
 
 			// Every node has its signal handlers installed by now: the API
 			// answered, and a coordinator's campaign finished only through
@@ -143,9 +162,10 @@ func TestModes(t *testing.T) {
 			if got := journalLines(t, data); !reflect.DeepEqual(got, want) {
 				t.Errorf("journal differs from store.Run's:\n got: %q\nwant: %q", got, want)
 			}
-			// Only a coordinator keeps a control log: shard plans and grants.
-			if _, err := os.Stat(filepath.Join(data, "va", "control.jsonl")); (err == nil) != (m.name == "coordinator") {
-				t.Errorf("%s mode: control.jsonl present = %v", m.name, err == nil)
+			// Both modes run the campaign through a coordinator, which keeps
+			// a control log: shard plans and grants.
+			if _, err := os.Stat(filepath.Join(data, "va", "control.jsonl")); err != nil {
+				t.Errorf("%s mode: no control log: %v", m.name, err)
 			}
 		})
 	}

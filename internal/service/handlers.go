@@ -31,10 +31,12 @@ import (
 //	                                  distributed-tracing timeline instead
 //	DELETE /v1/campaigns/{id}         cancel (queued or running); revokes shard leases
 //
-// Shard control plane (coordinator mode; 503 otherwise). While a restarted
-// coordinator is still rebuilding a campaign's shard table from its control
-// WAL, these routes answer a typed 503 coordinator_recovering with a
-// Retry-After header instead of 404/204, so parked workers keep waiting:
+// Shard control plane, served by every node: worker nodes claim here, and a
+// local node's in-process workers call the same coordinator directly. While
+// a restarted coordinator is still rebuilding a campaign's shard table from
+// its control WAL, these routes answer a typed 503 coordinator_recovering
+// with a Retry-After header instead of 404/204, so parked workers keep
+// waiting:
 //
 //	POST   /v1/shards/claim           claim a shard lease (204 when none pending)
 //	GET    /v1/shards                 shard statuses
@@ -218,17 +220,6 @@ func shardErr(err error) error {
 		}
 	}
 	return err
-}
-
-// coordinator returns the attached shard coordinator, or an httpError if
-// this node does not run one (worker and local nodes answer 503: the
-// request is valid, just aimed at the wrong node).
-func (s *Server) coordinator() (*shard.Coordinator, error) {
-	if co := s.opts.Coordinator; co != nil {
-		return co, nil
-	}
-	return nil, &httpError{code: 503, kind: "not_coordinator",
-		msg: "this node is not a shard coordinator"}
 }
 
 // submitRequest is the POST body: a Spec plus an optional explicit id.
@@ -525,17 +516,12 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleShardClaim leases a pending shard to the calling worker. 204 with
 // no body when nothing is claimable — the worker polls again.
 func (s *Server) handleShardClaim(w http.ResponseWriter, r *http.Request) {
-	co, err := s.coordinator()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
 	var req shard.ClaimRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil && err != io.EOF {
 		writeErr(w, r, &httpError{code: 400, msg: fmt.Sprintf("bad claim request: %v", err)})
 		return
 	}
-	sh, err := co.Claim(req.Worker)
+	sh, err := s.co.Claim(req.Worker)
 	if errors.Is(err, shard.ErrNoWork) {
 		w.WriteHeader(http.StatusNoContent)
 		return
@@ -548,11 +534,6 @@ func (s *Server) handleShardClaim(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
-	co, err := s.coordinator()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
 	var req shard.HeartbeatRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
 		writeErr(w, r, &httpError{code: 400, msg: fmt.Sprintf("bad heartbeat: %v", err)})
@@ -563,7 +544,7 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 	// registry, so it lands in the campaign's spans.jsonl.
 	_, sp := obs.StartSpan(r.Context(), "coordinator.heartbeat",
 		obs.Attr{K: "shard", V: r.PathValue("id")})
-	res, err := co.Heartbeat(r.PathValue("id"), req.Lease)
+	res, err := s.co.Heartbeat(r.PathValue("id"), req.Lease)
 	sp.End()
 	if err != nil {
 		writeErr(w, r, shardErr(err))
@@ -576,11 +557,6 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 // a batch carries full experiment records, and traced campaigns attach
 // propagation traces.
 func (s *Server) handleShardJournal(w http.ResponseWriter, r *http.Request) {
-	co, err := s.coordinator()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
 	var b shard.Batch
 	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&b); err != nil {
 		writeErr(w, r, &httpError{code: 400, kind: "invalid_batch", msg: fmt.Sprintf("bad journal batch: %v", err)})
@@ -597,7 +573,7 @@ func (s *Server) handleShardJournal(w http.ResponseWriter, r *http.Request) {
 	_, sp := obs.StartSpan(r.Context(), "coordinator.ingest",
 		obs.Attr{K: "shard", V: b.Shard},
 		obs.Attr{K: "records", V: strconv.Itoa(len(b.Records))})
-	res, err := co.Ingest(b)
+	res, err := s.co.Ingest(b)
 	if err == nil {
 		sp.SetAttr("accepted", strconv.Itoa(res.Accepted))
 		sp.SetAttr("duplicates", strconv.Itoa(res.Duplicates))
@@ -611,12 +587,7 @@ func (s *Server) handleShardJournal(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleShardList(w http.ResponseWriter, r *http.Request) {
-	co, err := s.coordinator()
-	if err != nil {
-		writeErr(w, r, err)
-		return
-	}
-	sts := co.Statuses()
+	sts := s.co.Statuses()
 	if sts == nil {
 		sts = []shard.Status{}
 	}

@@ -40,8 +40,8 @@ type metrics struct {
 
 	httpRequests *obs.CounterVec // requests by route class (bounded labels)
 
-	// Coordinator mode only (nil otherwise): per-worker control-plane
-	// activity, refreshed from Coordinator.WorkerStats on every scrape.
+	// Per-worker control-plane activity, refreshed from
+	// Coordinator.WorkerStats on every scrape.
 	// The last-seen age is what separates a slow worker (age keeps
 	// resetting, merge counters crawl) from a dead one (age grows
 	// monotonically while its shard waits out the lease TTL).
@@ -84,13 +84,12 @@ func (m *metrics) init() {
 		func() float64 { return float64(m.experiments.Load()) / time.Since(m.start).Seconds() })
 }
 
-// registerShardMetrics publishes the attached coordinator's counters —
-// one struct under its mutex, read here and nowhere else — in the
-// per-server registry, so a scrape of a coordinator node covers the
-// distributed control plane too. Called once from New when Options carries
-// a Coordinator.
+// registerShardMetrics publishes the coordinator's counters — one struct
+// under its mutex, read here and nowhere else — in the per-server registry,
+// so a scrape of any node covers its shard control plane too. Called once
+// from New.
 func (s *Server) registerShardMetrics() {
-	co := s.opts.Coordinator
+	co := s.co
 	r := s.metrics.reg
 	r.GaugeFunc("gpufi_shards_planned", "Shards planned across all coordinated campaigns.",
 		func() float64 { return float64(co.Stats().ShardsPlanned) })
@@ -125,11 +124,7 @@ func (s *Server) registerShardMetrics() {
 // refreshShardWorkerMetrics re-publishes the per-worker gauge vecs from
 // the coordinator's stats, so every scrape sees current last-seen ages.
 func (s *Server) refreshShardWorkerMetrics() {
-	co := s.opts.Coordinator
-	if co == nil {
-		return
-	}
-	for _, ws := range co.WorkerStats() {
+	for _, ws := range s.co.WorkerStats() {
 		s.metrics.shardWorkerClaims.Set(ws.Worker, float64(ws.Claims))
 		s.metrics.shardWorkerBatches.Set(ws.Worker, float64(ws.Batches))
 		s.metrics.shardWorkerRecords.Set(ws.Worker, float64(ws.Records))

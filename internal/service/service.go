@@ -1,10 +1,13 @@
 // Package service is the campaign-injection service behind gpufi-serve:
 // an HTTP front end over the durable campaign store, with a bounded FIFO
-// job queue feeding a pool of campaign runners. Campaigns are submitted as
-// jobs, observed live over SSE, downloaded as JSONL journals, and
-// cancelled by request; on startup the service scans its store and resumes
-// every campaign that has a journal but no completion marker, so a killed
-// server loses at most one fsync batch of work.
+// job queue feeding a pool of campaign runners. Every campaign runs through
+// a shard coordinator: one the caller attaches, whose workers are other
+// nodes, or one the service builds over its own store, whose workers are
+// goroutines of this process. Campaigns are submitted as jobs, observed
+// live over SSE, downloaded as JSONL journals, and cancelled by request; on
+// startup the service scans its store and resumes every campaign that has a
+// journal but no completion marker, so a killed server loses at most one
+// journal batch of work.
 package service
 
 import (
@@ -28,7 +31,8 @@ import (
 // Options tunes the service.
 type Options struct {
 	// Workers is the number of concurrent campaign runners (each campaign
-	// additionally parallelizes its experiments). Default 1.
+	// additionally parallelizes its experiments). Default 1. Without a
+	// Coordinator it is also the number of in-process shard workers.
 	Workers int
 	// QueueDepth bounds the submission queue; a full queue rejects POSTs
 	// with 503. Default 64. Campaigns resumed at startup bypass the bound
@@ -47,12 +51,13 @@ type Options struct {
 	// transitions, retries, HTTP requests with their X-Request-ID). Nil
 	// discards logs, keeping library consumers and tests quiet.
 	Logger *slog.Logger
-	// Coordinator, when non-nil, switches the service into coordinator
-	// mode: instead of running campaigns in-process, each job is sharded
-	// and leased to worker nodes over the /v1/shards endpoints, and the
-	// coordinator merges their journal batches into the store. The queue,
-	// retry, SSE, and resume machinery is unchanged — a coordinated
-	// campaign is just a job whose runner is distributed.
+	// Coordinator is the shard coordinator every job runs through: it
+	// shards the campaign, leases the shards to the workers that claim them
+	// over the /v1/shards endpoints, and merges their journal batches into
+	// the store. Nil builds one over the service's own store and starts
+	// Workers in-process shard workers against it, which call it directly;
+	// a Coordinator given here gets no in-process workers, only the worker
+	// nodes that reach it over HTTP.
 	Coordinator *shard.Coordinator
 }
 
@@ -142,10 +147,22 @@ func (e *panicError) Error() string { return fmt.Sprintf("campaign panicked: %v"
 // before Start and clear it after Close.
 var testJobHook func(id string, attempt int)
 
-// Server is the campaign service: a store, a queue, and a worker pool.
+// localLeaseTTL is the lease TTL of the coordinator a local node builds.
+// Its workers live and die with the process, so a lease restored from the
+// previous lifetime's control WAL names a worker that can never come back,
+// and its shard waits out the TTL before it is re-issued: a restart should
+// not wait the 15 s that a remote worker's network hiccup is allowed.
+const localLeaseTTL = 2 * time.Second
+
+// Server is the campaign service: a store, a queue, a worker pool, and the
+// shard coordinator every job runs through.
 type Server struct {
 	st   *store.Store
 	opts Options
+	co   *shard.Coordinator
+	// local are the in-process shard workers of a node whose coordinator
+	// New built; none when Options carries a Coordinator.
+	local []*shard.Worker
 
 	mu       sync.Mutex
 	cond     *sync.Cond
@@ -168,12 +185,17 @@ type Server struct {
 // resumable campaigns and launch the worker pool; the Handler routes
 // requests either way (jobs submitted before Start simply wait queued).
 func New(st *store.Store, opts Options) *Server {
-	s := &Server{st: st, opts: opts.withDefaults(), jobs: make(map[string]*job)}
+	s := &Server{st: st, opts: opts.withDefaults(), co: opts.Coordinator, jobs: make(map[string]*job)}
+	if s.co == nil {
+		s.co = shard.NewCoordinator(st, shard.Options{LeaseTTL: localLeaseTTL, Logger: s.opts.Logger})
+		for i := range s.opts.Workers {
+			s.local = append(s.local, &shard.Worker{Coordinator: s.co,
+				Name: fmt.Sprintf("local-%d", i+1), Logger: s.opts.Logger})
+		}
+	}
 	s.cond = sync.NewCond(&s.mu)
 	s.metrics.init()
-	if s.opts.Coordinator != nil {
-		s.registerShardMetrics()
-	}
+	s.registerShardMetrics()
 	return s
 }
 
@@ -219,15 +241,13 @@ func (s *Server) Start(ctx context.Context) ([]string, error) {
 		s.queue = append(s.queue, j) // recovery bypasses the queue bound
 		s.cond.Signal()
 		s.mu.Unlock()
-		// Coordinator mode: until this campaign's Run rebuilds its shard
-		// table from the control WAL, workers holding pre-restart leases
-		// must hear "recovering, retry" — not "unknown shard, abandon".
-		if co := s.opts.Coordinator; co != nil {
-			co.MarkRecovering(id)
-		}
+		// Until this campaign's Run rebuilds its shard table from the
+		// control WAL, workers holding pre-restart leases must hear
+		// "recovering, retry" — not "unknown shard, abandon".
+		s.co.MarkRecovering(id)
 		resumed = append(resumed, id)
 	}
-	if len(resumed) > 0 && s.opts.Coordinator != nil {
+	if len(resumed) > 0 {
 		// Crash-recovery start: stamp the moment into the flight ring and
 		// dump it, so the post-mortem of the previous lifetime's death has
 		// a durable marker even before any campaign timeline reopens.
@@ -244,6 +264,13 @@ func (s *Server) Start(ctx context.Context) ([]string, error) {
 	for w := 0; w < s.opts.Workers; w++ {
 		s.wg.Add(1)
 		go s.superviseWorker(base)
+	}
+	for _, w := range s.local {
+		s.wg.Add(1)
+		go func() {
+			defer s.wg.Done()
+			w.Run(base)
+		}()
 	}
 	// A cancelled base context must also wake idle workers.
 	go func() {
@@ -357,7 +384,7 @@ func (s *Server) superviseWorker(base context.Context) {
 	}
 }
 
-// workerLoop pops jobs FIFO and runs them durably through the store. It
+// workerLoop pops jobs FIFO and runs them through the coordinator. It
 // reports true when it exits through the orderly shutdown path and false
 // when a panic unwound it (the supervisor then restarts it).
 func (s *Server) workerLoop(base context.Context) (clean bool) {
@@ -416,9 +443,9 @@ func (s *Server) workerLoop(base context.Context) (clean bool) {
 }
 
 // runJob executes one attempt of a campaign, converting a panic out of
-// the store or engine into a *panicError instead of unwinding the worker.
-// The journal's deferred closes run during the unwind, so a half-written
-// campaign stays resumable by the retry.
+// the coordinator or the store into a *panicError instead of unwinding the
+// worker. The journal's deferred closes run during the unwind, so a
+// half-written campaign stays resumable by the retry.
 //
 // Every attempt runs under the job's root span: the span sink persists
 // the campaign's timeline to spans.jsonl through the store (synced with
@@ -440,12 +467,8 @@ func (s *Server) runJob(ctx context.Context, j *job, attempt int) (res *core.Cam
 		hook(j.id, attempt)
 	}
 
-	node := "local"
-	if s.opts.Coordinator != nil {
-		node = "coordinator"
-	}
 	tctx := obs.ContextWithTrace(ctx, j.trace)
-	tctx = obs.ContextWithNode(tctx, node)
+	tctx = obs.ContextWithNode(tctx, "coordinator")
 	if spanLog, slErr := s.st.SpanWriter(j.id); slErr == nil {
 		// Registered (not ctx-attached) so worker spans forwarded by the
 		// coordinator's Ingest reach the same file; Append after Close is
@@ -459,17 +482,12 @@ func (s *Server) runJob(ctx context.Context, j *job, attempt int) (res *core.Cam
 	}
 	tctx, root := obs.StartSpan(tctx, "campaign",
 		obs.Attr{K: "id", V: j.id},
-		obs.Attr{K: "attempt", V: fmt.Sprintf("%d", attempt)},
-		obs.Attr{K: "mode", V: node})
+		obs.Attr{K: "attempt", V: fmt.Sprintf("%d", attempt)})
 	root.Announce() // children survive a crash with a resolvable parent
 	defer root.End()
 	obs.EmitSpan(tctx, "service.queue", j.enqueuedAt, obs.Attr{K: "id", V: j.id})
 
-	onExp := func(exp core.Experiment) { s.onExperiment(j, exp) }
-	if co := s.opts.Coordinator; co != nil {
-		return co.Run(tctx, j.id, j.spec, onExp)
-	}
-	return s.st.Run(tctx, j.id, j.spec, nil, onExp)
+	return s.co.Run(tctx, j.id, j.spec, func(exp core.Experiment) { s.onExperiment(j, exp) })
 }
 
 // retryOrFail decides what happens to a job whose attempt panicked: it
@@ -719,24 +737,31 @@ func (s *Server) cancelJob(id string) (string, error) {
 		}
 		j.state = StateCancelled
 		j.errMsg = "cancelled while queued"
+		// A queued campaign may already be on disk (resumed at Start, or
+		// resubmitted): remember the cancellation across restarts, as
+		// finishJob does for a running one.
+		if markErr := s.st.MarkCancelled(id); markErr != nil && !errors.Is(markErr, store.ErrNotFound) {
+			j.errMsg = fmt.Sprintf("cancelled while queued; marker: %v", markErr)
+		}
 		s.metrics.queued.Add(-1)
 		s.metrics.cancelled.Add(1)
 		s.broadcastLocked(j, event{name: "state", data: s.statusLocked(j)})
 		close(j.finished)
 		s.cond.Broadcast() // a Drain waiter watches for quiescence
 		s.mu.Unlock()
+		// Its Run never began, so nothing else takes it off the
+		// coordinator's recovering list.
+		s.co.Revoke(id)
 		return StateCancelled, nil
 	case StateRunning:
 		j.userAbort = true
 		cancel := j.cancel
 		fin := j.finished
 		s.mu.Unlock()
-		if co := s.opts.Coordinator; co != nil {
-			// Close the campaign to claims and journal batches NOW, not
-			// when the runner observes its context: a worker racing the
-			// DELETE must get a typed 409, never resurrect the campaign.
-			co.Revoke(id)
-		}
+		// Close the campaign to claims and journal batches NOW, not when
+		// the runner observes its context: a worker racing the DELETE must
+		// get a typed 409, never resurrect the campaign.
+		s.co.Revoke(id)
 		if cancel != nil {
 			cancel()
 		}

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"gpufi/internal/core"
 	"gpufi/internal/store"
@@ -269,7 +271,9 @@ func TestServiceQueue(t *testing.T) {
 // TestServiceRestartResume is the acceptance test for crash-safe serving:
 // kill a server mid-campaign, start a fresh one on the same store, and
 // the resumed campaign's final counts are bit-identical to an
-// uninterrupted run with the same seed.
+// uninterrupted run with the same seed. The second lifetime must have
+// re-issued the shard the first one held leased: the lease protocol, not
+// a fresh plan, resumed the campaign.
 func TestServiceRestartResume(t *testing.T) {
 	spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add",
 		Structure: "regfile", Runs: 60, Seed: 21, Workers: 2}
@@ -289,8 +293,27 @@ func TestServiceRestartResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st1.BatchSize = 4
 	srv1 := New(st1, Options{Workers: 1})
+	// The in-process worker posts every experiment as a batch of its own.
+	// The first time an acknowledged batch leaves its shard unfinished, it
+	// holds that shard leased until the job has ended, so the kill below
+	// lands with a grant in the control log that only a re-issue can
+	// finish.
+	var holding atomic.Bool
+	held := make(chan struct{})
+	w := srv1.local[0]
+	w.BatchSize = 1
+	w.AfterBatch = func(shardID string, _ int) {
+		leased := false
+		for _, sh := range srv1.co.Statuses() {
+			leased = leased || sh.ID == shardID && sh.State == "leased"
+		}
+		if !leased || !holding.CompareAndSwap(false, true) {
+			return
+		}
+		close(held)
+		<-srv1.finished(spec.ID())
+	}
 	if _, err := srv1.Start(nil); err != nil {
 		t.Fatal(err)
 	}
@@ -299,19 +322,12 @@ func TestServiceRestartResume(t *testing.T) {
 	raw, _ := json.Marshal(spec)
 	sub := postCampaign(t, ts1.URL, string(raw))
 
-	// Let the campaign make some progress — the SSE stream is the clock —
-	// then kill the server the way a crash would: cancel everything.
-	evResp, err := http.Get(ts1.URL + "/v1/campaigns/" + sub.ID + "/events")
-	if err != nil {
-		t.Fatal(err)
+	// Kill the server the way a crash would, cancelling everything, once a
+	// shard is held.
+	select {
+	case <-held:
+	case <-srv1.finished(sub.ID):
 	}
-	progress := 0
-	readSSE(t, evResp, func(ev sseEvent) bool {
-		if ev.name == "progress" {
-			progress++
-		}
-		return progress >= 5 || ev.name == "done"
-	})
 	srv1.Close()
 	ts1.Close()
 
@@ -384,42 +400,132 @@ func TestServiceRestartResume(t *testing.T) {
 		}
 		seen[e.ID] = true
 	}
+	if n := srv2.co.Stats().ShardsReissued; n < 1 {
+		t.Errorf("second lifetime re-issued %d shards, want at least 1", n)
+	}
+}
+
+// finished is the channel closed when job id reaches a terminal state.
+func (s *Server) finished(id string) chan struct{} {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.jobs[id].finished
 }
 
 // TestResumeSkipsCancelled: a campaign cancelled by request must not be
-// resurrected by the next server's resume scan.
+// resurrected by the next server's resume scan, whether it was cancelled on
+// disk or deleted while it sat queued behind another resumed campaign. A
+// queued delete must also leave the shard control plane idle, not
+// recovering: once every job has ended, a claim answers 204.
 func TestResumeSkipsCancelled(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fabricate an interrupted campaign and a cancelled one.
-	spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add",
-		Structure: "regfile", Runs: 9, Seed: 2}
-	for _, id := range []string{"keep", "drop"} {
-		c, err := st.Create(id, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Append(core.Experiment{ID: 0, Effect: "Masked"}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.MarkCancelled("drop"); err != nil {
-		t.Fatal(err)
-	}
+	for _, tc := range []struct {
+		name   string
+		cancel func(t *testing.T, st *store.Store)
+		want   string // the second start's resume scan
+	}{
+		{"marked on disk", func(t *testing.T, st *store.Store) {
+			if err := st.MarkCancelled("skip"); err != nil {
+				t.Fatal(err)
+			}
+		}, "[keep]"},
+		{"deleted while queued", deleteQueued, "[]"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			st, err := store.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Fabricate two interrupted campaigns.
+			spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add",
+				Structure: "regfile", Runs: 9, Seed: 2}
+			for _, id := range []string{"keep", "skip"} {
+				c, err := st.Create(id, spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Append(core.Experiment{ID: 0, Effect: "Masked"}); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.cancel(t, st)
 
+			srv := New(st, Options{Workers: 1})
+			resumed, err := srv.Start(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			if fmt.Sprint(resumed) != tc.want {
+				t.Errorf("resume scan: %v, want %s", resumed, tc.want)
+			}
+		})
+	}
+}
+
+// deleteQueued runs a first lifetime over st that resumes both campaigns
+// with one runner, holds the runner on "keep" while "skip" waits queued,
+// DELETEs "skip", then lets "keep" finish.
+func deleteQueued(t *testing.T, st *store.Store) {
+	release := make(chan struct{})
+	testJobHook = func(id string, attempt int) {
+		if id == "keep" {
+			<-release
+		}
+	}
+	defer func() { testJobHook = nil }()
 	srv := New(st, Options{Workers: 1})
-	resumed, err := srv.Start(nil)
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	defer srv.Close()
+	released := false
+	defer func() {
+		if !released {
+			close(release)
+		}
+	}()
+	if _, err := srv.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		var keep status
+		getJSON(t, ts.URL+"/v1/campaigns/keep", &keep)
+		if keep.State == StateRunning {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/campaigns/skip", nil)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	if fmt.Sprint(resumed) != "[keep]" {
-		t.Errorf("resume scan: %v", resumed)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE of the queued campaign: %d", resp.StatusCode)
+	}
+	close(release)
+	released = true
+	for {
+		var keep status
+		getJSON(t, ts.URL+"/v1/campaigns/keep", &keep)
+		if keep.State == StateDone {
+			break
+		}
+		if keep.State == StateFailed {
+			t.Fatalf("keep failed: %s", keep.Error)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	resp, err = http.Post(ts.URL+"/v1/shards/claim", "application/json", strings.NewReader("{}"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Errorf("claim after every job ended: %d, want 204", resp.StatusCode)
 	}
 }

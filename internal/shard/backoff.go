@@ -64,9 +64,9 @@ func isOutage(err error) bool {
 	return errors.Is(err, errUnreachable) || errors.Is(err, ErrRecovering)
 }
 
-// sleepCtx sleeps d or until ctx is done, reporting whether the full
-// sleep happened.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// sleepCtx sleeps d, or until wake closes or ctx is done, reporting
+// whether ctx is still live. A nil wake never fires.
+func sleepCtx(ctx context.Context, d time.Duration, wake <-chan struct{}) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}
@@ -76,6 +76,8 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	case <-ctx.Done():
 		return false
 	case <-t.C:
+		return true
+	case <-wake:
 		return true
 	}
 }

@@ -96,18 +96,28 @@ func TestHeartbeatInterval(t *testing.T) {
 }
 
 // TestSleepCtx pins the cancellation contract: a live context sleeps the
-// full duration, a cancelled one returns immediately with false.
+// full duration, a cancelled one returns immediately with false, and a
+// closed wake ends the sleep early with true.
 func TestSleepCtx(t *testing.T) {
-	if !sleepCtx(context.Background(), 0) {
+	if !sleepCtx(context.Background(), 0, nil) {
 		t.Error("sleepCtx(live, 0) = false")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	start := time.Now()
-	if sleepCtx(ctx, time.Hour) {
+	if sleepCtx(ctx, time.Hour, nil) {
 		t.Error("sleepCtx(cancelled, 1h) = true")
 	}
 	if time.Since(start) > time.Second {
 		t.Error("sleepCtx did not return promptly on cancellation")
+	}
+	wake := make(chan struct{})
+	close(wake)
+	start = time.Now()
+	if !sleepCtx(context.Background(), time.Hour, wake) {
+		t.Error("sleepCtx(live, 1h, closed wake) = false")
+	}
+	if time.Since(start) > time.Second {
+		t.Error("sleepCtx did not return promptly on a closed wake")
 	}
 }

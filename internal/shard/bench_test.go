@@ -8,6 +8,7 @@ import (
 	"io"
 	"maps"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"syscall"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"gpufi/internal/avf"
 	"gpufi/internal/core"
 	"gpufi/internal/obs"
+	"gpufi/internal/service"
 	"gpufi/internal/store"
 )
 
@@ -43,26 +45,8 @@ func liveHeap() float64 {
 // the campaign-late point (BP / bp_adjust / regfile, last invocation, 5,000
 // runs) through store + coordinator + HTTP + two one-thread shard workers,
 // 8 shards, batches of 64, traced like every service campaign — with the
-// explanation attached: how busy the two CPUs were, how many POSTs and
-// fsync waits a campaign cost, how many span records it wrote, and what a
-// finished campaign leaves on the heap. It fails when a campaign costs more
-// fsyncs than its POSTs and control records allow — a batch is acknowledged
-// after one journal fsync, with the span log synced just ahead of it — when
-// it writes a span per experiment rather than per cluster, or when it
-// leaves more behind than a tombstone.
+// explanation benchCampaigns attaches.
 func BenchmarkShardedCampaign(b *testing.B) {
-	spec := store.Spec{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "regfile",
-		Runs: 5000, Seed: 7, Workers: 1}
-	cfg, err := spec.Config()
-	if err != nil {
-		b.Fatal(err)
-	}
-	prof, err := core.ProfileApp(nil, cfg.App, cfg.GPU)
-	if err != nil {
-		b.Fatal(err)
-	}
-	spec.Invocation = prof.Kernels[spec.Kernel].Invocations
-
 	c := startCluster(b, b.TempDir(), 8, time.Minute)
 	ctx, cancel := context.WithCancel(context.Background())
 	var workers []chan struct{}
@@ -75,6 +59,50 @@ func BenchmarkShardedCampaign(b *testing.B) {
 			<-done
 		}
 	}()
+	benchCampaigns(b, c.st, c.ts.URL)
+}
+
+// BenchmarkLocalCampaign runs BenchmarkShardedCampaign's campaigns through
+// a local node: service.New without a Coordinator, two runners and two
+// in-process shard workers that call the coordinator the service built,
+// with no HTTP and no JSON between them. The gap between the two is the
+// cost of the wire alone.
+func BenchmarkLocalCampaign(b *testing.B) {
+	st, err := store.Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := service.New(st, service.Options{Workers: 2})
+	if _, err := srv.Start(nil); err != nil {
+		b.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer srv.Close()
+	defer ts.Close()
+	benchCampaigns(b, st, ts.URL)
+}
+
+// benchCampaigns submits the campaign-late point as b.N campaigns, one at a
+// time, to the node serving base over st, and reports how busy the CPUs
+// were, how many journal batches and fsync waits a campaign cost, how many
+// span records it wrote, and what a finished campaign leaves on the heap.
+// It fails when a campaign costs more fsyncs than its batches and control
+// records allow — a batch is acknowledged after one journal fsync, with the
+// span log synced just ahead of it — when it writes a span per experiment
+// rather than per cluster, or when it leaves more behind than a tombstone.
+func benchCampaigns(b *testing.B, st *store.Store, base string) {
+	spec := store.Spec{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "regfile",
+		Runs: 5000, Seed: 7, Workers: 1}
+	cfg, err := spec.Config()
+	if err != nil {
+		b.Fatal(err)
+	}
+	prof, err := core.ProfileApp(nil, cfg.App, cfg.GPU)
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Invocation = prof.Kernels[spec.Kernel].Invocations
+
 	campaign := func(id string) {
 		raw, _ := json.Marshal(struct {
 			ID string `json:"id"`
@@ -82,14 +110,14 @@ func BenchmarkShardedCampaign(b *testing.B) {
 		}{id, spec})
 		var body map[string]any
 		json.Unmarshal(raw, &body)
-		submit(b, c.ts.URL, body)
+		submit(b, base, body)
 		var st struct {
 			State  string     `json:"state"`
 			Error  string     `json:"error"`
 			Counts avf.Counts `json:"counts"`
 		}
 		for st.State != "done" {
-			resp, err := http.Get(c.ts.URL + "/v1/campaigns/" + id)
+			resp, err := http.Get(base + "/v1/campaigns/" + id)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -111,10 +139,27 @@ func BenchmarkShardedCampaign(b *testing.B) {
 		}
 		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	}
+	// batches is the node's journal-batch count, from its /metrics.
+	batches := func() float64 {
+		var m map[string]any
+		resp, err := http.Get(base + "/metrics")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			b.Fatal(err)
+		}
+		n, ok := m["shard_batches"].(float64)
+		if !ok {
+			b.Fatalf("/metrics has no shard_batches: %v", m["shard_batches"])
+		}
+		return n
+	}
 
 	// spanBytes reads a campaign's spans.jsonl.
 	spanBytes := func(id string) []byte {
-		f, err := c.st.OpenSpans(id)
+		f, err := st.OpenSpans(id)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -142,7 +187,7 @@ func BenchmarkShardedCampaign(b *testing.B) {
 		rec.Trace, rec.Attrs = obs.NewTraceID().String(), maps.Clone(rec.Attrs)
 		obs.EmitRecord(rec)
 	}
-	heap0, fsync0, batches0, wal0, cpu0 := liveHeap(), fsyncCount(), c.co.Stats().Batches, walRecords.Load(), cpuTime()
+	heap0, fsync0, batches0, wal0, cpu0 := liveHeap(), fsyncCount(), batches(), walRecords.Load(), cpuTime()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		campaign(fmt.Sprintf("bench-%d", i))
@@ -156,7 +201,7 @@ func BenchmarkShardedCampaign(b *testing.B) {
 	perExp := float64(spans) / n / float64(spec.Runs)
 	fsyncs := float64(fsyncCount()-fsync0) / n
 	heapMB := (liveHeap() - heap0) / n / (1 << 20)
-	posts := float64(c.co.Stats().Batches-batches0) / n
+	posts := (batches() - batches0) / n
 	ctl := float64(walRecords.Load()-wal0) / n
 	b.ReportMetric(float64(spec.Runs)*n/wall.Seconds(), "exps/s")
 	b.ReportMetric(cpu.Seconds()/wall.Seconds(), "busy-cpus")
@@ -164,11 +209,11 @@ func BenchmarkShardedCampaign(b *testing.B) {
 	b.ReportMetric(fsyncs, "fsyncs/campaign")
 	b.ReportMetric(heapMB, "heap-mb/campaign")
 	b.ReportMetric(perExp, "spans/exp")
-	// Two per POST (span log, then journal), one per control record (plans
+	// Two per batch (span log, then journal), one per control record (plans
 	// and grants), and the header's and the close's pairs plus the span
 	// log's own close.
 	if bound := 2*posts + ctl + 5; fsyncs > bound {
-		b.Errorf("%.0f fsyncs per campaign, want at most %.0f for %.1f POSTs and %.1f control records: a batch costs more than one journal sync",
+		b.Errorf("%.0f fsyncs per campaign, want at most %.0f for %.1f batches and %.1f control records: a batch costs more than one journal sync",
 			fsyncs, bound, posts, ctl)
 	}
 	if perExp > 0.25 {

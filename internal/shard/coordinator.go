@@ -88,7 +88,8 @@ type Coordinator struct {
 	recovering map[string]bool         // campaigns mid-rebuild: answer ErrRecovering, not ErrUnknownShard
 	dead       bool                    // Crash() was called: refuse new registrations
 	workers    map[string]*WorkerStat
-	stats      Stats // lifetime counters
+	stats      Stats         // lifetime counters
+	wake       chan struct{} // closed and replaced at every generation planned
 }
 
 // campaignRun is one campaign being coordinated: the open store handle,
@@ -142,7 +143,24 @@ func NewCoordinator(st *store.Store, opts Options) *Coordinator {
 		campaigns:  make(map[string]*campaignRun),
 		recovering: make(map[string]bool),
 		workers:    make(map[string]*WorkerStat),
+		wake:       make(chan struct{}),
 	}
+}
+
+// planned returns the channel closed at the next generation the
+// coordinator plans. An in-process worker takes it before it claims and
+// waits on it after ErrNoWork or ErrRecovering, so a plan that lands
+// between the claim and the wait still wakes it.
+func (co *Coordinator) planned() <-chan struct{} {
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	return co.wake
+}
+
+// wakeLocked wakes every worker waiting on planned. Caller holds co.mu.
+func (co *Coordinator) wakeLocked() {
+	close(co.wake)
+	co.wake = make(chan struct{})
 }
 
 // touchWorker updates one worker's cumulative stats. Caller holds co.mu.
@@ -186,8 +204,9 @@ func (co *Coordinator) Stats() Stats {
 // that would otherwise read as "no work" or "unknown shard" answer
 // ErrRecovering, so a parked worker keeps waiting instead of abandoning a
 // shard that is about to exist again. The service marks every resumed
-// sharded campaign on boot; Run clears the flag on every exit from its
-// preparation phase, success or error.
+// campaign on boot; Run clears the flag on every exit from its
+// preparation phase, success or error, and Revoke clears it for a campaign
+// deleted before its Run began.
 func (co *Coordinator) MarkRecovering(id string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -386,6 +405,8 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		// Nothing to merge in this generation: the campaign was journaled
 		// whole, or its stop rule already holds.
 		co.nextRoundLocked(run)
+	} else {
+		co.wakeLocked()
 	}
 	return run, nil, nil
 }
@@ -437,6 +458,7 @@ func (co *Coordinator) nextRoundLocked(run *campaignRun) {
 		return
 	}
 	co.stats.ShardsPlanned += int64(len(run.tab.order))
+	co.wakeLocked()
 	co.opts.Logger.Info("round planned", "id", run.id, "gen", gen,
 		"shards", len(run.tab.order), "experiments", len(round))
 }
@@ -444,10 +466,13 @@ func (co *Coordinator) nextRoundLocked(run *campaignRun) {
 // Revoke closes a campaign to further claims and journal batches without
 // waiting for its Run to observe cancellation: outstanding leases die and
 // late batches get ErrCampaignClosed. The service calls it on DELETE so
-// the 409 is immediate rather than racing the context teardown.
+// the 409 is immediate rather than racing the context teardown. A campaign
+// deleted before its Run started is no longer recovering either: no Run
+// will ever clear the flag, and claims would answer ErrRecovering forever.
 func (co *Coordinator) Revoke(id string) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
+	delete(co.recovering, id)
 	if run, ok := co.campaigns[id]; ok {
 		co.cancelLocked(run, context.Canceled)
 	}

@@ -22,11 +22,13 @@ import (
 )
 
 // Worker is a stateless shard-execution node: it claims shards from a
-// coordinator over HTTP, runs them with the local campaign engine, and
-// streams journal batches back. It keeps no durable state — everything it
-// needs rides in the Shard (the spec reconstructs the campaign, the seed
-// reconstructs the faults), so a worker can be killed at any instant and
-// replaced by any other.
+// coordinator, runs them with the local campaign engine, and streams
+// journal batches back. It reaches the coordinator over HTTP (Base) or,
+// inside the coordinator's own process, through its methods (Coordinator):
+// that is how a local gpufi-serve node runs every campaign. It keeps no
+// durable state — everything it needs rides in the Shard (the spec
+// reconstructs the campaign, the seed reconstructs the faults), so a worker
+// can be killed at any instant and replaced by any other.
 //
 // The worker also outlives its coordinator: every request waits out an
 // outage — a transport failure or a typed coordinator_recovering answer —
@@ -39,6 +41,12 @@ import (
 type Worker struct {
 	// Base is the coordinator's base URL, e.g. "http://10.0.0.1:8080".
 	Base string
+	// Coordinator is the coordinator itself, in this process: call invokes
+	// its Claim, Heartbeat and Ingest directly, with no JSON and no HTTP,
+	// and their typed errors come back as they are. An idle worker then
+	// also wakes the moment the coordinator plans a generation, rather than
+	// at its next poll. Set exactly one of Base and Coordinator.
+	Coordinator *Coordinator
 	// Name identifies the worker in coordinator logs and shard statuses.
 	Name string
 	// Client is the HTTP client; nil uses a default with sane timeouts.
@@ -111,6 +119,7 @@ func (w *Worker) newBackoff() *backoff {
 func (w *Worker) Run(ctx context.Context) error {
 	log := w.logger()
 	for {
+		wake := w.planned()
 		var sh Shard
 		err := w.call(ctx, "/v1/shards/claim", ClaimRequest{Worker: w.Name}, &sh)
 		switch {
@@ -132,7 +141,7 @@ func (w *Worker) Run(ctx context.Context) error {
 		case !errors.Is(err, ErrNoWork):
 			log.Warn("claim failed", "err", err)
 		}
-		if !sleepCtx(ctx, jitter(w.poll())) {
+		if !sleepCtx(ctx, jitter(w.poll()), wake) {
 			return ctx.Err()
 		}
 	}
@@ -457,63 +466,31 @@ type errorEnvelope struct {
 	} `json:"error"`
 }
 
-// call is the worker's one request path to the coordinator. It POSTs body
-// to path and decodes the reply into out; a 204 is ErrNoWork, and an error
-// envelope comes back as the typed error of its Wire row, so the worker's
-// control flow matches an in-process coordinator's. An outage — no answer
-// at all, or coordinator_recovering — is waited out under jittered
-// exponential backoff until the coordinator answers or ctx ends, when call
+// call is the worker's one request path to the coordinator: body goes to
+// path, and the reply is decoded into out. Over HTTP (post) a 204 is
+// ErrNoWork and an error envelope comes back as the typed error of its Wire
+// row; in process (direct) the coordinator's method answers, so both
+// transports drive the worker's control flow with the same typed errors.
+// An outage — no answer at all, or coordinator_recovering — is waited out
+// under jittered exponential backoff until the coordinator answers, the
+// coordinator plans a generation (in process) or ctx ends, when call
 // returns the outage's last error. A retry sends the same bytes under the
 // same traceparent; the wait's worker.park span names the request by the
 // last segment of its path.
 func (w *Worker) call(ctx context.Context, path string, body, out any) error {
-	raw, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	try := func() error {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(raw))
+	try := func() error { return w.direct(ctx, path, body, out) }
+	if w.Coordinator == nil {
+		raw, err := json.Marshal(body)
 		if err != nil {
 			return err
 		}
-		req.Header.Set("Content-Type", "application/json")
-		obs.InjectTraceparent(ctx, req.Header)
-		resp, err := w.client().Do(req)
-		if err != nil {
-			return fmt.Errorf("%w: %v", errUnreachable, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode == http.StatusNoContent {
-			return ErrNoWork
-		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
-		if err != nil {
-			// The connection died mid-response: same outage as never reaching
-			// the coordinator.
-			return fmt.Errorf("%w: %v", errUnreachable, err)
-		}
-		if resp.StatusCode < 200 || resp.StatusCode > 299 {
-			var env errorEnvelope
-			if json.Unmarshal(data, &env) == nil {
-				for _, we := range Wire {
-					if we.Code == env.Error.Code {
-						return fmt.Errorf("%w: %s (http %d)", we.Err, env.Error.Message, resp.StatusCode)
-					}
-				}
-			}
-			return fmt.Errorf("shard: %s: http %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
-		}
-		if out != nil {
-			if err := json.Unmarshal(data, out); err != nil {
-				return fmt.Errorf("shard: decode %s reply: %v", path, err)
-			}
-		}
-		return nil
+		try = func() error { return w.post(ctx, path, raw, out) }
 	}
 
 	bo := w.newBackoff()
 	var parked time.Time
 	for {
+		wake := w.planned()
 		err := try()
 		if ctx.Err() != nil || !isOutage(err) {
 			if !parked.IsZero() && ctx.Err() == nil {
@@ -529,8 +506,91 @@ func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 			w.logger().Warn("coordinator unreachable; worker parked", "worker", w.Name, "path", path, "err", err)
 		}
 		backoffRetries.Add(1)
-		if !sleepCtx(ctx, bo.next()) {
+		if !sleepCtx(ctx, bo.next(), wake) {
 			return err
 		}
 	}
+}
+
+// post is call's HTTP transport: one POST of raw to path, its reply decoded
+// into out. A 204 is ErrNoWork, an error envelope the typed error of its
+// Wire row, and no answer at all errUnreachable.
+func (w *Worker) post(ctx context.Context, path string, raw []byte, out any) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(raw))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	obs.InjectTraceparent(ctx, req.Header)
+	resp, err := w.client().Do(req)
+	if err != nil {
+		return fmt.Errorf("%w: %v", errUnreachable, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNoContent {
+		return ErrNoWork
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 8<<20))
+	if err != nil {
+		// The connection died mid-response: same outage as never reaching
+		// the coordinator.
+		return fmt.Errorf("%w: %v", errUnreachable, err)
+	}
+	if resp.StatusCode < 200 || resp.StatusCode > 299 {
+		var env errorEnvelope
+		if json.Unmarshal(data, &env) == nil {
+			for _, we := range Wire {
+				if we.Code == env.Error.Code {
+					return fmt.Errorf("%w: %s (http %d)", we.Err, env.Error.Message, resp.StatusCode)
+				}
+			}
+		}
+		return fmt.Errorf("shard: %s: http %d: %s", path, resp.StatusCode, bytes.TrimSpace(data))
+	}
+	if out != nil {
+		if err := json.Unmarshal(data, out); err != nil {
+			return fmt.Errorf("shard: decode %s reply: %v", path, err)
+		}
+	}
+	return nil
+}
+
+// direct is call's in-process transport: the request of path, answered by
+// the Coordinator's own method.
+func (w *Worker) direct(ctx context.Context, path string, body, out any) error {
+	if err := ctx.Err(); err != nil {
+		return err // what a cancelled POST would have met
+	}
+	co := w.Coordinator
+	switch b := body.(type) {
+	case ClaimRequest:
+		sh, err := co.Claim(b.Worker)
+		if err == nil {
+			*out.(*Shard) = *sh
+		}
+		return err
+	case HeartbeatRequest:
+		id, err := url.PathUnescape(strings.TrimSuffix(strings.TrimPrefix(path, "/v1/shards/"), "/heartbeat"))
+		if err == nil {
+			_, err = co.Heartbeat(id, b.Lease)
+		}
+		return err
+	case Batch:
+		res, err := co.Ingest(b)
+		if err == nil {
+			*out.(*BatchResult) = *res
+		}
+		return err
+	}
+	return fmt.Errorf("shard: %s: no such request", path)
+}
+
+// planned is the wake of an in-process worker: a channel the coordinator
+// closes at the next generation it plans. Over HTTP it is nil, which never
+// fires, so the poll and the backoff alone pace the worker.
+func (w *Worker) planned() <-chan struct{} {
+	if w.Coordinator == nil {
+		return nil
+	}
+	return w.Coordinator.planned()
 }
