@@ -279,9 +279,10 @@ type CampaignResult struct {
 // engine; results are deterministic given the seed, independent of the
 // worker count.
 //
-// The campaign runs its schedule's rounds one after another: a fixed-N
-// campaign is one round, an adaptive one journals its analytic records
-// first and stops between rounds once its interval is tight enough.
+// The campaign runs its schedule's rounds one after another, on one engine
+// session: a fixed-N campaign is one round, an adaptive one journals its
+// analytic records first and stops between rounds once its interval is
+// tight enough.
 //
 // On context cancellation RunCampaign returns promptly with ctx's error
 // and a partial CampaignResult holding every experiment that finished.
@@ -307,9 +308,11 @@ func RunCampaign(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*Camp
 		res.Exps = append(res.Exps, exp)
 		res.Counts.Add(exp.Outcome)
 	}
+	sess := &Session{prof: prof}
+	defer sess.Close()
 	for round := s.Next(); round != nil && err == nil; round = s.Next() {
 		var r *CampaignResult
-		if r, err = runPoint(ctx, cfg, prof, s.cp, round); r == nil {
+		if r, err = sess.runPoint(ctx, cfg, s.cp, round); r == nil {
 			return nil, err
 		}
 		for _, exp := range r.Exps {
@@ -324,15 +327,6 @@ func RunCampaign(ctx context.Context, cfg *CampaignConfig, prof *Profile) (*Camp
 	}
 	res.Plan = s.Report()
 	return res, err
-}
-
-// runPoint is the one-point engine run of one round.
-func runPoint(ctx context.Context, cfg *CampaignConfig, prof *Profile, cp *campaignPlan, pending []int) (*CampaignResult, error) {
-	res, err := runPoints(ctx, prof, []*point{{cfg: cfg, plan: cp, pending: pending}})
-	if res == nil {
-		return nil, err
-	}
-	return res[0], err
 }
 
 // phaseNS is the fork, execute and classify ns of an experiment or a cluster.

@@ -156,12 +156,14 @@ func planClusters(points []*point) []cluster {
 // that point alone. The prefix runs one cluster ahead: having published
 // cluster k it simulates and captures towards k+1 while the workers execute
 // k, and waits at k+1 only until k has drained. After the last cluster it
-// aborts (its suffix is never needed). The run's devices — the prefix
-// device, the two snapshot templates it recycles in turn and one vessel per
-// worker — are borrowed from the device pool and go back when the run ends.
-// Results are in point order; after a cancellation, or a prefix that ended
-// early, they hold what finished.
-func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*CampaignResult, error) {
+// parks for the session's next run (session.go). The run's devices — the
+// two snapshot templates the prefix device recycles in turn and one vessel
+// per worker — are borrowed from the device pool and go back when the run
+// ends; the prefix device goes back with them unless it parked. Results are
+// in point order; after a cancellation, or a prefix that ended early, they
+// hold what finished.
+func (s *Session) runPoints(ctx context.Context, points []*point) ([]*CampaignResult, error) {
+	prof := s.prof
 	for _, pt := range points {
 		pt.col = newCollector(pt.cfg, pt.cfg.Runs)
 		if !pt.plan.absent {
@@ -203,20 +205,25 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 	}
 
 	cfg := points[0].cfg
-	g, err := sim.Borrow(cfg.GPU)
-	if err != nil {
-		return nil, err
-	}
-	g.SetContext(ctx)
-	g.EnableRecording()
-	// The prefix is fault-free, but bound it anyway so a scheduling bug
-	// cannot hang the campaign.
-	g.CycleLimit = 4 * prof.TotalCycles
-
 	last := clusters[len(clusters)-1]
 	run := &pipeline{ctx: ctx, prof: prof, points: points, clusters: clusters,
-		flights: make([]flight, len(clusters)), jobs: last.lo + len(last.jobs)}
+		flights: make([]flight, len(clusters)), jobs: last.lo + len(last.jobs),
+		traced: obs.TraceEnabled(ctx)}
 	run.wake.L = &run.mu
+
+	p := s.pre
+	s.pre = nil
+	if p != nil && snapCycles[0] > p.at {
+		p.carryOn(run, snapCycles)
+	} else {
+		if p != nil {
+			p.end()
+		}
+		var err error
+		if p, err = startPrefix(run, snapCycles); err != nil {
+			return nil, err
+		}
+	}
 	var workers sync.WaitGroup
 	for w := min(cfg.workerCount(), run.jobs); w > 0; w-- {
 		workers.Add(1)
@@ -225,61 +232,35 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 			run.work()
 		}()
 	}
-
-	// Tracing: each stretch of the prefix goroutine from one snapshot to the
-	// next is an engine.snapshot span — simulating, capturing, and wait_ns of
-	// it blocked on the previous cluster (near zero on a prefix-bound run,
-	// most of the span on a worker-bound one) — and each cluster's execution
-	// an engine.cluster span carrying its experiments' summed phase times.
-	traced := obs.TraceEnabled(ctx)
-	prefixMark := time.Now()
-	next := 0
-	g.SnapshotAt(snapCycles, func(s *sim.Snapshot) error {
-		k := next
-		next++
-		fl := &run.flights[k]
-		fl.snap, fl.left = s, len(clusters[k].jobs)
-		if traced {
-			_, fl.span = obs.StartSpan(ctx, "engine.cluster",
-				obs.Attr{K: "cluster", V: strconv.Itoa(k)},
-				obs.Attr{K: "experiments", V: strconv.Itoa(fl.left)})
-		}
-		waitStart := time.Now()
-		err := run.publish(k)
-		wait := time.Since(waitStart)
-		if err == nil && k > 0 {
-			run.retire(g, k-1)
-		}
-		if traced {
-			obs.EmitSpan(ctx, "engine.snapshot", prefixMark,
-				obs.Attr{K: "cluster", V: strconv.Itoa(k)},
-				obs.Attr{K: "cycle", V: strconv.FormatUint(clusters[k].snapCycle, 10)},
-				obs.Attr{K: "wait_ns", V: strconv.FormatInt(wait.Nanoseconds(), 10)})
-		}
-		prefixMark = time.Now()
-		if err == nil && next == len(clusters) {
-			err = sim.ErrReplayStop
-		}
-		return err
-	})
-	_, runErr := cfg.App.Run(g)
+	parked, runErr := p.wait()
 	// Nothing is published after this: workers waiting for a cluster go home.
 	run.mu.Lock()
 	run.closed = true
 	run.wake.Broadcast()
 	run.mu.Unlock()
 	workers.Wait()
-	// Reached by returning, never by a panic unwinding through here: storage
-	// a panic left half-written must not reach the pool. The workers released
-	// their vessels; the templates still out, two at most, go the same way.
-	for k := max(next-2, 0); k < next; k++ {
+	// The workers released their vessels; the templates still out, two at
+	// most, go back to the prefix device — unless a panic left it, and
+	// perhaps them, half-written: suspect storage must not reach the pool.
+	g := p.g
+	if p.panicked {
+		g = nil
+	}
+	for k := max(p.next-2, 0); k < p.next; k++ {
 		run.retire(g, k)
 	}
-	g.Release()
 
-	err = run.err
+	err := run.err
+	switch {
+	case parked && err == nil && ctx.Err() == nil:
+		s.pre = p
+	case parked:
+		p.end()
+	case !p.panicked:
+		g.Release()
+	}
 	if err == nil && runErr != nil && !errors.Is(runErr, sim.ErrReplayStop) {
-		if err = runErr; !isCancel(err) {
+		if err = runErr; !isCancel(err) && !p.panicked {
 			err = fmt.Errorf("core: fault-free prefix run of %s failed: %w", cfg.App.Name, runErr)
 		}
 	}
@@ -293,7 +274,7 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 		}
 		return nil, err
 	}
-	if next != len(clusters) {
+	if !parked {
 		// The prefix run returned cleanly without visiting every snapshot
 		// cycle — an app wrapper that swallows launch errors, or a cycle
 		// plan past the execution's end. Without this check the campaign
@@ -304,7 +285,7 @@ func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*Campaign
 		}
 		return results(), fmt.Errorf(
 			"core: prefix run of %s finished after %d of %d snapshot clusters: %d experiment(s) never ran",
-			cfg.App.Name, next, len(clusters), never)
+			cfg.App.Name, p.next, len(clusters), never)
 	}
 	return results(), nil
 }
@@ -321,6 +302,7 @@ type pipeline struct {
 	points   []*point
 	clusters []cluster
 	jobs     int          // length of the job list the clusters are ranges of
+	traced   bool         // ctx carries a trace: the prefix emits spans
 	cursor   atomic.Int64 // next job to claim
 
 	mu        sync.Mutex
@@ -417,11 +399,12 @@ func (p *pipeline) finish(c int, t phaseNS, poisoned bool, err error) {
 // The next capture but one reuses its storage and Release parks it — unless
 // an experiment poisoned it or it fails verification: a panicked fork may
 // have been killed mid-restore, and recycling suspect storage would silently
-// corrupt every later cluster. Such a template is dropped.
+// corrupt every later cluster. Such a template is dropped, and so is every
+// template when g is nil.
 func (p *pipeline) retire(g *sim.GPU, k int) {
 	fl := &p.flights[k]
 	fl.end()
-	if fl.snap != nil && !fl.poisoned && fl.snap.VerifyStorage() == nil {
+	if g != nil && fl.snap != nil && !fl.poisoned && fl.snap.VerifyStorage() == nil {
 		g.RecycleSnapshot(fl.snap)
 	}
 	fl.snap = nil

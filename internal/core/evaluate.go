@@ -91,7 +91,9 @@ func EvaluateApp(ctx context.Context, app *bench.App, gpu *config.GPU, cfg EvalC
 	if err != nil {
 		return nil, err
 	}
-	results, err := runPoints(ctx, prof, points)
+	sess := &Session{prof: prof}
+	defer sess.Close()
+	results, err := sess.runPoints(ctx, points)
 	if err != nil {
 		return nil, fmt.Errorf("core: evaluate %s: %w", app.Name, err)
 	}

@@ -1,0 +1,19 @@
+package core
+
+import "context"
+
+// SetPrefixHook installs fn to run on every prefix goroutine at each capture,
+// with the number of captures that prefix took before it, and returns a
+// function that removes it.
+func SetPrefixHook(fn func(n int)) (restore func()) {
+	prefixHook.Store(&fn)
+	return func() { prefixHook.Store(nil) }
+}
+
+// runPoints runs points as one engine run of a session of their own, closed
+// when the run returns.
+func runPoints(ctx context.Context, prof *Profile, points []*point) ([]*CampaignResult, error) {
+	s := &Session{prof: prof}
+	defer s.Close()
+	return s.runPoints(ctx, points)
+}

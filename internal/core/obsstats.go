@@ -25,6 +25,13 @@ var (
 	forksReused = obs.Default().Counter("gpufi_forks_reused",
 		"Experiments that ran on a fork vessel already holding the previous experiment's state.")
 
+	// Fault-free prefix runs an engine session started from cycle 0, and
+	// runs that continued the prefix the session's previous run had parked.
+	prefixesStarted = obs.Default().Counter("gpufi_prefixes_started",
+		"Fault-free prefix runs started from cycle 0 by an engine run.")
+	prefixesContinued = obs.Default().Counter("gpufi_prefixes_continued",
+		"Engine runs that continued the fault-free prefix their session's previous run had parked.")
+
 	// Experiments the device ended early because the rest of the run was
 	// provably the golden run, by sim.StopReason, and the cycles of golden
 	// suffix they did not simulate.
@@ -61,6 +68,9 @@ type EngineCounters struct {
 	VesselsDiscarded int64 // poisoned vessels dropped by the engine
 	DevicesBuilt     int64 // devices of any role built from nothing
 	DevicesParked    int64 // devices parked in the pool right now (a gauge)
+
+	PrefixesStarted   int64 // fault-free prefix runs started from cycle 0
+	PrefixesContinued int64 // engine runs that continued their session's parked prefix
 
 	SnapshotCaptures     int64 // snapshots taken by prefix runs
 	SnapshotCaptureNanos int64
@@ -111,6 +121,8 @@ func EngineStats() EngineCounters {
 		VesselsDiscarded:      vesselsDiscarded.Load(),
 		DevicesBuilt:          devs.DevicesBuilt,
 		DevicesParked:         devs.DevicesParked,
+		PrefixesStarted:       prefixesStarted.Load(),
+		PrefixesContinued:     prefixesContinued.Load(),
 		SnapshotCaptures:      st.Captures,
 		SnapshotCaptureNanos:  st.CaptureNanos,
 		SnapshotRestores:      st.Restores,

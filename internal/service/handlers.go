@@ -555,10 +555,20 @@ func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
 
 // handleShardJournal merges one worker batch. The body limit is generous:
 // a batch carries full experiment records, and traced campaigns attach
-// propagation traces.
+// propagation traces. The ingest span covers the decode: its decode_ns is
+// the part of the span spent turning the body into records.
 func (s *Server) handleShardJournal(w http.ResponseWriter, r *http.Request) {
+	_, sp := obs.StartSpan(r.Context(), "coordinator.ingest",
+		obs.Attr{K: "shard", V: r.PathValue("id")})
+	data, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
 	var b shard.Batch
-	if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&b); err != nil {
+	if err == nil {
+		decodeStart := time.Now()
+		b, err = shard.DecodeBatch(data)
+		sp.SetAttr("decode_ns", strconv.FormatInt(time.Since(decodeStart).Nanoseconds(), 10))
+	}
+	if err != nil {
+		sp.End()
 		writeErr(w, r, &httpError{code: 400, kind: "invalid_batch", msg: fmt.Sprintf("bad journal batch: %v", err)})
 		return
 	}
@@ -566,13 +576,12 @@ func (s *Server) handleShardJournal(w http.ResponseWriter, r *http.Request) {
 		b.Shard = r.PathValue("id")
 	}
 	if b.Shard != r.PathValue("id") {
+		sp.End()
 		writeErr(w, r, &httpError{code: 400, kind: "invalid_batch",
 			msg: fmt.Sprintf("batch names shard %s, posted to %s", b.Shard, r.PathValue("id"))})
 		return
 	}
-	_, sp := obs.StartSpan(r.Context(), "coordinator.ingest",
-		obs.Attr{K: "shard", V: b.Shard},
-		obs.Attr{K: "records", V: strconv.Itoa(len(b.Records))})
+	sp.SetAttr("records", strconv.Itoa(len(b.Records)))
 	res, err := s.co.Ingest(b)
 	if err == nil {
 		sp.SetAttr("accepted", strconv.Itoa(res.Accepted))

@@ -576,7 +576,7 @@ func (s *Server) Drain(ctx context.Context) error {
 }
 
 // onExperiment updates a running job's live counts and fans the progress
-// event out to SSE subscribers.
+// event out to SSE subscribers; with none, it builds no event.
 func (s *Server) onExperiment(j *job, exp core.Experiment) {
 	s.metrics.experiments.Add(1)
 	if exp.Quarantined {
@@ -589,6 +589,14 @@ func (s *Server) onExperiment(j *job, exp core.Experiment) {
 	if exp.Detail == core.AnalyticDetail {
 		j.analytic++
 	}
+	ratio := 0.0
+	if j.total > 0 {
+		ratio = float64(j.done) / float64(j.total)
+	}
+	s.metrics.progress.Set(j.id, ratio)
+	if len(j.subs) == 0 {
+		return // nobody would read the events below
+	}
 	if exp.Quarantined {
 		// A sandboxed experiment (panic or wall-clock expiry) is worth a
 		// dedicated event: it is the signal that a fault specification is
@@ -600,11 +608,6 @@ func (s *Server) onExperiment(j *job, exp core.Experiment) {
 			"detail": exp.Detail,
 		}})
 	}
-	ratio := 0.0
-	if j.total > 0 {
-		ratio = float64(j.done) / float64(j.total)
-	}
-	s.metrics.progress.Set(j.id, ratio)
 	// ETA from this attempt's own throughput (resumed work is excluded via
 	// doneAtStart, so a 90%-journaled campaign doesn't project 10x speed).
 	eta := -1.0

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"syscall"
 	"testing"
 	"time"
@@ -85,11 +86,15 @@ func BenchmarkLocalCampaign(b *testing.B) {
 // benchCampaigns submits the campaign-late point as b.N campaigns, one at a
 // time, to the node serving base over st, and reports how busy the CPUs
 // were, how many journal batches and fsync waits a campaign cost, how many
-// span records it wrote, and what a finished campaign leaves on the heap.
-// It fails when a campaign costs more fsyncs than its batches and control
+// span records it wrote, how many fault-free prefixes its shards started
+// and how long they took to their shards' first captures, how long the
+// coordinator took to decode a record (over HTTP: the ingest spans'
+// decode_ns), and what a finished campaign leaves on the heap. It
+// fails when a campaign costs more fsyncs than its batches and control
 // records allow — a batch is acknowledged after one journal fsync, with the
 // span log synced just ahead of it — when it writes a span per experiment
-// rather than per cluster, or when it leaves more behind than a tombstone.
+// rather than per cluster, when its shards start more than a prefix per
+// worker and generation, or when it leaves more behind than a tombstone.
 func benchCampaigns(b *testing.B, st *store.Store, base string) {
 	spec := store.Spec{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "regfile",
 		Runs: 5000, Seed: 7, Workers: 1}
@@ -188,15 +193,32 @@ func benchCampaigns(b *testing.B, st *store.Store, base string) {
 		obs.EmitRecord(rec)
 	}
 	heap0, fsync0, batches0, wal0, cpu0 := liveHeap(), fsyncCount(), batches(), walRecords.Load(), cpuTime()
+	prefixes0 := core.EngineStats().PrefixesStarted
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		campaign(fmt.Sprintf("bench-%d", i))
 	}
 	wall, cpu := b.Elapsed(), cpuTime()-cpu0
 	n := float64(b.N)
+	prefixes := float64(core.EngineStats().PrefixesStarted-prefixes0) / n
 	spans := 0
+	var decodeNS, decoded, firstCaptureUS float64
 	for i := 0; i < b.N; i++ {
-		spans += bytes.Count(spanBytes(fmt.Sprintf("bench-%d", i)), []byte("\n"))
+		raw := spanBytes(fmt.Sprintf("bench-%d", i))
+		spans += bytes.Count(raw, []byte("\n"))
+		recs, err := obs.ReadSpans(bytes.NewReader(raw))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, rec := range recs {
+			if rec.Name == "engine.snapshot" && rec.Attrs["cluster"] == "0" {
+				firstCaptureUS += float64(rec.DurUS)
+			}
+			if ns, err := strconv.ParseFloat(rec.Attrs["decode_ns"], 64); rec.Name == "coordinator.ingest" && err == nil {
+				records, _ := strconv.ParseFloat(rec.Attrs["records"], 64)
+				decodeNS, decoded = decodeNS+ns, decoded+records
+			}
+		}
 	}
 	perExp := float64(spans) / n / float64(spec.Runs)
 	fsyncs := float64(fsyncCount()-fsync0) / n
@@ -209,12 +231,24 @@ func benchCampaigns(b *testing.B, st *store.Store, base string) {
 	b.ReportMetric(fsyncs, "fsyncs/campaign")
 	b.ReportMetric(heapMB, "heap-mb/campaign")
 	b.ReportMetric(perExp, "spans/exp")
+	b.ReportMetric(prefixes, "prefixes/campaign")
+	b.ReportMetric(firstCaptureUS/1e3/n, "first-capture-ms/campaign")
+	if decoded > 0 {
+		b.ReportMetric(decodeNS/decoded, "decode-ns/record")
+	}
 	// Two per batch (span log, then journal), one per control record (plans
 	// and grants), and the header's and the close's pairs plus the span
 	// log's own close.
 	if bound := 2*posts + ctl + 5; fsyncs > bound {
 		b.Errorf("%.0f fsyncs per campaign, want at most %.0f for %.1f batches and %.1f control records: a batch costs more than one journal sync",
 			fsyncs, bound, posts, ctl)
+	}
+	// Each worker's shards of a generation arrive in injection-cycle order,
+	// so its session carries one prefix through all of them; these fixed-N
+	// campaigns are one generation each.
+	if generations, workers := 1.0, 2.0; prefixes > workers*generations {
+		b.Errorf("%.1f prefixes per campaign, want at most %.0f: a worker's shards of one generation restart the prefix",
+			prefixes, workers*generations)
 	}
 	if perExp > 0.25 {
 		b.Errorf("%.2f span records per experiment, want at most 0.25: the engine traces experiments, not clusters", perExp)

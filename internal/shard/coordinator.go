@@ -90,6 +90,8 @@ type Coordinator struct {
 	workers    map[string]*WorkerStat
 	stats      Stats         // lifetime counters
 	wake       chan struct{} // closed and replaced at every generation planned
+
+	profiles profileCache // shared with in-process workers
 }
 
 // campaignRun is one campaign being coordinated: the open store handle,
@@ -296,10 +298,11 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	trace, rootSpan, _ := obs.TraceFromContext(ctx)
 
 	// The profile is the coordinator's only simulation work: one
-	// fault-free run, enough to plan snapshot clusters. Workers re-derive
-	// the same profile deterministically on their side.
+	// fault-free run per (application, scale, GPU) and process, enough to
+	// plan snapshot clusters. Workers re-derive the same profile
+	// deterministically on their side.
 	profStart := time.Now()
-	prof, err := core.ProfileApp(ctx, cfg.App, cfg.GPU)
+	prof, err := co.profiles.get(ctx, spec, cfg)
 	if err != nil {
 		return nil, nil, err
 	}

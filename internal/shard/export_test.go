@@ -3,8 +3,12 @@ package shard
 import "context"
 
 // RunShard runs one claimed shard the way Worker.Run does, for the sender
-// tests that play coordinator themselves.
-func (w *Worker) RunShard(ctx context.Context, sh *Shard) error { return w.runShard(ctx, sh) }
+// tests that play coordinator themselves, and ends the engine session as Run
+// does when it returns.
+func (w *Worker) RunShard(ctx context.Context, sh *Shard) error {
+	defer w.endSession()
+	return w.runShard(ctx, sh)
+}
 
 // Call is the worker's one request path, for the wire round-trip test.
 func (w *Worker) Call(ctx context.Context, path string, body, out any) error {

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/url"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -73,8 +74,20 @@ type Worker struct {
 	// a test hook for killing a worker at a precise protocol point.
 	AfterBatch func(shardID string, seq int)
 
-	mu       sync.Mutex
-	profiles map[string]*core.Profile // fault-free profile cache, by profileKey
+	profiles profileCache // unless Coordinator's is in this process
+	sess     *session     // the campaign of the last shard run: Run's goroutine only
+}
+
+// session is a worker's engine session for one campaign: the campaign's plan,
+// derived once, and the fault-free prefix its last shard left parked, which
+// the next shard continues when it lies ahead (core.Session). A worker keeps
+// one, and ends it when a shard of another campaign arrives, when a batch
+// answer says the campaign is done or closed, or when Run returns: it holds at
+// most one parked prefix device.
+type session struct {
+	campaign string
+	spec     store.Spec
+	*core.Session
 }
 
 func (w *Worker) client() *http.Client {
@@ -117,6 +130,7 @@ func (w *Worker) newBackoff() *backoff {
 // polled again, and a shard that ends in a verdict is abandoned — the
 // lease protocol makes that safe.
 func (w *Worker) Run(ctx context.Context) error {
+	defer w.endSession()
 	log := w.logger()
 	for {
 		wake := w.planned()
@@ -147,35 +161,39 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 }
 
-// profile returns the fault-free profile for the shard's app/GPU point,
-// cached: every shard of a campaign (and every campaign over the same
-// benchmark) shares one golden run per worker process.
-func (w *Worker) profile(ctx context.Context, spec store.Spec, cfg *core.CampaignConfig) (*core.Profile, error) {
-	key := profileKey(spec, cfg)
-	w.mu.Lock()
-	prof := w.profiles[key]
-	w.mu.Unlock()
-	if prof != nil {
-		return prof, nil
+// session returns the engine session of sh's campaign: the one the worker
+// holds, if sh is of its campaign, or else a new one, the old one ended.
+func (w *Worker) session(ctx context.Context, sh *Shard) (*core.Session, error) {
+	if s := w.sess; s != nil && s.campaign == sh.Campaign && reflect.DeepEqual(s.spec, sh.Spec) {
+		return s.Session, nil
 	}
-	prof, err := core.ProfileApp(ctx, cfg.App, cfg.GPU)
+	w.endSession()
+	cfg, err := sh.Spec.Config()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("shard %s: bad spec: %w", sh.ID, err)
 	}
-	w.mu.Lock()
-	if w.profiles == nil {
-		w.profiles = make(map[string]*core.Profile)
+	profiles := &w.profiles
+	if w.Coordinator != nil {
+		profiles = &w.Coordinator.profiles
 	}
-	w.profiles[key] = prof
-	w.mu.Unlock()
-	return prof, nil
+	prof, err := profiles.get(ctx, sh.Spec, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: profile: %w", sh.ID, err)
+	}
+	s, err := core.NewSession(cfg, prof)
+	if err != nil {
+		return nil, fmt.Errorf("shard %s: engine: %w", sh.ID, err)
+	}
+	w.sess = &session{campaign: sh.Campaign, spec: sh.Spec, Session: s}
+	return s, nil
 }
 
-// profileKey names everything a fault-free profile depends on: the
-// application at its scale and the whole resolved GPU, so any spec field
-// that reaches the GPU keys a profile of its own.
-func profileKey(spec store.Spec, cfg *core.CampaignConfig) string {
-	return fmt.Sprintf("%s|%d|%s", cfg.App.Name, max(spec.Scale, 1), cfg.GPU.Marshal())
+// endSession ends the worker's engine session, if it holds one.
+func (w *Worker) endSession() {
+	if w.sess != nil {
+		w.sess.Close()
+		w.sess = nil
+	}
 }
 
 // heartbeatInterval derives the heartbeat cadence from the lease TTL: one
@@ -194,36 +212,25 @@ func heartbeatInterval(ttl time.Duration) time.Duration {
 }
 
 // runShard executes one leased shard: heartbeats keep the lease alive
-// while the engine runs the shard's indices (everything else is marked
-// Completed), and finished experiments stream back in journal batches.
+// while the engine session of its campaign runs the shard's indices, and
+// finished experiments stream back in journal batches. The coordinator owns
+// the campaign's schedule: it ran the analytic pre-pass, and a shard is a
+// piece of one round, which the session runs fixed-N; the next round, if the
+// stop rule wants one, is more shards.
 func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
-	cfg, err := sh.Spec.Config()
-	if err != nil {
-		return fmt.Errorf("shard %s: bad spec: %w", sh.ID, err)
-	}
-	// The coordinator owns the campaign's schedule: it ran the analytic
-	// pre-pass, and a shard is a piece of one round. The worker runs its
-	// indices fixed-N; the next round, if the stop rule wants one, is more
-	// shards.
-	cfg.Plan = nil
 	profStart := time.Now()
-	prof, err := w.profile(ctx, sh.Spec, cfg)
+	sess, err := w.session(ctx, sh)
 	if err != nil {
-		return fmt.Errorf("shard %s: profile: %w", sh.ID, err)
+		return err
 	}
-
-	// Run ONLY the shard's indices: everything else is "already done"
-	// from this engine invocation's point of view.
-	mine := make(map[int]bool, len(sh.Indices))
-	for _, i := range sh.Indices {
-		mine[i] = true
-	}
-	cfg.Completed = cfg.Completed[:0]
-	for i := 0; i < cfg.Runs; i++ {
-		if !mine[i] {
-			cfg.Completed = append(cfg.Completed, i)
+	// A batch answer that the campaign is done or closed ends the session,
+	// once the engine and the sender have stopped.
+	var campaignOver atomic.Bool
+	defer func() {
+		if campaignOver.Load() {
+			w.endSession()
 		}
-	}
+	}()
 
 	shardCtx, cancel := context.WithCancel(ctx)
 	hbDone := make(chan struct{})
@@ -310,7 +317,13 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 			Campaign: sh.Campaign, Shard: sh.ID, Lease: sh.Lease,
 			Seq: seq, Final: final, Records: recs,
 		}, &res); err != nil {
+			if errors.Is(err, ErrCampaignClosed) {
+				campaignOver.Store(true)
+			}
 			return nil, err
+		}
+		if res.CampaignDone {
+			campaignOver.Store(true)
 		}
 		if w.AfterBatch != nil {
 			w.AfterBatch(sh.ID, seq)
@@ -337,11 +350,9 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	// The engine's collector serializes the sink, so the outbox sees
 	// experiments in completion order — the same order a local store run
 	// journals them — each one record with its trace attached.
-	cfg.Sink = func(exp core.Experiment) error {
+	_, runErr := sess.Run(shardCtx, sh.Indices, func(exp core.Experiment) error {
 		return out.add(Record{Kind: KindExp, Exp: &exp, Trace: exp.Trace})
-	}
-
-	_, runErr := core.RunCampaign(shardCtx, cfg, prof)
+	})
 	engineDone.Store(true)
 	// Drain: the sender stops after the POST it has in flight (which a
 	// cancelled shardCtx aborts).
@@ -480,7 +491,13 @@ type errorEnvelope struct {
 func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 	try := func() error { return w.direct(ctx, path, body, out) }
 	if w.Coordinator == nil {
-		raw, err := json.Marshal(body)
+		var raw []byte
+		var err error
+		if b, ok := body.(Batch); ok {
+			raw, err = EncodeBatch(&b)
+		} else {
+			raw, err = json.Marshal(body)
+		}
 		if err != nil {
 			return err
 		}

@@ -310,3 +310,69 @@ func TestChainedVesselEqualsRestored(t *testing.T) {
 		})
 	})
 }
+
+// TestContinuedPrefixEqualsFresh holds a continued prefix to a new one. An
+// engine session keeps its prefix device between runs: parked in its capture
+// callback after one run's last snapshot, it is handed the next run's cycles
+// there and carries on. At every later capture — in the same launch, across
+// host calls into later launches — the device and its snapshot must be, by
+// stateOf, what a new recording device asked for that cycle alone gives.
+func TestContinuedPrefixEqualsFresh(t *testing.T) {
+	g := newTestGPU(t)
+	if _, err := watchApp(t, g); err != nil {
+		t.Fatal(err)
+	}
+	ls := g.Launches()
+	if len(ls) < 3 {
+		t.Fatalf("watchApp made %d launches, the test needs three", len(ls))
+	}
+	first := ls[0].StartCycle + (ls[0].EndCycle-ls[0].StartCycle)/4
+	runs := [][]uint64{
+		{first, first + 40},
+		{ls[1].StartCycle + 5},
+		{ls[len(ls)-1].StartCycle + 3, ls[len(ls)-1].EndCycle - 10},
+	}
+	fresh := func(cycle uint64) (dev, snap deviceState) {
+		f := newTestGPU(t)
+		f.EnableRecording()
+		f.SnapshotAt([]uint64{cycle}, func(s *Snapshot) error {
+			dev, snap = stateOf(f), stateOf(s.gpu)
+			return ErrReplayStop
+		})
+		if _, err := watchApp(t, f); !errors.Is(err, ErrReplayStop) {
+			t.Fatalf("new prefix to cycle %d: %v", cycle, err)
+		}
+		f.Release()
+		return dev, snap
+	}
+
+	prefix := newTestGPU(t)
+	prefix.EnableRecording()
+	r, k := 0, 0
+	var capture func(s *Snapshot) error
+	capture = func(s *Snapshot) error {
+		cycle := runs[r][k]
+		if s.Cycle != cycle {
+			t.Errorf("run %d: captured at cycle %d, asked for %d", r, s.Cycle, cycle)
+		}
+		dev, snap := fresh(cycle)
+		if diff := differing(stateOf(prefix), dev); diff != nil {
+			t.Errorf("run %d: at cycle %d the continued prefix differs from a new one in %v", r, cycle, diff)
+		}
+		if diff := differing(stateOf(s.gpu), snap); diff != nil {
+			t.Errorf("run %d: the continued prefix's capture at cycle %d differs from a new one's in %v", r, cycle, diff)
+		}
+		if k++; k < len(runs[r]) {
+			return nil
+		}
+		if r, k = r+1, 0; r == len(runs) {
+			return ErrReplayStop
+		}
+		prefix.SnapshotAt(runs[r], capture) // the next run carries the parked prefix on
+		return nil
+	}
+	prefix.SnapshotAt(runs[0], capture)
+	if _, err := watchApp(t, prefix); !errors.Is(err, ErrReplayStop) || r != len(runs) {
+		t.Fatalf("continued prefix ended with %v after %d of %d runs", err, r, len(runs))
+	}
+}
