@@ -151,7 +151,6 @@ func TestWrongMethodOnKnownRoute(t *testing.T) {
 		{http.MethodDelete, "/v1/campaigns/nope/events", 405, "GET, HEAD"},
 		{http.MethodGet, "/v1/shards/claim", 405, "POST"},
 		{http.MethodPost, "/v1/shards", 405, "GET, HEAD"},
-		{http.MethodGet, "/v1/shards/s1/heartbeat", 405, "POST"},
 		{http.MethodPut, "/v1/shards/s1/journal", 405, "POST"},
 		{http.MethodPost, "/metrics", 405, "GET, HEAD"},
 		{http.MethodDelete, "/healthz", 405, "GET, HEAD"},
@@ -159,6 +158,7 @@ func TestWrongMethodOnKnownRoute(t *testing.T) {
 		{http.MethodPut, "/v1/nope", 404, ""},
 		{http.MethodPost, "/v1/campaigns/nope/log/extra", 404, ""},
 		{http.MethodGet, "/v1/shards/s1", 404, ""},
+		{http.MethodPost, "/v1/shards/s1/heartbeat", 404, ""}, // a batch renews the lease
 		{http.MethodPatch, "/", 404, ""},
 	} {
 		req, _ := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(vaBody))

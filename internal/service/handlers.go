@@ -40,8 +40,8 @@ import (
 //
 //	POST   /v1/shards/claim           claim a shard lease (204 when none pending)
 //	GET    /v1/shards                 shard statuses
-//	POST   /v1/shards/{id}/heartbeat  extend a lease (409 lease_fenced after a re-issue)
-//	POST   /v1/shards/{id}/journal    merge a journal batch
+//	POST   /v1/shards/{id}/journal    merge a journal batch and renew its lease
+//	                                  (409 lease_fenced after a re-issue)
 //
 // Unversioned operational endpoints (probes and scrapes are
 // infrastructure contracts, not API surface):
@@ -71,7 +71,6 @@ func (s *Server) Handler() http.Handler {
 
 	mux.HandleFunc("POST /v1/shards/claim", s.handleShardClaim)
 	mux.HandleFunc("GET /v1/shards", s.handleShardList)
-	mux.HandleFunc("POST /v1/shards/{id}/heartbeat", s.handleShardHeartbeat)
 	mux.HandleFunc("POST /v1/shards/{id}/journal", s.handleShardJournal)
 
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
@@ -531,26 +530,6 @@ func (s *Server) handleShardClaim(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, sh)
-}
-
-func (s *Server) handleShardHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req shard.HeartbeatRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeErr(w, r, &httpError{code: 400, msg: fmt.Sprintf("bad heartbeat: %v", err)})
-		return
-	}
-	// The handler span is parented to the worker's shard span through the
-	// traceparent header the middleware extracted; its sink is the trace
-	// registry, so it lands in the campaign's spans.jsonl.
-	_, sp := obs.StartSpan(r.Context(), "coordinator.heartbeat",
-		obs.Attr{K: "shard", V: r.PathValue("id")})
-	res, err := s.co.Heartbeat(r.PathValue("id"), req.Lease)
-	sp.End()
-	if err != nil {
-		writeErr(w, r, shardErr(err))
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
 }
 
 // handleShardJournal merges one worker batch. The body limit is generous:

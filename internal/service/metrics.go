@@ -107,7 +107,7 @@ func (s *Server) registerShardMetrics() {
 		func() float64 { return float64(co.Stats().LeaseExpiries) })
 	r.GaugeFunc("gpufi_shard_wal_rebuilds", "Campaigns whose shard table was rebuilt from the control WAL.",
 		func() float64 { return float64(co.Stats().WALRebuilds) })
-	r.GaugeFunc("gpufi_shard_leases_fenced", "Stale-epoch heartbeats and batches refused after a re-issue.",
+	r.GaugeFunc("gpufi_shard_leases_fenced", "Stale-epoch journal batches refused after a re-issue.",
 		func() float64 { return float64(co.Stats().LeasesFenced) })
 	r.GaugeFunc("gpufi_shard_workers", "Workers the coordinator has heard from.",
 		func() float64 { return float64(len(co.WorkerStats())) })

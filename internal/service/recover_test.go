@@ -44,24 +44,25 @@ func TestRecoveringResponses(t *testing.T) {
 		t.Fatalf("claim during rebuild: Retry-After %q, want \"1\"", ra)
 	}
 
-	// A heartbeat for a shard of the recovering campaign: same answer —
-	// the lease may well still be valid once the table is rebuilt.
-	resp, err = http.Post(ts.URL+"/v1/shards/camp-x:1:0/heartbeat", "application/json",
-		strings.NewReader(`{"lease":"stale-token"}`))
+	// An idle worker's empty batch for a shard of the recovering campaign:
+	// same answer — the lease may well still be valid once the table is
+	// rebuilt.
+	resp, err = http.Post(ts.URL+"/v1/shards/camp-x:1:0/journal", "application/json",
+		strings.NewReader(`{"campaign":"camp-x","shard":"camp-x:1:0","lease":"stale-token","seq":1,"records":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code, _, _ := decodeEnvelope(t, resp); resp.StatusCode != http.StatusServiceUnavailable || code != "coordinator_recovering" {
-		t.Fatalf("heartbeat during rebuild: %d %q, want 503 coordinator_recovering", resp.StatusCode, code)
+		t.Fatalf("empty batch during rebuild: %d %q, want 503 coordinator_recovering", resp.StatusCode, code)
 	}
 
 	// A shard of a campaign that is NOT recovering is simply unknown.
-	resp, err = http.Post(ts.URL+"/v1/shards/other:1:0/heartbeat", "application/json",
-		strings.NewReader(`{"lease":"x"}`))
+	resp, err = http.Post(ts.URL+"/v1/shards/other:1:0/journal", "application/json",
+		strings.NewReader(`{"campaign":"other","shard":"other:1:0","lease":"x","seq":1,"records":[]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code, _, _ := decodeEnvelope(t, resp); resp.StatusCode != http.StatusNotFound || code != "shard_unknown" {
-		t.Fatalf("heartbeat on unknown shard: %d %q, want 404 shard_unknown", resp.StatusCode, code)
+		t.Fatalf("empty batch on unknown shard: %d %q, want 404 shard_unknown", resp.StatusCode, code)
 	}
 }

@@ -77,9 +77,9 @@ func TestIsOutage(t *testing.T) {
 	}
 }
 
-// TestHeartbeatInterval pins the ticker guard: a missing TTL gets the
-// conservative default, and a sub-millisecond TTL still yields a positive
-// interval instead of panicking time.NewTicker.
+// TestHeartbeatInterval pins the idle interval's guard: a missing TTL gets
+// the conservative default, and a sub-millisecond TTL still yields a
+// positive interval, never a zero that would busy-loop the sender.
 func TestHeartbeatInterval(t *testing.T) {
 	if iv := heartbeatInterval(0); iv != 5*time.Second {
 		t.Errorf("heartbeatInterval(0) = %v, want 5s", iv)

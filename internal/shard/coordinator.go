@@ -22,8 +22,8 @@ import (
 
 // Options tunes the coordinator.
 type Options struct {
-	// LeaseTTL is how long a claimed shard stays leased without a
-	// heartbeat before it is re-issued to another worker. Default 15s.
+	// LeaseTTL is how long a claimed shard stays leased without a journal
+	// batch before it is re-issued to another worker. Default 15s.
 	LeaseTTL time.Duration
 	// ShardsPerCampaign caps how many shards a campaign is split into
 	// (the planner may produce fewer when there are fewer snapshot
@@ -58,7 +58,7 @@ type Stats struct {
 
 	// WALRebuilds counts campaigns whose shard table was rebuilt from a
 	// durable WAL plan after a restart; LeasesFenced counts stale-epoch
-	// heartbeats and batches refused after a shard re-issue. The WAL's
+	// batches refused after a shard re-issue. The WAL's
 	// records are counted where they are appended (internal/store).
 	WALRebuilds  int64
 	LeasesFenced int64
@@ -567,23 +567,6 @@ func (co *Coordinator) Claim(worker string) (*Shard, error) {
 	return nil, ErrNoWork
 }
 
-// Heartbeat extends a live lease. An unknown token gets ErrLeaseRevoked; a
-// known token from a superseded epoch gets ErrLeaseFenced — the signal for
-// a straggling worker to abandon the shard (someone else owns it now).
-func (co *Coordinator) Heartbeat(shardID, lease string) (*HeartbeatResult, error) {
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	run, err := co.findLocked(shardID)
-	if err != nil {
-		return nil, err
-	}
-	if err := run.tab.renew(shardID, lease, co.now().Add(co.opts.LeaseTTL)); err != nil {
-		return nil, co.fencedLocked(err)
-	}
-	co.touchWorker(run.tab.shards[shardID].worker, 0, 0, 0)
-	return &HeartbeatResult{Lease: lease, ExpiresInMS: co.opts.LeaseTTL.Milliseconds()}, nil
-}
-
 // fencedLocked counts a refusal that was the fence at work.
 func (co *Coordinator) fencedLocked(err error) error {
 	if errors.Is(err, ErrLeaseFenced) {
@@ -592,7 +575,9 @@ func (co *Coordinator) fencedLocked(err error) error {
 	return err
 }
 
-// Ingest merges one journal batch into the campaign's store: its new
+// Ingest merges one journal batch into the campaign's store and renews the
+// lease it came under: a batch is the worker's heartbeat, and one with no
+// records is how an idle worker keeps its lease (it costs no fsync). Its new
 // experiments as one journal group, synced once before anything is merged
 // or answered, so an acknowledged record survives a crash. Records for
 // indices already journaled — a batch replayed after a worker death and
@@ -616,7 +601,7 @@ func (co *Coordinator) Ingest(b Batch) (*BatchResult, error) {
 			ErrBadBatch, b.Campaign, run.id)
 	}
 	tab := run.tab
-	if err := tab.check(b.Shard, b.Lease); err != nil {
+	if err := tab.renew(b.Shard, b.Lease, co.now().Add(co.opts.LeaseTTL)); err != nil {
 		return nil, co.fencedLocked(err)
 	}
 	ss := tab.shards[b.Shard]

@@ -124,7 +124,7 @@ func journalBytes(t *testing.T, co *Coordinator, st *store.Store, id string) []b
 
 // TestCoordinatorLifecycle drives the whole lease protocol against a real
 // campaign, with an injected clock standing in for wall time: claim,
-// bogus and valid heartbeats, lease expiry and re-issue, ingest under an
+// empty batches under bogus and valid leases, lease expiry and re-issue, ingest under an
 // expired (but issued) lease, duplicate-batch idempotence, out-of-shard
 // rejection, and the campaign completing with a durable done marker.
 func TestCoordinatorLifecycle(t *testing.T) {
@@ -160,15 +160,17 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		t.Fatalf("third claim: want ErrNoWork, got %v", err)
 	}
 
-	// Heartbeats: bogus lease and unknown shard are typed rejections.
-	if _, err := co.Heartbeat(sh0.ID, "bogus"); !errors.Is(err, ErrLeaseRevoked) {
-		t.Fatalf("bogus heartbeat: want ErrLeaseRevoked, got %v", err)
+	// Empty batches: bogus lease and unknown shard are typed rejections.
+	if _, err := co.Ingest(expBatch(sh0, "bogus", nil)); !errors.Is(err, ErrLeaseRevoked) {
+		t.Fatalf("bogus lease: want ErrLeaseRevoked, got %v", err)
 	}
-	if _, err := co.Heartbeat("nope:0", sh0.Lease); !errors.Is(err, ErrUnknownShard) {
-		t.Fatalf("unknown shard heartbeat: want ErrUnknownShard, got %v", err)
+	unknown := *sh0
+	unknown.ID = "nope:0"
+	if _, err := co.Ingest(expBatch(&unknown, sh0.Lease, nil)); !errors.Is(err, ErrUnknownShard) {
+		t.Fatalf("unknown shard: want ErrUnknownShard, got %v", err)
 	}
-	if hb, err := co.Heartbeat(sh0.ID, sh0.Lease); err != nil || hb.ExpiresInMS <= 0 {
-		t.Fatalf("valid heartbeat: %v %+v", err, hb)
+	if res, err := co.Ingest(expBatch(sh0, sh0.Lease, nil)); err != nil || res.Accepted != 0 || res.ShardDone {
+		t.Fatalf("valid empty batch: %v %+v", err, res)
 	}
 
 	// Both leases expire; the shards become claimable again.
@@ -180,8 +182,8 @@ func TestCoordinatorLifecycle(t *testing.T) {
 	if re0.Lease == sh0.Lease {
 		t.Fatal("re-issued shard kept the dead lease token")
 	}
-	if _, err := co.Heartbeat(sh0.ID, sh0.Lease); !errors.Is(err, ErrLeaseFenced) {
-		t.Fatalf("heartbeat on replaced lease: want ErrLeaseFenced, got %v", err)
+	if _, err := co.Ingest(expBatch(sh0, sh0.Lease, nil)); !errors.Is(err, ErrLeaseFenced) {
+		t.Fatalf("empty batch on replaced lease: want ErrLeaseFenced, got %v", err)
 	}
 	if re0.Epoch != sh0.Epoch+1 {
 		t.Fatalf("re-issue epoch: want %d, got %d", sh0.Epoch+1, re0.Epoch)
@@ -287,11 +289,95 @@ func TestCoordinatorLifecycle(t *testing.T) {
 		t.Errorf("stats: %+v (want duplicate records counted)", stats)
 	}
 	if stats.LeasesFenced != 2 {
-		t.Errorf("stats: %+v (want 2 fenced attempts: one heartbeat, one ingest)", stats)
+		t.Errorf("stats: %+v (want 2 fenced attempts: one empty batch, one ingest)", stats)
 	}
 	// Two plan records, their plan_done and four grants.
 	if n := walRecords.Load() - walBefore; n < 7 {
 		t.Errorf("%d control WAL records appended, want at least 7", n)
+	}
+}
+
+// TestBatchRenewsLease pins the one renewal there is, on the test clock: an
+// accepted batch, empty or not, pushes its shard's expiry out by one TTL
+// from now, so a claim just before the new expiry finds nothing and one
+// just after re-issues the shard; an empty batch costs no journal fsync; a
+// fenced batch renews nothing; and a batch for a shard already done still
+// gets ShardDone, not campaign_closed, while the campaign is open.
+func TestBatchRenewsLease(t *testing.T) {
+	journalFsyncs := obs.Default().Histogram("gpufi_journal_fsync_seconds", "", nil)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ttl = time.Minute
+	clk := &testClock{base: time.Now()}
+	co := NewCoordinator(st, Options{ShardsPerCampaign: 2, LeaseTTL: ttl})
+	co.now = clk.now
+	runCh := make(chan error, 1)
+	go func() {
+		_, err := co.Run(context.Background(), "renew", vaSpec(10), nil)
+		runCh <- err
+	}()
+	expiry := func(sid string) time.Time {
+		co.mu.Lock()
+		defer co.mu.Unlock()
+		return co.campaigns["renew"].tab.shards[sid].expiry
+	}
+	empty := func(sh *Shard, lease string) (*BatchResult, error) {
+		t.Helper()
+		syncs := journalFsyncs.Count()
+		res, err := co.Ingest(expBatch(sh, lease, nil))
+		if n := journalFsyncs.Count() - syncs; n != 0 {
+			t.Fatalf("an empty batch cost %d journal fsyncs, want 0", n)
+		}
+		return res, err
+	}
+
+	sh0, sh1 := claimSoon(t, co, "w1"), claimSoon(t, co, "w1")
+	clk.advance(ttl - 10*time.Second)
+	for _, sh := range []*Shard{sh0, sh1} {
+		if res, err := empty(sh, sh.Lease); err != nil || res.Accepted != 0 || res.ShardDone {
+			t.Fatalf("empty batch on %s: %+v %v", sh.ID, res, err)
+		}
+		if got, want := expiry(sh.ID), clk.now().Add(ttl); !got.Equal(want) {
+			t.Fatalf("%s expires at now%+v after an empty batch, want now+%v", sh.ID, got.Sub(clk.now()), ttl)
+		}
+	}
+	clk.advance(ttl - time.Millisecond)
+	if sh, err := co.Claim("w2"); !errors.Is(err, ErrNoWork) {
+		t.Fatalf("claim just before the renewed expiry: %+v %v, want ErrNoWork", sh, err)
+	}
+	clk.advance(2 * time.Millisecond)
+	heir := claimSoon(t, co, "w2")
+	if heir.ID != sh0.ID || heir.Epoch != sh0.Epoch+1 {
+		t.Fatalf("claim just after the renewed expiry: %s at epoch %d, want %s re-issued", heir.ID, heir.Epoch, sh0.ID)
+	}
+
+	// The fenced straggler renews nothing.
+	before := expiry(heir.ID)
+	clk.advance(time.Second)
+	if _, err := empty(sh0, sh0.Lease); !errors.Is(err, ErrLeaseFenced) {
+		t.Fatalf("empty batch under the fenced lease: %v, want ErrLeaseFenced", err)
+	}
+	if after := expiry(heir.ID); !after.Equal(before) {
+		t.Fatalf("a fenced batch moved the heir's expiry by %v", after.Sub(before))
+	}
+
+	// A done shard of an open campaign: a late batch, empty or a replay,
+	// hears ShardDone.
+	exps := execShard(t, heir)
+	if res, err := co.Ingest(expBatch(heir, heir.Lease, exps)); err != nil || !res.ShardDone || res.CampaignDone {
+		t.Fatalf("the heir's batch: %+v %v", res, err)
+	}
+	if res, err := empty(heir, heir.Lease); err != nil || !res.ShardDone {
+		t.Fatalf("empty batch for a done shard: %+v %v, want ShardDone", res, err)
+	}
+	if res, err := co.Ingest(expBatch(heir, heir.Lease, exps)); err != nil || !res.ShardDone || res.Duplicates != len(exps) {
+		t.Fatalf("replay for a done shard: %+v %v, want ShardDone and all duplicates", res, err)
+	}
+	co.Revoke("renew")
+	if err := <-runCh; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after revoke: %v", err)
 	}
 }
 
@@ -321,8 +407,8 @@ func TestCoordinatorRevoke(t *testing.T) {
 	if _, err := co.Ingest(expBatch(sh, sh.Lease, exps)); !errors.Is(err, ErrCampaignClosed) {
 		t.Fatalf("ingest after revoke: want ErrCampaignClosed, got %v", err)
 	}
-	if _, err := co.Heartbeat(sh.ID, sh.Lease); !errors.Is(err, ErrCampaignClosed) {
-		t.Fatalf("heartbeat after revoke: want ErrCampaignClosed, got %v", err)
+	if _, err := co.Ingest(expBatch(sh, sh.Lease, nil)); !errors.Is(err, ErrCampaignClosed) {
+		t.Fatalf("empty batch after revoke: want ErrCampaignClosed, got %v", err)
 	}
 	if _, err := co.Claim("w1"); !errors.Is(err, ErrNoWork) {
 		t.Fatalf("claim after revoke: want ErrNoWork, got %v", err)
@@ -506,8 +592,8 @@ func TestShardStatusesAfterFinalize(t *testing.T) {
 	if _, err := co.Ingest(tail); !errors.Is(err, ErrCampaignClosed) {
 		t.Fatalf("late batch: want ErrCampaignClosed, got %v", err)
 	}
-	if _, err := co.Heartbeat(shards[0].ID, shards[0].Lease); !errors.Is(err, ErrCampaignClosed) {
-		t.Fatalf("late heartbeat: want ErrCampaignClosed, got %v", err)
+	if _, err := co.Ingest(expBatch(shards[0], shards[0].Lease, nil)); !errors.Is(err, ErrCampaignClosed) {
+		t.Fatalf("late empty batch: want ErrCampaignClosed, got %v", err)
 	}
 	if _, err := co.Claim("w9"); !errors.Is(err, ErrNoWork) {
 		t.Fatalf("claim after finalize: want ErrNoWork, got %v", err)

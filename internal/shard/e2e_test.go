@@ -447,7 +447,7 @@ func TestShardedCancelMidCampaign(t *testing.T) {
 		t.Error("error envelope missing request_id")
 	}
 
-	// Claims find nothing; heartbeats on the dead lease are refused.
+	// Claims find nothing.
 	resp, err = http.Post(c.ts.URL+"/v1/shards/claim", "application/json",
 		strings.NewReader(`{"worker":"manual"}`))
 	if err != nil {

@@ -104,8 +104,8 @@ func postCode(t *testing.T, urlStr string, body any) (int, string) {
 
 // TestLeaseFencingAfterRestart is the deterministic fencing gate: a lease
 // granted by a coordinator that then crashes must never act again once
-// the restarted coordinator re-issues the shard — heartbeat and journal
-// ingest under the pre-crash token both answer a typed 409 lease_fenced,
+// the restarted coordinator re-issues the shard — a journal batch under
+// the pre-crash token, even an empty one, answers a typed 409 lease_fenced,
 // while the successor lease (at the next epoch) works normally.
 func TestLeaseFencingAfterRestart(t *testing.T) {
 	dir := t.TempDir()
@@ -144,24 +144,21 @@ func TestLeaseFencingAfterRestart(t *testing.T) {
 		t.Fatal("restarted coordinator re-issued the identical lease token")
 	}
 
-	// The pre-crash lease is fenced on BOTH mutation paths.
-	hbURL := l2.ts.URL + "/v1/shards/" + old.ID + "/heartbeat"
-	if code, kind := postCode(t, hbURL, shard.HeartbeatRequest{Lease: old.Lease}); code != http.StatusConflict || kind != "lease_fenced" {
-		t.Fatalf("stale heartbeat: %d %q, want 409 lease_fenced", code, kind)
-	}
+	// The pre-crash lease is fenced: it can neither renew nor write.
 	jURL := l2.ts.URL + "/v1/shards/" + old.ID + "/journal"
-	staleBatch := shard.Batch{Campaign: id, Shard: old.ID, Lease: old.Lease, Seq: 1}
+	staleBatch := shard.Batch{Campaign: id, Shard: old.ID, Lease: old.Lease, Seq: 1, Records: []shard.Record{}}
 	if code, kind := postCode(t, jURL, staleBatch); code != http.StatusConflict || kind != "lease_fenced" {
-		t.Fatalf("stale ingest: %d %q, want 409 lease_fenced", code, kind)
+		t.Fatalf("stale empty batch: %d %q, want 409 lease_fenced", code, kind)
 	}
 
 	// The successor lease is live.
-	if code, kind := postCode(t, hbURL, shard.HeartbeatRequest{Lease: heir.Lease}); code != http.StatusOK || kind != "" {
-		t.Fatalf("heir heartbeat: %d %q, want 200", code, kind)
+	heirBatch := shard.Batch{Campaign: id, Shard: heir.ID, Lease: heir.Lease, Seq: 1, Records: []shard.Record{}}
+	if code, kind := postCode(t, jURL, heirBatch); code != http.StatusOK || kind != "" {
+		t.Fatalf("heir's empty batch: %d %q, want 200", code, kind)
 	}
 
-	if st := l2.co.Stats(); st.WALRebuilds != 1 || st.LeasesFenced != 2 {
-		t.Fatalf("stats after restart: rebuilds=%d fenced=%d, want 1 and 2", st.WALRebuilds, st.LeasesFenced)
+	if st := l2.co.Stats(); st.WALRebuilds != 1 || st.LeasesFenced != 1 {
+		t.Fatalf("stats after restart: rebuilds=%d fenced=%d, want 1 and 1", st.WALRebuilds, st.LeasesFenced)
 	}
 
 	// The campaign is left mid-flight on purpose; completion across a

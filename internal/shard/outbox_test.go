@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"gpufi/internal/core"
 )
@@ -29,7 +30,7 @@ func TestOutboxCuts(t *testing.T) {
 		return s
 	}
 
-	o := newOutbox(2)
+	o := newOutbox(2, time.Hour)
 	posted := make(chan string)
 	answer := make(chan error)
 	done := make(chan struct{})
@@ -90,4 +91,46 @@ func TestOutboxCuts(t *testing.T) {
 		t.Fatalf("kept after the failure: %q, want exactly the unacknowledged records", got)
 	}
 	o.close()
+}
+
+// TestOutboxIdle holds the sender to its other trigger: with fewer records
+// than the minimum ready, it posts once idle has passed since the last POST
+// came back — what lies up to the cut, or an empty batch, never a nil one
+// (it goes on the wire as "records":[]) — and a span past the cut waits.
+func TestOutboxIdle(t *testing.T) {
+	o := newOutbox(100, 10*time.Millisecond)
+	posted := make(chan string) // the POST's records by kind; "nil" for a nil slice
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		o.run(func(recs []Record) error {
+			s := "nil"
+			if recs != nil {
+				s = "["
+				for _, r := range recs {
+					s += r.Kind + " "
+				}
+				s += "]"
+			}
+			posted <- s
+			return nil
+		})
+	}()
+	if got := <-posted; got != "[]" {
+		t.Fatalf("first idle POST carries %s, want an empty batch", got)
+	}
+	o.add(Record{Kind: KindExp, Exp: &core.Experiment{ID: 1}})
+	o.add(Record{Kind: KindSpan})
+	if got := <-posted; got != "[exp ]" {
+		t.Fatalf("second idle POST carries %s, want the one experiment up to the cut", got)
+	}
+	if got := <-posted; got != "[]" {
+		t.Fatalf("third idle POST carries %s, want none: the span waits for an experiment", got)
+	}
+	o.close()
+	select {
+	case <-posted: // a POST that was already due when close came
+	case <-done:
+	}
+	<-done
 }

@@ -165,21 +165,19 @@ func (s *schedule) send(w *fakeWorker, n int) {
 	}
 }
 
-// probe replays a grant somebody stopped acting on. Once the shard has been
-// granted at a higher epoch — in this lifetime or an earlier one — both
-// write paths must refuse it as fenced for as long as the campaign is open.
+// probe replays a grant somebody stopped acting on, as an empty batch. Once
+// the shard has been granted at a higher epoch — in this lifetime or an
+// earlier one — it must be refused as fenced for as long as the campaign is
+// open.
 func (s *schedule) probe(old *Shard) {
-	_, hbErr := s.co.Heartbeat(old.ID, old.Lease)
-	_, inErr := s.co.Ingest(Batch{Campaign: s.id, Shard: old.ID, Lease: old.Lease})
+	_, err := s.co.Ingest(expBatch(old, old.Lease, nil))
 	if s.granted[old.ID] <= old.Epoch {
 		return // still the newest grant of its shard: it may well be live
 	}
-	for _, err := range []error{hbErr, inErr} {
-		if !errors.Is(err, ErrLeaseFenced) && !errors.Is(err, ErrCampaignClosed) &&
-			!(errors.Is(err, ErrUnknownShard) && s.bygone(old.ID)) {
-			s.t.Fatalf("%s was granted at epoch %d; its epoch-%d lease still gets %v",
-				old.ID, s.granted[old.ID], old.Epoch, err)
-		}
+	if !errors.Is(err, ErrLeaseFenced) && !errors.Is(err, ErrCampaignClosed) &&
+		!(errors.Is(err, ErrUnknownShard) && s.bygone(old.ID)) {
+		s.t.Fatalf("%s was granted at epoch %d; its epoch-%d lease still gets %v",
+			old.ID, s.granted[old.ID], old.Epoch, err)
 	}
 	s.fenced++
 }
@@ -196,9 +194,9 @@ func (s *schedule) step() {
 		if _, err := s.co.Ingest(expBatch(w.sh, w.sh.Lease, w.recs[from:w.sent])); err != nil {
 			s.refused(w, "re-send", err)
 		}
-	case op < 13 && w.sh != nil:
-		if _, err := s.co.Heartbeat(w.sh.ID, w.sh.Lease); err != nil {
-			s.refused(w, "heartbeat", err)
+	case op < 13 && w.sh != nil: // an idle worker's empty batch
+		if _, err := s.co.Ingest(expBatch(w.sh, w.sh.Lease, nil)); err != nil {
+			s.refused(w, "empty batch", err)
 		}
 	case op < 15 && len(s.past) > 0:
 		s.probe(s.past[s.rng.Intn(len(s.past))])
@@ -264,8 +262,8 @@ func journalByKey(t *testing.T, st *store.Store, id string) (map[string]string, 
 }
 
 // TestCoordinatorRandomSchedules is the chaos gate as a generator: random
-// interleavings of two workers claiming, sending, re-sending, heartbeating
-// and dying, leases expiring by the injected clock, old grants coming back,
+// interleavings of two workers claiming, sending, re-sending, sending empty
+// batches and dying, leases expiring by the injected clock, old grants coming back,
 // and the coordinator crashing (buffered journal tail lost) and restarting
 // — after which the merged journal must equal an uninterrupted local run
 // byte for byte, the adaptive arm's rounds and plan report included, and

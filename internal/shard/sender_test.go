@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -118,10 +119,11 @@ func TestSenderGroupCommit(t *testing.T) {
 // engine's), nothing may follow the refused POST, and the shard is
 // abandoned with the typed error exactly as when the engine itself made the
 // POST. The outage arms are waited out: the dropped arm drops one journal
-// POST three times before admitting it, and the heartbeat arm answers
-// heartbeats coordinator_recovering for longer than the lease lives. Their
-// shard completes, a retried POST keeps its Seq, and the merged journal is
-// the library's. No arm leaves a goroutine behind.
+// POST three times before admitting it, and the idle arm stalls the engine
+// past the idle interval, so its first POST is an empty batch, and answers
+// every journal POST coordinator_recovering for longer than the lease
+// lives. Their shard completes, a retried POST keeps its Seq, and the
+// merged journal is the library's. No arm leaves a goroutine behind.
 func TestSenderErrorStopsShard(t *testing.T) {
 	envelope := func(status int, code string) func(http.ResponseWriter) {
 		return func(w http.ResponseWriter) {
@@ -134,13 +136,12 @@ func TestSenderErrorStopsShard(t *testing.T) {
 		failAt = 2
 		drops  = 3
 		ttl    = 300 * time.Millisecond
-		outage = 4 * ttl / 3 // the heartbeat arm's: four heartbeat intervals
+		outage = 4 * ttl / 3 // the idle arm's: four idle intervals
 	)
 	for _, tc := range []struct {
-		name      string
-		journal   func(n int, w http.ResponseWriter) bool // the tap on journal POSTs
-		heartbeat func(w http.ResponseWriter) bool        // the tap on heartbeats
-		want      error                                   // nil: the shard completes
+		name    string
+		journal func(n int, w http.ResponseWriter) bool // the tap on journal POSTs
+		want    error                                   // nil: the shard completes
 	}{
 		{name: "lease_fenced", want: shard.ErrLeaseFenced, journal: func(n int, w http.ResponseWriter) bool {
 			if n >= failAt {
@@ -160,9 +161,9 @@ func TestSenderErrorStopsShard(t *testing.T) {
 			}
 			return false
 		}},
-		{name: "heartbeat", heartbeat: func() func(http.ResponseWriter) bool {
+		{name: "idle", journal: func() func(int, http.ResponseWriter) bool {
 			var first time.Time
-			return func(w http.ResponseWriter) bool {
+			return func(_ int, w http.ResponseWriter) bool {
 				if first.IsZero() {
 					first = time.Now()
 				}
@@ -177,27 +178,21 @@ func TestSenderErrorStopsShard(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := startCluster(t, t.TempDir(), 1, ttl)
-			tap := tapCluster(t, c, func(n int, _ shard.Batch, w http.ResponseWriter) bool {
-				return tc.journal != nil && tc.journal(n, w)
-			})
 			var mu sync.Mutex
-			var refused []time.Time // heartbeats the tap answered, under mu
-			if tc.heartbeat != nil {
-				tap.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					if strings.HasSuffix(r.URL.Path, "/heartbeat") {
-						mu.Lock()
-						answered := tc.heartbeat(w)
-						if answered {
-							refused = append(refused, time.Now())
-						}
-						mu.Unlock()
-						if answered {
-							return
-						}
+			var refused []time.Time // journal POSTs the tap answered, under mu
+			var firstRefused shard.Batch
+			tap := tapCluster(t, c, func(n int, b shard.Batch, w http.ResponseWriter) bool {
+				mu.Lock()
+				defer mu.Unlock()
+				answered := tc.journal(n, w)
+				if answered {
+					if len(refused) == 0 {
+						firstRefused = b
 					}
-					c.srv.Handler().ServeHTTP(w, r)
-				}))
-			}
+					refused = append(refused, time.Now())
+				}
+				return answered
+			})
 			id := "refused-" + strings.ReplaceAll(tc.name, "_", "-")
 			spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
 				Runs: 2000, Seed: 7, Workers: 1}
@@ -210,10 +205,17 @@ func TestSenderErrorStopsShard(t *testing.T) {
 				Base: tap.URL(), Name: "w", BatchSize: 2, Client: &http.Client{Transport: tr},
 				BackoffBase: 20 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
 			}
-			if tc.heartbeat != nil {
-				// Paced, the engine outlives the outage by a margin; the
-				// library run below is not paced.
-				core.SetExperimentHook(func(int, *sim.FaultSpec) { time.Sleep(300 * time.Microsecond) })
+			if tc.name == "idle" {
+				// The first experiment outlasts the idle interval; paced, the
+				// engine outlives the outage by a margin. The library run
+				// below is neither.
+				var stalled atomic.Bool
+				core.SetExperimentHook(func(int, *sim.FaultSpec) {
+					if !stalled.Swap(true) {
+						time.Sleep(ttl / 2)
+					}
+					time.Sleep(300 * time.Microsecond)
+				})
 			}
 			goroutines := runtime.NumGoroutine()
 			start := time.Now()
@@ -222,9 +224,9 @@ func TestSenderErrorStopsShard(t *testing.T) {
 			core.SetExperimentHook(nil)
 			seen := tap.seen()
 
-			// Nothing is sent once the shard has returned, and its sender and
-			// heartbeat goroutines are gone (the connections' own go with
-			// the transport's idle pool).
+			// Nothing is sent once the shard has returned, and its sender
+			// goroutine is gone (the connections' own go with the
+			// transport's idle pool).
 			tr.CloseIdleConnections()
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > goroutines && time.Now().Before(deadline) {
@@ -285,15 +287,19 @@ func TestSenderErrorStopsShard(t *testing.T) {
 					}
 				}
 			}
-			if tc.heartbeat != nil {
+			if tc.name == "idle" {
 				mu.Lock()
 				var span time.Duration
 				if len(refused) > 0 {
 					span = refused[len(refused)-1].Sub(refused[0])
 				}
 				if span < ttl || ran < outage {
-					t.Errorf("%d heartbeats refused over %v of a %v shard: the outage did not outlast the lease",
+					t.Errorf("%d journal POSTs refused over %v of a %v shard: the outage did not outlast the lease",
 						len(refused), span, ran)
+				}
+				if len(firstRefused.Records) != 0 || firstRefused.Final {
+					t.Errorf("the first refused POST carries %d records (final=%v), want the idle worker's empty batch",
+						len(firstRefused.Records), firstRefused.Final)
 				}
 				mu.Unlock()
 			}

@@ -9,12 +9,14 @@
 //
 // The protocol is built so EITHER side can die at any point:
 //
-//   - A claim hands out a shard with a lease token, an epoch, and a TTL;
-//     the worker keeps the lease alive with heartbeats. A lease that
-//     expires makes the shard claimable again, by anyone; re-issue bumps
-//     the epoch, and the old epoch is fenced — a pre-crash straggler can
-//     heartbeat nothing and ingest nothing once a successor owns the
-//     shard.
+//   - A claim hands out a shard with a lease token, an epoch, and a TTL.
+//     Every journal batch the coordinator accepts renews the lease, and a
+//     worker with nothing to send for a third of the TTL sends an empty
+//     batch, so one POST at a time, from one goroutine per shard, is all
+//     the worker ever says. A lease that expires makes the shard claimable
+//     again, by anyone; re-issue bumps the epoch, and the old epoch is
+//     fenced — a pre-crash straggler can renew nothing and ingest nothing
+//     once a successor owns the shard.
 //   - Journal batches are idempotent: every record is keyed by
 //     (campaign, cluster, experiment index), and the simulator is
 //     deterministic in the campaign seed, so a batch replayed by a dead
@@ -59,7 +61,7 @@ var (
 
 	// ErrLeaseFenced reports a lease token from a superseded issue of the
 	// shard: the lease expired and the shard was re-issued under a higher
-	// epoch, so the straggler's heartbeats AND batches are refused. (A
+	// epoch, so the straggler's batches are refused, empty or not. (A
 	// lease that merely expired, without a re-issue, still ingests —
 	// determinism plus dedup make late results harmless — but once a
 	// successor holds the shard, the fence guarantees the pre-crash worker
@@ -117,9 +119,9 @@ type Shard struct {
 	Spec     store.Spec `json:"spec"`
 	Indices  []int      `json:"indices"`
 
-	// Lease is the token authorizing journal batches and heartbeats for
-	// this issue of the shard; LeaseTTLMS is how long it lives without a
-	// heartbeat. Epoch is the issue number — it increases monotonically
+	// Lease is the token authorizing journal batches for this issue of the
+	// shard; LeaseTTLMS is how long it lives without one (each accepted
+	// batch renews it). Epoch is the issue number — it increases monotonically
 	// with every (re-)issue, survives coordinator restarts via the control
 	// WAL, and fences stale holders: only the highest epoch may write.
 	Lease      string `json:"lease"`
@@ -161,7 +163,8 @@ type Record struct {
 // only — idempotence comes from per-index dedup, not sequencing). Final
 // marks the worker's last batch for the shard; the coordinator then
 // checks the shard for completeness. A worker whose earlier batch finished
-// the campaign sends no final one.
+// the campaign sends no final one. Records may be empty: an idle worker's
+// batch only renews its lease.
 type Batch struct {
 	Campaign string   `json:"campaign"`
 	Shard    string   `json:"shard"`
@@ -182,17 +185,6 @@ type BatchResult struct {
 // ClaimRequest names the worker asking for a shard (diagnostics only).
 type ClaimRequest struct {
 	Worker string `json:"worker,omitempty"`
-}
-
-// HeartbeatRequest extends a lease.
-type HeartbeatRequest struct {
-	Lease string `json:"lease"`
-}
-
-// HeartbeatResult acknowledges a lease extension.
-type HeartbeatResult struct {
-	Lease       string `json:"lease"`
-	ExpiresInMS int64  `json:"expires_in_ms"`
 }
 
 // Status is one shard's observable state, for GET /v1/shards.

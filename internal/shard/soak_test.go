@@ -119,7 +119,7 @@ func TestSoakFinishedCampaignsAreTombstones(t *testing.T) {
 				t.Errorf("live heap %d KB after %d campaigns, %d KB after %d: a finished campaign keeps %d bytes, want under %d",
 					end>>10, campaigns, heapAt>>10, settle, (end-heapAt)/int64(campaigns-settle), perCampaign)
 			}
-			// Per-shard sender and heartbeat goroutines, per-campaign job and
+			// Per-shard sender goroutines, per-campaign job and
 			// SSE machinery: all gone. Closed connections take a moment.
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > goroutinesAt && time.Now().Before(deadline) {

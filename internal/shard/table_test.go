@@ -285,60 +285,12 @@ func (r *tableRun) step() {
 		s.issued[lease] = s.epoch
 		r.tokens[want] = append(r.tokens[want], lease)
 		r.high[want] = max(r.high[want], epoch)
-	case op < 7: // heartbeat
-		sid, lease := r.pickLease()
-		want := r.m.verdict(sid, lease)
-		if s := r.m.shards[sid]; s != nil && !r.m.closed && s.done {
-			want = ErrCampaignClosed // a complete shard has nothing to hold, whoever asks
-		} else if want == nil {
-			s.until = r.now.Add(r.ttl)
-		}
-		if got := r.tab.renew(sid, lease, r.now.Add(r.ttl)); !sameClass(got, want) {
-			r.t.Fatalf("renew %s/%s: %v, model says %v", sid, lease, got, want)
-		}
+	case op < 7: // an idle worker's empty batch
+		r.batch(false)
 	case op < 10: // the clock moves, sometimes past every lease
 		r.now = r.now.Add(time.Duration(r.rng.Int63n(int64(2 * r.ttl))))
-	case op < 16: // ingest one record
-		sid, lease := r.pickLease()
-		want := r.m.verdict(sid, lease)
-		got := r.tab.check(sid, lease)
-		if !sameClass(got, want) {
-			r.t.Fatalf("check %s/%s: %v, model says %v", sid, lease, got, want)
-		}
-		if errors.Is(got, ErrLeaseFenced) {
-			r.fences++
-		}
-		if got != nil {
-			return
-		}
-		i, s := r.rng.Intn(r.total), r.m.shards[sid] // fresh, duplicate or foreign, as it falls
-		if r.rng.Intn(2) == 0 {
-			i = s.list[r.rng.Intn(len(s.list))] // the shard's own: fresh or duplicate
-		}
-		if r.tab.owns(sid, i) != s.idx[i] || r.tab.journaled[i] != r.m.journaled[i] {
-			r.t.Fatalf("index %d of %s: table owns=%v journaled=%v, model %v %v",
-				i, sid, r.tab.owns(sid, i), r.tab.journaled[i], s.idx[i], r.m.journaled[i])
-		}
-		if !s.idx[i] || r.m.journaled[i] {
-			return
-		}
-		r.jrn = append(r.jrn, i)
-		r.m.journaled[i] = true
-		s.done = r.m.merged(s) == len(s.idx)
-		if done := r.tab.merged(sid, i); done != s.done {
-			r.t.Fatalf("merged(%s, %d) reported shard done=%v, model %v", sid, i, done, s.done)
-		}
-		if r.tab.left > 0 {
-			return
-		}
-		// The round is merged: the journal is synced, then the next round
-		// is planned as the next generation — or the campaign is done.
-		r.synced = len(r.jrn)
-		if len(r.rest) == 0 {
-			r.finish("done")
-		} else {
-			r.plan(r.tab.gen + 1)
-		}
+	case op < 16: // a batch of one record
+		r.batch(true)
 	case op == 16: // the journal's batch fills: fsync
 		r.synced = len(r.jrn)
 	case op == 17: // an older build's diagnostics record, batched
@@ -361,6 +313,57 @@ func (r *tableRun) step() {
 		if r.rng.Intn(24) == 0 {
 			r.finish("cancelled")
 		}
+	}
+}
+
+// batch sends a batch under a picked lease, with one record or none: the
+// lease is renewed if it passes, as the model says, and then the record, if
+// any, is fresh, a duplicate or foreign, as it falls.
+func (r *tableRun) batch(record bool) {
+	sid, lease := r.pickLease()
+	want := r.m.verdict(sid, lease)
+	got := r.tab.renew(sid, lease, r.now.Add(r.ttl))
+	if !sameClass(got, want) {
+		r.t.Fatalf("renew %s/%s: %v, model says %v", sid, lease, got, want)
+	}
+	if errors.Is(got, ErrLeaseFenced) {
+		r.fences++
+	}
+	if got != nil {
+		return
+	}
+	s := r.m.shards[sid]
+	s.until = r.now.Add(r.ttl)
+	if !record {
+		return
+	}
+	i := r.rng.Intn(r.total) // fresh, duplicate or foreign, as it falls
+	if r.rng.Intn(2) == 0 {
+		i = s.list[r.rng.Intn(len(s.list))] // the shard's own: fresh or duplicate
+	}
+	if r.tab.owns(sid, i) != s.idx[i] || r.tab.journaled[i] != r.m.journaled[i] {
+		r.t.Fatalf("index %d of %s: table owns=%v journaled=%v, model %v %v",
+			i, sid, r.tab.owns(sid, i), r.tab.journaled[i], s.idx[i], r.m.journaled[i])
+	}
+	if !s.idx[i] || r.m.journaled[i] {
+		return
+	}
+	r.jrn = append(r.jrn, i)
+	r.m.journaled[i] = true
+	s.done = r.m.merged(s) == len(s.idx)
+	if done := r.tab.merged(sid, i); done != s.done {
+		r.t.Fatalf("merged(%s, %d) reported shard done=%v, model %v", sid, i, done, s.done)
+	}
+	if r.tab.left > 0 {
+		return
+	}
+	// The round is merged: the journal is synced, then the next round
+	// is planned as the next generation — or the campaign is done.
+	r.synced = len(r.jrn)
+	if len(r.rest) == 0 {
+		r.finish("done")
+	} else {
+		r.plan(r.tab.gen + 1)
 	}
 }
 
@@ -428,8 +431,8 @@ func (r *tableRun) audit(after string) {
 }
 
 // TestTableProperties drives the shard table through generated histories —
-// claim, heartbeat, expiry by the clock, ingest of fresh, duplicate and
-// foreign indices, a round's last merge planning the next generation,
+// claim, empty batches, expiry by the clock, batches of fresh, duplicate and
+// foreign indices (every batch that passes the fence renews its lease), a round's last merge planning the next generation,
 // cancellation, and coordinator crashes whose replay sees every synced
 // record and an arbitrary prefix of the batched ones — against the
 // reference model, checking the fencing invariants after every step. A

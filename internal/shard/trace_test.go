@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 	"gpufi/internal/obs"
 	"gpufi/internal/service"
 	"gpufi/internal/shard"
+	"gpufi/internal/sim"
 	"gpufi/internal/store"
 )
 
@@ -325,17 +327,18 @@ func TestTraceSmoke(t *testing.T) {
 }
 
 // TestTraceparentRetryPropagation intercepts the worker→coordinator hops:
-// every heartbeat and journal POST must carry a W3C traceparent rooted in
-// the campaign's trace, and a batch refused with a synthetic 503
-// coordinator_recovering must be re-sent under the SAME traceparent — the
-// retry is the same unit of work, not a new trace.
+// every journal POST, the idle worker's empty batches included, must carry
+// a W3C traceparent rooted in the campaign's trace, and a batch refused with
+// a synthetic 503 coordinator_recovering must be re-sent under the SAME
+// traceparent — the retry is the same unit of work, not a new trace.
 func TestTraceparentRetryPropagation(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A short lease keeps the heartbeat cadence fast enough that shard
-	// runs overlap at least a few beats.
+	// A short lease keeps the idle interval at 100 ms; the first
+	// experiment's 250 ms stall below outlasts it twice, so the shard sends
+	// at least one empty batch.
 	co := shard.NewCoordinator(st, shard.Options{ShardsPerCampaign: 2, LeaseTTL: 300 * time.Millisecond})
 	srv := service.New(st, service.Options{Workers: 2, Coordinator: co})
 	if _, err := srv.Start(nil); err != nil {
@@ -344,13 +347,19 @@ func TestTraceparentRetryPropagation(t *testing.T) {
 	inner := srv.Handler()
 
 	var mu sync.Mutex
-	journalTPs := []string{}   // traceparent per journal POST, in arrival order
-	heartbeatTPs := []string{} // traceparent per heartbeat POST
-	rejected := false          // one synthetic coordinator_recovering injected
+	journalTPs := []string{} // traceparent per journal POST, in arrival order
+	idleTPs := []string{}    // traceparent per empty, non-final journal POST
+	rejected := false        // one synthetic coordinator_recovering injected
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/journal") {
+			raw, _ := io.ReadAll(r.Body)
+			r.Body = io.NopCloser(bytes.NewReader(raw))
+			b, err := shard.DecodeBatch(raw)
 			mu.Lock()
 			journalTPs = append(journalTPs, r.Header.Get(obs.TraceparentHeader))
+			if err == nil && len(b.Records) == 0 && !b.Final {
+				idleTPs = append(idleTPs, r.Header.Get(obs.TraceparentHeader))
+			}
 			inject := !rejected
 			rejected = true
 			mu.Unlock()
@@ -362,11 +371,6 @@ func TestTraceparentRetryPropagation(t *testing.T) {
 				return
 			}
 		}
-		if r.Method == http.MethodPost && strings.HasSuffix(r.URL.Path, "/heartbeat") {
-			mu.Lock()
-			heartbeatTPs = append(heartbeatTPs, r.Header.Get(obs.TraceparentHeader))
-			mu.Unlock()
-		}
 		inner.ServeHTTP(w, r)
 	}))
 	t.Cleanup(func() { ts.Close(); srv.Close() })
@@ -377,6 +381,12 @@ func TestTraceparentRetryPropagation(t *testing.T) {
 		Base: ts.URL, Name: "tpw", BatchSize: 4, Poll: 5 * time.Millisecond,
 		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
 	}
+	var stalled atomic.Bool
+	defer core.SetExperimentHook(core.SetExperimentHook(func(int, *sim.FaultSpec) {
+		if !stalled.Swap(true) {
+			time.Sleep(250 * time.Millisecond)
+		}
+	}))
 	done := make(chan struct{})
 	go func() { defer close(done); w.Run(ctx) }()
 
@@ -407,9 +417,12 @@ func TestTraceparentRetryPropagation(t *testing.T) {
 	if journalTPs[0] != journalTPs[1] {
 		t.Errorf("503 retry changed the traceparent: %q then %q", journalTPs[0], journalTPs[1])
 	}
-	for i, tp := range heartbeatTPs {
+	if len(idleTPs) == 0 {
+		t.Fatal("no empty batch while the engine stalled for longer than the idle interval")
+	}
+	for i, tp := range idleTPs {
 		if tid, _, ok := obs.ParseTraceparent(tp); !ok || tid.String() != rootTrace {
-			t.Errorf("heartbeat POST %d carries traceparent %q, want trace %s", i, tp, rootTrace)
+			t.Errorf("empty batch %d carries traceparent %q, want trace %s", i, tp, rootTrace)
 		}
 	}
 }

@@ -56,8 +56,9 @@ func TestWireRoundTrip(t *testing.T) {
 	a := &lastAnswer{tr: &http.Transport{}}
 	t.Cleanup(a.tr.CloseIdleConnections)
 	w := &shard.Worker{Base: c.ts.URL, Name: "wire", Client: &http.Client{Transport: a}}
-	hb := func(sid, lease string) (string, any) {
-		return "/v1/shards/" + sid + "/heartbeat", shard.HeartbeatRequest{Lease: lease}
+	// empty is an idle worker's batch: no records, only the lease to renew.
+	empty := func(sid, lease string) (string, any) {
+		return "/v1/shards/" + sid + "/journal", shard.Batch{Shard: sid, Lease: lease, Seq: 1, Records: []shard.Record{}}
 	}
 
 	id := "wire"
@@ -72,13 +73,13 @@ func TestWireRoundTrip(t *testing.T) {
 			return "/v1/shards/claim", shard.ClaimRequest{Worker: "wire"}
 		}},
 		{name: "ErrUnknownShard", want: shard.ErrUnknownShard, req: func() (string, any) {
-			return hb("nobody:1:0", "x")
+			return empty("nobody:1:0", "x")
 		}},
 		{name: "ErrLeaseRevoked", want: shard.ErrLeaseRevoked, setup: func() {
 			submit(t, c.ts.URL, map[string]any{"id": id, "app": "VA", "gpu": "RTX2060",
 				"kernel": "va_add", "structure": "regfile", "runs": 20, "seed": 5, "workers": 1})
 			first = claimShard(t, c.ts.URL, "first", time.Minute)
-		}, req: func() (string, any) { return hb(first.ID, "forged") }},
+		}, req: func() (string, any) { return empty(first.ID, "forged") }},
 		{name: "ErrBadBatch", want: shard.ErrBadBatch, req: func() (string, any) {
 			return "/v1/shards/" + first.ID + "/journal",
 				shard.Batch{Campaign: "another", Shard: first.ID, Lease: first.Lease, Seq: 1}
@@ -89,14 +90,14 @@ func TestWireRoundTrip(t *testing.T) {
 			if heir.ID != first.ID || heir.Epoch <= first.Epoch {
 				t.Fatalf("re-claimed %s at epoch %d after %s at %d", heir.ID, heir.Epoch, first.ID, first.Epoch)
 			}
-		}, req: func() (string, any) { return hb(first.ID, first.Lease) }},
+		}, req: func() (string, any) { return empty(first.ID, first.Lease) }},
 		{name: "ErrCampaignClosed", want: shard.ErrCampaignClosed, setup: func() {
 			c.co.Revoke(id)
-		}, req: func() (string, any) { return hb(heir.ID, heir.Lease) }},
+		}, req: func() (string, any) { return empty(heir.ID, heir.Lease) }},
 		// Last: a recovering campaign turns every empty claim into this too.
 		{name: "ErrRecovering", want: shard.ErrRecovering, setup: func() {
 			c.co.MarkRecovering("rebuilding")
-		}, req: func() (string, any) { return hb("rebuilding:1:0", "x") }},
+		}, req: func() (string, any) { return empty("rebuilding:1:0", "x") }},
 	}
 
 	named := map[string]bool{}

@@ -43,7 +43,7 @@ type Worker struct {
 	// Base is the coordinator's base URL, e.g. "http://10.0.0.1:8080".
 	Base string
 	// Coordinator is the coordinator itself, in this process: call invokes
-	// its Claim, Heartbeat and Ingest directly, with no JSON and no HTTP,
+	// its Claim and Ingest directly, with no JSON and no HTTP,
 	// and their typed errors come back as they are. An idle worker then
 	// also wakes the moment the coordinator plans a generation, rather than
 	// at its next poll. Set exactly one of Base and Coordinator.
@@ -196,10 +196,11 @@ func (w *Worker) endSession() {
 	}
 }
 
-// heartbeatInterval derives the heartbeat cadence from the lease TTL: one
-// third of it, so two beats can be lost before the lease expires, with a
-// floor that keeps sub-millisecond TTLs from producing a zero (ticker
-// panic) or negative interval.
+// heartbeatInterval derives from the lease TTL how long a shard's sender
+// stays silent before it posts a batch with whatever is ready, maybe
+// nothing, to renew the lease: one third of it, so two such batches can be
+// lost before the lease expires, with a floor that keeps sub-millisecond
+// TTLs from producing a zero or negative interval.
 func heartbeatInterval(ttl time.Duration) time.Duration {
 	if ttl <= 0 {
 		ttl = 15 * time.Second
@@ -211,12 +212,12 @@ func heartbeatInterval(ttl time.Duration) time.Duration {
 	return iv
 }
 
-// runShard executes one leased shard: heartbeats keep the lease alive
-// while the engine session of its campaign runs the shard's indices, and
-// finished experiments stream back in journal batches. The coordinator owns
-// the campaign's schedule: it ran the analytic pre-pass, and a shard is a
-// piece of one round, which the session runs fixed-N; the next round, if the
-// stop rule wants one, is more shards.
+// runShard executes one leased shard: the engine session of its campaign
+// runs the shard's indices, and finished experiments stream back in journal
+// batches, which also keep the lease alive. The coordinator owns the
+// campaign's schedule: it ran the analytic pre-pass, and a shard is a piece
+// of one round, which the session runs fixed-N; the next round, if the stop
+// rule wants one, is more shards.
 func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	profStart := time.Now()
 	sess, err := w.session(ctx, sh)
@@ -232,32 +233,25 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		}
 	}()
 
-	shardCtx, cancel := context.WithCancel(ctx)
-	hbDone := make(chan struct{})
-	// Cancel BEFORE waiting: the heartbeat loop only wakes on its ticker
-	// or the context, so waiting first would stall shard turnaround by up
-	// to a third of the lease TTL.
-	defer func() { cancel(); <-hbDone }()
-
 	batchSize := w.BatchSize
 	if batchSize <= 0 {
 		batchSize = 64
 	}
 	// out is the shard's record stream to the coordinator. The engine's
-	// callbacks and the span sink only append; one sender goroutine POSTs.
-	out := newOutbox(batchSize)
+	// callbacks and the span sink only append; one sender goroutine POSTs,
+	// and it alone talks to the coordinator until the engine has returned.
+	out := newOutbox(batchSize, heartbeatInterval(time.Duration(sh.LeaseTTLMS)*time.Millisecond))
 
 	// Tracing: the shard grant carries the campaign's root trace; worker
 	// spans join it and ride back to the coordinator as span records in
 	// the journal batches (a worker has no store of its own). The shard
 	// span announces itself so spans merged before the shard completes (or
 	// before the worker dies) always have a persisted parent. Every POST
-	// under shardCtx carries the W3C traceparent header from here on,
-	// heartbeats included.
+	// under ctx carries the W3C traceparent header from here on.
 	var shardSpan *obs.Span
 	if tid, ok := obs.ParseTraceID(sh.Trace); ok {
 		if psid, ok2 := obs.ParseSpanID(sh.Span); ok2 {
-			tctx := obs.ContextWithRemote(shardCtx, tid, psid)
+			tctx := obs.ContextWithRemote(ctx, tid, psid)
 			tctx = obs.ContextWithNode(tctx, w.Name)
 			tctx = obs.ContextWithSink(tctx, func(rec obs.SpanRecord) {
 				out.add(Record{Kind: KindSpan, Span: &rec})
@@ -269,51 +263,20 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 				obs.Attr{K: "epoch", V: strconv.FormatInt(sh.Epoch, 10)})
 			shardSpan.Announce()
 			defer shardSpan.End() // idempotent; flight-ring fallback on error paths
-			shardCtx = tctx
-			obs.EmitSpan(shardCtx, "worker.profile", profStart)
+			ctx = tctx
+			obs.EmitSpan(ctx, "worker.profile", profStart)
 		}
 	}
 
-	// Heartbeat loop. A verdict — the lease was fenced, the campaign
-	// closed — stops the shard. An outage is waited out inside the call:
-	// the engine keeps computing, batches wait with the heartbeat, and the
-	// restored lease on the rebuilt coordinator picks everything back up.
-	// Once the engine has returned, a verdict only ends the heartbeats:
-	// every POST left hears its own verdict, and the one in flight may be
-	// the batch that closed the campaign, whose answer a cancel would lose.
-	path := "/v1/shards/" + url.PathEscape(sh.ID)
-	var engineDone atomic.Bool
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(heartbeatInterval(time.Duration(sh.LeaseTTLMS) * time.Millisecond))
-		defer t.Stop()
-		for {
-			select {
-			case <-shardCtx.Done():
-				return
-			case <-t.C:
-				err := w.call(shardCtx, path+"/heartbeat", HeartbeatRequest{Lease: sh.Lease}, nil)
-				if err != nil && shardCtx.Err() == nil {
-					if engineDone.Load() {
-						return
-					}
-					w.logger().Warn("heartbeat failed; abandoning shard",
-						"shard", sh.ID, "err", err)
-					cancel()
-					return
-				}
-			}
-		}
-	}()
-
+	path := "/v1/shards/" + url.PathEscape(sh.ID) + "/journal"
 	// send posts one batch. At most one is in flight per shard: the sender
 	// goroutine calls it while the engine runs, runShard itself once the
-	// sender has drained.
+	// sender has drained. Its answer alone decides how the shard ends.
 	seq := 0
 	send := func(recs []Record, final bool) (*BatchResult, error) {
 		seq++
 		var res BatchResult
-		if err := w.call(shardCtx, path+"/journal", Batch{
+		if err := w.call(ctx, path, Batch{
 			Campaign: sh.Campaign, Shard: sh.ID, Lease: sh.Lease,
 			Seq: seq, Final: final, Records: recs,
 		}, &res); err != nil {
@@ -341,7 +304,9 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 		out.run(func(recs []Record) error {
 			res, err := send(recs, false)
 			if err == nil && res.CampaignDone {
+				// The campaign is closed: any further POST would be refused.
 				finalized = true
+				out.close()
 			}
 			return err
 		})
@@ -350,12 +315,11 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	// The engine's collector serializes the sink, so the outbox sees
 	// experiments in completion order — the same order a local store run
 	// journals them — each one record with its trace attached.
-	_, runErr := sess.Run(shardCtx, sh.Indices, func(exp core.Experiment) error {
+	_, runErr := sess.Run(ctx, sh.Indices, func(exp core.Experiment) error {
 		return out.add(Record{Kind: KindExp, Exp: &exp, Trace: exp.Trace})
 	})
-	engineDone.Store(true)
 	// Drain: the sender stops after the POST it has in flight (which a
-	// cancelled shardCtx aborts).
+	// cancelled ctx aborts).
 	drainStart := time.Now()
 	out.close()
 	<-senderDone
@@ -391,20 +355,23 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 // accumulating, so the next one carries everything up to the last legal
 // cut — group commit, with min the batch size that triggers a send, not a
 // cap. An acknowledged record is on the coordinator's disk, so the outbox
-// lets it go: it holds only what no POST has acknowledged yet.
+// lets it go: it holds only what no POST has acknowledged yet. A sender
+// that has posted nothing for idle posts whatever lies up to the cut, maybe
+// nothing: the batch renews the shard's lease.
 type outbox struct {
-	min int // records that trigger a send
+	min  int           // records that trigger a send
+	idle time.Duration // silence that triggers a send
 
 	mu     sync.Mutex
 	wake   *sync.Cond // on mu: a send became due, or the outbox closed
-	recs   []Record   // not yet acknowledged, in engine order
+	recs   []Record   // not yet acknowledged, in engine order; never nil
 	cut    int        // recs[:cut] may be sent: it ends on an experiment record
 	closed bool       // the engine is done: run returns after the POST in flight
 	err    error      // the sender's first failure, sticky
 }
 
-func newOutbox(min int) *outbox {
-	o := &outbox{min: min}
+func newOutbox(min int, idle time.Duration) *outbox {
+	o := &outbox{min: min, idle: idle, recs: []Record{}}
 	o.wake = sync.NewCond(&o.mu)
 	return o
 }
@@ -425,16 +392,24 @@ func (o *outbox) add(r Record) error {
 	return o.err
 }
 
-// run is the sender loop: whenever min records are ready it posts
-// everything up to the cut, one POST at a time, in order. The first error
-// ends it, and so does close.
+// run is the sender loop: whenever min records are ready, or idle has
+// passed since the last POST came back, it posts everything up to the cut,
+// one POST at a time, in order. The first error ends it, and so does close.
 func (o *outbox) run(post func([]Record) error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	for {
-		for !o.closed && o.cut < o.min {
+		idle := false
+		t := time.AfterFunc(o.idle, func() {
+			o.mu.Lock()
+			idle = true
+			o.mu.Unlock()
+			o.wake.Signal()
+		})
+		for !o.closed && o.cut < o.min && !idle {
 			o.wake.Wait()
 		}
+		t.Stop()
 		if o.closed {
 			return
 		}
@@ -584,12 +559,6 @@ func (w *Worker) direct(ctx context.Context, path string, body, out any) error {
 		sh, err := co.Claim(b.Worker)
 		if err == nil {
 			*out.(*Shard) = *sh
-		}
-		return err
-	case HeartbeatRequest:
-		id, err := url.PathUnescape(strings.TrimSuffix(strings.TrimPrefix(path, "/v1/shards/"), "/heartbeat"))
-		if err == nil {
-			_, err = co.Heartbeat(id, b.Lease)
 		}
 		return err
 	case Batch:
