@@ -1,14 +1,14 @@
 // Command gpufi-serve runs fault-injection campaigns as a service: an
 // HTTP API over the durable campaign store, with a bounded FIFO job queue
-// feeding a pool of supervised campaign runners.
+// feeding a pool of campaign runners.
 //
 // Campaigns are submitted as JSON specs, observed live over SSE, and
 // journaled to disk as they run. On startup the service scans its data
 // directory and resumes every campaign that has a journal but no
 // completion marker, so a killed server loses at most one fsync batch of
-// experiments. A job whose attempt panics is retried with exponential
-// backoff before being failed; a worker that dies is restarted by its
-// supervisor.
+// experiments. A job runs once: a panic inside it fails that job, with its
+// stack in the log, and a simulator panic inside one experiment is
+// quarantined as that experiment's outcome.
 //
 // The API is versioned under /v1; only the probe and scrape endpoints
 // (/healthz, /readyz, /metrics) are unversioned.
@@ -119,7 +119,6 @@ func (n *node) flags() *flag.FlagSet {
 	fs.StringVar(&n.data, "data", "gpufi-data", "campaign store directory")
 	fs.IntVar(&n.service.Workers, "workers", 2, "concurrent campaign runners; in local mode also the number of in-process shard workers")
 	fs.IntVar(&n.service.QueueDepth, "queue", 64, "submission queue depth")
-	fs.IntVar(&n.service.MaxRetries, "max-retries", 3, "re-runs of a job whose attempt panicked (negative = none)")
 	fs.DurationVar(&n.drain, "drain-timeout", 30*time.Second, "grace period for in-flight campaigns on SIGINT/SIGTERM")
 	fs.StringVar(&n.debug, "debug-addr", "", "serve net/http/pprof profiling on this address (e.g. localhost:6060; empty = off)")
 

@@ -28,7 +28,7 @@ import (
 func defaults() *node {
 	return &node{
 		mode: "local", addr: ":8080", data: "gpufi-data", drain: 30 * time.Second,
-		service: service.Options{Workers: 2, QueueDepth: 64, MaxRetries: 3},
+		service: service.Options{Workers: 2, QueueDepth: 64},
 		coord:   shard.Options{LeaseTTL: 15 * time.Second, ShardsPerCampaign: 8},
 		worker:  shard.Worker{BatchSize: 64, BackoffBase: 100 * time.Millisecond, BackoffMax: 5 * time.Second},
 	}
@@ -41,10 +41,10 @@ var configs = []struct {
 	set  func(n *node)
 }{
 	{"", func(*node) {}},
-	{"-addr 127.0.0.1:9000 -data store -workers 3 -queue 8 -max-retries -1 -drain-timeout 5s -debug-addr localhost:6060",
+	{"-addr 127.0.0.1:9000 -data store -workers 3 -queue 8 -drain-timeout 5s -debug-addr localhost:6060",
 		func(n *node) {
 			n.addr, n.data, n.drain, n.debug = "127.0.0.1:9000", "store", 5*time.Second, "localhost:6060"
-			n.service = service.Options{Workers: 3, QueueDepth: 8, MaxRetries: -1}
+			n.service = service.Options{Workers: 3, QueueDepth: 8}
 		}},
 	{"-mode coordinator -lease-ttl 5s -shards-per-campaign 4",
 		func(n *node) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -210,34 +212,24 @@ func TestRemovedSpecFieldRejected(t *testing.T) {
 }
 
 // TestListPagination seeds a store with more campaigns than one page and
-// walks the cursor: pages are ascending by id, disjoint, exhaustive, and
-// sized by limit.
+// walks the cursor at three limits (the last one the default): pages are
+// ascending by id, disjoint, exhaustive and sized by limit, and each
+// next_cursor is its page's last id. In the corrupt_config row two more
+// campaigns have a config.json nobody can read, one right after a page's
+// last id and one after the last page: they are left out, and no page and
+// no cursor moves.
 func TestListPagination(t *testing.T) {
-	srv, ts := newAPIServer(t)
-	total := 25
-	for i := 0; i < total; i++ {
-		id := fmt.Sprintf("page-%03d", i)
-		c, err := srv.st.Create(id, store.Spec{
-			App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
-			Runs: 5, Seed: int64(i),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Close()
-	}
-
 	type page struct {
 		Campaigns []struct {
 			ID string `json:"id"`
 		} `json:"campaigns"`
 		NextCursor string `json:"next_cursor"`
 	}
-	fetch := func(limit int, cursor string) page {
+	fetch := func(t *testing.T, base string, limit int, cursor string) page {
 		t.Helper()
-		url := fmt.Sprintf("%s/v1/campaigns?limit=%d", ts.URL, limit)
-		if cursor != "" {
-			url += "&cursor=" + cursor
+		url := base + "/v1/campaigns?cursor=" + cursor
+		if limit > 0 {
+			url += fmt.Sprintf("&limit=%d", limit)
 		}
 		resp, err := http.Get(url)
 		if err != nil {
@@ -254,48 +246,122 @@ func TestListPagination(t *testing.T) {
 		return p
 	}
 
-	var seen []string
-	cursor := ""
-	pages := 0
-	for {
-		p := fetch(10, cursor)
-		pages++
-		if len(p.Campaigns) > 10 {
-			t.Fatalf("page of %d exceeds limit 10", len(p.Campaigns))
-		}
-		for _, c := range p.Campaigns {
-			if len(seen) > 0 && c.ID <= seen[len(seen)-1] {
-				t.Fatalf("ordering violated: %s after %s", c.ID, seen[len(seen)-1])
+	const total = 25
+	rows := []struct {
+		name    string
+		corrupt []string
+	}{
+		{"clean", nil},
+		{"corrupt_config", []string{"page-009a", "page-024a"}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			srv, ts := newAPIServer(t)
+			var valid []string
+			create := func(id string, seed int64) {
+				c, err := srv.st.Create(id, store.Spec{
+					App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
+					Runs: 5, Seed: seed,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c.Close()
 			}
-			seen = append(seen, c.ID)
-		}
-		if p.NextCursor == "" {
-			break
-		}
-		cursor = p.NextCursor
-	}
-	if len(seen) != total || pages != 3 {
-		t.Fatalf("walked %d campaigns in %d pages (want %d in 3)", len(seen), pages, total)
-	}
+			for i := 0; i < total; i++ {
+				valid = append(valid, fmt.Sprintf("page-%03d", i))
+				create(valid[i], int64(i))
+			}
+			for _, id := range row.corrupt {
+				create(id, 99)
+				if err := os.WriteFile(filepath.Join(srv.st.Dir(), id, "config.json"), []byte("{torn"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
 
-	// Default limit fits everything here: one page, no cursor.
-	resp, err := http.Get(ts.URL + "/v1/campaigns")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var p page
-	json.NewDecoder(resp.Body).Decode(&p)
-	resp.Body.Close()
-	if len(p.Campaigns) != total || p.NextCursor != "" {
-		t.Fatalf("default page: %d campaigns, cursor %q", len(p.Campaigns), p.NextCursor)
+			for _, limit := range []int{5, 10, 0} {
+				size := limit
+				if limit == 0 {
+					size = 100
+				}
+				cursor := ""
+				for lo := 0; ; lo += size {
+					p := fetch(t, ts.URL, limit, cursor)
+					hi := min(lo+size, total)
+					var got []string
+					for _, c := range p.Campaigns {
+						got = append(got, c.ID)
+					}
+					want, wantCursor := valid[lo:hi], ""
+					if hi < total {
+						wantCursor = valid[hi-1]
+					}
+					if strings.Join(got, " ") != strings.Join(want, " ") || p.NextCursor != wantCursor {
+						t.Fatalf("limit %d after %q: page %v cursor %q, want %v cursor %q",
+							limit, cursor, got, p.NextCursor, want, wantCursor)
+					}
+					if p.NextCursor == "" {
+						break
+					}
+					cursor = p.NextCursor
+				}
+			}
+		})
 	}
 
 	// Bad limit is an enveloped 400.
-	resp, err = http.Get(ts.URL + "/v1/campaigns?limit=zero")
+	_, ts := newAPIServer(t)
+	resp, err := http.Get(ts.URL + "/v1/campaigns?limit=zero")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if code, _, _ := decodeEnvelope(t, resp); resp.StatusCode != 400 || code != "invalid_request" {
 		t.Errorf("bad limit: status=%d code=%q", resp.StatusCode, code)
+	}
+}
+
+// TestRawRoutesNotFound holds the routes that serve a campaign's files to
+// their 404s: for an id the store does not know, and for a campaign run
+// without trace, which has a journal but neither traces nor a timeline.
+func TestRawRoutesNotFound(t *testing.T) {
+	srv, ts := newAPIServer(t)
+	c, err := srv.st.Create("plain", store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add",
+		Structure: "regfile", Runs: 5, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	rows := []struct {
+		path   string
+		status int
+		msg    string // the envelope's message; its code is not_found
+	}{
+		{"/v1/campaigns/nope/log", 404, "no journal for campaign nope"},
+		{"/v1/campaigns/nope/trace", 404, "no traces for campaign nope"},
+		{"/v1/campaigns/nope/trace?format=jsonl", 404, "no spans for campaign nope"},
+		{"/v1/campaigns/nope/trace?format=chrome", 404, "no spans for campaign nope"},
+		{"/v1/campaigns/plain/log", 200, ""},
+		{"/v1/campaigns/plain/trace", 404, "no traces for campaign plain"},
+		{"/v1/campaigns/plain/trace?format=jsonl", 404, "no spans for campaign plain"},
+		{"/v1/campaigns/plain/trace?format=chrome", 404, "no spans for campaign plain"},
+	}
+	for _, row := range rows {
+		resp, err := http.Get(ts.URL + row.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != row.status {
+			resp.Body.Close()
+			t.Errorf("GET %s: %d, want %d", row.path, resp.StatusCode, row.status)
+			continue
+		}
+		if row.status == 200 {
+			resp.Body.Close()
+			continue
+		}
+		if code, msg, _ := decodeEnvelope(t, resp); code != "not_found" || msg != row.msg {
+			t.Errorf("GET %s: %s %q, want not_found %q", row.path, code, msg, row.msg)
+		}
 	}
 }

@@ -163,7 +163,9 @@ var renamedKeys = map[string]string{
 // removedKeys are the parent's JSON keys no longer served, with the reason,
 // each listed in CHANGES.md.
 var removedKeys = map[string]string{
-	"shards_retired": "a campaign stops between rounds, when every shard has merged: no shard is ever withdrawn",
+	"shards_retired":  "a campaign stops between rounds, when every shard has merged: no shard is ever withdrawn",
+	"job_retries":     "a panicking job fails; nothing re-queues it",
+	"worker_restarts": "a campaign runner has no supervisor to restart it",
 }
 
 // TestMetricsJSONKeepsParentKeys holds the JSON /metrics view to the 46

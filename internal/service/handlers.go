@@ -5,8 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -114,7 +115,6 @@ type status struct {
 	Seed      int64      `json:"seed"`
 	Completed int        `json:"completed"`
 	Resumed   bool       `json:"resumed,omitempty"`
-	Attempts  int        `json:"attempts,omitempty"`
 	Counts    avf.Counts `json:"counts"`
 	Error     string     `json:"error,omitempty"`
 
@@ -138,7 +138,7 @@ func (s *Server) statusLocked(j *job) status {
 		ID: j.id, State: j.state,
 		App: j.spec.App, GPU: j.spec.GPU, Kernel: j.spec.Kernel, Structure: j.spec.Structure,
 		Runs: j.total, Seed: j.spec.Seed,
-		Completed: j.done, Resumed: j.resumed, Attempts: j.attempts,
+		Completed: j.done, Resumed: j.resumed,
 		Counts: j.counts, Error: j.errMsg,
 		Analytic: j.analytic, Plan: j.plan,
 	}
@@ -254,25 +254,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, st)
 }
 
-// allStatuses merges on-disk campaigns with this process's jobs into one
-// id-keyed map.
-func (s *Server) allStatuses() map[string]status {
-	out := map[string]status{}
-	if ids, err := s.st.List(); err == nil {
-		for _, id := range ids {
-			if st, err := s.storedStatus(id); err == nil {
-				out[id] = st
-			}
-		}
-	}
-	s.mu.Lock()
-	for id, j := range s.jobs {
-		out[id] = s.statusLocked(j)
-	}
-	s.mu.Unlock()
-	return out
-}
-
 // listPage is the paginated GET /v1/campaigns response.
 type listPage struct {
 	Campaigns  []status `json:"campaigns"`
@@ -284,6 +265,12 @@ type listPage struct {
 // page holds at most limit entries (default 100, max 1000), and
 // next_cursor is the last id of a truncated page; pass it back as
 // ?cursor= to resume strictly after it.
+//
+// The listing merges the store's campaigns with this process's jobs (a
+// job's live status shadows its campaign on disk) and builds statuses in
+// id order, past the cursor, only until it knows whether the page is the
+// last: an on-disk campaign costs a whole-journal Inspect, so at most
+// limit+1 of them are read, plus those skipped because Inspect fails.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	limit := 100
 	if q := r.URL.Query().Get("limit"); q != "" {
@@ -299,22 +286,35 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 	cursor := r.URL.Query().Get("cursor")
 
-	all := s.allStatuses()
-	ids := make([]string, 0, len(all))
-	for id := range all {
-		if cursor == "" || id > cursor {
-			ids = append(ids, id)
-		}
+	ids, _ := s.st.List() // an unreadable store lists this process's jobs
+	s.mu.Lock()
+	jobs := maps.Clone(s.jobs)
+	s.mu.Unlock()
+	for id := range jobs {
+		ids = append(ids, id)
 	}
-	sort.Strings(ids)
+	ids = slices.DeleteFunc(ids, func(id string) bool { return id <= cursor })
+	slices.Sort(ids)
+	ids = slices.Compact(ids)
 
 	page := listPage{Campaigns: []status{}}
 	for _, id := range ids {
+		var st status
+		if j, ok := jobs[id]; ok {
+			s.mu.Lock()
+			st = s.statusLocked(j)
+			s.mu.Unlock()
+		} else {
+			var err error
+			if st, err = s.storedStatus(id); err != nil {
+				continue // too corrupt to inspect: not listed
+			}
+		}
 		if len(page.Campaigns) == limit {
 			page.NextCursor = page.Campaigns[limit-1].ID
 			break
 		}
-		page.Campaigns = append(page.Campaigns, all[id])
+		page.Campaigns = append(page.Campaigns, st)
 	}
 	writeJSON(w, http.StatusOK, page)
 }
@@ -428,20 +428,35 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
+// openRaw opens one of the request's campaign files with open. When it
+// cannot, it answers the request itself, a missing file as a 404 that says
+// "<missing> <id>", and returns nil.
+func openRaw(w http.ResponseWriter, r *http.Request, open func(id string) (io.ReadCloser, error), missing string) io.ReadCloser {
 	id := r.PathValue("id")
-	f, err := s.st.OpenLog(id)
+	f, err := open(id)
+	if errors.Is(err, store.ErrNotFound) {
+		err = &httpError{code: 404, msg: fmt.Sprintf("%s %s", missing, id)}
+	}
 	if err != nil {
-		if errors.Is(err, store.ErrNotFound) {
-			writeErr(w, r, &httpError{code: 404, msg: fmt.Sprintf("no journal for campaign %s", id)})
-			return
-		}
 		writeErr(w, r, err)
+		return nil
+	}
+	return f
+}
+
+// serveRaw answers the request with one of its campaign's JSONL files.
+func serveRaw(w http.ResponseWriter, r *http.Request, open func(id string) (io.ReadCloser, error), missing string) {
+	f := openRaw(w, r, open, missing)
+	if f == nil {
 		return
 	}
 	defer f.Close()
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	io.Copy(w, f)
+}
+
+func (s *Server) handleLog(w http.ResponseWriter, r *http.Request) {
+	serveRaw(w, r, s.st.OpenLog, "no journal for campaign")
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -461,42 +476,14 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 //	chrome  the same timeline as Chrome trace-event JSON — load it in
 //	        Perfetto / chrome://tracing; one track per node
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
 	switch format := r.URL.Query().Get("format"); format {
 	case "", "propagation":
-		f, err := s.st.OpenTraces(id)
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				writeErr(w, r, &httpError{code: 404, msg: fmt.Sprintf("no traces for campaign %s", id)})
-				return
-			}
-			writeErr(w, r, err)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		io.Copy(w, f)
+		serveRaw(w, r, s.st.OpenTraces, "no traces for campaign")
 	case "jsonl":
-		f, err := s.st.OpenSpans(id)
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				writeErr(w, r, &httpError{code: 404, msg: fmt.Sprintf("no spans for campaign %s", id)})
-				return
-			}
-			writeErr(w, r, err)
-			return
-		}
-		defer f.Close()
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		io.Copy(w, f)
+		serveRaw(w, r, s.st.OpenSpans, "no spans for campaign")
 	case "chrome":
-		f, err := s.st.OpenSpans(id)
-		if err != nil {
-			if errors.Is(err, store.ErrNotFound) {
-				writeErr(w, r, &httpError{code: 404, msg: fmt.Sprintf("no spans for campaign %s", id)})
-				return
-			}
-			writeErr(w, r, err)
+		f := openRaw(w, r, s.st.OpenSpans, "no spans for campaign")
+		if f == nil {
 			return
 		}
 		recs, err := obs.ReadSpans(f)

@@ -26,16 +26,14 @@ type metrics struct {
 	cancelled   *obs.Counter // jobs cancelled (by request or shutdown)
 	experiments *obs.Counter // experiments finished since start
 
-	retries        *obs.Counter // job attempts re-queued after a panic
-	workerPanics   *obs.Counter // panics recovered in the worker pool
-	workerRestarts *obs.Counter // worker loops restarted by the supervisor
-	quarantined    *obs.Counter // experiments quarantined (panic or deadline)
+	workerPanics *obs.Counter // job panics recovered; each failed its job
+	quarantined  *obs.Counter // experiments quarantined (panic or deadline)
 
 	planSatisfied *obs.Counter // jobs whose adaptive stop rule converged early
 	planSaved     *obs.Counter // experiments skipped by adaptive early stopping
 
 	queueWait  *obs.Histogram // seconds a job waited queued before a worker took it
-	jobSeconds *obs.Histogram // seconds per job attempt, pop to terminal state
+	jobSeconds *obs.Histogram // seconds per job, pop to terminal state
 	progress   *obs.GaugeVec  // per-running-campaign completion ratio
 
 	httpRequests *obs.CounterVec // requests by route class (bounded labels)
@@ -61,9 +59,7 @@ func (m *metrics) init() {
 	m.failed = r.Counter("gpufi_jobs_failed_total", "Jobs that ended in error.")
 	m.cancelled = r.Counter("gpufi_jobs_cancelled_total", "Jobs cancelled by request or shutdown.")
 	m.experiments = r.Counter("gpufi_experiments_total", "Injection experiments finished.")
-	m.retries = r.Counter("gpufi_job_retries_total", "Job attempts re-queued after a panic.")
-	m.workerPanics = r.Counter("gpufi_worker_panics_total", "Panics recovered at the worker boundary.")
-	m.workerRestarts = r.Counter("gpufi_worker_restarts_total", "Worker loops restarted by the supervisor.")
+	m.workerPanics = r.Counter("gpufi_worker_panics_total", "Panics recovered at the job boundary; each failed its job.")
 	m.quarantined = r.Counter("gpufi_experiments_quarantined_total",
 		"Experiments quarantined by the sandbox (panic or wall-clock deadline).")
 	m.planSatisfied = r.Counter("gpufi_plan_campaigns_satisfied_total",
@@ -73,7 +69,7 @@ func (m *metrics) init() {
 	m.queueWait = r.Histogram("gpufi_queue_wait_seconds",
 		"Seconds a job waited in the queue before a worker picked it up.", nil)
 	m.jobSeconds = r.Histogram("gpufi_job_seconds",
-		"Seconds per job attempt, from queue pop to terminal state.", nil)
+		"Seconds per job, from queue pop to terminal state.", nil)
 	m.progress = r.GaugeVec("gpufi_campaign_progress_ratio",
 		"Completion ratio (done/total) per running campaign.", "id")
 	m.httpRequests = r.CounterVec("gpufi_http_requests_total",

@@ -38,18 +38,10 @@ type Options struct {
 	// with 503. Default 64. Campaigns resumed at startup bypass the bound
 	// — refusing recovery because the queue is small would lose work.
 	QueueDepth int
-	// MaxRetries is how many times a job whose attempt panicked is
-	// re-queued (with exponential backoff) before it is failed. Default 3;
-	// negative disables retries. Only panics are retried — an ordinary
-	// campaign error (bad spec, full disk) fails the job immediately, since
-	// rerunning it would fail the same way.
-	MaxRetries int
-	// RetryBaseDelay is the backoff before the first retry; each further
-	// retry doubles it. Default 500ms.
-	RetryBaseDelay time.Duration
 	// Logger receives structured lifecycle and request logs (job state
-	// transitions, retries, HTTP requests with their X-Request-ID). Nil
-	// discards logs, keeping library consumers and tests quiet.
+	// transitions, job panics with their stacks, HTTP requests with their
+	// X-Request-ID). Nil discards logs, keeping library consumers and tests
+	// quiet.
 	Logger *slog.Logger
 	// Coordinator is the shard coordinator every job runs through: it
 	// shards the campaign, leases the shards to the workers that claim them
@@ -71,15 +63,6 @@ func (o Options) withDefaults() Options {
 	if o.Logger == nil {
 		o.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	switch {
-	case o.MaxRetries == 0:
-		o.MaxRetries = 3
-	case o.MaxRetries < 0:
-		o.MaxRetries = 0
-	}
-	if o.RetryBaseDelay <= 0 {
-		o.RetryBaseDelay = 500 * time.Millisecond
-	}
 	return o
 }
 
@@ -100,15 +83,14 @@ type event struct {
 
 // job is one campaign submission moving through the queue.
 type job struct {
-	id       string
-	spec     store.Spec
-	state    string
-	errMsg   string
-	counts   avf.Counts
-	total    int
-	done     int  // experiments finished (including journaled prior ones)
-	resumed  bool // re-queued from the store at startup or by resubmit
-	attempts int  // run attempts so far (retries after a panic re-run the job)
+	id      string
+	spec    store.Spec
+	state   string
+	errMsg  string
+	counts  avf.Counts
+	total   int
+	done    int  // experiments finished (including journaled prior ones)
+	resumed bool // re-queued from the store at startup or by resubmit
 
 	// rule is the campaign's adaptive stop rule (nil for fixed-N jobs);
 	// analytic counts the records the pre-pass classified without
@@ -117,14 +99,14 @@ type job struct {
 	analytic int
 	plan     *core.PlanReport
 
-	enqueuedAt  time.Time // when the job (re)entered the queue
-	startedAt   time.Time // when a worker popped the current attempt
-	doneAtStart int       // j.done when the current attempt began, for ETA
+	enqueuedAt  time.Time // when the job entered the queue
+	startedAt   time.Time // when a runner popped it
+	doneAtStart int       // j.done when it started running, for ETA
 
 	// trace is the campaign's root trace ID, assigned at submission so
 	// even a queued job's status (and every SSE event built from it)
 	// carries the ID a client needs to fetch the timeline later. The
-	// root span itself starts when an attempt runs.
+	// root span itself starts when the job runs.
 	trace obs.TraceID
 
 	cancel    context.CancelFunc // non-nil while running
@@ -133,19 +115,10 @@ type job struct {
 	finished  chan struct{} // closed on any terminal state
 }
 
-// panicError wraps a panic recovered at the job boundary, so the retry
-// logic can tell a crashed attempt from an ordinary campaign error.
-type panicError struct {
-	val   any
-	stack string
-}
-
-func (e *panicError) Error() string { return fmt.Sprintf("campaign panicked: %v", e.val) }
-
-// testJobHook, when non-nil, runs at the start of every job attempt. It
-// is a test-only knob for injecting panics into the worker pool; set it
+// testJobHook, when non-nil, runs at the start of every job. It is a
+// test-only knob for holding a runner or panicking inside a job; set it
 // before Start and clear it after Close.
-var testJobHook func(id string, attempt int)
+var testJobHook func(id string)
 
 // localLeaseTTL is the lease TTL of the coordinator a local node builds.
 // Its workers live and die with the process, so a lease restored from the
@@ -171,9 +144,6 @@ type Server struct {
 	closed   bool
 	started  bool
 	draining bool // intake stopped; queued and running jobs finish
-	// retryPending counts jobs waiting out a retry backoff: they are in no
-	// queue, but the service is not quiescent until they land somewhere.
-	retryPending int
 
 	cancelBase context.CancelFunc
 	wg         sync.WaitGroup
@@ -263,7 +233,7 @@ func (s *Server) Start(ctx context.Context) ([]string, error) {
 	s.cancelBase = cancel
 	for w := 0; w < s.opts.Workers; w++ {
 		s.wg.Add(1)
-		go s.superviseWorker(base)
+		go s.runner(base)
 	}
 	for _, w := range s.local {
 		s.wg.Add(1)
@@ -364,42 +334,12 @@ func (s *Server) submit(id string, spec store.Spec) (*job, error) {
 	return j, nil
 }
 
-// superviseWorker keeps one worker slot alive for the lifetime of the
-// pool: if the worker loop is unwound by a panic that escaped the job
-// sandbox (a bug in the service's own bookkeeping), the slot is restarted
-// instead of the pool silently shrinking until no campaigns run at all.
-func (s *Server) superviseWorker(base context.Context) {
+// runner pops jobs FIFO and runs each, once, to its terminal state. A
+// panic inside a job fails that job (runJob's recover); a runner has no
+// other recovery, because everything else it runs is the service's own
+// bookkeeping, and a crashed process resumes from the store.
+func (s *Server) runner(base context.Context) {
 	defer s.wg.Done()
-	for {
-		if s.workerLoop(base) {
-			return
-		}
-		s.metrics.workerRestarts.Add(1)
-		s.mu.Lock()
-		dead := s.closed
-		s.mu.Unlock()
-		if dead {
-			return
-		}
-	}
-}
-
-// workerLoop pops jobs FIFO and runs them through the coordinator. It
-// reports true when it exits through the orderly shutdown path and false
-// when a panic unwound it (the supervisor then restarts it).
-func (s *Server) workerLoop(base context.Context) (clean bool) {
-	var cur *job
-	defer func() {
-		if r := recover(); r != nil {
-			s.metrics.workerPanics.Add(1)
-			// A job abandoned mid-flight must still reach a terminal state,
-			// or its subscribers and cancellers wait forever.
-			if cur != nil {
-				s.finishJob(base, cur, nil, fmt.Errorf("worker panicked: %v", r))
-			}
-			clean = false
-		}
-	}()
 	for {
 		s.mu.Lock()
 		for len(s.queue) == 0 && !s.closed {
@@ -407,15 +347,13 @@ func (s *Server) workerLoop(base context.Context) (clean bool) {
 		}
 		if s.closed {
 			s.mu.Unlock()
-			return true
+			return
 		}
 		j := s.queue[0]
 		s.queue = s.queue[1:]
 		ctx, cancel := context.WithCancel(base)
 		j.state = StateRunning
 		j.cancel = cancel
-		j.attempts++
-		attempt := j.attempts
 		j.startedAt = time.Now()
 		j.doneAtStart = j.done
 		s.metrics.queueWait.Observe(j.startedAt.Sub(j.enqueuedAt).Seconds())
@@ -423,40 +361,32 @@ func (s *Server) workerLoop(base context.Context) (clean bool) {
 		s.metrics.running.Add(1)
 		s.broadcastLocked(j, event{name: "state", data: s.statusLocked(j)})
 		s.mu.Unlock()
-		s.opts.Logger.Info("job started", "id", j.id, "attempt", attempt, "resumed", j.resumed)
+		s.opts.Logger.Info("job started", "id", j.id, "resumed", j.resumed)
 
-		cur = j
-		res, err := s.runJob(ctx, j, attempt)
+		res, err := s.runJob(ctx, j)
 		cancel()
-		var pe *panicError
-		if errors.As(err, &pe) {
-			retried, failErr := s.retryOrFail(base, j, pe)
-			if retried {
-				cur = nil
-				continue
-			}
-			err = failErr
-		}
 		s.finishJob(base, j, res, err)
-		cur = nil
 	}
 }
 
-// runJob executes one attempt of a campaign, converting a panic out of
-// the coordinator or the store into a *panicError instead of unwinding the
-// worker. The journal's deferred closes run during the unwind, so a
-// half-written campaign stays resumable by the retry.
+// runJob runs a campaign through the coordinator. A panic out of the
+// coordinator or the store fails the job instead of unwinding the runner:
+// its stack goes to the log, and the error the job reports over HTTP names
+// only the panic's value. The journal's deferred closes run during the
+// unwind, so the campaign stays resumable by a resubmission. Nothing
+// retries it: every step before the first shard is a deterministic
+// function of the spec and the campaign directory, and would panic again.
 //
-// Every attempt runs under the job's root span: the span sink persists
-// the campaign's timeline to spans.jsonl through the store (synced with
-// the journal, on its clock, but a separate file — journal bytes are
-// untouched by tracing), and a panicking attempt dumps the process
-// flight ring next to it before the retry machinery sees the error.
-func (s *Server) runJob(ctx context.Context, j *job, attempt int) (res *core.CampaignResult, err error) {
+// The job runs under its root span: the span sink persists the campaign's
+// timeline to spans.jsonl through the store (synced with the journal, on
+// its clock, but a separate file — journal bytes are untouched by
+// tracing), and a panicking job dumps the process flight ring next to it.
+func (s *Server) runJob(ctx context.Context, j *job) (res *core.CampaignResult, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.metrics.workerPanics.Add(1)
-			err = &panicError{val: r, stack: string(debug.Stack())}
+			s.opts.Logger.Error("job panicked", "id", j.id, "panic", r, "stack", string(debug.Stack()))
+			err = fmt.Errorf("campaign panicked: %v", r)
 			if n, dErr := obs.Flight().DumpTo(s.st.FlightPath()); dErr == nil {
 				s.opts.Logger.Warn("flight ring dumped after job panic",
 					"id", j.id, "records", n, "path", s.st.FlightPath())
@@ -464,7 +394,7 @@ func (s *Server) runJob(ctx context.Context, j *job, attempt int) (res *core.Cam
 		}
 	}()
 	if hook := testJobHook; hook != nil {
-		hook(j.id, attempt)
+		hook(j.id)
 	}
 
 	tctx := obs.ContextWithTrace(ctx, j.trace)
@@ -480,56 +410,12 @@ func (s *Server) runJob(ctx context.Context, j *job, attempt int) (res *core.Cam
 		s.opts.Logger.Warn("span log unavailable; campaign timeline lost",
 			"id", j.id, "err", slErr)
 	}
-	tctx, root := obs.StartSpan(tctx, "campaign",
-		obs.Attr{K: "id", V: j.id},
-		obs.Attr{K: "attempt", V: fmt.Sprintf("%d", attempt)})
+	tctx, root := obs.StartSpan(tctx, "campaign", obs.Attr{K: "id", V: j.id})
 	root.Announce() // children survive a crash with a resolvable parent
 	defer root.End()
 	obs.EmitSpan(tctx, "service.queue", j.enqueuedAt, obs.Attr{K: "id", V: j.id})
 
 	return s.co.Run(tctx, j.id, j.spec, func(exp core.Experiment) { s.onExperiment(j, exp) })
-}
-
-// retryOrFail decides what happens to a job whose attempt panicked: it
-// either schedules the job back onto the queue after an exponential
-// backoff (retried true) or declares the retry budget spent and returns
-// the error the caller should finish the job with.
-func (s *Server) retryOrFail(base context.Context, j *job, pe *panicError) (retried bool, failErr error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	max := s.opts.MaxRetries
-	if j.userAbort || s.closed || base.Err() != nil || j.attempts > max {
-		return false, fmt.Errorf("%v (attempt %d of %d)", pe, j.attempts, max+1)
-	}
-	delay := s.opts.RetryBaseDelay << (j.attempts - 1)
-	j.state = StateQueued
-	j.cancel = nil
-	s.metrics.running.Add(-1)
-	s.metrics.queued.Add(1)
-	s.metrics.retries.Add(1)
-	s.retryPending++
-	s.broadcastLocked(j, event{name: "retry", data: map[string]any{
-		"id":       j.id,
-		"attempt":  j.attempts,
-		"max":      max + 1,
-		"delay_ms": delay.Milliseconds(),
-		"panic":    pe.Error(),
-	}})
-	s.opts.Logger.Warn("job retry scheduled", "id", j.id, "attempt", j.attempts,
-		"max", max+1, "delay", delay, "panic", pe.Error())
-	time.AfterFunc(delay, func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		s.retryPending--
-		// The job may have been cancelled while it waited out the backoff;
-		// only a still-queued job goes back on the queue.
-		if j.state == StateQueued {
-			j.enqueuedAt = time.Now()
-			s.queue = append(s.queue, j)
-		}
-		s.cond.Broadcast() // wake a worker, and any Drain waiter
-	})
-	return true, nil
 }
 
 // BeginDrain stops the intake: new submissions are refused with 503 and
@@ -543,7 +429,7 @@ func (s *Server) BeginDrain() {
 }
 
 // Drain performs a graceful shutdown: it implies BeginDrain, blocks until
-// every queued, running, and retry-pending job has reached a terminal
+// every queued and running job has reached a terminal
 // state (or ctx expires), then closes the server. Campaigns still in
 // flight when ctx expires are cancelled by Close and stay resumable from
 // their journals, so an impatient drain loses at most one fsync batch.
@@ -566,7 +452,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	}()
 	s.mu.Lock()
 	for ctx.Err() == nil && !s.closed &&
-		(len(s.queue) > 0 || s.retryPending > 0 || s.metrics.running.Load() > 0) {
+		(len(s.queue) > 0 || s.metrics.running.Load() > 0) {
 		s.cond.Wait()
 	}
 	err := ctx.Err()
@@ -608,7 +494,7 @@ func (s *Server) onExperiment(j *job, exp core.Experiment) {
 			"detail": exp.Detail,
 		}})
 	}
-	// ETA from this attempt's own throughput (resumed work is excluded via
+	// ETA from this run's own throughput (resumed work is excluded via
 	// doneAtStart, so a 90%-journaled campaign doesn't project 10x speed).
 	eta := -1.0
 	if ran := j.done - j.doneAtStart; ran > 0 && j.done < j.total {

@@ -471,7 +471,7 @@ func TestResumeSkipsCancelled(t *testing.T) {
 // DELETEs "skip", then lets "keep" finish.
 func deleteQueued(t *testing.T, st *store.Store) {
 	release := make(chan struct{})
-	testJobHook = func(id string, attempt int) {
+	testJobHook = func(id string) {
 		if id == "keep" {
 			<-release
 		}

@@ -1,11 +1,16 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -51,114 +56,223 @@ func subscribeByID(t *testing.T, srv *Server, id string) (chan event, chan struc
 	return ch, fin
 }
 
-// TestWorkerSurvivesJobPanics is the supervision acceptance test: a job
-// whose first three attempts panic inside the worker must be retried with
-// backoff and still complete — the service process never dies, the worker
-// pool never shrinks, and a subsequent campaign runs normally.
-func TestWorkerSurvivesJobPanics(t *testing.T) {
+// logBuffer is a Logger sink the runner and the test may use at once.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+// records decodes every JSON log record written so far.
+func (b *logBuffer) records(t *testing.T) []map[string]any {
+	t.Helper()
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	var out []map[string]any
+	dec := json.NewDecoder(bytes.NewReader(b.buf.Bytes()))
+	for dec.More() {
+		var rec map[string]any
+		if err := dec.Decode(&rec); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// TestJobPanicFailsOnce: a job that panics runs once and fails, and the
+// runner goes on. Its reason names the panic and nothing more (the status
+// is served over HTTP), its stack is logged once, nothing retries it, and
+// the next campaign and a drain go through the same runner as usual.
+func TestJobPanicFailsOnce(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Options{Workers: 1, MaxRetries: 3, RetryBaseDelay: time.Millisecond})
+	logs := new(logBuffer)
+	srv := New(st, Options{Workers: 1, Logger: slog.New(slog.NewJSONHandler(logs, nil))})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	var flakyID string
-	testJobHook = func(id string, attempt int) {
-		if id == flakyID && attempt <= 3 {
-			panic(fmt.Sprintf("injected worker bug, attempt %d", attempt))
+	var hookRuns atomic.Int32
+	testJobHook = func(id string) {
+		if id == "panicky" {
+			hookRuns.Add(1)
+			panic("injected job bug")
 		}
 	}
 	defer func() { testJobHook = nil }()
 	defer srv.Close() // runs before the hook reset above
 
-	sub := postCampaign(t, ts.URL,
-		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":8,"seed":31,"workers":2}`)
-	flakyID = sub.ID
-	ch, fin := subscribeByID(t, srv, sub.ID)
+	postCampaign(t, ts.URL, `{"id":"panicky","app":"VA","gpu":"RTX2060","kernel":"va_add",`+
+		`"structure":"regfile","runs":8,"seed":31,"workers":2}`)
+	ch, fin := subscribeByID(t, srv, "panicky")
 	if _, err := srv.Start(nil); err != nil {
 		t.Fatal(err)
 	}
-
 	events := collectUntilFinished(ch, fin)
-	retries := 0
+
+	// (i) It fails once, with the panic's value as its reason.
+	var final status
+	getJSON(t, ts.URL+"/v1/campaigns/panicky", &final)
+	if final.State != StateFailed || final.Error != "campaign panicked: injected job bug" {
+		t.Errorf("(i) panicking job: state %q, reason %q; want failed, \"campaign panicked: injected job bug\"",
+			final.State, final.Error)
+	}
+	// (ii) The hook ran once, and nothing announced a retry.
+	if n := hookRuns.Load(); n != 1 {
+		t.Errorf("(ii) the job ran %d times, want 1", n)
+	}
 	for _, ev := range events {
-		if ev.name == "retry" {
-			retries++
+		if ev.name != "state" {
+			t.Errorf("(ii) unexpected %q event: %v", ev.name, ev.data)
 		}
 	}
-	if retries != 3 {
-		t.Errorf("saw %d retry events, want 3", retries)
+	// (iii) Its stack is logged once, and it reaches down to the hook.
+	var panicked []map[string]any
+	for _, rec := range logs.records(t) {
+		if rec["msg"] == "job panicked" {
+			panicked = append(panicked, rec)
+		}
 	}
-
-	var final status
-	if code := getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &final); code != 200 {
-		t.Fatalf("status code %d", code)
+	if len(panicked) != 1 {
+		t.Errorf("(iii) %d \"job panicked\" log records, want 1", len(panicked))
+	} else if rec := panicked[0]; rec["id"] != "panicky" || rec["panic"] != "injected job bug" ||
+		!strings.Contains(fmt.Sprint(rec["stack"]), "TestJobPanicFailsOnce.func") {
+		t.Errorf("(iii) log record %v: want the job's id, the panic and a stack through the test's hook", rec)
 	}
-	if final.State != StateDone || final.Counts.Total() != 8 {
-		t.Fatalf("flaky job final state: %+v", final)
-	}
-	if final.Attempts != 4 {
-		t.Errorf("attempts = %d, want 4 (1 success after 3 panics)", final.Attempts)
-	}
-
+	// (iv) One panic, one failed job.
 	var m map[string]any
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m["job_retries"].(float64) != 3 || m["worker_panics"].(float64) < 3 {
-		t.Errorf("metrics after survival: retries=%v panics=%v", m["job_retries"], m["worker_panics"])
+	if m["worker_panics"] != 1.0 || m["jobs_failed"] != 1.0 {
+		t.Errorf("(iv) worker_panics %v, jobs_failed %v; want 1 and 1", m["worker_panics"], m["jobs_failed"])
 	}
 
-	// The pool is still alive: a second campaign (whose attempts the hook
-	// leaves alone) runs to completion on the same worker.
-	again := postCampaign(t, ts.URL,
+	// (v) The same runner completes the next campaign.
+	next := postCampaign(t, ts.URL,
 		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":4,"seed":32,"workers":2}`)
-	ch2, fin2 := subscribeByID(t, srv, again.ID)
+	ch2, fin2 := subscribeByID(t, srv, next.ID)
 	collectUntilFinished(ch2, fin2)
 	var second status
-	getJSON(t, ts.URL+"/v1/campaigns/"+again.ID, &second)
+	getJSON(t, ts.URL+"/v1/campaigns/"+next.ID, &second)
 	if second.State != StateDone || second.Counts.Total() != 4 {
-		t.Errorf("campaign after panics: %+v", second)
+		t.Errorf("(v) campaign after the panic: %+v", second)
+	}
+
+	// (vi) Nothing is left pending: a drain returns at once.
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := srv.Drain(ctx); err != nil {
+		t.Errorf("(vi) drain after the panic: %v", err)
 	}
 }
 
-// TestRetryBudgetExhausted: a job that panics on every attempt must land
-// in StateFailed with a reason naming the panic and the attempt count —
-// never loop forever, never kill the server.
-func TestRetryBudgetExhausted(t *testing.T) {
+// TestWorkerSurvivesJobPanics: a lone runner that hits three panicking
+// jobs in a row fails each of them and still runs the campaign queued
+// behind them — the process never dies and the pool never shrinks.
+func TestWorkerSurvivesJobPanics(t *testing.T) {
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(st, Options{Workers: 1, MaxRetries: 2, RetryBaseDelay: time.Millisecond})
+	srv := New(st, Options{Workers: 1})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	testJobHook = func(id string, attempt int) { panic("hopeless") }
+	testJobHook = func(id string) {
+		if strings.HasPrefix(id, "flaky-") {
+			panic("injected worker bug in " + id)
+		}
+	}
 	defer func() { testJobHook = nil }()
-	defer srv.Close()
+	defer srv.Close() // runs before the hook reset above
 
-	sub := postCampaign(t, ts.URL,
-		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":5,"seed":41,"workers":2}`)
-	_, fin := subscribeByID(t, srv, sub.ID)
+	for i := 1; i <= 3; i++ {
+		postCampaign(t, ts.URL, fmt.Sprintf(`{"id":"flaky-%d","app":"VA","gpu":"RTX2060",`+
+			`"kernel":"va_add","structure":"regfile","runs":8,"seed":%d,"workers":2}`, i, 30+i))
+	}
+	last := postCampaign(t, ts.URL,
+		`{"app":"VA","gpu":"RTX2060","kernel":"va_add","structure":"regfile","runs":4,"seed":32,"workers":2}`)
+	_, fin := subscribeByID(t, srv, last.ID)
 	if _, err := srv.Start(nil); err != nil {
 		t.Fatal(err)
 	}
 	<-fin
 
-	var final status
-	getJSON(t, ts.URL+"/v1/campaigns/"+sub.ID, &final)
-	if final.State != StateFailed || final.Attempts != 3 {
-		t.Fatalf("exhausted job: %+v, want failed after 3 attempts", final)
+	for i := 1; i <= 3; i++ {
+		var flaky status
+		getJSON(t, fmt.Sprintf("%s/v1/campaigns/flaky-%d", ts.URL, i), &flaky)
+		want := fmt.Sprintf("campaign panicked: injected worker bug in flaky-%d", i)
+		if flaky.State != StateFailed || flaky.Error != want {
+			t.Errorf("flaky-%d: state %q, reason %q; want failed, %q", i, flaky.State, flaky.Error, want)
+		}
 	}
-	if !strings.Contains(final.Error, "campaign panicked: hopeless") ||
-		!strings.Contains(final.Error, "attempt 3 of 3") {
-		t.Errorf("failure reason %q lacks panic and attempt diagnosis", final.Error)
+	var final status
+	getJSON(t, ts.URL+"/v1/campaigns/"+last.ID, &final)
+	if final.State != StateDone || final.Counts.Total() != 4 {
+		t.Errorf("campaign behind the panics: %+v", final)
 	}
 	var m map[string]any
 	getJSON(t, ts.URL+"/metrics", &m)
-	if m["jobs_failed"].(float64) != 1 || m["job_retries"].(float64) != 2 {
-		t.Errorf("metrics: failed=%v retries=%v", m["jobs_failed"], m["job_retries"])
+	if m["worker_panics"] != 3.0 || m["jobs_failed"] != 3.0 || m["jobs_done"] != 1.0 {
+		t.Errorf("metrics: worker_panics %v, jobs_failed %v, jobs_done %v; want 3, 3, 1",
+			m["worker_panics"], m["jobs_failed"], m["jobs_done"])
+	}
+}
+
+// TestRetryBudgetExhausted: the service keeps no retry budget of its own,
+// so a job that panics on every run is spent after one run. The retry left
+// is the client's: resubmitting the failed id runs it once more, and it
+// fails once more — it never loops and never kills the server.
+func TestRetryBudgetExhausted(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(st, Options{Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var hookRuns atomic.Int32
+	testJobHook = func(id string) {
+		hookRuns.Add(1)
+		panic("hopeless")
+	}
+	defer func() { testJobHook = nil }()
+	defer srv.Close()
+
+	const spec = `{"id":"hopeless","app":"VA","gpu":"RTX2060","kernel":"va_add",` +
+		`"structure":"regfile","runs":5,"seed":41,"workers":2}`
+	postCampaign(t, ts.URL, spec)
+	_, fin := subscribeByID(t, srv, "hopeless")
+	if _, err := srv.Start(nil); err != nil {
+		t.Fatal(err)
+	}
+	for run := 1; run <= 2; run++ {
+		<-fin
+		var final status
+		getJSON(t, ts.URL+"/v1/campaigns/hopeless", &final)
+		if final.State != StateFailed || final.Error != "campaign panicked: hopeless" {
+			t.Fatalf("run %d: state %q, reason %q; want failed, \"campaign panicked: hopeless\"",
+				run, final.State, final.Error)
+		}
+		if n := hookRuns.Load(); n != int32(run) {
+			t.Errorf("after submission %d the job ran %d times, want %d", run, n, run)
+		}
+		var m map[string]any
+		getJSON(t, ts.URL+"/metrics", &m)
+		if m["jobs_failed"] != float64(run) {
+			t.Errorf("after submission %d: jobs_failed %v, want %d", run, m["jobs_failed"], run)
+		}
+		if run == 1 {
+			postCampaign(t, ts.URL, spec)
+			_, fin = subscribeByID(t, srv, "hopeless")
+		}
 	}
 }
 
