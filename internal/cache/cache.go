@@ -119,12 +119,13 @@ type Cache struct {
 	// Copy-on-write sync state, mirroring mem.Memory (see cowsync.go): stamp
 	// names the capture this cache was last made equal to, touched records
 	// the lines mutated since, prev (on the cache being recorded) the
-	// interval before that, and delta (on a template) the sets frozen at its
-	// capture for a consumer one and two captures behind.
+	// mem.MaxLag-1 intervals before that, newest first, and delta (on a
+	// template) the sets frozen at its capture for a consumer one to
+	// mem.MaxLag captures behind.
 	stamp   mem.Stamp
 	touched *lineSet
-	prev    *lineSet
-	delta   [2]*lineSet
+	prev    []*lineSet
+	delta   [mem.MaxLag]*lineSet
 }
 
 // New builds a cache with the given geometry over a backing level.
@@ -221,7 +222,7 @@ func (c *Cache) Reset(backing Backing) {
 // its stamp, its touched sets and the deltas frozen at its last capture.
 // Contents are untouched.
 func (c *Cache) Detach() {
-	c.stamp, c.touched, c.prev, c.delta = mem.Stamp{}, nil, nil, [2]*lineSet{}
+	c.stamp, c.touched, c.prev, c.delta = mem.Stamp{}, nil, nil, [mem.MaxLag]*lineSet{}
 }
 
 // Stats returns a copy of the event counters.

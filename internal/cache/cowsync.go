@@ -89,7 +89,10 @@ func (c *Cache) markLine(idx int) {
 // capture 0 and touched-line tracking is on and empty.
 func (c *Cache) StartTracking() {
 	c.Detach()
-	c.stamp, c.touched, c.prev = mem.NewRecording(), newLineSet(len(c.lines)), newLineSet(len(c.lines))
+	c.stamp, c.touched, c.prev = mem.NewRecording(), newLineSet(len(c.lines)), make([]*lineSet, mem.MaxLag-1)
+	for i := range c.prev {
+		c.prev[i] = newLineSet(len(c.lines))
+	}
 }
 
 // SetSyncedTo records that c's content is an exact copy of src's — src's
@@ -100,7 +103,7 @@ func (c *Cache) SetSyncedTo(src *Cache) {
 		c.touched = newLineSet(len(c.lines))
 	}
 	c.touched.set(src.touched)
-	c.stamp, c.prev, c.delta = src.stamp, nil, [2]*lineSet{}
+	c.stamp, c.prev, c.delta = src.stamp, nil, [mem.MaxLag]*lineSet{}
 }
 
 // TouchedLines returns how many lines were touched since the last sync
@@ -158,12 +161,12 @@ func (c *Cache) copyLines(src *Cache, backing Backing, set *lineSet, st *SyncSta
 
 // RestoreFrom makes c a copy of src (same geometry) wired over backing,
 // copying only the lines that can differ when provenance allows
-// (mem.Stamp.Behind): both hold captures of one recording, src's at most two
-// after c's, so they differ at most in what either touched since its capture
-// and in the delta set src froze for that lag. Unknown provenance, geometry
-// mismatch handling, and full=true behave like CopyFrom, which is also how a
-// cache that has never mirrored anything (new, Reset or Detached storage)
-// gets its baseline. The per-experiment fork-restore path; it reads src and
+// (mem.Stamp.Behind): both hold captures of one recording, src's at most
+// mem.MaxLag after c's, so they differ at most in what either touched since
+// its capture and in the delta set src froze for that lag. Unknown
+// provenance, geometry mismatch handling, and full=true behave like CopyFrom,
+// which is also how a cache that has never mirrored anything (new, Reset or
+// Detached storage) gets its baseline. The per-experiment fork-restore path; it reads src and
 // writes only c.
 func (c *Cache) RestoreFrom(src *Cache, backing Backing, full bool) (SyncStats, error) {
 	st := SyncStats{UnitsTotal: len(src.lines), BytesTotal: int64(len(src.arena))}
@@ -186,9 +189,9 @@ func (c *Cache) RestoreFrom(src *Cache, backing Backing, full bool) (SyncStats, 
 
 // CaptureFrom makes c — a snapshot template nothing reads any more — a copy
 // of src, the cache being recorded, as the recording's next capture: the
-// sets for a consumer one and two captures behind are frozen into c.delta,
-// c catches up by the one for its own lag (or takes the full leg), and src
-// opens its next interval. mem.Memory's CaptureFrom, for lines; the
+// sets for a consumer one to mem.MaxLag captures behind are frozen into
+// c.delta, c catches up by the one for its own lag (or takes the full leg),
+// and src opens its next interval. mem.Memory's CaptureFrom, for lines; the
 // snapshot-recycling path of the prefix run.
 func (c *Cache) CaptureFrom(src *Cache, backing Backing, full bool) (SyncStats, error) {
 	st := SyncStats{UnitsTotal: len(src.lines), BytesTotal: int64(len(src.arena))}
@@ -208,9 +211,13 @@ func (c *Cache) CaptureFrom(src *Cache, backing Backing, full bool) (SyncStats, 
 		if c.delta[i] == nil {
 			c.delta[i] = newLineSet(len(c.lines))
 		}
-		c.delta[i].set(src.touched)
+		if i == 0 {
+			c.delta[0].set(src.touched)
+		} else {
+			c.delta[i].set(c.delta[i-1])
+			c.delta[i].merge(src.prev[i-1])
+		}
 	}
-	c.delta[1].merge(src.prev)
 	if lag, ok := c.stamp.Behind(at); !ok || c.touched != nil {
 		c.fullCopy(src, backing, &st) // same geometry: cannot fail
 		c.touched = nil
@@ -218,7 +225,10 @@ func (c *Cache) CaptureFrom(src *Cache, backing Backing, full bool) (SyncStats, 
 		c.copyLines(src, backing, c.delta[lag-1], &st)
 	}
 	c.stamp, src.stamp = at, at
-	src.prev, src.touched = src.touched, src.prev
+	// src opens its next interval in the oldest set's storage.
+	oldest := src.prev[len(src.prev)-1]
+	copy(src.prev[1:], src.prev)
+	src.prev[0], src.touched = src.touched, oldest
 	src.touched.clear()
 	return st, nil
 }

@@ -9,6 +9,7 @@ import (
 
 	"gpufi/internal/config"
 	"gpufi/internal/cowtest"
+	"gpufi/internal/mem"
 )
 
 // cacheImage drives a Cache through cowtest, the property test of the delta
@@ -110,6 +111,6 @@ func (i cacheImage) DiffersFromCopyOf(src cowtest.Image) error {
 // TestDeltaRule holds Cache to the capture-number rule mem.Memory follows:
 // the same table and the same random walk (cowtest), and the race arm.
 func TestDeltaRule(t *testing.T) {
-	cowtest.Run(t, newCacheImage)
+	cowtest.Run(t, newCacheImage, mem.MaxLag)
 	t.Run("race", func(t *testing.T) { cowtest.Race(t, newCacheImage) })
 }

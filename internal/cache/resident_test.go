@@ -59,7 +59,7 @@ func checkCopy(t *testing.T, what string, got, src *Cache) {
 // a new one, which nothing else can hold.
 func checkDetached(t *testing.T, what string, c *Cache, reset bool) {
 	t.Helper()
-	if c.touched != nil || c.prev != nil || c.delta != [2]*lineSet{} || (c.stamp != (mem.Stamp{}) && !reset) {
+	if c.touched != nil || c.prev != nil || c.delta != [mem.MaxLag]*lineSet{} || (c.stamp != (mem.Stamp{}) && !reset) {
 		t.Fatalf("%s: parked cache kept sync state (touched %v, prev %v, delta %v, stamp %v)",
 			what, c.touched != nil, c.prev != nil, c.delta, c.stamp)
 	}

@@ -134,18 +134,39 @@ func BenchmarkPlanCampaign(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanClusters times packing a 10,000-run plan at the benchmark
+// point into snapshot clusters, the serial step before any worker starts.
+func BenchmarkPlanClusters(b *testing.B) {
+	cfg, prof := benchPoint(b)
+	cfg.Runs, cfg.Seed = 10000, 7
+	cp, err := planCampaign(cfg, prof)
+	if err != nil {
+		b.Fatal(err)
+	}
+	points := []*point{{cfg: cfg, plan: cp, pending: cp.pending}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if len(planClusters(points)) == 0 {
+			b.Fatal("no clusters")
+		}
+	}
+}
+
 // BenchmarkEvaluateMatrix is one pass of the performance ledger's
 // eval-matrix workload — Evaluate of SRAD2, HS, BP and KM, 40 runs per
 // point, seed 7, two workers — with the numbers that explain its speed:
 // snapshot captures per experiment, simulated experiments per cluster, how
 // many CPUs the pass kept busy (cpu_s / wall_s) and what it spent
-// (cpu-s/pass), and what the copy-on-write protocol moved — full captures
-// and full restores per pass, bytes per experiment — which is what tells a
-// gain of the prefix/worker overlap from a loss in the delta protocol under
-// it. Each pass must reproduce the ledger's exact outcome counts, and may
-// not take more full legs than its devices need: two templates for each of
-// the four applications, and the full restores the engine took when this
-// bound was written.
+// (cpu-s/pass), how long the workers sat blocked waiting for a cluster's
+// snapshot (await-ms/pass, summed over both, reported only), and what the
+// copy-on-write protocol moved — full captures and full restores per pass,
+// bytes per experiment — which is what tells a gain of the prefix/worker
+// overlap from a loss in the delta protocol under it. Each pass must
+// reproduce the ledger's exact outcome counts, and may not take more full
+// legs than its devices need: two templates for each of the four
+// applications, and the full restores the engine took when this bound was
+// written.
 func BenchmarkEvaluateMatrix(b *testing.B) {
 	gpu := config.RTX2060()
 	var apps []*bench.App
@@ -164,7 +185,7 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 		return time.Duration(ru.Utime.Nano() + ru.Stime.Nano())
 	}
 	want := avf.Counts{Masked: 1147, SDC: 36, Crash: 16, Performance: 1}
-	before, cpu0 := EngineStats(), cpuTime()
+	before, cpu0, await0 := EngineStats(), cpuTime(), awaitHist.Sum()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var got avf.Counts
@@ -183,7 +204,7 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 			b.Fatalf("eval-matrix outcome counts moved: %+v, want %+v", got, want)
 		}
 	}
-	wall, cpu, after := b.Elapsed(), cpuTime()-cpu0, EngineStats()
+	wall, cpu, after, await := b.Elapsed(), cpuTime()-cpu0, EngineStats(), awaitHist.Sum()-await0
 	exps := float64(want.Total() * b.N)
 	captures := float64(after.SnapshotCaptures - before.SnapshotCaptures)
 	b.ReportMetric(captures/exps, "captures/exp")
@@ -191,6 +212,7 @@ func BenchmarkEvaluateMatrix(b *testing.B) {
 	b.ReportMetric(float64(forked)/captures, "exps/cluster")
 	b.ReportMetric(cpu.Seconds()/wall.Seconds(), "busy-cpus")
 	b.ReportMetric(cpu.Seconds()/float64(b.N), "cpu-s/pass")
+	b.ReportMetric(await*1e3/float64(b.N), "await-ms/pass")
 	b.ReportMetric(exps/wall.Seconds(), "exps/s")
 	fullCaptures := float64(after.COWFullCaptures-before.COWFullCaptures) / float64(b.N)
 	fullRestores := float64(after.COWFullRestores-before.COWFullRestores) / float64(b.N)

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -95,28 +97,42 @@ func (c *windowCursor) start(cycle uint64) uint64 {
 // point the plan is exactly the plan of that campaign alone, which is what
 // lets a coordinator's PlanShards and its workers agree.
 func planClusters(points []*point) []cluster {
-	var order []job
+	// Sorted as flat (cycle, point, index) keys: the comparator never
+	// reaches through the points for a cycle.
+	type key struct {
+		cycle uint64
+		j     job
+	}
+	n := 0
+	for _, pt := range points {
+		if !pt.plan.absent {
+			n += len(pt.pending)
+		}
+	}
+	keys := make([]key, 0, n)
 	var windows []sim.CycleWindow
 	for p, pt := range points {
 		if pt.plan.absent {
 			continue
 		}
 		for _, i := range pt.pending {
-			order = append(order, job{p, i})
+			keys = append(keys, key{pt.plan.specs[i].Cycle, job{p, i}})
 		}
 		windows = append(windows, pt.plan.windows...)
 	}
-	cycleOf := func(j job) uint64 { return points[j.p].plan.specs[j.i].Cycle }
-	sort.Slice(order, func(a, b int) bool {
-		ja, jb := order[a], order[b]
-		if ca, cb := cycleOf(ja), cycleOf(jb); ca != cb {
-			return ca < cb
+	slices.SortFunc(keys, func(a, b key) int {
+		if c := cmp.Compare(a.cycle, b.cycle); c != 0 {
+			return c
 		}
-		if ja.p != jb.p {
-			return ja.p < jb.p
+		if c := cmp.Compare(a.j.p, b.j.p); c != 0 {
+			return c
 		}
-		return ja.i < jb.i
+		return cmp.Compare(a.j.i, b.j.i)
 	})
+	order := make([]job, len(keys))
+	for n, k := range keys {
+		order[n] = k.j
+	}
 	// Points of one kernel bring the same windows: keep each once.
 	sort.Slice(windows, func(a, b int) bool { return windows[a].Start < windows[b].Start })
 	union := windows[:0]
@@ -134,8 +150,8 @@ func planClusters(points []*point) []cluster {
 	cur := windowCursor{windows: union}
 	var out []cluster
 	var curWin uint64
-	for n, j := range order {
-		c := cycleOf(j)
+	for n, k := range keys {
+		c := k.cycle
 		w := cur.start(c)
 		if len(out) == 0 || w != curWin || c-(out[len(out)-1].snapCycle+1) > maxSpan {
 			out = append(out, cluster{snapCycle: c - 1, lo: n})
@@ -153,15 +169,17 @@ func planClusters(points []*point) []cluster {
 // once per run walk the sorted job list, each experiment on a fork of its
 // cluster's snapshot, each reporting to its own point's collector — so a
 // point's sink receives exactly the records it would receive from a run of
-// that point alone. The prefix runs one cluster ahead: having published
-// cluster k it simulates and captures towards k+1 while the workers execute
-// k, and waits at k+1 only until k has drained. After the last cluster it
-// parks for the session's next run (session.go). The run's devices — the
-// two snapshot templates the prefix device recycles in turn and one vessel
-// per worker — are borrowed from the device pool and go back when the run
-// ends; the prefix device goes back with them unless it parked. Results are
-// in point order; after a cancellation, or a prefix that ended early, they
-// hold what finished.
+// that point alone. The prefix runs one cluster ahead of what the workers
+// have claimed: having published cluster k it simulates and captures towards
+// k+1 while the workers execute k, and waits at k+1 only until every job of
+// k has restored from its template — not until the last of them has
+// finished, which a long run-on experiment may not do for many clusters.
+// After the last cluster it parks for the session's next run (session.go).
+// The run's devices — the two snapshot templates the prefix device recycles
+// in turn and one vessel per worker — are borrowed from the device pool and
+// go back when the run ends; the prefix device goes back with them unless it
+// parked. Results are in point order; after a cancellation, or a prefix that
+// ended early, they hold what finished.
 func (s *Session) runPoints(ctx context.Context, points []*point) ([]*CampaignResult, error) {
 	prof := s.prof
 	for _, pt := range points {
@@ -239,9 +257,13 @@ func (s *Session) runPoints(ctx context.Context, points []*point) ([]*CampaignRe
 	run.wake.Broadcast()
 	run.mu.Unlock()
 	workers.Wait()
-	// The workers released their vessels; the templates still out, two at
-	// most, go back to the prefix device — unless a panic left it, and
-	// perhaps them, half-written: suspect storage must not reach the pool.
+	// The workers released their vessels; the spans of clusters a stop left
+	// undrained end here, and the templates still out, two at most, go back
+	// to the prefix device — unless a panic left it, and perhaps them,
+	// half-written: suspect storage must not reach the pool.
+	for k := range p.next {
+		run.flights[k].end()
+	}
 	g := p.g
 	if p.panicked {
 		g = nil
@@ -293,9 +315,15 @@ func (s *Session) runPoints(ctx context.Context, points []*point) ([]*CampaignRe
 // pipeline is what the prefix goroutine and the workers of one run share.
 // The prefix publishes clusters in order; workers claim jobs from one cursor
 // over the whole list and block only on a job whose cluster has no snapshot
-// yet. Two invariants carry the overlap: a template is recycled only after
-// every job forked from it has finished unpoisoned (retire), and at most two
-// are out at once, because publish(k) returns only when k-1 has drained.
+// yet. Two invariants carry the overlap: a template is recycled only once
+// every job of its cluster has let go of it unpoisoned — restored from it, or
+// carried on past it (sim.GPU.OnRelease), or returned without reaching it —
+// and at most two are out at once, because publish(k) returns only when
+// every job of k-1 has let go. An experiment still running after its restore
+// reads nothing of its template: it copied the pages and cache lines it
+// needs, lane tables never change, and the lane states and shared memory it
+// still aliases are slabs no later capture writes (a capture gives the
+// template new resident state), so recycling the template under it is safe.
 type pipeline struct {
 	ctx      context.Context
 	prof     *Profile
@@ -306,7 +334,7 @@ type pipeline struct {
 	cursor   atomic.Int64 // next job to claim
 
 	mu        sync.Mutex
-	wake      sync.Cond // published, drained, closed or stopped
+	wake      sync.Cond // published, unpinned, closed or stopped
 	flights   []flight  // by cluster
 	published int       // clusters[:published] have their snapshot
 	closed    bool      // the prefix has ended: nothing more will be published
@@ -317,12 +345,15 @@ type pipeline struct {
 type flight struct {
 	snap     *sim.Snapshot
 	span     *obs.Span
-	ns       phaseNS // summed over the finished jobs
-	left     int     // jobs not finished yet
-	poisoned bool    // a job panicked or hit its deadline: the template is suspect
+	ns       phaseNS      // summed over the finished jobs
+	awaitNS  int64        // workers blocked waiting for the cluster's publication
+	pins     atomic.Int64 // jobs that have not let go of snap yet
+	left     int          // jobs not finished yet
+	poisoned bool         // a job panicked or hit its deadline holding snap: it is suspect
 }
 
-// end closes the cluster's span with its jobs' summed phase times.
+// end closes the cluster's span, once, with its jobs' summed phase times and
+// the workers' wait for it.
 func (fl *flight) end() {
 	if fl.span == nil {
 		return
@@ -330,21 +361,40 @@ func (fl *flight) end() {
 	for n, k := range [...]string{"fork_ns", "execute_ns", "classify_ns"} {
 		fl.span.SetAttr(k, strconv.FormatInt(fl.ns[n], 10))
 	}
+	fl.span.SetAttr("await_ns", strconv.FormatInt(fl.awaitNS, 10))
 	fl.span.End()
+	fl.span = nil
 }
 
-// publish makes cluster k runnable and blocks until cluster k-1 has drained:
-// one cluster ahead and no further. It returns what stopped the run, if
-// something did.
+// publish makes cluster k runnable and blocks until every job of cluster k-1
+// has let go of its template: one cluster ahead of the workers' claims and no
+// further. It returns what stopped the run, if something did.
 func (p *pipeline) publish(k int) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.published = k + 1
 	p.wake.Broadcast()
-	for k > 0 && p.flights[k-1].left > 0 && p.err == nil {
+	for k > 0 && p.flights[k-1].pins.Load() > 0 && p.err == nil {
 		p.wake.Wait()
 	}
 	return p.err
+}
+
+// unpin lets go of cluster c's template for one job, marking it suspect first
+// if the job panicked or hit its deadline still holding it: it may have died
+// mid-restore. Only the last job takes the lock, to wake the prefix.
+func (p *pipeline) unpin(c int, poisoned bool) {
+	fl := &p.flights[c]
+	if poisoned {
+		p.mu.Lock()
+		fl.poisoned = true
+		p.mu.Unlock()
+	}
+	if fl.pins.Add(-1) == 0 {
+		p.mu.Lock()
+		p.wake.Broadcast()
+		p.mu.Unlock()
+	}
 }
 
 // stop ends the run early, keeping the first cause. Called with mu held.
@@ -356,12 +406,19 @@ func (p *pipeline) stop(err error) {
 }
 
 // await blocks until cluster c is published and returns its flight, nil when
-// the run was stopped, cancelled or closed first.
+// the run was stopped, cancelled or closed first. A wait that blocks is timed
+// into gpufi_engine_await_seconds and the cluster's span.
 func (p *pipeline) await(c int) *flight {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.published <= c && !p.closed && p.err == nil {
-		p.wake.Wait()
+	if p.published <= c && !p.closed && p.err == nil {
+		start := time.Now()
+		for p.published <= c && !p.closed && p.err == nil {
+			p.wake.Wait()
+		}
+		d := time.Since(start)
+		awaitHist.Observe(d.Seconds())
+		p.flights[c].awaitNS += d.Nanoseconds()
 	}
 	if err := p.ctx.Err(); err != nil {
 		p.stop(err)
@@ -372,21 +429,20 @@ func (p *pipeline) await(c int) *flight {
 	return &p.flights[c]
 }
 
-// finish books one job of cluster c and its phase times: a poisoned job marks
-// the template, a failed one stops the run, any other brings it nearer drained.
-func (p *pipeline) finish(c int, t phaseNS, poisoned bool, err error) {
+// finish books one job of cluster c and its phase times: a failed job stops
+// the run, any other brings the cluster nearer drained, and the last one ends
+// its span.
+func (p *pipeline) finish(c int, t phaseNS, err error) {
 	p.mu.Lock()
 	fl := &p.flights[c]
 	for n := range t {
 		fl.ns[n] += t[n]
 	}
-	fl.poisoned = fl.poisoned || poisoned
 	drained := false
 	if err != nil {
 		p.stop(err)
 	} else if fl.left--; fl.left == 0 {
 		drained = true
-		p.wake.Broadcast()
 	}
 	p.mu.Unlock()
 	if drained {
@@ -395,63 +451,99 @@ func (p *pipeline) finish(c int, t phaseNS, poisoned bool, err error) {
 }
 
 // retire takes cluster k's template out of the run once no worker can read
-// it: every job of the cluster has finished, or every worker has gone home.
-// The next capture but one reuses its storage and Release parks it — unless
-// an experiment poisoned it or it fails verification: a panicked fork may
-// have been killed mid-restore, and recycling suspect storage would silently
-// corrupt every later cluster. Such a template is dropped, and so is every
-// template when g is nil.
+// it: every job of the cluster has let go of it, or every worker has gone
+// home; its experiments may still be running. The next capture but one
+// reuses its storage and Release parks it — unless a job poisoned it or it
+// fails verification: a fork that panicked before letting go may have been
+// killed mid-restore, and recycling suspect storage would silently corrupt
+// every later cluster. Such a template is dropped, and so is every template
+// when g is nil.
 func (p *pipeline) retire(g *sim.GPU, k int) {
 	fl := &p.flights[k]
-	fl.end()
 	if g != nil && fl.snap != nil && !fl.poisoned && fl.snap.VerifyStorage() == nil {
 		g.RecycleSnapshot(fl.snap)
 	}
 	fl.snap = nil
 }
 
+// releaseHook, when set, runs on a worker each time a job lets go of its
+// template at the snapshot's launch, with the job's experiment index. Only
+// tests set it (export_test.go), to hold an experiment after its release.
+var releaseHook atomic.Pointer[func(i int)]
+
+// worker is one worker goroutine of a run and the job it has in hand.
+type worker struct {
+	p      *pipeline
+	c      int  // the job's cluster: claims only move forward
+	i      int  // the job's experiment index
+	pinned bool // the job has not let go of its cluster's template yet
+}
+
+// restored is the vessel's OnRelease callback: the job in hand has restored
+// from its template or carried on past it, and reads it no more.
+func (w *worker) restored() {
+	w.unpin(false)
+	if hook := releaseHook.Load(); hook != nil {
+		(*hook)(w.i)
+	}
+}
+
+// unpin lets go of the job's template if it still holds it.
+func (w *worker) unpin(poisoned bool) {
+	if w.pinned {
+		w.pinned = false
+		w.p.unpin(w.c, poisoned)
+	}
+}
+
 // work is one worker of the run: it claims jobs in list order until the list
 // or the run ends and runs each on its one fork vessel, which after its first
 // experiment restores snapshots into the memories and cache arenas it already
-// holds, moving only what the experiment and the prefix wrote. A vessel that
-// ran a panicked or deadlined experiment is suspect: it is dropped, never
-// released to the device pool, and the next experiment starts a new fork.
+// holds, moving only what the experiment and the prefix wrote. A job lets go
+// of its template at the snapshot's launch, through the vessel's OnRelease
+// callback, or when its experiment returns without having got there. A
+// vessel that ran a panicked or deadlined experiment is suspect: it is
+// dropped, never released to the device pool, and the next experiment starts
+// a new fork.
 func (p *pipeline) work() {
+	w := &worker{p: p}
 	var v *sim.GPU
-	c := 0 // the cluster of the job in hand: claims only move forward
 	for {
 		k := int(p.cursor.Add(1)) - 1
 		if k >= p.jobs {
 			break
 		}
-		for k >= p.clusters[c].lo+len(p.clusters[c].jobs) {
-			c++
+		for k >= p.clusters[w.c].lo+len(p.clusters[w.c].jobs) {
+			w.c++
 		}
-		fl := p.await(c)
+		fl := p.await(w.c)
 		if fl == nil {
 			break
 		}
-		j := p.clusters[c].jobs[k-p.clusters[c].lo]
-		pt, i := p.points[j.p], j.i
+		j := p.clusters[w.c].jobs[k-p.clusters[w.c].lo]
+		pt := p.points[j.p]
+		w.i, w.pinned = j.i, true
 		var t phaseNS
 		forkStart := time.Now()
 		if v == nil {
 			v = sim.NewFork(fl.snap)
+			v.OnRelease(w.restored)
 		} else {
 			v.Refork(fl.snap)
 			forksReused.Inc()
 		}
 		t.phase(0, forkHist, forkStart)
-		exp, poisoned, err := runExperimentSandboxed(p.ctx, pt.cfg, p.prof, v, pt.plan.specs[i], pt.plan.extras[i], i, &t)
+		exp, poisoned, err := runExperimentSandboxed(p.ctx, pt.cfg, p.prof, v, pt.plan.specs[j.i], pt.plan.extras[j.i], j.i, &t)
+		w.unpin(poisoned)
 		if poisoned {
 			v = nil
 			vesselsDiscarded.Inc()
 		}
 		// Booked before the sink sees the record, so the span of the cluster
 		// it drains travels ahead of the cluster's last experiment.
-		if p.finish(c, t, poisoned, err); err == nil {
-			if err = pt.col.add(i, exp); err != nil {
-				p.finish(c, phaseNS{}, false, err) // the sink failed: stop the run
+		if p.finish(w.c, t, err); err == nil {
+			if err = pt.col.add(j.i, exp); err != nil {
+				p.finish(w.c, phaseNS{}, err) // the sink failed: stop the run
 			}
 		}
 		if err != nil {

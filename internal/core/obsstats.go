@@ -21,6 +21,10 @@ var (
 		"Wall-clock seconds classifying one experiment's outcome.", nil)
 	expHist = obs.Default().Histogram("gpufi_experiment_seconds",
 		"Wall-clock seconds per sandboxed injection experiment.", nil)
+	// A worker's wait for its next experiment's cluster to be published,
+	// observed only when it blocks: the idle time the pipeline leaves.
+	awaitHist = obs.Default().Histogram("gpufi_engine_await_seconds",
+		"Wall-clock seconds a worker blocked waiting for the snapshot of its next experiment's cluster.", nil)
 
 	forksReused = obs.Default().Counter("gpufi_forks_reused",
 		"Experiments that ran on a fork vessel already holding the previous experiment's state.")

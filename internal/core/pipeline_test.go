@@ -162,10 +162,11 @@ func midCluster(t *testing.T, clusters []cluster) (k, a, b int) {
 	return
 }
 
-// TestPipelineDepthIsOneCluster holds an experiment of cluster k up and
-// watches the prefix: it must capture cluster k+1 — that is the overlap —
-// and then wait, however long cluster k takes, because capturing cluster k+2
-// would need the template cluster k is still forking from.
+// TestPipelineDepthIsOneCluster holds an experiment of cluster k up before
+// it has restored from its template and watches the prefix: it must capture
+// cluster k+1 — that is the overlap — and then wait, however long the
+// experiment takes to get to its restore, because capturing cluster k+2
+// would recycle the template it is still to fork from.
 func TestPipelineDepthIsOneCluster(t *testing.T) {
 	mk, prof := bfsPoint(t)
 	_, clusters := clusterOf(t, mk(), prof)
@@ -183,6 +184,56 @@ func TestPipelineDepthIsOneCluster(t *testing.T) {
 	}
 	if want := int64(k) + 2; captured != want {
 		t.Errorf("the prefix had taken %d captures while cluster %d was executing, want %d: one cluster ahead, no more", captured, k, want)
+	}
+}
+
+// TestPipelineRunsPastAHeldExperiment holds an experiment of cluster k up
+// after it has restored from its template: the experiment reads the template
+// no more, so the prefix must go on capturing past cluster k+2, recycling
+// k's template under it, and every record must be byte-identical to a run
+// nothing held up.
+func TestPipelineRunsPastAHeldExperiment(t *testing.T) {
+	mk, prof := bfsPoint(t)
+	_, clusters := clusterOf(t, mk(), prof)
+	k, heldID, _ := midCluster(t, clusters)
+	if k+3 >= len(clusters) {
+		t.Fatalf("cluster %d of %d has fewer than three clusters after it", k, len(clusters))
+	}
+	run := func() *journalRecorder {
+		// No deadline: the hold must not turn the held experiment into a
+		// Timeout.
+		rec, cfg := newJournalRecorder(), mk()
+		cfg.ExpTimeout, cfg.Sink = 0, rec.record
+		if _, err := RunCampaign(nil, cfg, prof); err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	clean := run()
+
+	base := EngineStats().SnapshotCaptures
+	var captured int64
+	defer SetReleaseHook(func(id int) {
+		if id != heldID {
+			return
+		}
+		for deadline := time.Now().Add(20 * time.Second); EngineStats().SnapshotCaptures-base < int64(k)+4 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+		captured = EngineStats().SnapshotCaptures - base
+	})()
+	held := run()
+	if captured < int64(k)+4 {
+		t.Errorf("the prefix had taken %d captures while an experiment of cluster %d that had restored was held, want at least %d: it waited for the experiment, not its restore",
+			captured, k, k+4)
+	}
+	if len(held.recs) != len(clean.recs) {
+		t.Fatalf("%d records, want %d", len(held.recs), len(clean.recs))
+	}
+	for id, want := range clean.recs {
+		if !bytes.Equal(held.recs[id], want) {
+			t.Errorf("experiment %d diverged:\n  got  %s\n  want %s", id, held.recs[id], want)
+		}
 	}
 }
 
@@ -429,19 +480,28 @@ func TestPipelinePrefixEndsEarly(t *testing.T) {
 
 // TestPipelineSpans: the span model of a run is one engine.snapshot and one
 // engine.cluster span per cluster under one parent, and no span under a
-// cluster's; a cluster's span overlaps the next snapshot's, and a snapshot
-// span says how much of it the prefix spent waiting for the previous cluster
-// (wait_ns).
+// cluster's; a cluster's span overlaps the next snapshot's, a snapshot span
+// says how much of it the prefix spent waiting for the previous cluster's
+// jobs to let go of its template (wait_ns), and the cluster spans' await_ns,
+// the time workers blocked waiting for them, sum to what the await
+// histogram gained.
 func TestPipelineSpans(t *testing.T) {
 	mk, prof := bfsPoint(t)
 	_, clusters := clusterOf(t, mk(), prof)
+	awaited := awaitHist.Sum()
 	recs := tracedRun(t, func(ctx context.Context) error { _, err := RunCampaign(ctx, mk(), prof); return err })
+	awaited = awaitHist.Sum() - awaited
 	final := map[string]obs.SpanRecord{} // cluster number -> cluster span
 	snaps := map[string]obs.SpanRecord{}
 	for _, r := range recs {
 		switch r.Name {
 		case "engine.cluster":
 			final[r.Attrs["cluster"]] = r
+			ns, err := strconv.ParseInt(r.Attrs["await_ns"], 10, 64)
+			if err != nil || ns < 0 {
+				t.Errorf("engine.cluster %s: await_ns %q", r.Attrs["cluster"], r.Attrs["await_ns"])
+			}
+			awaited -= float64(ns) / 1e9
 		case "engine.snapshot":
 			snaps[r.Attrs["cluster"]] = r
 			wait, err := strconv.ParseInt(r.Attrs["wait_ns"], 10, 64)
@@ -466,13 +526,14 @@ func TestPipelineSpans(t *testing.T) {
 		if cl.Parent != next.Parent {
 			t.Errorf("cluster %d's span and the next snapshot's have different parents", k)
 		}
-		if end := cl.StartUS + cl.DurUS; next.StartUS+next.DurUS < end {
-			t.Errorf("snapshot %d ended before cluster %d had drained", k+1, k)
-		} else if next.StartUS < end {
+		if next.StartUS < cl.StartUS+cl.DurUS {
 			overlaps++
 		}
 	}
 	if overlaps == 0 {
 		t.Errorf("no engine.cluster span overlaps the next engine.snapshot: the prefix never ran ahead")
+	}
+	if awaited < -1e-6 || awaited > 1e-6 {
+		t.Errorf("the engine.cluster spans' await_ns and the await histogram differ by %.0f ns", awaited*1e9)
 	}
 }

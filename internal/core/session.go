@@ -174,15 +174,18 @@ func (p *prefix) end() {
 }
 
 // capture is the prefix's SnapshotAt sink: it publishes cluster k, waits for
-// k-1 to drain, retires k-1's template and returns, so the device captures
-// k+1 while k executes. After the run's last cluster it parks until the
-// session resumes or ends it.
+// every job of k-1 to let go of its template, retires that template and
+// returns, so the device captures k+1 — into k-1's storage — while k executes
+// and k-1's longest experiments may still be running. After the run's last
+// cluster it parks until the session resumes or ends it.
 //
 // Tracing: each stretch of the prefix goroutine from one snapshot to the next
 // is an engine.snapshot span — simulating, capturing, and wait_ns of it
-// blocked on the previous cluster (near zero on a prefix-bound run, most of
-// the span on a worker-bound one) — and each cluster's execution an
-// engine.cluster span carrying its experiments' summed phase times.
+// blocked on the previous cluster's jobs (near zero on a prefix-bound run,
+// most of the span on a worker-bound one) — and each cluster's execution an
+// engine.cluster span, from capture until its last experiment finishes,
+// carrying its experiments' summed phase times and await_ns, the time workers
+// blocked waiting for it to be published.
 func (p *prefix) capture(s *sim.Snapshot) error {
 	if hook := prefixHook.Load(); hook != nil {
 		(*hook)(p.captures)
@@ -193,6 +196,7 @@ func (p *prefix) capture(s *sim.Snapshot) error {
 	p.at = s.Cycle
 	fl := &run.flights[k]
 	fl.snap, fl.left = s, len(run.clusters[k].jobs)
+	fl.pins.Store(int64(fl.left))
 	if run.traced {
 		_, fl.span = obs.StartSpan(run.ctx, "engine.cluster",
 			obs.Attr{K: "cluster", V: strconv.Itoa(k)},

@@ -101,9 +101,10 @@ type vessel struct {
 
 // restore syncs v to r's newest capture after dirtying it a little, and
 // checks the result and the cost against the rule: full exactly when forced,
-// when v never mirrored this recording, or when it is three or more captures
-// behind; otherwise no more units than v's own dirt and the deltas between.
-func (v *vessel) restore(t *testing.T, rng *rand.Rand, r *recording, forceFull bool) {
+// when v never mirrored this recording, or when it is more than maxLag
+// captures behind; otherwise no more units than v's own dirt and the deltas
+// between.
+func (v *vessel) restore(t *testing.T, rng *rand.Rand, r *recording, forceFull bool, maxLag int) {
 	t.Helper()
 	v.img.Mutate(rng, rng.Intn(6))
 	own, to := v.img.Dirt(), len(r.deltas)-1
@@ -113,7 +114,7 @@ func (v *vessel) restore(t *testing.T, rng *rand.Rand, r *recording, forceFull b
 	if err := v.img.DiffersFromCopyOf(src); err != nil {
 		t.Fatalf("%s: %v", what, err)
 	}
-	wantFull := forceFull || v.rec != r || to-v.at > 2
+	wantFull := forceFull || v.rec != r || to-v.at > maxLag
 	if full != wantFull {
 		t.Fatalf("%s: full=%v, want %v", what, full, wantFull)
 	}
@@ -126,12 +127,14 @@ func (v *vessel) restore(t *testing.T, rng *rand.Rand, r *recording, forceFull b
 	}
 }
 
-// Run is the property test. A table of lags first — a vessel restoring from
-// the capture it holds, from one, two, three and four captures later, with
-// dirt of its own, alternating between the two templates or sitting out —
+// Run is the property test of an image whose delta sets reach maxLag
+// captures back (mem.MaxLag, 4: five behind is the first lag that takes the
+// full leg). A table of lags first — a vessel restoring from the capture it
+// holds, from one to five captures later, with dirt of its own, alternating
+// between the two templates or sitting out —
 // then the same at random over two recordings, with forced full restores and
 // vessels that change recording.
-func Run(t *testing.T, newImage func() Image) {
+func Run(t *testing.T, newImage func() Image, maxLag int) {
 	rng := rand.New(rand.NewSource(23))
 	a, b := newRecording(newImage, rng), newRecording(newImage, rng)
 	a.capture(t, rng)
@@ -143,23 +146,24 @@ func Run(t *testing.T, newImage func() Image) {
 		{"same capture", []int{0, 0, 0}},
 		{"alternating between the two templates", []int{1, 1, 1, 1, 1}},
 		{"sat out a cluster", []int{2, 2, 1, 2}},
-		{"three behind takes the full leg, then catches up by delta", []int{3, 1, 2}},
+		{"three behind", []int{3, 1, 2}},
 		{"four behind", []int{4, 0, 1}},
+		{"five behind takes the full leg, then catches up by delta", []int{5, 1, 4}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			v := &vessel{img: newImage()}
-			v.restore(t, rng, a, false) // no provenance yet: full
+			v.restore(t, rng, a, false, maxLag) // no provenance yet: full
 			for _, lag := range row.lags {
 				for ; lag > 0; lag-- {
 					a.capture(t, rng)
 				}
-				v.restore(t, rng, a, false)
+				v.restore(t, rng, a, false, maxLag)
 			}
-			v.restore(t, rng, b, false) // another recording: full
+			v.restore(t, rng, b, false, maxLag) // another recording: full
 			b.capture(t, rng)
-			v.restore(t, rng, b, false) // and by delta within it
-			v.restore(t, rng, b, true)  // forced
-			v.restore(t, rng, b, false) // which left nothing to go by
+			v.restore(t, rng, b, false, maxLag) // and by delta within it
+			v.restore(t, rng, b, true, maxLag)  // forced
+			v.restore(t, rng, b, false, maxLag) // which left nothing to go by
 		})
 	}
 	t.Run("random", func(t *testing.T) {
@@ -175,7 +179,7 @@ func Run(t *testing.T, newImage func() Image) {
 			for k := rng.Intn(3); k > 0; k-- {
 				r.capture(t, rng)
 			}
-			vessels[rng.Intn(len(vessels))].restore(t, rng, r, rng.Intn(25) == 0)
+			vessels[rng.Intn(len(vessels))].restore(t, rng, r, rng.Intn(25) == 0, maxLag)
 		}
 	})
 }

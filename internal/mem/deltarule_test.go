@@ -98,6 +98,6 @@ func (i memImage) DiffersFromCopyOf(src cowtest.Image) error {
 // for the race detector, captures into one template while vessels restore
 // from the other.
 func TestDeltaRule(t *testing.T) {
-	cowtest.Run(t, newMemImage)
+	cowtest.Run(t, newMemImage, MaxLag)
 	t.Run("race", func(t *testing.T) { cowtest.Race(t, newMemImage) })
 }

@@ -141,14 +141,22 @@ type Recording struct{ _ byte }
 // NewRecording returns capture 0 of a recording no other image has seen.
 func NewRecording() Stamp { return Stamp{Rec: new(Recording)} }
 
+// MaxLag is how many captures behind a source an image may be and still be
+// brought up to it by delta: a template freezes one set for each lag up to
+// it, and the image a recording captures from keeps the MaxLag-1 intervals
+// before its current one to build them. Two templates taking turns are two
+// behind at every capture; a fork vessel whose experiment ran on while the
+// prefix captured past it is further behind at its next restore.
+const MaxLag = 4
+
 // Behind is the delta rule, the same for device memory and for caches: an
 // image holding s can be brought up to a source holding src by moving its
-// own writes plus, at lag 1 or 2, the set the source froze for a consumer
-// that many captures behind (its delta[lag-1]). ok is false — the full legs
-// — for an image with no provenance, of another recording, ahead of the
-// source, or three or more captures behind.
+// own writes plus, at lag 1 to MaxLag, the set the source froze for a
+// consumer that many captures behind (its delta[lag-1]). ok is false — the
+// full legs — for an image with no provenance, of another recording, ahead
+// of the source, or more than MaxLag captures behind.
 func (s Stamp) Behind(src Stamp) (lag int, ok bool) {
-	if s.Rec == nil || s.Rec != src.Rec || s.N > src.N || src.N-s.N > 2 {
+	if s.Rec == nil || s.Rec != src.Rec || s.N > src.N || src.N-s.N > MaxLag {
 		return 0, false
 	}
 	return int(src.N - s.N), true

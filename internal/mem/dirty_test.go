@@ -175,7 +175,7 @@ func TestRestoreFromForeignSource(t *testing.T) {
 
 // TestCaptureFromDelta drives the template-side protocol: the live image
 // keeps executing between captures, and each recapture copies only the
-// pages written since the last one. A vessel one or two captures behind
+// pages written since the last one. A vessel one to MaxLag captures behind
 // catches up from the template's frozen deltas; older vessels full-copy.
 func TestCaptureFromDelta(t *testing.T) {
 	live, a, b := fillImage(t)
@@ -225,14 +225,25 @@ func TestCaptureFromDelta(t *testing.T) {
 	}
 	imagesEqual(t, vessel, tpl)
 
-	// Three behind: no frozen set covers the gap; full copy.
-	for i := uint32(0); i < 3; i++ {
+	// MaxLag behind: the template's last frozen set covers every interval.
+	for i := uint32(0); i < MaxLag; i++ {
 		live.Write32(a+16+4*i, 46)
 		tpl.CaptureFrom(live, false)
 	}
 	st = vessel.RestoreFrom(tpl, false)
+	if st.Full || st.UnitsCopied != 1 {
+		t.Fatalf("%d-captures-behind restore: full=%v copied=%d, want a delta of 1 page", MaxLag, st.Full, st.UnitsCopied)
+	}
+	imagesEqual(t, vessel, tpl)
+
+	// One more: no frozen set covers the gap; full copy.
+	for i := uint32(0); i <= MaxLag; i++ {
+		live.Write32(a+64+4*i, 47)
+		tpl.CaptureFrom(live, false)
+	}
+	st = vessel.RestoreFrom(tpl, false)
 	if !st.Full {
-		t.Fatalf("three-captures-behind restore must be full")
+		t.Fatalf("%d-captures-behind restore must be full", MaxLag+1)
 	}
 	imagesEqual(t, vessel, tpl)
 
@@ -384,12 +395,12 @@ func FuzzDirtyTracker(f *testing.F) {
 				vessel.Reset()
 				model, synced = model[:0], false
 				imagesEqual(t, vessel, New())
-				if vessel.track != nil || vessel.prev != nil || vessel.delta != [2]*DirtyTracker{} {
+				if vessel.track != nil || vessel.prev != nil || vessel.delta != [MaxLag]*DirtyTracker{} {
 					t.Fatalf("op %d: emptied image kept sync state", i/3)
 				}
 			case 10: // parked with its contents, then restored from an image it never mirrored
 				vessel.Detach()
-				if vessel.track != nil || vessel.delta != [2]*DirtyTracker{} || vessel.stamp != (Stamp{}) {
+				if vessel.track != nil || vessel.delta != [MaxLag]*DirtyTracker{} || vessel.stamp != (Stamp{}) {
 					t.Fatalf("op %d: parked image kept sync state", i/3)
 				}
 				if st := vessel.RestoreFrom(other, false); !st.Full {

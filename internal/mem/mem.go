@@ -43,14 +43,15 @@ type Memory struct {
 	// names the capture this image was last made equal to and track holds the
 	// pages it wrote since (nil on a template, which is never written, and
 	// when tracking is off: a write then costs one nil check). The image a
-	// recording captures from also keeps prev, the interval before track's —
-	// non-nil marks the one image that numbers the recording's captures. A
-	// template keeps delta, frozen from its capture until the next one into
-	// it: delta[0] brings an image one capture behind up to it, delta[1] two.
+	// recording captures from also keeps prev, the MaxLag-1 intervals before
+	// track's, newest first — non-nil marks the one image that numbers the
+	// recording's captures. A template keeps delta, frozen from its capture
+	// until the next one into it: delta[i] brings an image i+1 captures
+	// behind up to it.
 	stamp Stamp
 	track *DirtyTracker
-	prev  *DirtyTracker
-	delta [2]*DirtyTracker
+	prev  []*DirtyTracker
+	delta [MaxLag]*DirtyTracker
 }
 
 // SyncStats reports what one RestoreFrom/CaptureFrom moved: dirty pages
@@ -69,7 +70,10 @@ type SyncStats struct {
 // gets here through its first snapshot capture.
 func (m *Memory) StartTracking() {
 	m.Detach()
-	m.stamp, m.track, m.prev = NewRecording(), NewDirtyTracker(), NewDirtyTracker()
+	m.stamp, m.track, m.prev = NewRecording(), NewDirtyTracker(), make([]*DirtyTracker, MaxLag-1)
+	for i := range m.prev {
+		m.prev[i] = NewDirtyTracker()
+	}
 }
 
 // SetSyncedTo records that m's content is an exact copy of src's — src's
@@ -81,7 +85,7 @@ func (m *Memory) SetSyncedTo(src *Memory) {
 		m.track = NewDirtyTracker()
 	}
 	m.track.CopyFrom(src.track)
-	m.stamp, m.prev, m.delta = src.stamp, nil, [2]*DirtyTracker{}
+	m.stamp, m.prev, m.delta = src.stamp, nil, [MaxLag]*DirtyTracker{}
 }
 
 // markWrite records the pages of [addr, addr+n) as dirty when tracking is
@@ -121,7 +125,7 @@ func (m *Memory) copyPages(src *Memory, set *DirtyTracker, st *SyncStats) {
 
 // RestoreFrom makes m a copy of src, copying only the pages where the two
 // can differ when provenance allows (Stamp.Behind): both hold captures of one
-// recording, src's at most two after m's, so they differ at most in what
+// recording, src's at most MaxLag after m's, so they differ at most in what
 // either wrote since and in the delta set src — a snapshot template, frozen
 // until its next CaptureFrom — carries for that lag. Any other provenance, or
 // full=true, is a verbatim deep copy. The per-experiment fork-restore path;
@@ -149,13 +153,13 @@ func (m *Memory) RestoreFrom(src *Memory, full bool) SyncStats {
 
 // CaptureFrom makes m — a snapshot template nothing reads any more — a copy
 // of src, the image being recorded, as the recording's next capture. The
-// sets that bring an image one or two captures behind up to this one are
+// sets that bring an image one to MaxLag captures behind up to this one are
 // frozen into m.delta first (src's current interval; that plus the one
-// before), and m is the first to use them: a template recaptured every time
-// moves the first, one of two taking turns the second, any other storage the
-// whole image. src then opens its next interval; a src nobody records yet
-// starts a recording here. full=true deep-copies and leaves no provenance.
-// The snapshot-recycling path of the campaign prefix run.
+// before; and so on), and m is the first to use them: a template recaptured
+// every time moves the first, one of two taking turns the second, any other
+// storage the whole image. src then opens its next interval; a src nobody
+// records yet starts a recording here. full=true deep-copies and leaves no
+// provenance. The snapshot-recycling path of the campaign prefix run.
 func (m *Memory) CaptureFrom(src *Memory, full bool) SyncStats {
 	st := SyncStats{UnitsTotal: (len(src.data) + PageBytes - 1) / PageBytes, BytesTotal: int64(len(src.data))}
 	if full {
@@ -171,9 +175,13 @@ func (m *Memory) CaptureFrom(src *Memory, full bool) SyncStats {
 		if m.delta[i] == nil {
 			m.delta[i] = NewDirtyTracker()
 		}
-		m.delta[i].CopyFrom(src.track)
+		if i == 0 {
+			m.delta[0].CopyFrom(src.track)
+		} else {
+			m.delta[i].CopyFrom(m.delta[i-1])
+			m.delta[i].Merge(src.prev[i-1])
+		}
 	}
-	m.delta[1].Merge(src.prev)
 	if lag, ok := m.stamp.Behind(at); !ok || m.track != nil || cap(m.data) < len(src.data) {
 		m.fullCopy(src, &st)
 		m.track = nil
@@ -181,7 +189,10 @@ func (m *Memory) CaptureFrom(src *Memory, full bool) SyncStats {
 		m.copyPages(src, m.delta[lag-1], &st)
 	}
 	m.stamp, src.stamp = at, at
-	src.prev, src.track = src.track, src.prev
+	// src opens its next interval in the oldest set's storage.
+	oldest := src.prev[len(src.prev)-1]
+	copy(src.prev[1:], src.prev)
+	src.prev[0], src.track = src.track, oldest
 	src.track.Clear()
 	return st
 }
@@ -225,7 +236,7 @@ func (m *Memory) Reset() {
 // storage a device parks for a later owner keeps its contents and nothing
 // else. Contents are untouched.
 func (m *Memory) Detach() {
-	m.stamp, m.track, m.prev, m.delta = Stamp{}, nil, nil, [2]*DirtyTracker{}
+	m.stamp, m.track, m.prev, m.delta = Stamp{}, nil, nil, [MaxLag]*DirtyTracker{}
 }
 
 // CopyFrom makes m a deep copy of src, reusing m's existing backing arrays

@@ -243,14 +243,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, r, &httpError{code: 400, msg: fmt.Sprintf("bad campaign spec: %v", err)})
 		return
 	}
-	j, err := s.submit(req.ID, req.Spec)
+	st, err := s.submit(req.ID, req.Spec)
 	if err != nil {
 		writeErr(w, r, err)
 		return
 	}
-	s.mu.Lock()
-	st := s.statusLocked(j)
-	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, st)
 }
 

@@ -283,55 +283,57 @@ func (s *Server) newJobLocked(id string, spec store.Spec) *job {
 	return j
 }
 
-// submit validates and enqueues a campaign. It returns the job, or an
-// httpError describing why the submission was refused.
-func (s *Server) submit(id string, spec store.Spec) (*job, error) {
+// submit validates and enqueues a campaign. It returns the campaign's status
+// as queued, built under the lock that queues it — a runner may take the job
+// the moment the lock is released — or an httpError describing why the
+// submission was refused.
+func (s *Server) submit(id string, spec store.Spec) (status, error) {
 	if _, err := spec.Config(); err != nil {
-		return nil, &httpError{code: 400, msg: err.Error()}
+		return status{}, &httpError{code: 400, msg: err.Error()}
 	}
 	if id == "" {
 		id = spec.ID()
 	}
 	if !store.ValidID(id) {
-		return nil, &httpError{code: 400, msg: fmt.Sprintf("invalid campaign id %q", id)}
+		return status{}, &httpError{code: 400, msg: fmt.Sprintf("invalid campaign id %q", id)}
 	}
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return nil, &httpError{code: 503, msg: "service shutting down"}
+		return status{}, &httpError{code: 503, msg: "service shutting down"}
 	}
 	if s.draining {
-		return nil, &httpError{code: 503, msg: "service draining; not accepting campaigns"}
+		return status{}, &httpError{code: 503, msg: "service draining; not accepting campaigns"}
 	}
 	if j, ok := s.jobs[id]; ok {
 		switch j.state {
 		case StateQueued, StateRunning:
-			return nil, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is %s", id, j.state)}
+			return status{}, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is %s", id, j.state)}
 		case StateDone:
-			return nil, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is already complete", id)}
+			return status{}, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is already complete", id)}
 		}
 		// Failed or cancelled: fall through and requeue as a resume.
 	}
 	if info, err := s.st.Inspect(id); err == nil {
 		if info.Done {
-			return nil, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is already complete", id)}
+			return status{}, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is already complete", id)}
 		}
 		// Resubmitting an on-disk campaign resumes it, clearing any
 		// cancellation marker.
 		if err := s.st.ClearCancelled(id); err != nil {
-			return nil, &httpError{code: 500, msg: err.Error()}
+			return status{}, &httpError{code: 500, msg: err.Error()}
 		}
 	} else if !errors.Is(err, store.ErrNotFound) {
-		return nil, &httpError{code: 500, msg: err.Error()}
+		return status{}, &httpError{code: 500, msg: err.Error()}
 	}
 	if len(s.queue) >= s.opts.QueueDepth {
-		return nil, &httpError{code: 503, msg: "job queue full; retry later"}
+		return status{}, &httpError{code: 503, msg: "job queue full; retry later"}
 	}
 	j := s.newJobLocked(id, spec)
 	s.queue = append(s.queue, j)
 	s.cond.Signal()
-	return j, nil
+	return s.statusLocked(j), nil
 }
 
 // runner pops jobs FIFO and runs each, once, to its terminal state. A

@@ -25,8 +25,12 @@ package sim
 // are served from the shared state. Warps that never issue again — exited
 // warps, warps past the fault's blast radius when the experiment ends early
 // — never pay for their copy. The snapshot side never mutates: templates
-// are only written by capture, which allocates fresh resident state, and
-// the campaign engine serializes captures with cluster completion.
+// are only written by capture, which gives the template fresh resident
+// state and leaves the old lane-state and shared-memory slabs to whatever
+// forks still alias them. So a fork needs its template only until its
+// restore: the campaign engine recycles a template once every fork of its
+// cluster has let go of it (GPU.OnRelease), and a fork restored from it may
+// run on over storage the prefix captures into again.
 //
 // The page/line-granular COW for device memory and caches lives in
 // internal/mem and internal/cache; this file owns the resident (SIMT)

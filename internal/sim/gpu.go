@@ -122,6 +122,7 @@ type GPU struct {
 	snapFn      func(*Snapshot) error // capture sink; an error aborts the run
 	record      *recorder             // non-nil: record host-call results
 	seek        *seekState            // non-nil: elide host calls until restore
+	release     func()                // OnRelease: the fork stopped reading its snapshot
 	snapScratch []*GPU                // recycled snapshot templates for later captures, at most two
 	ctx         context.Context       // optional cancellation for long launches
 	ctxTick     uint32                // simulated cycles toward the next ctx poll

@@ -207,13 +207,26 @@ func (s *Snapshot) VerifyStorage() error {
 // from the pool; Release parks it along with the device. The GPU holds up to
 // two such spares — a prefix that captures cluster k+1 while cluster k
 // executes has two templates alive — and leaves a third with its snapshot.
-// The caller guarantees no fork still reads s.
+// The caller guarantees no fork still reads s: each has let go of it
+// (OnRelease) or ended.
 func (g *GPU) RecycleSnapshot(s *Snapshot) {
 	if s.gpu != nil && len(g.snapScratch) < 2 {
 		g.snapScratch = append(g.snapScratch, s.gpu)
 		s.gpu = nil
 	}
 }
+
+// OnRelease sets fn to run on the fork's goroutine every time the fork lets go
+// of the snapshot it replays: at the snapshot's launch, once it has restored
+// the snapshot's state or kept its own (Refork), and before the cycle loop
+// resumes. From then on the fork reads nothing of the snapshot's storage —
+// the restore copied the memory pages and cache lines it needs, lane tables
+// never change, and the lane states and shared memory it still aliases are
+// slabs no capture writes again, because a capture gives its template new
+// resident state — so the owner may recycle the snapshot (RecycleSnapshot)
+// while the fork runs on. A replay that ends before the snapshot's launch
+// never calls fn. fn stays set across Reforks.
+func (g *GPU) OnRelease(fn func()) { g.release = fn }
 
 // Refork rewinds a finished fork so it can replay another experiment from
 // snap, which may be the same snapshot or a different one of the same
@@ -328,7 +341,8 @@ func (g *GPU) syncStateFrom(src *GPU, capture bool) {
 		syncCache(&c.l1i, sc.l1i, g.l2, capture, &agg)
 		if capture {
 			// The live device keeps executing after a capture: a private
-			// deep copy.
+			// deep copy, into new slabs — forks restored from this
+			// template's previous capture may still alias the old ones.
 			c.ctas, c.warps = nil, nil
 			sc.cloneResidentInto(c)
 		} else {
@@ -456,6 +470,9 @@ func (g *GPU) seekLaunch(p *isa.Program) (*LaunchResult, error) {
 		g.restore(s.snap)
 	}
 	g.seek = nil
+	if g.release != nil {
+		g.release()
+	}
 	if g.curProg == nil || g.curProg.Name != p.Name {
 		name := "<none>"
 		if g.curProg != nil {
