@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"gpufi/internal/cli/clitest"
+	"gpufi/internal/core"
 	"gpufi/internal/service"
 	"gpufi/internal/shard"
 	"gpufi/internal/store"
@@ -92,18 +93,28 @@ var modes = []struct {
 }
 
 // TestModes runs each mode through run on loopback: a small VA campaign is
-// submitted, it must finish with the journal records store.Run writes for
-// the same spec, and SIGTERM must stop every node cleanly.
+// submitted, it must finish with the journal records of a library run
+// (core.RunCampaign) of the same spec, and SIGTERM must stop every node
+// cleanly.
 func TestModes(t *testing.T) {
 	spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile", Runs: 40, Seed: 5, Workers: 1}
-	local, err := store.Open(t.TempDir())
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := local.Run(context.Background(), "va", spec, nil, nil); err != nil {
+	prof, err := core.ProfileApp(context.Background(), cfg.App, cfg.GPU)
+	if err != nil {
 		t.Fatal(err)
 	}
-	want := journalLines(t, local.Dir())
+	res, err := core.RunCampaign(context.Background(), cfg, prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var log strings.Builder
+	if err := store.WriteLog(&log, res); err != nil {
+		t.Fatal(err)
+	}
+	want := sortedLines(log.String())
 
 	for _, m := range modes {
 		t.Run(m.name, func(t *testing.T) {
@@ -160,7 +171,7 @@ func TestModes(t *testing.T) {
 				}
 			}
 			if got := journalLines(t, data); !reflect.DeepEqual(got, want) {
-				t.Errorf("journal differs from store.Run's:\n got: %q\nwant: %q", got, want)
+				t.Errorf("journal differs from the library run's:\n got: %q\nwant: %q", got, want)
 			}
 			// Both modes run the campaign through a coordinator, which keeps
 			// a control log: shard plans and grants.
@@ -195,7 +206,12 @@ func journalLines(t *testing.T, dir string) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n")
+	return sortedLines(string(raw))
+}
+
+// sortedLines splits a JSONL text into its lines, sorted.
+func sortedLines(text string) []string {
+	lines := strings.Split(strings.TrimSuffix(text, "\n"), "\n")
 	sort.Strings(lines)
 	return lines
 }

@@ -9,10 +9,11 @@
 // SIGINT cancels the campaign: in-flight experiments stop promptly, and
 // whatever finished is still reported and flushed to the log file.
 //
-// With -store DIR every campaign point is journaled durably as it runs;
-// rerunning an interrupted invocation continues it, skipping the
-// experiments already on disk (merged outcomes are bit-identical to an
-// uninterrupted run, whatever -workers either run used).
+// With -store DIR every campaign point runs through an in-process shard
+// coordinator, the way a local gpufi-serve node runs it, and is journaled
+// durably as it runs; rerunning an interrupted invocation continues it,
+// skipping the experiments already on disk (merged outcomes are
+// bit-identical to an uninterrupted run, whatever -workers either run used).
 package main
 
 import (
@@ -31,6 +32,7 @@ import (
 	"gpufi/internal/cli"
 	"gpufi/internal/core"
 	"gpufi/internal/report"
+	"gpufi/internal/shard"
 	"gpufi/internal/store"
 )
 
@@ -119,8 +121,24 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 
+	var n *node
+	if o.storeDir != "" {
+		cs, err := store.Open(o.storeDir)
+		if err != nil {
+			return err
+		}
+		n = startNode(ctx, cs)
+		defer n.stop()
+	}
+
 	fmt.Fprintf(stdout, "profiling %s on %s...\n", app.Name, gpu.Name)
-	prof, err := gpufi.Profile(ctx, app, gpu)
+	var prof *gpufi.AppProfile
+	if n != nil {
+		// The node's campaigns then plan and run against this profile.
+		prof, err = n.co.Profile(ctx, app, o.spec.Scale, gpu)
+	} else {
+		prof, err = gpufi.Profile(ctx, app, gpu)
+	}
 	if err != nil {
 		return err
 	}
@@ -164,19 +182,12 @@ func run(args []string, stdout, stderr io.Writer) error {
 		lw = gpufi.NewLogWriter(logFile)
 	}
 
-	var cstore *store.Store
-	if o.storeDir != "" {
-		if cstore, err = store.Open(o.storeDir); err != nil {
-			return err
-		}
-	}
-
 	// Propagation traces: in direct mode they stream to the -trace file;
-	// with -store the store journals them into the campaign directory
-	// (<store>/<id>/traces.jsonl) and the -trace value only switches
-	// tracing on.
+	// with -store the coordinator journals them into the campaign directory
+	// (<store>/<id>/traces.jsonl) with the batches that carry them, and the
+	// -trace value only switches tracing on.
 	var traceEnc *json.Encoder
-	if o.tracePath != "" && cstore == nil {
+	if o.tracePath != "" && n == nil {
 		tf, err := os.Create(o.tracePath)
 		if err != nil {
 			return err
@@ -197,7 +208,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		var traces []gpufi.ExperimentTrace
 		spec := o.spec
 		spec.Kernel = k
-		res, err := runPoint(ctx, stdout, cstore, spec, prof, func(e gpufi.Experiment) {
+		res, err := runPoint(ctx, stdout, n, spec, prof, func(e gpufi.Experiment) {
 			if traceEnc != nil {
 				traces = append(traces, *e.Trace)
 			}
@@ -217,17 +228,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 			cancelled = true
 		}
 		// The -log file is written per campaign point, experiments sorted
-		// by id — byte-identical across engines and worker counts for the
-		// same seed. (For crash-safe incremental journaling use -store;
-		// its journal is in completion order and merge-sorted on read.)
+		// by id — byte-identical with and without -store and across worker
+		// counts for the same seed. (For crash-safe incremental journaling
+		// use -store; its journal is in merge order and sorted on read.)
 		if lw != nil {
 			if err := lw.Result(res); err != nil {
 				return err
 			}
 		}
 		// Same contract for the -trace file: sorted by id, so traced runs
-		// diff clean across engines too. (The -store trace journal streams
-		// in completion order instead.)
+		// diff clean across worker counts too. (The -store trace journal
+		// is in merge order instead.)
 		if traceEnc != nil {
 			sort.Slice(traces, func(i, j int) bool { return traces[i].ID < traces[j].ID })
 			for i := range traces {
@@ -248,7 +259,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		if cancelled {
 			fmt.Fprintf(stdout, "interrupted: %s finished %d of %d experiments; partial results follow\n",
 				k, c.Total(), o.spec.Runs)
-			if cstore != nil {
+			if n != nil {
 				fmt.Fprintf(stdout, "journal saved in %s — rerun the same command to continue\n", o.storeDir)
 			}
 			break
@@ -267,7 +278,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintf(stdout, "\nexperiment log: %s\n", o.logPath)
 	}
 	if o.tracePath != "" {
-		if cstore != nil {
+		if n != nil {
 			fmt.Fprintf(stdout, "propagation traces: %s/<id>/traces.jsonl (summarize with gpufi-report -why)\n", o.storeDir)
 		} else {
 			fmt.Fprintf(stdout, "propagation traces: %s (summarize with gpufi-report -why)\n", o.tracePath)
@@ -291,15 +302,54 @@ func addRow(tb *report.Table, name string, c gpufi.Counts) {
 		fmt.Sprintf("[%.4f, %.4f]", lo, hi))
 }
 
+// node is the -store path's local node, built the way gpufi-serve builds
+// one: a shard coordinator over the store and one worker that calls it in
+// process. Each round of a campaign is one shard: with one worker, a second
+// shard would only add a drain at the shard boundary.
+type node struct {
+	st     *store.Store
+	co     *shard.Coordinator
+	cancel context.CancelFunc
+	exited chan struct{} // closed when the worker's goroutine returns
+}
+
+// leaseTTL is a node's lease TTL. Its one worker is the only claimant, and it
+// claims only between shards, so a lease that runs out mid-shard is never
+// re-issued: while a command runs the TTL only paces the worker's batch
+// sender, which posts after a third of it without one. A rerun after an
+// interrupt waits it out once, for the shard of the interrupted worker that
+// the control log restores.
+const leaseTTL = 300 * time.Millisecond
+
+// startNode starts a node over st whose worker runs until ctx ends or stop.
+func startNode(ctx context.Context, st *store.Store) *node {
+	ctx, cancel := context.WithCancel(ctx)
+	n := &node{st: st, co: shard.NewCoordinator(st,
+		shard.Options{LeaseTTL: leaseTTL, ShardsPerCampaign: 1}),
+		cancel: cancel, exited: make(chan struct{})}
+	go func() {
+		defer close(n.exited)
+		(&shard.Worker{Coordinator: n.co, Name: "local-1"}).Run(ctx)
+	}()
+	return n
+}
+
+// stop stops the node's worker and waits for its goroutine to return.
+func (n *node) stop() {
+	n.cancel()
+	<-n.exited
+}
+
 // runPoint runs one campaign point, handing observe every experiment it
-// finishes. With a store the journal is fsync'd in batches as experiments
-// finish, and a campaign already on disk continues where its journal stops
-// (or, when it is done, reports its journaled outcomes); without one the
-// point runs straight on the engine.
-func runPoint(ctx context.Context, stdout io.Writer, cstore *store.Store, spec store.Spec,
+// finishes. Without a node the point runs straight on the engine. With one
+// it runs through the node's coordinator, which journals each batch of
+// experiments before its worker hears back, and a campaign already on disk
+// continues where its journal stops (or, when it is done, reports its
+// journaled outcomes).
+func runPoint(ctx context.Context, stdout io.Writer, n *node, spec store.Spec,
 	prof *gpufi.AppProfile, observe func(gpufi.Experiment)) (*gpufi.CampaignResult, error) {
 
-	if cstore == nil {
+	if n == nil {
 		cfg, err := spec.Config()
 		if err != nil {
 			return nil, err
@@ -311,8 +361,8 @@ func runPoint(ctx context.Context, stdout io.Writer, cstore *store.Store, spec s
 		return core.RunCampaign(ctx, cfg, prof)
 	}
 	id := spec.ID()
-	if cstore.Exists(id) {
-		info, err := cstore.Inspect(id)
+	if n.st.Exists(id) {
+		info, err := n.st.Inspect(id)
 		if err != nil {
 			return nil, err
 		}
@@ -323,5 +373,5 @@ func runPoint(ctx context.Context, stdout io.Writer, cstore *store.Store, spec s
 				id, info.Completed, spec.Runs)
 		}
 	}
-	return cstore.Run(ctx, id, spec, prof, observe)
+	return n.co.Run(ctx, id, spec, observe)
 }

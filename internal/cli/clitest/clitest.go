@@ -24,9 +24,19 @@ import (
 	"gpufi/internal/cli"
 )
 
-// timestamp matches the RFC 3339 times a store writes (done.json's
-// finished_at), the one thing a rerun changes; Golden masks them.
-var timestamp = regexp.MustCompile(`\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?(Z|[+-]\d\d:\d\d)`)
+// The two things a rerun changes in the files a store writes, which Golden
+// masks: the RFC 3339 times (done.json's finished_at) and the random lease
+// tokens of a control WAL's grants.
+var (
+	timestamp = regexp.MustCompile(`\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d(\.\d+)?(Z|[+-]\d\d:\d\d)`)
+	lease     = regexp.MustCompile(`"lease":"[0-9a-f]{32}"`)
+)
+
+// mask replaces what a rerun changes in a written file with placeholders.
+func mask(b []byte) []byte {
+	b = timestamp.ReplaceAll(b, []byte("<time>"))
+	return lease.ReplaceAll(b, []byte(`"lease":"<lease>"`))
+}
 
 // Golden runs script through run, the command called name, in a new
 // directory holding a copy of the files under fixtures (none when empty),
@@ -96,7 +106,7 @@ func Golden(t *testing.T, name string, run func(args []string, stdout, stderr io
 	sort.Strings(rels)
 	for _, rel := range rels {
 		if b, ok := before[rel]; !ok || !bytes.Equal(b, after[rel]) {
-			b := timestamp.ReplaceAll(after[rel], []byte("<time>"))
+			b := mask(after[rel])
 			fmt.Fprintf(&out, "-- wrote %s: %d bytes, sha256 %x --\n", rel, len(b), sha256.Sum256(b))
 		}
 	}

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -278,12 +279,16 @@ func TestServiceRestartResume(t *testing.T) {
 	spec := store.Spec{App: "VA", GPU: "RTX2060", Kernel: "va_add",
 		Structure: "regfile", Runs: 60, Seed: 21, Workers: 2}
 
-	// Reference: uninterrupted run of the same spec.
-	refStore, err := store.Open(t.TempDir())
+	// Reference: an uninterrupted library run of the same spec.
+	cfg, err := spec.Config()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refStore.Run(nil, "", spec, nil, nil)
+	prof, err := core.ProfileApp(context.Background(), cfg.App, cfg.GPU)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.RunCampaign(context.Background(), cfg, prof)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/plan"
 	"gpufi/internal/store"
 )
@@ -36,40 +37,22 @@ func submitSpec(t *testing.T, base, id string, spec store.Spec) {
 	submit(t, base, body)
 }
 
-// libraryRun runs spec through store.Run in a store of its own and returns
-// the journal's records and the plan report its completion marker holds.
-func libraryRun(t *testing.T, id string, spec store.Spec) (map[string][]byte, *store.Info) {
-	t.Helper()
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Run(context.Background(), id, spec, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	info, err := st.Inspect(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _ := journalRecords(t, st, id)
-	return recs, info
-}
-
-// samePlan compares two finished campaigns' plan reports field for field.
-func samePlan(t *testing.T, label string, sharded, lib *store.Info) {
+// samePlan compares a finished campaign's plan report with the library's,
+// field for field.
+func samePlan(t *testing.T, label string, sharded *store.Info, lib *core.PlanReport) {
 	t.Helper()
 	switch {
-	case (sharded.Plan == nil) != (lib.Plan == nil):
-		t.Errorf("%s: plan report %+v, the library's %+v", label, sharded.Plan, lib.Plan)
-	case sharded.Plan != nil && *sharded.Plan != *lib.Plan:
-		t.Errorf("%s: plan report\n  sharded: %+v\n  library: %+v", label, *sharded.Plan, *lib.Plan)
+	case (sharded.Plan == nil) != (lib == nil):
+		t.Errorf("%s: plan report %+v, the library's %+v", label, sharded.Plan, lib)
+	case sharded.Plan != nil && *sharded.Plan != *lib:
+		t.Errorf("%s: plan report\n  sharded: %+v\n  library: %+v", label, *sharded.Plan, *lib)
 	}
 }
 
 // TestShardedAdaptiveMatchesLibrary is the one-procedure gate: the
 // coordinator plans each round of the library's schedule as a shard
-// generation, so a sharded adaptive campaign journals what store.Run
-// journals, record for record, and finishes with the same plan report —
+// generation, so a sharded adaptive campaign journals what the library
+// (core.RunCampaign) journals, record for record, and finishes with the same plan report —
 // whatever the shard count, whatever order the batches arrive in. Three
 // specs: the VA point with both strata, a cache point with no analytic
 // stratum, and a point whose structure the kernel does not have. Each runs
@@ -87,20 +70,20 @@ func TestShardedAdaptiveMatchesLibrary(t *testing.T) {
 
 	type libRun struct {
 		recs map[string][]byte
-		info *store.Info
+		plan *core.PlanReport
 	}
 	libs := map[string]libRun{}
 	for _, s := range specs {
-		recs, info := libraryRun(t, s.name, s.spec)
-		libs[s.name] = libRun{recs, info}
+		recs, _, res := library(t, s.spec)
+		libs[s.name] = libRun{recs, res.Plan}
 	}
-	if p := libs["va-regfile"].info.Plan; p == nil || p.Analytic == 0 || p.Skipped == 0 {
+	if p := libs["va-regfile"].plan; p == nil || p.Analytic == 0 || p.Skipped == 0 {
 		t.Fatalf("the VA fixture no longer stops early with both strata: %+v", p)
 	}
-	if p := libs["bp-l1d"].info.Plan; p == nil || p.Analytic != 0 || p.Skipped == 0 {
+	if p := libs["bp-l1d"].plan; p == nil || p.Analytic != 0 || p.Skipped == 0 {
 		t.Fatalf("the cache point no longer stops early without an analytic stratum: %+v", p)
 	}
-	if p := libs["va-shared-absent"].info.Plan; p != nil {
+	if p := libs["va-shared-absent"].plan; p != nil {
 		t.Fatalf("an absent structure got a plan report: %+v", p)
 	}
 
@@ -125,7 +108,7 @@ func TestShardedAdaptiveMatchesLibrary(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				samePlan(t, s.name, info, libs[s.name].info)
+				samePlan(t, s.name, info, libs[s.name].plan)
 			}
 		})
 	}
@@ -183,7 +166,7 @@ func TestShardedAdaptiveConvergence(t *testing.T) {
 	if dups != 0 {
 		t.Fatalf("journal has %d duplicate exp records", dups)
 	}
-	libRecs, lib := libraryRun(t, id, adaptiveFixture)
+	libRecs, _, lib := library(t, adaptiveFixture)
 	diffJournals(t, id, sharded, libRecs)
 	t.Logf("journaled %d of %d experiments, as the library run does", len(sharded)-1, adaptiveFixture.Runs)
 

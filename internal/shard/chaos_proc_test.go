@@ -1,7 +1,6 @@
 package shard_test
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -74,21 +73,14 @@ func TestChaosProcessKill(t *testing.T) {
 	}
 
 	// Differential: open the coordinator's store read-only and compare
-	// each campaign with an uninterrupted in-process run.
+	// each campaign with an uninterrupted library run.
 	st, err := store.Open(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for id, spec := range specs {
-		localSt, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := localSt.Run(context.Background(), id, spec, nil, nil); err != nil {
-			t.Fatal(err)
-		}
+		local, _, _ := library(t, spec)
 		sharded, dups := journalRecords(t, st, id)
-		local, _ := journalRecords(t, localSt, id)
 		if dups != 0 {
 			t.Errorf("%s: %d duplicate exp records after SIGKILL recovery", id, dups)
 		}

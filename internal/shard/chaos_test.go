@@ -340,7 +340,7 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 			}
 
 			// Differential arm: the same spec, uninterrupted, one process.
-			local, lib := libraryRun(t, id, spec)
+			local, _, lib := library(t, spec)
 			sharded, dups := journalRecords(t, l.st, id)
 			if dups != 0 {
 				t.Errorf("%d duplicate exp records survived the chaos merge", dups)
@@ -350,7 +350,7 @@ func TestChaosCoordinatorCrash(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samePlan(t, a.name, info, lib)
+			samePlan(t, a.name, info, lib.Plan)
 			if a.adaptive {
 				if lib.Plan == nil || lib.Plan.Skipped == 0 {
 					t.Errorf("the adaptive arm no longer stops early: %+v", lib.Plan)

@@ -225,10 +225,11 @@ func (co *Coordinator) clearRecovering(id string) {
 // campaign, rebuild the shard table from the control WAL (or plan afresh
 // over the pending indices), publish the shards to the claim queue, and
 // block until workers have journaled every experiment — then write the
-// completion marker and return the merged result, exactly as a local
-// store.Run would have. Cancellation closes the campaign to further
-// batches (late ones get ErrCampaignClosed), keeps the journal resumable,
-// and returns the partial merged result with ctx's error.
+// completion marker and return the merged result: the experiments a library
+// run (core.RunCampaign) of the spec finishes, by id, with its plan report.
+// Cancellation closes the campaign to further batches (late ones get
+// ErrCampaignClosed), keeps the journal resumable, and returns the partial
+// merged result with ctx's error.
 func (co *Coordinator) Run(ctx context.Context, id string, spec store.Spec,
 	onExp func(core.Experiment)) (*core.CampaignResult, error) {
 
@@ -302,7 +303,7 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 	// plan snapshot clusters. Workers re-derive the same profile
 	// deterministically on their side.
 	profStart := time.Now()
-	prof, err := co.profiles.get(ctx, spec, cfg)
+	prof, err := co.profiles.get(ctx, cfg.App, spec.Scale, cfg.GPU)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -315,8 +316,11 @@ func (co *Coordinator) prepare(ctx context.Context, id string, spec store.Spec,
 		id: id, spec: c.Spec, app: prof.App, gpu: prof.GPU, c: c, onExp: onExp,
 		trace: trace, rootSpan: rootSpan, done: make(chan struct{}),
 	}
+	// The worker count is not part of the campaign (store.SameSpec): its
+	// shards run at the count this call asks for, not the stored one.
+	run.spec.Workers = spec.Workers
 
-	// The schedule walks the rounds store.Run walks, from the same journal.
+	// The schedule walks the rounds core.RunCampaign walks, from the journal.
 	// An adaptive campaign's analytic pre-pass runs once, here: its Masked
 	// records are journaled coordinator-side and their indices never enter
 	// a shard (on a resume they are already journaled, and the pre-pass only

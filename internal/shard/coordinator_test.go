@@ -425,7 +425,8 @@ func TestCoordinatorRevoke(t *testing.T) {
 
 // TestCoordinatorResume pins re-planning over a partial journal: a
 // campaign whose first coordinator lifetime merged some experiments is
-// re-coordinated, and only the journal's gaps are sharded out again.
+// re-coordinated, and only the journal's gaps are sharded out again, to run
+// at the worker count of the resuming call, not the stored one.
 func TestCoordinatorResume(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)
@@ -448,9 +449,11 @@ func TestCoordinatorResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	co2 := NewCoordinator(st2, Options{ShardsPerCampaign: 2, LeaseTTL: time.Minute})
+	spec := vaSpec(10)
+	spec.Workers = 1
 	runCh := make(chan error, 1)
 	go func() {
-		res, err := co2.Run(context.Background(), "resume-test", vaSpec(10), nil)
+		res, err := co2.Run(context.Background(), "resume-test", spec, nil)
 		if err == nil && len(res.Exps) != 10 {
 			err = errors.New("merged result incomplete")
 		}
@@ -459,6 +462,9 @@ func TestCoordinatorResume(t *testing.T) {
 	var pending int
 	for {
 		sh := claimSoon(t, co2, "w2")
+		if sh.Spec.Workers != 1 {
+			t.Errorf("shard %s runs at %d workers, the resuming call asked for 1", sh.ID, sh.Spec.Workers)
+		}
 		for _, idx := range sh.Indices {
 			for _, e := range exps0 {
 				if e.ID == idx {

@@ -118,44 +118,13 @@ func waitDone(t testing.TB, base, id string, within time.Duration) {
 	t.Fatalf("campaign %s did not finish within %v", id, within)
 }
 
-// journalRecords reads a campaign's journal and keys every record line by
-// "type:id" ("campaign" for the header). It also reports how many exp
-// records appeared more than once — the idempotence gate: a journal
-// merged from duplicate batches must contain each experiment exactly once.
-func journalRecords(t *testing.T, st *store.Store, id string) (map[string][]byte, int) {
-	t.Helper()
-	f, err := st.OpenLog(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs := make(map[string][]byte)
-	dups := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := append([]byte(nil), sc.Bytes()...)
-		var probe struct {
-			Type string `json:"type"`
-			ID   int    `json:"id"`
-		}
-		if err := json.Unmarshal(line, &probe); err != nil {
-			t.Fatalf("bad journal line %q: %v", line, err)
-		}
-		key := probe.Type
-		if probe.Type != "campaign" {
-			key = fmt.Sprintf("%s:%d", probe.Type, probe.ID)
-		}
-		if _, seen := recs[key]; seen && probe.Type == "exp" {
-			dups++
-		}
-		recs[key] = line
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return recs, dups
-}
+// journalRecords and library are the package's differential helpers
+// (library_test.go): a campaign's journal keyed by record, and the same keys
+// for a library run of a spec.
+var (
+	journalRecords = shard.JournalRecords
+	library        = shard.Library
+)
 
 // traceRecords keys a campaign's trace lines by experiment id.
 func traceRecords(t *testing.T, st *store.Store, id string) map[int][]byte {
@@ -201,8 +170,9 @@ func diffJournals(t *testing.T, label string, sharded, local map[string][]byte) 
 
 // TestShardedDifferentialSuite is the distributed differential gate: the
 // full benchmark suite on both GPU presets (trimmed under -short), each
-// campaign run once locally and once sharded across a coordinator and two
-// HTTP workers, with the merged journal compared record-for-record.
+// campaign run once on the library engine and once sharded across a
+// coordinator and two HTTP workers, with the merged journal compared
+// record-for-record.
 func TestShardedDifferentialSuite(t *testing.T) {
 	presets := []string{"RTX2060", "GTXTitan"}
 	apps := bench.All()
@@ -216,12 +186,6 @@ func TestShardedDifferentialSuite(t *testing.T) {
 	defer cancel()
 	startWorker(ctx, c, "w1", 5, nil)
 	startWorker(ctx, c, "w2", 5, nil)
-
-	localDir := t.TempDir()
-	stLocal, err := store.Open(localDir)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	structures := []string{"regfile", "l2"}
 	for _, preset := range presets {
@@ -239,13 +203,10 @@ func TestShardedDifferentialSuite(t *testing.T) {
 				"structure": spec.Structure, "runs": spec.Runs, "seed": spec.Seed,
 				"workers": spec.Workers,
 			})
-			if _, err := stLocal.Run(context.Background(), id, spec, nil, nil); err != nil {
-				t.Fatalf("local %s: %v", label, err)
-			}
+			local, _, _ := library(t, spec)
 			waitDone(t, c.ts.URL, id, 2*time.Minute)
 
 			sharded, dups := journalRecords(t, c.st, id)
-			local, _ := journalRecords(t, stLocal, id)
 			if dups != 0 {
 				t.Errorf("%s: %d duplicate exp records in merged journal", label, dups)
 			}
@@ -307,16 +268,8 @@ func TestShardedKillAndRejoin(t *testing.T) {
 			startWorker(ctx2, c, "heir", 3, nil)
 			waitDone(t, c.ts.URL, id, 2*time.Minute)
 
-			localSt, err := store.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := localSt.Run(context.Background(), id, spec, nil, nil); err != nil {
-				t.Fatalf("local arm: %v", err)
-			}
-
+			local, localTraces, _ := library(t, spec)
 			sharded, dups := journalRecords(t, c.st, id)
-			local, _ := journalRecords(t, localSt, id)
 			if dups != 0 {
 				t.Errorf("%d duplicate exp records survived the rejoin merge", dups)
 			}
@@ -328,7 +281,7 @@ func TestShardedKillAndRejoin(t *testing.T) {
 			diffJournals(t, tc.name, sharded, local)
 			if tc.trace {
 				st := traceRecords(t, c.st, id)
-				lt := traceRecords(t, localSt, id)
+				lt := localTraces
 				if len(st) != len(lt) {
 					t.Errorf("%d sharded traces vs %d local", len(st), len(lt))
 				}

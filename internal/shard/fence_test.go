@@ -198,15 +198,8 @@ func TestRestartFinishesCampaign(t *testing.T) {
 	startWorker(ctx, c, "w2", 3, nil)
 	waitDone(t, l2.ts.URL, id, 2*time.Minute)
 
-	localSt, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := localSt.Run(context.Background(), id, spec, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	local, _, _ := library(t, spec)
 	sharded, dups := journalRecords(t, l2.st, id)
-	local, _ := journalRecords(t, localSt, id)
 	if dups != 0 {
 		t.Errorf("%d duplicate exp records after restart merge", dups)
 	}

@@ -207,7 +207,7 @@ func TestWorkerSeededPosts(t *testing.T) {
 			}
 			waitDone(t, c.ts.URL, id, time.Minute)
 			sharded, dups := journalRecords(t, c.st, id)
-			local, _ := libraryRun(t, id, spec)
+			local, _, _ := library(t, spec)
 			if dups != 0 {
 				t.Errorf("seed %d: %d duplicate exp records", seed, dups)
 			}
@@ -257,7 +257,7 @@ func TestWorkerSeededPosts(t *testing.T) {
 		}
 		waitDone(t, c.ts.URL, id, time.Minute)
 		sharded, dups := journalRecords(t, c.st, id)
-		local, _ := libraryRun(t, id, spec)
+		local, _, _ := library(t, spec)
 		if dups != 0 {
 			t.Errorf("%d duplicate exp records", dups)
 		}

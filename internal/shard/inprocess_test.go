@@ -66,7 +66,7 @@ func TestInProcessWorkersWake(t *testing.T) {
 				t.Errorf("adaptive campaign planned %d generations, want a multi-round one", gens)
 			}
 			got, _ := journalRecords(t, st, "wake")
-			want, lib := libraryRun(t, "wake", tc.spec)
+			want, _, lib := library(t, tc.spec)
 			if len(got) != len(want) {
 				t.Errorf("journaled %d records, the library %d", len(got), len(want))
 			}
@@ -79,7 +79,7 @@ func TestInProcessWorkersWake(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			samePlan(t, tc.name, info, lib)
+			samePlan(t, tc.name, info, lib.Plan)
 		})
 	}
 }

@@ -5,8 +5,9 @@ import (
 	"fmt"
 	"sync"
 
+	"gpufi/internal/bench"
+	"gpufi/internal/config"
 	"gpufi/internal/core"
-	"gpufi/internal/store"
 )
 
 // profileCache holds fault-free profiles by profileKey. A coordinator keeps
@@ -19,17 +20,17 @@ type profileCache struct {
 	m  map[string]*core.Profile
 }
 
-// get returns the profile of cfg's application on cfg's GPU, profiling it
-// on a miss.
-func (pc *profileCache) get(ctx context.Context, spec store.Spec, cfg *core.CampaignConfig) (*core.Profile, error) {
-	key := profileKey(spec, cfg)
+// get returns the profile of app, built at scale, on gpu, profiling it on a
+// miss.
+func (pc *profileCache) get(ctx context.Context, app *bench.App, scale int, gpu *config.GPU) (*core.Profile, error) {
+	key := profileKey(app, scale, gpu)
 	pc.mu.Lock()
 	prof := pc.m[key]
 	pc.mu.Unlock()
 	if prof != nil {
 		return prof, nil
 	}
-	prof, err := core.ProfileApp(ctx, cfg.App, cfg.GPU)
+	prof, err := core.ProfileApp(ctx, app, gpu)
 	if err != nil {
 		return nil, err
 	}
@@ -45,6 +46,14 @@ func (pc *profileCache) get(ctx context.Context, spec store.Spec, cfg *core.Camp
 // profileKey names everything a fault-free profile depends on: the
 // application at its scale and the whole resolved GPU, so any spec field
 // that reaches the GPU keys a profile of its own.
-func profileKey(spec store.Spec, cfg *core.CampaignConfig) string {
-	return fmt.Sprintf("%s|%d|%s", cfg.App.Name, max(spec.Scale, 1), cfg.GPU.Marshal())
+func profileKey(app *bench.App, scale int, gpu *config.GPU) string {
+	return fmt.Sprintf("%s|%d|%s", app.Name, max(scale, 1), gpu.Marshal())
+}
+
+// Profile returns the fault-free profile of app, built at scale, on gpu: the
+// one the coordinator plans with and its in-process workers run against,
+// profiled on a miss. A caller that needs it before its first campaign takes
+// it here, and the process profiles once.
+func (co *Coordinator) Profile(ctx context.Context, app *bench.App, scale int, gpu *config.GPU) (*core.Profile, error) {
+	return co.profiles.get(ctx, app, scale, gpu)
 }

@@ -1,9 +1,8 @@
 package shard
 
 import (
-	"bufio"
+	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -229,43 +228,11 @@ func (s *schedule) settle() {
 	}
 }
 
-// journalByKey keys a campaign's journal lines by record type and
-// experiment id, and counts experiment records written twice.
-func journalByKey(t *testing.T, st *store.Store, id string) (map[string]string, int) {
-	t.Helper()
-	f, err := st.OpenLog(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	recs, dups := map[string]string{}, 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var probe struct {
-			Type string `json:"type"`
-			ID   int    `json:"id"`
-		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			t.Fatalf("bad journal line %q: %v", sc.Bytes(), err)
-		}
-		key := fmt.Sprint(probe.Type, ":", probe.ID)
-		if _, seen := recs[key]; seen && probe.Type == "exp" {
-			dups++
-		}
-		recs[key] = sc.Text()
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return recs, dups
-}
-
 // TestCoordinatorRandomSchedules is the chaos gate as a generator: random
 // interleavings of two workers claiming, sending, re-sending, sending empty
 // batches and dying, leases expiring by the injected clock, old grants coming back,
 // and the coordinator crashing (buffered journal tail lost) and restarting
-// — after which the merged journal must equal an uninterrupted local run
+// — after which the merged journal must equal an uninterrupted library run
 // byte for byte, the adaptive arm's rounds and plan report included, and
 // the control.jsonl the run left behind must replay from every one of its
 // record boundaries.
@@ -303,32 +270,24 @@ func TestCoordinatorRandomSchedules(t *testing.T) {
 				t.Errorf("the schedule reached %d crashes and %d fenced writes: it no longer tests what it says", s.crashes, s.fenced)
 			}
 
-			localSt, err := store.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			lib, err := localSt.Run(context.Background(), s.id, s.spec, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, dups := journalByKey(t, s.st, s.id)
-			local, _ := journalByKey(t, localSt, s.id)
+			local, _, lib := Library(t, s.spec)
+			sharded, dups := JournalRecords(t, s.st, s.id)
 			if dups != 0 {
 				t.Errorf("%d experiment records were journaled twice", dups)
 			}
 			if len(sharded) != len(local) {
-				t.Errorf("%d journal records, the local run has %d", len(sharded), len(local))
+				t.Errorf("%d journal records, the library run has %d", len(sharded), len(local))
 			}
 			for key, line := range sharded {
 				if l, ok := local[key]; !ok {
-					t.Errorf("record %s is in no local run", key)
-				} else if l != line {
+					t.Errorf("record %s is in no library run", key)
+				} else if !bytes.Equal(l, line) {
 					t.Errorf("record %s diverged:\n  sharded: %s\n  local:   %s", key, line, l)
 				}
 			}
 			if arm.plan != nil {
 				if s.res.Plan == nil || lib.Plan == nil || *s.res.Plan != *lib.Plan || lib.Plan.Skipped == 0 {
-					t.Errorf("plan report %+v, the local run's %+v", s.res.Plan, lib.Plan)
+					t.Errorf("plan report %+v, the library run's %+v", s.res.Plan, lib.Plan)
 				}
 			}
 
@@ -410,7 +369,7 @@ func TestAcknowledgedIsDurable(t *testing.T) {
 			t.Fatal("Run outlived its coordinator's crash without an error")
 		}
 		s.boot()
-		journal, dups := journalByKey(t, s.st, s.id)
+		journal, dups := JournalRecords(t, s.st, s.id)
 		if dups != 0 {
 			t.Fatalf("%d experiments journaled twice", dups)
 		}
@@ -423,7 +382,7 @@ func TestAcknowledgedIsDurable(t *testing.T) {
 	if !s.done || len(acked) != s.spec.Runs {
 		t.Fatalf("campaign done %v with %d of %d experiments acknowledged", s.done, len(acked), s.spec.Runs)
 	}
-	if journal, dups := journalByKey(t, s.st, s.id); dups != 0 || len(journal) != s.spec.Runs+1 {
+	if journal, dups := JournalRecords(t, s.st, s.id); dups != 0 || len(journal) != s.spec.Runs+1 {
 		t.Fatalf("final journal: %d records with %d duplicates, want the header and %d experiments", len(journal), dups, s.spec.Runs)
 	}
 }

@@ -265,7 +265,7 @@ func TestSenderErrorStopsShard(t *testing.T) {
 				}
 				waitDone(t, c.ts.URL, id, time.Minute)
 				sharded, dups := journalRecords(t, c.st, id)
-				local, _ := libraryRun(t, id, spec)
+				local, _, _ := library(t, spec)
 				if dups != 0 {
 					t.Errorf("%d duplicate exp records", dups)
 				}

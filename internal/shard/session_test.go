@@ -14,15 +14,11 @@ import (
 // a campaign, in injection-cycle order, on one engine session. Its first
 // shard starts the fault-free prefix and every later one continues it, and
 // the merged journal and traces — the traced exp records cross the wire
-// through encoding/json, the rest through the batch codec — are store.Run's,
-// record for record. A second campaign on the same worker starts a prefix
-// of its own.
+// through encoding/json, the rest through the batch codec — are the library
+// run's, record for record. A second campaign on the same worker starts a
+// prefix of its own.
 func TestSessionCarriesPrefixAcrossShards(t *testing.T) {
 	c := startCluster(t, t.TempDir(), 8, time.Minute)
-	local, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	done := startWorker(ctx, c, "w1", 16, nil)
 	defer func() { cancel(); <-done }()
@@ -31,9 +27,7 @@ func TestSessionCarriesPrefixAcrossShards(t *testing.T) {
 		spec := store.Spec{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "regfile",
 			Runs: 400, Seed: seed, Workers: 2, Trace: seed == 7}
 		id := spec.ID()
-		if _, err := local.Run(context.Background(), id, spec, nil, nil); err != nil {
-			t.Fatal(err)
-		}
+		want, wantTraces, _ := library(t, spec)
 		before := core.EngineStats()
 		submit(t, c.ts.URL, map[string]any{"id": id, "app": spec.App, "gpu": spec.GPU,
 			"kernel": spec.Kernel, "structure": spec.Structure, "runs": spec.Runs,
@@ -54,13 +48,12 @@ func TestSessionCarriesPrefixAcrossShards(t *testing.T) {
 				seed, shards, started, continued, shards-1)
 		}
 		sharded, dups := journalRecords(t, c.st, id)
-		want, _ := journalRecords(t, local, id)
 		if dups != 0 {
 			t.Errorf("seed %d: %d duplicate exp records", seed, dups)
 		}
 		diffJournals(t, id, sharded, want)
 		if spec.Trace {
-			got, want := traceRecords(t, c.st, id), traceRecords(t, local, id)
+			got, want := traceRecords(t, c.st, id), wantTraces
 			if len(got) != spec.Runs || len(got) != len(want) {
 				t.Errorf("seed %d: %d traces sharded, %d local, want %d", seed, len(got), len(want), spec.Runs)
 			}

@@ -305,16 +305,9 @@ func TestTraceSmoke(t *testing.T) {
 
 	// Tracing must never touch the experiment journal: span records ride
 	// journal batches but are diverted before the merge, so the sharded
-	// journal stays byte-identical to an untraced single-process run.
-	localSt, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := localSt.Run(context.Background(), id, spec, nil, nil); err != nil {
-		t.Fatal(err)
-	}
+	// journal stays byte-identical to an untraced library run.
+	local, _, _ := library(t, spec)
 	sharded, dups := journalRecords(t, c.st, id)
-	local, _ := journalRecords(t, localSt, id)
 	if dups != 0 {
 		t.Errorf("%d duplicate exp records in the traced merge", dups)
 	}

@@ -176,7 +176,7 @@ func (w *Worker) session(ctx context.Context, sh *Shard) (*core.Session, error) 
 	if w.Coordinator != nil {
 		profiles = &w.Coordinator.profiles
 	}
-	prof, err := profiles.get(ctx, sh.Spec, cfg)
+	prof, err := profiles.get(ctx, cfg.App, sh.Spec.Scale, cfg.GPU)
 	if err != nil {
 		return nil, fmt.Errorf("shard %s: profile: %w", sh.ID, err)
 	}
@@ -313,8 +313,8 @@ func (w *Worker) runShard(ctx context.Context, sh *Shard) error {
 	}()
 
 	// The engine's collector serializes the sink, so the outbox sees
-	// experiments in completion order — the same order a local store run
-	// journals them — each one record with its trace attached.
+	// experiments in completion order — the same order the library engine
+	// hands its sink — each one record with its trace attached.
 	_, runErr := sess.Run(ctx, sh.Indices, func(exp core.Experiment) error {
 		return out.add(Record{Kind: KindExp, Exp: &exp, Trace: exp.Trace})
 	})

@@ -19,7 +19,7 @@ func TestProfileKey(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%+v: %v", s, err)
 		}
-		return profileKey(s, cfg)
+		return profileKey(cfg.App, s.Scale, cfg.GPU)
 	}
 	want := key(base)
 	for _, tc := range []struct {

@@ -61,7 +61,7 @@ func TestAdaptiveResumeWalksTheSameRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Run(context.Background(), "a", spec, prof, nil)
+	want, err := runCampaign(context.Background(), ref, "a", spec, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestAdaptiveResumeWalksTheSameRounds(t *testing.T) {
 			n = info.Completed
 		}
 		ctx, cancel := context.WithCancel(context.Background())
-		_, err := st.Run(ctx, "a", spec, prof, func(core.Experiment) {
+		_, err := runCampaign(ctx, st, "a", spec, prof, func(core.Experiment) {
 			if n++; n == stop {
 				cancel()
 			}
@@ -89,7 +89,7 @@ func TestAdaptiveResumeWalksTheSameRounds(t *testing.T) {
 			t.Fatalf("cancelled at record %d, the journal holds %+v (%v)", stop, info, err)
 		}
 	}
-	got, err := st.Run(context.Background(), "a", spec, prof, nil)
+	got, err := runCampaign(context.Background(), st, "a", spec, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

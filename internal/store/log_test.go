@@ -50,7 +50,7 @@ type logFixture struct {
 
 func logFixtures(t testing.TB) []logFixture {
 	// The journal row is a real campaign, so that finish can resume it with
-	// Store.Run. One worker keeps completion order, and so journal bytes,
+	// runCampaign. One worker keeps completion order, and so journal bytes,
 	// deterministic.
 	spec := vaSpec(6, 3)
 	spec.Workers = 1
@@ -68,7 +68,7 @@ func logFixtures(t testing.TB) []logFixture {
 		file:   journalFile,
 		header: 1,
 		record: func(t *testing.T, st *Store, id string) {
-			res, err := st.Run(nil, id, spec, prof, nil)
+			res, err := runCampaign(nil, st, id, spec, prof, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func logFixtures(t testing.TB) []logFixture {
 		// The lost experiments simply re-run, and the finished journal is
 		// byte-identical to the uninterrupted one.
 		finish: func(t *testing.T, st *Store, id string, orig []byte) {
-			if _, err := st.Run(nil, id, spec, prof, nil); err != nil {
+			if _, err := runCampaign(nil, st, id, spec, prof, nil); err != nil {
 				t.Fatalf("run to completion: %v", err)
 			}
 			if err := os.Remove(filepath.Join(st.Dir(), id, doneFile)); err != nil {
@@ -586,8 +586,8 @@ func TestSpanLogSharesJournalClock(t *testing.T) {
 			appended++
 		}
 		if crashAt == steps {
-			// The clean arm: the journal closes first, as under Store.Run and
-			// the coordinator, then the service closes the span log.
+			// The clean arm: the journal closes first, as under the
+			// coordinator, then the service closes the span log.
 			if err := c.Close(); err != nil {
 				t.Fatal(err)
 			}

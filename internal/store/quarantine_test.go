@@ -114,7 +114,7 @@ func TestQuarantineResumeSkipsPoison(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refStore.Run(nil, "ref", spec, prof, nil)
+	ref, err := runCampaign(nil, refStore, "ref", spec, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestQuarantineResumeSkipsPoison(t *testing.T) {
 			panic("poison spec")
 		}
 	})
-	res, err := st.Run(nil, "crash", spec, prof, nil)
+	res, err := runCampaign(nil, st, "crash", spec, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

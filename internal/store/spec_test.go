@@ -99,7 +99,7 @@ func TestResumeAtOtherWorkerCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := ref.Run(nil, "va", spec, nil, nil)
+	want, err := runCampaign(nil, ref, "va", spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestResumeAtOtherWorkerCount(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	if _, err := st.Run(ctx, "va", spec, nil, func(core.Experiment) {
+	if _, err := runCampaign(ctx, st, "va", spec, nil, func(core.Experiment) {
 		if seen++; seen == 10 {
 			cancel()
 		}
@@ -125,7 +125,7 @@ func TestResumeAtOtherWorkerCount(t *testing.T) {
 	if !SameSpec(spec, other) || SameSpec(spec, traced) || SameSpec(spec, timed) {
 		t.Fatal("SameSpec must ignore Workers, and only Workers")
 	}
-	got, err := st.Run(nil, "va", other, nil, nil)
+	got, err := runCampaign(nil, st, "va", other, nil, nil)
 	if err != nil {
 		t.Fatalf("resume at another worker count: %v", err)
 	}

@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -559,73 +558,8 @@ func (s *Store) openRead(id, name string) (io.ReadCloser, error) {
 	return f, err
 }
 
-// Run executes a campaign durably: create the journal (or resume it if the
-// id already exists, skipping every journaled experiment), run the engine
-// with Record as its sink, and on completion write the done marker.
-// A context cancellation syncs whatever finished and returns the merged
-// partial result with ctx's error — a later Run with the same id picks up
-// where it stopped, in the rounds an uninterrupted run walks. prof may be
-// nil (the golden run is performed first) or a shared precomputed profile.
-// onExp, when non-nil, observes every newly finished experiment after it is
-// journaled.
-func (s *Store) Run(ctx context.Context, id string, spec Spec, prof *core.Profile,
-	onExp func(core.Experiment)) (*core.CampaignResult, error) {
-
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	c, err := s.CreateOrResume(id, spec)
-	if err != nil {
-		return nil, err
-	}
-	if c.Done {
-		return c.MergedResult(nil), nil
-	}
-	defer c.Close()
-
-	cfg, err := spec.Config()
-	if err != nil {
-		return nil, err
-	}
-	cfg.Completed = c.CompletedIDs()
-	cfg.PlanPrior = c.Prior
-	cfg.Sink = func(exp core.Experiment) error {
-		if err := c.Record(exp); err != nil {
-			return err
-		}
-		if onExp != nil {
-			onExp(exp)
-		}
-		return nil
-	}
-	if prof == nil {
-		prof, err = core.ProfileApp(ctx, cfg.App, cfg.GPU)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, runErr := core.RunCampaign(ctx, cfg, prof)
-	if runErr != nil && res == nil {
-		return nil, runErr
-	}
-	merged := c.MergedResult(res)
-	if runErr != nil {
-		// Cancellation (or any abort): sync what finished and keep the
-		// campaign resumable.
-		if err := c.Close(); err != nil {
-			return merged, err
-		}
-		return merged, runErr
-	}
-	if err := c.Finish(merged); err != nil {
-		return merged, err
-	}
-	return merged, nil
-}
-
 // SameSpec reports whether two specs describe the same campaign point, so
-// Run (and the shard coordinator) can detect an id collision with a
-// different campaign. The JSON encoding is the comparison domain — it is
+// CreateOrResume can detect an id collision with a different campaign. The JSON encoding is the comparison domain — it is
 // also what the config record stores, so empty and nil slices coincide.
 // The worker count is not part of a campaign's identity: outcomes and
 // journal records are the same for any count, so a campaign resumes under

@@ -37,7 +37,7 @@ func TestKillAndResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := refStore.Run(nil, "", spec, prof, nil)
+	ref, err := runCampaign(nil, refStore, "", spec, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestKillAndResume(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	partial, runErr := st.Run(ctx, "kill", spec, prof, func(core.Experiment) {
+	partial, runErr := runCampaign(ctx, st, "kill", spec, prof, func(core.Experiment) {
 		if seen++; seen == 10 {
 			cancel()
 		}
@@ -79,7 +79,7 @@ func TestKillAndResume(t *testing.T) {
 
 	// Resume with a fresh context: the remaining experiments run and the
 	// merged result matches the reference bit for bit.
-	resumed, err := st.Run(nil, "kill", spec, prof, nil)
+	resumed, err := runCampaign(nil, st, "kill", spec, prof, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestKillAndResume(t *testing.T) {
 
 	// The campaign is complete: a further Run is a no-op returning the
 	// stored result.
-	again, err := st.Run(nil, "kill", spec, prof, func(core.Experiment) {
+	again, err := runCampaign(nil, st, "kill", spec, prof, func(core.Experiment) {
 		t.Error("completed campaign re-ran an experiment")
 	})
 	if err != nil {
@@ -155,7 +155,7 @@ func TestResumeConfigFromOlderBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fresh.Run(nil, "old", spec, prof, nil); err != nil {
+	if _, err := runCampaign(nil, fresh, "old", spec, prof, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -166,7 +166,7 @@ func TestResumeConfigFromOlderBuild(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0
-	if _, err := st.Run(ctx, "old", spec, prof, func(core.Experiment) {
+	if _, err := runCampaign(ctx, st, "old", spec, prof, func(core.Experiment) {
 		if seen++; seen == 6 {
 			cancel()
 		}
@@ -202,7 +202,7 @@ func TestResumeConfigFromOlderBuild(t *testing.T) {
 		t.Errorf("resumed with %d journaled experiments, want 6", n)
 	}
 	c.Close()
-	if _, err := st.Run(nil, "old", spec, prof, nil); err != nil {
+	if _, err := runCampaign(nil, st, "old", spec, prof, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := journalBytes(st), journalBytes(fresh); !bytes.Equal(got, want) {
@@ -223,12 +223,12 @@ func TestRunSpecMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Run(nil, "point", spec, prof, nil); err != nil {
+	if _, err := runCampaign(nil, st, "point", spec, prof, nil); err != nil {
 		t.Fatal(err)
 	}
 	other := spec
 	other.Seed = 99
-	if _, err := st.Run(nil, "point", other, prof, nil); err == nil {
+	if _, err := runCampaign(nil, st, "point", other, prof, nil); err == nil {
 		t.Error("id reuse with different seed accepted")
 	}
 }
@@ -273,7 +273,7 @@ func TestRunSpecMismatchLeavesJournalAlone(t *testing.T) {
 	}
 	other := spec
 	other.Seed = 99
-	if _, err := st.Run(nil, "point", other, nil, nil); err == nil {
+	if _, err := runCampaign(nil, st, "point", other, nil, nil); err == nil {
 		t.Fatal("id reuse with different seed accepted")
 	}
 	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {

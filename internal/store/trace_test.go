@@ -21,7 +21,7 @@ func TestTracePersistence(t *testing.T) {
 	}
 	spec := vaSpec(20, 3)
 	spec.Trace = true
-	res, err := st.Run(nil, "traced", spec, nil, nil)
+	res, err := runCampaign(nil, st, "traced", spec, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestTracePersistence(t *testing.T) {
 	}
 
 	// Untraced campaigns have no trace file.
-	if _, err := st.Run(nil, "plain", vaSpec(5, 3), nil, nil); err != nil {
+	if _, err := runCampaign(nil, st, "plain", vaSpec(5, 3), nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := st.OpenTraces("plain"); !errors.Is(err, ErrNotFound) {
