@@ -4,8 +4,8 @@
 //
 // Campaigns are submitted as JSON specs, observed live over SSE, and
 // journaled to disk as they run. On startup the service scans its data
-// directory and resumes every campaign that has a journal but no
-// completion marker, so a killed server loses at most one fsync batch of
+// directory and resumes every campaign whose control log holds no done or
+// cancel record, so a killed server loses at most one fsync batch of
 // experiments. A job runs once: a panic inside it fails that job, with its
 // stack in the log, and a simulator panic inside one experiment is
 // quarantined as that experiment's outcome.

@@ -317,8 +317,8 @@ type node struct {
 // claims only between shards, so a lease that runs out mid-shard is never
 // re-issued: while a command runs the TTL only paces the worker's batch
 // sender, which posts after a third of it without one. A rerun after an
-// interrupt waits it out once, for the shard of the interrupted worker that
-// the control log restores.
+// interrupt does not wait it out: its worker has the interrupted one's name,
+// and claiming, gets back at once the shard the control log restores to it.
 const leaseTTL = 300 * time.Millisecond
 
 // startNode starts a node over st whose worker runs until ctx ends or stop.

@@ -107,8 +107,8 @@ func TestEveryFlagHasARow(t *testing.T) {
 // and reruns it: the interrupted call returns context.Canceled and what was
 // journaled, the node's worker goroutine exits with it, and the rerun
 // finishes the campaign. The journal then holds, keyed by id, what an
-// uninterrupted run's holds, each experiment once, and the completion
-// marker is the same but for its time.
+// uninterrupted run's holds, each experiment once, and so does its done
+// record.
 func TestStoreInterruptResumes(t *testing.T) {
 	var o options
 	if err := o.flags().Parse(strings.Fields("-app VA -n 200 -seed 5 -workers 1")); err != nil {
@@ -172,7 +172,7 @@ func TestStoreInterruptResumes(t *testing.T) {
 		t.Errorf("the resumed journal holds %d records, the uninterrupted one %d, and they differ", len(a), len(b))
 	}
 	if a, b := done(t, filepath.Join(dir, id)), done(t, filepath.Join(refDir, id)); !reflect.DeepEqual(a, b) {
-		t.Errorf("done.json %v, uninterrupted %v", a, b)
+		t.Errorf("done record %+v, uninterrupted %+v", a, b)
 	}
 }
 
@@ -207,17 +207,22 @@ func journal(t *testing.T, dir string) map[string]string {
 	return recs
 }
 
-// done reads a campaign directory's completion marker without its time.
-func done(t *testing.T, dir string) map[string]any {
+// done reads the done record of a campaign directory's control log.
+func done(t *testing.T, dir string) store.ControlRecord {
 	t.Helper()
-	raw, err := os.ReadFile(filepath.Join(dir, "done.json"))
+	raw, err := os.ReadFile(filepath.Join(dir, "control.jsonl"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec map[string]any
-	if err := json.Unmarshal(raw, &rec); err != nil {
-		t.Fatal(err)
+	for _, line := range bytes.Split(bytes.TrimSpace(raw), []byte("\n")) {
+		var rec store.ControlRecord
+		if err := json.Unmarshal(line, &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind == store.CtlDone {
+			return rec
+		}
 	}
-	delete(rec, "finished_at")
-	return rec
+	t.Fatalf("%s: the control log holds no done record", dir)
+	return store.ControlRecord{}
 }

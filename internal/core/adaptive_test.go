@@ -188,7 +188,7 @@ func TestAdaptiveStopsEarlyWithinInterval(t *testing.T) {
 
 // TestAdaptivePriorSatisfies: a campaign whose journal already holds every
 // round its stop rule needed — it died after its last record, before its
-// completion marker — simulates and journals nothing when resumed, and
+// done record — simulates and journals nothing when resumed, and
 // reports exactly what the uninterrupted run reported.
 func TestAdaptivePriorSatisfies(t *testing.T) {
 	app := bench.VA()

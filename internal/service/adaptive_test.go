@@ -107,7 +107,7 @@ func TestServiceAdaptiveCampaign(t *testing.T) {
 	}
 
 	// The report survives a restart: the next service lifetime knows the
-	// campaign only from the store, whose completion marker carries it.
+	// campaign only from the store, whose done record carries it.
 	ts.Close()
 	srv.Close()
 	srv2 := New(st, Options{Workers: 1})

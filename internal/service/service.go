@@ -5,9 +5,9 @@
 // nodes, or one the service builds over its own store, whose workers are
 // goroutines of this process. Campaigns are submitted as jobs, observed
 // live over SSE, downloaded as JSONL journals, and cancelled by request; on
-// startup the service scans its store and resumes every campaign that has a
-// journal but no completion marker, so a killed server loses at most one
-// journal batch of work.
+// startup the service scans its store and resumes every campaign whose
+// control log holds no done or cancel record, so a killed server loses at
+// most one journal batch of work.
 package service
 
 import (
@@ -121,10 +121,10 @@ type job struct {
 var testJobHook func(id string)
 
 // localLeaseTTL is the lease TTL of the coordinator a local node builds.
-// Its workers live and die with the process, so a lease restored from the
-// previous lifetime's control WAL names a worker that can never come back,
-// and its shard waits out the TTL before it is re-issued: a restart should
-// not wait the 15 s that a remote worker's network hiccup is allowed.
+// Its workers die with the process: a lease the control WAL restores goes
+// back at once to a worker of the same name that claims, and one naming a
+// worker this lifetime does not start waits out the TTL, not the 15 s a
+// remote worker's network hiccup is allowed.
 const localLeaseTTL = 2 * time.Second
 
 // Server is the campaign service: a store, a queue, a worker pool, and the
@@ -183,8 +183,9 @@ func (s *Server) Start(ctx context.Context) ([]string, error) {
 	s.started = true
 	s.mu.Unlock()
 
+	// Unfinished lists an unreadable campaign too; Inspect fails its job.
 	open, err := s.st.Unfinished()
-	if err != nil {
+	if err != nil && len(open) == 0 {
 		return nil, err
 	}
 	var resumed []string
@@ -319,10 +320,10 @@ func (s *Server) submit(id string, spec store.Spec) (status, error) {
 		if info.Done {
 			return status{}, &httpError{code: 409, msg: fmt.Sprintf("campaign %s is already complete", id)}
 		}
-		// Resubmitting an on-disk campaign resumes it, clearing any
-		// cancellation marker.
-		if err := s.st.ClearCancelled(id); err != nil {
-			return status{}, &httpError{code: 500, msg: err.Error()}
+		if info.Cancelled { // resubmitting a cancelled campaign resumes it
+			if err := s.st.ClearCancelled(id); err != nil {
+				return status{}, &httpError{code: 500, msg: err.Error()}
+			}
 		}
 	} else if !errors.Is(err, store.ErrNotFound) {
 		return status{}, &httpError{code: 500, msg: err.Error()}
@@ -572,7 +573,7 @@ func (s *Server) finishJob(base context.Context, j *job, res *core.CampaignResul
 			// Remember the cancellation across restarts, so the resume
 			// scan skips this campaign until it is resubmitted.
 			if markErr := s.st.MarkCancelled(j.id); markErr != nil && !errors.Is(markErr, store.ErrNotFound) {
-				j.errMsg = fmt.Sprintf("cancelled by request; marker: %v", markErr)
+				j.errMsg = fmt.Sprintf("cancelled by request; cancel record: %v", markErr)
 			}
 		} else if base.Err() != nil {
 			// Server shutdown: the journal stays resumable; the job's
@@ -610,10 +611,9 @@ func (s *Server) cancelJob(id string) (string, error) {
 		s.mu.Unlock()
 		// Not in this process: a stored campaign can still be marked so
 		// a later restart does not resume it.
-		if !s.st.Exists(id) {
+		if err := s.st.MarkCancelled(id); errors.Is(err, store.ErrNotFound) {
 			return "", &httpError{code: 404, msg: fmt.Sprintf("unknown campaign %s", id)}
-		}
-		if err := s.st.MarkCancelled(id); err != nil {
+		} else if err != nil {
 			return "", &httpError{code: 500, msg: err.Error()}
 		}
 		return StateCancelled, nil
@@ -632,7 +632,7 @@ func (s *Server) cancelJob(id string) (string, error) {
 		// resubmitted): remember the cancellation across restarts, as
 		// finishJob does for a running one.
 		if markErr := s.st.MarkCancelled(id); markErr != nil && !errors.Is(markErr, store.ErrNotFound) {
-			j.errMsg = fmt.Sprintf("cancelled while queued; marker: %v", markErr)
+			j.errMsg = fmt.Sprintf("cancelled while queued; cancel record: %v", markErr)
 		}
 		s.metrics.queued.Add(-1)
 		s.metrics.cancelled.Add(1)

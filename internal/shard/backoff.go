@@ -41,8 +41,6 @@ func (b *backoff) next() time.Duration {
 	return d/2 + rand.N(d/2+1)
 }
 
-func (b *backoff) reset() { b.d = 0 }
-
 // jitter spreads a nominal interval over [d/2, 3d/2): the claim poll uses
 // it so idle workers drift apart instead of polling in phase.
 func jitter(d time.Duration) time.Duration {

@@ -225,7 +225,7 @@ func (co *Coordinator) clearRecovering(id string) {
 // campaign, rebuild the shard table from the control WAL (or plan afresh
 // over the pending indices), publish the shards to the claim queue, and
 // block until workers have journaled every experiment — then write the
-// completion marker and return the merged result: the experiments a library
+// done record and return the merged result: the experiments a library
 // run (core.RunCampaign) of the spec finishes, by id, with its plan report.
 // Cancellation closes the campaign to further batches (late ones get
 // ErrCampaignClosed), keeps the journal resumable, and returns the partial
@@ -514,35 +514,33 @@ func (co *Coordinator) Crash() {
 	co.opts.Logger.Warn("coordinator crashed (simulated)")
 }
 
-// Claim hands the oldest claimable shard to a worker: a shard never
-// leased, or one whose lease expired (its worker is presumed dead; the
-// shard is re-issued under a fresh token at the next epoch, fencing the
-// old one). The grant is fsynced to the control WAL before the lease
-// exists in memory: an epoch may only fence workers if it is guaranteed
-// to survive this coordinator.
+// Claim hands the oldest claimable shard to a worker: one never leased,
+// one whose lease expired, or one whose lease replay restored to this very
+// worker (table.claimable); a held shard's holder is presumed dead, and it
+// is re-issued at the next epoch, fencing the old token. The grant is
+// fsynced to the control WAL before the lease exists in memory: an epoch
+// may only fence workers if it is guaranteed to survive this coordinator.
 func (co *Coordinator) Claim(worker string) (*Shard, error) {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	now := co.now()
 	for _, id := range co.order {
 		run := co.campaigns[id]
-		ss := run.tab.claimable(now)
+		ss := run.tab.claimable(now, worker)
 		if ss == nil {
 			continue
 		}
-		claimStart := time.Now()
-		lease, epoch := newLease(), ss.epoch+1
-		fsyncStart := time.Now()
+		claimStart, lease, epoch := time.Now(), newLease(), ss.epoch+1
 		if err := run.wal.AppendSync(store.ControlRecord{Kind: store.CtlGrant,
 			Gen: run.tab.gen, Shard: ss.id, Lease: lease, Epoch: epoch, Worker: worker}); err != nil {
 			return nil, fmt.Errorf("shard: journal grant for %s: %v", ss.id, err)
 		}
 		obs.EmitInTrace(run.trace, run.rootSpan, "coordinator", "wal.fsync",
-			fsyncStart, obs.Attr{K: "kind", V: "grant"}, obs.Attr{K: "shard", V: ss.id})
+			claimStart, obs.Attr{K: "kind", V: "grant"}, obs.Attr{K: "shard", V: ss.id})
 		if ss.curLease != "" {
 			co.stats.LeaseExpiries++
 			co.stats.ShardsReissued++
-			co.opts.Logger.Warn("lease expired; re-issuing shard",
+			co.opts.Logger.Warn("holder presumed dead; re-issuing shard",
 				"shard", ss.id, "dead_worker", ss.worker, "to", worker, "epoch", epoch)
 		}
 		run.tab.grant(ss.id, lease, epoch, worker, now.Add(co.opts.LeaseTTL))
@@ -703,7 +701,7 @@ func (run *campaignRun) result() *core.CampaignResult {
 }
 
 // finalizeLocked completes a campaign whose schedule has no round left:
-// sync, done marker, terminal state. Caller holds co.mu.
+// journal closed, done record, terminal state. Caller holds co.mu.
 func (co *Coordinator) finalizeLocked(run *campaignRun) {
 	if run.tab.closed {
 		return
@@ -712,7 +710,7 @@ func (co *Coordinator) finalizeLocked(run *campaignRun) {
 	merged := run.result()
 	merged.Plan = run.sched.Report()
 	reason := "done"
-	err := run.c.Finish(merged)
+	err := run.c.Finish(merged, run.wal)
 	if err != nil {
 		reason = "failed"
 	}

@@ -126,7 +126,7 @@ func journalBytes(t *testing.T, co *Coordinator, st *store.Store, id string) []b
 // campaign, with an injected clock standing in for wall time: claim,
 // empty batches under bogus and valid leases, lease expiry and re-issue, ingest under an
 // expired (but issued) lease, duplicate-batch idempotence, out-of-shard
-// rejection, and the campaign completing with a durable done marker.
+// rejection, and the campaign completing with a durable done record.
 func TestCoordinatorLifecycle(t *testing.T) {
 	walRecords := obs.Default().Counter("gpufi_shard_wal_records_total", "")
 	walBefore := walRecords.Load()
@@ -603,5 +603,78 @@ func TestShardStatusesAfterFinalize(t *testing.T) {
 	}
 	if _, err := co.Claim("w9"); !errors.Is(err, ErrNoWork) {
 		t.Fatalf("claim after finalize: want ErrNoWork, got %v", err)
+	}
+}
+
+// TestRestoredLeaseReclaimedByItsHolder pins the one early re-issue: a
+// worker claims only when it holds no shard, so a worker that claims while
+// the control WAL's replay has restored a lease to it has lost that shard
+// with the last coordinator. It gets the shard back at once, at the next
+// epoch, and the old token is fenced; any other worker still waits the
+// restored lease out. A lease granted in this lifetime is never taken back
+// early, even by its own holder, so a worker abandoning a shard cannot
+// re-claim it in a loop of grant fsyncs.
+func TestRestoredLeaseReclaimedByItsHolder(t *testing.T) {
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk := &testClock{base: time.Now()}
+	start := func() (*Coordinator, chan error) {
+		co := NewCoordinator(st, Options{ShardsPerCampaign: 1, LeaseTTL: time.Minute})
+		co.now = clk.now
+		co.MarkRecovering("restored")
+		runCh := make(chan error, 1)
+		go func() {
+			_, err := co.Run(context.Background(), "restored", vaSpec(10), nil)
+			runCh <- err
+		}()
+		// Claims answer ErrRecovering until the shard table is up.
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			co.mu.Lock()
+			up := !co.recovering["restored"]
+			co.mu.Unlock()
+			if up {
+				return co, runCh
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the campaign's shard table never came up")
+			}
+		}
+	}
+
+	co1, run1 := start()
+	old, err := co1.Claim("w1")
+	if err != nil || old.Epoch != 1 {
+		t.Fatalf("first claim: %+v %v", old, err)
+	}
+	if sh, err := co1.Claim("w1"); !errors.Is(err, ErrNoWork) {
+		t.Fatalf("w1 took back a lease of this lifetime: %+v %v, want ErrNoWork", sh, err)
+	}
+	co1.Crash()
+	<-run1
+
+	co2, run2 := start()
+	if sh, err := co2.Claim("w2"); !errors.Is(err, ErrNoWork) {
+		t.Fatalf("w2 claimed under w1's restored lease: %+v %v, want ErrNoWork", sh, err)
+	}
+	heir, err := co2.Claim("w1")
+	if err != nil || heir.ID != old.ID || heir.Epoch != old.Epoch+1 || heir.Lease == old.Lease {
+		t.Fatalf("w1's claim over its restored lease: %+v %v, want %s at epoch %d", heir, err, old.ID, old.Epoch+1)
+	}
+	for _, w := range []string{"w2", "w1"} {
+		if sh, err := co2.Claim(w); !errors.Is(err, ErrNoWork) {
+			t.Fatalf("%s claimed the re-issued shard: %+v %v, want ErrNoWork", w, sh, err)
+		}
+	}
+	if _, err := co2.Ingest(expBatch(old, old.Lease, nil)); !errors.Is(err, ErrLeaseFenced) {
+		t.Fatalf("a batch under the restored token: %v, want ErrLeaseFenced", err)
+	}
+	if _, err := co2.Ingest(expBatch(heir, heir.Lease, nil)); err != nil {
+		t.Fatalf("a batch under the heir's token: %v", err)
+	}
+	co2.Revoke("restored")
+	if err := <-run2; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run after revoke: %v", err)
 	}
 }

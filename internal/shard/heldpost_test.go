@@ -13,10 +13,13 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"gpufi/internal/core"
 	"gpufi/internal/shard"
+	"gpufi/internal/sim"
 	"gpufi/internal/store"
 )
 
@@ -219,21 +222,60 @@ func TestWorkerSeededPosts(t *testing.T) {
 		c := startCluster(t, t.TempDir(), 1, ttl)
 		id, spec := "sender-closes", va(24, 7)
 		submitSpec(t, c.ts.URL, id, spec)
-		// The first holder's first batch is acknowledged in the coordinator's
-		// place and never reaches it: the rest of the shard merges, and its
-		// final batch finds the shard incomplete.
+		// Each holder's engine is paced by its POSTs, not by how the
+		// scheduler falls: await holds it in the experiment hook until ready
+		// (for at most a minute; the checks below then say what went wrong).
+		await := func(ready func() bool) {
+			for deadline := time.Now().Add(time.Minute); !ready() && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		// The first holder's first experiment is acknowledged in the
+		// coordinator's place and never reaches it. Its engine starts no
+		// second experiment before that batch is out, so the batch holds the
+		// one experiment; the rest of the shard merges, and the final batch
+		// finds the shard incomplete.
+		var lost atomic.Int64
+		lost.Store(-1)
 		first, _ := heldWorker(t, c, "first", 1, func(p heldPost) (time.Duration, func(*http.Request) (*http.Response, error)) {
-			if p.kind == "journal" && p.n == 0 {
-				return 0, answerWith(http.StatusOK, `{"accepted":1,"duplicates":0,"shard_done":false,"campaign_done":false}`)
+			for _, r := range p.batch.Records {
+				if r.Exp != nil && lost.CompareAndSwap(-1, int64(r.Exp.ID)) {
+					return 0, answerWith(http.StatusOK, `{"accepted":1,"duplicates":0,"shard_done":false,"campaign_done":false}`)
+				}
 			}
 			return 0, nil
 		})
+		var started atomic.Int64
+		prev := core.SetExperimentHook(func(int, *sim.FaultSpec) {
+			if started.Add(1) > 1 {
+				await(func() bool { return lost.Load() >= 0 })
+			}
+		})
+		defer core.SetExperimentHook(prev)
 		sh := claimShard(t, c.ts.URL, "first", time.Minute)
 		if err := first.RunShard(ctx, sh); err == nil || !strings.Contains(err.Error(), "incomplete") {
 			t.Fatalf("the first holder's shard ended with %v, want it incomplete", err)
 		}
-		// One of its heir's sender batches carries the one experiment missing.
+		// One of its heir's sender batches carries the one experiment
+		// missing: its engine starts nothing after that experiment until a
+		// batch was answered campaign_done, so the engine cannot finish, and
+		// leave the record to the final batch, first.
 		heir, h := heldWorker(t, c, "heir", 1, forwardAll)
+		var lostRan atomic.Bool
+		core.SetExperimentHook(func(id int, _ *sim.FaultSpec) {
+			if int64(id) == lost.Load() {
+				lostRan.Store(true)
+			} else if lostRan.Load() {
+				await(func() bool {
+					for _, p := range h.journal() {
+						if p.result != nil && p.result.CampaignDone {
+							return true
+						}
+					}
+					return false
+				})
+			}
+		})
 		re := claimShard(t, c.ts.URL, "heir", time.Minute)
 		if re.ID != sh.ID || re.Epoch != sh.Epoch+1 {
 			t.Fatalf("the heir claimed %s at epoch %d, want %s re-issued", re.ID, re.Epoch, sh.ID)
@@ -241,6 +283,7 @@ func TestWorkerSeededPosts(t *testing.T) {
 		if err := heir.RunShard(ctx, re); err != nil {
 			t.Fatalf("the heir's shard closed its campaign, and ended with %v", err)
 		}
+		core.SetExperimentHook(prev)
 		posts := h.journal()
 		closer := len(posts)
 		for i, p := range posts {

@@ -68,7 +68,7 @@ func keyRecords(t *testing.T, r io.Reader) (map[string][]byte, int) {
 // the trace tests key it: the header and experiment records as store.WriteLog
 // writes them, a quarantine record for each quarantined experiment, and the
 // propagation traces. It also returns the result, whose Plan is the report
-// a finished adaptive campaign's completion marker carries.
+// a finished adaptive campaign's done record carries.
 func Library(t *testing.T, spec store.Spec) (map[string][]byte, map[int][]byte, *core.CampaignResult) {
 	t.Helper()
 	cfg, err := spec.Config()

@@ -18,12 +18,13 @@ import (
 // marker: a crash mid-plan leaves plan records that look complete but are
 // not, the generation below is a round already finished, and a fresh plan
 // must never reuse a generation a crash abandoned. Grants replay on top in
-// WAL order, each restored with a fresh TTL of grace (expiry): its worker
-// may well be parked, waiting for the coordinator to come back. Grants for
-// other generations' shards find no shard and fall away. A kind the
-// switches below do not name is skipped, which is how a WAL written by an
-// older build — renew, expire, merge, shard_done, retire, finalize — still
-// resumes, and why no new code may write one
+// WAL order, each restored with a fresh TTL of grace (expiry), as its worker
+// may be parked waiting for the coordinator, unless it claims again, which
+// shows it died (table.claimable). Grants for other generations' shards
+// fall away. A kind the switches below do not name is skipped: the store's
+// lifecycle kinds, which store.readLifecycle reads, and an older build's
+// renew, expire, merge, shard_done, retire and finalize, which is how such
+// a WAL still resumes, and why no new code may write one
 // (TestEveryWrittenControlKindIsReplayed).
 func replay(t *table, ctl []store.ControlRecord, round []int, expiry time.Time) (gen int, ok bool) {
 	seen := 0
@@ -50,8 +51,8 @@ func replay(t *table, ctl []store.ControlRecord, round []int, expiry time.Time) 
 		return seen + 1, false
 	}
 	for _, r := range ctl {
-		if r.Kind == store.CtlGrant {
-			t.grant(r.Shard, r.Lease, r.Epoch, r.Worker, expiry)
+		if r.Kind == store.CtlGrant && t.grant(r.Shard, r.Lease, r.Epoch, r.Worker, expiry) {
+			t.shards[r.Shard].restored = true
 		}
 	}
 	return gen, true

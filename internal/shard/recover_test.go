@@ -258,14 +258,27 @@ func TestControlCrashPointSweep(t *testing.T) {
 }
 
 // TestEveryWrittenControlKindIsReplayed is the drift guard on the WAL's one
-// rule — a record kind is written only if replay reads it. Every Ctl*
-// constant of internal/store/wal.go must be named inside replay, every
-// other mention of one in non-test code counts as a writer, and a
+// rule — a record kind is written only if a replay reads it. The WAL has two
+// readers: shard's replay, and the store's lifecycle replay. Every Ctl*
+// constant of internal/store/wal.go must be named inside one of them, every
+// other mention of one in non-test code — a store.Ctl* selector anywhere,
+// a bare Ctl* identifier inside package store — counts as a writer, and a
 // ControlRecord built with a string literal for its kind is refused
 // outright, so a write-only kind cannot come back under either spelling.
 func TestEveryWrittenControlKindIsReplayed(t *testing.T) {
+	readers := map[string]string{ // file -> the function in it that replays the WAL
+		"internal/shard/recover.go": "replay",
+		"internal/store/wal.go":     "readLifecycle",
+	}
 	fset := token.NewFileSet()
 	declared, read, written := map[string]bool{}, map[string]bool{}, map[string]string{}
+	mention := func(name string, pos token.Pos, inReader bool) {
+		if inReader {
+			read[name] = true
+		} else {
+			written[name] = fset.Position(pos).String()
+		}
+	}
 	root := filepath.Join("..", "..")
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -282,33 +295,34 @@ func TestEveryWrittenControlKindIsReplayed(t *testing.T) {
 			return err
 		}
 		rel, _ := filepath.Rel(root, path)
-		isWAL := filepath.ToSlash(rel) == "internal/store/wal.go"
-		inReplay := func(pos token.Pos) bool {
+		rel = filepath.ToSlash(rel)
+		isWAL, inStore := rel == "internal/store/wal.go", filepath.Dir(rel) == "internal/store"
+		inReader := func(pos token.Pos) bool {
 			for _, decl := range f.Decls {
-				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == "replay" && fn.Recv == nil &&
-					filepath.ToSlash(rel) == "internal/shard/recover.go" {
+				if fn, ok := decl.(*ast.FuncDecl); ok && fn.Name.Name == readers[rel] {
 					return fn.Pos() <= pos && pos < fn.End()
 				}
 			}
 			return false
 		}
+		skip := map[*ast.Ident]bool{} // declarations and selector names: not bare mentions
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ValueSpec:
-				if isWAL {
-					for _, name := range n.Names {
-						if strings.HasPrefix(name.Name, "Ctl") {
-							declared[name.Name] = true
-						}
+				for _, name := range n.Names {
+					skip[name] = true
+					if isWAL && strings.HasPrefix(name.Name, "Ctl") {
+						declared[name.Name] = true
 					}
 				}
 			case *ast.SelectorExpr:
+				skip[n.Sel] = true
 				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "store" && strings.HasPrefix(n.Sel.Name, "Ctl") {
-					if inReplay(n.Pos()) {
-						read[n.Sel.Name] = true
-					} else {
-						written[n.Sel.Name] = fset.Position(n.Pos()).String()
-					}
+					mention(n.Sel.Name, n.Pos(), inReader(n.Pos()))
+				}
+			case *ast.Ident:
+				if inStore && !skip[n] && strings.HasPrefix(n.Name, "Ctl") {
+					mention(n.Name, n.Pos(), inReader(n.Pos()))
 				}
 			case *ast.CompositeLit:
 				typ := n.Type
@@ -341,20 +355,26 @@ func TestEveryWrittenControlKindIsReplayed(t *testing.T) {
 	}
 	for kind := range declared {
 		if !read[kind] {
-			t.Errorf("store.%s is declared but replay never reads it: delete it", kind)
+			t.Errorf("store.%s is declared but no replay reads it: delete it", kind)
 		}
 	}
 	for kind, where := range written {
 		if !read[kind] {
-			t.Errorf("%s writes store.%s, which replay never reads", where, kind)
+			t.Errorf("%s writes store.%s, which no replay reads", where, kind)
+		}
+	}
+	for _, kind := range []string{"CtlDone", "CtlCancel", "CtlUncancel"} {
+		if !read[kind] || written[kind] == "" {
+			t.Errorf("the guard does not see store.%s both written and read", kind)
 		}
 	}
 }
 
 // FuzzControlReplay feeds replay whatever record sequence decodes: it must
 // not panic, a table it vouches for must cover the round and fence every
-// shard at its highest grant with exactly one writer, and a refusal must
-// leave nothing behind and name an unused generation.
+// shard at its highest grant with exactly one writer, a refusal must
+// leave nothing behind and name an unused generation, and the store's
+// lifecycle records must change nothing.
 func FuzzControlReplay(f *testing.F) {
 	raw, want := parentControl(f)
 	var mask uint64
@@ -387,6 +407,16 @@ func FuzzControlReplay(f *testing.F) {
 		tab := newTable("f", int(total), journaled)
 		round := unjournaled(int(total), journaled)
 		gen, ok := replay(tab, ctl, round, time.Unix(1, 0))
+		var shardKinds []store.ControlRecord
+		for _, r := range ctl {
+			if r.Kind != store.CtlDone && r.Kind != store.CtlCancel && r.Kind != store.CtlUncancel {
+				shardKinds = append(shardKinds, r)
+			}
+		}
+		bare := newTable("f", int(total), journaled)
+		if g, k := replay(bare, shardKinds, round, time.Unix(1, 0)); g != gen || k != ok || !reflect.DeepEqual(bare, tab) {
+			t.Fatalf("lifecycle records changed the replay: gen %d/%d ok %v/%v", gen, g, ok, k)
+		}
 		for _, r := range ctl {
 			if (r.Kind == store.CtlPlan || r.Kind == store.CtlPlanDone) && r.Gen > gen {
 				t.Fatalf("replay answered generation %d; the WAL already used %d", gen, r.Gen)

@@ -16,7 +16,9 @@
 //     the worker ever says. A lease that expires makes the shard claimable
 //     again, by anyone; re-issue bumps the epoch, and the old epoch is
 //     fenced — a pre-crash straggler can renew nothing and ingest nothing
-//     once a successor owns the shard.
+//     once a successor owns the shard. A worker that claims under the name
+//     a restarted coordinator restored a lease to has lost that shard, and
+//     gets it back at once, so worker names must be unique.
 //   - Journal batches are idempotent: every record is keyed by
 //     (campaign, cluster, experiment index), and the simulator is
 //     deterministic in the campaign seed, so a batch replayed by a dead
@@ -182,7 +184,7 @@ type BatchResult struct {
 	CampaignDone bool `json:"campaign_done"`
 }
 
-// ClaimRequest names the worker asking for a shard (diagnostics only).
+// ClaimRequest names the worker asking for a shard (Coordinator.Claim).
 type ClaimRequest struct {
 	Worker string `json:"worker,omitempty"`
 }

@@ -39,6 +39,7 @@ type shardState struct {
 	curLease string           // the one token that may write
 	worker   string
 	expiry   time.Time
+	restored bool // the lease is a replayed grant no batch has renewed yet
 	done     bool
 }
 
@@ -121,14 +122,16 @@ func (ss *shardState) state(now time.Time) string {
 // reissues is how many times the shard changed hands.
 func (ss *shardState) reissues() int { return int(max(ss.epoch-1, 0)) }
 
-// claimable returns the oldest shard a worker may be granted at now: one
-// never leased, or one whose lease ran out. Nil when there is none.
-func (t *table) claimable(now time.Time) *shardState {
+// claimable returns the oldest shard worker may be granted at now, or nil:
+// one never leased, one whose lease ran out, or one whose lease replay
+// restored to worker and no batch has renewed since — a worker claims only
+// when it holds no shard, so that one died with the last coordinator.
+func (t *table) claimable(now time.Time, worker string) *shardState {
 	if t.closed {
 		return nil
 	}
 	for _, sid := range t.order {
-		if ss := t.shards[sid]; ss.state(now) == "pending" {
+		if ss := t.shards[sid]; ss.state(now) == "pending" || !ss.done && ss.restored && ss.worker == worker {
 			return ss
 		}
 	}
@@ -148,7 +151,7 @@ func (t *table) grant(sid, lease string, epoch int64, worker string, expiry time
 	}
 	ss.leases[lease] = epoch
 	if epoch >= ss.epoch {
-		ss.epoch, ss.curLease, ss.worker, ss.expiry = epoch, lease, worker, expiry
+		ss.epoch, ss.curLease, ss.worker, ss.expiry, ss.restored = epoch, lease, worker, expiry, false
 	}
 	return true
 }
@@ -195,7 +198,7 @@ func (t *table) renew(sid, lease string, expiry time.Time) error {
 	if err := t.check(sid, lease); err != nil {
 		return err
 	}
-	t.shards[sid].expiry = expiry
+	t.shards[sid].expiry, t.shards[sid].restored = expiry, false
 	return nil
 }
 

@@ -31,6 +31,9 @@ type modelShard struct {
 	worker string
 	until  time.Time
 	done   bool
+	// restored: the holder's grant came back from the WAL at a restart and
+	// no batch has renewed it since, so the holder claiming again is dead.
+	restored bool
 }
 
 func (m *model) merged(s *modelShard) (n int) {
@@ -42,9 +45,10 @@ func (m *model) merged(s *modelShard) (n int) {
 	return n
 }
 
-func (m *model) claimable(now time.Time) string {
+func (m *model) claimable(now time.Time, worker string) string {
 	for _, sid := range m.order {
-		if s := m.shards[sid]; !m.closed && !s.done && !(s.epoch > 0 && now.Before(s.until)) {
+		s := m.shards[sid]
+		if !m.closed && !s.done && (!(s.epoch > 0 && now.Before(s.until)) || s.restored && s.worker == worker) {
 			return sid
 		}
 	}
@@ -69,14 +73,15 @@ func (m *model) verdict(sid, lease string) error {
 }
 
 // restart is what a coordinator crash does to the model: the journal is cut
-// to what survived, done follows from it, and every holder gets fresh grace.
+// to what survived, done follows from it, and every holder gets fresh grace
+// as a restored holder.
 func (m *model) restart(journal []int, until time.Time) {
 	m.journaled = make(map[int]bool)
 	for _, i := range journal {
 		m.journaled[i] = true
 	}
 	for _, s := range m.shards {
-		s.done, s.until = m.merged(s) == len(s.idx), until
+		s.done, s.until, s.restored = m.merged(s) == len(s.idx), until, s.epoch > 0
 	}
 }
 
@@ -263,8 +268,9 @@ func (r *tableRun) pickLease() (sid, lease string) {
 func (r *tableRun) step() {
 	switch op := r.rng.Intn(20); {
 	case op < 4: // claim
-		ss := r.tab.claimable(r.now)
-		want := r.m.claimable(r.now)
+		worker := fmt.Sprintf("w%d", r.rng.Intn(3))
+		ss := r.tab.claimable(r.now, worker)
+		want := r.m.claimable(r.now, worker)
 		if (ss == nil) != (want == "") || (ss != nil && ss.id != want) {
 			r.t.Fatalf("claimable: table %v, model %q", ss, want)
 		}
@@ -272,7 +278,7 @@ func (r *tableRun) step() {
 			return
 		}
 		r.leases++
-		lease, epoch, worker := fmt.Sprintf("L%d", r.leases), ss.epoch+1, fmt.Sprintf("w%d", r.rng.Intn(3))
+		lease, epoch := fmt.Sprintf("L%d", r.leases), ss.epoch+1
 		// AppendSync: the grant and everything batched before it are durable.
 		r.wal = append(append(r.wal, r.tail...), store.ControlRecord{Kind: store.CtlGrant,
 			Gen: r.tab.gen, Shard: ss.id, Lease: lease, Epoch: epoch, Worker: worker})
@@ -281,7 +287,7 @@ func (r *tableRun) step() {
 			r.t.Fatalf("grant of a claimable shard refused")
 		}
 		s := r.m.shards[want]
-		s.epoch, s.worker, s.until = s.epoch+1, worker, r.now.Add(r.ttl)
+		s.epoch, s.worker, s.until, s.restored = s.epoch+1, worker, r.now.Add(r.ttl), false
 		s.issued[lease] = s.epoch
 		r.tokens[want] = append(r.tokens[want], lease)
 		r.high[want] = max(r.high[want], epoch)
@@ -333,7 +339,7 @@ func (r *tableRun) batch(record bool) {
 		return
 	}
 	s := r.m.shards[sid]
-	s.until = r.now.Add(r.ttl)
+	s.until, s.restored = r.now.Add(r.ttl), false
 	if !record {
 		return
 	}
@@ -425,7 +431,7 @@ func (r *tableRun) audit(after string) {
 			fail("%d leases pass check on %s (closed=%v)", passing, sid, r.m.closed)
 		}
 	}
-	if ss := r.tab.claimable(r.now); ss != nil && (r.m.closed || r.m.shards[ss.id].done) {
+	if ss := r.tab.claimable(r.now, "w0"); ss != nil && (r.m.closed || r.m.shards[ss.id].done) {
 		fail("claimable offers %s: closed=%v done=%v", ss.id, r.m.closed, r.m.shards[ss.id].done)
 	}
 }

@@ -48,7 +48,7 @@ type Worker struct {
 	// also wakes the moment the coordinator plans a generation, rather than
 	// at its next poll. Set exactly one of Base and Coordinator.
 	Coordinator *Coordinator
-	// Name identifies the worker in coordinator logs and shard statuses.
+	// Name identifies the worker to the coordinator (Coordinator.Claim).
 	Name string
 	// Client is the HTTP client; nil uses a default with sane timeouts.
 	Client *http.Client

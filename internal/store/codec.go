@@ -2,9 +2,9 @@
 // JSONL record codec shared by every log writer in the tree, and an
 // append-only on-disk campaign journal with crash-safe resume. A campaign
 // directory holds a config record, a journal of per-experiment outcome
-// records fsync'd in batches, and a completion marker; re-opening a
-// partial journal tolerates a torn final record and tells the engine which
-// experiment indices to skip.
+// records fsync'd in batches, and a control log that says whether the
+// campaign is done or cancelled; re-opening a partial journal tolerates a
+// torn final record and tells the engine which experiment indices to skip.
 package store
 
 import (
@@ -68,14 +68,6 @@ func quarantineRecord(exp core.Experiment) logQuar {
 	return logQuar{Type: "quarantine", ID: exp.ID, Effect: exp.Outcome.String(), Reason: exp.Detail}
 }
 
-// HeaderOf extracts the log header of a campaign result.
-func HeaderOf(res *core.CampaignResult) Header {
-	return Header{
-		App: res.App, GPU: res.GPU, Kernel: res.Kernel,
-		Structure: res.Structure, Bits: res.Bits, Runs: res.Runs, Seed: res.Seed,
-	}
-}
-
 // LogWriter writes campaign records to a stream: one Begin per campaign,
 // then one Experiment per record, in any interleaving ParseLog accepts.
 // It is not safe for concurrent use; the campaign engine already
@@ -107,7 +99,8 @@ func (lw *LogWriter) Experiment(exp core.Experiment) error {
 
 // Result emits a whole finished campaign: header plus every experiment.
 func (lw *LogWriter) Result(res *core.CampaignResult) error {
-	if err := lw.Begin(HeaderOf(res)); err != nil {
+	if err := lw.Begin(Header{App: res.App, GPU: res.GPU, Kernel: res.Kernel,
+		Structure: res.Structure, Bits: res.Bits, Runs: res.Runs, Seed: res.Seed}); err != nil {
 		return err
 	}
 	for i := range res.Exps {

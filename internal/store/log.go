@@ -24,8 +24,8 @@ import (
 //	journal.jsonl  header, exp, quarantine  per batch and before  yes
 //	                                        a coordinator's ack;
 //	                                        header, quarantine now
-//	control.jsonl  ControlRecord            per batch;            plans and lease
-//	                                        AppendSync now        epochs only
+//	control.jsonl  ControlRecord            per batch;            plans, leases,
+//	                                        AppendSync now        done, cancel
 //	spans.jsonl    obs.SpanRecord           with the journal      no
 //	traces.jsonl   core.ExperimentTrace     on close (flushed     no
 //	                                        per record)

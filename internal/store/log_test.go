@@ -48,6 +48,29 @@ type logFixture struct {
 	finish func(t *testing.T, st *Store, id string, orig []byte)
 }
 
+// dropDone cuts the done record from campaign id's control log, so the
+// finished journal reopens for appending.
+func dropDone(t testing.TB, st *Store, id string) {
+	t.Helper()
+	path := filepath.Join(st.Dir(), id, controlFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []byte
+	for _, line := range bytes.SplitAfter(raw, []byte("\n")) {
+		if !bytes.HasPrefix(line, []byte(`{"kind":"done"`)) {
+			kept = append(kept, line...)
+		}
+	}
+	if len(kept) == len(raw) {
+		t.Fatalf("%s holds no done record", path)
+	}
+	if err := os.WriteFile(path, kept, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func logFixtures(t testing.TB) []logFixture {
 	// The journal row is a real campaign, so that finish can resume it with
 	// runCampaign. One worker keeps completion order, and so journal bytes,
@@ -72,9 +95,7 @@ func logFixtures(t testing.TB) []logFixture {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := os.Remove(filepath.Join(st.Dir(), id, doneFile)); err != nil {
-				t.Fatal(err)
-			}
+			dropDone(t, st, id)
 			f, err := st.OpenLog(id)
 			if err != nil {
 				t.Fatal(err)
@@ -110,9 +131,7 @@ func logFixtures(t testing.TB) []logFixture {
 			if _, err := runCampaign(nil, st, id, spec, prof, nil); err != nil {
 				t.Fatalf("run to completion: %v", err)
 			}
-			if err := os.Remove(filepath.Join(st.Dir(), id, doneFile)); err != nil {
-				t.Fatal(err)
-			}
+			dropDone(t, st, id)
 			if _, err := st.Inspect(id); err != nil {
 				t.Fatalf("finished journal unreadable: %v", err)
 			}

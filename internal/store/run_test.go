@@ -8,7 +8,7 @@ import (
 
 // runCampaign is these tests' campaign driver: create the journal (or resume
 // it, skipping every journaled experiment), run the engine with Record as its
-// sink, and on completion write the done marker. A cancelled run keeps what
+// sink, and on completion write the done record. A cancelled run keeps what
 // finished and returns the merged partial result with ctx's error. A nil prof
 // is profiled first; onExp sees every experiment after it is journaled.
 // Outside these tests a campaign runs through the shard coordinator, which
@@ -54,5 +54,10 @@ func runCampaign(ctx context.Context, s *Store, id string, spec Spec, prof *core
 	if err != nil {
 		return merged, err
 	}
-	return merged, c.Finish(merged)
+	_, _, ctl, err := s.OpenControlWAL(c.ID)
+	if err != nil {
+		return merged, err
+	}
+	defer ctl.Close()
+	return merged, c.Finish(merged, ctl)
 }

@@ -10,7 +10,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 
 	"gpufi/internal/avf"
 	"gpufi/internal/core"
@@ -22,18 +21,17 @@ import (
 //	<root>/<id>/config.json    the Spec that defines the campaign
 //	<root>/<id>/journal.jsonl  header + one record per finished experiment
 //	<root>/<id>/traces.jsonl   propagation traces (campaigns run with Trace)
-//	<root>/<id>/done.json      completion marker with the final summary
-//	<root>/<id>/cancelled      marker: deliberately stopped, do not resume
+//	<root>/<id>/control.jsonl  shard plans and lease grants, and whether the
+//	                           campaign is done or cancelled (wal.go)
+//	<root>/<id>/spans.jsonl    the campaign's span timeline (spanlog.go)
 //
-// The journal and the trace file are append-only logs, as are the control
-// WAL (wal.go) and the span log (spanlog.go) next to them; log.go holds the
-// one writer and the table of what differs between the four.
+// All but the config are append-only logs; log.go holds the one writer and
+// the table of what differs between the four. A campaign's state is what
+// they replay to: no other file marks it.
 const (
-	configFile    = "config.json"
-	journalFile   = "journal.jsonl"
-	tracesFile    = "traces.jsonl"
-	doneFile      = "done.json"
-	cancelledFile = "cancelled"
+	configFile  = "config.json"
+	journalFile = "journal.jsonl"
+	tracesFile  = "traces.jsonl"
 )
 
 // fsyncHist times every journal flush+fsync batch; it lives in the
@@ -50,6 +48,10 @@ var ErrNotFound = errors.New("store: campaign not found")
 
 // ErrExists reports a Create against an id that already has a directory.
 var ErrExists = errors.New("store: campaign already exists")
+
+// ErrJournalBehind reports a done record that counts more experiments than
+// the campaign's journal holds, which the order Finish writes in rules out.
+var ErrJournalBehind = errors.New("store: done record counts experiments the journal lacks")
 
 // Store is a durable campaign journal rooted at one directory.
 type Store struct {
@@ -108,8 +110,7 @@ var tracePolicy = logPolicy{name: "trace file"}
 type Campaign struct {
 	ID        string
 	Spec      Spec
-	Done      bool              // completion marker present
-	Cancelled bool              // cancellation marker present
+	Done      bool              // the control log holds a done record
 	Truncated bool              // journal had a torn final record (now cut)
 	Prior     []core.Experiment // intact journaled experiments
 	Counts    avf.Counts        // aggregated over Prior
@@ -203,49 +204,26 @@ func (c *Campaign) EnableTraces() error {
 func (c *Campaign) Close() error {
 	var err error
 	if c.traces != nil {
-		err = c.traces.close()
-		c.traces = nil
+		err, c.traces = c.traces.close(), nil
 	}
-	if c.journal == nil {
-		return err
-	}
-	if jerr := c.journal.close(); err == nil {
-		err = jerr
+	if c.journal != nil {
+		err = errors.Join(err, c.journal.close())
 	}
 	return err
 }
 
-// doneRecord is the completion marker's content: the final summary a
-// restarting service can report without re-parsing the journal.
-type doneRecord struct {
-	Header
-	Counts     avf.Counts       `json:"counts"`
-	Plan       *core.PlanReport `json:"plan,omitempty"`
-	FinishedAt time.Time        `json:"finished_at"`
-}
-
-// Finish marks the campaign complete: the journal is synced and closed, a
-// cancellation marker an earlier stop left behind is removed, and the
-// completion marker is written with the merged summary. After Finish the
-// store will never resume this campaign again.
-func (c *Campaign) Finish(res *core.CampaignResult) error {
-	if err := c.Close(); err != nil {
-		return err
+// Finish marks the campaign complete with the merged result res: the
+// journal is closed, which syncs it, and only then does ctl, the campaign's
+// control log, get a synced done record with res's experiment count and
+// plan report, so it never counts an experiment the journal could still
+// lose. It overrides any cancel; the store never resumes the campaign again.
+func (c *Campaign) Finish(res *core.CampaignResult, ctl *ControlWAL) error {
+	err := c.Close()
+	if err == nil {
+		err = ctl.AppendSync(ControlRecord{Kind: CtlDone, Count: len(res.Exps), Plan: res.Plan})
 	}
-	if err := c.st.ClearCancelled(c.ID); err != nil {
-		return err
-	}
-	rec := doneRecord{Header: HeaderOf(res), Counts: res.Counts, Plan: res.Plan, FinishedAt: time.Now().UTC()}
-	raw, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encode completion marker: %v", err)
-	}
-	dir := c.st.campaignDir(c.ID)
-	if err := writeFileSync(filepath.Join(dir, doneFile), append(raw, '\n')); err != nil {
-		return err
-	}
-	c.Done = true
-	return syncDir(dir)
+	c.Done = err == nil
+	return err
 }
 
 // Create starts a fresh campaign: a new directory, the config record, and
@@ -300,19 +278,19 @@ func headerOfSpec(spec Spec) Header {
 
 // state is what a campaign directory holds, as read from disk.
 type state struct {
-	spec      Spec
-	done      bool
-	plan      *core.PlanReport // from the completion marker; adaptive campaigns only
-	cancelled bool
-	hasHeader bool
-	prior     []core.Experiment
-	counts    avf.Counts
-	tail      logTail // the journal's crash damage, if any; not yet repaired
+	spec            Spec
+	done, cancelled bool             // what the control log replays to (readLifecycle)
+	count           int              // the done record's experiment count
+	plan            *core.PlanReport // the done record's; adaptive campaigns only
+	hasHeader       bool
+	prior           []core.Experiment
+	counts          avf.Counts
+	tail            logTail // the journal's crash damage, if any; not yet repaired
 }
 
 // readState reads a campaign directory without modifying it. The journal
 // is parsed with recovery semantics: a torn final record is noted in tail;
-// anything else malformed is an error.
+// anything else malformed is an error, as is ErrJournalBehind.
 func (s *Store) readState(id string) (*state, error) {
 	if !ValidID(id) {
 		return nil, fmt.Errorf("store: invalid campaign id %q", id)
@@ -330,17 +308,8 @@ func (s *Store) readState(id string) (*state, error) {
 		return nil, fmt.Errorf("store: config of %s: %v", id, err)
 	}
 	st.spec = st.spec.normalize()
-	if raw, err := os.ReadFile(filepath.Join(dir, doneFile)); err == nil {
-		// The marker's presence is what makes a campaign done; its summary
-		// is read for the plan report, which the journal does not carry.
-		st.done = true
-		var rec doneRecord
-		if json.Unmarshal(raw, &rec) == nil {
-			st.plan = rec.Plan
-		}
-	}
-	if _, err := os.Stat(filepath.Join(dir, cancelledFile)); err == nil {
-		st.cancelled = true
+	if err := s.readLifecycle(id, &st); err != nil {
+		return nil, err
 	}
 
 	var dec logDecoder
@@ -365,6 +334,10 @@ func (s *Store) readState(id string) (*state, error) {
 	default:
 		return nil, fmt.Errorf("store: journal of %s holds %d campaigns; a journal holds exactly one", id, len(dec.out))
 	}
+	if st.done && len(st.prior) < st.count {
+		return nil, fmt.Errorf("%w: %s is done with %d experiments, its journal holds %d",
+			ErrJournalBehind, id, st.count, len(st.prior))
+	}
 	return &st, nil
 }
 
@@ -383,7 +356,7 @@ func (s *Store) Resume(id string) (*Campaign, error) {
 // resume opens the journal of a campaign readState has read.
 func (s *Store) resume(id string, st *state) (*Campaign, error) {
 	c := &Campaign{
-		ID: id, Spec: st.spec, Done: st.done, Cancelled: st.cancelled,
+		ID: id, Spec: st.spec, Done: st.done,
 		Truncated: st.tail.torn, Prior: st.prior, Counts: st.counts, st: s,
 	}
 	if st.done {
@@ -493,48 +466,40 @@ func (s *Store) List() ([]string, error) {
 	return ids, nil
 }
 
-// Unfinished returns the campaigns that have a journal but neither a
-// completion nor a cancellation marker — the set a restarted service
-// resumes.
-func (s *Store) Unfinished() ([]string, error) {
+// Unfinished returns the campaigns whose control log holds neither a done
+// record nor a standing cancel — the set a restarted service resumes —
+// reading the control logs only. One whose state cannot be read (say,
+// ErrLegacyMarkers) is listed too, its error joined into the one returned.
+func (s *Store) Unfinished() (out []string, err error) {
 	ids, err := s.List()
-	if err != nil {
-		return nil, err
-	}
-	var out []string
 	for _, id := range ids {
-		dir := s.campaignDir(id)
-		if _, err := os.Stat(filepath.Join(dir, doneFile)); err == nil {
-			continue
+		var st state
+		lerr := s.readLifecycle(id, &st)
+		if err = errors.Join(err, lerr); lerr != nil || !st.done && !st.cancelled {
+			out = append(out, id)
 		}
-		if _, err := os.Stat(filepath.Join(dir, cancelledFile)); err == nil {
-			continue
-		}
-		out = append(out, id)
 	}
-	return out, nil
+	return out, err
 }
 
-// MarkCancelled writes the cancellation marker, excluding the campaign
-// from future resume scans until ClearCancelled.
-func (s *Store) MarkCancelled(id string) error {
-	if !s.Exists(id) {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	dir := s.campaignDir(id)
-	if err := writeFileSync(filepath.Join(dir, cancelledFile), []byte("cancelled\n")); err != nil {
-		return err
-	}
-	return syncDir(dir)
-}
+// MarkCancelled appends a cancel record to the campaign's control log,
+// excluding it from resume scans until ClearCancelled. Both open the log
+// themselves, so no coordinator may hold it: the caller runs after the
+// campaign's Run returned, while its job is queued, or for a campaign
+// this process does not coordinate.
+func (s *Store) MarkCancelled(id string) error { return s.appendControl(id, CtlCancel) }
 
-// ClearCancelled removes the cancellation marker (an explicit resubmit).
-func (s *Store) ClearCancelled(id string) error {
-	err := os.Remove(filepath.Join(s.campaignDir(id), cancelledFile))
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("store: clear cancellation of %s: %v", id, err)
+// ClearCancelled appends an uncancel record (an explicit resubmit).
+func (s *Store) ClearCancelled(id string) error { return s.appendControl(id, CtlUncancel) }
+
+// appendControl appends one synced record of kind to campaign id's control
+// log, opened for it and closed again.
+func (s *Store) appendControl(id, kind string) error {
+	_, _, w, err := s.OpenControlWAL(id)
+	if err == nil {
+		err = errors.Join(w.AppendSync(ControlRecord{Kind: kind}), w.Close())
 	}
-	return nil
+	return err
 }
 
 // OpenLog opens the campaign's raw JSONL journal for reading.
@@ -595,28 +560,23 @@ func (c *Campaign) MergedResult(res *core.CampaignResult) *core.CampaignResult {
 // writeFileSync writes data to path and fsyncs the file before closing.
 func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err == nil {
+		_, err = f.Write(data)
+		err = errors.Join(err, f.Sync(), f.Close())
+	}
 	if err != nil {
 		return fmt.Errorf("store: write %s: %v", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("store: write %s: %v", path, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("store: fsync %s: %v", path, err)
-	}
-	return f.Close()
+	return nil
 }
 
 // syncDir fsyncs a directory so freshly created entries survive a crash.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("store: sync dir %s: %v", dir, err)
+	if err == nil {
+		err = errors.Join(d.Sync(), d.Close())
 	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err != nil {
 		return fmt.Errorf("store: sync dir %s: %v", dir, err)
 	}
 	return nil

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gpufi/internal/core"
@@ -339,5 +341,72 @@ func TestStoreHousekeeping(t *testing.T) {
 	defer r.Close()
 	if got := r.CompletedIDs(); len(got) != 1 || got[0] != 0 {
 		t.Errorf("CompletedIDs = %v", got)
+	}
+}
+
+// TestFinishSyncsJournalFirst holds Finish to its write order: the journal
+// is synced and closed before the done record is written. The journal's
+// file is closed under a campaign that still holds unsynced appends, so
+// that sync fails; Finish must fail with it, and the campaign must read as
+// not done. Written the other way round, the done record would count
+// experiments the journal lost, an image readState refuses with
+// ErrJournalBehind.
+func TestFinishSyncsJournalFirst(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := st.Create("order", vaSpec(3, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := &core.CampaignResult{}
+	for i := 0; i < 3; i++ {
+		exp := core.Experiment{ID: i, Effect: "Masked"}
+		if err := c.Append(exp); err != nil {
+			t.Fatal(err)
+		}
+		res.Exps = append(res.Exps, exp)
+	}
+	_, _, ctl, err := st.OpenControlWAL("order")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	c.journal.f.Close() // the batched appends can no longer reach the disk
+	if err := c.Finish(res, ctl); err == nil {
+		t.Fatal("Finish succeeded over a journal it could not sync")
+	}
+	if info, err := st.Inspect("order"); err != nil || info.Done || info.Completed != 0 {
+		t.Fatalf("after the failed Finish: %+v, %v; want a campaign not done, its journal empty", info, err)
+	}
+}
+
+// TestLegacyMarkersRefused: a campaign directory an earlier build wrote,
+// with a done.json or cancelled marker file, is refused by name, not read
+// as this build's state; Unfinished still lists it, beside the error, so
+// that a service fails it in the open.
+func TestLegacyMarkersRefused(t *testing.T) {
+	for _, name := range []string{"done.json", "cancelled"} {
+		st, err := Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := st.Create("old", vaSpec(3, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(st.Dir(), "old", name), []byte("{}\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Inspect("old"); !errors.Is(err, ErrLegacyMarkers) || !strings.Contains(err.Error(), name) {
+			t.Errorf("%s: Inspect says %v, want ErrLegacyMarkers naming the file", name, err)
+		}
+		if open, err := st.Unfinished(); !errors.Is(err, ErrLegacyMarkers) || len(open) != 1 {
+			t.Errorf("%s: Unfinished = %v, %v; want the campaign listed beside ErrLegacyMarkers", name, open, err)
+		}
 	}
 }

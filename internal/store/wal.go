@@ -2,10 +2,12 @@ package store
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 
+	"gpufi/internal/core"
 	"gpufi/internal/obs"
 )
 
@@ -13,8 +15,9 @@ import (
 // append-only JSONL file (control.jsonl, next to the experiment journal)
 // holding exactly what a restarted coordinator replays to rebuild its
 // shard table, outstanding leases and lease epochs — shard plans and lease
-// grants. The journal stays the single source of truth for WHICH
-// experiments are merged.
+// grants — and the campaign's lifecycle: whether it is done or cancelled.
+// The journal stays the single source of truth for WHICH experiments are
+// merged.
 //
 // It is an appendLog like the experiment journal: plan records are
 // batched, and AppendSync closes a plan generation and writes every grant
@@ -23,17 +26,20 @@ import (
 // tail, cutting it.
 const controlFile = "control.jsonl"
 
-// Control record kinds: the ones replay reads, which are the only ones
-// written. Plan records carry a generation: a coordinator that cannot
-// trust a partial plan (no plan_done marker for its generation) re-plans
-// under the next generation, and stale grants are ignored because shard
-// ids embed the generation. Builds up to PR 27 also wrote renew, expire,
-// merge, shard_done, retire and finalize records that nothing read; a file
-// that carries them still opens and replays, the reader skips them.
+// Control record kinds: the ones a replay reads — shard's replay the first
+// three, readLifecycle the rest, each skipping the other's — which are the
+// only ones written. Plan records carry a generation: a coordinator that
+// cannot trust a partial plan (no plan_done marker for its generation)
+// re-plans under the next generation, and stale grants are ignored because
+// shard ids embed the generation. Earlier builds also wrote renew, expire,
+// merge, shard_done, retire and finalize records; the readers skip them.
 const (
 	CtlPlan     = "plan"      // one shard of a plan generation: Gen, Shard, Indices
 	CtlPlanDone = "plan_done" // plan generation complete and durable: Gen, Count
 	CtlGrant    = "grant"     // lease issued: Shard, Lease, Epoch, Worker
+	CtlDone     = "done"      // campaign complete: Count experiments merged, Plan
+	CtlCancel   = "cancel"    // deliberately stopped: do not resume
+	CtlUncancel = "uncancel"  // resubmitted: the last cancel no longer holds
 )
 
 // ControlRecord is one control-plane WAL line. Fields are a union over the
@@ -47,6 +53,8 @@ type ControlRecord struct {
 	Epoch   int64  `json:"epoch,omitempty"`
 	Worker  string `json:"worker,omitempty"`
 	Count   int    `json:"count,omitempty"`
+
+	Plan *core.PlanReport `json:"plan,omitempty"` // done: an adaptive campaign's final report
 }
 
 // Control-WAL instruments live in the process-wide registry so a
@@ -66,18 +74,31 @@ type ControlWAL struct{ log *appendLog }
 
 // OpenControlWAL opens (creating if absent) the campaign's control-plane
 // WAL and returns the intact records already on disk, whether a torn tail
-// was cut, and the handle open for appending. The campaign directory must
-// already exist. A kindless or otherwise malformed record that is not a
-// torn tail is corruption and an error.
+// was cut, and the handle open for appending. The campaign must already
+// exist (ErrNotFound). A kindless or otherwise malformed record that is
+// not a torn tail is corruption and an error.
 func (s *Store) OpenControlWAL(id string) ([]ControlRecord, bool, *ControlWAL, error) {
-	if !ValidID(id) {
-		return nil, false, nil, fmt.Errorf("store: invalid campaign id %q", id)
+	if !s.Exists(id) {
+		return nil, false, nil, fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	dir := s.campaignDir(id)
-	if _, err := os.Stat(dir); err != nil {
-		return nil, false, nil, fmt.Errorf("store: control WAL of %s: %v", id, err)
+	path := filepath.Join(s.campaignDir(id), controlFile)
+	recs, tail, err := scanControl(id, path)
+	if err != nil {
+		return nil, false, nil, err
 	}
-	path := filepath.Join(dir, controlFile)
+	log, err := openLog(path, os.O_CREATE, logPolicy{name: "control WAL", batch: s.batch(), hist: walFsyncHist}, tail)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	if tail.torn {
+		walTornTails.Add(1)
+	}
+	return recs, tail.torn, &ControlWAL{log}, nil
+}
+
+// scanControl reads campaign id's control log at path without modifying
+// it: its intact records, and the judgement on its tail.
+func scanControl(id, path string) ([]ControlRecord, logTail, error) {
 	var recs []ControlRecord
 	tail, err := scanFile(path, func(raw []byte) error {
 		var rec ControlRecord
@@ -91,16 +112,39 @@ func (s *Store) OpenControlWAL(id string) ([]ControlRecord, bool, *ControlWAL, e
 		return nil
 	})
 	if err != nil {
-		return nil, false, nil, fmt.Errorf("store: control WAL of %s: %v", id, err)
+		return nil, tail, fmt.Errorf("store: control WAL of %s: %v", id, err)
 	}
-	log, err := openLog(path, os.O_CREATE, logPolicy{name: "control WAL", batch: s.batch(), hist: walFsyncHist}, tail)
-	if err != nil {
-		return nil, false, nil, err
+	return recs, tail, nil
+}
+
+// ErrLegacyMarkers reports a campaign directory an earlier build wrote,
+// with done.json or cancelled marker files where this one writes control
+// records. It is refused, not upgraded.
+var ErrLegacyMarkers = errors.New("store: campaign directory holds a marker file of an earlier build")
+
+// readLifecycle replays campaign id's control log into st's done,
+// cancelled, count and plan without modifying it: a torn tail is ignored,
+// and a missing log is a campaign neither done nor cancelled. A done record
+// makes it done, whatever cancel stands; otherwise the last of cancel and
+// uncancel decides.
+func (s *Store) readLifecycle(id string, st *state) error {
+	dir := s.campaignDir(id)
+	for _, name := range []string{"done.json", "cancelled"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); err == nil {
+			return fmt.Errorf("%w: %s/%s", ErrLegacyMarkers, id, name)
+		}
 	}
-	if tail.torn {
-		walTornTails.Add(1)
+	ctl, _, err := scanControl(id, filepath.Join(dir, controlFile))
+	for _, r := range ctl {
+		switch r.Kind {
+		case CtlDone:
+			st.done, st.count, st.plan = true, r.Count, r.Plan
+		case CtlCancel, CtlUncancel:
+			st.cancelled = r.Kind == CtlCancel
+		}
 	}
-	return recs, tail.torn, &ControlWAL{log}, nil
+	st.cancelled = st.cancelled && !st.done
+	return err
 }
 
 // Append journals one control record, flushing and fsyncing once a batch
