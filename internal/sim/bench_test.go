@@ -40,14 +40,14 @@ func fullRTX2060(b *testing.B) *GPU {
 	return g
 }
 
-// BenchmarkTickStalledCore times the per-cycle visit of a core whose 32
-// resident warps all wait on memory.
+// BenchmarkTickStalledCore times a tick of a core whose 32 resident warps
+// all wait on memory: one scan of its issue times, no warp dereferenced.
 func BenchmarkTickStalledCore(b *testing.B) {
 	g := fullRTX2060(b)
 	c := g.cores[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.tick() {
+		if c.tick(g.cfg.IssuePerCycle, false) {
 			b.Fatal("a stalled core issued")
 		}
 	}
@@ -140,8 +140,8 @@ func benchWarp(b *testing.B, body string) (*core, *warp, []isa.Instr) {
 	for pc := 0; pc < prologue; pc++ {
 		g.cycle++
 		c.step(w)
-		if c.viol != nil {
-			b.Fatal(c.viol)
+		if g.violation != nil {
+			b.Fatal(g.violation)
 		}
 	}
 	if got := c.pcOf(w); got != prologue {
@@ -194,8 +194,8 @@ func BenchmarkWarpInstr(b *testing.B) {
 				in := &body[i%len(body)]
 				benchSink += c.execute(w, in, bc.mask&w.guardMask(in, bc.mask))
 			}
-			if c.viol != nil {
-				b.Fatal(c.viol)
+			if c.gpu.violation != nil {
+				b.Fatal(c.gpu.violation)
 			}
 		})
 	}

@@ -152,11 +152,20 @@ type core struct {
 	liveThreads int
 	liveWarps   int // resident warps that have not fully exited
 
+	// issueAt[i] is the first cycle warps[i] can issue at: its busyUntil, or
+	// never while it has exited or waits at a barrier. The tick scans this
+	// array instead of the warps, so it dereferences only the warp it
+	// issues. Placement, retirement, barrier release and every restore or
+	// capture set issueStale instead of editing it; the next reader rebuilds
+	// it from the warps (syncIssue).
+	issueAt    []uint64
+	issueStale bool
+
 	// readyAt, when non-zero, is the earliest cycle at which any warp on
 	// this core can issue: a tick that found every warp stalled records it,
-	// and ticks before that cycle return without scanning. Issue, CTA
-	// placement, launch reset and every snapshot restore clear it back to
-	// 0 (unknown), so it is never later than the true next-ready cycle.
+	// and the cycle loop skips the core until then. Issue, CTA placement,
+	// launch reset and every snapshot restore clear it back to 0 (unknown),
+	// so it is never later than the true next-ready cycle.
 	readyAt uint64
 
 	usedThreads int
@@ -169,16 +178,13 @@ type core struct {
 	// until the core's first copy-on-write restore (see cow.go).
 	pool *residentPool
 
-	// Per-cycle latches. A violation on one core does not keep the cores
-	// after it from finishing their tick of the same cycle; commitCycle
-	// folds these into GPU-global state at the end of the cycle, in core-ID
-	// order. All of them are empty between cycles, so snapshots never
-	// observe or carry them.
-	viol       error // first violation this core raised, in issue order
-	stop       bool  // core stops issuing for the rest of the cycle
-	instrDelta int64 // instructions issued this cycle
-	ctaRetired int   // CTAs retired this cycle
+	// stop says the core raised a violation that ends its tick (fail): it
+	// issues nothing more this cycle, and the tick clears the flag.
+	stop bool
 }
+
+// never is the issueAt entry of a warp no passing cycle can make ready.
+const never = ^uint64(0)
 
 // newCore builds core id of a device's storage: its L1s over l2, no device
 // yet (GPU.adopt points it at one).
@@ -207,16 +213,15 @@ func (c *core) reset() {
 	c.warps = nil
 	c.liveThreads = 0
 	c.liveWarps = 0
+	c.issueAt = c.issueAt[:0]
+	c.issueStale = false
 	c.readyAt = 0
 	c.usedThreads = 0
 	c.usedRegs = 0
 	c.usedSmem = 0
 	c.rr = 0
 	c.corruptInstr = false
-	c.viol = nil
 	c.stop = false
-	c.instrDelta = 0
-	c.ctaRetired = 0
 }
 
 // placedWarp is a warp as tryPlaceCTA allocates it, in one piece with what
@@ -258,6 +263,7 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 	tables := make([]laneTable, nWarps)
 	regs := make([]uint32, nWarps*warpRegs)
 	blockX := g.curBlock.X
+	x, y := 0, 0 // thread tLinear's index in the block, kept without dividing
 	for wi := range warps {
 		lt, st := &tables[wi], &warps[wi].state
 		for lane := 0; lane < isa.WarpSize; lane++ {
@@ -267,8 +273,11 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 			}
 			gtid := ctaID*ctaThreads + tLinear
 			lt.valid |= 1 << uint(lane)
-			lt.tidX[lane] = int32(tLinear % blockX)
-			lt.tidY[lane] = int32(tLinear / blockX)
+			lt.tidX[lane] = int32(x)
+			lt.tidY[lane] = int32(y)
+			if x++; x == blockX {
+				x, y = 0, y+1
+			}
 			lt.gtid[lane] = int32(gtid)
 			if g.localStep > 0 {
 				lt.localBase[lane] = g.localBase + uint32(gtid)*g.localStep
@@ -283,12 +292,19 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 		c.warps = append(c.warps, w)
 	}
 	b.liveWarps = len(b.warps)
+	if len(c.ctas) == 0 {
+		g.occ.sms++
+	}
 	c.ctas = append(c.ctas, b)
 	c.usedThreads += ctaThreads
 	c.usedRegs += ctaThreads * p.RegsPerThread
 	c.usedSmem += p.SmemBytes
 	c.liveThreads += ctaThreads
 	c.liveWarps += nWarps
+	g.occ.ctas++
+	g.occ.threads += ctaThreads
+	g.occ.warps += nWarps
+	c.issueStale = true
 	c.readyAt = 0 // the new warps can issue next cycle
 	return true
 }
@@ -320,55 +336,77 @@ func (c *core) retireCTA(b *cta) {
 	c.usedThreads -= ctaThreads
 	c.usedRegs -= ctaThreads * g.curProg.RegsPerThread
 	c.usedSmem -= g.curProg.SmemBytes
-	c.ctaRetired++ // folded into g.doneCTAs at commit, in core-ID order
+	c.issueStale = true
+	g.occ.ctas--
+	if len(c.ctas) == 0 {
+		g.occ.sms--
+	}
+	g.doneCTAs++
+}
+
+// issueTime is the warp's issueAt entry.
+func (w *warp) issueTime() uint64 {
+	if w.exited || w.atBarrier {
+		return never
+	}
+	return w.busyUntil
+}
+
+// syncIssue rebuilds issueAt from the resident warps.
+func (c *core) syncIssue() {
+	c.issueAt = c.issueAt[:0]
+	for _, w := range c.warps {
+		c.issueAt = append(c.issueAt, w.issueTime())
+	}
+	c.issueStale = false
 }
 
 // nextReadyCycle returns the earliest cycle at which some warp on this
 // core can issue, or 0 if none ever will (all exited or at barriers).
 func (c *core) nextReadyCycle() uint64 {
-	var next uint64
-	for _, w := range c.warps {
-		if w.exited || w.atBarrier {
-			continue
-		}
-		t := w.busyUntil
-		if t <= c.gpu.cycle {
-			t = c.gpu.cycle + 1
-		}
-		if next == 0 || t < next {
-			next = t
-		}
+	if c.issueStale {
+		c.syncIssue()
 	}
-	return next
+	next := never
+	for _, t := range c.issueAt {
+		next = min(next, t)
+	}
+	if next == never {
+		return 0
+	}
+	return max(next, c.gpu.cycle+1)
 }
 
-// tick issues up to IssuePerCycle warp instructions using a
-// greedy-then-oldest scheduler. Returns whether any warp was ready.
-func (c *core) tick() bool {
-	if len(c.warps) == 0 || c.readyAt > c.gpu.cycle {
-		return false
+// tick issues up to width (the configuration's IssuePerCycle) warp
+// instructions using a greedy-then-oldest scheduler, or loose round-robin
+// when lrr is set. Returns whether any warp was ready. The cycle loop calls
+// it only for a core with resident warps whose readyAt has passed.
+//
+// Candidates come in (rr + scan) % n order, and rr moves after every
+// issue, so a second issue in the same cycle looks from rr's new value on,
+// scan+1 places further: the order every recorded journal was run in.
+func (c *core) tick(width int, lrr bool) bool {
+	if c.issueStale {
+		c.syncIssue()
 	}
 	c.readyAt = 0 // unknown again unless this scan finds every warp stalled
+	cycle := c.gpu.cycle
 	issued := 0
-	anyReady := false
-	var wake uint64 // earliest busyUntil among the stalled warps scanned
-	n := len(c.warps)
-	for scan := 0; scan < n && issued < c.gpu.cfg.IssuePerCycle; scan++ {
-		idx := (c.rr + scan) % n
-		w := c.warps[idx]
-		if w.exited || w.atBarrier {
-			continue
-		}
-		if w.busyUntil > c.gpu.cycle {
-			if wake == 0 || w.busyUntil < wake {
-				wake = w.busyUntil
+	wake := never // earliest issueAt among the warps scanned
+	n := len(c.issueAt)
+	idx := c.rr % n
+	for scan := 0; scan < n && issued < width; scan++ {
+		if t := c.issueAt[idx]; t > cycle {
+			wake = min(wake, t)
+			if idx++; idx == n {
+				idx = 0
 			}
 			continue
 		}
-		anyReady = true
+		w := c.warps[idx]
 		c.step(w)
 		issued++
-		if c.gpu.cfg.Scheduler == "lrr" || w.exited || w.atBarrier || w.busyUntil > c.gpu.cycle {
+		if lrr || w.exited || w.atBarrier || w.busyUntil > cycle {
 			// Loose round-robin always moves on; greedy-then-oldest only
 			// when the warp stalls.
 			c.rr = (idx + 1) % n
@@ -376,19 +414,25 @@ func (c *core) tick() bool {
 			c.rr = idx
 		}
 		if c.stop {
+			c.stop = false
 			return true
 		}
-		n = len(c.warps) // retireCTA may shrink the list
-		if n == 0 {
+		if c.issueStale {
+			c.syncIssue() // a CTA retired or a barrier released
+		} else {
+			c.issueAt[idx] = w.issueTime()
+		}
+		if n = len(c.issueAt); n == 0 {
 			break
 		}
+		idx = (c.rr + scan + 1) % n
 	}
-	if !anyReady {
+	if issued == 0 && wake != never {
 		// Nothing issued, so the scan covered every warp and nothing it
 		// read can change before the earliest of them wakes.
 		c.readyAt = wake
 	}
-	return anyReady
+	return issued > 0
 }
 
 // guardMask returns the submask of m whose threads satisfy the guard.
@@ -420,18 +464,21 @@ func (w *warp) popReconverged() {
 func (w *warp) exitThreads(mask uint32) {
 	newly := mask & w.liveMask()
 	w.st.exited |= newly
-	w.cta.core.liveThreads -= bits.OnesCount32(newly)
+	c := w.cta.core
+	n := bits.OnesCount32(newly)
+	c.liveThreads -= n
+	c.gpu.occ.threads -= n
 	for i := range w.stack {
 		w.stack[i].mask &^= mask
 	}
 }
 
-// setViol latches the first violation this core observed, in issue order.
-// commitCycle folds the per-core latches into g.violation in core-ID
-// order, so the lowest violating core ID wins deterministically.
+// setViol records a violation unless an earlier one of the cycle stands.
+// The cores tick one after another in core-ID order, so of the violations
+// raised in one cycle the lowest core ID's is the launch's.
 func (c *core) setViol(err error) {
-	if c.viol == nil {
-		c.viol = err
+	if c.gpu.violation == nil {
+		c.gpu.violation = err
 	}
 }
 
@@ -469,7 +516,7 @@ func (c *core) step(w *warp) {
 		}
 		in = decoded
 	}
-	c.instrDelta++
+	g.kernelStat.Instructions++
 	if g.TraceWriter != nil {
 		fmt.Fprintf(g.TraceWriter, "%8d core%02d w%02d pc%4d mask %08x  %s\n",
 			g.cycle, c.id, w.slot, pc, top.mask, in.String())
@@ -533,6 +580,7 @@ func (c *core) step(w *warp) {
 		if !w.exited {
 			w.exited = true
 			c.liveWarps--
+			g.occ.warps--
 			b := w.cta
 			b.liveWarps--
 			if b.liveWarps == 0 {
@@ -560,6 +608,7 @@ func (c *core) checkBarrier(b *cta) {
 			w.busyUntil = c.gpu.cycle + 1
 		}
 	}
+	c.issueStale = true
 }
 
 // fetchAccess charges the L1I access when the warp's fetch crosses into a

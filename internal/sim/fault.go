@@ -12,19 +12,13 @@ import (
 
 // Injection-site selection counts the live candidates, draws one index
 // and walks to it, in core -> warp -> lane order: no candidate list is
-// built. The per-core liveThreads and liveWarps counters give the count and
-// let the walk skip whole cores.
+// built. The device's occupancy totals give the count, and the per-core
+// liveThreads and liveWarps counters let the walk skip whole cores.
 
 // liveThreadCount returns how many live (created, not exited) threads are
 // resident — the candidate pool for register-file and local-memory
 // injections.
-func (g *GPU) liveThreadCount() int {
-	n := 0
-	for _, c := range g.cores {
-		n += c.liveThreads
-	}
-	return n
-}
+func (g *GPU) liveThreadCount() int { return g.occ.threads }
 
 // liveThreadAt returns the warp and lane of the i-th live thread.
 func (g *GPU) liveThreadAt(i int) (*warp, int) {
@@ -52,13 +46,7 @@ func (g *GPU) liveThreadAt(i int) (*warp, int) {
 }
 
 // liveWarpCount returns how many resident warps have not fully exited.
-func (g *GPU) liveWarpCount() int {
-	n := 0
-	for _, c := range g.cores {
-		n += c.liveWarps
-	}
-	return n
-}
+func (g *GPU) liveWarpCount() int { return g.occ.warps }
 
 // liveWarpAt returns the i-th live warp.
 func (g *GPU) liveWarpAt(i int) *warp {

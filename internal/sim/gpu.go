@@ -111,6 +111,11 @@ type GPU struct {
 	violation  error
 	kernelStat *KernelStats
 
+	// occ is the occupancy of the cores, summed: kept where the per-core
+	// counts change and recounted by syncStateFrom, so sampling a cycle's
+	// occupancy visits no core.
+	occ occupancy
+
 	// mid-launch bookkeeping, held on the GPU (not the Launch frame) so a
 	// snapshot captures it and a fork can resume the launch epilogue.
 	launchStart uint64
@@ -140,6 +145,12 @@ type GPU struct {
 // simulated cycles. Polling never touches simulated state, so outcomes
 // stay bit-identical with or without a context.
 const ctxPollInterval = 1024
+
+// occupancy is what sampleStats weighs per cycle: cores holding a CTA, and
+// the resident CTAs, live threads and live warps over all cores.
+type occupancy struct {
+	sms, ctas, threads, warps int
+}
 
 // coreSet is a set of core ids, one bit each.
 type coreSet []uint64
@@ -483,6 +494,7 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 	}
 	p := g.curProg
 	ks := g.kernelStat
+	width, lrr := g.cfg.IssuePerCycle, g.cfg.Scheduler == "lrr"
 	for g.doneCTAs < g.totalCTAs {
 		// Pending snapshot captures fire between cycles: the state handed
 		// to the sink is "every cycle <= g.cycle executed, faults for
@@ -524,21 +536,28 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 			// issued since.
 			return g.stopLaunch(true)
 		}
+		// One pass over the cores, in core-ID order: a core with nothing
+		// resident or whose warps are all still busy costs a compare.
 		anyReady := false
+		done := g.doneCTAs
 		for _, c := range g.cores {
-			if c.tick() {
+			if len(c.warps) == 0 || c.readyAt > g.cycle {
+				continue
+			}
+			if c.tick(width, lrr) {
 				anyReady = true
 			}
 		}
-		g.commitCycle()
 		g.sampleStats(1)
 		if g.violation != nil {
 			err := g.violation
 			g.releaseLaunch()
 			return nil, err
 		}
-		// Refill freed CTA slots.
-		if g.nextCTA < g.totalCTAs {
+		// Refill the CTA slots this cycle freed. Only a retirement frees
+		// one: every earlier refill left each core too full for the next
+		// CTA.
+		if g.doneCTAs != done && g.nextCTA < g.totalCTAs {
 			for _, c := range g.cores {
 				for g.nextCTA < g.totalCTAs && c.tryPlaceCTA(g.nextCTA) {
 					g.launchCores.add(c.id)
@@ -595,35 +614,13 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 	return &res, nil
 }
 
-// commitCycle folds every core's per-cycle latches into GPU-global state
-// in ascending core-ID order, after every core has finished its tick: of
-// the violations raised in one cycle, the lowest core ID's is the launch's.
-func (g *GPU) commitCycle() {
-	for _, c := range g.cores {
-		if c.instrDelta != 0 {
-			g.kernelStat.Instructions += c.instrDelta
-			c.instrDelta = 0
-		}
-		if c.ctaRetired != 0 {
-			g.doneCTAs += c.ctaRetired
-			c.ctaRetired = 0
-		}
-		if c.viol != nil {
-			if g.violation == nil {
-				g.violation = c.viol
-			}
-			c.viol = nil
-		}
-		c.stop = false
-	}
-}
-
 // releaseLaunch clears per-launch core state (CTAs, warps) after
 // completion or abort.
 func (g *GPU) releaseLaunch() {
 	for _, c := range g.cores {
 		c.reset()
 	}
+	g.occ = occupancy{}
 	g.curProg = nil
 	g.curParams = nil
 	g.launchCores = g.launchCores[:0]
@@ -692,21 +689,19 @@ func (g *GPU) l2QueueDelay(lineAddr uint32) int {
 }
 
 // sampleStats accumulates cycle-weighted occupancy statistics with weight w.
+// Each sum gains w times a total over the active cores in one addition. w
+// is a whole number of cycles and every count is an integer, so the terms
+// and sums are exact (warp occupancy divides by the warp slots, a power of
+// two on every preset) and equal to adding the cores' terms one by one.
 func (g *GPU) sampleStats(w float64) {
 	ks := g.kernelStat
 	if ks == nil {
 		return
 	}
-	maxWarps := float64(g.cfg.MaxWarpsPerSM())
-	for _, c := range g.cores {
-		if len(c.ctas) == 0 {
-			continue
-		}
-		ks.accActiveSM += w
-		ks.accThreads += w * float64(c.liveThreads)
-		ks.accCTAs += w * float64(len(c.ctas))
-		ks.accWarpOcc += w * float64(c.liveWarps) / maxWarps
-	}
+	ks.accActiveSM += w * float64(g.occ.sms)
+	ks.accThreads += w * float64(g.occ.threads)
+	ks.accCTAs += w * float64(g.occ.ctas)
+	ks.accWarpOcc += w * float64(g.occ.warps) / float64(g.cfg.MaxWarpsPerSM())
 }
 
 func appendUnique(s []int, v int) []int {

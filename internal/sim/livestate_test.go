@@ -13,11 +13,12 @@ import (
 )
 
 // This file holds the scheduler's and the injector's cached live-state
-// bookkeeping — core.readyAt, core.liveWarps, core.liveThreads, the
-// EXIT-guarded live-lane check and the count-then-walk injection pick — to
-// what full scans and candidate lists compute. The scans and lists below
-// are the implementations the production code replaced; they exist only
-// here, as references.
+// bookkeeping — core.readyAt, core.issueAt, core.liveWarps,
+// core.liveThreads, the device's occupancy totals, the EXIT-guarded
+// live-lane check and the count-then-walk injection pick — to what full
+// scans and candidate lists compute. The scans and lists below are the
+// implementations the production code replaced; they exist only here, as
+// references.
 
 func scanLiveWarps(c *core) int {
 	n := 0
@@ -44,10 +45,64 @@ func scanLiveThreads(c *core) int {
 	return n
 }
 
+// scanNextReady is the next-ready cycle of a core read off its warps: the
+// earliest busyUntil (at least the next cycle) of a warp that has neither
+// exited nor waits at a barrier, or 0 if there is none.
+func scanNextReady(c *core) uint64 {
+	var next uint64
+	for _, w := range c.warps {
+		if w.exited || w.atBarrier {
+			continue
+		}
+		t := max(w.busyUntil, c.gpu.cycle+1)
+		if next == 0 || t < next {
+			next = t
+		}
+	}
+	return next
+}
+
+// checkIssueState holds a core's issue times to its warps, unless they are
+// marked stale (the next reader rebuilds them).
+func checkIssueState(c *core) error {
+	if c.issueStale {
+		return nil
+	}
+	if len(c.issueAt) != len(c.warps) {
+		return fmt.Errorf("%d issue times for %d resident warps", len(c.issueAt), len(c.warps))
+	}
+	for i, w := range c.warps {
+		want := w.busyUntil
+		if w.exited || w.atBarrier {
+			want = never
+		}
+		if c.issueAt[i] != want {
+			return fmt.Errorf("warp %d (slot %d, exited=%v, atBarrier=%v, busyUntil %d): issue time %d",
+				i, w.slot, w.exited, w.atBarrier, w.busyUntil, c.issueAt[i])
+		}
+	}
+	return nil
+}
+
 // checkLiveState compares every cached quantity against its scan, for the
 // state the next tick and fastForward are about to read.
 func (g *GPU) checkLiveState() error {
+	var occ occupancy
 	for _, c := range g.cores {
+		if len(c.ctas) > 0 {
+			occ.sms++
+		}
+		occ.ctas += len(c.ctas)
+		occ.threads += scanLiveThreads(c)
+		occ.warps += scanLiveWarps(c)
+	}
+	if occ != g.occ {
+		return fmt.Errorf("cycle %d: occupancy totals %+v, recount %+v", g.cycle, g.occ, occ)
+	}
+	for _, c := range g.cores {
+		if err := checkIssueState(c); err != nil {
+			return fmt.Errorf("cycle %d core %d: %v", g.cycle, c.id, err)
+		}
 		if got, want := c.liveWarps, scanLiveWarps(c); got != want {
 			return fmt.Errorf("cycle %d core %d: liveWarps counter %d, scan %d", g.cycle, c.id, got, want)
 		}
@@ -55,8 +110,12 @@ func (g *GPU) checkLiveState() error {
 			return fmt.Errorf("cycle %d core %d: liveThreads counter %d, live lanes in live warps %d",
 				g.cycle, c.id, got, want)
 		}
+		if next := scanNextReady(c); next != c.nextReadyCycle() {
+			return fmt.Errorf("cycle %d core %d: next-ready cycle %d from the issue times, %d from the warps",
+				g.cycle, c.id, c.nextReadyCycle(), next)
+		}
 		if c.readyAt != 0 {
-			next := c.nextReadyCycle()
+			next := scanNextReady(c)
 			if next == 0 || c.readyAt > next {
 				return fmt.Errorf("cycle %d core %d: readyAt %d is past the true next-ready cycle %d",
 					g.cycle, c.id, c.readyAt, next)

@@ -452,25 +452,6 @@ func TestViolationLowestCoreWins(t *testing.T) {
 	}
 }
 
-// TestCommitViolationFoldOrder pins the fold rule directly: commitCycle
-// visits cores in ascending ID order and keeps the first violation, so the
-// lowest core ID wins regardless of the order the latches were set.
-func TestCommitViolationFoldOrder(t *testing.T) {
-	g := newTestGPU(t)
-	lo := &MemViolation{Addr: 0x100}
-	hi := &MemViolation{Addr: 0x200}
-	g.cores[2].setViol(hi) // higher core latches first
-	g.cores[0].setViol(lo)
-	g.commitCycle()
-	if g.violation != lo {
-		t.Fatalf("violation fold kept %v, want the lowest core's %v", g.violation, lo)
-	}
-	// Latches must be consumed so the next cycle starts clean.
-	if g.cores[0].viol != nil || g.cores[2].viol != nil {
-		t.Fatal("commitCycle left core violation latches set")
-	}
-}
-
 func TestTimeout(t *testing.T) {
 	src := `
 .kernel spin

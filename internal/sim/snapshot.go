@@ -332,9 +332,16 @@ func (g *GPU) syncStateFrom(src *GPU, capture bool) {
 	g.dram.mem, g.dram.latency = g.mem, src.dram.latency
 	syncCache(&g.l2, src.l2, g.dram, capture, &agg)
 	g.bankFree = append(g.bankFree[:0], src.bankFree...)
+	g.occ = occupancy{}
 	for i, sc := range src.cores {
 		c := g.cores[i]
 		c.copyScalarsFrom(sc, g)
+		if len(sc.ctas) > 0 {
+			g.occ.sms++
+		}
+		g.occ.ctas += len(sc.ctas)
+		g.occ.threads += sc.liveThreads
+		g.occ.warps += sc.liveWarps
 		syncCache(&c.l1d, sc.l1d, g.l2, capture, &agg)
 		syncCache(&c.l1t, sc.l1t, g.l2, capture, &agg)
 		syncCache(&c.l1c, sc.l1c, g.l2, capture, &agg)
@@ -492,6 +499,7 @@ func (c *core) copyScalarsFrom(src *core, g *GPU) {
 	c.liveThreads = src.liveThreads
 	c.liveWarps = src.liveWarps
 	c.readyAt = 0 // the resident warps are about to be replaced
+	c.issueStale = true
 	c.usedThreads = src.usedThreads
 	c.usedRegs = src.usedRegs
 	c.usedSmem = src.usedSmem

@@ -253,11 +253,11 @@ func (r *warpRig) setReg(reg int, f func(lane int) uint32) {
 	}
 }
 
-// violation returns, and clears, what the last instruction raised: still
-// latched on the core, since the rig runs no end-of-cycle fold.
+// violation returns, and clears, what the last instruction raised: the
+// device's violation, and the core's stop flag a tick would clear.
 func (r *warpRig) violation() error {
-	err := r.c.viol
-	r.c.viol, r.c.stop = nil, false
+	err := r.g.violation
+	r.g.violation, r.c.stop = nil, false
 	return err
 }
 

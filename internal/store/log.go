@@ -131,21 +131,22 @@ func (l *appendLog) append(syncNow bool, recs ...any) error {
 }
 
 // sync flushes buffered records and fsyncs the file; with nothing appended
-// since the last sync it costs nothing, unless always.
-func (l *appendLog) sync(always bool) error {
+// since the last sync it costs nothing.
+func (l *appendLog) sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed || (l.pending == 0 && !always) {
+	if l.closed || l.pending == 0 {
 		return nil
 	}
 	return l.syncLocked()
 }
 
 // syncLocked is the one place a log reaches the disk: flush, then fsync,
-// in that order, so no record is reported durable while still buffered.
+// in that order, so no record is reported durable while still buffered. A
+// lead with records pending syncs first; one with none costs nothing.
 func (l *appendLog) syncLocked() error {
 	if l.lead != nil {
-		l.lead.sync(true) // one clock; never ground truth: its failure must not fail this log
+		l.lead.sync() // one clock; never ground truth: its failure must not fail this log
 	}
 	start := time.Now()
 	if err := l.bw.Flush(); err != nil {
@@ -161,7 +162,8 @@ func (l *appendLog) syncLocked() error {
 	return nil
 }
 
-// close syncs outstanding records and closes the file. Idempotent.
+// close syncs outstanding records and buffered bytes, if there are any,
+// and closes the file. Idempotent.
 func (l *appendLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -169,7 +171,10 @@ func (l *appendLog) close() error {
 		return nil
 	}
 	l.closed = true
-	err := l.syncLocked()
+	var err error
+	if l.pending > 0 || l.bw.Buffered() > 0 {
+		err = l.syncLocked()
+	}
 	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}

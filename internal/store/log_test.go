@@ -561,8 +561,9 @@ func FuzzCodecRecord(f *testing.F) {
 // process "dies" — both handles dropped with nothing flushed. What the
 // next lifetime finds: no torn span line before the last one, every span
 // appended before the journal's last completed sync, and exactly one span
-// fsync per journal sync — the span log has no count of its own. A clean
-// shutdown adds the span log's own Close.
+// fsync per journal sync that had spans pending — the span log has no count
+// of its own, and a journal sync with no new span costs it nothing. A clean
+// shutdown adds the span log's own Close when spans are still pending.
 func TestSpanLogSharesJournalClock(t *testing.T) {
 	const steps = 60
 	span := func(i int) obs.SpanRecord {
@@ -578,7 +579,7 @@ func TestSpanLogSharesJournalClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		st.BatchSize = 4
-		journalSyncs, spanSyncs := fsyncHist.Count(), spanFsyncHist.Count()
+		spanSyncs := spanFsyncHist.Count()
 		spans, err := st.SpanWriter("c")
 		if err != nil {
 			t.Fatal(err)
@@ -588,15 +589,25 @@ func TestSpanLogSharesJournalClock(t *testing.T) {
 			t.Fatal(err)
 		}
 		appended, durable := 0, 0 // spans appended; spans appended before the journal's last sync
+		wantSpanSyncs := 0        // journal syncs that found spans pending, plus the span log's own
+		journalStep := func(step func() error) {
+			t.Helper()
+			before := fsyncHist.Count()
+			if err := step(); err != nil {
+				t.Fatal(err)
+			}
+			if fsyncHist.Count() != before {
+				if appended > durable {
+					wantSpanSyncs++
+				}
+				durable = appended
+			}
+		}
 		for i := 0; i < crashAt; i++ {
 			if i%4 == 3 {
-				before := fsyncHist.Count()
-				if err := c.Append(core.Experiment{ID: i, Outcome: avf.Masked, Effect: "Masked"}); err != nil {
-					t.Fatal(err)
-				}
-				if fsyncHist.Count() != before {
-					durable = appended
-				}
+				journalStep(func() error {
+					return c.Append(core.Experiment{ID: i, Outcome: avf.Masked, Effect: "Masked"})
+				})
 				continue
 			}
 			if err := spans.Append(span(i)); err != nil {
@@ -607,17 +618,18 @@ func TestSpanLogSharesJournalClock(t *testing.T) {
 		if crashAt == steps {
 			// The clean arm: the journal closes first, as under the
 			// coordinator, then the service closes the span log.
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+			journalStep(c.Close)
 			if err := spans.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if appended > durable {
+				wantSpanSyncs++
+			}
 			durable = appended
-			spanSyncs++
 		}
-		if j, s := fsyncHist.Count()-journalSyncs, spanFsyncHist.Count()-spanSyncs; s != j {
-			t.Fatalf("crash after %d appends: %d span-log fsyncs beside %d journal syncs", crashAt, s, j)
+		if got := spanFsyncHist.Count() - spanSyncs; got != int64(wantSpanSyncs) {
+			t.Fatalf("crash after %d appends: %d span-log fsyncs, want %d: one per journal sync with spans pending",
+				crashAt, got, wantSpanSyncs)
 		}
 
 		raw, err := os.ReadFile(filepath.Join(st.Dir(), "c", spansFile))
@@ -649,6 +661,65 @@ func TestSpanLogSharesJournalClock(t *testing.T) {
 		} else if err := again.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestNoFsyncWithNothingPending: a log whose records are all durable costs
+// no fsync to close, and a journal sync with no span appended since the
+// last one does not sync the span log it is led by.
+func TestNoFsyncWithNothingPending(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := st.SpanWriter("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := st.Create("c", vaSpec(40, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, wal, err := st.OpenControlWAL("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	walSyncs := walFsyncHist.Count()
+	if err := wal.AppendSync(ControlRecord{Kind: CtlPlanDone, Gen: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walFsyncHist.Count() - walSyncs; got != 1 {
+		t.Errorf("AppendSync then Close: %d control-WAL fsyncs, want 1", got)
+	}
+
+	if err := spans.Append(obs.SpanRecord{Trace: "t", Span: "1", Name: "engine.execute"}); err != nil {
+		t.Fatal(err)
+	}
+	journalSyncs, spanSyncs := fsyncHist.Count(), spanFsyncHist.Count()
+	for i := 0; i < 3; i++ {
+		// The first sync finds the span pending, the other two find none.
+		if err := c.Append(core.Experiment{ID: i, Outcome: avf.Masked, Effect: "Masked"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if j, s := fsyncHist.Count()-journalSyncs, spanFsyncHist.Count()-spanSyncs; j != 3 || s != 1 {
+		t.Errorf("three journal syncs after one span: %d journal and %d span-log fsyncs, want 3 and 1", j, s)
+	}
+	journalSyncs, spanSyncs = fsyncHist.Count(), spanFsyncHist.Count()
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := spans.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, s := fsyncHist.Count()-journalSyncs, spanFsyncHist.Count()-spanSyncs; j != 0 || s != 0 {
+		t.Errorf("closing a synced journal and span log: %d journal and %d span-log fsyncs, want none", j, s)
 	}
 }
 

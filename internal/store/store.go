@@ -180,7 +180,7 @@ func (c *Campaign) Sync() error {
 	if c.journal == nil {
 		return nil
 	}
-	return c.journal.sync(false)
+	return c.journal.sync()
 }
 
 // EnableTraces opens (creating if needed) the campaign's trace file for
