@@ -61,10 +61,9 @@
 // waits that long before it re-issues their shards. While a campaign's
 // state is being rebuilt, shard requests answer 503 coordinator_recovering
 // with a Retry-After. A worker that loses its coordinator parks in jittered
-// exponential backoff (-backoff-base/-backoff-max) for as long as the
-// outage lasts, idle or mid-shard, and resumes when the coordinator
-// returns, re-sending unacknowledged batches through the idempotent merge
-// path.
+// exponential backoff (100 ms doubling to 5 s) for as long as the outage
+// lasts, idle or mid-shard, and resumes when the coordinator returns,
+// re-sending unacknowledged batches through the idempotent merge path.
 //
 //	gpufi-serve -mode coordinator -addr :8080 -data gpufi-data
 //	gpufi-serve -mode worker -coordinator http://host:8080 -worker-name w1
@@ -127,10 +126,6 @@ func (n *node) flags() *flag.FlagSet {
 	fs.StringVar(&n.worker.Name, "worker-name", "", "worker identity in coordinator logs (default: hostname)")
 	fs.DurationVar(&n.coord.LeaseTTL, "lease-ttl", 15*time.Second, "shard lease TTL before a silent worker's shard is re-issued (coordinator mode)")
 	fs.IntVar(&n.coord.ShardsPerCampaign, "shards-per-campaign", 8, "max shards a campaign is split into (coordinator mode)")
-	fs.IntVar(&n.worker.BatchSize, "shard-batch", 64, "journal records that trigger a batch POST; one carries all that accumulated behind the last (worker mode)")
-
-	fs.DurationVar(&n.worker.BackoffBase, "backoff-base", 100*time.Millisecond, "initial retry delay against an unreachable coordinator (worker mode)")
-	fs.DurationVar(&n.worker.BackoffMax, "backoff-max", 5*time.Second, "retry delay ceiling during a coordinator outage (worker mode)")
 	return fs
 }
 

@@ -31,7 +31,6 @@ func defaults() *node {
 		mode: "local", addr: ":8080", data: "gpufi-data", drain: 30 * time.Second,
 		service: service.Options{Workers: 2, QueueDepth: 64},
 		coord:   shard.Options{LeaseTTL: 15 * time.Second, ShardsPerCampaign: 8},
-		worker:  shard.Worker{BatchSize: 64, BackoffBase: 100 * time.Millisecond, BackoffMax: 5 * time.Second},
 	}
 }
 
@@ -52,11 +51,10 @@ var configs = []struct {
 			n.mode = "coordinator"
 			n.coord = shard.Options{LeaseTTL: 5 * time.Second, ShardsPerCampaign: 4}
 		}},
-	{"-mode worker -coordinator http://host:8080 -worker-name w1 -shard-batch 2 -backoff-base 50ms -backoff-max 500ms",
+	{"-mode worker -coordinator http://host:8080 -worker-name w1",
 		func(n *node) {
 			n.mode = "worker"
-			n.worker = shard.Worker{Base: "http://host:8080", Name: "w1", BatchSize: 2,
-				BackoffBase: 50 * time.Millisecond, BackoffMax: 500 * time.Millisecond}
+			n.worker = shard.Worker{Base: "http://host:8080", Name: "w1"}
 		}},
 }
 
@@ -88,7 +86,7 @@ var modes = []struct {
 	{"local", "local-1", []string{"-addr $ADDR -data $DATA -workers 1"}},
 	{"coordinator", "w1", []string{
 		"-mode coordinator -addr $ADDR -data $DATA -shards-per-campaign 2 -lease-ttl 5s",
-		"-mode worker -coordinator http://$ADDR -worker-name w1 -shard-batch 4 -backoff-base 10ms -backoff-max 100ms",
+		"-mode worker -coordinator http://$ADDR -worker-name w1",
 	}},
 }
 

@@ -352,3 +352,45 @@ func Example_cachestudy() {
 	// golden run: 80330 cycles; L1D stats: {Accesses:1026 Hits:768 Misses:258 Evictions:256 Writebacks:0 TagFlips:0 HookArms:0 HookFires:0 HookKills:0}
 	// l1d: {Masked:134 SDC:61 Crash:0 Timeout:0 Performance:5}  FR=0.3050
 }
+
+// A kernel whose 1,024 resident threads use 32 registers each fills half
+// of a 65,536-register SM: 32 x 1024 / 65536 = 0.5.
+func ExampleDfReg() {
+	fmt.Printf("%.4f\n", gpufi.DfReg(32, 1024, 65536))
+	// Output: 0.5000
+}
+
+// Six resident CTAs of 4 KB shared memory each fill 24 KB of a 64 KB SM:
+// 4096 x 6 / 65536 = 0.375.
+func ExampleDfSmem() {
+	fmt.Printf("%.4f\n", gpufi.DfSmem(4096, 6, 65536))
+	// Output: 0.3750
+}
+
+// The register file fails 40 of 100 runs, derated by half: 0.2 over 1,000
+// bits. The L1D fails 10 of 100, not derated: 0.1 over 3,000 bits. Eq. (2)
+// weighs them by size: (0.2 x 1000 + 0.1 x 3000) / 4000 = 0.125.
+func ExampleKernelAVF() {
+	fmt.Printf("%.4f\n", gpufi.KernelAVF([]gpufi.StructResult{
+		{Name: "regfile", Counts: gpufi.Counts{Masked: 60, SDC: 30, Crash: 10}, SizeBits: 1000, Derate: 0.5},
+		{Name: "l1d", Counts: gpufi.Counts{Masked: 90, SDC: 10}, SizeBits: 3000, Derate: 1},
+	}))
+	// Output: 0.1250
+}
+
+// Eq. (3) weighs each kernel's AVF by its cycles:
+// (0.125 x 3000 + 0.325 x 1000) / 4000 = 0.175.
+func ExampleWeightedAVF() {
+	fmt.Printf("%.4f\n", gpufi.WeightedAVF([]gpufi.KernelEntry{
+		{Name: "k1", AVF: 0.125, Cycles: 3000},
+		{Name: "k2", AVF: 0.325, Cycles: 1000},
+	}))
+	// Output: 0.1750
+}
+
+// An AVF of 0.125 over 4,000,000 bits at 2e-6 raw FIT per bit:
+// 0.125 x 2e-6 x 4e6 = 1 failure in 10^9 hours.
+func ExampleFIT() {
+	fmt.Printf("%.4f\n", gpufi.FIT(0.125, 2e-6, 4_000_000))
+	// Output: 1.0000
+}

@@ -117,9 +117,6 @@ const (
 // RTX2060 returns the Turing-generation RTX 2060 model.
 func RTX2060() *GPU { return config.RTX2060() }
 
-// QuadroGV100 returns the Volta-generation Quadro GV100 model.
-func QuadroGV100() *GPU { return config.QuadroGV100() }
-
 // GTXTitan returns the Kepler-generation GTX Titan model.
 func GTXTitan() *GPU { return config.GTXTitan() }
 
@@ -162,9 +159,8 @@ func Assemble(src string) (*Program, error) { return asm.Assemble(src) }
 // AssembleAll translates source holding several kernels.
 func AssembleAll(src string) (map[string]*Program, error) { return asm.AssembleAll(src) }
 
-// Dim1 and Dim2 build launch dimensions.
-func Dim1(x int) Dim    { return sim.Dim1(x) }
-func Dim2(x, y int) Dim { return sim.Dim2(x, y) }
+// Dim1 builds a one-dimensional launch dimension.
+func Dim1(x int) Dim { return sim.Dim1(x) }
 
 // Structures lists the injectable structures.
 func Structures() []Structure { return sim.Structures() }
@@ -212,15 +208,9 @@ func RegFileClassBreakdown(eval *AppEval) map[Outcome]float64 {
 // masked register-file injections (Fig. 4).
 func PerformanceShare(eval *AppEval) float64 { return core.PerformanceShare(eval) }
 
-// WriteLog serializes a campaign result as JSON lines.
-func WriteLog(w io.Writer, res *CampaignResult) error { return store.WriteLog(w, res) }
-
-// ParseLog reads campaign logs back (the parser module).
-func ParseLog(r io.Reader) ([]*CampaignResult, error) { return store.ParseLog(r) }
-
-// ParseLogLenient parses like ParseLog but tolerates a torn final record —
-// the crash signature a durable journal recovers from — reporting whether
-// such a tail was dropped.
+// ParseLogLenient reads campaign logs back (the parser module), tolerating
+// a torn final record — the crash signature a durable journal recovers
+// from — and reporting whether such a tail was dropped.
 func ParseLogLenient(r io.Reader) (res []*CampaignResult, truncated bool, err error) {
 	return store.ParseLogLenient(r)
 }
@@ -251,13 +241,8 @@ func Margin(failures, total int, confidence float64) float64 {
 	return plan.Margin(failures, total, confidence)
 }
 
-// Interval returns the confidence interval for k failures out of n under
-// the named method: "wilson" (default) or "clopper-pearson" (exact).
-func Interval(method string, k, n int, confidence float64) (lo, hi float64, err error) {
-	return plan.Interval(method, k, n, confidence)
-}
-
-// DfReg and DfSmem are the paper's derating factors.
+// DfReg is the register-file derating factor: the share of an SM's
+// register file a kernel's mean resident threads occupy (Section V.A).
 func DfReg(regsPerThread int, meanThreadsPerSM float64, regFilePerSM int) float64 {
 	return avf.DfReg(regsPerThread, meanThreadsPerSM, regFilePerSM)
 }
@@ -267,8 +252,13 @@ func DfSmem(ctaSmemBytes int, meanCTAsPerSM float64, smemPerSM int) float64 {
 	return avf.DfSmem(ctaSmemBytes, meanCTAsPerSM, smemPerSM)
 }
 
-// KernelAVF is Eq. (2); WeightedAVF is Eq. (3); FIT is the Section VI.F
-// rate.
-func KernelAVF(results []StructResult) float64     { return avf.KernelAVF(results) }
-func WeightedAVF(kernels []KernelEntry) float64    { return avf.WeightedAVF(kernels) }
+// KernelAVF is Eq. (2): the size-weighted mean of the structures' derated
+// failure ratios.
+func KernelAVF(results []StructResult) float64 { return avf.KernelAVF(results) }
+
+// WeightedAVF is Eq. (3): the cycle-weighted mean of kernel AVFs.
+func WeightedAVF(kernels []KernelEntry) float64 { return avf.WeightedAVF(kernels) }
+
+// FIT is a structure's failures in 10^9 device-hours (Section VI.F): AVF x
+// raw FIT per bit x bits.
 func FIT(a, rawPerBit float64, bits int64) float64 { return avf.FIT(a, rawPerBit, bits) }

@@ -101,11 +101,6 @@ type GPU struct {
 	// per cycle (number of warp schedulers).
 	IssuePerCycle int
 
-	// Scheduler selects the warp scheduling policy: "gto" (greedy-then-
-	// oldest, GPGPU-Sim's default and ours) or "lrr" (loose round-robin).
-	// Empty means "gto".
-	Scheduler string
-
 	// L2QueueCycles enables bank-contention modeling at the L2: each line
 	// request occupies its bank for this many cycles, and requests to a
 	// busy bank queue behind it. 0 (the default) keeps the pure
@@ -190,11 +185,6 @@ func (g *GPU) Validate() error {
 	}
 	if !(g.RawFITPerBit > 0) || math.IsInf(g.RawFITPerBit, 0) {
 		return fmt.Errorf("config: %s: raw FIT per bit must be positive and finite", g.Name)
-	}
-	switch g.Scheduler {
-	case "", "gto", "lrr":
-	default:
-		return fmt.Errorf("config: %s: unknown scheduler %q (gto or lrr)", g.Name, g.Scheduler)
 	}
 	if g.L2QueueCycles < 0 {
 		return fmt.Errorf("config: %s: negative L2 queue cycles", g.Name)

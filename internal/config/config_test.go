@@ -121,18 +121,25 @@ func TestMarshalParseRoundTrip(t *testing.T) {
 func TestParseErrors(t *testing.T) {
 	cases := []struct {
 		name, src string
+		want      string // in the error, when set
 	}{
-		{"garbage line", "this is not a config"},
-		{"unknown key", "-frobnicate 3"},
-		{"bad int", RTX2060().Marshal() + "-sms notanumber\n"},
-		{"bad cache", "-l1d 64:8:128\n"},
-		{"bad cache int", "-l1d a:b:c:d\n"},
-		{"missing required", "-name x\n-sms 30\n"},
+		{"garbage line", "this is not a config", ""},
+		{"unknown key", "-frobnicate 3", ""},
+		// The warp scheduler is greedy-then-oldest, with no key to choose it.
+		{"scheduler key", RTX2060().Marshal() + "-scheduler gto\n", `unknown key "scheduler"`},
+		{"bad int", RTX2060().Marshal() + "-sms notanumber\n", ""},
+		{"bad cache", "-l1d 64:8:128\n", ""},
+		{"bad cache int", "-l1d a:b:c:d\n", ""},
+		{"missing required", "-name x\n-sms 30\n", ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Parse(strings.NewReader(tc.src)); err == nil {
-				t.Error("parse succeeded, want error")
+			_, err := Parse(strings.NewReader(tc.src))
+			if err == nil {
+				t.Fatal("parse succeeded, want error")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q, want one naming %s", err, tc.want)
 			}
 		})
 	}

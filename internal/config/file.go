@@ -40,9 +40,6 @@ func (g *GPU) Marshal() string {
 	fmt.Fprintf(&b, "-issue_per_cycle %d\n", g.IssuePerCycle)
 	fmt.Fprintf(&b, "-ecc %t\n", g.ECC)
 	fmt.Fprintf(&b, "-lenient_memory %t\n", g.LenientMemory)
-	if g.Scheduler != "" {
-		fmt.Fprintf(&b, "-scheduler %s\n", g.Scheduler)
-	}
 	if g.L2QueueCycles != 0 {
 		fmt.Fprintf(&b, "-l2_queue_cycles %d\n", g.L2QueueCycles)
 	}
@@ -171,9 +168,6 @@ func (g *GPU) set(key, val string) error {
 			return fmt.Errorf("ecc: %v", err)
 		}
 		g.ECC = v
-		return nil
-	case "scheduler":
-		g.Scheduler = val
 		return nil
 	case "l2_queue_cycles":
 		return intVal(&g.L2QueueCycles)

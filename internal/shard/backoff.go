@@ -29,6 +29,10 @@ type backoff struct {
 	d         time.Duration
 }
 
+// curve is the backoff every request starts from: backoffBase doubling to
+// backoffMax. Only tests replace it (export_test.go).
+var curve = backoff{base: backoffBase, max: backoffMax}
+
 func (b *backoff) next() time.Duration {
 	if b.d <= 0 {
 		b.d = b.base

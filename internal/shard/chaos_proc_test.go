@@ -43,9 +43,14 @@ func TestChaosProcessKill(t *testing.T) {
 		startWorkerProc(t, bin, base, name)
 	}
 
+	// A shard's sender posts whatever its engine finished while the last
+	// POST was in flight, so batches follow the coordinator's round trips,
+	// not the record count, and the engines keep running through each
+	// outage. 6,000 runs leave work for eight round trips after the first
+	// restart, so the second kill lands too.
 	specs := map[string]store.Spec{
 		"proc-forked": {App: "VA", GPU: "RTX2060", Kernel: "va_add", Structure: "regfile",
-			Runs: 48, Seed: 17, Workers: 2},
+			Runs: 6000, Seed: 17, Workers: 2},
 	}
 	for id, spec := range specs {
 		submit(t, base, map[string]any{
@@ -147,8 +152,7 @@ func startCoordinatorProc(t *testing.T, bin, addr, dataDir string) *exec.Cmd {
 func startWorkerProc(t *testing.T, bin, base, name string) {
 	t.Helper()
 	cmd := exec.Command(bin,
-		"-mode", "worker", "-coordinator", base, "-worker-name", name,
-		"-shard-batch", "2", "-backoff-base", "50ms", "-backoff-max", "500ms")
+		"-mode", "worker", "-coordinator", base, "-worker-name", name)
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Start(); err != nil {
 		t.Fatal(err)

@@ -133,13 +133,10 @@ func startChaosLifetime(t *testing.T, dir string, shards int, ttl time.Duration)
 	return &lifetime{st: st, co: co, srv: srv}
 }
 
-// startChaosWorker launches a worker tuned for fast outage cycles:
-// aggressive poll and backoff so the test wall-clock stays short.
+// startChaosWorker launches a worker tuned for fast outage cycles: a
+// short poll so the test wall-clock stays short.
 func startChaosWorker(ctx context.Context, base, name string) chan struct{} {
-	w := &shard.Worker{
-		Base: base, Name: name, BatchSize: 2, Poll: 5 * time.Millisecond,
-		BackoffBase: 5 * time.Millisecond, BackoffMax: 50 * time.Millisecond,
-	}
+	w := &shard.Worker{Base: base, Name: name, BatchSize: 2, Poll: 5 * time.Millisecond}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)

@@ -1,6 +1,9 @@
 package shard
 
-import "context"
+import (
+	"context"
+	"time"
+)
 
 // RunShard runs one claimed shard the way Worker.Run does, for the sender
 // tests that play coordinator themselves, and ends the engine session as Run
@@ -8,6 +11,15 @@ import "context"
 func (w *Worker) RunShard(ctx context.Context, sh *Shard) error {
 	defer w.endSession()
 	return w.runShard(ctx, sh)
+}
+
+// SetBackoff gives every worker of the test binary a backoff curve from
+// base doubling to max, until restore is called. Call restore only once the
+// workers that wait under it have stopped.
+func SetBackoff(base, max time.Duration) (restore func()) {
+	old := curve
+	curve = backoff{base: base, max: max}
+	return func() { curve = old }
 }
 
 // Call is the worker's one request path, for the wire round-trip test.

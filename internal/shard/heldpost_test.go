@@ -150,8 +150,7 @@ func heldWorker(t *testing.T, c *cluster, name string, batch int, sched schedule
 	tr := &http.Transport{}
 	t.Cleanup(tr.CloseIdleConnections)
 	h := &heldTransport{next: tr, schedule: sched, inflight: map[string]int{}}
-	return &shard.Worker{Base: c.ts.URL, Name: name, BatchSize: batch, Client: &http.Client{Transport: h},
-		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond}, h
+	return &shard.Worker{Base: c.ts.URL, Name: name, BatchSize: batch, Client: &http.Client{Transport: h}}, h
 }
 
 // forwardAll is the schedule that holds nothing and answers nothing itself.

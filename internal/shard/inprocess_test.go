@@ -18,6 +18,7 @@ import (
 // and a fixed-N one planned while another campaign is marked recovering,
 // which answers the idle workers' claims with ErrRecovering, not ErrNoWork.
 func TestInProcessWorkersWake(t *testing.T) {
+	defer shard.SetBackoff(time.Hour, time.Hour)()
 	for _, tc := range []struct {
 		name       string
 		spec       store.Spec
@@ -39,8 +40,7 @@ func TestInProcessWorkersWake(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			var stopped []chan struct{}
 			for _, name := range []string{"p1", "p2"} {
-				w := &shard.Worker{Coordinator: co, Name: name, BatchSize: 8,
-					Poll: time.Hour, BackoffBase: time.Hour}
+				w := &shard.Worker{Coordinator: co, Name: name, BatchSize: 8, Poll: time.Hour}
 				done := make(chan struct{})
 				go func() { defer close(done); w.Run(ctx) }()
 				stopped = append(stopped, done)

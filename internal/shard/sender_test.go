@@ -123,8 +123,12 @@ func TestSenderGroupCommit(t *testing.T) {
 // past the idle interval, so its first POST is an empty batch, and answers
 // every journal POST coordinator_recovering for longer than the lease
 // lives. Their shard completes, a retried POST keeps its Seq, and the
-// merged journal is the library's. No arm leaves a goroutine behind.
+// merged journal is the library's. No arm leaves a goroutine behind. The
+// worker retries every 20 ms, so the refused POSTs of the idle arm span
+// its outage; under the built-in curve (100 ms, doubling) they span less
+// than the lease.
 func TestSenderErrorStopsShard(t *testing.T) {
+	defer shard.SetBackoff(20*time.Millisecond, 20*time.Millisecond)()
 	envelope := func(status int, code string) func(http.ResponseWriter) {
 		return func(w http.ResponseWriter) {
 			w.Header().Set("Content-Type", "application/json")
@@ -201,10 +205,7 @@ func TestSenderErrorStopsShard(t *testing.T) {
 			// Every retry re-sends the dropped batch whole, with whatever the
 			// engine finished while the first POST was in flight.
 			tr := &http.Transport{}
-			w := &shard.Worker{
-				Base: tap.URL(), Name: "w", BatchSize: 2, Client: &http.Client{Transport: tr},
-				BackoffBase: 20 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-			}
+			w := &shard.Worker{Base: tap.URL(), Name: "w", BatchSize: 2, Client: &http.Client{Transport: tr}}
 			if tc.name == "idle" {
 				// The first experiment outlasts the idle interval; paced, the
 				// engine outlives the outage by a margin. The library run

@@ -40,8 +40,7 @@ func TestSoakFinishedCampaignsAreTombstones(t *testing.T) {
 				ctx, cancel := context.WithCancel(context.Background())
 				var done []chan struct{}
 				for _, name := range []string{"s1", "s2"} {
-					w := &shard.Worker{Base: p.URL(), Name: name, BatchSize: 4, Poll: 2 * time.Millisecond,
-						BackoffBase: 2 * time.Millisecond, BackoffMax: 20 * time.Millisecond}
+					w := &shard.Worker{Base: p.URL(), Name: name, BatchSize: 4, Poll: 2 * time.Millisecond}
 					d := make(chan struct{})
 					done = append(done, d)
 					go func() { defer close(d); w.Run(ctx) }()

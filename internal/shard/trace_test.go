@@ -370,10 +370,7 @@ func TestTraceparentRetryPropagation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	w := &shard.Worker{
-		Base: ts.URL, Name: "tpw", BatchSize: 4, Poll: 5 * time.Millisecond,
-		BackoffBase: 5 * time.Millisecond, BackoffMax: 20 * time.Millisecond,
-	}
+	w := &shard.Worker{Base: ts.URL, Name: "tpw", BatchSize: 4, Poll: 5 * time.Millisecond}
 	var stalled atomic.Bool
 	defer core.SetExperimentHook(core.SetExperimentHook(func(int, *sim.FaultSpec) {
 		if !stalled.Swap(true) {

@@ -61,12 +61,6 @@ type Worker struct {
 	// does not thunder in lockstep against a freshly restarted
 	// coordinator. Default 500ms.
 	Poll time.Duration
-	// BackoffBase is the first delay of the jittered exponential backoff
-	// applied when the coordinator is unreachable or recovering. Default
-	// 100ms.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff growth. Default 5s.
-	BackoffMax time.Duration
 	// Logger receives worker logs. Nil discards.
 	Logger *slog.Logger
 
@@ -104,25 +98,20 @@ func (w *Worker) logger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
+// The worker's waits: the claim poll when Poll is unset, and the backoff
+// curve against an unreachable or recovering coordinator, which starts at
+// backoffBase and doubles up to backoffMax.
+const (
+	defaultPoll = 500 * time.Millisecond
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
+)
+
 func (w *Worker) poll() time.Duration {
 	if w.Poll > 0 {
 		return w.Poll
 	}
-	return 500 * time.Millisecond
-}
-
-func (w *Worker) newBackoff() *backoff {
-	b := &backoff{base: w.BackoffBase, max: w.BackoffMax}
-	if b.base <= 0 {
-		b.base = 100 * time.Millisecond
-	}
-	if b.max < b.base {
-		b.max = 5 * time.Second
-		if b.max < b.base {
-			b.max = b.base
-		}
-	}
-	return b
+	return defaultPoll
 }
 
 // Run claims and executes shards until ctx is cancelled. A coordinator
@@ -479,7 +468,7 @@ func (w *Worker) call(ctx context.Context, path string, body, out any) error {
 		try = func() error { return w.post(ctx, path, raw, out) }
 	}
 
-	bo := w.newBackoff()
+	bo := curve
 	var parked time.Time
 	for {
 		wake := w.planned()

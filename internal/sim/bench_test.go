@@ -47,7 +47,7 @@ func BenchmarkTickStalledCore(b *testing.B) {
 	c := g.cores[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if c.tick(g.cfg.IssuePerCycle, false) {
+		if c.tick(g.cfg.IssuePerCycle) {
 			b.Fatal("a stalled core issued")
 		}
 	}

@@ -235,12 +235,18 @@ type placedWarp struct {
 }
 
 // tryPlaceCTA places linear CTA ctaID on this core if the per-SM limits
-// (CTAs, threads, registers, shared memory) allow. Returns success.
+// (CTAs, warp slots, threads, registers, shared memory) allow. Returns
+// success. A block whose size is not a multiple of the warp size rounds up
+// to whole warps, so the warp slots can run out before the threads do.
 func (c *core) tryPlaceCTA(ctaID int) bool {
 	g := c.gpu
 	p := g.curProg
 	ctaThreads := g.curBlock.Count()
+	nWarps := (ctaThreads + isa.WarpSize - 1) / isa.WarpSize
 	if len(c.ctas)+1 > g.cfg.MaxCTAsPerSM {
+		return false
+	}
+	if len(c.warps)+nWarps > g.cfg.MaxWarpsPerSM() {
 		return false
 	}
 	if c.usedThreads+ctaThreads > g.cfg.MaxThreadsPerSM {
@@ -256,7 +262,6 @@ func (c *core) tryPlaceCTA(ctaID int) bool {
 	// One slab per kind of state for the whole CTA: placement costs a fixed
 	// number of allocations however many threads the block has.
 	b := &cta{id: ctaID, core: c, smem: make([]byte, p.SmemBytes)}
-	nWarps := (ctaThreads + isa.WarpSize - 1) / isa.WarpSize
 	warpRegs := p.RegsPerThread * isa.WarpSize
 	b.warps = make([]*warp, nWarps)
 	warps := make([]placedWarp, nWarps)
@@ -378,14 +383,19 @@ func (c *core) nextReadyCycle() uint64 {
 }
 
 // tick issues up to width (the configuration's IssuePerCycle) warp
-// instructions using a greedy-then-oldest scheduler, or loose round-robin
-// when lrr is set. Returns whether any warp was ready. The cycle loop calls
-// it only for a core with resident warps whose readyAt has passed.
+// instructions using a greedy-then-oldest scheduler. Returns whether any
+// warp was ready. The cycle loop calls it only for a core with resident
+// warps whose readyAt has passed.
 //
 // Candidates come in (rr + scan) % n order, and rr moves after every
 // issue, so a second issue in the same cycle looks from rr's new value on,
-// scan+1 places further: the order every recorded journal was run in.
-func (c *core) tick(width int, lrr bool) bool {
+// scan+1 places further: the order every recorded journal was run in. The
+// scheduler stays on a warp that is still ready after its issue. Every
+// completed instruction leaves its warp busy, so that happens only in a
+// cycle whose latched violation (lineWrite: a store routed into a
+// read-only cache mode) aborts the launch, where it still decides which
+// warp issues next.
+func (c *core) tick(width int) bool {
 	if c.issueStale {
 		c.syncIssue()
 	}
@@ -406,9 +416,7 @@ func (c *core) tick(width int, lrr bool) bool {
 		w := c.warps[idx]
 		c.step(w)
 		issued++
-		if lrr || w.exited || w.atBarrier || w.busyUntil > cycle {
-			// Loose round-robin always moves on; greedy-then-oldest only
-			// when the warp stalls.
+		if w.exited || w.atBarrier || w.busyUntil > cycle {
 			c.rr = (idx + 1) % n
 		} else {
 			c.rr = idx

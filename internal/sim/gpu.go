@@ -494,7 +494,7 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 	}
 	p := g.curProg
 	ks := g.kernelStat
-	width, lrr := g.cfg.IssuePerCycle, g.cfg.Scheduler == "lrr"
+	width := g.cfg.IssuePerCycle
 	for g.doneCTAs < g.totalCTAs {
 		// Pending snapshot captures fire between cycles: the state handed
 		// to the sink is "every cycle <= g.cycle executed, faults for
@@ -544,7 +544,7 @@ func (g *GPU) runLaunch() (*LaunchResult, error) {
 			if len(c.warps) == 0 || c.readyAt > g.cycle {
 				continue
 			}
-			if c.tick(width, lrr) {
+			if c.tick(width) {
 				anyReady = true
 			}
 		}

@@ -140,6 +140,10 @@ func (g *GPU) checkLiveState() error {
 			return fmt.Errorf("cycle %d core %d: valid lanes of resident warps %d, usedThreads %d",
 				g.cycle, c.id, resident, c.usedThreads)
 		}
+		if len(c.warps) > g.cfg.MaxWarpsPerSM() {
+			return fmt.Errorf("cycle %d core %d: %d resident warps in %d warp slots",
+				g.cycle, c.id, len(c.warps), g.cfg.MaxWarpsPerSM())
+		}
 	}
 	return nil
 }

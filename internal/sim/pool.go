@@ -55,9 +55,8 @@ type storage struct {
 // shape is the pool key: the part of a configuration that decides how
 // storage is laid out, by value. Presets return a new *config.GPU on every
 // call, so a pointer would never match across campaigns, and everything
-// else in a configuration (ECC, lenient memory, latencies, the scheduler,
-// per-SM limits) is read through the device's cfg at run time and costs no
-// storage. An absent cache is the zero geometry.
+// else in a configuration (ECC, lenient memory, latencies, per-SM limits)
+// is read through the device's cfg at run time and costs no storage. An absent cache is the zero geometry.
 type shape struct {
 	sms, l2Banks           int
 	l2, l1d, l1t, l1c, l1i config.Cache

@@ -137,9 +137,9 @@ func TestPoolKeyIsShapeByValue(t *testing.T) {
 		hit    bool
 	}{
 		{"same preset, new pointer", func() *GPU { g, _ := Borrow(testConfig()); return g }, true},
-		{"ECC, lenient memory, latency, scheduler", func() *GPU {
+		{"ECC, lenient memory, latency", func() *GPU {
 			cfg := testConfig()
-			cfg.ECC, cfg.LenientMemory, cfg.DRAMLatency, cfg.Scheduler = true, true, cfg.DRAMLatency+7, "lrr"
+			cfg.ECC, cfg.LenientMemory, cfg.DRAMLatency = true, true, cfg.DRAMLatency+7
 			g, _ := Borrow(cfg)
 			return g
 		}, true},

@@ -5,46 +5,6 @@ import (
 	"testing"
 )
 
-// Both scheduling policies must produce identical functional results;
-// their cycle counts may differ.
-func TestSchedulerPoliciesFunctionallyEqual(t *testing.T) {
-	run := func(policy string) ([]float32, uint64) {
-		cfg := testConfig()
-		cfg.Scheduler = policy
-		g, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := runVecadd(t, g, 512)
-		return res, g.Cycle()
-	}
-	gto, gtoCycles := run("gto")
-	lrr, lrrCycles := run("lrr")
-	for i := range gto {
-		if gto[i] != lrr[i] {
-			t.Fatalf("results diverge between schedulers at %d", i)
-		}
-	}
-	t.Logf("gto=%d cycles, lrr=%d cycles", gtoCycles, lrrCycles)
-	if gtoCycles == 0 || lrrCycles == 0 {
-		t.Fatal("no cycles recorded")
-	}
-}
-
-func TestSchedulerValidation(t *testing.T) {
-	cfg := testConfig()
-	cfg.Scheduler = "fifo"
-	if _, err := New(cfg); err == nil {
-		t.Error("unknown scheduler accepted")
-	}
-	for _, s := range []string{"", "gto", "lrr"} {
-		cfg.Scheduler = s
-		if _, err := New(cfg); err != nil {
-			t.Errorf("scheduler %q rejected: %v", s, err)
-		}
-	}
-}
-
 func TestStatsReport(t *testing.T) {
 	g := newTestGPU(t)
 	runVecadd(t, g, 512)

@@ -3,6 +3,7 @@ package sim
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"testing"
 
 	"gpufi/internal/asm"
@@ -625,5 +626,41 @@ func TestWarpOccupancyBounds(t *testing.T) {
 	ks := g.KernelStats()["vecadd"]
 	if ks.Occupancy <= 0 || ks.Occupancy > 1.0 {
 		t.Errorf("occupancy %g out of bounds", ks.Occupancy)
+	}
+}
+
+// TestPlacementHoldsWarpSlots launches 65-thread blocks on QuadroGV100. A
+// block takes three warps for its 65 threads, so the thread limit alone (31
+// blocks in 2,048 threads) would put 93 warps into an SM's 64 warp slots.
+// No core may hold more warps than it has slots at the end of any cycle
+// (checkLiveState holds the bound too), the slots must fill as far as whole
+// blocks fit (21 blocks, 63 warps), and Occupancy, the share of the slots
+// live warps fill, stays at most 1.
+func TestPlacementHoldsWarpSlots(t *testing.T) {
+	cfg := config.QuadroGV100()
+	cfg.SMs = 1 // the per-SM limits are the preset's
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Enough work that every resident warp is still live most cycles.
+	p := mustAssemble(t, ".kernel slots\nMOV R0, 7\n"+strings.Repeat("IADD R0, R0, R0\n", 32)+"EXIT")
+	CheckLiveStateEveryCycle(g, func(err error) { t.Error(err) })
+	check, most := g.cycleCheck, 0
+	g.cycleCheck = func() {
+		check()
+		for _, c := range g.cores {
+			most = max(most, len(c.warps))
+		}
+	}
+	if _, err := g.Launch(p, Dim1(32*cfg.SMs), Dim1(65)); err != nil {
+		t.Fatal(err)
+	}
+	slots := cfg.MaxWarpsPerSM()
+	if want := slots / 3 * 3; most != want {
+		t.Errorf("at most %d warps resident on a core, want %d (%d slots)", most, want, slots)
+	}
+	if ks := g.KernelStats()["slots"]; ks.Occupancy <= 0 || ks.Occupancy > 1 {
+		t.Errorf("occupancy %g out of (0, 1]", ks.Occupancy)
 	}
 }

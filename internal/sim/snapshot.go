@@ -266,7 +266,7 @@ func (g *GPU) Refork(snap *Snapshot) {
 // storage from the device pool; the sync that follows is the same one a
 // reforked vessel gets, and its full legs are what give new storage its
 // baseline. The device runs under the snapshot's configuration from here:
-// ECC, lenient memory, latencies and the scheduler are read through cfg.
+// ECC, lenient memory and latencies are read through cfg.
 func (g *GPU) restore(s *Snapshot) {
 	start := time.Now()
 	defer func() { restoreHist.Observe(time.Since(start).Seconds()) }()
