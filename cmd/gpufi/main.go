@@ -172,14 +172,13 @@ func run(args []string, stdout, stderr io.Writer) error {
 		kernels = []string{o.kernel}
 	}
 
-	var lw *gpufi.LogWriter
+	var logFile *os.File
 	if o.logPath != "" {
-		logFile, err := os.Create(o.logPath)
-		if err != nil {
+		var err error
+		if logFile, err = os.Create(o.logPath); err != nil {
 			return err
 		}
 		defer logFile.Close()
-		lw = gpufi.NewLogWriter(logFile)
 	}
 
 	// Propagation traces: in direct mode they stream to the -trace file;
@@ -231,8 +230,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		// by id — byte-identical with and without -store and across worker
 		// counts for the same seed. (For crash-safe incremental journaling
 		// use -store; its journal is in merge order and sorted on read.)
-		if lw != nil {
-			if err := lw.Result(res); err != nil {
+		if logFile != nil {
+			if err := store.WriteLog(logFile, res); err != nil {
 				return err
 			}
 		}

@@ -215,14 +215,6 @@ func ParseLogLenient(r io.Reader) (res []*CampaignResult, truncated bool, err er
 	return store.ParseLogLenient(r)
 }
 
-// LogWriter writes campaign records incrementally (header, then one
-// record per experiment) through the same codec the durable campaign
-// store journals with.
-type LogWriter = store.LogWriter
-
-// NewLogWriter returns a campaign log writer emitting JSONL records to w.
-func NewLogWriter(w io.Writer) *LogWriter { return store.NewLogWriter(w) }
-
 // SampleSize returns the statistically significant injection count for a
 // population, confidence, and error margin (Leveugle et al.).
 func SampleSize(population, confidence, margin float64) int {

@@ -153,8 +153,7 @@ func TestResumeRejectsMultiCampaignJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lw := NewLogWriter(c.journal.bw)
-	if err := lw.Begin(Header{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "l2", Runs: 2, Seed: 2}); err != nil {
+	if err := c.journal.append(false, headerRecord(Header{App: "BP", GPU: "RTX2060", Kernel: "bp_adjust", Structure: "l2", Runs: 2, Seed: 2})); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {

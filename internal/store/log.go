@@ -64,8 +64,7 @@ type appendLog struct {
 	mu      sync.Mutex
 	f       *os.File
 	bw      *bufio.Writer
-	enc     *json.Encoder // onto bw; one record per line
-	pending int           // records appended since the last fsync
+	pending int // records appended since the last fsync
 	closed  bool
 }
 
@@ -98,8 +97,7 @@ func openLog(path string, flag int, p logPolicy, tail logTail) (*appendLog, erro
 			return nil, fmt.Errorf("store: repair %s: %v", p.name, err)
 		}
 	}
-	bw := bufio.NewWriter(f)
-	return &appendLog{logPolicy: p, f: f, bw: bw, enc: json.NewEncoder(bw)}, nil
+	return &appendLog{logPolicy: p, f: f, bw: bufio.NewWriter(f)}, nil
 }
 
 // append encodes recs, one line each. The bytes reach the disk when the
@@ -114,7 +112,11 @@ func (l *appendLog) append(syncNow bool, recs ...any) error {
 		return fmt.Errorf("store: append to closed %s", l.name)
 	}
 	for _, rec := range recs {
-		if err := l.enc.Encode(rec); err != nil {
+		line, err := appendRecord(l.bw.AvailableBuffer(), rec)
+		if err == nil {
+			_, err = l.bw.Write(line)
+		}
+		if err != nil {
 			return fmt.Errorf("store: write %s record: %v", l.name, err)
 		}
 	}

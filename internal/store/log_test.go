@@ -508,28 +508,58 @@ func FuzzLogRecover(f *testing.F) {
 // FuzzCodecRecord feeds arbitrary bytes to the record decoders. They must
 // not panic, and whatever they accept must survive a round trip: encoding
 // the decoded records and decoding those bytes gives the same records, and
-// the encoding is a fixed point.
+// the encoding is a fixed point. The experiment codec is held to
+// encoding/json on both line shapes: every line the fast decoder accepts
+// reads as json.Unmarshal reads it, and every experiment of an accepted
+// parse encodes to json.Marshal's line.
 func FuzzCodecRecord(f *testing.F) {
 	f.Add([]byte(hdrA + "\n" + expLine(0, "Masked") + "\n" + expLine(1, "SDC") + "\n"))
 	f.Add([]byte(hdrA + "\n" + `{"type":"quarantine","id":2,"effect":"Timeout","reason":"deadline"}` + "\n"))
 	f.Add([]byte(`{"kind":"grant","shard":"a:1:0","lease":"l","epoch":3,"worker":"w1"}`))
 	encode := func(t *testing.T, res []*core.CampaignResult) []byte {
 		var buf bytes.Buffer
-		lw := NewLogWriter(&buf)
 		for _, r := range res {
-			if err := lw.Result(r); err != nil {
+			if err := WriteLog(&buf, r); err != nil {
 				t.Fatalf("accepted records do not encode: %v", err)
 			}
 		}
 		return buf.Bytes()
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			line = bytes.TrimSpace(line)
+			d := logDecoder{cur: &core.CampaignResult{}}
+			if !d.exp(line) {
+				continue
+			}
+			var want core.Experiment
+			if err := json.Unmarshal(line, &want); err != nil {
+				t.Fatalf("fast decoder accepted what encoding/json refuses (%v): %q", err, line)
+			}
+			want.Outcome, _ = avf.ParseOutcome(want.Effect)
+			if got := d.cur.Exps; len(got) != 1 || !reflect.DeepEqual(got[0], want) || d.cur.Counts.Total() != 1 {
+				t.Fatalf("fast decoder read %q as %+v, encoding/json as %+v", line, got, want)
+			}
+		}
+
 		lenient, torn, lerr := ParseLogLenient(bytes.NewReader(data))
 		res, err := ParseLog(bytes.NewReader(data))
 		if err == nil && (lerr != nil || torn || !reflect.DeepEqual(res, lenient)) {
 			t.Fatalf("strict parse accepted what the lenient one did not: torn=%v %v", torn, lerr)
 		}
 		if lerr == nil {
+			for _, r := range lenient {
+				for _, e := range r.Exps {
+					got, _ := appendRecord(nil, &e)
+					want, err := json.Marshal(struct {
+						Type string `json:"type"`
+						core.Experiment
+					}{"exp", e})
+					if err != nil || !bytes.Equal(got, append(want, '\n')) {
+						t.Fatalf("experiment line differs from json.Marshal's (%v):\n got: %q\nwant: %q", err, got, want)
+					}
+				}
+			}
 			enc := encode(t, lenient)
 			back, err := ParseLog(bytes.NewReader(enc))
 			if err != nil || !reflect.DeepEqual(back, lenient) {

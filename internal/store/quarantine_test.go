@@ -19,33 +19,27 @@ import (
 // outcome never landed gets a synthesized experiment with the recorded
 // classification.
 func TestQuarantineRecordRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	lw := NewLogWriter(&buf)
-	quarantine := func(exp core.Experiment) error { return json.NewEncoder(&buf).Encode(quarantineRecord(exp)) }
-	if err := lw.Begin(Header{App: "VA", GPU: "RTX2060", Kernel: "va_add",
-		Structure: "regfile", Bits: 1, Runs: 3, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
-	// Exp 0: quarantined with its outcome record on disk (the normal case).
 	shadowed := core.Experiment{ID: 0, Outcome: avf.Crash, Effect: "Crash",
 		Quarantined: true, Detail: "quarantined: simulator panic: boom"}
-	if err := quarantine(shadowed); err != nil {
-		t.Fatal(err)
-	}
-	if err := lw.Experiment(shadowed); err != nil {
-		t.Fatal(err)
-	}
-	// Exp 1: ordinary outcome.
-	if err := lw.Experiment(core.Experiment{ID: 1, Outcome: avf.Masked, Effect: "Masked"}); err != nil {
-		t.Fatal(err)
-	}
-	// Exp 2: quarantine record only — the crash window.
-	if err := quarantine(core.Experiment{ID: 2, Outcome: avf.Timeout, Effect: "Timeout",
-		Quarantined: true, Detail: "quarantined: wall-clock deadline 1s exceeded"}); err != nil {
-		t.Fatal(err)
+	var buf []byte
+	for _, rec := range []any{
+		headerRecord(Header{App: "VA", GPU: "RTX2060", Kernel: "va_add",
+			Structure: "regfile", Bits: 1, Runs: 3, Seed: 1}),
+		// Exp 0: quarantined with its outcome record on disk (the normal case).
+		quarantineRecord(shadowed), &shadowed,
+		// Exp 1: ordinary outcome.
+		&core.Experiment{ID: 1, Outcome: avf.Masked, Effect: "Masked"},
+		// Exp 2: quarantine record only — the crash window.
+		quarantineRecord(core.Experiment{ID: 2, Outcome: avf.Timeout, Effect: "Timeout",
+			Quarantined: true, Detail: "quarantined: wall-clock deadline 1s exceeded"}),
+	} {
+		var err error
+		if buf, err = appendRecord(buf, rec); err != nil {
+			t.Fatal(err)
+		}
 	}
 
-	res, err := ParseLog(&buf)
+	res, err := ParseLog(bytes.NewReader(buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func (c *Campaign) Record(exps ...core.Experiment) error {
 		return fmt.Errorf("store: campaign %s is complete; nothing to record", c.ID)
 	}
 	recs := make([]any, 0, len(exps))
-	for _, exp := range exps {
+	for i, exp := range exps {
 		switch {
 		case exp.Trace != nil && c.traces == nil:
 			return fmt.Errorf("store: campaign %s has no trace file open", c.ID)
@@ -152,7 +152,7 @@ func (c *Campaign) Record(exps ...core.Experiment) error {
 			}
 			recs = recs[:0]
 		}
-		recs = append(recs, expRecord(exp))
+		recs = append(recs, &exps[i])
 		if exp.Trace != nil {
 			if err := c.traces.append(false, *exp.Trace); err != nil {
 				return err
@@ -168,7 +168,7 @@ func (c *Campaign) Append(exp core.Experiment) error {
 	if c.journal == nil {
 		return fmt.Errorf("store: campaign %s is complete; nothing to append", c.ID)
 	}
-	return c.journal.append(false, expRecord(exp))
+	return c.journal.append(false, &exp)
 }
 
 // Sync flushes and fsyncs any batched journal records; with none it costs
