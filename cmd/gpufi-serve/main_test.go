@@ -182,7 +182,8 @@ func TestModes(t *testing.T) {
 
 // TestEveryFlagHasARow fails on a flag no command line of configs or modes
 // sets to a value other than its default: every flag earns its keep with a
-// test.
+// test. It also fails on a flag that a command line of the documents
+// (clitest.Docs) passes and the flag set does not define.
 func TestEveryFlagHasARow(t *testing.T) {
 	var scripts []string
 	for _, c := range configs {
@@ -191,8 +192,12 @@ func TestEveryFlagHasARow(t *testing.T) {
 	for _, m := range modes {
 		scripts = append(scripts, m.nodes...)
 	}
-	if unset := clitest.Unset(func() *flag.FlagSet { return new(node).flags() }, scripts); len(unset) > 0 {
+	newFlags := func() *flag.FlagSet { return new(node).flags() }
+	if unset := clitest.Unset(newFlags, scripts); len(unset) > 0 {
 		t.Errorf("no command line sets %v", unset)
+	}
+	if unknown, err := clitest.UnknownFlags("../..", "gpufi-serve", newFlags); err != nil || len(unknown) > 0 {
+		t.Errorf("the documents pass gpufi-serve flags it does not define (%v): %v", err, unknown)
 	}
 }
 

@@ -90,15 +90,21 @@ func TestDocumentedCommands(t *testing.T) {
 	}
 }
 
-// TestEveryFlagHasARow fails on a flag no row of documented sets to a
-// value other than its default: every flag earns its keep with a test.
+// TestEveryFlagHasARow fails on a flag no row of documented sets to a value
+// other than its default: every flag earns its keep with a test. It also
+// fails on a flag that a command line of the documents (clitest.Docs) passes
+// and the flag set does not define.
 func TestEveryFlagHasARow(t *testing.T) {
 	var scripts []string
 	for _, c := range documented {
 		scripts = append(scripts, c.args)
 	}
-	if unset := clitest.Unset(func() *flag.FlagSet { return new(options).flags() }, scripts); len(unset) > 0 {
+	newFlags := func() *flag.FlagSet { return new(options).flags() }
+	if unset := clitest.Unset(newFlags, scripts); len(unset) > 0 {
 		t.Errorf("no row of documented sets %v", unset)
+	}
+	if unknown, err := clitest.UnknownFlags("../..", "gpufi", newFlags); err != nil || len(unknown) > 0 {
+		t.Errorf("the documents pass gpufi flags it does not define (%v): %v", err, unknown)
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package clitest runs the commands under cmd/ in their tests: a script of
 // command lines goes through a command's run function in a temporary
 // directory and its transcript is held to a golden file, and Unset names
-// the flags no test line sets.
+// the flags no test line sets. DocRefs extracts what the documents cite,
+// so that the tests of what they cite can hold them to it.
 //
 // A script is command lines separated by " ; ", run in order in one
 // directory; a line ending in "< file" reads that file on stdin.

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"gpufi/internal/cli/clitest"
 	"gpufi/internal/core"
 	"gpufi/internal/obs"
 	"gpufi/internal/shard"
@@ -93,7 +94,10 @@ func designMetrics(t *testing.T) map[string]bool {
 // family and fails on a family without help text or with a name outside
 // gpufi_[a-z0-9_], one DESIGN.md §9's table does not name, a name in that
 // table nobody registers, and two families the JSON key rule maps to one
-// key — and on an engine phase not observed exactly once per experiment.
+// key; on a gpufi_ name the documents (clitest.Docs) mention that is not a
+// served family or its _bucket, _sum or _count (a * in it stands for any
+// run of characters); and on an engine phase not observed exactly once per
+// experiment.
 func TestMetricCatalogue(t *testing.T) {
 	// One observation per experiment and phase: the catalogue campaign
 	// simulates its 8 experiments on the worker, in this process.
@@ -146,6 +150,22 @@ func TestMetricCatalogue(t *testing.T) {
 	for name := range documented {
 		if byKey[jsonKey(name)] != name {
 			t.Errorf("%s: in DESIGN.md §9's metrics table but not registered", name)
+		}
+	}
+	refs, err := clitest.DocRefs("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range refs.Metrics {
+		re := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(r.Text), `\*`, ".*") + "$")
+		found := false
+		for _, name := range served {
+			for _, suffix := range []string{"", "_bucket", "_sum", "_count"} {
+				found = found || re.MatchString(name+suffix)
+			}
+		}
+		if !found {
+			t.Errorf("%v: names no served family", r)
 		}
 	}
 	t.Logf("%d families served, %d documented", len(served), len(documented))

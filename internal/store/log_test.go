@@ -578,6 +578,11 @@ func FuzzCodecRecord(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted control record does not encode: %v", err)
 		}
+		// omitempty drops an empty Indices, so "indices":[] reads back nil;
+		// every reader ranges over or counts them, and holds the two alike.
+		if rec.Indices != nil && len(rec.Indices) == 0 {
+			rec.Indices = nil
+		}
 		var back ControlRecord
 		if err := json.Unmarshal(enc, &back); err != nil || !reflect.DeepEqual(back, rec) {
 			t.Fatalf("control record round trip (%v): %+v != %+v", err, back, rec)
